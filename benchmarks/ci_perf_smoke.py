@@ -41,7 +41,7 @@ exits non-zero when a gate fails:
 * **gateway** — the resilient serving gateway (PR 10) under concurrent
   clients: the healthy leg must serve every request with zero sheds and
   zero degradations; the overload leg (one in-flight slot, one-deep
-  queue, injected ``serve_key`` latency) must shed past the bound
+  queue, injected ``serve_sql`` latency) must shed past the bound
   rather than queue unboundedly; the fault leg (every ``serve_sql``
   statement failing transiently) must serve every request bit-identical
   to the healthy compiled path, stamp every degradation, and trip the

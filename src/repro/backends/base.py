@@ -28,6 +28,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
+from repro.engine.operators import ColumnEncoding
 from repro.engine.result import Relation
 
 # BackendError moved to repro.exceptions (PR 8, error taxonomy) so the
@@ -231,6 +232,25 @@ class Connector:
         the seconds spent (0.0 for the default no-op).
         """
         return 0.0
+
+    # -- cached key encodings (optional, read-only) ------------------------
+    def encoding_for(self, table: str, column: str) -> Optional[ColumnEncoding]:
+        """The cached dictionary encoding of one stored column, or ``None``.
+
+        An engine that keeps version-stamped
+        :class:`~repro.engine.operators.ColumnEncoding` objects for its
+        key columns (the embedded engine's encoding cache) returns the
+        current one; key scoring then gathers the matching rows from it
+        instead of rendering a statement
+        (:func:`repro.core.predict.gather_frame`).  Engines that own
+        their storage return ``None`` and keep the SQL path, where their
+        optimizer pushes the key predicate down.  The hook runs no
+        statement, so there is nothing for a proxy to intercept: the
+        default resolves through :attr:`unwrapped`, and a chaos, retry
+        or timing wrapper inherits the backend's answer unchanged.
+        """
+        inner = self.unwrapped
+        return None if inner is self else inner.encoding_for(table, column)
 
     # -- process-worker serialization ------------------------------------
     def process_task_payload(

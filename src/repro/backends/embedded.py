@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.backends.base import Capabilities, Connector, register_backend
 from repro.engine.database import Database
+from repro.engine.operators import ColumnEncoding
 from repro.engine.result import Relation
 from repro.sql import ast_nodes
 from repro.sql.parser import parse as parse_sql
@@ -140,6 +141,10 @@ class EmbeddedConnector(Connector):
     ) -> None:
         """Replace a stored column via the engine's physical strategy."""
         self._db.replace_column(table_name, column_name, values, strategy)
+
+    def encoding_for(self, table: str, column: str) -> Optional[ColumnEncoding]:
+        """The engine's cached key encoding of ``table.column``."""
+        return self._db.encoding_for(table, column)
 
     def process_task_payload(
         self, sql: str, tag: Optional[str] = None

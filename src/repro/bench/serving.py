@@ -246,8 +246,10 @@ def gateway_concurrency_benchmark(
       sheds and zero degradations (nothing should fall off the primary
       path on a healthy backend).
     * ``overload`` — a gateway bound to one in-flight request and a
-      one-deep queue, with injected ``serve_key`` latency, takes
-      ``overload_clients`` simultaneous requests: the bound must *shed*
+      one-deep queue, with injected ``serve_sql`` latency (the embedded
+      key path executes no statement to slow down), takes
+      ``overload_clients`` simultaneous ``score_sql`` requests: the
+      bound must *shed*
       the excess immediately (``ServiceOverloadedError``), never park it
       on an unbounded queue — the leg reports shed count and the worst
       observed latency.
@@ -311,7 +313,7 @@ def gateway_concurrency_benchmark(
     # Leg 2: overload sheds, never hangs ------------------------------
     slow_conn = wrap_with_chaos(
         EmbeddedConnector(db=db),
-        "tag=serve_key:nth=1:times=1000000:kind=latency:delay=0.02",
+        "tag=serve_sql:nth=1:times=1000000:kind=latency:delay=0.02",
     )
     slow_service = PredictionService(slow_conn, graph)
     slow_service.deploy(model)
@@ -326,7 +328,7 @@ def gateway_concurrency_benchmark(
     def overload_client(i: int) -> None:
         start = time.perf_counter()
         try:
-            slow_gateway.score_key({"k1": i % 64})
+            slow_gateway.score_sql()
         except ServingError:
             pass  # shed or deadline: the bound doing its job
         with latency_lock:

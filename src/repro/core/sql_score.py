@@ -33,13 +33,14 @@ are bit-identical to the recursive and compiled paths (enforced by
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import TrainingError
 from repro.core.boosting import GradientBoostingModel, MulticlassBoostingModel
 from repro.core.forest import RandomForestModel
+from repro.core.predict import check_key_request
 from repro.core.tree import DecisionTreeModel, TreeNode
 from repro.factorize.predicates import _sql_literal
 from repro.joingraph.graph import JoinGraph
@@ -354,7 +355,7 @@ def score_by_key(
     db,
     graph: JoinGraph,
     model,
-    keys: Dict[str, object],
+    keys: Mapping[str, object],
     fact: Optional[str] = None,
     extra_columns: Sequence[str] = (),
     tag: str = "score",
@@ -364,22 +365,20 @@ def score_by_key(
     ``keys`` maps fact columns to values ("score user id X"); only the
     matching fact rows and the dimension rows their join keys reach are
     touched — no temp copy, no denormalization.  Returns the Relation
-    with the key columns, any ``extra_columns``, and ``jb_score``.
+    with the key columns, any ``extra_columns``, and ``jb_score``.  This
+    is the key path of connectors whose DBMS owns the storage and pushes
+    the predicate into its own fact scan; the embedded engine answers
+    the same request with :func:`repro.core.predict.gather_frame`.
     """
     fact = fact or graph.target_relation
-    if not keys:
-        raise TrainingError("score_by_key needs at least one key column")
-    table = db.table(fact)
-    for column in list(keys) + list(extra_columns):
-        if column not in table.column_names():
-            raise TrainingError(
-                f"fact table {fact!r} has no column {column!r}"
-            )
+    normalized = check_key_request(db, fact, keys, extra_columns)
+    # A key no row can equal renders as ``= NULL``: never true in SQL, so
+    # the DBMS itself returns the empty, correctly shaped result.
     condition = " AND ".join(
-        f"t.{column} = {_sql_literal(value)}"  # type: ignore[arg-type]
-        for column, value in keys.items()
+        f"t.{column} = {'NULL' if value is None else _sql_literal(value)}"
+        for column, value in normalized.items()
     )
-    prefix = [f"t.{c} AS {c}" for c in list(keys) + list(extra_columns)]
+    prefix = [f"t.{c} AS {c}" for c in [*normalized, *extra_columns]]
     sql = scoring_select_sql(
         graph, model, fact, select_prefix=prefix, where=condition
     )

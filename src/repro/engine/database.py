@@ -114,6 +114,12 @@ class Database:
         # valid because the data did not move.
         self.catalog.rename(old, new)
 
+    def encoding_for(self, table: str, column: str) -> Optional[ops.ColumnEncoding]:
+        """The cached, version-stamped key encoding of one stored column
+        (the Connector protocol's ``encoding_for`` hook); ``None`` when
+        the encoding cache is off or the column is exempt from it."""
+        return self.encodings.encoding_for(self.table(table).column(column))
+
     def _forget_encodings(self, name: str) -> None:
         """Release cache entries of a table that is about to disappear."""
         if self.catalog.exists(name):

@@ -20,9 +20,10 @@ PRs 8–9.  :class:`ServingGateway` fronts a service with:
   half-opens it, and recovery closes it.  The clock is injectable, so
   tests drive transitions deterministically.
 * **Graceful degradation** — backend scoring failures fall down a
-  ladder: ``sql``/``key`` → the compiled numpy kernel over a
-  fact-aligned frame (which executes *no* SQL, so statement faults
-  cannot touch it) → the recursive reference scorer.  All three paths
+  ladder: ``sql``/``key`` → the compiled numpy kernel over a frame
+  built from direct column reads (which executes *no* SQL, so
+  statement faults cannot touch it; a ``key`` request gathers only its
+  matching rows) → the recursive reference scorer.  All three paths
   are bit-identical by construction (PR 6's parity tests), so a
   degraded response is the *same bits* with a different cost profile —
   and every degradation is stamped in the response census
@@ -43,7 +44,8 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.predict import feature_frame
+from repro.core.predict import check_key_request, feature_frame
+from repro.engine.result import Relation
 from repro.exceptions import (
     CircuitOpenError,
     DeadlineExceededError,
@@ -98,8 +100,9 @@ class GatewayResponse:
     ``degraded_reason`` is ``None`` when the primary path served, else a
     ``path:ErrorType`` trail of every step that failed before one
     succeeded.  ``scores`` is always the fact-aligned (or key-matched)
-    float64 array; ``relation`` additionally carries the backend
-    Relation when the primary ``key`` path served.
+    float64 array; ``relation`` additionally carries the key columns,
+    extra columns and ``jb_score`` of a ``key`` request, whichever rung
+    served it.
     """
 
     scores: np.ndarray
@@ -215,24 +218,36 @@ class ServingGateway:
         name: str = "default",
         deadline: Optional[float] = None,
         degrade: bool = True,
+        extra_columns: Sequence[str] = (),
     ) -> GatewayResponse:
         """Score the fact rows matching ``keys`` ("score user id X").
 
-        Ladder: ``key`` (backend semi-join) → ``compiled`` over the
-        key-masked fact frame → ``recursive`` over the same mask.  The
-        degraded paths execute no SQL, so they survive any statement
-        fault plan.
+        Ladder: ``key`` (the service's key path: a gather on the
+        embedded engine, the backend semi-join elsewhere) → ``compiled``
+        → ``recursive``.  Both degraded rungs gather only the matching
+        rows' features through direct column reads and execute no SQL,
+        so they survive any statement fault plan at O(matching rows).
+        The request is validated once, before the ladder, and every
+        rung returns the same Relation: key columns, ``extra_columns``,
+        ``jb_score``.
         """
-        keys = dict(keys)
+        keys = check_key_request(
+            self.service.db, self.service.fact, keys, extra_columns
+        )
 
-        def key_primary() -> Tuple[np.ndarray, object]:
-            relation = self.service.score_key(keys, name=name)
-            return relation.column("jb_score").as_float(), relation
-
+        service = self.service
         ladder = [
-            (PATH_KEY, key_primary),
-            (PATH_COMPILED, lambda: self._masked_scores(name, keys, False)),
-            (PATH_RECURSIVE, lambda: self._masked_scores(name, keys, True)),
+            (PATH_KEY, lambda: service.score_key(keys, name, extra_columns)),
+            (
+                PATH_COMPILED,
+                lambda: service.score_key_gathered(keys, name, extra_columns),
+            ),
+            (
+                PATH_RECURSIVE,
+                lambda: service.score_key_gathered(
+                    keys, name, extra_columns, recursive=True
+                ),
+            ),
         ]
         return self._request("key", name, ladder, deadline, degrade)
 
@@ -266,33 +281,6 @@ class ServingGateway:
             include_target=False,
         )
         return np.asarray(model.predict_arrays(frame))  # type: ignore[attr-defined]
-
-    def _masked_scores(
-        self, name: str, keys: Dict[str, object], recursive: bool
-    ) -> np.ndarray:
-        """Key-restricted scoring without SQL: build the fact-aligned
-        frame (plus the key columns), mask rows matching ``keys``, score
-        the slice in fact order — the same rows the semi-join returns."""
-        deployment = self.service.deployment(name)
-        model = deployment.model
-        features = list(model.required_features)  # type: ignore[attr-defined]
-        columns = sorted(set(features) | set(keys))
-        frame = feature_frame(
-            self.service.db,
-            self.service.graph,
-            columns=columns,
-            fact=self.service.fact,
-            include_target=False,
-        )
-        n = len(next(iter(frame.values()))) if frame else 0
-        mask = np.ones(n, dtype=bool)
-        for column, value in keys.items():
-            mask &= np.asarray(frame[column]) == value
-        sliced = {c: np.asarray(frame[c])[mask] for c in features}
-        if recursive:
-            return np.asarray(model.predict_arrays(sliced))  # type: ignore[attr-defined]
-        kernel = self.service.compiled(name)
-        return np.asarray(kernel.predict_arrays(sliced))
 
     # ------------------------------------------------------------------
     # The request pipeline: admit → ladder → census
@@ -411,8 +399,9 @@ class ServingGateway:
                 continue
             breaker.record_success()
             relation = None
-            if isinstance(result, tuple):
-                scores, relation = result
+            if isinstance(result, Relation):
+                relation = result
+                scores = relation.column("jb_score").as_float()
             else:
                 scores = result
             degraded_reason = "; ".join(reasons) if reasons else None

@@ -11,8 +11,11 @@ three ways —
   over fact-aligned :func:`repro.core.predict.feature_frame` batches;
 * :meth:`score_sql` — the model pushed into the backend as one nested
   ``CASE WHEN`` expression (:mod:`repro.core.sql_score`);
-* :meth:`score_key` — the "score user id X" path: a semi-join over the
-  N-to-1 join tree restricted by a key predicate, no denormalization.
+* :meth:`score_key` — the "score user id X" path: only the fact rows a
+  key predicate reaches and the ≤ 1 dimension row each of their join keys
+  reaches — a gather over the cached key encodings on the embedded
+  engine (no statement at all), a pushed-down semi-join in SQL on an
+  external DBMS.  No denormalization either way.
 
 Deploys are versioned and reversible (PR 10): redeploying a name with a
 retrained model mints a new digest and pushes the previous version into
@@ -41,15 +44,16 @@ import contextlib
 import dataclasses
 import threading
 import time
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.core.compile import CompiledModel, compile_model
 from repro.core.params import TrainParams
-from repro.core.predict import feature_frame
+from repro.core.predict import check_key_request, feature_frame, gather_frame
 from repro.core.serialize import model_digest
 from repro.core.sql_score import score_by_key, sql_scores
+from repro.engine.result import Relation
 from repro.engine.scheduler import QueryScheduler
 from repro.exceptions import (
     BackendError,
@@ -63,6 +67,7 @@ from repro.exceptions import (
 )
 from repro.joingraph.graph import JoinGraph
 from repro.serve.cache import CompiledModelCache
+from repro.storage.column import Column
 
 #: default fact-row chunk for batched scoring; small enough to overlap,
 #: large enough that per-chunk dispatch overhead disappears.
@@ -406,20 +411,63 @@ class PredictionService:
         keys: Mapping[str, object],
         name: str = "default",
         extra_columns: Sequence[str] = (),
-    ):
-        """The "score user id X" path: semi-join the normalized schema on
-        a fact-key predicate and score only the matching rows."""
+    ) -> Relation:
+        """The "score user id X" path: score only the fact rows matching
+        ``keys``; returns the key columns, ``extra_columns`` and
+        ``jb_score`` in fact order.
+
+        On a connector that serves cached key encodings (the embedded
+        engine) this is a gather — :meth:`score_key_gathered` — and
+        executes no statement.  Elsewhere the DBMS runs the semi-join
+        (:func:`~repro.core.sql_score.score_by_key`), its own optimizer
+        pushing the key predicate into the fact scan.
+        """
         deployment = self._deployment(name)
+        normalized = check_key_request(self.db, self.fact, keys, extra_columns)
+        if self.db.encoding_for(self.fact, next(iter(normalized))) is not None:  # type: ignore[attr-defined]
+            return self.score_key_gathered(normalized, name, extra_columns)
         with self._wrap_serving_faults("score_key"):
             return score_by_key(
                 self.db,
                 self.graph,
                 deployment.model,
-                dict(keys),
+                normalized,
                 fact=self.fact,
                 extra_columns=tuple(extra_columns),
                 tag="serve_key",
             )
+
+    def score_key_gathered(
+        self,
+        keys: Mapping[str, object],
+        name: str = "default",
+        extra_columns: Sequence[str] = (),
+        recursive: bool = False,
+    ) -> Relation:
+        """:meth:`score_key` without SQL on any connector: gather the
+        matching rows' features (:func:`~repro.core.predict.gather_frame`)
+        and score them with the warm compiled kernel, or with the
+        recursive reference model when ``recursive`` — the gateway's
+        degraded key rungs."""
+        deployment = self._deployment(name)
+        normalized = check_key_request(self.db, self.fact, keys, extra_columns)
+        scorer: Any = (
+            deployment.model if recursive else self._kernel_for(deployment)
+        )
+        rows, frame = gather_frame(
+            self.db,
+            self.graph,
+            list(scorer.required_features),
+            normalized,
+            fact=self.fact,
+        )
+        scores = np.asarray(scorer.predict_arrays(frame), dtype=np.float64)
+        table = self.db.table(self.fact)  # type: ignore[attr-defined]
+        columns = [
+            table.column(c).take(rows) for c in [*normalized, *extra_columns]
+        ]
+        columns.append(Column("jb_score", scores))
+        return Relation(columns)
 
     @contextlib.contextmanager
     def _wrap_serving_faults(self, where: str) -> Iterator[None]:

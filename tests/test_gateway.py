@@ -63,14 +63,14 @@ def healthy(tiny_star):
     return db, graph, model, service
 
 
-def chaos_gateway(model, chaos_spec, **gateway_kwargs):
+def chaos_gateway(model, chaos_spec, backend="plain", **gateway_kwargs):
     """A gateway over the same star data on a chaos-wrapped connector.
 
     The explicit ``chaos=`` plan overrides any ``JOINBOOST_CHAOS`` env
     plan and ``retry=False`` keeps faults visible to the gateway instead
     of being absorbed by the retry layer.
     """
-    conn = repro.connect("plain", chaos=chaos_spec, retry=False)
+    conn = repro.connect(backend, chaos=chaos_spec, retry=False)
     _, graph = star_schema(db=conn, **STAR)
     service = PredictionService(conn, graph)
     service.deploy(model)
@@ -278,14 +278,24 @@ class TestDegradation:
     def test_cursor_fault_on_key_path_degrades_with_parity(self, healthy):
         _, _, model, service = healthy
         keys = {"k0": 3}
-        expected = service.score_key(keys).column("jb_score").as_float()
+        expected = service.score_key(keys, extra_columns=["k1"])
+        # sqlite: there the key path is still a ``serve_key`` statement
+        # (the embedded engine gathers and executes none to fault).
         gateway = chaos_gateway(
-            model, "tag=serve_key:nth=1:times=100:kind=cursor"
+            model,
+            "tag=serve_key:nth=1:times=100:kind=cursor",
+            backend="sqlite",
         )
-        response = gateway.score_key(keys)
+        response = gateway.score_key(keys, extra_columns=["k1"])
         assert response.served_by == "compiled"
         assert response.degraded
-        assert np.array_equal(response.scores, expected)
+        assert "key:TransientServingError" in response.degraded_reason
+        assert np.array_equal(
+            response.scores, expected.column("jb_score").as_float()
+        )
+        # The degraded rung still hands back the key and extra columns.
+        assert response.relation.names == ["k0", "k1", "jb_score"]
+        assert np.array_equal(response.relation["k1"], expected["k1"])
 
     def test_latency_fault_stays_on_primary_path(self, healthy):
         _, _, model, service = healthy
