@@ -142,13 +142,20 @@ def check_key_request(
     Key and extra columns must be stored on the fact table
     (:class:`TrainingError` otherwise — a configuration error, the same
     on every path).  Values become plain ``str`` / ``int`` / ``float``;
-    a value no row can equal (``None``, NaN, or a non-scalar) becomes
-    ``None``: SQL ``= NULL`` is never true, so such a request matches no
-    rows rather than raising.
+    a value no row can equal — ``None``, NaN, a non-scalar, a string
+    against a numeric column or a number against a string column —
+    becomes ``None``: SQL ``= NULL`` is never true, so such a request
+    matches no rows rather than raising.  Settling the str/numeric
+    mismatch here, against the column's logical type, keeps a DBMS's own
+    coercion rules (sqlite's column affinity makes ``'3' = 3`` true on an
+    INTEGER column) out of the answer.  External connectors read that
+    type off their client-side column snapshot, fetched once per data
+    version.
     """
     if not keys:
         raise TrainingError("key scoring needs at least one key column")
-    stored = db.table(fact).column_names()
+    table = db.table(fact)
+    stored = table.column_names()
     for column in [*keys, *extra_columns]:
         if column not in stored:
             raise TrainingError(f"fact table {fact!r} has no column {column!r}")
@@ -162,6 +169,10 @@ def check_key_request(
         elif isinstance(value, numbers.Real):
             as_float = float(value)
             normalized = as_float if as_float == as_float else None
+        if normalized is not None:
+            textual = table.column(column).ctype.name == "STR"
+            if textual != isinstance(normalized, str):
+                normalized = None
         out[column] = normalized
     return out
 
@@ -183,10 +194,12 @@ def _encoding(db, table: str, column: str) -> ColumnEncoding:
 
 def _codes(encoding: ColumnEncoding, values: np.ndarray) -> np.ndarray:
     """Dictionary code of each probe value, -1 where no stored key equals
-    it.  The one place key equality is defined: numbers compare by value
-    (``3 == 3.0``), strings by text, a string never equals a number, and
-    NULL (NaN / ``None``) equals nothing — stored NULLs are not in the
-    dictionary at all."""
+    it.  Key equality for the gather, on request keys and join hops
+    alike: numbers compare by value (``3 == 3.0``), strings by text, a
+    string never equals a number, and NULL (NaN / ``None``) equals
+    nothing — stored NULLs are not in the dictionary at all.  The SQL
+    key path agrees because :func:`check_key_request` has already turned
+    a str/numeric mismatch into NULL."""
     uniques = encoding.uniques
     none = np.full(len(values), -1, dtype=np.int64)
     textual = uniques.dtype.kind in "US"

@@ -40,7 +40,7 @@ import numpy as np
 from repro.exceptions import TrainingError
 from repro.core.boosting import GradientBoostingModel, MulticlassBoostingModel
 from repro.core.forest import RandomForestModel
-from repro.core.predict import check_key_request
+from repro.core.predict import KeyValue, check_key_request
 from repro.core.tree import DecisionTreeModel, TreeNode
 from repro.factorize.predicates import _sql_literal
 from repro.joingraph.graph import JoinGraph
@@ -372,13 +372,29 @@ def score_by_key(
     """
     fact = fact or graph.target_relation
     normalized = check_key_request(db, fact, keys, extra_columns)
+    return score_by_checked_key(
+        db, graph, model, normalized, fact, extra_columns, tag
+    )
+
+
+def score_by_checked_key(
+    db,
+    graph: JoinGraph,
+    model,
+    keys: Mapping[str, KeyValue],
+    fact: str,
+    extra_columns: Sequence[str],
+    tag: str,
+):
+    """:func:`score_by_key` on keys :func:`check_key_request` already
+    validated and normalized (the serving layer checks once per request)."""
     # A key no row can equal renders as ``= NULL``: never true in SQL, so
     # the DBMS itself returns the empty, correctly shaped result.
     condition = " AND ".join(
         f"t.{column} = {'NULL' if value is None else _sql_literal(value)}"
-        for column, value in normalized.items()
+        for column, value in keys.items()
     )
-    prefix = [f"t.{c} AS {c}" for c in [*normalized, *extra_columns]]
+    prefix = [f"t.{c} AS {c}" for c in [*keys, *extra_columns]]
     sql = scoring_select_sql(
         graph, model, fact, select_prefix=prefix, where=condition
     )

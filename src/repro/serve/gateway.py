@@ -231,20 +231,17 @@ class ServingGateway:
         rung returns the same Relation: key columns, ``extra_columns``,
         ``jb_score``.
         """
-        keys = check_key_request(
-            self.service.db, self.service.fact, keys, extra_columns
-        )
-
         service = self.service
+        keys = check_key_request(service.db, service.fact, keys, extra_columns)
         ladder = [
-            (PATH_KEY, lambda: service.score_key(keys, name, extra_columns)),
+            (PATH_KEY, lambda: service._score_key(keys, name, extra_columns)),
             (
                 PATH_COMPILED,
-                lambda: service.score_key_gathered(keys, name, extra_columns),
+                lambda: service._score_key_gathered(keys, name, extra_columns),
             ),
             (
                 PATH_RECURSIVE,
-                lambda: service.score_key_gathered(
+                lambda: service._score_key_gathered(
                     keys, name, extra_columns, recursive=True
                 ),
             ),

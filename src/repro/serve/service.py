@@ -50,9 +50,14 @@ import numpy as np
 
 from repro.core.compile import CompiledModel, compile_model
 from repro.core.params import TrainParams
-from repro.core.predict import check_key_request, feature_frame, gather_frame
+from repro.core.predict import (
+    KeyValue,
+    check_key_request,
+    feature_frame,
+    gather_frame,
+)
 from repro.core.serialize import model_digest
-from repro.core.sql_score import score_by_key, sql_scores
+from repro.core.sql_score import score_by_checked_key, sql_scores
 from repro.engine.result import Relation
 from repro.engine.scheduler import QueryScheduler
 from repro.exceptions import (
@@ -417,40 +422,50 @@ class PredictionService:
         ``jb_score`` in fact order.
 
         On a connector that serves cached key encodings (the embedded
-        engine) this is a gather — :meth:`score_key_gathered` — and
-        executes no statement.  Elsewhere the DBMS runs the semi-join
+        engine) this is a gather (:func:`~repro.core.predict.gather_frame`)
+        and executes no statement.  Elsewhere the DBMS runs the semi-join
         (:func:`~repro.core.sql_score.score_by_key`), its own optimizer
         pushing the key predicate into the fact scan.
         """
+        checked = check_key_request(self.db, self.fact, keys, extra_columns)
+        return self._score_key(checked, name, extra_columns)
+
+    # The two methods below take keys ``check_key_request`` has already
+    # validated: ``score_key`` and the gateway check a request once, then
+    # call these per ladder rung.
+    def _score_key(
+        self,
+        keys: Mapping[str, KeyValue],
+        name: str,
+        extra_columns: Sequence[str],
+    ) -> Relation:
+        if self.db.encoding_for(self.fact, next(iter(keys))) is not None:  # type: ignore[attr-defined]
+            return self._score_key_gathered(keys, name, extra_columns)
         deployment = self._deployment(name)
-        normalized = check_key_request(self.db, self.fact, keys, extra_columns)
-        if self.db.encoding_for(self.fact, next(iter(normalized))) is not None:  # type: ignore[attr-defined]
-            return self.score_key_gathered(normalized, name, extra_columns)
         with self._wrap_serving_faults("score_key"):
-            return score_by_key(
+            return score_by_checked_key(
                 self.db,
                 self.graph,
                 deployment.model,
-                normalized,
-                fact=self.fact,
-                extra_columns=tuple(extra_columns),
+                keys,
+                self.fact,
+                tuple(extra_columns),
                 tag="serve_key",
             )
 
-    def score_key_gathered(
+    def _score_key_gathered(
         self,
-        keys: Mapping[str, object],
-        name: str = "default",
-        extra_columns: Sequence[str] = (),
+        keys: Mapping[str, KeyValue],
+        name: str,
+        extra_columns: Sequence[str],
         recursive: bool = False,
     ) -> Relation:
-        """:meth:`score_key` without SQL on any connector: gather the
-        matching rows' features (:func:`~repro.core.predict.gather_frame`)
-        and score them with the warm compiled kernel, or with the
-        recursive reference model when ``recursive`` — the gateway's
-        degraded key rungs."""
+        """Key scoring without SQL on any connector: gather the matching
+        rows' features (:func:`~repro.core.predict.gather_frame`) and
+        score them with the warm compiled kernel, or with the recursive
+        reference model when ``recursive`` — the gateway's degraded key
+        rungs."""
         deployment = self._deployment(name)
-        normalized = check_key_request(self.db, self.fact, keys, extra_columns)
         scorer: Any = (
             deployment.model if recursive else self._kernel_for(deployment)
         )
@@ -458,13 +473,13 @@ class PredictionService:
             self.db,
             self.graph,
             list(scorer.required_features),
-            normalized,
+            keys,
             fact=self.fact,
         )
         scores = np.asarray(scorer.predict_arrays(frame), dtype=np.float64)
         table = self.db.table(self.fact)  # type: ignore[attr-defined]
         columns = [
-            table.column(c).take(rows) for c in [*normalized, *extra_columns]
+            table.column(c).take(rows) for c in [*keys, *extra_columns]
         ]
         columns.append(Column("jb_score", scores))
         return Relation(columns)

@@ -25,10 +25,26 @@ import repro
 from repro.core.predict import check_key_request, feature_frame, gather_frame
 from repro.exceptions import TrainingError
 from repro.joingraph.graph import JoinGraph
-from repro.serve import PredictionService, ServingGateway
+from repro.serve import BreakerPolicy, PredictionService, ServingGateway
 
 FEATURES = ["xf", "xa", "xs", "xb", "xc"]
 TRAIN_PARAMS = {"num_iterations": 4, "num_leaves": 6, "seed": 3}
+
+
+def rung_answers(service, keys, extra_columns=()):
+    """``{rung: Relation}``: one key request answered by each rung of the
+    gateway ladder in turn, every rung above it held open by its breaker."""
+    gateway = ServingGateway(
+        service,
+        breaker_policy=BreakerPolicy(failure_threshold=1, recovery_seconds=3600.0),
+    )
+    answers = {}
+    for rung in ("key", "compiled", "recursive"):
+        response = gateway.score_key(keys, extra_columns=extra_columns)
+        assert response.served_by == rung
+        answers[rung] = response.relation
+        gateway.breaker(rung).record_failure()
+    return answers
 
 
 def snowflake(seed, messy=True, duplicates=True):
@@ -209,16 +225,13 @@ def test_every_key_path_returns_the_same_bits(seed, duplicates):
     for keys in requests(tables, seed):
         mask = predicate_mask(tables["fact"], keys)
         expected = reference[mask]
-        answers = {"embedded-gather": embedded.score_key(keys, extra_columns=["rid"])}
-        if not duplicates:
-            answers["sqlite-sql"] = services["sqlite"].score_key(
-                keys, extra_columns=["rid"]
-            )
-        for backend, service in services.items():
-            for rung, recursive in (("compiled", False), ("recursive", True)):
-                answers[f"{backend}-{rung}"] = service.score_key_gathered(
-                    keys, extra_columns=["rid"], recursive=recursive
-                )
+        answers = {
+            f"{backend}-{rung}": relation
+            for backend, service in services.items()
+            for rung, relation in rung_answers(service, keys, ["rid"]).items()
+        }
+        if duplicates:
+            del answers["sqlite-key"]  # the SQL LEFT JOIN multiplies rows
         for path, relation in answers.items():
             assert relation.names == [*keys, "rid", "jb_score"], path
             assert np.array_equal(
@@ -302,6 +315,9 @@ class TestKeySemantics:
         tables["fact"]["name"] = np.array(
             [f"n{v}" for v in tables["fact"]["c1"]], dtype=object
         )
+        tables["fact"]["digits"] = np.array(
+            [str(v) for v in tables["fact"]["c1"]], dtype=object
+        )
         conn, graph = load(tables, request.param, composite_feature=False)
         model = repro.train_gradient_boosting(conn, graph, TRAIN_PARAMS)
         service = PredictionService(conn, graph)
@@ -310,12 +326,7 @@ class TestKeySemantics:
 
     def rungs(self, gateway, keys):
         service = gateway.service
-        return [
-            gateway.score_key(keys).relation,
-            service.score_key(keys),
-            service.score_key_gathered(keys),
-            service.score_key_gathered(keys, recursive=True),
-        ]
+        return [service.score_key(keys), *rung_answers(service, keys).values()]
 
     def test_numeric_keys_compare_by_value(self, gateway):
         by_int, by_float, by_numpy = (
@@ -330,7 +341,9 @@ class TestKeySemantics:
         "keys",
         [
             {"a": "three"},  # string against a numeric column
+            {"a": "3"},  # ... even one sqlite's column affinity would coerce
             {"name": 3},  # number against a string column
+            {"digits": 3},  # ... even one stored as the text '3'
             {"a": None},
             {"a": float("nan")},
             {"a": 3, "c1": None},
@@ -353,7 +366,6 @@ class TestKeySemantics:
             for call in (
                 lambda: gateway.score_key(keys, extra_columns=extra),
                 lambda: service.score_key(keys, extra_columns=extra),
-                lambda: service.score_key_gathered(keys, extra_columns=extra),
             ):
                 with pytest.raises(TrainingError):
                     call()
