@@ -15,11 +15,7 @@ import numpy as np
 
 import repro
 from repro.baselines.exactgbm import ExactGradientBoosting
-from repro.baselines.export import (
-    estimate_join_bytes,
-    load_feature_matrix,
-    materialize_and_export,
-)
+from repro.baselines.export import estimate_join_bytes, materialize_and_export
 from repro.baselines.histgbm import HistGradientBoosting, HistRandomForest
 from repro.baselines.lmfao import train_tree_variant
 from repro.baselines.madlib import train_madlib_tree
@@ -38,24 +34,21 @@ from repro.storage.table import StorageConfig
 def duckdb_available() -> bool:
     """Is the optional ``duckdb`` package importable on this host?
 
-    The duckdb bench legs record unavailability instead of crashing, so
-    BENCH snapshots stay comparable across hosts with and without the
-    optional dependency.
+    The Figure 15 and 16 runners add their duckdb column only when it is,
+    so the figures run on hosts without the optional dependency.
     """
     return importlib.util.find_spec("duckdb") is not None
 
 
 def _backend_db(backend: str):
-    """Connector instance for a census backend name (None = embedded)."""
-    if backend == "embedded":
-        return None
+    """Connector instance for an external backend name."""
     if backend == "sqlite":
         return SQLiteConnector()
     if backend == "duckdb":
         from repro.backends import DuckDBConnector
 
         return DuckDBConnector()
-    raise ValueError(f"unknown census backend {backend!r}")
+    raise ValueError(f"unknown external backend {backend!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +275,6 @@ def fig09_query_census(
     frontier_state: str = "incremental",
     encoding_cache: str = "auto",
     key_dtype: str = "int",
-    num_workers: object = 1,
-    backend: str = "embedded",
 ) -> Dict[str, object]:
     """One gradient-boosting iteration's query census.
 
@@ -299,14 +290,8 @@ def fig09_query_census(
     disables the version-stamped encoded-key cache (every query
     re-encodes its keys, the pre-PR4 behavior); ``key_dtype="str"`` uses
     natural string join keys, the workload where re-encoding hurts most.
-    ``num_workers`` sizes the inter-query scheduler's pool (1 = serial,
-    the historical behavior); ``backend`` selects the connector —
-    ``"sqlite"`` (stdlib sqlite3 with its per-thread reader pool) or
-    ``"duckdb"`` (native cursor-per-thread reads) run the census on a
-    real second DBMS where worker threads overlap for real.
     """
     db, graph = favorita(
-        db=_backend_db(backend),
         num_fact_rows=num_fact_rows, num_extra_features=num_features - 5,
         key_dtype=key_dtype,
     )
@@ -320,7 +305,7 @@ def fig09_query_census(
                     "min_data_in_leaf": 3, "split_batching": split_batching,
                     "frontier_state": frontier_state,
                     "encoding_cache": encoding_cache,
-                    "num_workers": num_workers},
+                    "num_workers": 1},
     )
     wall_seconds = time.perf_counter() - start
     # Encode accounting from the process-wide census, not the per-profile
@@ -418,238 +403,6 @@ def fig09_frontier_state_comparison(
         "incremental": incremental,
         "label_bytes_drop_factor": bytes_drop,
         "rmse_delta": abs(rebuild["rmse"] - incremental["rmse"]),
-    }
-
-
-def fig09_parallel_comparison(
-    num_fact_rows: int = 30_000,
-    num_features: int = 18,
-    num_leaves: int = 8,
-    workers: int = 4,
-    backend: str = "sqlite",
-) -> Dict[str, object]:
-    """Serial vs worker-pool training on the same workload.
-
-    Reports the measured end-to-end wall speedup, the scheduler's
-    measured per-round overlap (busy seconds minus wall seconds — the
-    query time that ran concurrently with another query), and the
-    tree-parity check via rmse.  The sqlite backend is the default: its
-    per-thread reader pool releases the GIL inside SQLite's C core, so
-    multi-core hosts see real overlap.
-    """
-    serial = fig09_query_census(
-        num_fact_rows, num_features, num_leaves,
-        split_batching="auto", num_workers=1, backend=backend,
-    )
-    parallel = fig09_query_census(
-        num_fact_rows, num_features, num_leaves,
-        split_batching="auto", num_workers=workers, backend=backend,
-    )
-    census = parallel["frontier_census"]
-    return {
-        "backend": backend,
-        "workers": workers,
-        "serial": serial,
-        "parallel": parallel,
-        "wall_speedup_factor": serial["wall_seconds"]
-        / max(parallel["wall_seconds"], 1e-12),
-        "parallel_rounds": census.get("parallel_rounds", 0),
-        "parallel_overlap_seconds": census.get("parallel_overlap_seconds", 0.0),
-        "rmse_delta": abs(serial["rmse"] - parallel["rmse"]),
-    }
-
-
-def fault_tolerance_comparison(
-    num_fact_rows: int = 8_000,
-    num_features: int = 13,
-    num_leaves: int = 8,
-    iterations: int = 3,
-    backend: str = "sqlite",
-    workers: int = 4,
-    chaos_spec: str = (
-        "tag=message:nth=2:times=2:kind=transient;"
-        "tag=:nth=25:times=1:kind=transient"
-    ),
-) -> Dict[str, object]:
-    """Fault-tolerance overhead and parity on one workload (ISSUE 8).
-
-    Four legs, all on the same Favorita config and worker count:
-
-    * **baseline** — fault-free, no checkpointing: the reference wall
-      time and ``model_digest``;
-    * **checkpointed** — per-round checkpoints into a memory sink: the
-      wall overhead of serializing every committed round (the CI gate
-      holds it under 5%), digest unchanged;
-    * **chaos** — the ``chaos_spec`` transient faults injected under the
-      default retry policy: training must complete with retries > 0 and
-      the baseline digest, bit for bit;
-    * **resumed** — a run killed right after round ``iterations - 1``'s
-      checkpoint, then continued with ``resume_training``: the resumed
-      digest must equal the uninterrupted baseline's.
-    """
-    from repro.backends.chaos import RetryConnector, wrap_with_chaos
-    from repro.core.checkpoint import MemoryCheckpointSink, resume_training
-    from repro.core.serialize import model_digest
-    from repro.exceptions import TrainingError
-
-    params = {
-        "num_iterations": iterations, "num_leaves": num_leaves,
-        "min_data_in_leaf": 3, "num_workers": workers,
-    }
-
-    def _connect(chaos=None, retry=False):
-        inner = _backend_db(backend) or Database()
-        conn = wrap_with_chaos(inner, chaos)
-        if retry:
-            conn = RetryConnector(conn)
-        db, graph = favorita(
-            db=conn, num_fact_rows=num_fact_rows,
-            num_extra_features=num_features - 5,
-        )
-        return db, graph
-
-    def _timed_train(db, graph, checkpoint=None):
-        start = time.perf_counter()
-        model = repro.train_gradient_boosting(
-            db, graph, dict(params), checkpoint=checkpoint
-        )
-        return model, time.perf_counter() - start
-
-    # baseline and checkpointed legs (fault-free)
-    db, graph = _connect()
-    baseline_model, baseline_wall = _timed_train(db, graph)
-    baseline_digest = model_digest(baseline_model)
-
-    db, graph = _connect()
-    sink = MemoryCheckpointSink()
-    ckpt_model, ckpt_wall = _timed_train(db, graph, checkpoint=sink)
-
-    # chaos leg: injected transient faults absorbed by the retry layer
-    db, graph = _connect(chaos=chaos_spec, retry=True)
-    chaos_model, chaos_wall = _timed_train(db, graph)
-    retry_census = db.retry_census.snapshot()
-    chaos_census = db.chaos_census.snapshot()
-
-    # interrupted-then-resumed leg: a sink that kills the process right
-    # after the second-to-last round's checkpoint commits
-    class _KillSwitchSink(MemoryCheckpointSink):
-        """Simulates a crash landing just after a checkpoint write."""
-
-        def save(self, payload: str) -> None:
-            super().save(payload)
-            if self.saves == max(iterations - 1, 1):
-                raise TrainingError("simulated crash after checkpoint")
-
-    db, graph = _connect()
-    kill_sink = _KillSwitchSink()
-    interrupted_wall = None
-    start = time.perf_counter()
-    try:
-        repro.train_gradient_boosting(
-            db, graph, dict(params), checkpoint=kill_sink
-        )
-    except TrainingError:
-        interrupted_wall = time.perf_counter() - start
-    resume_start = time.perf_counter()
-    resumed_model = resume_training(db, graph, kill_sink)
-    resume_wall = time.perf_counter() - resume_start
-
-    return {
-        "backend": backend,
-        "workers": workers,
-        "iterations": iterations,
-        "baseline_wall_seconds": baseline_wall,
-        "checkpoint_wall_seconds": ckpt_wall,
-        "checkpoint_overhead_factor": ckpt_wall / max(baseline_wall, 1e-12),
-        "checkpoint_saves": sink.saves,
-        "checkpoint_digest_match": model_digest(ckpt_model)
-        == baseline_digest,
-        "chaos_wall_seconds": chaos_wall,
-        "chaos_digest_match": model_digest(chaos_model) == baseline_digest,
-        "chaos_injected": chaos_census["total"],
-        "retries": retry_census["retries"],
-        "retry_exhausted": retry_census["exhausted"],
-        "recovered_after_retry": retry_census["succeeded_after_retry"],
-        "interrupted_wall_seconds": interrupted_wall,
-        "resume_wall_seconds": resume_wall,
-        "resumed_digest_match": model_digest(resumed_model)
-        == baseline_digest,
-        "resumed_from_round": max(iterations - 1, 1),
-    }
-
-
-def fig09_duckdb_comparison(
-    num_fact_rows: int = 20_000,
-    num_features: int = 13,
-    num_leaves: int = 8,
-    workers: int = 4,
-) -> Dict[str, object]:
-    """DuckDB as a tier-1 training backend, measured on the Figure 9 CI
-    configuration.
-
-    Three claims, one record: (1) duckdb trains the same model as the
-    embedded engine (rmse delta), (2) worker fan-out on duckdb is
-    bit-identical to serial (``model_digest`` equality across
-    ``num_workers`` in {1, workers}) *and* actually engaged
-    (``parallel_rounds`` > 0, no fallback reason), and (3) duckdb's
-    native fused queries are at least competitive with the sqlite
-    dialect-translation path on the same workload (wall factor).  When
-    the optional package is absent the record says so instead of
-    crashing — BENCH snapshots stay comparable across hosts.
-    """
-    if not duckdb_available():
-        return {
-            "available": False,
-            "reason": "optional 'duckdb' package not installed",
-        }
-    from repro.core.serialize import model_digest
-
-    params = {"num_iterations": 1, "num_leaves": num_leaves,
-              "min_data_in_leaf": 3}
-
-    def _train(backend: str, num_workers: int) -> Dict[str, object]:
-        db, graph = favorita(
-            db=_backend_db(backend), num_fact_rows=num_fact_rows,
-            num_extra_features=num_features - 5,
-        )
-        start = time.perf_counter()
-        model = repro.train_gradient_boosting(
-            db, graph, dict(params, num_workers=num_workers)
-        )
-        wall = time.perf_counter() - start
-        census = dict(getattr(model, "frontier_census", {}) or {})
-        record = {
-            "backend": backend,
-            "num_workers": num_workers,
-            "wall_seconds": wall,
-            "rmse": rmse_on_join(db, graph, model),
-            "digest": model_digest(model),
-            "parallel_rounds": census.get("parallel_rounds", 0),
-            "parallel_fallback_reason": census.get("parallel_fallback_reason"),
-        }
-        close = getattr(db, "close", None)
-        if close is not None:
-            close()
-        return record
-
-    embedded = _train("embedded", 1)
-    duck_serial = _train("duckdb", 1)
-    duck_parallel = _train("duckdb", workers)
-    sqlite_parallel = _train("sqlite", workers)
-    return {
-        "available": True,
-        "workers": workers,
-        "embedded": embedded,
-        "duckdb_serial": duck_serial,
-        "duckdb_parallel": duck_parallel,
-        "sqlite_parallel": sqlite_parallel,
-        "rmse_delta_vs_embedded": abs(duck_serial["rmse"] - embedded["rmse"]),
-        "digest_match_across_workers": duck_serial["digest"]
-        == duck_parallel["digest"],
-        "parallel_rounds": duck_parallel["parallel_rounds"],
-        "parallel_fallback_reason": duck_parallel["parallel_fallback_reason"],
-        "duckdb_vs_sqlite_wall_factor": sqlite_parallel["wall_seconds"]
-        / max(duck_parallel["wall_seconds"], 1e-12),
     }
 
 
@@ -822,101 +575,6 @@ def fig12_multinode(
         "executor": executor,
         "measured_by_sf": measured_by_sf,
         "measured_by_machines": measured_by_machines,
-    }
-
-
-def _int_y_star_db(rows: int = 4_096, seed: int = 11):
-    """Star schema with an integer-valued float target: per-shard partial
-    sums are exact in float64, so merged aggregates — and the model — are
-    bit-identical for any shard count, which is what lets the sharded
-    comparison gate on digest equality across shards {1, 4}."""
-    from repro.joingraph.graph import JoinGraph
-
-    rng = np.random.default_rng(seed)
-    db = Database(name="inty")
-    db.create_table("fact", {
-        "k0": rng.integers(0, 40, size=rows),
-        "k1": rng.integers(0, 30, size=rows),
-        "y": rng.integers(-8, 9, size=rows).astype(np.float64),
-    })
-    db.create_table("dim0", {
-        "k0": np.arange(40),
-        "f0": rng.normal(size=40),
-        "f1": rng.integers(0, 5, size=40).astype(np.float64),
-    })
-    db.create_table("dim1", {
-        "k1": np.arange(30),
-        "f2": rng.normal(size=30),
-        "f3": rng.integers(0, 7, size=30).astype(np.float64),
-    })
-    graph = JoinGraph(db)
-    graph.add_relation("fact", features=[], y="y", is_fact=True)
-    graph.add_relation("dim0", features=["f0", "f1"])
-    graph.add_relation("dim1", features=["f2", "f3"])
-    graph.add_edge("fact", "dim0", ["k0"], ["k0"])
-    graph.add_edge("fact", "dim1", ["k1"], ["k1"])
-    return db, graph
-
-
-def fig12_sharded_comparison(
-    rows: int = 4_096,
-    task_deadline: float = 5.0,
-) -> Dict[str, object]:
-    """Sharded-training parity and recovery, measured on real executors.
-
-    Runs the same integer-target workload as one shard (the reference),
-    four serial shards, four process shards, and four process shards
-    under ``worker_crash`` and ``stall`` task faults.  Every leg must
-    produce the reference ``model_digest`` bit for bit, the chaos legs
-    must show redispatches with nothing exhausted, and every leg reports
-    its *measured* wall (real execution, not the network model)."""
-    from repro.core.serialize import model_digest
-
-    params = {"num_iterations": 1, "num_leaves": 8, "min_data_in_leaf": 2}
-    specs = [
-        ("one_shard_serial", 1, "serial", None),
-        ("sharded_serial", 4, "serial", None),
-        ("sharded_process", 4, "process", None),
-        ("sharded_process_crash", 4, "process",
-         "tag=feature:nth=3:times=1:kind=worker_crash"),
-        ("sharded_process_stall", 4, "process",
-         "tag=totals:nth=2:times=1:kind=stall"),
-    ]
-    legs = []
-    for name, shards, executor, chaos in specs:
-        db, graph = _int_y_star_db(rows=rows)
-        cluster = SimulatedCluster(
-            db, graph, "k0", ClusterConfig(num_machines=shards),
-            executor=executor, chaos=chaos, task_deadline=task_deadline,
-        )
-        model, simulated = cluster.train_gradient_boosting(params)
-        census = cluster.census()
-        legs.append({
-            "name": name,
-            "shards": shards,
-            "executor": census["executor"],
-            "executor_fallback_reason": census["executor_fallback_reason"],
-            "chaos": chaos,
-            "digest": model_digest(model),
-            "simulated_seconds": simulated,
-            "measured_wall_seconds": census["measured_wall_seconds"],
-            "worker_crashes": census["worker_crashes"],
-            "deadline_timeouts": census["deadline_timeouts"],
-            "tasks_redispatched": census["tasks_redispatched"],
-            "respawns": census["respawns"],
-            "retry_exhausted": census["retry_exhausted"],
-            "chaos_injected": census["chaos_injected"],
-        })
-    reference = legs[0]["digest"]
-    chaos_legs = [leg for leg in legs if leg["chaos"] is not None]
-    return {
-        "rows": rows,
-        "legs": legs,
-        "digest_parity": all(leg["digest"] == reference for leg in legs),
-        "chaos_tasks_redispatched": sum(
-            leg["tasks_redispatched"] for leg in chaos_legs
-        ),
-        "retry_exhausted": sum(leg["retry_exhausted"] for leg in legs),
     }
 
 

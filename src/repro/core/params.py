@@ -68,18 +68,13 @@ _ALIASES = {
     "missing": "missing",
     "update_strategy": "update_strategy",
     "split_batching": "split_batching",
-    "batch_splits": "split_batching",
-    "frontier_batching": "split_batching",
     "frontier_state": "frontier_state",
-    "leaf_state": "frontier_state",
     "encoding_cache": "encoding_cache",
-    "key_encoding_cache": "encoding_cache",
     "num_workers": "num_workers",
     "workers": "num_workers",
     "num_threads": "num_workers",
     "n_jobs": "num_workers",
     "executor": "executor",
-    "task_executor": "executor",
 }
 
 

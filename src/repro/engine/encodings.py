@@ -38,7 +38,7 @@ values.  The planner attaches these in its merge/filter paths.
 
 The cache is LRU-bounded by bytes and keeps census counters (hits,
 misses, stores, invalidations, evictions, bytes) that surface in
-``query_census`` and the CI perf gates.
+``query_census`` and the Figure 9 encoding-cache bench.
 """
 
 from __future__ import annotations

@@ -117,18 +117,6 @@ class MessageCache:
         self._store.clear()
         return count
 
-    def invalidate_relation(self, relation: str, drop_tables: bool = True) -> int:
-        """Drop every cached message whose sending side could include
-        ``relation`` — conservative invalidation used after updates to a
-        single base table."""
-        doomed = [
-            key for key, info in self._store.items() if relation in key[2] or True
-        ]
-        # Side membership is not stored on the key, so a per-relation
-        # invalidation would need the graph; callers that know the graph
-        # pass through Factorizer.invalidate_for_relation instead.
-        return self.invalidate_all(drop_tables) if doomed else 0
-
     def stats(self) -> Dict[str, int]:
         return {"hits": self.hits, "misses": self.misses, "size": len(self._store)}
 

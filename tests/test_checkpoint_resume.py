@@ -141,6 +141,12 @@ class TestCheckpointResumeParity:
         assert len(model.trees) == PARAMS["num_iterations"]
         assert sink.saves == PARAMS["num_iterations"]
         assert read_checkpoint(sink)["round"] == PARAMS["num_iterations"]
+        # checkpointing every round leaves the model's bits alone
+        clean_conn = repro.connect(backend="sqlite")
+        reference = train_gradient_boosting(
+            clean_conn, _build(clean_conn), dict(PARAMS)
+        )
+        assert model_digest(model) == model_digest(reference)
 
     def test_finished_checkpoint_returns_restored_model(self):
         conn = repro.connect(backend="sqlite")

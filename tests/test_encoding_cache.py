@@ -386,18 +386,22 @@ class TestIntegration:
             assert (uid, name) not in db.encodings._entries
 
     def test_cache_reduces_encode_passes(self):
-        db, graph = favorita(num_fact_rows=2000, num_extra_features=2, seed=6)
-        ops.reset_encode_census()
-        repro.train_gradient_boosting(db, graph, PARAMS)
-        cached_passes = ops.encode_census()["passes"]
-        db2, graph2 = favorita(num_fact_rows=2000, num_extra_features=2, seed=6)
-        ops.reset_encode_census()
-        repro.train_gradient_boosting(
-            db2, graph2, {**PARAMS, "encoding_cache": "off"}
-        )
-        uncached_passes = ops.encode_census()["passes"]
+        def passes(encoding_cache, **shape):
+            db, graph = favorita(num_fact_rows=2000, seed=6, **shape)
+            ops.reset_encode_census()
+            repro.train_gradient_boosting(
+                db, graph, {**PARAMS, "encoding_cache": encoding_cache}
+            )
+            return ops.encode_census()["passes"], db
+
+        cached_passes, db = passes("auto", num_extra_features=2)
+        uncached_passes, _ = passes("off", num_extra_features=2)
         assert cached_passes < uncached_passes / 2
         assert db.encodings.stores > 0
+        # The Figure 9 shape (18 features, string natural keys), where
+        # per-query re-encoding hurts most: at least 5x fewer passes.
+        fig09 = {"num_extra_features": 13, "key_dtype": "str"}
+        assert passes("off", **fig09)[0] >= 5 * passes("auto", **fig09)[0]
 
     def test_profiles_carry_encode_split(self):
         db = Database()

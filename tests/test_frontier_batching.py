@@ -179,11 +179,11 @@ class TestCensus:
         assert census["batched_split_queries"] > 0
         assert census["per_leaf_split_queries"] == 0
         # Incremental labeling: one root pass, zero full-fact rebuilds,
-        # two narrow updates per committed split.
+        # two narrow updates per committed split (at most 4 - 1 splits).
         assert census["label_queries"] == 0
         assert census["root_label_passes"] == 1
         assert census["delta_label_updates"] % 2 == 0
-        assert census["delta_label_updates"] > 0
+        assert 0 < census["delta_label_updates"] <= 2 * (4 - 1)
         factorizer.cleanup()
 
     def test_rebuild_census_surface(self, tiny_star):
@@ -281,8 +281,13 @@ class TestModesAndFallbacks:
             TrainParams.from_dict({"split_batching": "maybe"})
 
     def test_alias_accepted(self):
-        params = TrainParams.from_dict({"batch_splits": "off"})
+        """Only LightGBM-style aliases are accepted; the repo-invented
+        ``batch_splits`` / ``frontier_batching`` spellings are gone."""
+        params = TrainParams.from_dict({"split_batching": "off"})
         assert params.split_batching == "off"
+        for alias in ("batch_splits", "frontier_batching"):
+            with pytest.raises(TrainingError, match="unknown training parameter"):
+                TrainParams.from_dict({alias: "off"})
 
 
 class TestSatelliteFixes:

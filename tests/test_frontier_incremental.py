@@ -117,6 +117,10 @@ class TestDeepParity:
         # Carry messages shared across relations with a common routing
         # prefix (fact -> mid reused by mid's and far's split queries).
         assert census["carry_cache_hits"] > 0
+        # Maintaining labels writes the rows that move, not full-fact
+        # copies: at least 5x fewer label bytes than per-round rebuilds.
+        rebuilt = grown["rebuild"][2]["label_bytes_written"]
+        assert rebuilt >= 5 * census["label_bytes_written"] > 0
 
     @pytest.mark.parametrize("growth", ["best-first", "depth-wise"])
     def test_sqlite_depth6_parity(self, growth):
@@ -456,10 +460,15 @@ class TestCarryCacheScoping:
         assert leftovers == []
 
     def test_params_alias_and_validation(self):
-        assert TrainParams.from_dict(
-            {"leaf_state": "rebuild"}
-        ).frontier_state == "rebuild"
         from repro.exceptions import TrainingError
 
+        assert TrainParams.from_dict(
+            {"frontier_state": "rebuild"}
+        ).frontier_state == "rebuild"
+        for alias, value in (("leaf_state", "rebuild"),
+                             ("key_encoding_cache", "off"),
+                             ("task_executor", "thread")):
+            with pytest.raises(TrainingError, match="unknown training parameter"):
+                TrainParams.from_dict({alias: value})
         with pytest.raises(TrainingError, match="frontier_state"):
             TrainParams.from_dict({"frontier_state": "sometimes"})

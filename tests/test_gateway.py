@@ -257,23 +257,67 @@ class TestAdmission:
         assert gateway.stats()["served"] == 2
         assert gateway.stats()["shed"] == 0
 
+    def test_concurrent_clients_within_bound_never_shed_or_degrade(
+        self, healthy
+    ):
+        """Four clients x six key requests inside the admission bound:
+        every request is served on its primary path, bit-identically."""
+        _, _, _, service = healthy
+        expected = {
+            key: service.score_key({"k0": key}).column("jb_score").as_float()
+            for key in range(10)
+        }
+        gateway = ServingGateway(
+            service, max_in_flight=4, max_queue_depth=16, deadline_seconds=30.0
+        )
+        errors = []
+
+        def client(offset):
+            try:
+                for key in range(offset, offset + 6):
+                    response = gateway.score_key({"k0": key % 10})
+                    assert not response.degraded, response.degraded_reason
+                    assert np.array_equal(response.scores, expected[key % 10])
+            except Exception as exc:  # reported below, on the test thread
+                errors.append(exc)
+
+        clients = [
+            threading.Thread(target=client, args=(i,), daemon=True)
+            for i in range(4)
+        ]
+        for thread in clients:
+            thread.start()
+        for thread in clients:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in clients)
+        assert errors == []
+        stats = gateway.stats()
+        assert (stats["served"], stats["shed"], stats["degraded"]) == (24, 0, 0)
+
 
 class TestDegradation:
     def test_sql_fault_degrades_to_compiled_bit_identically(self, healthy):
         _, _, model, service = healthy
         expected = service.score_all()
         gateway = chaos_gateway(
-            model, "tag=serve_sql:nth=1:times=100:kind=transient"
+            model, "tag=serve_sql:nth=1:times=100:kind=transient",
+            breaker_policy=BreakerPolicy(
+                failure_threshold=2, recovery_seconds=30.0
+            ),
         )
-        response = gateway.score_sql()
-        assert response.served_by == "compiled"
-        assert response.degraded
-        assert "sql:TransientServingError" in response.degraded_reason
-        assert np.array_equal(response.scores, expected)
+        responses = [gateway.score_sql() for _ in range(4)]
+        for response in responses:
+            assert response.served_by == "compiled"
+            assert response.degraded
+            assert np.array_equal(response.scores, expected)
+        # Two requests hit the fault and trip the breaker; the rest skip
+        # the open sql path without touching the backend.
+        assert "sql:TransientServingError" in responses[0].degraded_reason
+        assert "sql:circuit_open" in responses[-1].degraded_reason
         stats = gateway.stats()
-        assert stats["degraded"] == 1
-        assert stats["served"] == 1
-        assert stats["service"]["serving_faults"]["transient"] == 1
+        assert stats["degraded"] == stats["served"] == 4
+        assert stats["service"]["serving_faults"]["transient"] == 2
+        assert stats["breakers"]["sql"]["opens"] == 1
 
     def test_cursor_fault_on_key_path_degrades_with_parity(self, healthy):
         _, _, model, service = healthy

@@ -137,20 +137,25 @@ class TestParity:
 # ---------------------------------------------------------------------------
 class TestWiring:
     def test_census_reports_parallel_rounds(self):
-        db, graph = favorita(num_fact_rows=2000, num_extra_features=2)
-        model = repro.train_gradient_boosting(
-            db, graph,
-            {"num_iterations": 1, "num_leaves": 6, "min_data_in_leaf": 3,
-             "num_workers": 4},
-        )
-        census = model.frontier_census
-        assert census["num_workers"] == 4
-        assert census["parallel_rounds"] > 0
-        assert census["parallel_wall_seconds"] > 0.0
-        assert census["parallel_busy_seconds"] >= census["parallel_wall_seconds"] - 1e-9
-        assert census["parallel_overlap_seconds"] >= 0.0
-        # Rounds fanned out, so there is nothing to explain.
-        assert census["parallel_fallback_reason"] is None
+        for connector in (None, SQLiteConnector()):
+            db, graph = favorita(
+                db=connector, num_fact_rows=2000, num_extra_features=2
+            )
+            model = repro.train_gradient_boosting(
+                db, graph,
+                {"num_iterations": 1, "num_leaves": 6, "min_data_in_leaf": 3,
+                 "num_workers": 4},
+            )
+            census = model.frontier_census
+            assert census["num_workers"] == 4
+            assert census["parallel_rounds"] > 0
+            assert census["parallel_wall_seconds"] > 0.0
+            assert census["parallel_busy_seconds"] >= census["parallel_wall_seconds"] - 1e-9
+            assert census["parallel_overlap_seconds"] >= 0.0
+            # Rounds fanned out, so there is nothing to explain.
+            assert census["parallel_fallback_reason"] is None
+            if connector is not None:
+                connector.close()
 
     def test_serial_census_reports_no_parallel_rounds(self):
         db, graph = favorita(num_fact_rows=2000, num_extra_features=2)

@@ -213,16 +213,25 @@ class TestShardedParity:
 
     def test_one_round_boosting_identical_across_shards(self):
         digests = {}
-        for machines in (1, 4):
+        legs = [(1, "serial", None), (4, "serial", None),
+                (4, "process", None),
+                (4, "process", "tag=feature:nth=3:times=1:kind=worker_crash")]
+        for machines, executor, chaos in legs:
             db, graph = _int_y_star()
             cluster = SimulatedCluster(
-                db, graph, "k0", ClusterConfig(num_machines=machines)
+                db, graph, "k0", ClusterConfig(num_machines=machines),
+                executor=executor, chaos=chaos,
             )
             model, _ = cluster.train_gradient_boosting(
                 {"num_iterations": 1, "num_leaves": 8, "min_data_in_leaf": 2}
             )
-            digests[machines] = model_digest(model)
-        assert digests[1] == digests[4]
+            digests[machines, executor, chaos] = model_digest(model)
+            census = cluster.census()
+            # the shard steps really executed; a faulted one was redispatched
+            assert census["measured_wall_seconds"] > 0
+            assert census["retry_exhausted"] == 0
+            assert (census["tasks_redispatched"] > 0) == (chaos is not None)
+        assert len(set(digests.values())) == 1, digests
 
     @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
     def test_worker_crash_on_shard_recovers(self, executor):
@@ -248,6 +257,7 @@ class TestShardedParity:
         assert census["deadline_timeouts"] == 1
         assert census["tasks_redispatched"] == 1
         assert census["respawns"] == 1
+        assert census["retry_exhausted"] == 0
 
     def test_gbm_digest_identical_across_executors_at_fixed_shards(self):
         digests = {}

@@ -1,14 +1,15 @@
 """The paper's core claim: a factorized tree equals the single-table tree.
 
 Besides unit tests of tree mechanics, the property test trains JoinBoost
-over random star schemas and asserts *identical structure* (same split
-features, same thresholds, same leaf values) to the exact reference tree
-trained on the materialized join.
+over random star schemas and asserts the same tree as the exact reference
+trained on the materialized join: every node routes the same rows and every
+leaf holds the same value (a gain tie may pick a different split feature
+that routes the same rows).
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro
@@ -18,6 +19,7 @@ from repro.core.params import TrainParams
 from repro.core.predict import feature_frame
 from repro.core.split import VarianceCriterion
 from repro.core.trainer import DecisionTreeTrainer
+from repro.core.tree import _eval_predicate
 from repro.datasets import star_schema
 from repro.engine.database import Database
 from repro.factorize.executor import Factorizer
@@ -49,6 +51,46 @@ def ref_structure(tree, names):
     ]
 
 
+def jb_partitions(model, X, names):
+    """``(rows, leaf value, children)`` per node of a JoinBoost tree, with
+    the materialized join's rows routed through each left predicate."""
+    frame = {name: X[:, j] for j, name in enumerate(names)}
+
+    def walk(node, rows):
+        if node.is_leaf:
+            return (frozenset(rows), round(node.prediction, 9), ())
+        pred = node.left.predicate
+        go_left = _eval_predicate(pred, frame[pred.column][rows])
+        children = (walk(node.left, rows[go_left]), walk(node.right, rows[~go_left]))
+        return (frozenset(rows), None, children)
+
+    return walk(model.root, np.arange(len(X)))
+
+
+def ref_partitions(tree):
+    def walk(node):
+        if node.is_leaf:
+            return (frozenset(node.rows.tolist()), round(node.value, 9), ())
+        return (frozenset(node.rows.tolist()), None,
+                (walk(node.left), walk(node.right)))
+
+    return walk(tree.root)
+
+
+def same_partitions(a, b):
+    """Tie-aware tree equality: every node routes the same rows and every
+    leaf holds the same value.  Two splits on different features that route
+    the same rows have equal gain, so either tree may take either one (its
+    children possibly swapped) — that is a tie, not a divergence."""
+    rows_a, value_a, kids_a = a
+    rows_b, value_b, kids_b = b
+    if rows_a != rows_b or value_a != value_b or len(kids_a) != len(kids_b):
+        return False
+    if kids_a and kids_a[0][0] != kids_b[0][0]:
+        kids_b = kids_b[::-1]
+    return all(same_partitions(x, y) for x, y in zip(kids_a, kids_b))
+
+
 class TestTreeMechanics:
     def test_leaf_count_bounded(self, small_star):
         db, graph = small_star
@@ -77,8 +119,6 @@ class TestTreeMechanics:
         frame = feature_frame(db, graph)
         n = len(next(iter(frame.values())))
         coverage = np.zeros(n, dtype=int)
-        from repro.core.tree import _eval_predicate
-
         for leaf in model.leaves():
             mask = np.ones(n, dtype=bool)
             for relation, preds in leaf.path_predicates().items():
@@ -162,7 +202,10 @@ class TestEquivalenceWithSingleTable:
         n=st.integers(30, 200),
         num_leaves=st.integers(2, 6),
     )
-    @settings(max_examples=15, deadline=None)
+    # The pinned example is a gain tie: JoinBoost splits one node on
+    # local_feat, the reference on dfeat0, and both route the same rows.
+    @example(seed=4537, num_dims=3, n=30, num_leaves=6)
+    @settings(max_examples=15, deadline=None, derandomize=True)
     def test_equivalence_property(self, seed, num_dims, n, num_leaves):
         db, graph = star_schema(
             num_fact_rows=n, num_dims=num_dims, dim_size=7, seed=seed
@@ -174,7 +217,9 @@ class TestEquivalenceWithSingleTable:
         reference = ExactDecisionTree(
             num_leaves=num_leaves, min_child_samples=2
         ).fit(X, y)
-        assert jb_structure(model, names) == ref_structure(reference, names)
+        assert same_partitions(
+            jb_partitions(model, X, names), ref_partitions(reference)
+        )
 
     def test_predictions_equal(self, small_star):
         db, graph = small_star
