@@ -68,7 +68,9 @@ class Capabilities:
     """What a connector's engine supports; callers branch on these flags
     instead of isinstance-checking connectors."""
 
-    #: pointer-swap of a stored column without a write transaction
+    #: pointer-swap of a stored column without a write transaction; without
+    #: it the residual updater resolves ``update_strategy="swap"`` to one
+    #: in-DBMS ``UPDATE`` per tree
     column_swap: bool = False
     #: the engine records per-query latency profiles (Figure 9 census)
     query_profiles: bool = False
@@ -225,13 +227,28 @@ class Connector:
         ``graph`` is the join graph about to be trained on and ``lifted``
         maps relations to their lifted physical tables.  Engines use this
         to build access paths the training workload will hammer — the
-        sqlite connector creates indexes on every join-key column
-        (including the lifted fact's) and refreshes planner statistics
+        sqlite connector creates indexes on the join-key columns of the
+        relations that are not lifted and refreshes planner statistics
         with ``ANALYZE``; the embedded engine pre-warms its encoded-key
-        cache through :meth:`Factorizer.warm_encodings` instead.  Returns
-        the seconds spent (0.0 for the default no-op).
+        cache through :meth:`Factorizer.warm_encodings` instead.
+        Idempotent.  Returns the seconds spent (0.0 for the default no-op).
         """
         return 0.0
+
+    def index_lifted(self, graph, lifted: Dict[str, str]) -> float:
+        """Build the lifted tables' join-key access paths (idempotent).
+
+        The per-leaf split path calls this once, before its first
+        statement: its standard messages out of the lifted fact group by
+        the join key, an access path the batched frontier never uses —
+        so an engine whose :meth:`prepare_training` leaves lifted tables
+        unindexed builds the index here (the sqlite connector).  The
+        default resolves through :attr:`unwrapped`, so chaos, retry and
+        timing wrappers reach the backend's implementation; a backend
+        without one returns 0.0.  Returns the seconds spent.
+        """
+        inner = self.unwrapped
+        return 0.0 if inner is self else inner.index_lifted(graph, lifted)
 
     # -- cached key encodings (optional, read-only) ------------------------
     def encoding_for(self, table: str, column: str) -> Optional[ColumnEncoding]:

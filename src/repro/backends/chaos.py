@@ -7,9 +7,9 @@ faults from a :class:`FaultPlan` — fail the Nth statement matching a
 query-tag pattern, add latency, flake a reader cursor — while
 :class:`RetryConnector` wraps any backend (usually a chaos-wrapped one)
 and retries :class:`~repro.exceptions.TransientBackendError` per the
-engine's :class:`~repro.engine.retry.RetryPolicy` on the serial path,
-exactly as :class:`~repro.engine.scheduler.QueryScheduler` does on the
-parallel path.
+engine's :class:`~repro.engine.retry.RetryPolicy` — the one statement
+retry site, whether the statement runs on the serial path or on a
+:class:`~repro.engine.scheduler.QueryScheduler` worker thread.
 
 Determinism is the load-bearing property: a fault plan counts matching
 calls under a lock and fires on exact match ordinals, never randomly, so
@@ -429,12 +429,11 @@ class ChaosConnector(_ConnectorProxy):
 class RetryConnector(_ConnectorProxy):
     """Retry transient failures of a wrapped connector's statements.
 
-    This is the serial-path twin of the scheduler's retry wiring: plain
-    ``execute``/``execute_read`` calls that never pass through a
-    :class:`QueryScheduler` still get bounded, deterministic retries.
-    The policy and census are exposed as ``retry_policy``/``retry_census``
-    so the frontier evaluator hands the *same* policy to its schedulers
-    and the census aggregates both paths.
+    The owner of statement retries in this process: every
+    ``execute``/``execute_read`` call gets bounded, deterministic
+    retries, whichever thread issues it.  The policy and census are
+    exposed as ``retry_policy``/``retry_census``; the frontier census
+    reports the latter.
     """
 
     def __init__(

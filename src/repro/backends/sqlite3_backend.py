@@ -560,31 +560,54 @@ class SQLiteConnector(TempNamespaceMixin, Connector):
         values: np.ndarray,
         strategy: str = "swap",
     ) -> None:
-        """Rewrite one column via rowid-correlated UPDATEs.
+        """Rewrite one column via a rowid-keyed scratch table and one
+        correlated ``UPDATE``, in a single transaction.
 
-        SQLite exposes no storage pointers, so every logical strategy maps
-        to the same physical write; ``strategy`` is still validated so
-        typos fail identically across backends.  Row order: a bare
+        The scratch table (connection-private ``TEMP``) is keyed by the
+        table's *actual* rowids — ``rid INTEGER PRIMARY KEY`` aliases the
+        scratch rowid, so each correlated lookup is a B-tree probe — and
+        rowids need not be contiguous.  Row order: a bare
         ``SELECT ... FROM t`` scan and ``ORDER BY rowid`` agree in SQLite
-        for ordinary tables, which is the order ``values`` was computed in.
+        for ordinary tables, which is the order ``values`` was computed
+        in.  NaN is written as NULL; a length mismatch raises before
+        anything is written.  SQLite exposes no storage pointers, so every
+        logical strategy maps to this one physical write; ``strategy`` is
+        still validated so typos fail identically across backends.
         """
         check_update_strategy(strategy)
+        array = np.asarray(values)
         with self._lock:
             with _wrap_errors(f"replace_column({table_name}.{column_name})"):
                 rowids = [r[0] for r in self._conn.execute(
                     f"SELECT rowid FROM {table_name} ORDER BY rowid"
                 )]
-                array = np.asarray(values)
                 if len(rowids) != len(array):
                     raise BackendExecutionError(
                         f"replace_column: {len(array)} values for "
                         f"{len(rowids)} rows of {table_name!r}"
                     )
-                self._conn.executemany(
-                    f"UPDATE {table_name} SET {column_name} = ? "
-                    "WHERE rowid = ?",
-                    zip(to_sql_values(array), rowids),
-                )
+                scratch = self.temp_name("swap")
+                self._conn.execute("BEGIN")
+                try:
+                    self._conn.execute(
+                        f"CREATE TEMP TABLE {scratch} "
+                        f"(rid INTEGER PRIMARY KEY, v {self._affinity(array)})"
+                    )
+                    self._conn.executemany(
+                        f"INSERT INTO {scratch} VALUES (?, ?)",
+                        zip(rowids, to_sql_values(array)),
+                    )
+                    self._conn.execute(
+                        f"UPDATE {table_name} SET {column_name} = ("
+                        f"SELECT v FROM {scratch} "
+                        f"WHERE {scratch}.rid = {table_name}.rowid)"
+                    )
+                    self._conn.execute(f"DROP TABLE {scratch}")
+                    self._conn.execute("COMMIT")
+                except BaseException:
+                    if self._conn.in_transaction:
+                        self._conn.execute("ROLLBACK")
+                    raise
             self._bump_version()
 
     # ------------------------------------------------------------------
@@ -593,31 +616,70 @@ class SQLiteConnector(TempNamespaceMixin, Connector):
     # structure once per training run, not once per query)
     # ------------------------------------------------------------------
     def prepare_training(self, graph, lifted: Optional[Dict[str, str]] = None) -> float:
-        """Index every join-key column of the training tables + ANALYZE.
+        """Per-connection PRAGMAs, an index on every join-key column of the
+        relations training does not lift (the dimensions), and ANALYZE.
 
-        The Factorizer's message and absorption queries join on the same
-        key columns hundreds of times per tree; without indexes SQLite
-        re-scans per query.  The lifted fact (``lifted[relation]``) is
-        the important target — dimension keys help the nested-loop side.
-        Idempotent per (table, key tuple); indexes on lifted temps vanish
-        with their tables.  The time spent is recorded both on
-        ``index_seconds`` and as an ``"index"``-tagged query profile.
+        Message and absorption queries join dimensions on the same key
+        columns hundreds of times per tree; without indexes SQLite
+        re-scans per query.  Lifted tables (``lifted``'s relations) stay
+        unindexed here: the batched frontier's carry group-bys scan the
+        lifted fact and never probe its key index, and with one present
+        sqlite plans them as an index walk plus a temp B-tree — slower
+        than the scan.  The per-leaf split path, whose standard messages
+        do probe it, builds it first through :meth:`index_lifted`.
+        Idempotent per (table, key tuple).  The time spent is recorded
+        both on ``index_seconds`` and as an ``"index"``-tagged profile.
         """
-        lifted = dict(lifted or {})
-        start = time.perf_counter()
-        created = []
+        lifted = lifted or {}
         with self._lock:
             # Per-connection perf PRAGMAs: the owner gets them here, and
             # every pooled reader applies the same set at creation (see
-            # _reader_connection) — "every pooled connection" because
+            # _checkout_reader) — "every pooled connection" because
             # readers are minted lazily per scheduler thread.
-            pragmas_fresh = not getattr(self, "_perf_pragmas_applied", False)
+            pragmas_fresh = not self._perf_pragmas_applied
             if pragmas_fresh:
                 self._apply_perf_pragmas(self._conn)
                 self._perf_pragmas_applied = True
+                if self.profiling_enabled:
+                    rendered = ", ".join(f"{p}={v}" for p, v in PERF_PRAGMAS)
+                    self.profiles.append(QueryProfile(
+                        sql="-- training setup: per-connection PRAGMAs "
+                            f"({rendered})",
+                        kind="Pragma",
+                        seconds=0.0,
+                        rows_out=len(PERF_PRAGMAS),
+                        tag="index",
+                        started=time.perf_counter(),
+                    ))
+            return self._index_join_keys(
+                graph,
+                {r: r for r in graph.relations if r not in lifted},
+                "training setup",
+            )
+
+    def index_lifted(self, graph, lifted: Dict[str, str]) -> float:
+        """Index the join-key columns of the lifted tables + ANALYZE.
+
+        The per-leaf split path calls this before its first statement:
+        its standard messages out of the lifted fact group by the join
+        key, and sqlite walks the key index for them (without it the
+        per-leaf wall grows by half and the ``SUM`` order changes).
+        Idempotent per (table, key tuple); a lifted table recreated under
+        the same name starts unindexed.
+        """
+        return self._index_join_keys(graph, lifted, "per-leaf path")
+
+    def _index_join_keys(self, graph, tables: Dict[str, str], purpose: str) -> float:
+        """Create the missing join-key indexes of ``tables`` (relation ->
+        physical table) in edge order, then ANALYZE if any were created."""
+        start = time.perf_counter()
+        created = []
+        with self._lock:
             for edge in graph.edges:
                 for relation in (edge.left, edge.right):
-                    table = lifted.get(relation, relation)
+                    table = tables.get(relation)
+                    if table is None:
+                        continue
                     keys = tuple(edge.keys_for(relation))
                     ident = (table.lower(), keys)
                     if ident in self._indexed or not self.has_table(table):
@@ -640,19 +702,9 @@ class SQLiteConnector(TempNamespaceMixin, Connector):
                     self._conn.execute("ANALYZE")
         elapsed = time.perf_counter() - start
         self.index_seconds += elapsed
-        if self.profiling_enabled and pragmas_fresh:
-            rendered = ", ".join(f"{p}={v}" for p, v in PERF_PRAGMAS)
-            self.profiles.append(QueryProfile(
-                sql=f"-- training setup: per-connection PRAGMAs ({rendered})",
-                kind="Pragma",
-                seconds=0.0,
-                rows_out=len(PERF_PRAGMAS),
-                tag="index",
-                started=start,
-            ))
         if self.profiling_enabled and created:
             self.profiles.append(QueryProfile(
-                sql=f"-- training setup: {len(created)} join-key indexes + ANALYZE",
+                sql=f"-- {purpose}: {len(created)} join-key indexes + ANALYZE",
                 kind="Index",
                 seconds=elapsed,
                 rows_out=len(created),

@@ -365,12 +365,6 @@ class FrontierEvaluator:
         self.parallel_rounds = 0
         self.parallel_wall_seconds = 0.0
         self.parallel_busy_seconds = 0.0
-        # fault-tolerance census: transient retries the scheduler spent
-        # on this evaluator's DAG rounds (the serial execute path's
-        # retries live on the connector's RetryCensus and merge in
-        # census())
-        self.scheduler_retries = 0
-        self.scheduler_exhausted = 0
         # why the most recent evaluation round stayed serial (None =
         # the round fanned out); census() derives a reason for rounds
         # that never reached the batched evaluator at all
@@ -388,6 +382,7 @@ class FrontierEvaluator:
         self._veto_checked = False
         self._incremental_veto: Optional[str] = None
         self._kind_cache: Dict[Tuple[str, str], str] = {}
+        self._lifted_indexed = False
 
     # ------------------------------------------------------------------
     # Tree lifecycle (driven by the trainer)
@@ -466,9 +461,9 @@ class FrontierEvaluator:
     def census(self) -> Dict[str, object]:
         """Query accounting for the Figure 9 reproduction and CI gates."""
         state = self.state.census()
-        # Fault-tolerance counters: scheduler-side retries plus whatever
-        # the connector's own retry/chaos proxies (connect(..., chaos=...,
-        # retry=...)) accumulated on the serial execute path.
+        # Fault-tolerance counters: the connector's retry/chaos proxies
+        # (connect(..., chaos=..., retry=...)) own statement retries on
+        # every path, serial and fanned out alike.
         connector_retry = getattr(self.db, "retry_census", None)
         retry_snapshot = (
             connector_retry.snapshot() if connector_retry is not None
@@ -505,10 +500,8 @@ class FrontierEvaluator:
                 0.0, self.parallel_busy_seconds - self.parallel_wall_seconds
             ),
             "parallel_fallback_reason": self._fallback_reason(),
-            "retries": self.scheduler_retries + retry_snapshot["retries"],
-            "retry_exhausted": (
-                self.scheduler_exhausted + retry_snapshot["exhausted"]
-            ),
+            "retries": retry_snapshot["retries"],
+            "retry_exhausted": retry_snapshot["exhausted"],
             "recovered_after_retry": retry_snapshot["succeeded_after_retry"],
             "chaos_injected": (
                 chaos_census.snapshot()["total"]
@@ -598,6 +591,14 @@ class FrontierEvaluator:
         base_predicates: PredicateMap,
         features: Sequence[Tuple[str, str]],
     ) -> Dict[int, Optional[SplitCandidate]]:
+        if not self._lifted_indexed:
+            # Standard messages out of the lifted fact group by its join
+            # key: build that index before the first one (training setup
+            # leaves it out, the batched path never reads it).
+            index_lifted = getattr(self.db, "index_lifted", None)
+            if index_lifted is not None:
+                index_lifted(self.graph, self.factorizer.lifted)
+            self._lifted_indexed = True
         out: Dict[int, Optional[SplitCandidate]] = {}
         for node in nodes:
             if self.criterion.weight(node.aggregates) <= 0:
@@ -680,28 +681,40 @@ class FrontierEvaluator:
                     label_column, round_ids, override, carry_filters, scope,
                 )
             else:
+                # The scheduler's contract, inline: a failed relation does
+                # not stop the round, and the first failure in relation
+                # order is raised once every relation was attempted — so
+                # one worker and many issue the same statements.
+                failure: Optional[Exception] = None
                 for relation, indexed in by_relation.items():
-                    # Carry messages depend on the relation and the leaf
-                    # labels only — within one round every relation whose
-                    # routing path shares a prefix reuses them (scoped cache
-                    # in incremental mode, shared kind groups in both).
-                    absorption = self.factorizer.multi_absorption(
-                        relation,
-                        carry={fact: (label_column,)},
-                        table_override=override,
-                        carry_filters=carry_filters,
-                        cache_scope=scope,
-                    )
                     try:
-                        for group in self._split_by_kind(relation, indexed):
-                            self.batched_split_queries += self._evaluate_relation(
-                                relation, group, fact, absorption,
-                                node_by_id, candidates,
-                                label_column, round_ids,
-                            )
-                    finally:
-                        for temp in absorption.temp_tables:
-                            self.db.drop_table(temp, if_exists=True)
+                        # Carry messages depend on the relation and the leaf
+                        # labels only — within one round every relation
+                        # whose routing path shares a prefix reuses them
+                        # (scoped cache in incremental mode, shared kind
+                        # groups in both).
+                        absorption = self.factorizer.multi_absorption(
+                            relation,
+                            carry={fact: (label_column,)},
+                            table_override=override,
+                            carry_filters=carry_filters,
+                            cache_scope=scope,
+                        )
+                        try:
+                            for group in self._split_by_kind(relation, indexed):
+                                self.batched_split_queries += self._evaluate_relation(
+                                    relation, group, fact, absorption,
+                                    node_by_id, candidates,
+                                    label_column, round_ids,
+                                )
+                        finally:
+                            for temp in absorption.temp_tables:
+                                self.db.drop_table(temp, if_exists=True)
+                    except Exception as exc:
+                        if failure is None:
+                            failure = exc
+                if failure is not None:
+                    raise failure
         finally:
             if label_table is not None:
                 self.db.drop_table(label_table, if_exists=True)
@@ -810,16 +823,12 @@ class FrontierEvaluator:
         """
         from repro.engine.scheduler import QueryScheduler
 
-        # Retry wiring: when the connector carries a retry policy (the
-        # connect(..., retry=...) proxy), the scheduler retries transient
-        # backend faults per DAG node before skipping dependents.  The
-        # connector's RetryCensus is NOT shared with the scheduler —
-        # scheduler-level retries are accounted via report.retries, and
-        # census() sums the two sources without double counting.
+        # No retry wiring here: each statement a task issues is retried by
+        # the connector that runs it, so wrapping the task in a second
+        # retry loop would multiply the attempts per statement.
         effective_executor = self._effective_executor()
         scheduler = QueryScheduler(
             num_workers=self.num_workers,
-            retry_policy=getattr(self.db, "retry_policy", None),
             executor=effective_executor,
             pool_census=self.pool_census,
         )
@@ -966,8 +975,6 @@ class FrontierEvaluator:
         self.parallel_rounds += 1
         self.parallel_wall_seconds += report.wall_seconds
         self.parallel_busy_seconds += report.sequential_seconds
-        self.scheduler_retries += report.retries
-        self.scheduler_exhausted += report.exhausted
 
     def _label_frontier(
         self,

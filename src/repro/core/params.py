@@ -101,7 +101,10 @@ class TrainParams:
     fair_c: float = 1.0
     tweedie_rho: float = 1.5
     missing: str = "right"  # NULL routing: "right" (default) or "both"
-    update_strategy: str = "swap"  # residual updates: update|create|swap|naive
+    # Residual updates (Section 5.3/5.4): update|create|swap|naive.  "swap"
+    # pointer-swaps the new column in where the connector declares
+    # Capabilities.column_swap, and is the in-DBMS UPDATE everywhere else.
+    update_strategy: str = "swap"
     # Frontier split evaluation: "auto" batches each round into one query
     # per relation where the schema allows (falling back silently), "on"
     # demands batching (raising when unavailable), "off" keeps the classic

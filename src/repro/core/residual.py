@@ -11,6 +11,10 @@ the new residuals *without* materializing R⋈.  Three layers cooperate:
    Section 4.2.1 and join).
 3. **Physical strategy** (Section 5.4): ``swap`` computes the new column
    with a query and pointer-swaps it in, dodging WAL/MVCC/compression.
+   The swap needs a pointer to swap: on a connector whose
+   ``Capabilities.column_swap`` is False the cheap write is the engine's
+   own ``UPDATE``, so ``swap`` resolves to the ``update`` path there and
+   the new values never leave the DBMS.
 
 Two update shapes:
 
@@ -141,6 +145,14 @@ class ResidualUpdater:
         self.fact = fact
         self.fact_table = fact_table
         self.loss = loss
+        # Without a column swap, "swap" would fetch the new column and
+        # write it back row by row (the expensive form of Fig. 5): the
+        # in-DBMS UPDATE is the cheap write there.  A connector without
+        # capabilities keeps the requested strategy (the permissive idiom).
+        capabilities = getattr(db, "capabilities", None)
+        if strategy == "swap" and capabilities is not None \
+                and not capabilities.column_swap:
+            strategy = "update"
         self.strategy = strategy
 
     # -- leaf-label fast path --------------------------------------------

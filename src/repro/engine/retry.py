@@ -11,15 +11,14 @@ that retries them.
 The policy is deliberately boring and deterministic: a bounded attempt
 count, a fixed exponential backoff schedule (no jitter — reproducible
 runs beat thundering-herd theory at this scale), and a per-query delay
-budget so one stuck statement cannot stall a round for minutes.  Two
-call sites consume it:
-
-* :class:`~repro.engine.scheduler.QueryScheduler` retries each DAG
-  node's callable before the record-error-and-skip-dependents behavior
-  engages, on the serial and threaded paths alike;
-* :class:`~repro.backends.chaos.RetryConnector` wraps a connector's
-  ``execute``/``execute_read`` so the plain serial training loop (which
-  never touches the scheduler) retries too.
+budget so one stuck statement cannot stall a round for minutes.  One
+call site consumes it: :class:`~repro.backends.chaos.RetryConnector`
+wraps a connector's ``execute``/``execute_read``, so every statement is
+retried where it runs — on the serial path and on the scheduler's worker
+threads alike.  The scheduler itself never retries a task (a second
+loop around the connector's would multiply the attempts per statement);
+worker *processes* have their own bounded ``task_retries`` in
+:mod:`repro.engine.procpool`.
 
 On exhaustion the *final* attempt's exception is raised with the total
 attempt count attached as ``exc.attempts`` — callers report what
@@ -122,8 +121,8 @@ def call_with_retry(
     Non-transient exceptions propagate immediately with ``attempts=1``
     semantics (no retry).  On exhaustion — attempts or delay budget —
     the final attempt's exception is raised with ``exc.attempts`` set
-    to the number of attempts actually made, so the scheduler's
-    lowest-id error surfacing reports what failed *last*.
+    to the number of attempts actually made, so the error a training run
+    surfaces reports what failed *last*.
     """
     slept = 0.0
     attempt = 0

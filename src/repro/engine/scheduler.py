@@ -26,6 +26,12 @@ Execution semantics both paths share:
 * all queries without a failed ancestor still execute;
 * :meth:`QueryScheduler.run` then raises the failed query with the lowest
   id (deterministic regardless of worker count), or returns the report.
+
+The scheduler never retries a query itself.  Transient statement faults
+are retried where the statement runs — by
+:class:`~repro.backends.chaos.RetryConnector` in the owner process, by
+the process pool's ``task_retries`` in a worker — so a fanned-out round
+attempts each statement exactly as often as a serial one.
 """
 
 from __future__ import annotations
@@ -43,7 +49,6 @@ from repro.engine.procpool import (
     default_task_deadline,
     get_shared_pool,
 )
-from repro.engine.retry import RetryCensus, RetryPolicy, call_with_retry
 
 #: hard ceiling on the pool size — beyond this, thread switch overhead
 #: dwarfs any overlap a DBMS connection can deliver
@@ -74,7 +79,7 @@ class ScheduledQuery:
     error: Optional[BaseException] = None
     #: True when an upstream query failed and this one never ran
     skipped: bool = False
-    #: how many times the callable actually ran (>1 after transient retries)
+    #: how many times the task ran (>1 after a process-pool re-dispatch)
     attempts: int = 1
     #: process executor: re-dispatches after a worker crash/stall
     redispatches: int = 0
@@ -83,21 +88,11 @@ class ScheduledQuery:
 
 
 class QueryScheduler:
-    """FIFO ready-queue scheduler over a dependency DAG.
-
-    When ``retry_policy`` is set, each query's callable is retried on
-    :class:`~repro.exceptions.TransientBackendError` per the policy
-    *before* the record-error-and-skip-dependents behavior engages —
-    on the serial and threaded paths alike, since both go through
-    :meth:`_execute`.  A query that still fails records its *final*
-    attempt's exception with ``attempts`` attached.
-    """
+    """FIFO ready-queue scheduler over a dependency DAG."""
 
     def __init__(
         self,
         num_workers: int = 4,
-        retry_policy: Optional[RetryPolicy] = None,
-        retry_census: Optional[RetryCensus] = None,
         executor: str = "thread",
         pool: Optional[SupervisedProcessPool] = None,
         pool_census: Optional[ProcPoolCensus] = None,
@@ -108,8 +103,6 @@ class QueryScheduler:
                 f"unknown executor {executor!r}; expected one of {EXECUTORS}"
             )
         self.num_workers = max(1, min(int(num_workers), MAX_WORKERS))
-        self.retry_policy = retry_policy
-        self.retry_census = retry_census
         self.executor = executor
         self._pool = pool
         self._pool_census = pool_census
@@ -158,19 +151,7 @@ class QueryScheduler:
         q.started = time.perf_counter() - wall_start
         start = time.perf_counter()
         try:
-            if self.retry_policy is not None:
-                attempts = [0]
-
-                def attempt_once(q: "ScheduledQuery" = q) -> object:
-                    attempts[0] += 1
-                    q.attempts = attempts[0]
-                    return q.fn()
-
-                q.result = call_with_retry(
-                    attempt_once, self.retry_policy, self.retry_census
-                )
-            else:
-                q.result = q.fn()
+            q.result = q.fn()
         except BaseException as exc:  # recorded, surfaced after the run
             q.error = exc
         q.seconds = time.perf_counter() - start
@@ -350,8 +331,8 @@ class ScheduleReport:
     (attempts, retried, exhausted, timed out, re-dispatched), and
     :attr:`exhausted_queries` / :attr:`timed_out_queries` list the
     labels of the queries behind the matching aggregate counts — a
-    chaos run that exhausts one query's budget is attributable from the
-    report alone, without digging through logs.
+    chaos run that exhausts one pooled task's budget is attributable
+    from the report alone, without digging through logs.
     """
 
     def __init__(
@@ -383,12 +364,13 @@ class ScheduleReport:
 
     @property
     def retries(self) -> int:
-        """Total extra attempts spent recovering from transient faults."""
+        """Extra attempts the process pool spent on re-dispatches and
+        task retries (always 0 on the inline and thread paths)."""
         return sum(max(0, q.attempts - 1) for q in self.queries)
 
     @property
     def exhausted(self) -> int:
-        """Queries that failed even after their retry budget."""
+        """Queries that failed even after the process pool retried them."""
         return sum(
             1 for q in self.queries if q.error is not None and q.attempts > 1
         )
@@ -408,7 +390,7 @@ class ScheduleReport:
 
     @property
     def exhausted_queries(self) -> List[str]:
-        """Labels of the queries that failed after spending retries."""
+        """Labels of the queries that failed after pool retries."""
         return [
             self._describe(q)
             for q in self.queries

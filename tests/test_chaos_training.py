@@ -14,6 +14,8 @@ import repro
 from repro.backends.chaos import ChaosConnector, FaultPlan, FaultRule
 from repro.core.serialize import model_digest
 from repro.core.session import side_state_audit
+from repro.datasets import favorita
+from repro.engine.retry import DEFAULT_RETRY_POLICY
 from repro.exceptions import (
     BackendError,
     BackendExecutionError,
@@ -177,9 +179,9 @@ class TestChaosConnector:
 # The parity matrix: chaos training == fault-free training, bit for bit
 # ---------------------------------------------------------------------------
 class TestChaosParity:
-    #: fail the 2nd and 3rd message-passing statements, then every 5th
-    #: frontier query once — enough pressure to exercise both the
-    #: connector retry path and the scheduler retry path
+    #: fail the 2nd and 3rd message-passing statements, then the 12th
+    #: statement of any tag once — retried by the connector on the
+    #: serial path and on the scheduler's worker threads alike
     CHAOS = "tag=message:nth=2:times=2:kind=transient;" \
             "tag=:nth=12:times=1:kind=transient"
 
@@ -203,6 +205,35 @@ class TestChaosParity:
         assert census["retries"] > 0
         assert census["chaos_injected"] > 0
         assert census["retry_exhausted"] == 0
+
+
+class TestOneRetryOwner:
+    @pytest.mark.parametrize("tag", ["message", "feature"])
+    def test_never_ending_fault_costs_the_same_at_any_worker_count(self, tag):
+        """Statements are retried only by the connector: a fanned-out
+        round attempts a failing statement as often as a serial one, and
+        both attempt the same statements before the round fails."""
+        counts = {}
+        for workers in (1, 4):
+            conn = repro.connect(
+                backend="sqlite",
+                chaos=f"tag={tag}:nth=3:times=1000:kind=transient",
+            )
+            _, graph = favorita(db=conn, num_fact_rows=2_000, seed=1)
+            with pytest.raises(TransientBackendError):
+                repro.train_gradient_boosting(conn, graph, {
+                    "num_iterations": 2, "num_leaves": 4,
+                    "num_workers": workers,
+                })
+            counts[workers] = (
+                conn.chaos_census.snapshot()["total"],
+                conn.retry_census.snapshot()["exhausted"],
+            )
+            conn.close()
+        assert counts[1] == counts[4]
+        injected, exhausted = counts[1]
+        assert exhausted >= 1
+        assert injected == DEFAULT_RETRY_POLICY.max_attempts * exhausted
 
 
 # ---------------------------------------------------------------------------

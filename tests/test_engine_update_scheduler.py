@@ -7,12 +7,7 @@ import numpy as np
 import pytest
 
 from repro.engine.database import Database
-from repro.engine.retry import (
-    DEFAULT_RETRY_POLICY,
-    RetryCensus,
-    RetryPolicy,
-    call_with_retry,
-)
+from repro.engine.retry import RetryCensus, RetryPolicy, call_with_retry
 from repro.engine.scheduler import QueryScheduler
 from repro.exceptions import StorageError, TransientBackendError
 from repro.engine.update import apply_column_update, supported_strategies
@@ -305,29 +300,33 @@ class TestRetryPolicy:
 
 
 class TestSchedulerRetry:
-    """Transient faults retry inside the DAG before dependents are skipped."""
+    """The scheduler never retries: a query's statements are retried by the
+    connector that runs them, and the scheduler runs the query once."""
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_transient_query_retried_then_succeeds(self, workers):
         census = RetryCensus()
-        scheduler = QueryScheduler(
-            num_workers=workers, retry_policy=FAST_RETRIES, retry_census=census
+        statement = flaky(2)
+        scheduler = QueryScheduler(num_workers=workers)
+        qid = scheduler.submit(
+            lambda: call_with_retry(statement, FAST_RETRIES, census),
+            label="flaky",
         )
-        qid = scheduler.submit(flaky(2), label="flaky")
-        downstream = scheduler.submit(lambda: "ran", deps=[qid])
+        scheduler.submit(lambda: "ran", deps=[qid])
         report = scheduler.run()
         assert report.results() == ["ok", "ran"]
-        assert report.retries == 2
-        assert report.exhausted == 0
+        # the retries are the connector's, not the scheduler's
+        assert census.snapshot()["retries"] == 2
         assert census.snapshot()["succeeded_after_retry"] == 1
+        assert report.retries == 0
+        assert scheduler._queries[qid].attempts == 1
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_exhausted_query_reports_final_attempt(self, workers):
-        """A retried-then-failed query must surface its *final* attempt's
-        exception, stamped with the attempt count (ISSUE 8 satellite)."""
-        scheduler = QueryScheduler(
-            num_workers=workers, retry_policy=FAST_RETRIES
-        )
+        """A query whose statement exhausted the connector's retries
+        surfaces the *final* attempt's exception, stamped with the
+        attempt count, and is not attempted again by the scheduler."""
+        scheduler = QueryScheduler(num_workers=workers)
         attempt_errors = []
 
         def always_transient():
@@ -337,18 +336,22 @@ class TestSchedulerRetry:
             attempt_errors.append(exc)
             raise exc
 
-        qid = scheduler.submit(always_transient, label="doomed")
+        qid = scheduler.submit(
+            lambda: call_with_retry(always_transient, FAST_RETRIES),
+            label="doomed",
+        )
         child = scheduler.submit(lambda: "never", deps=[qid])
         with pytest.raises(TransientBackendError) as excinfo:
             scheduler.run()
         # the raised error is the LAST attempt's, not the first's
         assert excinfo.value is attempt_errors[-1]
         assert excinfo.value.attempts == FAST_RETRIES.max_attempts
+        assert len(attempt_errors) == FAST_RETRIES.max_attempts
         assert scheduler._queries[child].skipped
-        assert scheduler._queries[qid].attempts == FAST_RETRIES.max_attempts
+        assert scheduler._queries[qid].attempts == 1
 
     def test_non_transient_error_not_retried_in_dag(self):
-        scheduler = QueryScheduler(num_workers=2, retry_policy=FAST_RETRIES)
+        scheduler = QueryScheduler(num_workers=2)
         calls = []
 
         def boom():
@@ -367,9 +370,7 @@ class TestSchedulerRetry:
             scheduler.run()
 
     def test_report_retry_counters_zero_without_faults(self):
-        scheduler = QueryScheduler(
-            num_workers=2, retry_policy=DEFAULT_RETRY_POLICY
-        )
+        scheduler = QueryScheduler(num_workers=2)
         scheduler.submit(lambda: 1)
         scheduler.submit(lambda: 2)
         report = scheduler.run()
@@ -397,8 +398,10 @@ def _spec_for(fn, *args, chaos=None):
 
 class TestScheduleReportShape:
     def test_query_outcomes_records_every_query(self):
-        scheduler = QueryScheduler(num_workers=2, retry_policy=FAST_RETRIES)
-        ok = scheduler.submit(flaky(1), label="recovers")
+        scheduler = QueryScheduler(num_workers=2)
+        ok = scheduler.submit(
+            lambda: call_with_retry(flaky(1), FAST_RETRIES), label="recovers"
+        )
         clean = scheduler.submit(lambda: 7, label="clean")
         report = scheduler.run()
         outcomes = report.query_outcomes()
@@ -406,7 +409,7 @@ class TestScheduleReportShape:
         by_label = {o["label"]: o for o in outcomes}
         assert by_label["recovers"] == {
             "query_id": ok, "label": "recovers", "status": "ok",
-            "attempts": 2, "retried": True, "exhausted": False,
+            "attempts": 1, "retried": False, "exhausted": False,
             "timed_out": False, "redispatches": 0, "error": None,
         }
         assert by_label["clean"]["attempts"] == 1
@@ -415,13 +418,16 @@ class TestScheduleReportShape:
         assert report.executor == "thread"
 
     def test_exhausted_query_named_in_report(self):
+        """A pooled task that failed after re-attempts is named (the
+        attempt counts here stand in for a process-pool run)."""
         from repro.engine.scheduler import ScheduleReport
 
-        scheduler = QueryScheduler(num_workers=2, retry_policy=FAST_RETRIES)
+        scheduler = QueryScheduler(num_workers=2)
         doomed = scheduler.submit(flaky(10), label="doomed")
         child = scheduler.submit(lambda: 1, deps=[doomed], label="child")
         with pytest.raises(TransientBackendError):
             scheduler.run()
+        scheduler._queries[doomed].attempts = 3
         report = ScheduleReport(
             list(scheduler._queries.values()), 0.0, workers=2
         )

@@ -7,6 +7,9 @@ import pytest
 
 import repro
 from repro.core.residual import ResidualUpdater, leaf_fact_condition
+from repro.core.serialize import model_digest
+from repro.datasets import favorita
+from repro.storage.table import StorageConfig
 from repro.core.split import GradientCriterion
 from repro.core.trainer import DecisionTreeTrainer
 from repro.core.params import TrainParams
@@ -117,6 +120,24 @@ class TestStrategyEquivalence:
         assert np.allclose(
             swap.predict_arrays(frame), update.predict_arrays(frame)
         )
+
+
+class TestDefaultStrategyOnEveryBackend:
+    @pytest.mark.parametrize(
+        "backend", list(StorageConfig.PRESETS) + ["sqlite"]
+    )
+    def test_default_params_train_with_one_digest(self, backend):
+        """The default ``update_strategy="swap"`` runs on every stock
+        preset: where the backend has no column swap it resolves to the
+        in-DBMS UPDATE (x-col, x-row, d-disk and d-mem used to raise
+        StorageError), and every backend grows the same model."""
+        conn = repro.connect(backend=backend)
+        _, graph = favorita(db=conn, num_fact_rows=2_000, seed=1)
+        model = repro.train_gradient_boosting(
+            conn, graph, {"num_iterations": 2, "num_leaves": 4}
+        )
+        conn.close()
+        assert model_digest(model).startswith("74253c9c6a39d36c")
 
 
 class TestBoostingMatchesSingleTableBoosting:
