@@ -96,11 +96,11 @@ class _PerNodeCacheEvaluator(FrontierEvaluator):
     one pass across nodes, which is the thing being ablated away).
     """
 
-    def _per_leaf(self, nodes, base_predicates, features):
+    def _per_leaf(self, nodes, features):
         out = {}
         for node in nodes:
             self.factorizer.invalidate_all()
-            out.update(super()._per_leaf([node], base_predicates, features))
+            out.update(super()._per_leaf([node], features))
         return out
 
 

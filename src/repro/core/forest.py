@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, cast
 import numpy as np
 
 from repro.exceptions import TrainingError
-from repro.core.frontier import concurrent_read_ok
+from repro.core.frontier import concurrent_read_veto
 from repro.core.params import TrainParams
 from repro.core.split import ClassificationCriterion, VarianceCriterion
 from repro.core.trainer import DecisionTreeTrainer
@@ -123,7 +123,7 @@ def train_random_forest(
                 db.drop_table(sampled_fact, if_exists=True)
         return tree, time.perf_counter() - start
 
-    if workers > 1 and concurrent_read_ok(db):
+    if workers > 1 and concurrent_read_veto(db) is None:
         trees, history = _train_trees_parallel(
             db, graph, fact, train_params, rng, snowflake, all_features,
             workers, train_one,

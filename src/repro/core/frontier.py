@@ -49,23 +49,27 @@ Two label strategies exist (``frontier_state``):
   full-path sigma, and drops it afterwards.
 
 Incremental mode degrades to rebuild (never errors) when the backend
-lacks predicated in-place ``UPDATE`` (``Capabilities.narrow_update``),
-when the tree carries base predicates, or when a delta update fails
-mid-training.
+lacks predicated in-place ``UPDATE`` (``Capabilities.narrow_update``) or
+when a delta update fails mid-training.
 
-With ``num_workers > 1`` (and a backend declaring
-``Capabilities.concurrent_read``) each round's per-relation work — the
-carry-message builds and the fused split query — runs as a two-node
-chain on the :class:`~repro.engine.scheduler.QueryScheduler` worker
-pool, the paper's Section 5.5.3 inter-query parallelism executed for
-real rather than modelled; results merge deterministically in relation
-order, so the grown tree is bit-identical to the serial path.
+Every batched round is one dependency DAG on the
+:class:`~repro.engine.scheduler.QueryScheduler` — the paper's Section
+5.5.3 inter-query parallelism executed for real.  Each relation is a
+chain: *build* (its carry messages) → per kind group *read* (the fused
+query) → *scan* → *finalize* (drop the message temps).  One worker runs
+the DAG inline, depth-first, relation by relation; with
+``num_workers > 1`` (and a backend declaring
+``Capabilities.concurrent_read``) different relations' chains overlap on
+the worker pool, and ``executor="process"`` ships the reads to
+supervised worker processes.  Candidates merge by (node, feature
+index), so the grown tree is bit-identical at every worker count.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -84,7 +88,6 @@ from repro.exceptions import (
     TrainingError,
 )
 from repro.factorize.executor import Factorizer, MultiAbsorption
-from repro.factorize.predicates import PredicateMap
 from repro.joingraph.graph import JoinGraph
 from repro.storage.column import Column, ColumnType
 
@@ -114,25 +117,11 @@ def concurrent_read_veto(db) -> Optional[str]:
     )
 
 
-def concurrent_read_ok(db) -> bool:
-    """May the scheduler fan read queries out to worker threads on this
-    backend?  Boolean form of :func:`concurrent_read_veto`."""
-    return concurrent_read_veto(db) is None
-
-
 class BatchingUnavailable(TrainingError):
     """A batched round cannot be expressed for this tree/schema (e.g. the
     semi-join predicate movement needs single-column join keys).  Auto
     mode falls back to per-leaf on exactly this error; any other failure
     inside a batched round propagates."""
-
-
-def merged_predicates(base: PredicateMap, node: TreeNode) -> PredicateMap:
-    """Base predicates plus the node's root-to-leaf path predicates."""
-    merged: PredicateMap = {k: tuple(v) for k, v in base.items()}
-    for relation, preds in node.path_predicates().items():
-        merged[relation] = tuple(merged.get(relation, ())) + tuple(preds)
-    return merged
 
 
 class FrontierState:
@@ -166,7 +155,6 @@ class FrontierState:
         self.epoch = 0
         self.leaf_ids: Set[int] = set()
         self._pending_root: Optional[TreeNode] = None
-        self._base_blocked = False
         # census
         self.root_label_passes = 0
         self.delta_label_updates = 0
@@ -174,15 +162,10 @@ class FrontierState:
         self.label_bytes_written = 0
 
     # ------------------------------------------------------------------
-    def begin_tree(
-        self, root: TreeNode, base_predicates: Optional[PredicateMap]
-    ) -> None:
+    def begin_tree(self, root: TreeNode) -> None:
         """A new tree starts: previous labels are stale until re-rooted."""
         self.active = False
         self._pending_root = root
-        self._base_blocked = any(
-            preds for preds in (base_predicates or {}).values()
-        )
         self.epoch = 0
         self.leaf_ids = set()
 
@@ -195,10 +178,7 @@ class FrontierState:
         """Labels current?  Runs the root pass when a tree is pending."""
         if self.active:
             return True
-        if self._pending_root is None or self._base_blocked:
-            # Base predicates precondition the whole tree (bagging by
-            # predicate); the rebuild CASE encodes them, a blanket root
-            # label would not — so such trees use rebuild labels.
+        if self._pending_root is None:
             return False
         root_id = self._pending_root.node_id
         table = self.factorizer.storage_table(fact)
@@ -387,11 +367,9 @@ class FrontierEvaluator:
     # ------------------------------------------------------------------
     # Tree lifecycle (driven by the trainer)
     # ------------------------------------------------------------------
-    def begin_tree(
-        self, root: TreeNode, base_predicates: Optional[PredicateMap] = None
-    ) -> None:
+    def begin_tree(self, root: TreeNode) -> None:
         """Reset the incremental state for a new tree's root."""
-        self.state.begin_tree(root, base_predicates)
+        self.state.begin_tree(root)
 
     def notify_split(self, node: TreeNode) -> None:
         """A split committed: apply the delta label update (incremental
@@ -434,7 +412,6 @@ class FrontierEvaluator:
     def best_splits(
         self,
         nodes: Sequence[TreeNode],
-        base_predicates: PredicateMap,
         features: Sequence[Tuple[str, str]],
     ) -> Dict[int, Optional[SplitCandidate]]:
         """Best split per frontier node (node_id -> candidate or None)."""
@@ -445,7 +422,7 @@ class FrontierEvaluator:
             veto = self._batching_veto()
             if veto is None:
                 try:
-                    return self._batched(nodes, base_predicates, features)
+                    return self._batched(nodes, features)
                 except BatchingUnavailable as exc:
                     if self.mode == "on":
                         raise
@@ -456,7 +433,7 @@ class FrontierEvaluator:
                 raise TrainingError(
                     f"split_batching='on' but batching is unavailable: {veto}"
                 )
-        return self._per_leaf(nodes, base_predicates, features)
+        return self._per_leaf(nodes, features)
 
     def census(self) -> Dict[str, object]:
         """Query accounting for the Figure 9 reproduction and CI gates."""
@@ -588,7 +565,6 @@ class FrontierEvaluator:
     def _per_leaf(
         self,
         nodes: Sequence[TreeNode],
-        base_predicates: PredicateMap,
         features: Sequence[Tuple[str, str]],
     ) -> Dict[int, Optional[SplitCandidate]]:
         if not self._lifted_indexed:
@@ -604,7 +580,7 @@ class FrontierEvaluator:
             if self.criterion.weight(node.aggregates) <= 0:
                 out[node.node_id] = None
                 continue
-            predicates = merged_predicates(base_predicates, node)
+            predicates = node.path_predicates()
             best: Optional[SplitCandidate] = None
             for relation, feature in features:
                 candidate = self.finder.best_split(
@@ -628,7 +604,6 @@ class FrontierEvaluator:
     def _batched(
         self,
         nodes: Sequence[TreeNode],
-        base_predicates: PredicateMap,
         features: Sequence[Tuple[str, str]],
     ) -> Dict[int, Optional[SplitCandidate]]:
         out: Dict[int, Optional[SplitCandidate]] = {
@@ -658,63 +633,31 @@ class FrontierEvaluator:
             self.incremental_rounds += 1
         else:
             label_column = LEAF_COLUMN
-            label_table = self._label_frontier(
-                eligible, base_predicates, features, fact
-            )
+            label_table = self._label_frontier(eligible, features, fact)
             override = {fact: label_table}
         # Evict carry messages keyed to any other leaf epoch — their
         # labels are stale the moment a split commits.
         self.factorizer.begin_carry_scope(scope)
         self.batched_rounds += 1
 
-        by_relation: Dict[str, List[Tuple[int, str]]] = {}
-        for index, (relation, feature) in enumerate(features):
-            by_relation.setdefault(relation, []).append((index, feature))
+        def absorb(relation: str) -> MultiAbsorption:
+            # Carry messages depend on the relation and the leaf labels
+            # only — within one round every relation whose routing path
+            # shares a prefix reuses them (scoped cache in incremental
+            # mode, shared kind groups in both).
+            return self.factorizer.multi_absorption(
+                relation,
+                carry={fact: (label_column,)},
+                table_override=override,
+                carry_filters=carry_filters,
+                cache_scope=scope,
+            )
 
-        node_by_id = {node.node_id: node for node in eligible}
-        candidates: Dict[Tuple[int, int], SplitCandidate] = {}
-        round_ids = frontier_ids if incremental else None
         try:
-            if self._pool_eligible(by_relation):
-                self._evaluate_parallel(
-                    by_relation, fact, node_by_id, candidates,
-                    label_column, round_ids, override, carry_filters, scope,
-                )
-            else:
-                # The scheduler's contract, inline: a failed relation does
-                # not stop the round, and the first failure in relation
-                # order is raised once every relation was attempted — so
-                # one worker and many issue the same statements.
-                failure: Optional[Exception] = None
-                for relation, indexed in by_relation.items():
-                    try:
-                        # Carry messages depend on the relation and the leaf
-                        # labels only — within one round every relation
-                        # whose routing path shares a prefix reuses them
-                        # (scoped cache in incremental mode, shared kind
-                        # groups in both).
-                        absorption = self.factorizer.multi_absorption(
-                            relation,
-                            carry={fact: (label_column,)},
-                            table_override=override,
-                            carry_filters=carry_filters,
-                            cache_scope=scope,
-                        )
-                        try:
-                            for group in self._split_by_kind(relation, indexed):
-                                self.batched_split_queries += self._evaluate_relation(
-                                    relation, group, fact, absorption,
-                                    node_by_id, candidates,
-                                    label_column, round_ids,
-                                )
-                        finally:
-                            for temp in absorption.temp_tables:
-                                self.db.drop_table(temp, if_exists=True)
-                    except Exception as exc:
-                        if failure is None:
-                            failure = exc
-                if failure is not None:
-                    raise failure
+            candidates = self._evaluate_round(
+                eligible, features, fact, label_column,
+                frontier_ids if incremental else None, absorb,
+            )
         finally:
             if label_table is not None:
                 self.db.drop_table(label_table, if_exists=True)
@@ -733,28 +676,27 @@ class FrontierEvaluator:
         return out
 
     # ------------------------------------------------------------------
-    # Inter-query parallelism (Section 5.5.3, executed for real)
+    # The round pipeline (Section 5.5.3 inter-query parallelism)
     # ------------------------------------------------------------------
-    def _pool_eligible(self, by_relation: Dict[str, List[Tuple[int, str]]]) -> bool:
-        """Fan a round out to the worker pool?  Needs >1 worker, >1
-        relation to overlap, and a backend whose read path is declared
-        concurrency-safe (``Capabilities.concurrent_read``).  Every
-        serial outcome records *why* on ``parallel_fallback_reason`` —
-        the silent-serialization bug this census field exists to fix."""
+    def _pool_eligible(
+        self, by_relation: Dict[str, List[Tuple[int, str]]]
+    ) -> Tuple[int, str]:
+        """``(num_workers, executor)`` for one round's DAG.  Fanning out
+        needs >1 worker, >1 relation to overlap, and a backend whose read
+        path is declared concurrency-safe (``Capabilities.concurrent_read``);
+        otherwise the round runs inline on one worker, and the reason is
+        recorded on ``parallel_fallback_reason`` — the
+        silent-serialization bug this census field exists to fix."""
         if self.num_workers <= 1:
-            self.parallel_fallback_reason = "num_workers=1 (serial by request)"
-            return False
-        veto = concurrent_read_veto(self.db)
-        if veto is not None:
-            self.parallel_fallback_reason = veto
-            return False
-        if len(by_relation) <= 1:
-            self.parallel_fallback_reason = (
-                "single feature-bearing relation (nothing to overlap)"
-            )
-            return False
-        self.parallel_fallback_reason = None
-        return True
+            reason = "num_workers=1 (serial by request)"
+        else:
+            reason = concurrent_read_veto(self.db)
+        if reason is None and len(by_relation) <= 1:
+            reason = "single feature-bearing relation (nothing to overlap)"
+        self.parallel_fallback_reason = reason
+        if reason is not None:
+            return 1, "thread"
+        return self.num_workers, self._effective_executor()
 
     def _effective_executor(self) -> str:
         """The executor a fanned-out round actually runs on.
@@ -785,201 +727,140 @@ class FrontierEvaluator:
         self.executor_fallback_reason = None
         return "process"
 
-    def _evaluate_parallel(
+    def _evaluate_round(
         self,
-        by_relation: Dict[str, List[Tuple[int, str]]],
+        nodes: Sequence[TreeNode],
+        features: Sequence[Tuple[str, str]],
         fact: str,
-        node_by_id: Dict[int, TreeNode],
-        candidates: Dict[Tuple[int, int], "SplitCandidate"],
         label_column: str,
         round_ids: Optional[Sequence[int]],
-        override: Optional[Dict[str, str]],
-        carry_filters,
-        scope,
-    ) -> None:
-        """One evaluation round on the dependency-DAG scheduler.
+        absorb: Callable[[str], MultiAbsorption],
+    ) -> Dict[Tuple[int, int], SplitCandidate]:
+        """One evaluation round as one DAG on the scheduler; returns the
+        split candidates keyed by ``(node_id, feature index)``.
 
-        Each relation contributes a two-node chain — *build* (the carry
-        message hops feeding it, serialized against other builds by the
-        factorizer's build lock) then *split* (the fused ``UNION ALL``
-        query plus the client-side prefix scan).  Chains of different
-        relations share no downstream, so the pool overlaps relation A's
-        split query with relation B's message build.  Results merge on
-        the calling thread in relation order: candidate keys are
-        ``(node_id, feature index)`` with feature indexes disjoint across
-        relations, and each task computes exactly what the serial loop
-        would — so the merged map, and therefore the chosen tree, is
-        bit-identical to ``num_workers=1``.
+        Each relation is a chain: *build* (``absorb`` — its carry
+        messages, serialized against other builds by the factorizer's
+        build lock) → per kind group a *read* (the fused query) → *scan*
+        (the client-side prefix scan) → *finalize* (drop the message
+        temps).  Kind groups are chained, so a failed build or read skips
+        the rest of its relation while the other relations still run,
+        and the first failure in submission order is raised — one worker
+        and many issue the same statements.  Inline, the chains run
+        depth-first, relation by relation; on the pool they overlap.
 
-        On ``executor="process"`` (and a process-safe backend) each
-        relation's chain deepens to *build* (inline — message builds
-        mutate the catalog and stay on the owner) → one fused *read* per
-        kind group, serialized via ``process_task_payload`` and executed
-        in a supervised worker process → *scan* (inline — the numpy
-        prefix scan over the returned aggregates) → *finalize* (drop the
-        absorption temps, register the relation's output).  Results
-        still merge by relation/feature order, so the digest contract
-        holds across executors and across injected worker failures.
+        On ``executor="process"`` a read's *spec* resolves at dispatch
+        time (after its build committed the message temps): it renders
+        the SQL, asks the backend to serialize it (``None`` declines and
+        the read runs inline) and stamps any task-scoped chaos directive
+        in query-id order, so fault ordinals are deterministic.
+        Candidate keys are disjoint across relations, so the merged map,
+        and the tree, is bit-identical across workers and executors.
         """
+        from repro.backends.chaos import task_fault_directive
         from repro.engine.scheduler import QueryScheduler
 
-        # No retry wiring here: each statement a task issues is retried by
-        # the connector that runs it, so wrapping the task in a second
+        by_relation: Dict[str, List[Tuple[int, str]]] = {}
+        for index, (relation, feature) in enumerate(features):
+            by_relation.setdefault(relation, []).append((index, feature))
+        node_by_id = {node.node_id: node for node in nodes}
+        num_workers, executor = self._pool_eligible(by_relation)
+        # No retry wiring here: each statement a node issues is retried by
+        # the connector that runs it, so wrapping the node in a second
         # retry loop would multiply the attempts per statement.
-        effective_executor = self._effective_executor()
         scheduler = QueryScheduler(
-            num_workers=self.num_workers,
-            executor=effective_executor,
+            num_workers=num_workers,
+            executor=executor,
             pool_census=self.pool_census,
         )
         absorptions: Dict[str, MultiAbsorption] = {}
-        outputs: Dict[str, Tuple[Dict[Tuple[int, int], SplitCandidate], int]] = {}
+        candidates: Dict[Tuple[int, int], SplitCandidate] = {}
 
-        def build_task(relation: str):
-            def build() -> None:
-                absorptions[relation] = self.factorizer.multi_absorption(
-                    relation,
-                    carry={fact: (label_column,)},
-                    table_override=override,
-                    carry_filters=carry_filters,
-                    cache_scope=scope,
+        def build(relation: str) -> None:
+            absorptions[relation] = absorb(relation)
+
+        def fused_sql(relation: str, group: List[Tuple[int, str]]) -> str:
+            return self._fused_sql(
+                relation, group, fact, absorptions[relation],
+                label_column, round_ids,
+            )
+
+        def read(relation: str, group: List[Tuple[int, str]]):
+            # A pooled per-thread connection on sqlite, the audited
+            # in-process read path on the embedded engine.
+            runner = getattr(self.db, "execute_read", self.db.execute)
+            return runner(fused_sql(relation, group), tag="feature")
+
+        def read_spec(relation: str, group: List[Tuple[int, str]]):
+            sql = fused_sql(relation, group)
+            payload = self.db.process_task_payload(sql, tag="feature")
+            if payload is not None:
+                directive = task_fault_directive(
+                    self.db, f"feature:{relation}", sql
                 )
-            return build
+                if directive is not None:
+                    payload["chaos"] = directive
+            return payload
 
-        def split_task(relation: str, indexed: List[Tuple[int, str]]):
-            def split() -> None:
-                absorption = absorptions[relation]
-                local: Dict[Tuple[int, int], SplitCandidate] = {}
-                queries = 0
-                try:
-                    for group in self._split_by_kind(relation, indexed):
-                        queries += self._evaluate_relation(
-                            relation, group, fact, absorption,
-                            node_by_id, local, label_column, round_ids,
-                        )
-                finally:
-                    for temp in absorption.temp_tables:
-                        self.db.drop_table(temp, if_exists=True)
-                outputs[relation] = (local, queries)
-            return split
+        def scan(relation: str, group: List[Tuple[int, str]], read_id: int):
+            self._scan_fused_result(
+                scheduler.take_result(read_id),
+                relation, group, node_by_id, candidates,
+            )
 
-        def submit_process_graph() -> None:
-            """The deeper per-relation chain for the process executor.
+        def finalize(relation: str) -> None:
+            for temp in absorptions.pop(relation).temp_tables:
+                self.db.drop_table(temp, if_exists=True)
 
-            The read node's *spec* resolves at dispatch time (after the
-            build committed its message temps): it renders the fused
-            SQL, asks the backend to serialize it, and stamps any
-            task-scoped chaos directive — in query-id order, so fault
-            ordinals are deterministic.  A backend that declines a
-            particular statement returns ``None`` and the read runs
-            inline instead; either way the scan and finalize nodes stay
-            on the calling process.
-            """
-            from repro.backends.chaos import task_fault_directive
-
-            locals_by_relation: Dict[str, Dict[Tuple[int, int], SplitCandidate]] = {
-                relation: {} for relation in by_relation
-            }
-
-            for relation, indexed in by_relation.items():
-                build_id = scheduler.submit(
-                    build_task(relation), label=f"build:{relation}"
+        queries = 0
+        for relation, indexed in by_relation.items():
+            previous = scheduler.submit(
+                partial(build, relation), label=f"build:{relation}"
+            )
+            groups = self._split_by_kind(relation, indexed)
+            for group_index, group in enumerate(groups):
+                read_id = scheduler.submit(
+                    partial(read, relation, group),
+                    deps=[previous],
+                    label=f"read:{relation}:{group_index}",
+                    spec=(
+                        partial(read_spec, relation, group)
+                        if executor == "process" else None
+                    ),
                 )
-                groups = self._split_by_kind(relation, indexed)
-                scan_ids: List[int] = []
-                for group_index, group in enumerate(groups):
-
-                    def read_spec(relation=relation, group=group):
-                        sql = self._fused_sql(
-                            relation, group, fact, absorptions[relation],
-                            label_column, round_ids,
-                        )
-                        payload = self.db.process_task_payload(
-                            sql, tag="feature"
-                        )
-                        if payload is None:
-                            return None
-                        directive = task_fault_directive(
-                            self.db, f"feature:{relation}", sql
-                        )
-                        if directive is not None:
-                            payload["chaos"] = directive
-                        return payload
-
-                    def read_inline(relation=relation, group=group):
-                        sql = self._fused_sql(
-                            relation, group, fact, absorptions[relation],
-                            label_column, round_ids,
-                        )
-                        runner = getattr(self.db, "execute_read", self.db.execute)
-                        return runner(sql, tag="feature")
-
-                    read_id = scheduler.submit(
-                        read_inline,
-                        deps=[build_id],
-                        label=f"read:{relation}:{group_index}",
-                        spec=read_spec,
-                    )
-
-                    def scan(
-                        relation=relation, group=group, read_id=read_id
-                    ) -> None:
-                        self._scan_fused_result(
-                            scheduler.result_of(read_id),
-                            relation, group, node_by_id,
-                            locals_by_relation[relation],
-                        )
-
-                    scan_ids.append(scheduler.submit(
-                        scan,
-                        deps=[read_id],
-                        label=f"scan:{relation}:{group_index}",
-                    ))
-
-                def finalize(relation=relation, queries=len(groups)) -> None:
-                    for temp in absorptions[relation].temp_tables:
-                        self.db.drop_table(temp, if_exists=True)
-                    outputs[relation] = (locals_by_relation[relation], queries)
-
-                scheduler.submit(
-                    finalize, deps=scan_ids, label=f"finalize:{relation}"
+                previous = scheduler.submit(
+                    partial(scan, relation, group, read_id),
+                    deps=[read_id],
+                    label=f"scan:{relation}:{group_index}",
                 )
-
-        if effective_executor == "process":
-            submit_process_graph()
-        else:
-            for relation, indexed in by_relation.items():
-                build_id = scheduler.submit(
-                    build_task(relation), label=f"build:{relation}"
-                )
-                scheduler.submit(
-                    split_task(relation, indexed),
-                    deps=[build_id],
-                    label=f"split:{relation}",
-                )
+            queries += len(groups)
+            scheduler.submit(
+                partial(finalize, relation),
+                deps=[previous],
+                label=f"finalize:{relation}",
+            )
         try:
             report = scheduler.run()
-        except BaseException:
-            # A failed build skips its split task: drop any message
-            # temps the build materialized but nobody consumed.
-            for relation, absorption in absorptions.items():
-                if relation not in outputs:
-                    for temp in absorption.temp_tables:
-                        self.db.drop_table(temp, if_exists=True)
-            raise
-
-        for relation in by_relation:
-            local, queries = outputs[relation]
-            candidates.update(local)
-            self.batched_split_queries += queries
-        self.parallel_rounds += 1
-        self.parallel_wall_seconds += report.wall_seconds
-        self.parallel_busy_seconds += report.sequential_seconds
+        finally:
+            # The scan closures reference the scheduler that holds them:
+            # unbind it so the round's DAG is freed by refcount, not left
+            # to the cyclic collector, whose late passes raise peak rss.
+            del scheduler
+            # A failed build or read skips the rest of its chain, finalize
+            # included: drop the message temps nobody consumed.
+            for absorption in absorptions.values():
+                for temp in absorption.temp_tables:
+                    self.db.drop_table(temp, if_exists=True)
+        self.batched_split_queries += queries
+        if num_workers > 1:
+            self.parallel_rounds += 1
+            self.parallel_wall_seconds += report.wall_seconds
+            self.parallel_busy_seconds += report.sequential_seconds
+        return candidates
 
     def _label_frontier(
         self,
         nodes: Sequence[TreeNode],
-        base_predicates: PredicateMap,
         features: Sequence[Tuple[str, str]],
         fact: str,
     ) -> str:
@@ -988,10 +869,7 @@ class FrontierEvaluator:
         for node in nodes:
             try:
                 condition = leaf_fact_condition(
-                    self.graph,
-                    fact,
-                    merged_predicates(base_predicates, node),
-                    fact_alias="t",
+                    self.graph, fact, node.path_predicates(), fact_alias="t"
                 )
             except TrainingError as exc:
                 # The semi-join rewrite refused (multi-column join keys,
@@ -1043,34 +921,6 @@ class FrontierEvaluator:
                 self._kind_cache[key] = kind
             groups.setdefault(kind, []).append((index, feature))
         return list(groups.values())
-
-    def _evaluate_relation(
-        self,
-        relation: str,
-        indexed: List[Tuple[int, str]],
-        fact: str,
-        absorption,
-        node_by_id: Dict[int, TreeNode],
-        candidates: Dict[Tuple[int, int], SplitCandidate],
-        label_column: str = LEAF_COLUMN,
-        frontier_ids: Optional[Sequence[int]] = None,
-    ) -> int:
-        """One fused query for all of ``relation``'s features, then the
-        shared prefix scan per (leaf, feature) slice; returns the number
-        of split queries issued (so parallel tasks can report counts
-        without racing the shared census counters).  The fused query runs
-        through the backend's ``execute_read`` entry point — a pooled
-        per-thread connection on sqlite, the audited in-process read path
-        on the embedded engine."""
-        sql = self._fused_sql(
-            relation, indexed, fact, absorption, label_column, frontier_ids
-        )
-        runner = getattr(self.db, "execute_read", self.db.execute)
-        result = runner(sql, tag="feature")
-        self._scan_fused_result(
-            result, relation, indexed, node_by_id, candidates
-        )
-        return 1
 
     def _fused_sql(
         self,

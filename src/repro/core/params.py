@@ -122,7 +122,7 @@ class TrainParams:
     encoding_cache: str = "auto"
     # Inter-query parallelism (Section 5.5.3): the worker-pool size the
     # dependency-DAG scheduler executes with.  "auto" = min(4, cpus);
-    # 1 = exactly the serial path (no threads spawned — the parity gates
+    # 1 = the same DAG run inline (no threads spawned — the parity gates
     # pin it).  The JOINBOOST_NUM_WORKERS env var supplies the default
     # when the caller does not set the parameter (the CI race-smoke leg
     # forces 4 that way); an explicit parameter always wins.

@@ -26,7 +26,6 @@ from repro.core.params import TrainParams
 from repro.core.split import Criterion, SplitCandidate, SplitFinder
 from repro.core.tree import DecisionTreeModel, TreeNode
 from repro.factorize.executor import Factorizer
-from repro.factorize.predicates import PredicateMap
 from repro.joingraph.clusters import Cluster
 from repro.joingraph.graph import JoinGraph
 
@@ -75,22 +74,19 @@ class DecisionTreeTrainer:
     def train(
         self,
         feature_subset: Optional[Sequence[Tuple[str, str]]] = None,
-        base_predicates: Optional[PredicateMap] = None,
         totals: Optional[Dict[str, float]] = None,
     ) -> DecisionTreeModel:
         """Grow one tree.
 
         ``feature_subset`` restricts candidate features (random forests'
-        feature sampling); ``base_predicates`` precondition the whole tree
-        (bagging by predicate); ``totals`` are the root aggregates if the
+        feature sampling); ``totals`` are the root aggregates if the
         caller already knows them.
         """
         features = list(feature_subset or self.graph.all_features())
         if not features:
             raise TrainingError("no features to split on")
-        base_predicates = base_predicates or {}
         if totals is None:
-            totals = self.factorizer.totals(base_predicates)
+            totals = self.factorizer.totals()
 
         root = TreeNode(node_id=next(self._ids), depth=0, aggregates=dict(totals))
         root.prediction = self.criterion.leaf_value(totals)
@@ -99,13 +95,11 @@ class DecisionTreeTrainer:
         )
         # New tree: the incremental frontier state re-roots its persistent
         # leaf-membership column on the first batched round.
-        self.evaluator.begin_tree(root, base_predicates)
+        self.evaluator.begin_tree(root)
 
         allowed = list(features)
         heap: List[Tuple[float, int, TreeNode, SplitCandidate]] = []
-        candidate = self.evaluator.best_splits(
-            [root], base_predicates, allowed
-        ).get(root.node_id)
+        candidate = self.evaluator.best_splits([root], allowed).get(root.node_id)
         if candidate is not None:
             heapq.heappush(heap, self._entry(root, candidate))
 
@@ -128,9 +122,7 @@ class DecisionTreeTrainer:
                 for child in (node.left, node.right)
                 if self.params.max_depth < 0 or child.depth < self.params.max_depth
             ]
-            child_candidates = self.evaluator.best_splits(
-                frontier, base_predicates, allowed
-            )
+            child_candidates = self.evaluator.best_splits(frontier, allowed)
             for child in frontier:
                 child_cand = child_candidates.get(child.node_id)
                 if child_cand is not None and child_cand.gain > self.params.min_split_gain:

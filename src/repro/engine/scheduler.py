@@ -10,14 +10,16 @@ ready counts, and fully-ready queries enter a FIFO run queue consumed by a
 worker pool (the paper uses 4 threads intra-query and the rest inter-query).
 
 The scheduler is the *execution* engine behind training's ``num_workers``
-parameter: the frontier evaluator submits each relation's message builds
-and fused split query as a two-node chain, and random forests submit whole
-trees.  ``num_workers=1`` runs the DAG inline on the calling thread (no
-threads are spawned — byte-identical to the historical serial loop);
-``num_workers > 1`` runs a thread pool whose real wall clock
-:class:`ScheduleReport` records next to the *modelled* list-scheduling
-makespan — critical-path length vs. sequential sum — so Figure 18 can show
-measured seconds beside the model.
+parameter: every batched frontier round is one DAG — per relation a chain
+of message build → fused split read → prefix scan (one read/scan pair per
+kind group) → temp cleanup — and random forests submit whole trees.
+``num_workers=1`` runs the DAG inline on the calling thread, depth-first
+(no threads are spawned; a chain runs to its end before the next root
+starts, so a round issues its statements relation by relation, as a plain
+nested loop would); ``num_workers > 1`` runs a thread pool whose real wall
+clock :class:`ScheduleReport` records next to the *modelled*
+list-scheduling makespan — critical-path length vs. sequential sum — so
+Figure 18 can show measured seconds beside the model.
 
 Execution semantics both paths share:
 
@@ -88,7 +90,8 @@ class ScheduledQuery:
 
 
 class QueryScheduler:
-    """FIFO ready-queue scheduler over a dependency DAG."""
+    """Ready-queue scheduler over a dependency DAG (FIFO on the worker
+    pool, depth-first inline)."""
 
     def __init__(
         self,
@@ -135,9 +138,13 @@ class QueryScheduler:
         )
         return query_id
 
-    def result_of(self, query_id: int) -> object:
-        """The recorded result of a finished query (for consumer nodes)."""
-        return self._queries[query_id].result
+    def take_result(self, query_id: int) -> object:
+        """Hand a finished query's result to its consumer node and forget
+        it, so a large intermediate (a fused read's result set) lives only
+        until the node that consumes it has run."""
+        q = self._queries[query_id]
+        result, q.result = q.result, None
+        return result
 
     # ------------------------------------------------------------------
     def _execute(self, q: ScheduledQuery, wall_start: float) -> None:
@@ -177,21 +184,26 @@ class QueryScheduler:
         )
 
     def _run_serial(self) -> "ScheduleReport":
-        """Inline execution on the calling thread — the num_workers=1
-        path spawns no threads, so it is byte-identical to a plain loop
-        over the queries in dependency (FIFO-ready) order."""
+        """Inline, depth-first execution on the calling thread.
+
+        A query's newly-ready dependents run before the next ready root
+        (both in query-id order), so independent chains ``a→a'``,
+        ``b→b'`` run as ``a, a', b, b'`` — the order of a plain nested
+        loop.  No threads are spawned."""
         pending, dependents = self._dag()
-        ready: List[int] = [qid for qid, count in pending.items() if count == 0]
+        stack: List[int] = [
+            qid for qid, count in pending.items() if count == 0
+        ][::-1]
         wall_start = time.perf_counter()
-        cursor = 0
-        while cursor < len(ready):
-            qid = ready[cursor]
-            cursor += 1
+        while stack:
+            qid = stack.pop()
             self._execute(self._queries[qid], wall_start)
+            unlocked: List[int] = []
             for child in dependents[qid]:
                 pending[child] -= 1
                 if pending[child] == 0:
-                    ready.append(child)
+                    unlocked.append(child)
+            stack.extend(reversed(unlocked))
         return self._finish()
 
     def _run_process(self) -> "ScheduleReport":
@@ -203,7 +215,7 @@ class QueryScheduler:
         specs are serialized and dispatched to the pool as one batch,
         whose outcomes are merged back *by query id* — never by
         completion order — before the next wave unlocks.  Skip/error
-        semantics are identical to the serial path, so digests are too.
+        semantics are identical to the inline path, so digests are too.
         """
         pool = self._pool if self._pool is not None else get_shared_pool(
             self.num_workers

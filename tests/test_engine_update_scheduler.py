@@ -205,6 +205,32 @@ class TestSchedulerExecution:
             outcomes[workers] = report.results()
         assert outcomes[1] == outcomes[4]
 
+    def test_inline_run_is_depth_first(self):
+        """One worker runs a query's newly-ready dependents before the
+        next ready root: chains a→a', b→b' run a, a', b, b' (FIFO order
+        would be a, b, a', b')."""
+        scheduler = QueryScheduler(num_workers=1)
+        ran = []
+        a = scheduler.submit(lambda: ran.append("a"))
+        b = scheduler.submit(lambda: ran.append("b"))
+        scheduler.submit(lambda: ran.append("a'"), deps=[a])
+        scheduler.submit(lambda: ran.append("b'"), deps=[b])
+        scheduler.run()
+        assert ran == ["a", "a'", "b", "b'"]
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_take_result_hands_over_and_forgets(self, workers):
+        scheduler = QueryScheduler(num_workers=workers)
+        taken = []
+        producer = scheduler.submit(lambda: [1, 2, 3])
+        scheduler.submit(
+            lambda: taken.append(scheduler.take_result(producer)),
+            deps=[producer],
+        )
+        report = scheduler.run()
+        assert taken == [[1, 2, 3]]
+        assert report.results()[0] is None
+
     def test_serial_path_spawns_no_threads(self):
         before = threading.active_count()
         scheduler = QueryScheduler(num_workers=1)

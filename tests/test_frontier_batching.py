@@ -13,12 +13,13 @@ import pytest
 
 import repro
 from repro.backends import SQLiteConnector
+from repro.backends.chaos import ChaosConnector, FaultPlan, FaultRule
 from repro.core.params import TrainParams
 from repro.core.split import VarianceCriterion
 from repro.core.trainer import DecisionTreeTrainer
 from repro.datasets import favorita, star_schema
 from repro.engine.database import Database
-from repro.exceptions import TrainingError
+from repro.exceptions import BackendExecutionError, TrainingError
 from repro.factorize.executor import Factorizer
 from repro.joingraph.graph import JoinGraph
 from repro.semiring.variance import VarianceSemiRing
@@ -316,6 +317,64 @@ class TestSatelliteFixes:
         assert "known clusters" in str(excinfo.value)
         assert "dim0" in str(excinfo.value)
         factorizer.cleanup()
+
+
+class TestRoundPipeline:
+    """``mixed_schema``'s dim mixes a STR and a numeric feature, so it is
+    two kind groups: two chained read → scan pairs in the round's DAG."""
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_two_kind_groups_match_per_leaf(self, workers):
+        grown, census = {}, {}
+        for mode in ("auto", "off"):
+            db, graph = mixed_schema(Database())
+            model = repro.train_gradient_boosting(
+                db, graph,
+                {"num_iterations": 2, "num_leaves": 8, "min_data_in_leaf": 2,
+                 "split_batching": mode, "num_workers": workers},
+            )
+            grown[mode] = trees_of(model)
+            census[mode] = model.frontier_census
+        assert grown["auto"] == grown["off"]
+        batched = census["auto"]
+        # one fused query for fact, two for dim, every round
+        assert batched["batched_split_queries"] == 3 * batched["batched_rounds"]
+        assert (batched["parallel_rounds"] > 0) == (workers > 1)
+
+    @pytest.mark.parametrize("state", ["incremental", "rebuild"])
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_failed_first_read_skips_second_and_drops_temps(
+        self, workers, state
+    ):
+        plan = FaultPlan([
+            FaultRule(match="t.color AS jb_value", kind="permanent"),
+            # never fires a delay; counts the second group's reads
+            FaultRule(match="t.dnum AS jb_value", times=10**6,
+                      kind="latency"),
+        ])
+        conn = ChaosConnector(repro.connect(backend="plain", retry=False), plan)
+        db, graph = mixed_schema(conn)
+        factorizer = Factorizer(db, graph, VarianceSemiRing())
+        factorizer.lift()
+        trainer = DecisionTreeTrainer(
+            db, graph, factorizer, VarianceCriterion(),
+            # statement faults fire where the statement runs: pin reads to
+            # this process (JOINBOOST_EXECUTOR=process would ship them out)
+            TrainParams.from_dict({
+                "num_leaves": 4, "num_workers": workers,
+                "frontier_state": state, "executor": "thread",
+            }),
+        )
+        with pytest.raises(BackendExecutionError, match="permanent"):
+            trainer.train()
+        fanned_out = trainer.evaluator.parallel_fallback_reason is None
+        assert fanned_out == (workers > 1)
+        assert conn.chaos_census.snapshot()["permanent"] == 1
+        assert conn.chaos_census.snapshot()["latency"] == 0
+        # the factorizer owns the lifted fact and cached messages; the
+        # round must already have dropped its label table and carry temps
+        factorizer.cleanup()
+        assert [t for t in db.table_names() if t.startswith("jb_tmp_")] == []
 
 
 class TestMultiAbsorption:

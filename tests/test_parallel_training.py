@@ -12,6 +12,7 @@ concurrent threads, and unsupported backends fall back to serial.
 """
 
 import dataclasses
+import sys
 import threading
 
 import numpy as np
@@ -76,17 +77,26 @@ class TestParity:
 
     def test_parity_multi_relation_snowflake(self):
         """Favorita: 5+ relations per round, the shape the worker pool
-        actually fans out."""
+        actually fans out.  The 8-worker run (more workers than cores,
+        short switch interval) stresses the round's shared candidate map:
+        a lost write would change a chosen split."""
         grown = {}
-        for workers in (1, 4):
+        interval = sys.getswitchinterval()
+        for workers in (1, 4, 8):
             db, graph = favorita(num_fact_rows=3000, num_extra_features=4)
-            model = repro.train_gradient_boosting(
-                db, graph,
-                {"num_iterations": 2, "num_leaves": 8, "min_data_in_leaf": 3,
-                 "num_workers": workers},
-            )
+            if workers == 8:
+                sys.setswitchinterval(1e-5)
+            try:
+                model = repro.train_gradient_boosting(
+                    db, graph,
+                    {"num_iterations": 2, "num_leaves": 8,
+                     "min_data_in_leaf": 3, "num_workers": workers},
+                )
+            finally:
+                sys.setswitchinterval(interval)
             grown[workers] = trees_of(model)
         assert grown[4] == grown[1]
+        assert grown[8] == grown[1]
 
     def test_parity_rebuild_labels(self):
         """The rebuild-label path (per-round labeled fact copy) also
