@@ -10,16 +10,13 @@ fuses a relation's features into one UNION ALL query with leaf membership
 as a grouping column, dropping the split-query count from
 O(leaves x features) to O(relations) per round — with tree-for-tree
 parity (identical rmse) between the two modes.  Leaf membership itself
-is maintained incrementally (one root pass per tree + two narrow
-UPDATEs per split) rather than rebuilt per round; the second figure
-reports the label passes, label bytes and carry-cache hit rate of both
-strategies.
+is a persistent column maintained incrementally (one root pass per tree
++ two narrow UPDATEs per split), never rebuilt per round.
 """
 
 from repro.bench.harness import (
     fig09_batching_comparison,
     fig09_encoding_cache_comparison,
-    fig09_frontier_state_comparison,
 )
 from repro.bench.report import format_table
 
@@ -42,7 +39,10 @@ def test_fig09_query_census(benchmark, figure_report):
         ["feature (best-split), batched", batched["num_feature_queries"]],
         ["message (passing), per-leaf", per_leaf["num_message_queries"]],
         ["message (passing), batched", batched["num_message_queries"]],
-        ["frontier labeling, batched", batched["num_frontier_queries"]],
+        ["root label passes, batched",
+         batched["frontier_census"]["root_label_passes"]],
+        ["delta label updates, batched",
+         batched["frontier_census"]["delta_label_updates"]],
         ["expected per-leaf feature queries",
          per_leaf["expected_feature_queries"]],
         ["query drop factor", round(results["query_drop_factor"], 1)],
@@ -66,10 +66,9 @@ def test_fig09_query_census(benchmark, figure_report):
     assert max(per_leaf["message_ms"]) > max(per_leaf["feature_ms"]) * 0.5
 
     # Batched mode: at most one fused split query per feature-bearing
-    # relation per frontier round (one labeling query marks each round),
-    # and never more split queries than the per-leaf mode.  The tight
-    # relations x rounds bound assumes each relation's features share one
-    # value kind — true for the all-numeric Favorita schema; a relation
+    # relation per frontier round, and never more split queries than the
+    # per-leaf mode.  The tight relations x rounds bound assumes each
+    # relation's features share one value kind — true for the all-numeric Favorita schema; a relation
     # mixing string and numeric features adds one query per extra kind.
     rounds = batched["frontier_census"]["batched_rounds"]
     assert 0 < rounds <= _LEAVES
@@ -79,47 +78,12 @@ def test_fig09_query_census(benchmark, figure_report):
     assert batched["num_feature_queries"] < per_leaf["num_feature_queries"]
     # Tree-for-tree parity between the modes.
     assert results["rmse_delta"] < 1e-9
-    # Incremental labeling (the default): zero full-fact rebuild passes,
-    # exactly one root pass, at most two delta updates per split.
+    # Leaf labels: exactly one root pass, at most two delta updates per
+    # split, carry messages shared across relations within a round.
     census = batched["frontier_census"]
-    assert batched["num_frontier_queries"] == 0
-    assert census["label_queries"] == 0
     assert census["root_label_passes"] == 1
     assert 0 < census["delta_label_updates"] <= 2 * (_LEAVES - 1)
-
-
-def test_fig09_frontier_state(benchmark, figure_report):
-    results = benchmark.pedantic(
-        fig09_frontier_state_comparison,
-        kwargs={"num_features": _FEATURES, "num_leaves": _LEAVES},
-        rounds=1, iterations=1,
-    )
-    rebuild = results["rebuild"]["frontier_census"]
-    incremental = results["incremental"]["frontier_census"]
-    rows = [
-        ["full-fact label passes, rebuild", rebuild["label_queries"]],
-        ["full-fact label passes, incremental", incremental["label_queries"]],
-        ["root label passes, incremental", incremental["root_label_passes"]],
-        ["delta label updates, incremental",
-         incremental["delta_label_updates"]],
-        ["label bytes, rebuild", rebuild["label_bytes_written"]],
-        ["label bytes, incremental", incremental["label_bytes_written"]],
-        ["label bytes drop factor",
-         round(results["label_bytes_drop_factor"], 1)],
-        ["carry-cache hits, incremental", incremental["carry_cache_hits"]],
-        ["carry-cache hits, rebuild", rebuild["carry_cache_hits"]],
-    ]
-    figure_report("fig09_frontier", format_table(
-        "Figure 9c — incremental vs rebuilt leaf membership",
-        ["metric", "value"], rows,
-    ))
-
-    # The paper's work-sharing principle, census-asserted: membership is
-    # maintained (rows that move), not recomputed (full-fact copies).
-    assert incremental["label_queries"] == 0
-    assert results["label_bytes_drop_factor"] >= 5.0
-    assert incremental["carry_cache_hits"] > 0
-    assert results["rmse_delta"] < 1e-9
+    assert census["carry_cache_hits"] > 0
 
 
 def test_fig09_encoding_cache(benchmark, figure_report):

@@ -11,8 +11,8 @@ second DBMS — producing the same model (the paper's portability claim).
 
 Part 3 shows the batched frontier evaluator's query census: the same
 boosting iteration with ``split_batching`` off (one best-split query per
-leaf x feature, the paper's Figure 9 blow-up) and on (one fused query per
-relation per frontier round) — identical model, a fraction of the queries.
+leaf x feature, the paper's Figure 9 blow-up) and auto (one fused query
+per relation per frontier round) — identical model, a fraction of the queries.
 
 Run:  python examples/backend_tour.py
 """
@@ -81,10 +81,10 @@ def connector_tour() -> None:
 
 
 def census_tour() -> None:
-    print("\nPer-iteration query census, batching off vs on (Figure 9):")
+    print("\nPer-iteration query census, batching off vs auto (Figure 9):")
     print(f" {'mode':8s} {'split':>6s} {'message':>8s} {'rounds':>7s} "
           f"{'rmse':>14s}")
-    for mode in ("off", "on"):
+    for mode in ("off", "auto"):
         db, graph = favorita(num_fact_rows=8_000, num_extra_features=5, seed=7)
         db.reset_profiles()
         model = joinboost.train_gradient_boosting(

@@ -81,9 +81,10 @@ class Capabilities:
     #: back to one best-split query per (leaf, feature)
     union_all: bool = True
     #: predicated in-place ``UPDATE t SET col = v WHERE ...`` (with
-    #: semi-join ``IN`` subqueries) is available; without it the frontier
-    #: evaluator keeps per-round label rebuilds instead of maintaining a
-    #: persistent leaf-membership column incrementally
+    #: semi-join ``IN`` subqueries) is available; batched frontier rounds
+    #: read the persistent leaf-membership column it maintains, so without
+    #: it the frontier evaluator falls back to one best-split query per
+    #: (leaf, feature)
     narrow_update: bool = True
     #: concurrent read-only queries from multiple threads are safe (the
     #: connector either pools per-thread connections or has an audited
@@ -124,7 +125,7 @@ class Connector:
         statement may write, so implementations serialize calls on the
         owning connection (single writer).  ``tag`` labels the resulting
         :class:`QueryProfile` for the census (``"feature"``,
-        ``"message"``, ``"frontier"``, ...).  Raises
+        ``"message"``, ``"frontier_delta"``, ...).  Raises
         :class:`~repro.exceptions.ExecutionError` on engine errors and
         :class:`~repro.exceptions.CatalogError` on missing/duplicate
         tables where the statement makes that distinction.

@@ -272,7 +272,6 @@ def fig09_query_census(
     num_features: int = 18,
     num_leaves: int = 8,
     split_batching: str = "off",
-    frontier_state: str = "incremental",
     encoding_cache: str = "auto",
     key_dtype: str = "int",
 ) -> Dict[str, object]:
@@ -280,12 +279,10 @@ def fig09_query_census(
 
     ``split_batching="off"`` reproduces the paper's Figure 9 shape — one
     best-split query per (node, feature), 270 = 15 x 18 by default.
-    ``"on"`` runs the batched frontier evaluator: one fused split query
+    ``"auto"`` runs the batched frontier evaluator: one fused split query
     per feature-bearing relation per evaluation round, so the count drops
-    from O(leaves x features) to O(relations).  ``frontier_state``
-    selects the label strategy for batched rounds: ``"rebuild"`` copies
-    the full fact with a CASE per round; ``"incremental"`` maintains a
-    persistent ``jb_leaf`` column with narrow delta UPDATEs (label bytes
+    from O(leaves x features) to O(relations), over a persistent
+    ``jb_leaf`` column maintained by narrow delta UPDATEs (label bytes
     proportional to the rows that move).  ``encoding_cache="off"``
     disables the version-stamped encoded-key cache (every query
     re-encodes its keys, the pre-PR4 behavior); ``key_dtype="str"`` uses
@@ -303,7 +300,6 @@ def fig09_query_census(
     model = repro.train_gradient_boosting(
         db, graph, {"num_iterations": 1, "num_leaves": num_leaves,
                     "min_data_in_leaf": 3, "split_batching": split_batching,
-                    "frontier_state": frontier_state,
                     "encoding_cache": encoding_cache,
                     "num_workers": 1},
     )
@@ -316,7 +312,6 @@ def fig09_query_census(
     by_tag = census["times"]
     feature_times = by_tag.get("feature", [])
     message_times = by_tag.get("message", [])
-    frontier_times = by_tag.get("frontier", [])
     delta_times = by_tag.get("frontier_delta", [])
     root_times = by_tag.get("frontier_root", [])
     histogram = np.histogram(
@@ -327,7 +322,6 @@ def fig09_query_census(
     frontier_census = dict(getattr(model, "frontier_census", {}) or {})
     return {
         "split_batching": split_batching,
-        "frontier_state": frontier_state,
         "encoding_cache": encoding_cache,
         "key_dtype": key_dtype,
         "encode_passes": int(encode_totals["passes"]),
@@ -336,7 +330,6 @@ def fig09_query_census(
         "encoding_cache_stats": census.get("encoding_cache", {}),
         "num_feature_queries": len(feature_times),
         "num_message_queries": len(message_times),
-        "num_frontier_queries": len(frontier_times),
         "num_delta_update_queries": len(delta_times),
         "num_root_label_queries": len(root_times),
         "num_feature_relations": len(feature_relations),
@@ -357,7 +350,6 @@ def fig09_batching_comparison(
     num_fact_rows: int = 30_000,
     num_features: int = 18,
     num_leaves: int = 8,
-    frontier_state: str = "incremental",
 ) -> Dict[str, object]:
     """Per-leaf vs batched census on the same workload (the paper's
     queries-per-iteration drop, plus a tree-parity check via rmse)."""
@@ -365,8 +357,7 @@ def fig09_batching_comparison(
         num_fact_rows, num_features, num_leaves, split_batching="off"
     )
     batched = fig09_query_census(
-        num_fact_rows, num_features, num_leaves, split_batching="on",
-        frontier_state=frontier_state,
+        num_fact_rows, num_features, num_leaves, split_batching="auto"
     )
     drop = per_leaf["num_feature_queries"] / max(
         batched["num_feature_queries"], 1
@@ -376,33 +367,6 @@ def fig09_batching_comparison(
         "batched": batched,
         "query_drop_factor": drop,
         "rmse_delta": abs(per_leaf["rmse"] - batched["rmse"]),
-    }
-
-
-def fig09_frontier_state_comparison(
-    num_fact_rows: int = 30_000,
-    num_features: int = 18,
-    num_leaves: int = 8,
-) -> Dict[str, object]:
-    """Incremental vs rebuild label maintenance on the batched evaluator:
-    label passes, label bytes written and the carry-cache hit rate, with
-    tree parity asserted via rmse."""
-    rebuild = fig09_query_census(
-        num_fact_rows, num_features, num_leaves,
-        split_batching="on", frontier_state="rebuild",
-    )
-    incremental = fig09_query_census(
-        num_fact_rows, num_features, num_leaves,
-        split_batching="on", frontier_state="incremental",
-    )
-    bytes_drop = rebuild["label_bytes_written"] / max(
-        incremental["label_bytes_written"], 1
-    )
-    return {
-        "rebuild": rebuild,
-        "incremental": incremental,
-        "label_bytes_drop_factor": bytes_drop,
-        "rmse_delta": abs(rebuild["rmse"] - incremental["rmse"]),
     }
 
 
@@ -422,13 +386,11 @@ def fig09_encoding_cache_comparison(
     """
     off = fig09_query_census(
         num_fact_rows, num_features, num_leaves,
-        split_batching="auto", frontier_state="incremental",
-        encoding_cache="off", key_dtype=key_dtype,
+        split_batching="auto", encoding_cache="off", key_dtype=key_dtype,
     )
     on = fig09_query_census(
         num_fact_rows, num_features, num_leaves,
-        split_batching="auto", frontier_state="incremental",
-        encoding_cache="auto", key_dtype=key_dtype,
+        split_batching="auto", encoding_cache="auto", key_dtype=key_dtype,
     )
     return {
         "off": off,

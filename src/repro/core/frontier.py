@@ -6,16 +6,20 @@ the query blow-up the paper's batching optimization (Section 5, Figure 9)
 exists to eliminate.  The :class:`FrontierEvaluator` collapses a round to
 one query per relation:
 
-1. **Label.**  Each frontier leaf's selection sigma is rewritten into a
-   fact-table-only condition (the Section 4.1 semi-join movement already
-   used by residual updates), and one pass over the lifted fact table
-   materializes ``CASE WHEN sigma_1 THEN id_1 WHEN sigma_2 THEN id_2 ...
-   END AS jb_leaf`` — rows outside every frontier leaf label NULL.
+1. **Label.**  Leaf membership is a persistent column on the lifted fact
+   table, maintained by :class:`FrontierState`: one root pass per tree,
+   then two depth-1 ``UPDATE``\\ s per committed split relabel only the
+   split leaf's rows (each child's one-level predicate rewritten
+   fact-side by the Section 4.1 semi-join movement).  No per-round
+   full-fact copy, no re-evaluation of ancestor sigmas; the final labels
+   also drive the residual update (one ``CASE jb_leaf`` pass instead of
+   per-leaf semi-join scans).
 
 2. **Carry.**  For each relation R holding candidate features, a
    multi-group absorption (:meth:`Factorizer.multi_absorption`) routes
-   messages from the labeled fact toward R with ``jb_leaf`` as an extra
-   grouping column; subtrees that do not contain the fact reuse the
+   messages from the labeled fact toward R with the label as an extra
+   grouping column, restricted to the round's open leaves and cached
+   under the leaf epoch; subtrees that do not contain the fact reuse the
    ordinary cached messages.
 
 3. **Fuse.**  All of R's features become branches of a single ``UNION
@@ -30,27 +34,14 @@ one query per relation:
    per-leaf modes choose identical splits, tie for tie.
 
 Batching requires leaf membership to be a *function of the fact row*,
-i.e. a snowflake schema (fact 1-1 with the join result).  Galaxy/CPT
-trees, outer-join factorizers and backends without ``UNION ALL`` fall
-back to the per-leaf path; ``split_batching="off"`` forces it.
-
-Two label strategies exist (``frontier_state``):
-
-* ``"incremental"`` (default) — a persistent leaf-membership column is
-  maintained on the lifted fact by :class:`FrontierState`: one cheap
-  root pass per tree, then two depth-1 ``UPDATE``\\ s per committed
-  split relabel only the split leaf's rows.  No per-round full-fact
-  copy, no re-evaluation of ancestor sigmas; carry messages become
-  cacheable under a leaf-epoch key, and the final labels drive the
-  residual update (one ``CASE jb_leaf`` pass instead of per-leaf
-  semi-join scans).
-* ``"rebuild"`` — the pre-incremental behavior: each round materializes
-  a labeled copy of the fact with a ``CASE`` over every frontier leaf's
-  full-path sigma, and drops it afterwards.
-
-Incremental mode degrades to rebuild (never errors) when the backend
-lacks predicated in-place ``UPDATE`` (``Capabilities.narrow_update``) or
-when a delta update fails mid-training.
+i.e. a snowflake schema (fact 1-1 with the join result), and a backend
+that can keep the label column current.  Galaxy/CPT trees, outer-join
+factorizers, backends without ``UNION ALL`` or predicated in-place
+``UPDATE`` (``Capabilities.narrow_update``), and a delta update that
+fails mid-training (e.g. a split behind a multi-column join key, which
+the semi-join rewrite refuses) all record the reason on
+``batching_veto`` and run the rest of training on the per-leaf path —
+the parity reference; ``split_batching="off"`` forces it.
 
 Every batched round is one dependency DAG on the
 :class:`~repro.engine.scheduler.QueryScheduler` — the paper's Section
@@ -69,7 +60,7 @@ from __future__ import annotations
 
 import itertools
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -91,7 +82,7 @@ from repro.factorize.executor import Factorizer, MultiAbsorption
 from repro.joingraph.graph import JoinGraph
 from repro.storage.column import Column, ColumnType
 
-#: the leaf-membership grouping column added to the labeled fact table
+#: the leaf-membership grouping alias of the fused split queries
 LEAF_COLUMN = "jb_leaf"
 
 #: physical names for persistent (incremental) label columns — distinct
@@ -117,13 +108,6 @@ def concurrent_read_veto(db) -> Optional[str]:
     )
 
 
-class BatchingUnavailable(TrainingError):
-    """A batched round cannot be expressed for this tree/schema (e.g. the
-    semi-join predicate movement needs single-column join keys).  Auto
-    mode falls back to per-leaf on exactly this error; any other failure
-    inside a batched round propagates."""
-
-
 class FrontierState:
     """Persistent, incrementally maintained leaf membership for one tree.
 
@@ -139,8 +123,8 @@ class FrontierState:
       one-level predicate rewritten through the Section 4.1 semi-join
       movement.  Rows matching neither side (e.g. null join keys under
       an inner-join factorizer) keep the parent label and fall outside
-      every ``jb_leaf IN (...)`` filter — exactly the rows the rebuild
-      CASE would have labeled NULL.
+      every ``jb_leaf IN (...)`` filter — exactly the rows no leaf's
+      path predicate selects.
 
     ``epoch`` counts committed splits and keys the carry-message cache;
     the census counters feed the Figure 9 bench and CI label-byte gates.
@@ -174,16 +158,17 @@ class FrontierState:
         self._pending_root = None
 
     # ------------------------------------------------------------------
-    def ensure(self, fact: str) -> bool:
-        """Labels current?  Runs the root pass when a tree is pending."""
+    def ensure(self, fact: str) -> Optional[str]:
+        """The label column when its labels are current (None when they
+        cannot be); runs the root pass when a tree is pending."""
         if self.active:
-            return True
+            return self.column
         if self._pending_root is None:
-            return False
+            return None
         root_id = self._pending_root.node_id
         table = self.factorizer.storage_table(fact)
         if not self._root_pass(table, root_id):
-            return False
+            return None
         self._exempt_from_encoding_cache(table)
         self._pending_root = None
         self.active = True
@@ -193,7 +178,7 @@ class FrontierState:
         rows = self.db.table(table).num_rows()
         self.label_rows_written += rows
         self.label_bytes_written += 8 * rows
-        return True
+        return self.column
 
     def _root_pass(self, table: str, root_id: int) -> bool:
         names = {c.lower() for c in self.db.table(table).column_names()}
@@ -317,7 +302,6 @@ class FrontierEvaluator:
         mode: str = "auto",
         missing: str = "right",
         min_child_samples: int = 1,
-        state_mode: str = "incremental",
         num_workers: int = 1,
         executor: str = "thread",
     ):
@@ -329,16 +313,12 @@ class FrontierEvaluator:
         self.mode = mode
         self.missing = missing
         self.min_child_samples = min_child_samples
-        self.state_mode = state_mode
         self.num_workers = max(1, int(num_workers))
         self.executor = executor
         self.state = FrontierState(db, graph, factorizer)
         # census counters (read by the Figure 9 bench and the CI gate)
         self.rounds = 0
         self.batched_rounds = 0
-        self.incremental_rounds = 0
-        self.label_queries = 0
-        self.rebuild_label_cells = 0
         self.batched_split_queries = 0
         self.per_leaf_split_queries = 0
         # inter-query parallelism census (Figure 18 measured numbers)
@@ -360,7 +340,6 @@ class FrontierEvaluator:
         self.executor_fallback_reason: Optional[str] = None
         self._batch_veto: Optional[str] = None
         self._veto_checked = False
-        self._incremental_veto: Optional[str] = None
         self._kind_cache: Dict[Tuple[str, str], str] = {}
         self._lifted_indexed = False
 
@@ -372,15 +351,16 @@ class FrontierEvaluator:
         self.state.begin_tree(root)
 
     def notify_split(self, node: TreeNode) -> None:
-        """A split committed: apply the delta label update (incremental
-        state only).  Failures degrade to rebuild labels, never error."""
+        """A split committed: apply the delta label update.  A failure
+        (a refused semi-join rewrite, a failed ``UPDATE``) never errors:
+        the labels go stale, so the rest of training runs per-leaf."""
         if not self.state.active:
             return
         try:
             self.state.apply_split(node)
         except (TrainingError, ExecutionError) as exc:
             self.state.deactivate()
-            self._incremental_veto = f"delta label update failed: {exc}"
+            self._batch_veto = f"delta label update failed: {exc}"
 
     def leaf_label_column(self, model) -> Optional[str]:
         """The persistent label column, when it is current for ``model``
@@ -391,20 +371,6 @@ class FrontierEvaluator:
         if not leaf_ids <= self.state.leaf_ids:
             return None
         return self.state.column
-
-    def _incremental_blocked(self) -> Optional[str]:
-        """Why incremental labels cannot be used (None = usable)."""
-        if self.state_mode != "incremental":
-            return f"frontier_state={self.state_mode!r}"
-        if self._incremental_veto is not None:
-            return self._incremental_veto
-        capabilities = getattr(self.db, "capabilities", None)
-        if capabilities is not None and not getattr(
-            capabilities, "narrow_update", True
-        ):
-            self._incremental_veto = "backend lacks narrow predicated UPDATE"
-            return self._incremental_veto
-        return None
 
     # ------------------------------------------------------------------
     # Entry point
@@ -418,21 +384,8 @@ class FrontierEvaluator:
         if not nodes:
             return {}
         self.rounds += 1
-        if self.mode != "off":
-            veto = self._batching_veto()
-            if veto is None:
-                try:
-                    return self._batched(nodes, features)
-                except BatchingUnavailable as exc:
-                    if self.mode == "on":
-                        raise
-                    # Remember the real reason and stop attempting
-                    # batched rounds; other errors propagate untouched.
-                    self._batch_veto = str(exc)
-            elif self.mode == "on":
-                raise TrainingError(
-                    f"split_batching='on' but batching is unavailable: {veto}"
-                )
+        if self.mode != "off" and self._batching_veto() is None:
+            return self._batched(nodes, features)
         return self._per_leaf(nodes, features)
 
     def census(self) -> Dict[str, object]:
@@ -450,25 +403,17 @@ class FrontierEvaluator:
         pool_counts = self.pool_census.snapshot()
         return {
             "mode": self.mode,
-            "frontier_state": self.state_mode,
             "rounds": self.rounds,
             "batched_rounds": self.batched_rounds,
-            "incremental_rounds": self.incremental_rounds,
-            "label_queries": self.label_queries,
             "root_label_passes": state["root_label_passes"],
             "delta_label_updates": state["delta_label_updates"],
-            "label_cells_written": (
-                state["label_rows_written"] + self.rebuild_label_cells
-            ),
-            "label_bytes_written": (
-                state["label_bytes_written"] + 8 * self.rebuild_label_cells
-            ),
+            "label_cells_written": state["label_rows_written"],
+            "label_bytes_written": state["label_bytes_written"],
             "carry_cache_hits": self.factorizer.carry_cache_hits,
             "carry_cache_misses": self.factorizer.carry_cache_misses,
             "batched_split_queries": self.batched_split_queries,
             "per_leaf_split_queries": self.per_leaf_split_queries,
-            "batching_veto": self._batch_veto or self._batching_veto(),
-            "incremental_veto": self._incremental_veto,
+            "batching_veto": self._batching_veto(),
             "num_workers": self.num_workers,
             "parallel_rounds": self.parallel_rounds,
             "parallel_wall_seconds": self.parallel_wall_seconds,
@@ -513,7 +458,7 @@ class FrontierEvaluator:
             return "num_workers=1 (serial by request)"
         if self.mode == "off":
             return "split_batching='off' keeps rounds per-leaf"
-        veto = self._batch_veto or self._batching_veto()
+        veto = self._batching_veto()
         if veto is not None:
             return f"batching unavailable: {veto}"
         return "no batched evaluation round ran"
@@ -535,6 +480,10 @@ class FrontierEvaluator:
             capabilities, "union_all", True
         ):
             return "backend lacks UNION ALL"
+        if capabilities is not None and not getattr(
+            capabilities, "narrow_update", True
+        ):
+            return "backend lacks narrow predicated UPDATE (leaf labels)"
         if self.factorizer.outer_joins:
             return "outer-join factorizer (missing-key tolerance mode)"
         try:
@@ -615,52 +564,16 @@ class FrontierEvaluator:
         if not eligible:
             return out
         fact = self.graph.target_relation
-
-        incremental = (
-            self._incremental_blocked() is None
-            and self.state.ensure(fact)
-            and self.state.covers(eligible)
-        )
-        frontier_ids = sorted(node.node_id for node in eligible)
-        label_table: Optional[str] = None
-        override: Optional[Dict[str, str]] = None
-        carry_filters = None
-        scope = None
-        if incremental:
-            label_column = self.state.column
-            carry_filters = {(fact, label_column): tuple(frontier_ids)}
-            scope = self.state.scope(frontier_ids)
-            self.incremental_rounds += 1
-        else:
-            label_column = LEAF_COLUMN
-            label_table = self._label_frontier(eligible, features, fact)
-            override = {fact: label_table}
-        # Evict carry messages keyed to any other leaf epoch — their
-        # labels are stale the moment a split commits.
-        self.factorizer.begin_carry_scope(scope)
+        label_column = self.state.ensure(fact)
+        if label_column is None or not self.state.covers(eligible):
+            # The label column cannot serve this round: the rest of
+            # training runs per-leaf, and the census says why.
+            self._batch_veto = "lifted fact holds no current leaf labels"
+            return self._per_leaf(nodes, features)
         self.batched_rounds += 1
-
-        def absorb(relation: str) -> MultiAbsorption:
-            # Carry messages depend on the relation and the leaf labels
-            # only — within one round every relation whose routing path
-            # shares a prefix reuses them (scoped cache in incremental
-            # mode, shared kind groups in both).
-            return self.factorizer.multi_absorption(
-                relation,
-                carry={fact: (label_column,)},
-                table_override=override,
-                carry_filters=carry_filters,
-                cache_scope=scope,
-            )
-
-        try:
-            candidates = self._evaluate_round(
-                eligible, features, fact, label_column,
-                frontier_ids if incremental else None, absorb,
-            )
-        finally:
-            if label_table is not None:
-                self.db.drop_table(label_table, if_exists=True)
+        candidates = self._evaluate_round(
+            eligible, features, fact, label_column
+        )
 
         # Reduce in the caller's feature order so ties across features
         # break exactly as the per-leaf scan's first-strict-max does.
@@ -733,15 +646,14 @@ class FrontierEvaluator:
         features: Sequence[Tuple[str, str]],
         fact: str,
         label_column: str,
-        round_ids: Optional[Sequence[int]],
-        absorb: Callable[[str], MultiAbsorption],
     ) -> Dict[Tuple[int, int], SplitCandidate]:
         """One evaluation round as one DAG on the scheduler; returns the
         split candidates keyed by ``(node_id, feature index)``.
 
-        Each relation is a chain: *build* (``absorb`` — its carry
-        messages, serialized against other builds by the factorizer's
-        build lock) → per kind group a *read* (the fused query) → *scan*
+        Each relation is a chain: *build* (its carry messages, serialized
+        against other builds by the factorizer's build lock, cached under
+        the leaf epoch so relations whose routing paths share a prefix
+        reuse them) → per kind group a *read* (the fused query) → *scan*
         (the client-side prefix scan) → *finalize* (drop the message
         temps).  Kind groups are chained, so a failed build or read skips
         the rest of its relation while the other relations still run,
@@ -760,6 +672,11 @@ class FrontierEvaluator:
         from repro.backends.chaos import task_fault_directive
         from repro.engine.scheduler import QueryScheduler
 
+        frontier_ids = sorted(node.node_id for node in nodes)
+        scope = self.state.scope(frontier_ids)
+        # Evict carry messages keyed to any other leaf epoch — their
+        # labels are stale the moment a split commits.
+        self.factorizer.begin_carry_scope(scope)
         by_relation: Dict[str, List[Tuple[int, str]]] = {}
         for index, (relation, feature) in enumerate(features):
             by_relation.setdefault(relation, []).append((index, feature))
@@ -777,12 +694,17 @@ class FrontierEvaluator:
         candidates: Dict[Tuple[int, int], SplitCandidate] = {}
 
         def build(relation: str) -> None:
-            absorptions[relation] = absorb(relation)
+            absorptions[relation] = self.factorizer.multi_absorption(
+                relation,
+                carry={fact: (label_column,)},
+                carry_filters={(fact, label_column): tuple(frontier_ids)},
+                cache_scope=scope,
+            )
 
         def fused_sql(relation: str, group: List[Tuple[int, str]]) -> str:
             return self._fused_sql(
                 relation, group, fact, absorptions[relation],
-                label_column, round_ids,
+                label_column, frontier_ids,
             )
 
         def read(relation: str, group: List[Tuple[int, str]]):
@@ -858,49 +780,6 @@ class FrontierEvaluator:
             self.parallel_busy_seconds += report.sequential_seconds
         return candidates
 
-    def _label_frontier(
-        self,
-        nodes: Sequence[TreeNode],
-        features: Sequence[Tuple[str, str]],
-        fact: str,
-    ) -> str:
-        """One pass over the lifted fact: leaf membership as a column."""
-        whens = []
-        for node in nodes:
-            try:
-                condition = leaf_fact_condition(
-                    self.graph, fact, node.path_predicates(), fact_alias="t"
-                )
-            except TrainingError as exc:
-                # The semi-join rewrite refused (multi-column join keys,
-                # no path to the fact): this tree cannot batch.
-                raise BatchingUnavailable(str(exc)) from exc
-            whens.append(f"WHEN {condition} THEN {node.node_id}")
-        fact_table = self.factorizer.storage_table(fact)
-        keep: Dict[str, None] = {}
-        for edge in self.graph.edges_of(fact):
-            for key in edge.keys_for(fact):
-                keep.setdefault(key)
-        for relation, feature in features:
-            if relation == fact:
-                keep.setdefault(feature)
-        for component in self.factorizer.semiring.components:
-            keep.setdefault(component)
-        label_table = self.db.temp_name("frontier")
-        self.db.execute(
-            f"CREATE TABLE {label_table} AS "
-            f"SELECT {', '.join(f't.{c}' for c in keep)}, "
-            f"CASE {' '.join(whens)} END AS {LEAF_COLUMN} "
-            f"FROM {fact_table} AS t",
-            tag="frontier",
-        )
-        self.label_queries += 1
-        # Rebuild cost accounting: a full-fact copy writes every kept
-        # column plus the label, 8 bytes per cell in the census model.
-        rows = self.db.table(label_table).num_rows()
-        self.rebuild_label_cells += rows * (len(keep) + 1)
-        return label_table
-
     def _split_by_kind(
         self, relation: str, indexed: List[Tuple[int, str]]
     ) -> List[List[Tuple[int, str]]]:
@@ -927,9 +806,9 @@ class FrontierEvaluator:
         relation: str,
         indexed: List[Tuple[int, str]],
         fact: str,
-        absorption,
-        label_column: str = LEAF_COLUMN,
-        frontier_ids: Optional[Sequence[int]] = None,
+        absorption: MultiAbsorption,
+        label_column: str,
+        frontier_ids: Sequence[int],
     ) -> str:
         """Render the fused ``UNION ALL`` split query for one relation's
         kind group.  Pure SQL construction — the process executor renders
@@ -940,23 +819,16 @@ class FrontierEvaluator:
         agg_sql = ", ".join(
             f"{expr} AS {comp}" for comp, expr in absorption.agg_selects
         )
-        if frontier_ids is not None:
-            # Incremental labels cover every open leaf; restrict to the
-            # round's frontier.
-            rendered = ", ".join(str(int(i)) for i in frontier_ids)
-            where_parts = [f"{leaf_ref} IN ({rendered})"]
-        else:
-            where_parts = [f"{leaf_ref} IS NOT NULL"]
-        if absorption.where_sql:
-            where_parts.append(absorption.where_sql)
-        where_sql = " AND ".join(where_parts)
+        # The label column covers every open leaf; restrict to the round's
+        # frontier.
+        rendered = ", ".join(str(int(i)) for i in frontier_ids)
         branches = []
         for index, feature in indexed:
             branches.append(
                 f"SELECT {index} AS jb_feature, t.{feature} AS jb_value, "
                 f"{leaf_ref} AS {LEAF_COLUMN}, {agg_sql} "
                 f"{absorption.from_sql} "
-                f"WHERE {where_sql} "
+                f"WHERE {leaf_ref} IN ({rendered}) "
                 f"GROUP BY {leaf_ref}, t.{feature}"
             )
         return " UNION ALL ".join(branches)

@@ -68,7 +68,6 @@ _ALIASES = {
     "missing": "missing",
     "update_strategy": "update_strategy",
     "split_batching": "split_batching",
-    "frontier_state": "frontier_state",
     "encoding_cache": "encoding_cache",
     "num_workers": "num_workers",
     "workers": "num_workers",
@@ -106,15 +105,11 @@ class TrainParams:
     # Capabilities.column_swap, and is the in-DBMS UPDATE everywhere else.
     update_strategy: str = "swap"
     # Frontier split evaluation: "auto" batches each round into one query
-    # per relation where the schema allows (falling back silently), "on"
-    # demands batching (raising when unavailable), "off" keeps the classic
-    # one query per (leaf, feature).
+    # per relation over a persistent leaf-label column where the schema
+    # and backend allow (otherwise the rounds go per-leaf and the census's
+    # batching_veto says why); "off" keeps the classic one query per
+    # (leaf, feature).
     split_batching: str = "auto"
-    # Leaf labeling for batched rounds: "incremental" maintains a
-    # persistent leaf-membership column via narrow delta UPDATEs (falling
-    # back to rebuild when the backend or tree cannot support it);
-    # "rebuild" re-materializes a labeled fact copy every round.
-    frontier_state: str = "incremental"
     # Version-stamped encoded-key cache (embedded engine): "auto"/"on"
     # factorize each join/group-by column once per training run; "off"
     # re-encodes per query (the pre-PR4 behavior, kept for ablations and
@@ -156,15 +151,10 @@ class TrainParams:
             raise TrainingError(
                 f"unknown update_strategy {self.update_strategy!r}"
             )
-        if self.split_batching not in ("auto", "on", "off"):
+        if self.split_batching not in ("auto", "off"):
             raise TrainingError(
-                f"split_batching must be 'auto', 'on' or 'off', "
+                f"split_batching must be 'auto' or 'off', "
                 f"got {self.split_batching!r}"
-            )
-        if self.frontier_state not in ("incremental", "rebuild"):
-            raise TrainingError(
-                f"frontier_state must be 'incremental' or 'rebuild', "
-                f"got {self.frontier_state!r}"
             )
         if self.encoding_cache not in ("auto", "on", "off"):
             raise TrainingError(

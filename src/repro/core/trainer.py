@@ -64,7 +64,6 @@ class DecisionTreeTrainer:
             mode=params.split_batching,
             missing=params.missing,
             min_child_samples=params.min_child_samples,
-            state_mode=params.frontier_state,
             num_workers=params.resolved_workers(),
             executor=params.executor,
         )

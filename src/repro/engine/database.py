@@ -9,6 +9,7 @@ bench reads back.
 from __future__ import annotations
 
 import dataclasses
+import threading
 import time
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -27,6 +28,9 @@ from repro.storage.column import Column
 from repro.storage.mvcc import VersionStore
 from repro.storage.table import ColumnTable, StorageConfig, Table
 from repro.storage.wal import WriteAheadLog
+
+#: statements whose parsed ASTs the plan cache keeps
+PARSE_CACHE_SIZE = 4096
 
 
 @dataclasses.dataclass
@@ -71,7 +75,10 @@ class Database:
         self.encodings = EncodingCache()
         # Plan cache: statement ASTs keyed by SQL text (DBMSes cache plans;
         # JoinBoost re-issues structurally identical statements constantly).
+        # Bounded, oldest entry evicted first; worker threads miss
+        # concurrently, so inserts and evictions share one lock.
         self._parse_cache: Dict[str, List[ast.Statement]] = {}
+        self._parse_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Table management
@@ -160,9 +167,11 @@ class Database:
         statements = self._parse_cache.get(sql_text)
         if statements is None:
             statements = parse(sql_text)
-            if len(self._parse_cache) > 4096:
-                self._parse_cache.clear()
-            self._parse_cache[sql_text] = statements
+            with self._parse_lock:
+                self._parse_cache[sql_text] = statements
+                if len(self._parse_cache) > PARSE_CACHE_SIZE:
+                    # dicts keep insertion order: the first key is oldest
+                    del self._parse_cache[next(iter(self._parse_cache))]
         result: Optional[Relation] = None
         for statement in statements:
             result = self._run_statement(statement, tag=tag)

@@ -52,8 +52,6 @@ class MultiAbsorption:
     root: str
     #: ``FROM <table> AS t <joins>`` — shared by every branch
     from_sql: str
-    #: root-relation predicate conjunction (None when unfiltered)
-    where_sql: Optional[str]
     #: ``(component, SUM(...) expression)`` pairs for the select list
     agg_selects: List[Tuple[str, str]]
     #: alias-qualified references for carried columns: (relation, column)
@@ -450,26 +448,22 @@ class Factorizer:
         self,
         root: str,
         carry: Dict[str, Sequence[str]],
-        predicates: Optional[PredicateMap] = None,
-        table_override: Optional[Dict[str, str]] = None,
         carry_filters: Optional[Dict[Tuple[str, str], Sequence]] = None,
         cache_scope: Optional[Hashable] = None,
     ) -> MultiAbsorption:
-        """Prepare an absorption at ``root`` with grouping columns carried
-        in from *other* relations.
+        """Prepare an unfiltered absorption at ``root`` with grouping
+        columns carried in from *other* relations.
 
         ``carry`` maps relation -> columns to propagate to the root's
         scope: each message whose sending side contains a carry relation
         additionally groups by (and re-exposes) those columns, so the root
         query can group on them — this is how a leaf-membership label on
         the fact table reaches every relation's split query in one pass.
-        ``table_override`` substitutes physical tables per relation (the
-        rebuild mode's labeled copy of the lifted fact).
 
         ``carry_filters`` maps a carried (relation, column) to the values
-        worth propagating — the incremental frontier passes the round's
-        open leaf ids, so carry messages aggregate only rows that can
-        contribute (cost proportional to the frontier, not the table).
+        worth propagating — the frontier passes the round's open leaf
+        ids, so carry messages aggregate only rows that can contribute
+        (cost proportional to the frontier, not the table).
 
         ``cache_scope`` controls carry-message reuse.  ``None`` keeps the
         historical behavior — carry messages are materialized fresh and
@@ -479,8 +473,6 @@ class Factorizer:
         evicted via :meth:`begin_carry_scope`.  Temps materialized before
         a mid-build failure are dropped, not stranded.
         """
-        predicates = predicates or {}
-        override = table_override or {}
         carry_filters = carry_filters or {}
         if not self.cache.enabled:
             # A disabled cache makes store() a silent no-op: scoped carry
@@ -496,8 +488,8 @@ class Factorizer:
                 entries: List[Tuple[MessageInfo, Tuple[Tuple[str, str], ...]]] = []
                 for neighbor in self.graph.neighbors(root):
                     entry = self._carry_message(
-                        neighbor, root, predicates, carry, override, temps,
-                        carry_filters, cache_scope,
+                        neighbor, root, carry, temps, carry_filters,
+                        cache_scope,
                     )
                     if entry is not None:
                         entries.append(entry)
@@ -530,11 +522,10 @@ class Factorizer:
             )
             for rel_col in carried:
                 carry_refs[rel_col] = f"{alias}.{rel_col[1]}"
-        table = override.get(root, self.storage_table(root))
+        table = self.storage_table(root)
         return MultiAbsorption(
             root=root,
             from_sql=f"FROM {table} AS t {' '.join(joins)}".rstrip(),
-            where_sql=render_conjunction(predicates.get(root, ()), alias="t"),
             agg_selects=aggregate_select_list(self.semiring, annotation),
             carry_refs=carry_refs,
             temp_tables=temps,
@@ -558,9 +549,7 @@ class Factorizer:
         self,
         child: str,
         parent: str,
-        predicates: PredicateMap,
         carry: Dict[str, Sequence[str]],
-        override: Dict[str, str],
         temps: List[str],
         carry_filters: Dict[Tuple[str, str], Sequence],
         cache_scope: Optional[Hashable],
@@ -570,11 +559,13 @@ class Factorizer:
         side carries nothing."""
         side = self._side[(child, parent)]
         if not any(rel in side for rel in carry):
-            info = self.message(child, parent, predicates)
+            info = self.message(child, parent)
             return None if info is None else (info, ())
 
         self.message_requests += 1
-        state = predicate_state(predicates, side)
+        # Carry messages are unfiltered: their cache key is the empty
+        # predicate state, scoped by the caller's leaf epoch.
+        state = predicate_state({}, side)
         if cache_scope is not None:
             cached = self.cache.lookup(child, parent, state, scope=cache_scope)
             if cached is not None:
@@ -589,8 +580,7 @@ class Factorizer:
             if neighbor == parent:
                 continue
             entry = self._carry_message(
-                neighbor, child, predicates, carry, override, temps,
-                carry_filters, cache_scope,
+                neighbor, child, carry, temps, carry_filters, cache_scope,
             )
             if entry is not None:
                 entries.append(entry)
@@ -629,19 +619,15 @@ class Factorizer:
             f"{expr} AS {comp}"
             for comp, expr in aggregate_select_list(self.semiring, annotation)
         ]
-        where_parts = []
-        own = render_conjunction(predicates.get(child, ()), alias="t")
-        if own:
-            where_parts.append(own)
         # Rows outside every frontier leaf cannot contribute to any group —
         # drop them at the earliest hop (and, when the frontier's leaf ids
         # are known, everything outside the open leaves with them).
-        where_parts += [
+        where_parts = [
             self._carry_condition(ref, rel_col, carry_filters)
             for rel_col, ref in zip(carried, refs)
         ]
         group_refs = [f"t.{k}" for k in keys] + refs
-        table = override.get(child, self.storage_table(child))
+        table = self.storage_table(child)
         msg_name = self.db.temp_name(f"msg_{child}_{parent}")
         sql = (
             f"CREATE TABLE {msg_name} AS "

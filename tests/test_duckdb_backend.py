@@ -265,19 +265,19 @@ class TestDuckDBTraining:
         assert digests[1] == digests[4]
 
     def test_incremental_frontier_state_engages(self):
-        """The narrow-update capability is real: incremental labels run
-        (no rebuild veto) and delta updates fire."""
+        """The narrow-update capability is real: every round is batched
+        over the label column (no veto) and delta updates fire."""
         db, graph = favorita(
             db=DuckDBConnector(), num_fact_rows=2000, num_extra_features=2
         )
         model = repro.train_gradient_boosting(
             db, graph,
-            {"num_iterations": 1, "num_leaves": 6, "min_data_in_leaf": 3,
-             "frontier_state": "incremental"},
+            {"num_iterations": 1, "num_leaves": 6, "min_data_in_leaf": 3},
         )
         census = model.frontier_census
-        assert census["incremental_rounds"] > 0
-        assert census["incremental_veto"] is None
+        assert census["batched_rounds"] == census["rounds"] > 0
+        assert census["batching_veto"] is None
+        assert census["root_label_passes"] == 1
         assert census["delta_label_updates"] > 0
         db.close()
 

@@ -333,8 +333,8 @@ class TestTrainingParity:
 
     def test_parity_through_midtraining_degrade(self):
         """A delta-update failure mid-training flips the frontier to
-        rebuild labels; the cache must keep rejecting stale codes through
-        the mode switch (label columns churn differently afterwards)."""
+        per-leaf rounds; the cache must keep rejecting stale codes through
+        the mode switch (label columns stop churning afterwards)."""
         models = []
         for mode in ("auto", "off"):
             db, graph = favorita(

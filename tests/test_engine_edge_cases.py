@@ -133,6 +133,24 @@ class TestPlanCache:
         db.execute("SELECT COUNT(*) AS n FROM t")
         assert len(db._parse_cache) == cached
 
+    def test_full_cache_evicts_oldest_entry(self, db):
+        """Past its bound the cache drops the oldest statement, not all
+        of them: the most recent statements stay parsed."""
+        from repro.engine.database import PARSE_CACHE_SIZE
+
+        statements = [
+            f"SELECT v FROM t WHERE v > {i}"
+            for i in range(PARSE_CACHE_SIZE + 2)
+        ]
+        for sql in statements:
+            db.execute(sql)
+        assert len(db._parse_cache) == PARSE_CACHE_SIZE
+        assert PARSE_CACHE_SIZE == 4096
+        assert all(sql in db._parse_cache for sql in statements[-100:])
+        assert statements[0] not in db._parse_cache
+        assert statements[1] not in db._parse_cache
+        assert statements[2] in db._parse_cache
+
     def test_cache_results_still_correct_after_table_change(self, db):
         first = db.execute("SELECT SUM(v) AS s FROM t").scalar()
         db.execute("UPDATE t SET v = v + 1")

@@ -130,22 +130,18 @@ class TestParity:
 class TestCensus:
     def test_batched_query_budget(self):
         """Batched mode issues <= relations x rounds fused split queries;
-        per-leaf mode issues nodes x features.  (Pinned to rebuild labels:
-        the "frontier" profile tag counts per-round label rebuilds, which
-        incremental mode exists to eliminate — see
-        tests/test_frontier_incremental.py for that mode's census.)"""
+        per-leaf mode issues nodes x features."""
         db, graph = favorita(num_fact_rows=3000, num_extra_features=2, seed=5)
         db.reset_profiles()
-        repro.train_gradient_boosting(
+        model = repro.train_gradient_boosting(
             db, graph,
-            {"num_iterations": 1, "num_leaves": 6, "min_data_in_leaf": 3,
-             "frontier_state": "rebuild"},
+            {"num_iterations": 1, "num_leaves": 6, "min_data_in_leaf": 3},
         )
         counts = {
             tag: len(profiles)
             for tag, profiles in db.profiles_by_tag().items()
         }
-        rounds = counts.get("frontier", 0)
+        rounds = model.frontier_census["batched_rounds"]
         feature_relations = {rel for rel, _ in graph.all_features()}
         assert 0 < rounds <= 6
         assert counts["feature"] <= len(feature_relations) * rounds
@@ -161,7 +157,7 @@ class TestCensus:
             for tag, profiles in db.profiles_by_tag().items()
         }
         assert off_counts["feature"] > counts["feature"]
-        assert "frontier" not in off_counts
+        assert "frontier_root" not in off_counts
 
     def test_evaluator_census_surface(self, tiny_star):
         db, graph = tiny_star
@@ -174,36 +170,15 @@ class TestCensus:
         trainer.train()
         census = trainer.evaluator.census()
         assert census["mode"] == "auto"
-        assert census["frontier_state"] == "incremental"
+        assert census["batching_veto"] is None
         assert census["batched_rounds"] == census["rounds"] > 0
-        assert census["incremental_rounds"] == census["batched_rounds"]
         assert census["batched_split_queries"] > 0
         assert census["per_leaf_split_queries"] == 0
-        # Incremental labeling: one root pass, zero full-fact rebuilds,
-        # two narrow updates per committed split (at most 4 - 1 splits).
-        assert census["label_queries"] == 0
+        # Leaf labels: one root pass, two narrow updates per committed
+        # split (at most 4 - 1 splits).
         assert census["root_label_passes"] == 1
         assert census["delta_label_updates"] % 2 == 0
         assert 0 < census["delta_label_updates"] <= 2 * (4 - 1)
-        factorizer.cleanup()
-
-    def test_rebuild_census_surface(self, tiny_star):
-        db, graph = tiny_star
-        factorizer = Factorizer(db, graph, VarianceSemiRing())
-        factorizer.lift()
-        trainer = DecisionTreeTrainer(
-            db, graph, factorizer, VarianceCriterion(),
-            TrainParams.from_dict(
-                {"num_leaves": 4, "frontier_state": "rebuild"}
-            ),
-        )
-        trainer.train()
-        census = trainer.evaluator.census()
-        assert census["frontier_state"] == "rebuild"
-        assert census["batched_rounds"] == census["rounds"] > 0
-        assert census["incremental_rounds"] == 0
-        assert census["label_queries"] == census["batched_rounds"]
-        assert census["root_label_passes"] == 0
         factorizer.cleanup()
 
 
@@ -214,18 +189,26 @@ class TestModesAndFallbacks:
         repro.train_decision_tree(
             db, graph, {"num_leaves": 4, "split_batching": "off"}
         )
-        assert "frontier" not in db.profiles_by_tag()
+        assert not any(
+            tag.startswith("frontier") for tag in db.profiles_by_tag()
+        )
 
     def test_galaxy_schema_falls_back(self, small_imdb):
-        """CPT/galaxy trees are per-leaf (fact is not 1-1 with the join);
-        auto mode must fall back without error."""
+        """CPT/galaxy trees are per-leaf (fact is not 1-1 with the join):
+        auto mode falls back without error, and the census says why."""
         db, graph = small_imdb
         db.reset_profiles()
-        repro.train_gradient_boosting(
+        model = repro.train_gradient_boosting(
             db, graph, {"num_iterations": 1, "num_leaves": 4,
                         "min_data_in_leaf": 3},
         )
-        assert "frontier" not in db.profiles_by_tag()
+        assert not any(
+            tag.startswith("frontier") for tag in db.profiles_by_tag()
+        )
+        census = model.frontier_census
+        assert "non-snowflake" in census["batching_veto"]
+        assert census["batched_rounds"] == 0
+        assert census["per_leaf_split_queries"] > 0
 
     def _composite_key_schema(self):
         db = Database()
@@ -248,38 +231,72 @@ class TestModesAndFallbacks:
         return db, graph
 
     def test_composite_keys_fall_back_per_leaf(self):
-        """Multi-column join keys defeat the semi-join rewrite: auto mode
-        must fall back (recording the real reason), 'on' must raise it."""
-        db, graph = self._composite_key_schema()
-        model = repro.train_decision_tree(db, graph, {"num_leaves": 4})
-        assert model.num_leaves > 1  # trained fine, per-leaf
-        db2, graph2 = self._composite_key_schema()
-        with pytest.raises(TrainingError, match="single-column"):
-            repro.train_decision_tree(
-                db2, graph2, {"num_leaves": 4, "split_batching": "on"}
+        """Multi-column join keys defeat the semi-join rewrite behind the
+        delta label update: auto mode falls back per-leaf, recording the
+        real reason, and grows the per-leaf tree."""
+        grown = {}
+        for mode in ("auto", "off"):
+            db, graph = self._composite_key_schema()
+            factorizer = Factorizer(db, graph, VarianceSemiRing())
+            factorizer.lift()
+            trainer = DecisionTreeTrainer(
+                db, graph, factorizer, VarianceCriterion(),
+                TrainParams.from_dict(
+                    {"num_leaves": 4, "split_batching": mode}
+                ),
             )
+            model = trainer.train()
+            assert model.num_leaves > 1
+            grown[mode] = (model.to_dict(), trainer.evaluator.census())
+            factorizer.cleanup()
+        assert grown["auto"][0] == grown["off"][0]
+        census = grown["auto"][1]
+        assert "single-column" in census["batching_veto"]
+        assert census["per_leaf_split_queries"] > 0
 
     def test_on_mode_raises_for_galaxy(self, small_imdb):
+        """``split_batching="on"`` is gone: on a galaxy schema it is
+        rejected as an unknown mode before any statement runs, and auto
+        mode's veto is what names the non-snowflake reason."""
         db, graph = small_imdb
-        with pytest.raises(TrainingError, match="batching"):
+        db.reset_profiles()
+        with pytest.raises(TrainingError, match="split_batching"):
             repro.train_gradient_boosting(
                 db, graph, {"num_iterations": 1, "num_leaves": 4,
                             "min_data_in_leaf": 3, "split_batching": "on"},
             )
+        assert "feature" not in db.profiles_by_tag()
+        model = repro.train_gradient_boosting(
+            db, graph, {"num_iterations": 1, "num_leaves": 4,
+                        "min_data_in_leaf": 3},
+        )
+        census = model.frontier_census
+        assert "non-snowflake" in census["batching_veto"]
+        assert census["per_leaf_split_queries"] > 0
 
-    def test_on_mode_works_for_snowflake(self, tiny_star):
-        db, graph = tiny_star
-        on = repro.train_decision_tree(
-            db, graph, {"num_leaves": 4, "split_batching": "on"}
-        )
-        off = repro.train_decision_tree(
-            db, graph, {"num_leaves": 4, "split_batching": "off"}
-        )
-        assert on.to_dict() == off.to_dict()
+    def test_on_mode_works_for_snowflake(self):
+        """What ``"on"`` promised on a snowflake — every round batched,
+        no per-leaf fallback, the per-leaf trees — auto mode delivers."""
+        grown = {}
+        for mode in ("auto", "off"):
+            db, graph = star_schema(
+                num_fact_rows=300, num_dims=2, dim_size=10, seed=4
+            )
+            model = repro.train_gradient_boosting(
+                db, graph, {"num_iterations": 1, "num_leaves": 4,
+                            "split_batching": mode},
+            )
+            grown[mode] = (trees_of(model), model.frontier_census)
+        assert grown["auto"][0] == grown["off"][0]
+        census = grown["auto"][1]
+        assert census["batching_veto"] is None
+        assert census["batched_rounds"] == census["rounds"] > 0
+        assert census["per_leaf_split_queries"] == 0
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(TrainingError, match="split_batching"):
-            TrainParams.from_dict({"split_batching": "maybe"})
+        for mode in ("maybe", "on"):
+            with pytest.raises(TrainingError, match="split_batching"):
+                TrainParams.from_dict({"split_batching": mode})
 
     def test_alias_accepted(self):
         """Only LightGBM-style aliases are accepted; the repo-invented
@@ -341,11 +358,8 @@ class TestRoundPipeline:
         assert batched["batched_split_queries"] == 3 * batched["batched_rounds"]
         assert (batched["parallel_rounds"] > 0) == (workers > 1)
 
-    @pytest.mark.parametrize("state", ["incremental", "rebuild"])
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_failed_first_read_skips_second_and_drops_temps(
-        self, workers, state
-    ):
+    def test_failed_first_read_skips_second_and_drops_temps(self, workers):
         plan = FaultPlan([
             FaultRule(match="t.color AS jb_value", kind="permanent"),
             # never fires a delay; counts the second group's reads
@@ -362,7 +376,7 @@ class TestRoundPipeline:
             # this process (JOINBOOST_EXECUTOR=process would ship them out)
             TrainParams.from_dict({
                 "num_leaves": 4, "num_workers": workers,
-                "frontier_state": state, "executor": "thread",
+                "executor": "thread",
             }),
         )
         with pytest.raises(BackendExecutionError, match="permanent"):
@@ -372,7 +386,7 @@ class TestRoundPipeline:
         assert conn.chaos_census.snapshot()["permanent"] == 1
         assert conn.chaos_census.snapshot()["latency"] == 0
         # the factorizer owns the lifted fact and cached messages; the
-        # round must already have dropped its label table and carry temps
+        # round must already have dropped its carry temps
         factorizer.cleanup()
         assert [t for t in db.table_names() if t.startswith("jb_tmp_")] == []
 
@@ -402,11 +416,9 @@ class TestMultiAbsorption:
         ring = VarianceSemiRing()
         factorizer = Factorizer(db, graph, ring)
         factorizer.lift()
-        # Pretend the lifted fact carries a label column already.
-        lifted = factorizer.lifted["fact"]
+        # The lifted fact's tag_col stands in for a label column.
         absorption = factorizer.multi_absorption(
-            "far", carry={"fact": ("tag_col",)},
-            table_override={"fact": lifted},
+            "far", carry={"fact": ("tag_col",)}
         )
         ref = absorption.ref("fact", "tag_col")
         assert ref.endswith(".tag_col") and not ref.startswith("t.")

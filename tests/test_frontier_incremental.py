@@ -1,14 +1,13 @@
 """Incremental frontier state: parity, census, fallbacks, residual labels.
 
-The load-bearing claim (ISSUE 3 acceptance): maintaining leaf membership
-as a persistent column — one root pass per tree plus two depth-1 narrow
-UPDATEs per committed split — grows *identical* trees to both the
-per-round rebuild path (``frontier_state="rebuild"``) and the per-leaf
-path (``split_batching="off"``), at depth >= 6, on embedded and sqlite,
+The load-bearing claim: maintaining leaf membership as a persistent
+column — one root pass per tree plus two depth-1 narrow UPDATEs per
+committed split — grows *identical* trees to the per-leaf path
+(``split_batching="off"``), at depth >= 6, on embedded and sqlite,
 across growth policies, categorical features and missing-value routing,
-with zero full-fact label rebuilds after the root pass and a non-zero
-carry-message cache hit rate; and a backend without the narrow-UPDATE
-capability degrades to rebuild instead of erroring.
+with a non-zero carry-message cache hit rate; and when the label column
+cannot be kept current (a backend without the narrow-UPDATE capability,
+a failing delta UPDATE) training falls back per-leaf instead of erroring.
 """
 
 import dataclasses
@@ -87,61 +86,49 @@ class TestDeepParity:
     @pytest.mark.parametrize("missing", ["right", "both"])
     def test_embedded_depth6_parity(self, growth, missing):
         grown = {}
-        for key, overrides in (
-            ("incremental", {"frontier_state": "incremental"}),
-            ("rebuild", {"frontier_state": "rebuild"}),
-            ("per-leaf", {"split_batching": "off"}),
-        ):
+        for mode in ("auto", "off"):
             db, graph = deep_schema(Database())
             model = repro.train_gradient_boosting(
                 db, graph,
                 {**DEEP_PARAMS, "growth": growth, "missing": missing,
-                 **overrides},
+                 "split_batching": mode},
             )
-            grown[key] = (
+            grown[mode] = (
                 trees_of(model),
                 repro.rmse_on_join(db, graph, model),
                 dict(model.frontier_census),
+                db.table("fact").num_rows(),
             )
-        assert model_depth_from_dicts(grown["incremental"][0]) >= 6
-        assert grown["incremental"][0] == grown["rebuild"][0]
-        assert grown["incremental"][0] == grown["per-leaf"][0]
-        assert grown["incremental"][1] == pytest.approx(
-            grown["rebuild"][1], abs=1e-9
-        )
-        census = grown["incremental"][2]
-        # Zero full-fact label rebuilds after the root pass.
-        assert census["label_queries"] == 0
+        assert model_depth_from_dicts(grown["auto"][0]) >= 6
+        assert grown["auto"][0] == grown["off"][0]
+        assert grown["auto"][1] == pytest.approx(grown["off"][1], abs=1e-9)
+        census = grown["auto"][2]
+        assert census["batched_rounds"] == census["rounds"]
         assert census["root_label_passes"] == DEEP_PARAMS["num_iterations"]
         assert census["delta_label_updates"] > 0
         # Carry messages shared across relations with a common routing
         # prefix (fact -> mid reused by mid's and far's split queries).
         assert census["carry_cache_hits"] > 0
-        # Maintaining labels writes the rows that move, not full-fact
-        # copies: at least 5x fewer label bytes than per-round rebuilds.
-        rebuilt = grown["rebuild"][2]["label_bytes_written"]
-        assert rebuilt >= 5 * census["label_bytes_written"] > 0
+        # Maintaining labels writes the rows that move: far fewer label
+        # cells than one full-fact copy per batched round would.
+        full_copies = census["batched_rounds"] * grown["auto"][3]
+        assert full_copies >= 5 * census["label_cells_written"] > 0
 
     @pytest.mark.parametrize("growth", ["best-first", "depth-wise"])
     def test_sqlite_depth6_parity(self, growth):
         grown = {}
-        for key, overrides in (
-            ("incremental", {"frontier_state": "incremental"}),
-            ("rebuild", {"frontier_state": "rebuild"}),
-            ("per-leaf", {"split_batching": "off"}),
-        ):
+        for mode in ("auto", "off"):
             db, graph = deep_schema(SQLiteConnector(), n=1500)
             model = repro.train_gradient_boosting(
                 db, graph,
                 {**DEEP_PARAMS, "num_iterations": 1, "growth": growth,
-                 "missing": "both", **overrides},
+                 "missing": "both", "split_batching": mode},
             )
-            grown[key] = (trees_of(model), dict(model.frontier_census))
-        assert model_depth_from_dicts(grown["incremental"][0]) >= 6
-        assert grown["incremental"][0] == grown["rebuild"][0]
-        assert grown["incremental"][0] == grown["per-leaf"][0]
-        census = grown["incremental"][1]
-        assert census["label_queries"] == 0
+            grown[mode] = (trees_of(model), dict(model.frontier_census))
+        assert model_depth_from_dicts(grown["auto"][0]) >= 6
+        assert grown["auto"][0] == grown["off"][0]
+        census = grown["auto"][1]
+        assert census["batched_rounds"] == census["rounds"]
         assert census["root_label_passes"] == 1
         assert census["carry_cache_hits"] > 0
 
@@ -169,37 +156,36 @@ class TestResidualLabels:
     @pytest.mark.parametrize("strategy", ["swap", "update", "create"])
     def test_update_strategy_parity(self, strategy):
         """The CASE-over-jb_leaf residual fast path must shift exactly the
-        rows the per-leaf semi-join scans would have, for every logical
-        update strategy that supports it."""
+        rows the per-leaf semi-join scans would have (the path
+        ``split_batching="off"`` takes), for every logical update strategy
+        that supports it."""
         grown = {}
-        for fs in ("incremental", "rebuild"):
+        for mode in ("auto", "off"):
             db, graph = favorita(num_fact_rows=2500, num_extra_features=2,
                                  seed=9)
             model = repro.train_gradient_boosting(
                 db, graph,
                 {"num_iterations": 3, "num_leaves": 8, "min_data_in_leaf": 3,
-                 "update_strategy": strategy, "frontier_state": fs},
+                 "update_strategy": strategy, "split_batching": mode},
             )
-            grown[fs] = (trees_of(model), repro.rmse_on_join(db, graph, model))
-        assert grown["incremental"][0] == grown["rebuild"][0]
-        assert grown["incremental"][1] == pytest.approx(
-            grown["rebuild"][1], abs=1e-9
-        )
+            grown[mode] = (trees_of(model), repro.rmse_on_join(db, graph, model))
+        assert grown["auto"][0] == grown["off"][0]
+        assert grown["auto"][1] == pytest.approx(grown["off"][1], abs=1e-9)
 
     def test_general_loss_parity(self):
         """Non-L2 losses route through apply_general: the label-driven
         prediction shift must match the semi-join path."""
         grown = {}
-        for fs in ("incremental", "rebuild"):
+        for mode in ("auto", "off"):
             db, graph = favorita(num_fact_rows=2000, num_extra_features=0,
                                  seed=3)
             model = repro.train_gradient_boosting(
                 db, graph,
                 {"num_iterations": 2, "num_leaves": 6, "min_data_in_leaf": 3,
-                 "objective": "huber", "frontier_state": fs},
+                 "objective": "huber", "split_batching": mode},
             )
-            grown[fs] = trees_of(model)
-        assert grown["incremental"] == grown["rebuild"]
+            grown[mode] = trees_of(model)
+        assert grown["auto"] == grown["off"]
 
     def test_labels_match_tree_routing(self):
         """Row-level check: after training, every fact row's jb_leaf agrees
@@ -243,34 +229,52 @@ class TestFallbacks:
         )
         return conn
 
-    def test_backend_without_narrow_update_degrades_to_rebuild(self):
-        """No narrow-UPDATE capability: training succeeds, identical trees,
-        labels rebuilt per round instead of maintained."""
-        db, graph = favorita(
-            db=self._no_narrow_update_db(), num_fact_rows=2000,
-            num_extra_features=0, seed=6,
-        )
+    def _train_logged(self, db, graph):
+        """Train while logging every statement's tag, whichever connector
+        entry point issues it."""
+        tags = []
+        for name in ("execute", "execute_read"):
+            real = getattr(db, name)
+
+            def logged(sql, tag=None, _real=real):
+                tags.append(tag)
+                return _real(sql, tag=tag)
+
+            setattr(db, name, logged)
         model = repro.train_gradient_boosting(
             db, graph,
             {"num_iterations": 2, "num_leaves": 6, "min_data_in_leaf": 3},
         )
-        census = model.frontier_census
-        assert census["incremental_rounds"] == 0
-        assert census["label_queries"] == census["batched_rounds"] > 0
-        assert census["incremental_veto"] is not None
+        return model, tags
 
-        db2, graph2 = favorita(num_fact_rows=2000, num_extra_features=0, seed=6)
-        reference = repro.train_gradient_boosting(
-            db2, graph2,
+    def _per_leaf_reference(self):
+        db, graph = favorita(num_fact_rows=2000, num_extra_features=0, seed=6)
+        return trees_of(repro.train_gradient_boosting(
+            db, graph,
             {"num_iterations": 2, "num_leaves": 6, "min_data_in_leaf": 3,
-             "frontier_state": "rebuild"},
+             "split_batching": "off"},
+        ))
+
+    def test_backend_without_narrow_update_goes_per_leaf(self):
+        """No narrow-UPDATE capability: the label column cannot be kept
+        current, so every round is per-leaf — no label statement at all,
+        the reason on batching_veto, the per-leaf trees."""
+        db, graph = favorita(
+            db=self._no_narrow_update_db(), num_fact_rows=2000,
+            num_extra_features=0, seed=6,
         )
-        assert trees_of(model) == trees_of(reference)
+        model, tags = self._train_logged(db, graph)
+        census = model.frontier_census
+        assert not any(tag and tag.startswith("frontier") for tag in tags)
+        assert "narrow predicated UPDATE" in census["batching_veto"]
+        assert census["batched_rounds"] == 0
+        assert census["per_leaf_split_queries"] > 0
+        assert trees_of(model) == self._per_leaf_reference()
 
     def test_delta_update_failure_degrades_mid_training(self):
-        """A failing delta UPDATE mid-tree deactivates the incremental
-        state: remaining rounds rebuild, training completes with identical
-        trees, no error escapes."""
+        """A failing delta UPDATE mid-tree deactivates the label column:
+        the remaining rounds run per-leaf (no full-fact label copy),
+        training completes with the per-leaf trees, no error escapes."""
         db, graph = favorita(num_fact_rows=2000, num_extra_features=0, seed=6)
         real_execute = db.execute
         fired = {"n": 0}
@@ -282,23 +286,15 @@ class TestFallbacks:
             return real_execute(sql, tag=tag)
 
         db.execute = flaky
-        model = repro.train_gradient_boosting(
-            db, graph,
-            {"num_iterations": 2, "num_leaves": 6, "min_data_in_leaf": 3},
-        )
-        db.execute = real_execute
+        model, tags = self._train_logged(db, graph)
         census = model.frontier_census
         assert fired["n"] == 1
-        assert census["incremental_veto"] is not None
-        assert census["label_queries"] > 0  # rebuild took over
-
-        db2, graph2 = favorita(num_fact_rows=2000, num_extra_features=0, seed=6)
-        reference = repro.train_gradient_boosting(
-            db2, graph2,
-            {"num_iterations": 2, "num_leaves": 6, "min_data_in_leaf": 3,
-             "frontier_state": "rebuild"},
-        )
-        assert trees_of(model) == trees_of(reference)
+        assert tags.count("frontier_delta") == 1  # the failed one only
+        assert "frontier" not in tags  # no per-round label table
+        assert "injected delta failure" in census["batching_veto"]
+        assert 0 < census["batched_rounds"] < census["rounds"]
+        assert census["per_leaf_split_queries"] > 0
+        assert trees_of(model) == self._per_leaf_reference()
 
     def test_multiclass_shares_one_fact_table(self):
         """K softmax chains adopt one lifted fact: each trainer mints its
@@ -352,7 +348,6 @@ class TestTempHygiene:
         ring = VarianceSemiRing()
         factorizer = Factorizer(db, graph, ring)
         factorizer.lift()
-        lifted = factorizer.lifted["fact"]
         before = set(db.table_names())
         real_execute = db.execute
         calls = {"n": 0}
@@ -368,10 +363,7 @@ class TestTempHygiene:
         with pytest.raises(ExecutionError, match="injected"):
             # far's absorption nests two carry messages (fact->mid inside
             # mid->far); the second one fails.
-            factorizer.multi_absorption(
-                "far", carry={"fact": ("tag_col",)},
-                table_override={"fact": lifted},
-            )
+            factorizer.multi_absorption("far", carry={"fact": ("tag_col",)})
         db.execute = real_execute
         assert calls["n"] == 2
         assert set(db.table_names()) == before
@@ -411,38 +403,6 @@ class TestTempHygiene:
         assert db.table("t").column("a").values.tolist() == [5, 20, 30]
         assert db.table("t").column("b").values.tolist() == [10, 20, 30]
 
-    def test_batched_round_failure_drops_label_table(self):
-        """An exception inside a rebuild round must not strand the
-        frontier label table."""
-        db, graph = favorita(num_fact_rows=800, num_extra_features=0, seed=1)
-        ring = VarianceSemiRing()
-        factorizer = Factorizer(db, graph, ring)
-        factorizer.lift()
-        trainer = DecisionTreeTrainer(
-            db, graph, factorizer, VarianceCriterion(),
-            TrainParams.from_dict(
-                {"num_leaves": 4, "min_data_in_leaf": 3,
-                 "frontier_state": "rebuild"}
-            ),
-        )
-        real_execute = db.execute
-
-        def failing(sql, tag=None):
-            if tag == "feature":
-                raise ExecutionError("injected feature failure")
-            return real_execute(sql, tag=tag)
-
-        db.execute = failing
-        with pytest.raises(ExecutionError, match="injected"):
-            trainer.train()
-        db.execute = real_execute
-        stranded = [
-            name for name in db.table_names()
-            if "frontier" in name
-        ]
-        assert stranded == []
-        factorizer.cleanup()
-
 
 class TestCarryCacheScoping:
     def test_scoped_entries_evicted_on_epoch_advance(self):
@@ -462,13 +422,10 @@ class TestCarryCacheScoping:
     def test_params_alias_and_validation(self):
         from repro.exceptions import TrainingError
 
-        assert TrainParams.from_dict(
-            {"frontier_state": "rebuild"}
-        ).frontier_state == "rebuild"
-        for alias, value in (("leaf_state", "rebuild"),
+        # One label strategy: the old selector is an unknown parameter.
+        for alias, value in (("frontier_state", "incremental"),
+                             ("leaf_state", "rebuild"),
                              ("key_encoding_cache", "off"),
                              ("task_executor", "thread")):
             with pytest.raises(TrainingError, match="unknown training parameter"):
                 TrainParams.from_dict({alias: value})
-        with pytest.raises(TrainingError, match="frontier_state"):
-            TrainParams.from_dict({"frontier_state": "sometimes"})

@@ -98,20 +98,6 @@ class TestParity:
         assert grown[4] == grown[1]
         assert grown[8] == grown[1]
 
-    def test_parity_rebuild_labels(self):
-        """The rebuild-label path (per-round labeled fact copy) also
-        parallelizes — its carry temps are task-owned, not cache-owned."""
-        grown = {}
-        for workers in (1, 4):
-            db, graph = favorita(num_fact_rows=2500, num_extra_features=2)
-            model = repro.train_gradient_boosting(
-                db, graph,
-                {"num_iterations": 1, "num_leaves": 6, "min_data_in_leaf": 3,
-                 "frontier_state": "rebuild", "num_workers": workers},
-            )
-            grown[workers] = trees_of(model)
-        assert grown[4] == grown[1]
-
     def test_random_forest_parity_embedded(self):
         grown = {}
         for workers in (1, 4):
