@@ -471,19 +471,23 @@ def task_fault_directive(
 ) -> Optional[str]:
     """Resolve the task-scoped fault directive for one dispatched task.
 
-    Supervisors (the process pool, the sharded trainer) call this once
-    per task at dispatch time.  If ``db`` carries a :class:`FaultPlan`
-    (i.e. somewhere in its proxy stack sits a :class:`ChaosConnector` —
-    the ``plan`` attribute forwards through :class:`_ConnectorProxy`)
-    and a task-scoped rule fires for this ``(tag, sql)``, the injection
-    is recorded in the chaos census and the fault kind
-    (``"worker_crash"`` or ``"stall"``) is returned; otherwise ``None``.
+    The two task submitters call this once per task, in submission
+    order: the frontier evaluator when a fused read's spec resolves, and
+    the sharded trainer for every shard of a step before the step runs.
+    If ``db`` carries a :class:`FaultPlan` as ``plan`` (a
+    :class:`ChaosConnector` somewhere in a connector's proxy stack — the
+    attribute forwards through :class:`_ConnectorProxy` — or a
+    ``SimulatedCluster`` built with ``chaos=``) and a task-scoped rule
+    fires for this ``(tag, sql)``, the injection is recorded in
+    ``db.chaos_census`` and the fault kind (``"worker_crash"`` or
+    ``"stall"``) is returned; otherwise ``None``.
 
-    Resolving the directive in the *supervisor* (dispatch order is
-    deterministic) rather than in the worker (completion order is not)
-    is what keeps task-fault ordinals reproducible; stripping the
-    directive on re-dispatch is what lets the faulted task succeed on
-    its second attempt.
+    Resolving the directive at submission (whose order is deterministic)
+    rather than in the worker (completion order is not) is what keeps
+    task-fault ordinals reproducible.  The directive rides on the task
+    to the process pool, which honours it in the worker and strips it
+    when it re-dispatches the task to a respawned worker — that is what
+    lets the faulted task succeed on its second attempt.
     """
     plan = getattr(db, "plan", None)
     if not isinstance(plan, FaultPlan):

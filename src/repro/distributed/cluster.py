@@ -5,31 +5,38 @@ every aggregate a worker contributes is computed by real queries.  Two
 clocks are kept:
 
 * ``simulated_seconds`` — the paper's network model: a parallel step
-  costs ``max(worker times)`` and each synchronization costs
+  costs ``max(worker times)`` — each shard's compute, timed where the
+  step runs — and each synchronization costs
   ``bytes / bandwidth + latency``.  This is what Figure 12 plots.
 * ``measured_wall_seconds`` — the actual wall clock of running the
   shard steps on this machine, with whichever executor was requested.
   This is what the fig12 bench now *measures* rather than models.
 
-Shard steps run on one of three executors.  ``serial`` runs shards one
-after another in-process (the old behavior).  ``thread`` runs them on a
-thread per shard — each shard owns a private :class:`Database`, so the
-steps are disjoint.  ``process`` forks one child per shard for the
-*read-only* steps (root totals, per-feature aggregates) and ships the
-result back over a pipe — per-shard message passing with a real process
-boundary.  Mutating steps (lift, residual updates) never fork: their
-effects must land in the parent's catalogs.
+Every shard step is one :class:`~repro.engine.scheduler.QueryScheduler`
+run with one query per shard.  ``serial`` runs it inline on one worker;
+``thread`` on a thread per shard — each shard owns a private
+:class:`Database`, so the steps are disjoint.  Under ``process`` the
+*read-only* steps (root totals, per-feature aggregates) run on a
+:class:`~repro.engine.procpool.SupervisedProcessPool` created for the
+step: its workers are forked after the shard state exists, so they see
+the in-memory shards copy-on-write, and a pooled task names only a
+module-level function plus ``(token, shard index)`` — the step itself
+sits in a module registry the forked workers inherit.  Mutating steps
+(lift, residual updates) never leave the parent — their effects must
+land in its catalogs — and run on threads.
 
-Failures recover at shard granularity.  A task-scoped chaos directive
-(``worker_crash``/``stall``, resolved in shard-index order at dispatch
-time, exactly like the process pool in :mod:`repro.engine.procpool`)
-kills or hangs the shard's child; the supervisor detects the nonzero
-exit code or the missed deadline, counts it, and re-executes that one
-shard in the parent with the directive stripped.  Real transient
-backend errors get the same bounded re-execution.  Because every merge
-happens in shard-index order over re-executed-or-not results, the
-trained model is bit-identical to the serial run — which the tests
-assert via ``model_digest``.
+Failures recover at shard granularity.  Task-scoped chaos directives
+(``worker_crash``/``stall``) are resolved for every shard, in index
+order, before the step runs, through
+:func:`repro.backends.chaos.task_fault_directive`.  On the pool a
+directive kills or hangs the shard's worker; the pool detects the crash
+or the missed deadline, respawns a forked worker and re-dispatches the
+shard's task to it with the directive stripped, and retries transient
+errors (``task_retries``).  An inline step has no child to kill, so a
+directive counts its first attempt as lost, then the step runs with the
+same bounded transient retries.  Because every merge happens in
+shard-index order, the trained model is bit-identical to the serial run
+— which the tests assert via ``model_digest``.
 
 Checkpoints (PR 8 machinery) are written at shard-merge granularity:
 after every committed boosting round — i.e. once all shards have merged
@@ -42,8 +49,9 @@ restored trees' residual updates through the same per-shard path.
 from __future__ import annotations
 
 import dataclasses
-import os
+import itertools
 import time
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,7 +59,12 @@ import numpy as np
 from repro.exceptions import TrainingError, TransientBackendError
 from repro.core.params import TrainParams
 from repro.core.residual import ResidualUpdater
-from repro.core.split import Criterion, GradientCriterion, SplitCandidate
+from repro.core.split import (
+    Criterion,
+    GradientCriterion,
+    SplitCandidate,
+    best_split_from_aggregates,
+)
 from repro.core.tree import DecisionTreeModel, TreeNode
 from repro.core.boosting import GradientBoostingModel
 from repro.core.checkpoint import (
@@ -62,14 +75,14 @@ from repro.core.checkpoint import (
 )
 from repro.engine.operators import factorize, group_sum
 from repro.engine.procpool import (
-    CRASH_EXIT_CODE,
-    STALL_SLEEP_SECONDS,
     ProcPoolCensus,
-    default_task_deadline,
+    SupervisedProcessPool,
+    fork_available,
 )
-from repro.backends.chaos import ChaosCensus, FaultPlan
+from repro.engine.scheduler import QueryScheduler
+from repro.backends.chaos import ChaosCensus, FaultPlan, task_fault_directive
 from repro.factorize.executor import Factorizer
-from repro.factorize.predicates import Predicate, PredicateMap
+from repro.factorize.predicates import PredicateMap
 from repro.joingraph.graph import JoinGraph
 from repro.distributed.partition import partition_database
 from repro.semiring.gradient import GradientSemiRing
@@ -77,6 +90,14 @@ from repro.semiring.losses import get_loss
 
 #: executors a cluster can run shard steps on
 EXECUTORS = ("serial", "thread", "process")
+
+#: transient-error retries per shard step (inline, and the pool's budget)
+MAX_STEP_RETRIES = 3
+
+#: read-only steps in flight on a forked pool, by token: workers forked
+#: after registration inherit the entry, so a task carries only the token
+_STEPS: Dict[int, Callable[[int], object]] = {}
+_TOKENS = itertools.count()
 
 
 @dataclasses.dataclass
@@ -88,36 +109,12 @@ class ClusterConfig:
     latency_s: float = 5e-4
 
 
-def _shard_child(conn, step_fn, index: int, directive: Optional[str]) -> None:
-    """Body of one forked shard worker.
-
-    Runs ``step_fn(index)`` against the forked copy of the shard's
-    database and ships the (picklable) result back over ``conn``.  A
-    chaos directive is honored *after* the fork so the parent can
-    observe the real failure mode: ``worker_crash`` dies with
-    :data:`CRASH_EXIT_CODE` before doing any work, ``stall`` sleeps past
-    any reasonable deadline.  Exits via ``os._exit`` in every path —
-    the forked child inherits the parent's atexit handlers (including
-    the shared process-pool shutdown) and must not run them.
-    """
-    try:
-        if directive == "worker_crash":
-            os._exit(CRASH_EXIT_CODE)
-        if directive == "stall":
-            time.sleep(STALL_SLEEP_SECONDS)
-        start = time.perf_counter()
-        result = step_fn(index)
-        conn.send(("done", result, time.perf_counter() - start))
-    except BaseException as exc:  # noqa: BLE001 - forwarded to the parent
-        try:
-            conn.send(("error", type(exc)(*exc.args), 0.0))
-        except Exception:
-            pass
-    finally:
-        try:
-            conn.close()
-        finally:
-            os._exit(0)
+def _run_registered_step(token: int, index: int) -> Tuple[object, float]:
+    """Pool-task body: shard ``index`` of a registered step, timed here
+    so the simulated clock charges compute, not the task pipe."""
+    start = time.perf_counter()
+    result = _STEPS[token](index)
+    return result, time.perf_counter() - start
 
 
 class SimulatedCluster:
@@ -130,8 +127,8 @@ class SimulatedCluster:
     :class:`CheckpointSink` that receives the partial model after every
     committed boosting round and is consulted for resume on the next
     ``train_gradient_boosting`` call; ``task_deadline`` bounds how long
-    the supervisor waits for one shard step in process mode before
-    declaring it stalled (default: ``JOINBOOST_TASK_DEADLINE`` or 30s).
+    the pool waits for one shard step in process mode before declaring
+    it stalled (default: ``JOINBOOST_TASK_DEADLINE`` or 30s).
     """
 
     def __init__(
@@ -144,7 +141,6 @@ class SimulatedCluster:
         executor: str = "serial",
         chaos: "FaultPlan | str | None" = None,
         checkpoint: Optional[CheckpointSink] = None,
-        max_step_retries: int = 3,
         task_deadline: Optional[float] = None,
     ):
         if executor not in EXECUTORS:
@@ -158,57 +154,64 @@ class SimulatedCluster:
         self.graph = graph
         self.executor = executor
         self.executor_fallback_reason: Optional[str] = None
-        if executor == "process":
-            import multiprocessing
-
-            if "fork" not in multiprocessing.get_all_start_methods():
-                # Without fork the children cannot see the in-memory
-                # shards; run the steps on threads instead — loudly.
-                self.executor = "thread"
-                self.executor_fallback_reason = (
-                    "fork start method unavailable (shards live in parent"
-                    " memory); running shard steps on threads"
-                )
+        if executor == "process" and not fork_available():
+            # Without fork the workers cannot see the in-memory shards;
+            # run the steps on threads instead — loudly.
+            self.executor = "thread"
+            self.executor_fallback_reason = (
+                "fork start method unavailable (shards live in parent"
+                " memory); running shard steps on threads"
+            )
         if isinstance(chaos, str):
             chaos = FaultPlan.from_spec(chaos)
-        self.fault_plan: Optional[FaultPlan] = chaos
+        #: read by :func:`task_fault_directive`, like a chaos connector's
+        self.plan: Optional[FaultPlan] = chaos
         self.chaos_census = ChaosCensus()
         self.pool_census = ProcPoolCensus()
         self.checkpoint = checkpoint
-        self.max_step_retries = max_step_retries
-        self.task_deadline = (
-            task_deadline if task_deadline is not None else default_task_deadline()
-        )
+        self.task_deadline = task_deadline
         self.simulated_seconds = 0.0
         self.measured_wall_seconds = 0.0
         self.shuffle_bytes = 0
         self._retry_exhausted = 0
 
     # ------------------------------------------------------------------
-    # Supervised shard-step execution
+    # Shard-step execution
     # ------------------------------------------------------------------
-    def _directive(self, tag: str) -> Optional[str]:
-        """Task-scoped chaos directive for one shard step, if any."""
-        if self.fault_plan is None:
-            return None
-        rule = self.fault_plan.next_task_fault(tag)
-        if rule is None:
-            return None
-        self.chaos_census.record(rule, tag, "")
-        return rule.kind
+    def _run_inline(
+        self,
+        step_fn: Callable[[int], object],
+        index: int,
+        directive: Optional[str],
+    ) -> Tuple[object, float]:
+        """One shard step in this process, timed, with bounded transient
+        retries.
 
-    def _run_step(self, step_fn: Callable[[int], object], index: int) -> object:
-        """One shard step with bounded transient-error re-execution."""
-        attempt = 0
+        There is no child to kill in-process, so a chaos directive means
+        the first attempt is *considered* lost — counted exactly as the
+        pool counts a lost worker — then the step runs.  That keeps
+        chaos counters and fault ordinals uniform across executors,
+        which is what lets the tests compare censuses, not just digests.
+        """
+        if directive is not None:
+            self.pool_census.bump(
+                "worker_crashes" if directive == "worker_crash"
+                else "deadline_timeouts"
+            )
+            self.pool_census.bump("tasks_redispatched")
+        start = time.perf_counter()
+        retries = 0
         while True:
-            attempt += 1
             try:
-                return step_fn(index)
+                result = step_fn(index)
+                break
             except TransientBackendError:
-                if attempt > self.max_step_retries:
-                    self._retry_exhausted += 1
+                if retries >= MAX_STEP_RETRIES:
                     raise
+                retries += 1
                 self.pool_census.bump("task_retries")
+        self.pool_census.bump("tasks_completed")
+        return result, time.perf_counter() - start
 
     def _parallel(
         self,
@@ -222,158 +225,57 @@ class SimulatedCluster:
         Chaos directives are resolved for *all* shards, in index order,
         before anything executes — dispatch order is deterministic even
         when completion order is not, so the Nth matching shard step is
-        faulted reproducibly across executors.  A faulted or genuinely
-        failed shard is re-executed in the parent with the directive
-        stripped; merges downstream see only successful results, in
-        shard-index order.
+        faulted reproducibly across executors.  A failed shard raises
+        its own error once every shard has run; merges downstream see
+        only successful results, in shard-index order.
         """
         n = len(self.workers)
-        directives = [self._directive(f"{tag}:shard{i}") for i in range(n)]
+        directives = [
+            task_fault_directive(self, f"{tag}:shard{i}") for i in range(n)
+        ]
+        pool: Optional[SupervisedProcessPool] = None
         wall_start = time.perf_counter()
         if self.executor == "process" and readonly:
-            results, durations = self._run_shards_forked(step_fn, directives, tag)
-        else:
-            results, durations = self._run_shards_inline(step_fn, directives, tag)
-        self.measured_wall_seconds += time.perf_counter() - wall_start
-        self.simulated_seconds += max(durations) if durations else 0.0
-        self.pool_census.bump("tasks_completed", n)
-        return results
-
-    def _run_shards_inline(
-        self,
-        step_fn: Callable[[int], object],
-        directives: Sequence[Optional[str]],
-        tag: str,
-    ) -> Tuple[List[object], List[float]]:
-        """Serial/thread execution (and mutating steps under process).
-
-        There is no child to kill in-process, so a directive means the
-        shard's first attempt is *considered* lost — the failure is
-        counted exactly as the forked path would count it, then the
-        step runs.  That keeps chaos counters and fault ordinals
-        uniform across executors, which is what lets the tests compare
-        censuses, not just digests.
-        """
-        n = len(self.workers)
-
-        def run_one(i: int) -> Tuple[object, float]:
-            if directives[i] is not None:
-                self._count_shard_failure(directives[i])
-            start = time.perf_counter()
-            result = self._run_step(step_fn, i)
-            return result, time.perf_counter() - start
-
-        if self.executor == "serial" or n <= 1:
-            pairs = [run_one(i) for i in range(n)]
-        else:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=n) as pool:
-                pairs = list(pool.map(run_one, range(n)))
-        return [r for r, _ in pairs], [d for _, d in pairs]
-
-    def _run_shards_forked(
-        self,
-        step_fn: Callable[[int], object],
-        directives: Sequence[Optional[str]],
-        tag: str,
-    ) -> Tuple[List[object], List[float]]:
-        """Fork one child per shard; recover crashed/stalled shards.
-
-        Fork (not spawn) is load-bearing: the children must see the
-        in-memory shard databases, and fork's copy-on-write clone gives
-        them an identical snapshot without serializing the catalogs.
-        Each child ships its result back over a one-way pipe and exits
-        via ``os._exit`` so the parent's atexit/pool state is never
-        touched.  The parent sweeps shards in index order: a pipe EOF
-        or nonzero exit code is a crash, a missed deadline is a stall;
-        either way the child is killed and the shard re-executes in the
-        parent with the chaos directive stripped.
-        """
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
-        n = len(self.workers)
-        procs = []
-        for i in range(n):
-            recv_conn, send_conn = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=_shard_child,
-                args=(send_conn, step_fn, i, directives[i]),
-                daemon=True,
+            token = next(_TOKENS)
+            _STEPS[token] = step_fn
+            # Forked now, so the workers see the shards as they stand.
+            pool = SupervisedProcessPool(
+                n, max_redispatches=MAX_STEP_RETRIES, start_method="fork"
             )
-            proc.start()
-            send_conn.close()
-            procs.append((proc, recv_conn, time.perf_counter()))
-
-        results: List[object] = [None] * n
-        durations: List[float] = [0.0] * n
+        scheduler = QueryScheduler(
+            num_workers=1 if self.executor == "serial" else n,
+            executor="thread" if pool is None else "process",
+            pool=pool,
+            pool_census=self.pool_census,
+            task_deadline=self.task_deadline,
+        )
+        for i, directive in enumerate(directives):
+            spec = None
+            if pool is not None:
+                payload = {
+                    "kind": "callable",
+                    "fn": _run_registered_step,
+                    "args": (token, i),
+                    "chaos": directive,
+                }
+                spec = partial(dict, payload)
+            scheduler.submit(
+                partial(self._run_inline, step_fn, i, directive),
+                label=f"{tag}:shard{i}",
+                spec=spec,
+            )
         try:
-            for i, (proc, conn, started) in enumerate(procs):
-                outcome = None
-                remaining = self.task_deadline - (time.perf_counter() - started)
-                try:
-                    if conn.poll(max(0.0, remaining)):
-                        outcome = conn.recv()
-                except (EOFError, OSError):
-                    outcome = None  # pipe died with the child: crash
-                if outcome is None:
-                    proc.join(timeout=0.1)
-                    why = "worker_crash" if not proc.is_alive() else "stall"
-                    self._requeue_shard(proc, why)
-                    results[i], durations[i] = self._reexecute_shard(step_fn, i)
-                elif outcome[0] == "done":
-                    results[i], durations[i] = outcome[1], outcome[2]
-                    proc.join(timeout=5.0)
-                else:  # ("error", exc, _): real failure inside the child
-                    proc.join(timeout=5.0)
-                    exc = outcome[1]
-                    if not isinstance(exc, TransientBackendError):
-                        raise TrainingError(
-                            f"shard {i} failed during {tag!r}: {exc}"
-                        ) from exc
-                    self.pool_census.bump("task_retries")
-                    results[i], durations[i] = self._reexecute_shard(step_fn, i)
+            pairs = scheduler.run().results()
+        except TransientBackendError:
+            self._retry_exhausted += 1
+            raise
         finally:
-            # A raise mid-sweep (non-transient shard error) must not leak
-            # the children not yet swept — a chaos-stalled child would
-            # sleep for an hour holding its pipe open.
-            for proc, conn, _ in procs:
-                try:
-                    if proc.is_alive():
-                        proc.kill()
-                    proc.join(timeout=5.0)
-                except Exception:
-                    pass
-                try:
-                    conn.close()
-                except Exception:
-                    pass
-        return results, durations
-
-    def _count_shard_failure(self, why: str) -> None:
-        """Census one lost shard attempt plus its re-dispatch."""
-        if why == "worker_crash":
-            self.pool_census.bump("worker_crashes")
-        else:
-            self.pool_census.bump("deadline_timeouts")
-        self.pool_census.bump("tasks_redispatched")
-
-    def _requeue_shard(self, proc, why: str) -> None:
-        """Kill a failed shard child and account the recovery."""
-        self._count_shard_failure(why)
-        self.pool_census.bump("respawns")
-        if proc.is_alive():
-            proc.kill()
-        proc.join(timeout=5.0)
-
-    def _reexecute_shard(
-        self, step_fn: Callable[[int], object], index: int
-    ) -> Tuple[object, float]:
-        """Run a recovered shard's step in the parent, timed."""
-        start = time.perf_counter()
-        result = self._run_step(step_fn, index)
-        return result, time.perf_counter() - start
+            if pool is not None:
+                pool.close()
+                del _STEPS[token]
+        self.measured_wall_seconds += time.perf_counter() - wall_start
+        self.simulated_seconds += max(seconds for _, seconds in pairs)
+        return [result for result, _ in pairs]
 
     def _sync(self, nbytes: int) -> None:
         """Account one coordinator synchronization."""
@@ -564,7 +466,6 @@ class SimulatedCluster:
         params: TrainParams,
     ) -> DecisionTreeModel:
         import heapq
-        import itertools
 
         features = self.graph.all_features()
         totals = self._merged_totals(factorizers, {})
@@ -643,9 +544,12 @@ class SimulatedCluster:
             if merged is None:
                 continue
             values, aggs = merged
-            cand = self._scan_prefixes(
-                criterion, params, relation, feature, values, aggs, totals,
+            cand = best_split_from_aggregates(
+                criterion, relation, feature, values, np.isnan(values), aggs,
+                totals,
                 categorical=self.graph.is_categorical(relation, feature),
+                missing=params.missing,
+                min_child_samples=params.min_child_samples,
             )
             if cand is not None and (best is None or cand.gain > best.gain):
                 best = cand
@@ -689,41 +593,3 @@ class SimulatedCluster:
         order = np.argsort(merged_vals, kind="stable")
         return merged_vals[order], {c: a[order] for c, a in merged_aggs.items()}
 
-    def _scan_prefixes(
-        self, criterion, params, relation, feature, values, aggs, totals,
-        categorical: bool,
-    ) -> Optional[SplitCandidate]:
-        comps = list(criterion.components)
-        if categorical:
-            order = np.argsort(criterion.order_key(aggs), kind="stable")
-            values = values[order]
-            aggs = {c: a[order] for c, a in aggs.items()}
-        prefix = {c: np.cumsum(aggs[c]) for c in comps}
-        w_total = criterion.weight(totals)
-        min_w = criterion.min_weight(params.min_child_samples)
-        best = None
-        for i in range(len(values) - 1):
-            left = {c: float(prefix[c][i]) for c in comps}
-            w_left = criterion.weight(left)
-            if w_left < min_w or (w_total - w_left) < min_w:
-                continue
-            gain = criterion.gain_aggs(left, totals)
-            if np.isfinite(gain) and (best is None or gain > best[0]):
-                best = (gain, i)
-        if best is None:
-            return None
-        gain, idx = best
-        left = {c: float(prefix[c][idx]) for c in comps}
-        right = {c: totals.get(c, 0.0) - left[c] for c in comps}
-        if categorical:
-            members = tuple(float(v) for v in values[: idx + 1])
-            predicate = Predicate(feature, "IN", members)
-        else:
-            threshold = float(values[idx])
-            if threshold == int(threshold):
-                threshold = int(threshold)
-            predicate = Predicate(feature, "<=", threshold)
-        return SplitCandidate(
-            gain=float(gain), relation=relation, predicate=predicate,
-            left_aggregates=left, right_aggregates=right, feature=feature,
-        )

@@ -20,22 +20,32 @@ the statement-level retry layer, so the pool runs its own control loop:
   bounded re-dispatch budget), and the dead worker is respawned under a
   pool-wide respawn budget.
 
-Recovery is *safe* because every task the training stack submits here is
-a read-only, idempotent unit — a fused split query against a WAL
-snapshot or pickled immutable base relations — so re-running it cannot
-corrupt anything, and it is *deterministic* because task results are
-merged by task id (submission order), never by completion order: the
-model digest of a process-pool run is bit-identical to the serial run
-even when workers are killed underneath it.
+The pool has two clients, both driving it through
+:class:`~repro.engine.scheduler.QueryScheduler`: the frontier
+evaluator's fused split reads (on the shared pool, one per worker
+count) and the sharded trainer's read-only shard steps
+(:mod:`repro.distributed.cluster`, on a pool forked per step so its
+workers see the in-memory shards as they stand).  Recovery is *safe*
+because every task either submits is a read-only, idempotent unit — a
+fused split query against a WAL snapshot or pickled immutable base
+relations, or a shard's totals/feature aggregate over its forked
+catalogs — so re-running it on a respawned worker cannot corrupt
+anything, and it is *deterministic* because task results are merged by
+task id (submission order), never by completion order: the model digest
+of a process-pool run is bit-identical to the serial run even when
+workers are killed underneath it.
 
 Tasks are serialized specs (plain dicts), not closures: the child
 process rebuilds its own database handle from the spec (sqlite WAL file
 path, or pickled embedded base relations) and ships back a
-:class:`~repro.engine.result.Relation`.  Chaos directives
+:class:`~repro.engine.result.Relation`, or — the ``callable`` kind —
+calls a module-level function by reference, whose state a forked worker
+inherits.  Chaos directives
 (``worker_crash`` / ``stall`` from :mod:`repro.backends.chaos`) are
-resolved by the *supervisor* at dispatch time and stamped onto the task
-— and stripped on re-dispatch, so the Nth matching task faults exactly
-once and then recovers.
+resolved by the submitting client in submission order
+(:func:`~repro.backends.chaos.task_fault_directive`) and stamped onto
+the task — and stripped on re-dispatch to a respawned worker, so the Nth
+matching task faults exactly once and then recovers.
 """
 
 from __future__ import annotations
@@ -84,6 +94,11 @@ def default_task_deadline() -> float:
     return DEFAULT_TASK_DEADLINE
 
 
+def fork_available() -> bool:
+    """Whether workers can be forked (and so inherit parent memory)."""
+    return "fork" in multiprocessing.get_all_start_methods()
+
+
 @dataclasses.dataclass
 class WorkerTask:
     """One serialized unit of work for a worker process.
@@ -127,9 +142,11 @@ class TaskOutcome:
 class ProcPoolCensus:
     """Thread-safe counters for the supervision loop.
 
-    The frontier evaluator accumulates one census across all rounds and
-    surfaces it through ``frontier_census`` (``worker_crashes``,
-    ``tasks_redispatched``, ``respawns``, ``deadline_timeouts``), which
+    The frontier evaluator (across all rounds) and the sharded trainer
+    (across all shard steps) each accumulate one census and surface it
+    through ``frontier_census`` / ``SimulatedCluster.census()``
+    (``worker_crashes``, ``tasks_redispatched``, ``respawns``,
+    ``deadline_timeouts``), which
     is how benches and CI gates assert that chaos runs actually
     exercised the recovery paths.
     """
@@ -157,11 +174,6 @@ class ProcPoolCensus:
         """Copy of all counters."""
         with self._lock:
             return dict(self.counts)
-
-    def merge(self, other: "ProcPoolCensus") -> None:
-        """Fold another census's counts into this one."""
-        for field, value in other.snapshot().items():
-            self.bump(field, value)
 
 
 # ----------------------------------------------------------------------
@@ -359,7 +371,9 @@ class SupervisedProcessPool:
     (bounded per task by ``max_redispatches``) with any chaos directive
     stripped.  Transient task errors are retried within the same
     bounds.  A pool survives across ``run()`` calls — the frontier
-    evaluator reuses one pool across every round of a training run.
+    evaluator reuses one shared pool across every round of a training
+    run, while the sharded trainer forks a pool per read-only shard step
+    and closes it when the step is done.
     """
 
     def __init__(
@@ -375,8 +389,10 @@ class SupervisedProcessPool:
         if start_method is None:
             # fork is the cheap path on Linux (no module re-import, no
             # pickling of Process args); fall back where it is absent.
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
+            start_method = (
+                "fork" if fork_available()
+                else multiprocessing.get_all_start_methods()[0]
+            )
         self._ctx = multiprocessing.get_context(start_method)
         self.start_method = start_method
         self.num_workers = num_workers

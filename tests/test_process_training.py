@@ -189,6 +189,34 @@ def _int_y_star(rows=2048, seed=11):
     return db, graph
 
 
+def _categorical_star(rows=2048, seed=5):
+    """``_int_y_star`` plus a declared categorical ``dim0.c0`` (integer
+    codes) that drives the target, so the tree splits on it."""
+    rng = np.random.default_rng(seed)
+    db = Database(name="caty")
+    k0 = rng.integers(0, 40, size=rows)
+    k1 = rng.integers(0, 30, size=rows)
+    c0 = rng.integers(0, 8, size=40)
+    effect = np.array([3, -4, 0, 5, -2, 6, -6, 1])
+    db.create_table("fact", {
+        "k0": k0,
+        "k1": k1,
+        "y": (effect[c0[k0]] + rng.integers(-2, 3, size=rows)).astype(np.float64),
+    })
+    db.create_table("dim0", {"k0": np.arange(40), "c0": c0})
+    db.create_table("dim1", {
+        "k1": np.arange(30),
+        "f2": rng.integers(0, 7, size=30).astype(np.float64),
+    })
+    graph = JoinGraph(db)
+    graph.add_relation("fact", features=[], y="y", is_fact=True)
+    graph.add_relation("dim0", features=["c0"], categorical=["c0"])
+    graph.add_relation("dim1", features=["f2"])
+    graph.add_edge("fact", "dim0", ["k0"], ["k0"])
+    graph.add_edge("fact", "dim1", ["k1"], ["k1"])
+    return db, graph
+
+
 TREE_PARAMS = {"num_leaves": 8, "min_data_in_leaf": 2}
 
 
@@ -259,6 +287,23 @@ class TestShardedParity:
         assert census["respawns"] == 1
         assert census["retry_exhausted"] == 0
 
+    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("machines", [1, 4])
+    def test_categorical_tree_matches_single_node(self, machines, executor):
+        """The sharded split search is the single-node kernel: a declared
+        categorical feature gets the same ``IN`` literals (``5``, not
+        ``5.0``), so dump and digest both match."""
+        db, graph = _categorical_star()
+        single = repro.train_decision_tree(db, graph, TREE_PARAMS)
+        db, graph = _categorical_star()
+        tree, _ = SimulatedCluster(
+            db, graph, "k0", ClusterConfig(num_machines=machines),
+            executor=executor,
+        ).train_decision_tree(TREE_PARAMS)
+        assert " IN " in tree.dump()
+        assert tree.dump() == single.dump()
+        assert model_digest(tree) == model_digest(single)
+
     def test_gbm_digest_identical_across_executors_at_fixed_shards(self):
         digests = {}
         for executor in ("serial", "process"):
@@ -272,6 +317,35 @@ class TestShardedParity:
             )
             digests[executor] = model_digest(model)
         assert digests["serial"] == digests["process"]
+
+
+class TestForkedShardFailure:
+    """A permanent error inside a forked read-only shard step surfaces as
+    that error (as on serial and thread), and the step's pool leaves no
+    worker behind — including one a chaos stall was holding."""
+
+    @pytest.mark.parametrize(
+        "chaos", [None, "tag=probe:nth=4:times=1:kind=stall"]
+    )
+    def test_permanent_error_raises_and_leaks_no_worker(self, chaos):
+        import multiprocessing
+
+        db, graph = _int_y_star(rows=256)
+        cluster = SimulatedCluster(
+            db, graph, "k0", ClusterConfig(num_machines=4),
+            executor="process", chaos=chaos, task_deadline=1,
+        )
+
+        def step(i):
+            if i == 1:
+                raise ValueError(f"shard {i} is broken")
+            return i
+
+        before = set(multiprocessing.active_children())
+        with pytest.raises(ValueError, match="shard 1 is broken"):
+            cluster._parallel(step, tag="probe", readonly=True)
+        assert set(multiprocessing.active_children()) <= before
+        assert cluster.census()["deadline_timeouts"] == int(chaos is not None)
 
 
 class TestShardedAccounting:
