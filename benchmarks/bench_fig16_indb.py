@@ -13,13 +13,13 @@ from repro.bench.report import format_table
 def test_fig16_indb(benchmark, figure_report):
     results = benchmark.pedantic(
         fig16_indb,
-        kwargs={"num_fact_rows": 150_000, "num_leaves": 64},
+        kwargs={"num_fact_rows": 600_000, "num_leaves": 32},
         rounds=1, iterations=1,
     )
     figure_report(
         "fig16",
         format_table(
-            "Figure 16 — decision-tree training seconds (64 leaves)",
+            "Figure 16 — decision-tree training seconds (32 leaves)",
             ["system", "seconds"],
             [[k, v] for k, v in results.items()],
         ),

@@ -110,8 +110,8 @@ class TrainParams:
     # batching_veto says why); "off" keeps the classic one query per
     # (leaf, feature).
     split_batching: str = "auto"
-    # Version-stamped encoded-key cache (embedded engine): "auto"/"on"
-    # factorize each join/group-by column once per training run; "off"
+    # Version-stamped encoded-key cache (embedded engine): "auto"
+    # factorizes each join/group-by column once per training run; "off"
     # re-encodes per query (the pre-PR4 behavior, kept for ablations and
     # the CI parity gate).  External backends ignore the knob.
     encoding_cache: str = "auto"
@@ -156,9 +156,9 @@ class TrainParams:
                 f"split_batching must be 'auto' or 'off', "
                 f"got {self.split_batching!r}"
             )
-        if self.encoding_cache not in ("auto", "on", "off"):
+        if self.encoding_cache not in ("auto", "off"):
             raise TrainingError(
-                f"encoding_cache must be 'auto', 'on' or 'off', "
+                f"encoding_cache must be 'auto' or 'off', "
                 f"got {self.encoding_cache!r}"
             )
         if self.max_bin is not None and self.max_bin < 2:

@@ -30,11 +30,12 @@ Two classes of columns are deliberately not cached:
   stamps would keep it correct regardless).  Carried *copies* of the
   label inside immutable message temps remain cacheable.
 
-Derived columns produced by joins and filters carry *lazy* encoding hints
-(``("gather", parent, idx)`` / ``("filter", parent, mask)`` tuples on
-``Column.enc``): materializing one is an O(n) integer gather of the
-parent's cached codes instead of an O(n log n) re-encode of the gathered
-values.  The planner attaches these in its merge/filter paths.
+Derived columns carry a *lazy* encoding hint, a ``("gather", parent,
+positions)`` tuple on ``Column.enc``: the planner gathers every column by
+position — join indices, and the selection vector a WHERE or residual
+join condition becomes — so materializing a hint is an O(n) integer
+gather of the parent's cached codes instead of an O(n log n) re-encode of
+the gathered values.
 
 The cache is LRU-bounded by bytes and keeps census counters (hits,
 misses, stores, invalidations, evictions, bytes) that surface in
@@ -164,9 +165,9 @@ class EncodingCache:
     def encoding_for(self, col: Column) -> Optional[ColumnEncoding]:
         """The encoding of ``col``, from cache when possible.
 
-        Resolution order: an attached encoding (or lazy gather/filter
-        hint), then the provenance-keyed cache, then a fresh encode that
-        is stored when the column has cacheable provenance.  Returns
+        Resolution order: an attached encoding (or lazy gather hint),
+        then the provenance-keyed cache, then a fresh encode that is
+        stored when the column has cacheable provenance.  Returns
         ``None`` when the cache is disabled or the column is opaque —
         callers fall back to the legacy per-query encode, so behavior
         (and the encode census) matches the pre-cache engine exactly.
@@ -222,18 +223,14 @@ class EncodingCache:
         return encoding
 
     def _materialize(self, hint: tuple) -> Optional[ColumnEncoding]:
-        kind, parent, index = hint
+        _, parent, positions = hint
         parent_encoding = self.encoding_for(parent)
         if parent_encoding is None:
             return None
-        if kind == "gather":
-            return parent_encoding.take(index)
-        if kind == "filter":
-            return parent_encoding.filter(index)
-        return None
+        return parent_encoding.take(positions)
 
     # ------------------------------------------------------------------
-    # Lazy hints (attached by the planner's merge/filter paths)
+    # Lazy hints (attached by the planner's gathers)
     # ------------------------------------------------------------------
     def attach_gather(self, out: Column, parent: Column, indexes: np.ndarray) -> None:
         """Mark ``out`` as ``parent`` gathered by non-negative positions;
@@ -242,12 +239,6 @@ class EncodingCache:
             return
         if isinstance(parent.enc, (ColumnEncoding, tuple)) or parent.source is not None:
             out.enc = ("gather", parent, indexes)
-
-    def attach_filter(self, out: Column, parent: Column, mask: np.ndarray) -> None:
-        if not self.enabled or out.enc is not None:
-            return
-        if isinstance(parent.enc, (ColumnEncoding, tuple)) or parent.source is not None:
-            out.enc = ("filter", parent, mask)
 
     # ------------------------------------------------------------------
     # Invalidation / stats

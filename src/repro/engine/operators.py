@@ -144,13 +144,6 @@ class ColumnEncoding:
             self.uniques, self.has_null,
         )
 
-    def filter(self, mask: np.ndarray) -> "ColumnEncoding":
-        null_mask = self.null_mask[mask] if self.null_mask is not None else None
-        return ColumnEncoding(
-            self.codes[mask], self.cardinality, null_mask,
-            self.uniques, self.has_null,
-        )
-
     def triple(self) -> Tuple[np.ndarray, int, np.ndarray]:
         """The (codes, cardinality, null mask) shape ``factorize`` folds."""
         return self.codes, self.cardinality, self.nulls()
@@ -452,17 +445,35 @@ def _indexed_join(
     lcodes = left_map[left_enc.codes]
     counts = counts_shared[lcodes]
     starts = starts_shared[lcodes]
-    total = int(counts.sum())
-    left_idx = np.repeat(np.arange(len(lcodes)), counts)
-    if total:
-        offsets = np.repeat(np.cumsum(counts) - counts, counts)
-        within = np.arange(total) - offsets
-        right_idx = order[np.repeat(starts, counts) + within]
-    else:
-        right_idx = np.zeros(0, dtype=np.int64)
+    left_idx, right_idx, total = _expand_matches(counts, starts, order)
     return _pad_outer(
         left_idx, right_idx, counts, len(right_enc.codes), how, total
     )
+
+
+def _expand_matches(
+    counts: np.ndarray, starts: np.ndarray, order: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Every (left, right) match: left row ``i`` pairs with the right rows
+    ``order[starts[i] : starts[i] + counts[i]]``.
+
+    Returns ``(left_idx, right_idx, total)``.  When no left row matches
+    more than once (the N:1 fact-to-dimension join) the matched rows are
+    the selection itself, so the three output-sized ``np.repeat``s of the
+    fan-out case are skipped.
+    """
+    total = int(counts.sum())
+    if total == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, 0
+    if int(counts.max()) == 1:
+        left_idx = np.flatnonzero(counts)
+        return left_idx, order[starts[left_idx]], total
+    left_idx = np.repeat(np.arange(len(counts)), counts)
+    offsets = np.repeat(np.cumsum(counts) - counts, counts)
+    within = np.arange(total) - offsets
+    right_idx = order[np.repeat(starts, counts) + within]
+    return left_idx, right_idx, total
 
 
 def _pad_outer(
@@ -543,14 +554,7 @@ def join_indices(
         starts = np.searchsorted(sorted_r, lcodes, side="left")
         ends = np.searchsorted(sorted_r, lcodes, side="right")
         counts = ends - starts
-    total = int(counts.sum())
-    left_idx = np.repeat(np.arange(len(lcodes)), counts)
-    if total:
-        offsets = np.repeat(np.cumsum(counts) - counts, counts)
-        within = np.arange(total) - offsets
-        right_idx = order[np.repeat(starts, counts) + within]
-    else:
-        right_idx = np.zeros(0, dtype=np.int64)
+    left_idx, right_idx, total = _expand_matches(counts, starts, order)
     return _pad_outer(left_idx, right_idx, counts, len(rcodes), how, total)
 
 

@@ -12,11 +12,17 @@ Aggregate and window calls are extracted from expressions, computed with
 the grouped/window operators, and re-injected as pre-computed values via
 the evaluation ``context`` (keyed by AST node id), so arbitrary arithmetic
 around them — e.g. the paper's variance-reduction criterion — just works.
+
+Execution is column-at-a-time.  A statement binds only the stored columns
+whose bare names some column reference of it mentions (its *live set*; any
+``*`` keeps every column, and row-layout tables bind whole records), and
+every WHERE or residual-join mask becomes one selection vector that each
+live column gathers by position.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -27,6 +33,7 @@ from repro.sql.functions import is_aggregate, is_window_capable
 from repro.engine import operators as ops
 from repro.engine.result import Relation
 from repro.storage.column import Column, ColumnType
+from repro.storage.table import RowTable
 
 
 def run_query(query: "ast.Query", db) -> Relation:
@@ -89,7 +96,7 @@ def run_select(select: ast.Select, db) -> Relation:
     # The evaluator consults the encoded-key cache (semi-join IN
     # membership over cached dictionary codes) through the context.
     context["__encodings__"] = getattr(db, "encodings", None)
-    frame = _build_from(select, db, context)
+    frame = _build_from(select, db, context, live_names(select))
     frame = _apply_where(select, db, frame, context)
 
     # Uncorrelated IN-subqueries may appear anywhere (e.g. inside the CASE
@@ -120,23 +127,58 @@ def run_select(select: ast.Select, db) -> Relation:
 # ---------------------------------------------------------------------------
 # FROM / JOIN
 # ---------------------------------------------------------------------------
-def _frame_for_table_ref(ref: ast.TableRef, db) -> Frame:
+def live_names(select: ast.Select) -> Optional[Set[str]]:
+    """Lower-cased bare names of every column ``select`` references.
+
+    Covers the items, WHERE, GROUP BY, HAVING, ORDER BY, window specs,
+    join conditions and ``USING`` lists; ``None`` when a ``*`` keeps every
+    column.  Matching on bare names keeps ``Frame.resolve``'s ambiguity
+    errors and its qualified-to-bare fallback exactly as with every column
+    bound: a reference only ever resolves among columns of its bare name.
+    Subqueries are planned on their own and contribute nothing here.
+    """
+    exprs: List[Optional[ast.Expr]] = [item.expr for item in select.items]
+    exprs += [select.where, select.having, *select.group_by]
+    exprs += [order.expr for order in select.order_by]
+    names: Set[str] = set()
+    for join in select.joins:
+        exprs.append(join.condition)
+        names.update(name.lower() for name in join.using or ())
+    for expr in exprs:
+        if expr is None:
+            continue
+        for node in ast.walk(expr):
+            if isinstance(node, ast.Star):
+                return None
+            if isinstance(node, ast.ColumnRef):
+                names.add(node.name.lower())
+    return names
+
+
+def _frame_for_table_ref(ref: ast.TableRef, db, live: Optional[Set[str]]) -> Frame:
     if ref.subquery is not None:
         relation = run_query(ref.subquery, db)
         return Frame.from_columns(relation.columns(), binding=ref.binding)
     table = db.table(ref.name)
+    names = table.column_names()
+    if live is not None and not isinstance(table, RowTable):
+        # A row store reads whole records; a column store reads what the
+        # statement uses.
+        names = [name for name in names if name.lower() in live]
     frame = Frame(table.num_rows())
-    for col in table.columns():
-        frame.bind(col, binding=ref.binding)
+    for name in names:
+        frame.bind(table.column(name), binding=ref.binding)
     return frame
 
 
-def _build_from(select: ast.Select, db, context: Dict[int, object]) -> Frame:
+def _build_from(
+    select: ast.Select, db, context: Dict[int, object], live: Optional[Set[str]]
+) -> Frame:
     if select.source is None:
         return Frame(1)  # SELECT <expr> without FROM: one row
-    frame = _frame_for_table_ref(select.source, db)
+    frame = _frame_for_table_ref(select.source, db, live)
     for join in select.joins:
-        right = _frame_for_table_ref(join.table, db)
+        right = _frame_for_table_ref(join.table, db, live)
         frame = _apply_join(frame, right, join, db, context)
     return frame
 
@@ -213,7 +255,7 @@ def _apply_join(
     for conjunct in residual:
         _precompute_subqueries(conjunct, db, context)
         mask = np.asarray(evaluate(conjunct, merged, context), dtype=bool)
-        merged = _filter_frame(merged, mask, cache)
+        merged = _select_rows(merged, mask, cache)
     return merged
 
 
@@ -257,41 +299,37 @@ def _gather_merge(
     cache=None,
 ) -> Frame:
     merged = Frame(len(l_idx))
-    propagate = cache is not None and cache.enabled
-    # Outer-join pads (-1 positions) introduce nulls the parent encoding
-    # does not describe; codes only propagate through pure gathers.
-    l_pure = propagate and (len(l_idx) == 0 or int(l_idx.min()) >= 0)
-    r_pure = propagate and (len(r_idx) == 0 or int(r_idx.min()) >= 0)
-    for key in left.order:
-        col = _lookup(left, key)
-        binding, _, bare = key.rpartition(".")
-        out = col.take(l_idx).rename(col.name)
-        if l_pure:
-            cache.attach_gather(out, col, l_idx)
-        merged.bind(out, binding or None)
-    for key in right.order:
-        col = _lookup(right, key)
-        binding, _, bare = key.rpartition(".")
-        out = col.take(r_idx).rename(col.name)
-        if r_pure:
-            cache.attach_gather(out, col, r_idx)
-        merged.bind(out, binding or None)
+    _take_into(merged, left, l_idx, cache)
+    _take_into(merged, right, r_idx, cache)
     return merged
 
 
-def _filter_frame(frame: Frame, mask: np.ndarray, cache=None) -> Frame:
-    out = Frame(int(mask.sum()))
-    propagate = cache is not None and cache.enabled
-    seen: Dict[int, Column] = {}
+def _take_into(out: Frame, frame: Frame, idx: np.ndarray, cache=None) -> None:
+    """Bind every column of ``frame`` gathered by ``idx`` into ``out``.
+
+    The outer-join pad test (any -1 position) runs once for the whole
+    side.  Pads introduce nulls the parent encoding does not describe, so
+    codes only propagate through pure gathers.
+    """
+    pads = bool(len(idx)) and int(idx.min()) < 0
+    propagate = cache is not None and cache.enabled and not pads
+    taken: Dict[int, Column] = {}
     for key in frame.order:
         col = _lookup(frame, key)
-        if id(col) not in seen:
-            filtered = col.filter(mask)
+        if id(col) not in taken:
+            taken[id(col)] = col.take(idx, pads=pads)
             if propagate:
-                cache.attach_filter(filtered, col, mask)
-            seen[id(col)] = filtered
+                cache.attach_gather(taken[id(col)], col, idx)
         binding, _, _ = key.rpartition(".")
-        out.bind(seen[id(col)], binding or None)
+        out.bind(taken[id(col)], binding or None)
+
+
+def _select_rows(frame: Frame, mask: np.ndarray, cache=None) -> Frame:
+    """Keep the rows ``mask`` selects: one selection vector, then a
+    positional gather of every bound column."""
+    selection = np.flatnonzero(mask)
+    out = Frame(len(selection))
+    _take_into(out, frame, selection, cache)
     return out
 
 
@@ -314,7 +352,7 @@ def _apply_where(select: ast.Select, db, frame: Frame, context: Dict[int, object
         return frame
     _precompute_subqueries(select.where, db, context)
     mask = np.asarray(evaluate(select.where, frame, context), dtype=bool)
-    return _filter_frame(frame, mask, getattr(db, "encodings", None))
+    return _select_rows(frame, mask, getattr(db, "encodings", None))
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +454,7 @@ def _apply_grouping(
         for expr in select.group_by:
             # Grouping keys resolve through the encoding cache when they
             # are plain column references with known provenance (base
-            # tables, messages, or gather/filter derivations thereof);
+            # tables, messages, or gathers of them);
             # anything else pays the classic per-query encode.
             part = None
             if cache is not None and cache.enabled and isinstance(expr, ast.ColumnRef):
@@ -474,7 +512,7 @@ def _apply_grouping(
 
     if select.having is not None:
         mask = np.asarray(evaluate(select.having, grouped, context), dtype=bool)
-        grouped = _filter_frame(grouped, mask)
+        grouped = _select_rows(grouped, mask)
         for call in aggregates:
             context[id(call)] = np.asarray(context[id(call)])[mask]
     return grouped

@@ -81,7 +81,7 @@ def prepare_training_paths(db, graph: JoinGraph, factorizer: "Factorizer") -> No
 def configure_encoding_cache(db, mode: str) -> None:
     """Apply the ``encoding_cache`` training parameter to ``db``.
 
-    ``"auto"``/``"on"`` enable the embedded engine's version-stamped
+    ``"auto"`` enables the embedded engine's version-stamped
     encoded-key cache for the run; ``"off"`` disables it (every query
     re-encodes, the pre-cache behavior used by ablations and the CI
     parity gate).  Backends without an encoding cache ignore the knob.

@@ -73,8 +73,9 @@ class Column:
       the owning table's read path, or ``None`` for derived columns.
     * ``enc`` — a transient encoding hint for the query engine: either a
       :class:`~repro.engine.encodings.ColumnEncoding` or a lazy
-      ``("gather"|"filter", parent Column, index/mask)`` tuple that lets
-      post-join/post-filter columns reuse their parent's dictionary codes.
+      ``("gather", parent Column, positions)`` tuple that lets columns
+      gathered by a join or a WHERE selection vector reuse their parent's
+      dictionary codes.
     """
 
     __slots__ = ("name", "ctype", "values", "valid", "version", "source", "enc")
@@ -120,8 +121,8 @@ class Column:
         self.valid = valid
         self.version: int = next_version()
         self.source: Optional[Tuple[int, str, int]] = None
-        # ColumnEncoding, a lazy ("gather"/"filter", parent, index) hint,
-        # or None — typed loosely to keep storage free of engine imports.
+        # ColumnEncoding, a lazy ("gather", parent, positions) hint, or
+        # None — typed loosely to keep storage free of engine imports.
         self.enc: object = None
 
     def __len__(self) -> int:
@@ -133,9 +134,20 @@ class Column:
     # ------------------------------------------------------------------
     # Derivation helpers — all return new Column objects (copy-on-write).
     # ------------------------------------------------------------------
-    def take(self, indexes: np.ndarray) -> "Column":
-        """Gather rows by position; positions of -1 become null (outer join)."""
-        if len(self.values) == 0 and len(indexes):
+    def take(self, indexes: np.ndarray, pads: Optional[bool] = None) -> "Column":
+        """Gather rows by position; positions of -1 become null (outer join).
+
+        ``pads`` says whether any position is -1.  A caller gathering many
+        columns by one index array tests that once and passes the answer;
+        ``None`` tests here.
+        """
+        if pads is None:
+            pads = bool(len(indexes)) and int(indexes.min()) < 0
+        if not pads:
+            values = self.values[indexes]
+            valid = self.valid[indexes] if self.valid is not None else None
+            return Column(self.name, values, self.ctype, valid)
+        if len(self.values) == 0:
             # Outer join against an empty side: every position is a pad.
             if self.ctype is ColumnType.STR:
                 values = np.full(len(indexes), None, dtype=object)
@@ -147,20 +159,16 @@ class Column:
                 self.name, values, self.ctype,
                 np.zeros(len(indexes), dtype=bool),
             )
-        if len(indexes) and indexes.min() < 0:
-            missing = indexes < 0
-            safe = np.where(missing, 0, indexes)
-            values = self.values[safe]
-            valid = np.ones(len(indexes), dtype=bool)
-            if self.valid is not None:
-                valid &= self.valid[safe]
-            valid &= ~missing
-            if self.ctype is ColumnType.FLOAT:
-                values = values.copy()
-                values[missing] = np.nan
-            return Column(self.name, values, self.ctype, valid)
-        values = self.values[indexes]
-        valid = self.valid[indexes] if self.valid is not None else None
+        missing = indexes < 0
+        safe = np.where(missing, 0, indexes)
+        values = self.values[safe]
+        valid = np.ones(len(indexes), dtype=bool)
+        if self.valid is not None:
+            valid &= self.valid[safe]
+        valid &= ~missing
+        if self.ctype is ColumnType.FLOAT:
+            values = values.copy()
+            values[missing] = np.nan
         return Column(self.name, values, self.ctype, valid)
 
     def filter(self, mask: np.ndarray) -> "Column":

@@ -237,8 +237,9 @@ class TestEncodingEquivalence:
         group_g = ops.factorize_parts([gathered.triple()])
         group_r = ops.factorize_parts([reference.triple()])
         np.testing.assert_array_equal(group_g[0], group_r[0])
+        # A WHERE filter is a gather by its selection vector.
         mask = np.array([True, False, True, True, False])
-        filtered = encoding.filter(mask)
+        filtered = encoding.take(np.flatnonzero(mask))
         np.testing.assert_array_equal(
             ops.factorize_parts([filtered.triple()])[0],
             ops.factorize([values[mask]])[0],
@@ -376,6 +377,15 @@ class TestTrainingParity:
 # Frontier interaction and census surfacing
 # ---------------------------------------------------------------------------
 class TestIntegration:
+    def test_one_enabled_value(self):
+        """``"auto"`` is the only enabled spelling; ``"on"`` is gone."""
+        from repro.core.params import TrainParams
+        from repro.exceptions import TrainingError
+
+        assert TrainParams.from_dict({"encoding_cache": "auto"}).encoding_cache == "auto"
+        with pytest.raises(TrainingError, match="'auto' or 'off'"):
+            TrainParams.from_dict({"encoding_cache": "on"})
+
     def test_jb_leaf_column_stays_uncached(self):
         db, graph = favorita(num_fact_rows=2000, num_extra_features=0, seed=6)
         model = repro.train_gradient_boosting(db, graph, PARAMS)

@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
+import repro
+from repro.datasets import favorita
+from repro.engine import planner
 from repro.engine.database import Database
 from repro.exceptions import CatalogError, PlanError
+from repro.sql.parser import parse
+from repro.storage.table import StorageConfig
 
 
 @pytest.fixture
@@ -279,3 +284,66 @@ class TestUnionAll:
     def test_string_number_mix_raises(self, db):
         with pytest.raises(PlanError, match="mixes strings"):
             db.execute("SELECT name FROM t UNION ALL SELECT k FROM u")
+
+
+class TestLiveColumns:
+    """A statement binds only the stored columns it references."""
+
+    @staticmethod
+    def record_scans(monkeypatch):
+        """Log ``(statement tag, table, bound bare names)`` per table scan."""
+        scans, tags = [], []
+        scan = planner._frame_for_table_ref
+        execute = Database.execute
+
+        def recording_scan(ref, db, live):
+            frame = scan(ref, db, live)
+            if ref.name is not None:
+                bound = {key.rpartition(".")[2] for key in frame.order}
+                scans.append((tags[-1] if tags else None, ref.name, bound))
+            return frame
+
+        def tagged_execute(self, sql_text, tag=None):
+            tags.append(tag)
+            return execute(self, sql_text, tag=tag)
+
+        monkeypatch.setattr(planner, "_frame_for_table_ref", recording_scan)
+        monkeypatch.setattr(Database, "execute", tagged_execute)
+        return scans
+
+    def test_carry_message_scan_binds_key_label_and_aggregates(self, monkeypatch):
+        conn = repro.connect(backend="plain")
+        _, graph = favorita(db=conn, num_fact_rows=2_000, seed=7, key_dtype="str")
+        scans = self.record_scans(monkeypatch)
+        repro.train_gradient_boosting(
+            conn, graph, {"num_iterations": 2, "num_leaves": 4, "num_workers": 1}
+        )
+        fact = graph.target_relation
+        fact_keys = {key for edge in graph.edges_of(fact) for key in edge.keys_for(fact)}
+        carries = [
+            bound for tag, table, bound in scans
+            if tag == "message" and table.startswith("jb_tmp_lift")
+        ]
+        assert carries
+        for bound in carries:
+            labels = {name for name in bound if name.startswith("jb_leaf_s")}
+            assert len(labels) == 1 and {"h", "g"} < bound
+            keys = bound - labels - {"h", "g"}
+            assert len(keys) == 1 and keys <= fact_keys
+
+    def test_row_tables_bind_whole_records(self, monkeypatch):
+        for preset, expected in (("plain", {"k"}), ("x-row", {"k", "v", "name"})):
+            database = Database(StorageConfig.preset(preset))
+            database.create_table(
+                "t", {"k": [1, 2], "v": [1.0, 2.0],
+                      "name": np.array(["a", "b"], dtype=object)},
+            )
+            scans = self.record_scans(monkeypatch)
+            assert database.execute("SELECT COUNT(*) AS n FROM t WHERE k > 1").scalar() == 1
+            assert scans[-1][2] == expected
+            monkeypatch.undo()
+
+    def test_star_and_using_keep_their_columns(self):
+        assert planner.live_names(parse("SELECT t.* FROM t")[0]) is None
+        select = parse("SELECT a.v FROM a INNER JOIN b USING (k) ORDER BY b.w")[0]
+        assert planner.live_names(select) == {"v", "k", "w"}
