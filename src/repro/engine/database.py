@@ -15,10 +15,11 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.exceptions import CatalogError, ExecutionError, PlanError
+from repro.exceptions import CatalogError, ExecutionError, PlanError, SQLError
 from repro.sql import ast_nodes as ast
 from repro.sql.expressions import Frame, evaluate
 from repro.sql.parser import parse
+from repro.sql.shapes import Shape, normalize
 from repro.engine import operators as ops
 from repro.engine.encodings import EncodingCache
 from repro.engine.planner import run_query, run_select, _precompute_subqueries
@@ -29,8 +30,8 @@ from repro.storage.mvcc import VersionStore
 from repro.storage.table import ColumnTable, StorageConfig, Table
 from repro.storage.wal import WriteAheadLog
 
-#: statements whose parsed ASTs the plan cache keeps
-PARSE_CACHE_SIZE = 4096
+#: statement shapes whose parsed ASTs the plan cache keeps
+PARSE_CACHE_SIZE = 256
 
 
 @dataclasses.dataclass
@@ -73,11 +74,12 @@ class Database:
         # run instead of once per query; version stamps make any mutation
         # (UPDATE, replace_column, swap, WAL/MVCC write) detectable.
         self.encodings = EncodingCache()
-        # Plan cache: statement ASTs keyed by SQL text (DBMSes cache plans;
-        # JoinBoost re-issues structurally identical statements constantly).
-        # Bounded, oldest entry evicted first; worker threads miss
-        # concurrently, so inserts and evictions share one lock.
-        self._parse_cache: Dict[str, List[ast.Statement]] = {}
+        # Plan cache: parsed statement shapes keyed by shape key (DBMSes
+        # cache plans; JoinBoost re-issues a few dozen shapes with fresh
+        # temp names and literals, see repro.sql.shapes).  Bounded, oldest
+        # entry evicted first; worker threads miss concurrently, so
+        # inserts and evictions share one lock.
+        self._parse_cache: Dict[str, Shape] = {}
         self._parse_lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -164,18 +166,26 @@ class Database:
         Returns the result of the final SELECT, or ``None`` if the last
         statement was DDL/DML.
         """
-        statements = self._parse_cache.get(sql_text)
-        if statements is None:
-            statements = parse(sql_text)
+        result: Optional[Relation] = None
+        for statement in self._parse(sql_text):
+            result = self._run_statement(statement, tag=tag)
+        return result
+
+    def _parse(self, sql_text: str) -> List[ast.Statement]:
+        """The statements of ``sql_text``, bound into its cached shape."""
+        key, slots = normalize(sql_text)
+        shape = self._parse_cache.get(key)
+        if shape is None:
+            try:
+                shape = Shape(key, slots)
+            except (SQLError, ValueError):
+                return parse(sql_text)  # the text's own error (or statements)
             with self._parse_lock:
-                self._parse_cache[sql_text] = statements
+                self._parse_cache[key] = shape
                 if len(self._parse_cache) > PARSE_CACHE_SIZE:
                     # dicts keep insertion order: the first key is oldest
                     del self._parse_cache[next(iter(self._parse_cache))]
-        result: Optional[Relation] = None
-        for statement in statements:
-            result = self._run_statement(statement, tag=tag)
-        return result
+        return shape.bind(sql_text, slots)
 
     def execute_read(self, sql_text: str, tag: Optional[str] = None) -> Optional[Relation]:
         """Concurrency-safe read entry point (the Connector protocol's

@@ -17,7 +17,8 @@ Execution is column-at-a-time.  A statement binds only the stored columns
 whose bare names some column reference of it mentions (its *live set*; any
 ``*`` keeps every column, and row-layout tables bind whole records), and
 every WHERE or residual-join mask becomes one selection vector that each
-live column gathers by position.
+live column gathers by position.  ``UNION ALL`` branches with the same
+FROM/JOIN/WHERE read one such frame.
 """
 
 from __future__ import annotations
@@ -37,10 +38,48 @@ from repro.storage.table import RowTable
 
 
 def run_query(query: "ast.Query", db) -> Relation:
-    """Execute a SELECT or a UNION ALL chain against ``db``."""
-    if isinstance(query, ast.UnionAll):
-        return concat_relations([run_select(s, db) for s in query.selects])
-    return run_select(query, db)
+    """Execute a SELECT or a UNION ALL chain against ``db``.
+
+    Branches whose FROM, JOINs and WHERE render to the same SQL (a fused
+    split read repeats one ``items ⋈ message WHERE leaf IN (…)`` per
+    feature) build and filter that frame once, binding every column any
+    of them uses; each branch then groups and projects from it.  Nothing
+    writes to a frame after WHERE (grouping builds a new one)."""
+    if not isinstance(query, ast.UnionAll):
+        return run_select(query, db)
+    keys = [_frame_sql(select) for select in query.selects]
+    shared: Dict[str, List[ast.Select]] = {}
+    for key, select in zip(keys, query.selects):
+        shared.setdefault(key, []).append(select)
+    frames: Dict[str, Tuple[Frame, Dict[int, object]]] = {}
+    results: List[Relation] = []
+    for key, select in zip(keys, query.selects):
+        if key not in frames:
+            context = _new_context(db)
+            live = _shared_live(shared[key])
+            frames[key] = (_filtered_frame(select, db, context, live), context)
+        frame, context = frames[key]
+        results.append(_finish_select(select, db, frame, dict(context)))
+    return concat_relations(results)
+
+
+def _shared_live(selects: List[ast.Select]) -> Optional[Set[str]]:
+    """The live set of a frame several branches read (``None``: all)."""
+    names: Set[str] = set()
+    for select in selects:
+        live = live_names(select)
+        if live is None:
+            return None
+        names |= live
+    return names
+
+
+def _frame_sql(select: ast.Select) -> str:
+    parts = [select.source.sql() if select.source is not None else ""]
+    parts += [join.sql() for join in select.joins]
+    if select.where is not None:
+        parts.append("WHERE " + select.where.sql())
+    return " ".join(parts)
 
 
 def concat_relations(relations: List[Relation]) -> Relation:
@@ -92,13 +131,32 @@ def _concat_columns(columns: List[Column]) -> Column:
 def run_select(select: ast.Select, db) -> Relation:
     """Execute a SELECT against ``db`` (a :class:`~repro.engine.database.
     Database`)."""
+    context = _new_context(db)
+    frame = _filtered_frame(select, db, context, live_names(select))
+    return _finish_select(select, db, frame, context)
+
+
+def _new_context(db) -> Dict[int, object]:
     context: Dict[int, object] = {}
     # The evaluator consults the encoded-key cache (semi-join IN
     # membership over cached dictionary codes) through the context.
     context["__encodings__"] = getattr(db, "encodings", None)
-    frame = _build_from(select, db, context, live_names(select))
-    frame = _apply_where(select, db, frame, context)
+    return context
 
+
+def _filtered_frame(
+    select: ast.Select, db, context: Dict[int, object], live: Optional[Set[str]]
+) -> Frame:
+    """FROM, JOINs and WHERE: the rows ``select`` reads."""
+    frame = _build_from(select, db, context, live)
+    return _apply_where(select, db, frame, context)
+
+
+def _finish_select(
+    select: ast.Select, db, frame: Frame, context: Dict[int, object]
+) -> Relation:
+    """Grouping, windows, projection, DISTINCT, ORDER BY and LIMIT over
+    the filtered ``frame``, which is only read."""
     # Uncorrelated IN-subqueries may appear anywhere (e.g. inside the CASE
     # projections of residual updates); resolve them all up front.
     for item in select.items:

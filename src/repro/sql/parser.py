@@ -21,7 +21,7 @@ functions with ``OVER (PARTITION BY ... ORDER BY ...)``.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 from repro.exceptions import ParseError
 from repro.sql import ast_nodes as ast
@@ -360,10 +360,7 @@ class _Parser:
         token = self.peek()
         if token.type is TokenType.NUMBER:
             self.advance()
-            text = token.value
-            if "." in text or "e" in text or "E" in text:
-                return ast.Literal(float(text))
-            return ast.Literal(int(text))
+            return ast.Literal(number_literal(token.value))
         if token.type is TokenType.STRING:
             self.advance()
             return ast.Literal(token.value)
@@ -461,6 +458,13 @@ class _Parser:
             self.expect_punct(")")
             return ast.WindowCall(func=call, window=spec)
         return call
+
+
+def number_literal(text: str) -> Union[int, float]:
+    """The value of a NUMBER token: a float when it has a dot or an exponent."""
+    if "." in text or "e" in text or "E" in text:
+        return float(text)
+    return int(text)
 
 
 def parse(sql_text: str) -> List[ast.Statement]:

@@ -211,6 +211,28 @@ SHAPES = [
      "SUM(m0.h) AS h, SUM(m0.g) AS g FROM d AS u INNER JOIN msg AS m0 "
      "ON (u.k = m0.k) WHERE (m0.jb_leaf_s1 IN (0, 2)) "
      "GROUP BY m0.jb_leaf_s1, u.w", False),
+    # UNION ALL branches with one FROM/JOIN/WHERE share one frame
+    ("union_shared_frame_different_projections",
+     "SELECT t.rid AS a, t.v AS b FROM f AS t WHERE t.x < 3 UNION ALL "
+     "SELECT t.x, t.g FROM f AS t WHERE t.x < 3", False),
+    ("union_shared_frame_star_branch",
+     "SELECT * FROM d AS u WHERE u.c = 1 UNION ALL "
+     "SELECT u.did + 100, u.k, u.w * 2, u.name, u.c FROM d AS u WHERE u.c = 1",
+     False),
+    ("union_same_from_different_where",
+     "SELECT t.rid, t.v FROM f AS t WHERE t.x < 2 UNION ALL "
+     "SELECT t.rid, t.v FROM f AS t WHERE t.x >= 2 UNION ALL "
+     "SELECT t.rid, t.g FROM f AS t WHERE t.x < 2", False),
+    ("union_where_in_subquery",
+     "SELECT 0 AS b, t.rid AS r FROM f AS t WHERE t.k IN "
+     "(SELECT k FROM d WHERE c = 1 AND k IS NOT NULL) UNION ALL "
+     "SELECT 1 AS b, SUM(t.g) AS r FROM f AS t WHERE t.k IN "
+     "(SELECT k FROM d WHERE c = 1 AND k IS NOT NULL)", False),
+    ("union_left_join_pads",
+     "SELECT t.rid, u.w FROM f AS t LEFT JOIN d AS u ON t.k = u.k "
+     "WHERE t.x < 3 UNION ALL "
+     "SELECT u.c, COUNT(*) FROM f AS t LEFT JOIN d AS u ON t.k = u.k "
+     "WHERE t.x < 3 GROUP BY u.c", False),
 ]
 
 

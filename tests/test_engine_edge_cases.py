@@ -134,22 +134,36 @@ class TestPlanCache:
         assert len(db._parse_cache) == cached
 
     def test_full_cache_evicts_oldest_entry(self, db):
-        """Past its bound the cache drops the oldest statement, not all
-        of them: the most recent statements stay parsed."""
+        """Past its bound the cache drops the oldest shape, not all of
+        them: the most recent shapes stay parsed."""
         from repro.engine.database import PARSE_CACHE_SIZE
+        from repro.sql.shapes import normalize
 
+        # digits glued to a word are part of the shape, so every alias
+        # makes a shape of its own
         statements = [
-            f"SELECT v FROM t WHERE v > {i}"
-            for i in range(PARSE_CACHE_SIZE + 2)
+            f"SELECT v AS v{i} FROM t" for i in range(PARSE_CACHE_SIZE + 2)
         ]
         for sql in statements:
             db.execute(sql)
+        keys = [normalize(sql)[0] for sql in statements]
+        assert len(set(keys)) == len(statements)
         assert len(db._parse_cache) == PARSE_CACHE_SIZE
-        assert PARSE_CACHE_SIZE == 4096
-        assert all(sql in db._parse_cache for sql in statements[-100:])
-        assert statements[0] not in db._parse_cache
-        assert statements[1] not in db._parse_cache
-        assert statements[2] in db._parse_cache
+        assert PARSE_CACHE_SIZE == 256
+        assert all(key in db._parse_cache for key in keys[-100:])
+        assert keys[0] not in db._parse_cache
+        assert keys[1] not in db._parse_cache
+        assert keys[2] in db._parse_cache
+
+    def test_one_shape_many_literals_is_one_entry(self, db):
+        from repro.engine.database import PARSE_CACHE_SIZE
+
+        counts = [
+            db.execute(f"SELECT COUNT(*) AS n FROM t WHERE v >= {i}").scalar()
+            for i in range(PARSE_CACHE_SIZE + 2)
+        ]
+        assert len(db._parse_cache) == 1
+        assert counts[:5] == [3, 3, 2, 1, 0]
 
     def test_cache_results_still_correct_after_table_change(self, db):
         first = db.execute("SELECT SUM(v) AS s FROM t").scalar()

@@ -347,3 +347,44 @@ class TestLiveColumns:
         assert planner.live_names(parse("SELECT t.* FROM t")[0]) is None
         select = parse("SELECT a.v FROM a INNER JOIN b USING (k) ORDER BY b.w")[0]
         assert planner.live_names(select) == {"v", "k", "w"}
+
+
+class TestSharedFrame:
+    """UNION ALL branches with one FROM/JOIN/WHERE read one frame."""
+
+    @staticmethod
+    def database():
+        db = Database()
+        db.create_table("f", {"k": [1, 2, 2, 3], "x": [1, 2, 3, 4],
+                              "g": [0.5, 1.0, 1.5, 2.0]})
+        db.create_table("d", {"k": [1, 2, 3], "w": [10.0, 20.0, 30.0],
+                              "c": [7, 8, 9]})
+        return db
+
+    def test_branches_with_one_from_and_where_scan_once(self, monkeypatch):
+        db = self.database()
+        scans = TestLiveColumns.record_scans(monkeypatch)
+        result = db.execute(
+            "SELECT 0 AS b, d.w AS v FROM f INNER JOIN d ON f.k = d.k WHERE f.x > 1 "
+            "UNION ALL SELECT 1 AS b, f.g FROM f INNER JOIN d ON f.k = d.k WHERE f.x < 4 "
+            "UNION ALL SELECT 2 AS b, SUM(d.c) FROM f INNER JOIN d ON f.k = d.k WHERE f.x > 1"
+        )
+        # branches 0 and 2 share one frame binding what either uses;
+        # branch 1 has its own WHERE and frame
+        assert [(table, bound) for _, table, bound in scans] == [
+            ("f", {"k", "x"}), ("d", {"k", "w", "c"}),
+            ("f", {"k", "x", "g"}), ("d", {"k"}),
+        ]
+        assert list(result.column("b").values) == [0, 0, 0, 1, 1, 1, 2]
+        assert list(result.column("v").values) == [
+            20.0, 20.0, 30.0, 0.5, 1.0, 1.5, 25.0,
+        ]
+
+    def test_star_branch_binds_every_column(self, monkeypatch):
+        db = self.database()
+        scans = TestLiveColumns.record_scans(monkeypatch)
+        result = db.execute(
+            "SELECT * FROM d WHERE c > 7 UNION ALL SELECT k, c, k FROM d WHERE c > 7"
+        )
+        assert [bound for _, _, bound in scans] == [{"k", "w", "c"}]
+        assert list(result.column("w").values) == [20.0, 30.0, 8.0, 9.0]
