@@ -93,13 +93,6 @@ class Capabilities:
     concurrent_read: bool = True
     #: the engine runs inside this process (no network / IPC hop)
     in_process: bool = True
-    #: the connector can serialize read-only tasks for *worker processes*
-    #: (see :meth:`Connector.process_task_payload`): either the database
-    #: is a file another process can open (sqlite's WAL file) or the
-    #: referenced base relations pickle cheaply (the embedded engine's
-    #: immutable columns); without it ``executor="process"`` falls back
-    #: to the thread pool
-    process_safe: bool = False
 
 
 class Connector:
@@ -270,22 +263,13 @@ class Connector:
         inner = self.unwrapped
         return None if inner is self else inner.encoding_for(table, column)
 
-    # -- process-worker serialization ------------------------------------
+    # -- retired hook ------------------------------------------------------
     def process_task_payload(
         self, sql: str, tag: Optional[str] = None
     ) -> Optional[Dict[str, object]]:
-        """Serialize one read-only query as a worker-process task spec.
-
-        Connectors with ``capabilities.process_safe`` return a plain-data
-        payload dict that :func:`repro.engine.procpool.execute_task_payload`
-        can execute in a *different process* — rebuilding its own database
-        handle from the spec — with a result bit-identical to running
-        ``execute_read(sql)`` here.  Returning ``None`` declines (the
-        statement writes, is multi-statement, or references state that
-        does not serialize); the scheduler then runs the query inline.
-        The default declines everything, which is the correct behavior
-        for connectors that never set ``process_safe``.
-        """
+        """Always ``None``.  Nothing in the program calls this: it
+        survives only because the bench spine's timing connector
+        forwards it and the spine smoke test asserts on the forward."""
         return None
 
     # -- profiling -------------------------------------------------------

@@ -49,16 +49,8 @@ from repro.exceptions import (
     TransientBackendError,
 )
 
-#: fault kinds that target worker *processes* (the supervised pool and
-#: the sharded trainer), not individual statements: ``worker_crash``
-#: kills the child running the Nth matching task, ``stall`` hangs it
-#: past its deadline.  Statement-level calls never match these rules
-#: (and never advance their counters) — they fire only through
-#: :meth:`FaultPlan.next_task_fault` at task-dispatch time.
-TASK_FAULT_KINDS = ("worker_crash", "stall")
-
 #: the fault kinds a :class:`FaultRule` can inject
-FAULT_KINDS = ("transient", "permanent", "latency", "cursor") + TASK_FAULT_KINDS
+FAULT_KINDS = ("transient", "permanent", "latency", "cursor")
 
 #: census tags the serving layer stamps on its backend statements
 #: (``score_sql`` → ``serve_sql``, ``score_key`` → ``serve_key``).  A
@@ -83,11 +75,7 @@ class FaultRule:
     * ``permanent`` — raise :class:`BackendExecutionError` (no retry);
     * ``latency``  — sleep ``delay`` seconds, then run the statement;
     * ``cursor``   — flake the pooled reader path: transient failure
-      injected only on ``execute_read`` calls;
-    * ``worker_crash`` / ``stall`` — task-scoped kinds: kill or hang the
-      worker process handling the Nth matching *task* (dispatch-time
-      match via :meth:`FaultPlan.next_task_fault`); statement calls
-      ignore these rules entirely.
+      injected only on ``execute_read`` calls.
     """
 
     match: str = ""
@@ -199,44 +187,11 @@ class FaultPlan:
         Every matching rule's counter advances (so overlapping rules keep
         independent ordinals); the first rule whose fire window covers
         this ordinal wins.  ``cursor`` rules only consider read calls.
-        Task-scoped rules (:data:`TASK_FAULT_KINDS`) are skipped entirely
-        — statement calls neither fire them nor advance their counters,
-        so a ``worker_crash`` rule's ordinal counts *tasks*, not
-        statements, and stays deterministic across executors.
         """
         fired: Optional[FaultRule] = None
         with self._lock:
             for i, rule in enumerate(self.rules):
-                if rule.kind in TASK_FAULT_KINDS:
-                    continue
                 if rule.kind == "cursor" and not read:
-                    continue
-                if not rule.matches(tag, sql):
-                    continue
-                self._counts[i] += 1
-                ordinal = self._counts[i]
-                if fired is None and rule.nth <= ordinal < rule.nth + rule.times:
-                    fired = rule
-        return fired
-
-    def next_task_fault(
-        self, tag: Optional[str], sql: str = ""
-    ) -> Optional[FaultRule]:
-        """Advance task-scoped counters for one dispatch; return the rule
-        to fire, if any.
-
-        The mirror image of :meth:`next_fault`: only rules whose kind is
-        in :data:`TASK_FAULT_KINDS` participate, each matching rule's
-        counter advances by one *task*, and the first rule whose fire
-        window covers this ordinal wins.  Supervisors call this once per
-        task at dispatch time, before handing the task to a worker, so
-        the Nth matching task is faulted regardless of which worker runs
-        it or in what order results return.
-        """
-        fired: Optional[FaultRule] = None
-        with self._lock:
-            for i, rule in enumerate(self.rules):
-                if rule.kind not in TASK_FAULT_KINDS:
                     continue
                 if not rule.matches(tag, sql):
                     continue
@@ -349,16 +304,6 @@ class _ConnectorProxy(Connector):
         """Forward training setup to the wrapped connector."""
         return self._inner.prepare_training(graph, lifted=lifted)
 
-    def process_task_payload(self, sql, tag=None):
-        """Forward worker-task serialization to the wrapped connector.
-
-        Must be an explicit forward (not ``__getattr__``): the method
-        exists on the :class:`Connector` base class, whose default
-        *declines* every statement — inheriting it here would silently
-        turn the process executor off behind any chaos/retry proxy.
-        """
-        return self._inner.process_task_payload(sql, tag=tag)
-
     @property
     def profiles(self):
         """The wrapped connector's query profiles."""
@@ -464,41 +409,6 @@ class RetryConnector(_ConnectorProxy):
 
     def __repr__(self):
         return f"RetryConnector({self._inner!r}, {self.retry_policy!r})"
-
-
-def task_fault_directive(
-    db: object, tag: Optional[str], sql: str = ""
-) -> Optional[str]:
-    """Resolve the task-scoped fault directive for one dispatched task.
-
-    The two task submitters call this once per task, in submission
-    order: the frontier evaluator when a fused read's spec resolves, and
-    the sharded trainer for every shard of a step before the step runs.
-    If ``db`` carries a :class:`FaultPlan` as ``plan`` (a
-    :class:`ChaosConnector` somewhere in a connector's proxy stack — the
-    attribute forwards through :class:`_ConnectorProxy` — or a
-    ``SimulatedCluster`` built with ``chaos=``) and a task-scoped rule
-    fires for this ``(tag, sql)``, the injection is recorded in
-    ``db.chaos_census`` and the fault kind (``"worker_crash"`` or
-    ``"stall"``) is returned; otherwise ``None``.
-
-    Resolving the directive at submission (whose order is deterministic)
-    rather than in the worker (completion order is not) is what keeps
-    task-fault ordinals reproducible.  The directive rides on the task
-    to the process pool, which honours it in the worker and strips it
-    when it re-dispatches the task to a respawned worker — that is what
-    lets the faulted task succeed on its second attempt.
-    """
-    plan = getattr(db, "plan", None)
-    if not isinstance(plan, FaultPlan):
-        return None
-    rule = plan.next_task_fault(tag, sql)
-    if rule is None:
-        return None
-    census = getattr(db, "chaos_census", None)
-    if census is not None:
-        census.record(rule, tag, sql)
-    return rule.kind
 
 
 def wrap_with_chaos(

@@ -215,11 +215,6 @@ class DuckDBConnector(TempNamespaceMixin, Connector):
             # exactly as it does on sqlite.
             concurrent_read=True,
             in_process=True,
-            # process_safe stays False: a second process cannot open a
-            # duckdb database file another process holds read-write, so
-            # there is no cheap task serialization; executor="process"
-            # falls back to the thread pool here.
-            process_safe=False,
         )
 
     # ------------------------------------------------------------------

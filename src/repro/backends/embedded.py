@@ -22,31 +22,7 @@ from repro.backends.base import Capabilities, Connector, register_backend
 from repro.engine.database import Database
 from repro.engine.operators import ColumnEncoding
 from repro.engine.result import Relation
-from repro.sql import ast_nodes
-from repro.sql.parser import parse as parse_sql
 from repro.storage.table import StorageConfig
-
-
-def _query_table_names(query, names: set) -> None:
-    """Collect every table a parsed Query reads from, subqueries included."""
-    selects = query.selects if isinstance(query, ast_nodes.UnionAll) else [query]
-    for select in selects:
-        refs = [select.source] if select.source is not None else []
-        refs += [join.table for join in select.joins]
-        for ref in refs:
-            if ref.subquery is not None:
-                _query_table_names(ref.subquery, names)
-            else:
-                names.add(str(ref.name))
-        exprs = [item.expr for item in select.items]
-        exprs += [j.condition for j in select.joins if j.condition is not None]
-        exprs += [e for e in (select.where, select.having) if e is not None]
-        exprs += list(select.group_by)
-        exprs += [order.expr for order in select.order_by]
-        for expr in exprs:
-            for node in ast_nodes.walk(expr):
-                if isinstance(node, ast_nodes.InSubquery):
-                    _query_table_names(node.query, names)
 
 
 class EmbeddedConnector(Connector):
@@ -77,11 +53,6 @@ class EmbeddedConnector(Connector):
             # registration is serialized behind the catalog lock.
             concurrent_read=True,
             in_process=True,
-            # Base relations are immutable numpy columns during an
-            # evaluation round — they pickle cheaply and exactly, so a
-            # worker process can rebuild the referenced tables and run
-            # the same statement on the same engine code.
-            process_safe=True,
         )
 
     @property
@@ -145,47 +116,6 @@ class EmbeddedConnector(Connector):
     def encoding_for(self, table: str, column: str) -> Optional[ColumnEncoding]:
         """The engine's cached key encoding of ``table.column``."""
         return self._db.encoding_for(table, column)
-
-    def process_task_payload(
-        self, sql: str, tag: Optional[str] = None
-    ) -> Optional[Dict[str, object]]:
-        """Serialize a read-only statement plus its referenced tables.
-
-        The statement is parsed with the engine's own grammar and the
-        tables it actually reads (FROM/JOIN sources, recursively through
-        derived tables and ``IN`` subqueries — not identifiers that
-        merely appear somewhere in the text) are shipped as ``(column
-        name, values, ctype, valid mask)`` tuples — the worker rebuilds
-        real Columns with masks preserved exactly, so no null
-        round-trips through a NaN sentinel.  Declines (returns ``None``,
-        so the statement runs inline on the owner) multi-statement
-        scripts, anything that is not a ``SELECT``/``UNION ALL``,
-        anything the grammar cannot parse, and any statement naming a
-        table the catalog cannot resolve — an incomplete payload would
-        only fail in the child with a confusing missing-table error.
-        """
-        try:
-            statements = parse_sql(sql)
-        except Exception:
-            return None
-        if len(statements) != 1 or not isinstance(
-            statements[0], (ast_nodes.Select, ast_nodes.UnionAll)
-        ):
-            return None
-        referenced: set = set()
-        _query_table_names(statements[0], referenced)
-        catalog = {name.lower(): name for name in self._db.table_names()}
-        tables: Dict[str, List[tuple]] = {}
-        for name in sorted(referenced):
-            stored = catalog.get(name.lower())
-            if stored is None:
-                return None
-            view = self._db.table(stored)
-            tables[stored] = [
-                (col.name, col.values, col.ctype.value, col.valid)
-                for col in view.columns()
-            ]
-        return {"kind": "embedded_read", "tables": tables, "sql": sql.strip().rstrip(";")}
 
     @property
     def profiles(self):

@@ -121,11 +121,10 @@ def _least(*args):
 def register_sql_functions(conn: sqlite3.Connection) -> None:
     """Register JoinBoost's SQL function surface on a connection.
 
-    Module-level so *any* connection to the database file — the owner,
-    a pooled reader, or a worker process that reopened the WAL file from
-    a serialized task spec — carries the identical function set; the
-    same Python lambdas on every connection is part of what keeps
-    child-computed results bit-identical to in-process ones.
+    Module-level so every connection to the database file — the owner
+    and each pooled reader — carries the identical function set; the
+    same Python functions on every connection is part of what keeps
+    pooled reads bit-identical to owner-handle ones.
     """
     conn.create_aggregate("MEDIAN", 1, _Median)
     conn.create_function("GREATEST", -1, _greatest, deterministic=True)
@@ -269,11 +268,6 @@ class SQLiteConnector(TempNamespaceMixin, Connector):
             narrow_update=True,
             concurrent_read=True,
             in_process=True,
-            # The database is a real WAL file (even ":memory:" maps to a
-            # tmpfs file): a worker process reopens it read-only and its
-            # snapshot reads never block on (or get blocked by) the
-            # owner — the cheapest possible task serialization, a path.
-            process_safe=True,
         )
 
     # ------------------------------------------------------------------
@@ -411,32 +405,6 @@ class SQLiteConnector(TempNamespaceMixin, Connector):
                 started=start,
             ))
         return result
-
-    def process_task_payload(
-        self, sql: str, tag: Optional[str] = None
-    ) -> Optional[Dict[str, object]]:
-        """Serialize a rows-returning statement as a worker-process task.
-
-        The payload is just the WAL file path plus the *pre-translated*
-        statement — translation happens here, once, in the parent, so
-        the child runs byte-identical SQL against the same function set
-        (:func:`register_sql_functions`) and rebuilds its Relation with
-        the same :func:`column_from_values` conversion.  Declines
-        multi-statement scripts and anything that writes, exactly the
-        statements :meth:`execute_read` funnels back to the owner.
-        """
-        statements = split_statements(sql)
-        if len(statements) != 1:
-            return None
-        translated = self._dialect.translate(statements[0])
-        _, returns_rows = self._dialect.classify(translated)
-        if not returns_rows:
-            return None
-        return {
-            "kind": "sqlite_read",
-            "path": self._db_file,
-            "sql": translated,
-        }
 
     def _relation_from_cursor(self, cursor: sqlite3.Cursor) -> Relation:
         names = [d[0] for d in cursor.description or ()]

@@ -488,7 +488,6 @@ def fig12_multinode(
     rows_per_sf: int = 1_200,
     iterations: int = 10,
     per_machine_budget: int = 4_700_000,
-    executor: str = "serial",
 ) -> Dict[str, object]:
     """Figure 12 series: simulated seconds (the paper's network model)
     plus the *measured* wall of actually executing every shard step on
@@ -499,8 +498,7 @@ def fig12_multinode(
     for sf in scale_factors:
         db, graph = tpcds(sf=sf, rows_per_sf=rows_per_sf, num_features=12)
         cluster = SimulatedCluster(
-            db, graph, "date_sk", ClusterConfig(num_machines=4),
-            executor=executor,
+            db, graph, "date_sk", ClusterConfig(num_machines=4)
         )
         _, jb_seconds = cluster.train_gradient_boosting(
             {"num_iterations": iterations, "num_leaves": 8,
@@ -518,8 +516,7 @@ def fig12_multinode(
     for machines in machines_sweep:
         db, graph = tpcds(sf=sf_fixed, rows_per_sf=rows_per_sf, num_features=12)
         cluster = SimulatedCluster(
-            db, graph, "date_sk", ClusterConfig(num_machines=machines),
-            executor=executor,
+            db, graph, "date_sk", ClusterConfig(num_machines=machines)
         )
         _, jb_seconds = cluster.train_gradient_boosting(
             {"num_iterations": iterations, "num_leaves": 8,
@@ -534,7 +531,6 @@ def fig12_multinode(
         "by_sf": by_sf,
         "by_machines": by_machines,
         "sf_fixed": sf_fixed,
-        "executor": executor,
         "measured_by_sf": measured_by_sf,
         "measured_by_machines": measured_by_machines,
     }

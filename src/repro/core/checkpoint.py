@@ -36,7 +36,11 @@ CHECKPOINT_VERSION = 1
 
 #: TrainParams fields that are execution details, not model definition —
 #: a resumed run may change them freely without breaking digest parity
-EXECUTION_ONLY_PARAMS = ("num_workers", "executor")
+EXECUTION_ONLY_PARAMS = ("num_workers",)
+
+#: retired TrainParams fields older checkpoints may still carry; reading
+#: a payload drops them, so it resumes under the current parameters
+RETIRED_PARAMS = ("executor",)
 
 
 class CheckpointSink:
@@ -156,6 +160,9 @@ def read_checkpoint(sink: CheckpointSink) -> Optional[dict]:
     for field in ("round", "params", "model"):
         if field not in payload:
             raise TrainingError(f"checkpoint payload missing {field!r}")
+    if isinstance(payload["params"], dict):
+        for name in RETIRED_PARAMS:
+            payload["params"].pop(name, None)
     return payload
 
 
@@ -163,11 +170,9 @@ def check_resume_params(stored, requested) -> None:
     """Reject a resume whose parameters would change the model.
 
     Every :class:`TrainParams` field must match the checkpoint except
-    the execution-only ones (``num_workers``, ``executor``), which
-    affect scheduling but not the trained trees — the determinism
-    contract makes worker count *and* executor kind digest-invariant,
-    so resuming with a different pool (or on processes instead of
-    threads) is fine.
+    the execution-only one (``num_workers``), which affects scheduling
+    but not the trained trees — the determinism contract makes worker
+    count digest-invariant, so resuming with a different pool is fine.
     """
     import dataclasses
 
@@ -202,8 +207,7 @@ def resume_training(
 
     ``params``/``overrides`` are optional; when given they must match the
     checkpoint's stored parameters on every model-defining field (see
-    :func:`check_resume_params`) — ``num_workers``/``executor`` may
-    differ.  With an
+    :func:`check_resume_params`) — ``num_workers`` may differ.  With an
     *empty* sink this degrades to a fresh ``train_gradient_boosting``
     run that checkpoints into ``sink``, so callers can use one code path
     for "run, and pick up where we left off if interrupted".
@@ -222,7 +226,6 @@ def resume_training(
         requested = TrainParams.from_dict(params, **overrides)
         check_resume_params(stored_params, requested)
         stored_params.num_workers = requested.num_workers
-        stored_params.executor = requested.executor
     import dataclasses
 
     return train_gradient_boosting(

@@ -51,8 +51,7 @@ query) → *scan* → *finalize* (drop the message temps).  One worker runs
 the DAG inline, depth-first, relation by relation; with
 ``num_workers > 1`` (and a backend declaring
 ``Capabilities.concurrent_read``) different relations' chains overlap on
-the worker pool, and ``executor="process"`` ships the reads to
-supervised worker processes.  Candidates merge by (node, feature
+the worker pool's threads.  Candidates merge by (node, feature
 index), so the grown tree is bit-identical at every worker count.
 """
 
@@ -303,7 +302,6 @@ class FrontierEvaluator:
         missing: str = "right",
         min_child_samples: int = 1,
         num_workers: int = 1,
-        executor: str = "thread",
     ):
         self.db = db
         self.graph = graph
@@ -314,7 +312,6 @@ class FrontierEvaluator:
         self.missing = missing
         self.min_child_samples = min_child_samples
         self.num_workers = max(1, int(num_workers))
-        self.executor = executor
         self.state = FrontierState(db, graph, factorizer)
         # census counters (read by the Figure 9 bench and the CI gate)
         self.rounds = 0
@@ -329,15 +326,6 @@ class FrontierEvaluator:
         # the round fanned out); census() derives a reason for rounds
         # that never reached the batched evaluator at all
         self.parallel_fallback_reason: Optional[str] = None
-        # process-executor supervision census, accumulated across every
-        # evaluation round of the training run (worker_crashes,
-        # tasks_redispatched, respawns, deadline_timeouts, ...)
-        from repro.engine.procpool import ProcPoolCensus
-
-        self.pool_census = ProcPoolCensus()
-        # why executor="process" degraded to threads (None = it engaged,
-        # or was never requested)
-        self.executor_fallback_reason: Optional[str] = None
         self._batch_veto: Optional[str] = None
         self._veto_checked = False
         self._kind_cache: Dict[Tuple[str, str], str] = {}
@@ -400,7 +388,6 @@ class FrontierEvaluator:
             else {"retries": 0, "exhausted": 0, "succeeded_after_retry": 0}
         )
         chaos_census = getattr(self.db, "chaos_census", None)
-        pool_counts = self.pool_census.snapshot()
         return {
             "mode": self.mode,
             "rounds": self.rounds,
@@ -429,19 +416,6 @@ class FrontierEvaluator:
                 chaos_census.snapshot()["total"]
                 if chaos_census is not None else 0
             ),
-            # process-executor supervision (the new failure domain the
-            # statement retry layer cannot see; ISSUE-9 recovery gates).
-            # "executor" is the one rounds actually ran on — a requested
-            # "process" that degraded reports "thread" plus the reason.
-            "executor": self._effective_executor(),
-            "executor_fallback_reason": self.executor_fallback_reason,
-            **{
-                key: pool_counts[key]
-                for key in (
-                    "worker_crashes", "tasks_redispatched",
-                    "respawns", "deadline_timeouts",
-                )
-            },
         }
 
     def _fallback_reason(self) -> Optional[str]:
@@ -593,10 +567,10 @@ class FrontierEvaluator:
     # ------------------------------------------------------------------
     def _pool_eligible(
         self, by_relation: Dict[str, List[Tuple[int, str]]]
-    ) -> Tuple[int, str]:
-        """``(num_workers, executor)`` for one round's DAG.  Fanning out
-        needs >1 worker, >1 relation to overlap, and a backend whose read
-        path is declared concurrency-safe (``Capabilities.concurrent_read``);
+    ) -> int:
+        """The worker count for one round's DAG.  Fanning out needs >1
+        worker, >1 relation to overlap, and a backend whose read path is
+        declared concurrency-safe (``Capabilities.concurrent_read``);
         otherwise the round runs inline on one worker, and the reason is
         recorded on ``parallel_fallback_reason`` — the
         silent-serialization bug this census field exists to fix."""
@@ -607,38 +581,7 @@ class FrontierEvaluator:
         if reason is None and len(by_relation) <= 1:
             reason = "single feature-bearing relation (nothing to overlap)"
         self.parallel_fallback_reason = reason
-        if reason is not None:
-            return 1, "thread"
-        return self.num_workers, self._effective_executor()
-
-    def _effective_executor(self) -> str:
-        """The executor a fanned-out round actually runs on.
-
-        ``executor="process"`` engages only when the backend can
-        serialize read tasks for worker processes
-        (``Capabilities.process_safe`` + a ``process_task_payload``
-        entry point); otherwise the round degrades to the thread pool
-        and records why — the same no-silent-fallback stance as
-        ``parallel_fallback_reason``.
-        """
-        if self.executor != "process":
-            self.executor_fallback_reason = None
-            return "thread"
-        capabilities = getattr(self.db, "capabilities", None)
-        if capabilities is None or not getattr(
-            capabilities, "process_safe", False
-        ):
-            self.executor_fallback_reason = (
-                "backend is not process-safe (no serialized task specs)"
-            )
-            return "thread"
-        if not callable(getattr(self.db, "process_task_payload", None)):
-            self.executor_fallback_reason = (
-                "backend lacks process_task_payload()"
-            )
-            return "thread"
-        self.executor_fallback_reason = None
-        return "process"
+        return 1 if reason is not None else self.num_workers
 
     def _evaluate_round(
         self,
@@ -660,16 +603,9 @@ class FrontierEvaluator:
         and the first failure in submission order is raised — one worker
         and many issue the same statements.  Inline, the chains run
         depth-first, relation by relation; on the pool they overlap.
-
-        On ``executor="process"`` a read's *spec* resolves at dispatch
-        time (after its build committed the message temps): it renders
-        the SQL, asks the backend to serialize it (``None`` declines and
-        the read runs inline) and stamps any task-scoped chaos directive
-        in query-id order, so fault ordinals are deterministic.
         Candidate keys are disjoint across relations, so the merged map,
-        and the tree, is bit-identical across workers and executors.
+        and the tree, is bit-identical at every worker count.
         """
-        from repro.backends.chaos import task_fault_directive
         from repro.engine.scheduler import QueryScheduler
 
         frontier_ids = sorted(node.node_id for node in nodes)
@@ -681,15 +617,11 @@ class FrontierEvaluator:
         for index, (relation, feature) in enumerate(features):
             by_relation.setdefault(relation, []).append((index, feature))
         node_by_id = {node.node_id: node for node in nodes}
-        num_workers, executor = self._pool_eligible(by_relation)
+        num_workers = self._pool_eligible(by_relation)
         # No retry wiring here: each statement a node issues is retried by
         # the connector that runs it, so wrapping the node in a second
         # retry loop would multiply the attempts per statement.
-        scheduler = QueryScheduler(
-            num_workers=num_workers,
-            executor=executor,
-            pool_census=self.pool_census,
-        )
+        scheduler = QueryScheduler(num_workers=num_workers)
         absorptions: Dict[str, MultiAbsorption] = {}
         candidates: Dict[Tuple[int, int], SplitCandidate] = {}
 
@@ -701,28 +633,15 @@ class FrontierEvaluator:
                 cache_scope=scope,
             )
 
-        def fused_sql(relation: str, group: List[Tuple[int, str]]) -> str:
-            return self._fused_sql(
-                relation, group, fact, absorptions[relation],
-                label_column, frontier_ids,
-            )
-
         def read(relation: str, group: List[Tuple[int, str]]):
             # A pooled per-thread connection on sqlite, the audited
             # in-process read path on the embedded engine.
             runner = getattr(self.db, "execute_read", self.db.execute)
-            return runner(fused_sql(relation, group), tag="feature")
-
-        def read_spec(relation: str, group: List[Tuple[int, str]]):
-            sql = fused_sql(relation, group)
-            payload = self.db.process_task_payload(sql, tag="feature")
-            if payload is not None:
-                directive = task_fault_directive(
-                    self.db, f"feature:{relation}", sql
-                )
-                if directive is not None:
-                    payload["chaos"] = directive
-            return payload
+            sql = self._fused_sql(
+                relation, group, fact, absorptions[relation],
+                label_column, frontier_ids,
+            )
+            return runner(sql, tag="feature")
 
         def scan(relation: str, group: List[Tuple[int, str]], read_id: int):
             self._scan_fused_result(
@@ -745,10 +664,6 @@ class FrontierEvaluator:
                     partial(read, relation, group),
                     deps=[previous],
                     label=f"read:{relation}:{group_index}",
-                    spec=(
-                        partial(read_spec, relation, group)
-                        if executor == "process" else None
-                    ),
                 )
                 previous = scheduler.submit(
                     partial(scan, relation, group, read_id),
@@ -811,10 +726,7 @@ class FrontierEvaluator:
         frontier_ids: Sequence[int],
     ) -> str:
         """Render the fused ``UNION ALL`` split query for one relation's
-        kind group.  Pure SQL construction — the process executor renders
-        here in the parent, serializes the text into a task spec, and a
-        worker executes it verbatim, so the statement a child runs is
-        byte-identical to the one the thread path would."""
+        kind group.  Pure SQL construction."""
         leaf_ref = absorption.ref(fact, label_column)
         agg_sql = ", ".join(
             f"{expr} AS {comp}" for comp, expr in absorption.agg_selects
@@ -843,8 +755,8 @@ class FrontierEvaluator:
     ) -> None:
         """Client-side prefix scan over a fused query's aggregates,
         filling ``candidates`` keyed by ``(node_id, feature index)`` —
-        identical numpy arithmetic regardless of which executor (or
-        which process) produced ``result``."""
+        identical numpy arithmetic regardless of which worker produced
+        ``result``."""
         if result is None or result.num_rows == 0:
             return
 

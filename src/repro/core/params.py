@@ -18,10 +18,6 @@ from repro.exceptions import TrainingError
 #: suite through the parallel path (explicit parameters still win)
 NUM_WORKERS_ENV = "JOINBOOST_NUM_WORKERS"
 
-#: environment default for ``executor`` — lets CI force the whole test
-#: suite through the process pool (explicit parameters still win)
-EXECUTOR_ENV = "JOINBOOST_EXECUTOR"
-
 _ALIASES = {
     "objective": "objective",
     "loss": "objective",
@@ -73,7 +69,6 @@ _ALIASES = {
     "workers": "num_workers",
     "num_threads": "num_workers",
     "n_jobs": "num_workers",
-    "executor": "executor",
 }
 
 
@@ -122,13 +117,6 @@ class TrainParams:
     # when the caller does not set the parameter (the CI race-smoke leg
     # forces 4 that way); an explicit parameter always wins.
     num_workers: Union[int, str] = "auto"
-    # Which pool the scheduler's workers are: "thread" (the default —
-    # sqlite/duckdb release the GIL in their C cores) or "process" (real
-    # OS processes behind the supervised pool in engine/procpool; only
-    # engages on backends whose capabilities report process_safe, and
-    # falls back to threads otherwise).  JOINBOOST_EXECUTOR supplies the
-    # default when the caller does not set the parameter.
-    executor: str = "thread"
 
     def __post_init__(self):
         if self.num_leaves < 2:
@@ -177,10 +165,6 @@ class TrainParams:
                 raise TrainingError(
                     f"num_workers must be at least 1, got {self.num_workers}"
                 )
-        if self.executor not in ("thread", "process"):
-            raise TrainingError(
-                f"executor must be 'thread' or 'process', got {self.executor!r}"
-            )
 
     def resolved_workers(self) -> int:
         """The concrete worker-pool size for this run."""
@@ -202,10 +186,6 @@ class TrainParams:
             env = (os.environ.get(NUM_WORKERS_ENV) or "").strip()
             if env:
                 merged["num_workers"] = env
-        if "executor" not in merged:
-            env = (os.environ.get(EXECUTOR_ENV) or "").strip()
-            if env:
-                merged["executor"] = env
         return TrainParams(**merged)  # type: ignore[arg-type]
 
     def loss_kwargs(self) -> Dict[str, object]:

@@ -65,7 +65,6 @@ class DecisionTreeTrainer:
             missing=params.missing,
             min_child_samples=params.min_child_samples,
             num_workers=params.resolved_workers(),
-            executor=params.executor,
         )
         self._ids = itertools.count()
 

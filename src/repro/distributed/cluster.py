@@ -9,34 +9,18 @@ clocks are kept:
   step runs — and each synchronization costs
   ``bytes / bandwidth + latency``.  This is what Figure 12 plots.
 * ``measured_wall_seconds`` — the actual wall clock of running the
-  shard steps on this machine, with whichever executor was requested.
-  This is what the fig12 bench now *measures* rather than models.
+  shard steps on this machine.  This is what the fig12 bench now
+  *measures* rather than models.
 
 Every shard step is one :class:`~repro.engine.scheduler.QueryScheduler`
-run with one query per shard.  ``serial`` runs it inline on one worker;
-``thread`` on a thread per shard — each shard owns a private
-:class:`Database`, so the steps are disjoint.  Under ``process`` the
-*read-only* steps (root totals, per-feature aggregates) run on a
-:class:`~repro.engine.procpool.SupervisedProcessPool` created for the
-step: its workers are forked after the shard state exists, so they see
-the in-memory shards copy-on-write, and a pooled task names only a
-module-level function plus ``(token, shard index)`` — the step itself
-sits in a module registry the forked workers inherit.  Mutating steps
-(lift, residual updates) never leave the parent — their effects must
-land in its catalogs — and run on threads.
-
-Failures recover at shard granularity.  Task-scoped chaos directives
-(``worker_crash``/``stall``) are resolved for every shard, in index
-order, before the step runs, through
-:func:`repro.backends.chaos.task_fault_directive`.  On the pool a
-directive kills or hangs the shard's worker; the pool detects the crash
-or the missed deadline, respawns a forked worker and re-dispatches the
-shard's task to it with the directive stripped, and retries transient
-errors (``task_retries``).  An inline step has no child to kill, so a
-directive counts its first attempt as lost, then the step runs with the
-same bounded transient retries.  Because every merge happens in
-shard-index order, the trained model is bit-identical to the serial run
-— which the tests assert via ``model_digest``.
+run with one query per shard, inline on one worker: the shards' steps
+run in index order in this process, each over its shard's private
+:class:`Database`, so each step's seconds are uncontended compute.  A
+shard step retries transient errors (``MAX_STEP_RETRIES``); every shard
+runs even when one fails, and the failure with the lowest shard index
+is raised.  Every merge happens in shard-index order, so the trained
+model is bit-identical to the single-shard run on exact-arithmetic
+data — which the tests assert via ``model_digest``.
 
 Checkpoints (PR 8 machinery) are written at shard-merge granularity:
 after every committed boosting round — i.e. once all shards have merged
@@ -74,13 +58,7 @@ from repro.core.checkpoint import (
     write_checkpoint,
 )
 from repro.engine.operators import factorize, group_sum
-from repro.engine.procpool import (
-    ProcPoolCensus,
-    SupervisedProcessPool,
-    fork_available,
-)
 from repro.engine.scheduler import QueryScheduler
-from repro.backends.chaos import ChaosCensus, FaultPlan, task_fault_directive
 from repro.factorize.executor import Factorizer
 from repro.factorize.predicates import PredicateMap
 from repro.joingraph.graph import JoinGraph
@@ -88,16 +66,8 @@ from repro.distributed.partition import partition_database
 from repro.semiring.gradient import GradientSemiRing
 from repro.semiring.losses import get_loss
 
-#: executors a cluster can run shard steps on
-EXECUTORS = ("serial", "thread", "process")
-
-#: transient-error retries per shard step (inline, and the pool's budget)
+#: transient-error retries per shard step
 MAX_STEP_RETRIES = 3
-
-#: read-only steps in flight on a forked pool, by token: workers forked
-#: after registration inherit the entry, so a task carries only the token
-_STEPS: Dict[int, Callable[[int], object]] = {}
-_TOKENS = itertools.count()
 
 
 @dataclasses.dataclass
@@ -109,26 +79,12 @@ class ClusterConfig:
     latency_s: float = 5e-4
 
 
-def _run_registered_step(token: int, index: int) -> Tuple[object, float]:
-    """Pool-task body: shard ``index`` of a registered step, timed here
-    so the simulated clock charges compute, not the task pipe."""
-    start = time.perf_counter()
-    result = _STEPS[token](index)
-    return result, time.perf_counter() - start
-
-
 class SimulatedCluster:
     """Data-parallel factorized training over hash partitions.
 
-    ``executor`` picks how shard steps run (``serial``/``thread``/
-    ``process``); ``chaos`` is a :class:`FaultPlan` or a
-    ``JOINBOOST_CHAOS``-syntax spec string whose task-scoped rules
-    (``worker_crash``/``stall``) fault shard steps; ``checkpoint`` is a
-    :class:`CheckpointSink` that receives the partial model after every
-    committed boosting round and is consulted for resume on the next
-    ``train_gradient_boosting`` call; ``task_deadline`` bounds how long
-    the pool waits for one shard step in process mode before declaring
-    it stalled (default: ``JOINBOOST_TASK_DEADLINE`` or 30s).
+    ``checkpoint`` is a :class:`CheckpointSink` that receives the
+    partial model after every committed boosting round and is consulted
+    for resume on the next ``train_gradient_boosting`` call.
     """
 
     def __init__(
@@ -138,144 +94,59 @@ class SimulatedCluster:
         partition_key: str,
         config: Optional[ClusterConfig] = None,
         *,
-        executor: str = "serial",
-        chaos: "FaultPlan | str | None" = None,
         checkpoint: Optional[CheckpointSink] = None,
-        task_deadline: Optional[float] = None,
     ):
-        if executor not in EXECUTORS:
-            raise TrainingError(
-                f"cluster executor must be one of {EXECUTORS}, got {executor!r}"
-            )
         self.config = config or ClusterConfig()
         self.workers, self.worker_graphs = partition_database(
             db, graph, self.config.num_machines, partition_key
         )
         self.graph = graph
-        self.executor = executor
-        self.executor_fallback_reason: Optional[str] = None
-        if executor == "process" and not fork_available():
-            # Without fork the workers cannot see the in-memory shards;
-            # run the steps on threads instead — loudly.
-            self.executor = "thread"
-            self.executor_fallback_reason = (
-                "fork start method unavailable (shards live in parent"
-                " memory); running shard steps on threads"
-            )
-        if isinstance(chaos, str):
-            chaos = FaultPlan.from_spec(chaos)
-        #: read by :func:`task_fault_directive`, like a chaos connector's
-        self.plan: Optional[FaultPlan] = chaos
-        self.chaos_census = ChaosCensus()
-        self.pool_census = ProcPoolCensus()
         self.checkpoint = checkpoint
-        self.task_deadline = task_deadline
         self.simulated_seconds = 0.0
         self.measured_wall_seconds = 0.0
         self.shuffle_bytes = 0
+        self._task_retries = 0
         self._retry_exhausted = 0
 
     # ------------------------------------------------------------------
     # Shard-step execution
     # ------------------------------------------------------------------
-    def _run_inline(
-        self,
-        step_fn: Callable[[int], object],
-        index: int,
-        directive: Optional[str],
-    ) -> Tuple[object, float]:
-        """One shard step in this process, timed, with bounded transient
-        retries.
-
-        There is no child to kill in-process, so a chaos directive means
-        the first attempt is *considered* lost — counted exactly as the
-        pool counts a lost worker — then the step runs.  That keeps
-        chaos counters and fault ordinals uniform across executors,
-        which is what lets the tests compare censuses, not just digests.
-        """
-        if directive is not None:
-            self.pool_census.bump(
-                "worker_crashes" if directive == "worker_crash"
-                else "deadline_timeouts"
-            )
-            self.pool_census.bump("tasks_redispatched")
-        start = time.perf_counter()
+    def _run_step(self, step_fn: Callable[[int], object], index: int) -> object:
+        """One shard step, with bounded transient retries."""
         retries = 0
         while True:
             try:
-                result = step_fn(index)
-                break
+                return step_fn(index)
             except TransientBackendError:
                 if retries >= MAX_STEP_RETRIES:
                     raise
                 retries += 1
-                self.pool_census.bump("task_retries")
-        self.pool_census.bump("tasks_completed")
-        return result, time.perf_counter() - start
+                self._task_retries += 1
 
     def _parallel(
-        self,
-        step_fn: Callable[[int], object],
-        tag: str = "step",
-        readonly: bool = False,
+        self, step_fn: Callable[[int], object], tag: str = "step"
     ) -> List[object]:
         """Run ``step_fn(i)`` for every shard ``i``; return index-ordered
         results and account both clocks.
 
-        Chaos directives are resolved for *all* shards, in index order,
-        before anything executes — dispatch order is deterministic even
-        when completion order is not, so the Nth matching shard step is
-        faulted reproducibly across executors.  A failed shard raises
-        its own error once every shard has run; merges downstream see
-        only successful results, in shard-index order.
+        Every shard runs even when one fails; the failure of the lowest
+        shard index is then raised, so merges downstream see only
+        successful results, in shard-index order.
         """
-        n = len(self.workers)
-        directives = [
-            task_fault_directive(self, f"{tag}:shard{i}") for i in range(n)
-        ]
-        pool: Optional[SupervisedProcessPool] = None
-        wall_start = time.perf_counter()
-        if self.executor == "process" and readonly:
-            token = next(_TOKENS)
-            _STEPS[token] = step_fn
-            # Forked now, so the workers see the shards as they stand.
-            pool = SupervisedProcessPool(
-                n, max_redispatches=MAX_STEP_RETRIES, start_method="fork"
-            )
-        scheduler = QueryScheduler(
-            num_workers=1 if self.executor == "serial" else n,
-            executor="thread" if pool is None else "process",
-            pool=pool,
-            pool_census=self.pool_census,
-            task_deadline=self.task_deadline,
-        )
-        for i, directive in enumerate(directives):
-            spec = None
-            if pool is not None:
-                payload = {
-                    "kind": "callable",
-                    "fn": _run_registered_step,
-                    "args": (token, i),
-                    "chaos": directive,
-                }
-                spec = partial(dict, payload)
+        scheduler = QueryScheduler(num_workers=1)
+        for i in range(len(self.workers)):
             scheduler.submit(
-                partial(self._run_inline, step_fn, i, directive),
-                label=f"{tag}:shard{i}",
-                spec=spec,
+                partial(self._run_step, step_fn, i), label=f"{tag}:shard{i}"
             )
+        wall_start = time.perf_counter()
         try:
-            pairs = scheduler.run().results()
+            report = scheduler.run()
         except TransientBackendError:
             self._retry_exhausted += 1
             raise
-        finally:
-            if pool is not None:
-                pool.close()
-                del _STEPS[token]
         self.measured_wall_seconds += time.perf_counter() - wall_start
-        self.simulated_seconds += max(seconds for _, seconds in pairs)
-        return [result for result, _ in pairs]
+        self.simulated_seconds += max(q.seconds for q in report.queries)
+        return report.results()
 
     def _sync(self, nbytes: int) -> None:
         """Account one coordinator synchronization."""
@@ -285,20 +156,11 @@ class SimulatedCluster:
         )
 
     def census(self) -> Dict[str, object]:
-        """Supervision counters plus both clocks, for benches and CI."""
-        counts = self.pool_census.snapshot()
+        """Retry counters plus both clocks, for benches and CI."""
         return {
-            "executor": self.executor,
-            "executor_fallback_reason": self.executor_fallback_reason,
             "num_shards": len(self.workers),
-            "worker_crashes": counts["worker_crashes"],
-            "tasks_redispatched": counts["tasks_redispatched"],
-            "respawns": counts["respawns"],
-            "deadline_timeouts": counts["deadline_timeouts"],
-            "task_retries": counts["task_retries"],
+            "task_retries": self._task_retries,
             "retry_exhausted": self._retry_exhausted,
-            "tasks_completed": counts["tasks_completed"],
-            "chaos_injected": self.chaos_census.total,
             "simulated_seconds": self.simulated_seconds,
             "measured_wall_seconds": self.measured_wall_seconds,
             "shuffle_bytes": self.shuffle_bytes,
@@ -326,7 +188,6 @@ class SimulatedCluster:
                 stored_params = TrainParams.from_dict(payload["params"])
                 check_resume_params(stored_params, train_params)
                 stored_params.num_workers = train_params.num_workers
-                stored_params.executor = train_params.executor
                 train_params = stored_params
                 restored_spec = payload["model"]
                 start_round = int(payload["round"])
@@ -362,7 +223,6 @@ class SimulatedCluster:
                     .first_row()
                 ),
                 tag="stats",
-                readonly=True,
             )
             self._sync(len(stats) * 16)
             total = sum(float(row["n"]) for row in stats)
@@ -384,9 +244,7 @@ class SimulatedCluster:
             factorizer.lift(ring.lift_pair_sql("1", f"({init!r} - t.{y})"))
             return factorizer
 
-        # Lift mutates the shard catalogs, so it never forks; _parallel
-        # returns in shard-index order, so factorizers[i] is shard i's
-        # regardless of which thread finished first.
+        # _parallel returns in shard-index order: factorizers[i] is shard i's.
         factorizers: List[Factorizer] = self._parallel(lift, tag="lift")
         criterion = GradientCriterion(reg_lambda=train_params.reg_lambda)
         updaters = [
@@ -518,7 +376,6 @@ class SimulatedCluster:
         results = self._parallel(
             lambda i: factorizers[i].totals(predicates),
             tag="totals",
-            readonly=True,
         )
         self._sync(len(factorizers) * 8 * max(len(r) for r in results))
         merged: Dict[str, float] = {}
@@ -565,8 +422,8 @@ class SimulatedCluster:
         comps = list(factorizers[0].semiring.components)
 
         def absorb(i: int) -> Dict[str, np.ndarray]:
-            # Ship plain arrays, not Relations: the result crosses a
-            # pipe in process mode, and arrays are what the merge needs.
+            # Keep plain arrays, not Relations: arrays are what the merge
+            # needs.
             result = factorizers[i].absorb(
                 relation, [feature], predicates, tag="feature"
             )
@@ -575,9 +432,7 @@ class SimulatedCluster:
                 payload[comp] = result.column(comp).values.astype(np.float64)
             return payload
 
-        results = self._parallel(
-            absorb, tag=f"feature:{relation}.{feature}", readonly=True
-        )
+        results = self._parallel(absorb, tag=f"feature:{relation}.{feature}")
         values = np.concatenate([r[feature] for r in results])
         if len(values) == 0:
             return None

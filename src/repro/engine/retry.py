@@ -16,9 +16,7 @@ call site consumes it: :class:`~repro.backends.chaos.RetryConnector`
 wraps a connector's ``execute``/``execute_read``, so every statement is
 retried where it runs — on the serial path and on the scheduler's worker
 threads alike.  The scheduler itself never retries a task (a second
-loop around the connector's would multiply the attempts per statement);
-worker *processes* have their own bounded ``task_retries`` in
-:mod:`repro.engine.procpool`.
+loop around the connector's would multiply the attempts per statement).
 
 On exhaustion the *final* attempt's exception is raised with the total
 attempt count attached as ``exc.attempts`` — callers report what

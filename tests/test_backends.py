@@ -323,7 +323,7 @@ class TestRegistry:
         # The plain preset allows column swap (no WAL/MVCC in the way).
         assert conn.capabilities == Capabilities(
             column_swap=True, query_profiles=True,
-            window_functions=True, in_process=True, process_safe=True,
+            window_functions=True, in_process=True,
         )
 
 

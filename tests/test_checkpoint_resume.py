@@ -1,4 +1,4 @@
-"""Round-level checkpoint/resume (ISSUE 8).
+"""Round-level checkpoint/resume.
 
 The parity bar: a run interrupted mid-training and resumed from its
 last committed checkpoint must produce a ``model_digest`` bit-identical
@@ -6,6 +6,7 @@ to the uninterrupted run — across backends and worker counts.
 """
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -264,52 +265,34 @@ class TestCheckpointScope:
 
 
 # ---------------------------------------------------------------------------
-# ISSUE 9: resume under the process executor and under the sharded path
+# Checkpoints written while TrainParams still had an ``executor`` field
 # ---------------------------------------------------------------------------
-class TestProcessExecutorResume:
-    def test_resume_on_process_executor_matches_uninterrupted(self):
-        """Interrupted mid-round — a worker_crash fault kills (and
-        recovers) a pooled split task, then a permanent statement fault
-        aborts the round — resume on the process pool, digest identical."""
-        clean_conn = repro.connect(backend="sqlite")
-        reference = train_gradient_boosting(
-            clean_conn, _build(clean_conn),
-            dict(PARAMS, num_workers=4, executor="process"),
-        )
-        conn = repro.connect(
-            backend="sqlite",
-            chaos=(
-                "tag=feature:nth=2:times=1:kind=worker_crash;"
-                "tag=message:nth=9:times=1:kind=permanent"
-            ),
-            retry=False,
-        )
-        graph = _build(conn)
-        sink = MemoryCheckpointSink()
-        with pytest.raises(BackendExecutionError):
-            train_gradient_boosting(
-                conn, graph,
-                dict(PARAMS, num_workers=4, executor="process"),
-                checkpoint=sink,
-            )
-        assert read_checkpoint(sink)["round"] == 2
-        resumed = resume_training(conn, graph, sink)
-        assert model_digest(resumed) == model_digest(reference)
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
-    def test_resume_may_change_executor(self):
-        """executor is execution-only: a thread-interrupted run may
-        resume on processes without breaking digest parity."""
-        conn = repro.connect(
-            backend="sqlite",
-            chaos="tag=message:nth=9:times=1:kind=permanent",
-            retry=False,
+
+def _pinned_sink(filename):
+    """A sink holding a checkpoint payload byte-for-byte as an earlier
+    build wrote it: its params carry the retired ``executor`` field."""
+    sink = MemoryCheckpointSink()
+    with open(os.path.join(DATA, filename)) as handle:
+        sink.payload = handle.read().strip()
+    assert '"executor":"thread"' in sink.payload
+    return sink
+
+
+class TestRetiredParamCheckpoint:
+    def test_read_checkpoint_drops_retired_executor(self):
+        payload = read_checkpoint(
+            _pinned_sink("checkpoint_with_executor_param.json")
         )
-        graph = _build(conn)
-        sink = MemoryCheckpointSink()
-        _interrupt_after_round(conn, graph, sink, rounds=2)
+        assert "executor" not in payload["params"]
+        assert payload["round"] == 2
+
+    def test_resume_matches_uninterrupted(self):
+        conn = repro.connect(backend="sqlite")
         resumed = resume_training(
-            conn, graph, sink, dict(PARAMS),
-            num_workers=4, executor="process",
+            conn, _build(conn),
+            _pinned_sink("checkpoint_with_executor_param.json"),
         )
         clean_conn = repro.connect(backend="sqlite")
         reference = train_gradient_boosting(
@@ -317,10 +300,23 @@ class TestProcessExecutorResume:
         )
         assert model_digest(resumed) == model_digest(reference)
 
-    def test_executor_mismatch_allowed_by_param_check(self):
-        stored = TrainParams.from_dict(dict(PARAMS, executor="thread"))
-        requested = TrainParams.from_dict(dict(PARAMS, executor="process"))
-        check_resume_params(stored, requested)  # no raise
+    def test_sharded_resume_matches_uninterrupted(self):
+        from repro.datasets import star_schema
+        from repro.distributed import ClusterConfig, SimulatedCluster
+
+        params = TestShardedResume.PARAMS
+        db, graph = star_schema(num_fact_rows=2000, num_dims=2, seed=7)
+        reference, _ = SimulatedCluster(
+            db, graph, "k0", ClusterConfig(num_machines=4)
+        ).train_gradient_boosting(params)
+        db, graph = star_schema(num_fact_rows=2000, num_dims=2, seed=7)
+        model, _ = SimulatedCluster(
+            db, graph, "k0", ClusterConfig(num_machines=4),
+            checkpoint=_pinned_sink(
+                "sharded_checkpoint_with_executor_param.json"
+            ),
+        ).train_gradient_boosting(params)
+        assert model_digest(model) == model_digest(reference)
 
 
 class _InterruptingSink(MemoryCheckpointSink):
@@ -358,7 +354,7 @@ class TestShardedResume:
         sink = _InterruptingSink(after=1)
         interrupted = SimulatedCluster(
             db2, graph2, "k0", ClusterConfig(num_machines=4),
-            executor="process", checkpoint=sink,
+            checkpoint=sink,
         )
         with pytest.raises(RuntimeError):
             interrupted.train_gradient_boosting(self.PARAMS)
@@ -367,15 +363,10 @@ class TestShardedResume:
         sink.after = -1  # the replacement driver's sink doesn't die
         resumed_cluster = SimulatedCluster(
             db2, graph2, "k0", ClusterConfig(num_machines=4),
-            executor="process", checkpoint=sink,
-            chaos="tag=feature:nth=2:times=1:kind=worker_crash",
+            checkpoint=sink,
         )
         model, _ = resumed_cluster.train_gradient_boosting(self.PARAMS)
         assert model_digest(model) == model_digest(reference)
-        census = resumed_cluster.census()
-        # the resumed run both recovered a crashed shard and finished
-        assert census["worker_crashes"] == 1
-        assert census["tasks_redispatched"] == 1
         assert sink.payload is None  # completed runs clear their sink
 
     def test_sharded_resume_rejects_param_drift(self):

@@ -5,6 +5,7 @@ import pytest
 
 import repro
 from repro.core.predict import feature_frame
+from repro.core.serialize import model_digest
 from repro.datasets import star_schema
 from repro.distributed import (
     ClusterConfig,
@@ -12,6 +13,10 @@ from repro.distributed import (
     hash_partition_table,
     partition_database,
 )
+from repro.distributed.cluster import MAX_STEP_RETRIES
+from repro.engine.database import Database
+from repro.exceptions import TransientBackendError
+from repro.joingraph.graph import JoinGraph
 
 
 class TestPartitioning:
@@ -96,3 +101,195 @@ class TestSimulatedCluster:
 
         with pytest.raises(TrainingError):
             cluster.train_gradient_boosting({"objective": "l1"})
+
+
+# --------------------------------------------------------------------------
+# Shard-count parity, failure rules and accounting
+# --------------------------------------------------------------------------
+def _int_y_star(rows=2048, seed=11):
+    """A star schema whose target is integer-valued: per-shard partial
+    sums are exact in float64, so merged aggregates — and therefore the
+    trained model — are identical for ANY shard count."""
+    rng = np.random.default_rng(seed)
+    db = Database(name="inty")
+    db.create_table("fact", {
+        "k0": rng.integers(0, 40, size=rows),
+        "k1": rng.integers(0, 30, size=rows),
+        "y": rng.integers(-8, 9, size=rows).astype(np.float64),
+    })
+    db.create_table("dim0", {
+        "k0": np.arange(40),
+        "f0": rng.normal(size=40),
+        "f1": rng.integers(0, 5, size=40).astype(np.float64),
+    })
+    db.create_table("dim1", {
+        "k1": np.arange(30),
+        "f2": rng.normal(size=30),
+        "f3": rng.integers(0, 7, size=30).astype(np.float64),
+    })
+    graph = JoinGraph(db)
+    graph.add_relation("fact", features=[], y="y", is_fact=True)
+    graph.add_relation("dim0", features=["f0", "f1"])
+    graph.add_relation("dim1", features=["f2", "f3"])
+    graph.add_edge("fact", "dim0", ["k0"], ["k0"])
+    graph.add_edge("fact", "dim1", ["k1"], ["k1"])
+    return db, graph
+
+
+def _categorical_star(rows=2048, seed=5):
+    """``_int_y_star`` plus a declared categorical ``dim0.c0`` (integer
+    codes) that drives the target, so the tree splits on it."""
+    rng = np.random.default_rng(seed)
+    db = Database(name="caty")
+    k0 = rng.integers(0, 40, size=rows)
+    k1 = rng.integers(0, 30, size=rows)
+    c0 = rng.integers(0, 8, size=40)
+    effect = np.array([3, -4, 0, 5, -2, 6, -6, 1])
+    db.create_table("fact", {
+        "k0": k0,
+        "k1": k1,
+        "y": (effect[c0[k0]] + rng.integers(-2, 3, size=rows)).astype(np.float64),
+    })
+    db.create_table("dim0", {"k0": np.arange(40), "c0": c0})
+    db.create_table("dim1", {
+        "k1": np.arange(30),
+        "f2": rng.integers(0, 7, size=30).astype(np.float64),
+    })
+    graph = JoinGraph(db)
+    graph.add_relation("fact", features=[], y="y", is_fact=True)
+    graph.add_relation("dim0", features=["c0"], categorical=["c0"])
+    graph.add_relation("dim1", features=["f2"])
+    graph.add_edge("fact", "dim0", ["k0"], ["k0"])
+    graph.add_edge("fact", "dim1", ["k1"], ["k1"])
+    return db, graph
+
+
+TREE_PARAMS = {"num_leaves": 8, "min_data_in_leaf": 2}
+
+
+def _sharded_tree(machines):
+    db, graph = _int_y_star()
+    cluster = SimulatedCluster(
+        db, graph, "k0", ClusterConfig(num_machines=machines)
+    )
+    tree, _ = cluster.train_decision_tree(TREE_PARAMS)
+    return tree, cluster
+
+
+class TestShardedParity:
+    def test_tree_identical_across_shard_counts(self):
+        reference, _ = _sharded_tree(machines=1)
+        tree, _ = _sharded_tree(machines=4)
+        assert tree.dump() == reference.dump()
+        assert model_digest(tree) == model_digest(reference)
+
+    def test_one_round_boosting_identical_across_shards(self):
+        digests = {}
+        for machines in (1, 4):
+            db, graph = _int_y_star()
+            cluster = SimulatedCluster(
+                db, graph, "k0", ClusterConfig(num_machines=machines)
+            )
+            model, _ = cluster.train_gradient_boosting(
+                {"num_iterations": 1, "num_leaves": 8, "min_data_in_leaf": 2}
+            )
+            digests[machines] = model_digest(model)
+            # the shard steps really executed
+            assert cluster.census()["measured_wall_seconds"] > 0
+            assert cluster.census()["retry_exhausted"] == 0
+        assert digests[1] == digests[4]
+
+    @pytest.mark.parametrize("machines", [1, 4])
+    def test_categorical_tree_matches_single_node(self, machines):
+        """The sharded split search is the single-node kernel: a declared
+        categorical feature gets the same ``IN`` literals (``5``, not
+        ``5.0``), so dump and digest both match."""
+        db, graph = _categorical_star()
+        single = repro.train_decision_tree(db, graph, TREE_PARAMS)
+        db, graph = _categorical_star()
+        tree, _ = SimulatedCluster(
+            db, graph, "k0", ClusterConfig(num_machines=machines)
+        ).train_decision_tree(TREE_PARAMS)
+        assert " IN " in tree.dump()
+        assert tree.dump() == single.dump()
+        assert model_digest(tree) == model_digest(single)
+
+
+class TestShardFailure:
+    def _cluster(self):
+        db, graph = _int_y_star(rows=256)
+        return SimulatedCluster(
+            db, graph, "k0", ClusterConfig(num_machines=4)
+        )
+
+    def test_permanent_error_raises_after_every_shard_runs(self):
+        cluster = self._cluster()
+        ran = []
+
+        def step(i):
+            ran.append(i)
+            if i in (1, 3):
+                raise ValueError(f"shard {i} is broken")
+            return i
+
+        with pytest.raises(ValueError, match="shard 1 is broken"):
+            cluster._parallel(step, tag="probe")
+        assert ran == [0, 1, 2, 3]
+
+    def test_transient_error_retried_within_the_step(self):
+        cluster = self._cluster()
+        failures = {2: MAX_STEP_RETRIES}
+
+        def step(i):
+            if failures.get(i):
+                failures[i] -= 1
+                raise TransientBackendError(f"shard {i} flaked")
+            return i
+
+        assert cluster._parallel(step, tag="probe") == [0, 1, 2, 3]
+        census = cluster.census()
+        assert census["task_retries"] == MAX_STEP_RETRIES
+        assert census["retry_exhausted"] == 0
+
+    def test_exhausted_transient_error_raises(self):
+        cluster = self._cluster()
+
+        def step(i):
+            raise TransientBackendError(f"shard {i} is down")
+
+        with pytest.raises(TransientBackendError, match="shard 0"):
+            cluster._parallel(step, tag="probe")
+        census = cluster.census()
+        assert census["task_retries"] == 4 * MAX_STEP_RETRIES
+        assert census["retry_exhausted"] == 1
+
+
+class TestShardedAccounting:
+    def test_measured_wall_reported_alongside_simulated(self):
+        _, cluster = _sharded_tree(machines=4)
+        census = cluster.census()
+        assert census["measured_wall_seconds"] > 0
+        assert census["simulated_seconds"] > 0
+        assert census["num_shards"] == 4
+        assert cluster.measured_wall_seconds == pytest.approx(
+            census["measured_wall_seconds"]
+        )
+
+    def test_model_carries_cluster_census(self):
+        db, graph = _int_y_star()
+        cluster = SimulatedCluster(
+            db, graph, "k0", ClusterConfig(num_machines=2)
+        )
+        model, _ = cluster.train_gradient_boosting(
+            {"num_iterations": 1, "num_leaves": 4}
+        )
+        assert model.frontier_census["num_shards"] == 2
+        assert model.frontier_census == cluster.census()
+
+    def test_no_executor_or_deadline_parameter(self):
+        db, graph = _int_y_star(rows=128)
+        for knob in ({"executor": "serial"}, {"task_deadline": 1.0}):
+            with pytest.raises(TypeError):
+                SimulatedCluster(
+                    db, graph, "k0", ClusterConfig(num_machines=2), **knob
+                )

@@ -333,19 +333,21 @@ class TestSchedulerRetry:
     def test_transient_query_retried_then_succeeds(self, workers):
         census = RetryCensus()
         statement = flaky(2)
+        runs = []
+
+        def query():
+            runs.append(1)
+            return call_with_retry(statement, FAST_RETRIES, census)
+
         scheduler = QueryScheduler(num_workers=workers)
-        qid = scheduler.submit(
-            lambda: call_with_retry(statement, FAST_RETRIES, census),
-            label="flaky",
-        )
+        qid = scheduler.submit(query, label="flaky")
         scheduler.submit(lambda: "ran", deps=[qid])
         report = scheduler.run()
         assert report.results() == ["ok", "ran"]
         # the retries are the connector's, not the scheduler's
         assert census.snapshot()["retries"] == 2
         assert census.snapshot()["succeeded_after_retry"] == 1
-        assert report.retries == 0
-        assert scheduler._queries[qid].attempts == 1
+        assert runs == [1]
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_exhausted_query_reports_final_attempt(self, workers):
@@ -374,7 +376,6 @@ class TestSchedulerRetry:
         assert excinfo.value.attempts == FAST_RETRIES.max_attempts
         assert len(attempt_errors) == FAST_RETRIES.max_attempts
         assert scheduler._queries[child].skipped
-        assert scheduler._queries[qid].attempts == 1
 
     def test_non_transient_error_not_retried_in_dag(self):
         scheduler = QueryScheduler(num_workers=2)
@@ -394,135 +395,3 @@ class TestSchedulerRetry:
         scheduler.submit(flaky(1))
         with pytest.raises(TransientBackendError):
             scheduler.run()
-
-    def test_report_retry_counters_zero_without_faults(self):
-        scheduler = QueryScheduler(num_workers=2)
-        scheduler.submit(lambda: 1)
-        scheduler.submit(lambda: 2)
-        report = scheduler.run()
-        assert report.retries == 0
-        assert report.exhausted == 0
-
-
-# ---------------------------------------------------------------------------
-# Per-query outcome reporting (ISSUE 9 satellite: the report names which
-# query exhausted its retries or timed out, not just aggregate counts)
-# ---------------------------------------------------------------------------
-def _task_double(x):
-    return 2 * x
-
-
-def _spec_for(fn, *args, chaos=None):
-    """A process-executor task spec; chaos rides along like the frontier's."""
-    def spec():
-        payload = {"kind": "callable", "fn": fn, "args": args}
-        if chaos is not None:
-            payload["chaos"] = chaos
-        return payload
-    return spec
-
-
-class TestScheduleReportShape:
-    def test_query_outcomes_records_every_query(self):
-        scheduler = QueryScheduler(num_workers=2)
-        ok = scheduler.submit(
-            lambda: call_with_retry(flaky(1), FAST_RETRIES), label="recovers"
-        )
-        clean = scheduler.submit(lambda: 7, label="clean")
-        report = scheduler.run()
-        outcomes = report.query_outcomes()
-        assert [o["query_id"] for o in outcomes] == [ok, clean]
-        by_label = {o["label"]: o for o in outcomes}
-        assert by_label["recovers"] == {
-            "query_id": ok, "label": "recovers", "status": "ok",
-            "attempts": 1, "retried": False, "exhausted": False,
-            "timed_out": False, "redispatches": 0, "error": None,
-        }
-        assert by_label["clean"]["attempts"] == 1
-        assert report.exhausted_queries == []
-        assert report.timed_out_queries == []
-        assert report.executor == "thread"
-
-    def test_exhausted_query_named_in_report(self):
-        """A pooled task that failed after re-attempts is named (the
-        attempt counts here stand in for a process-pool run)."""
-        from repro.engine.scheduler import ScheduleReport
-
-        scheduler = QueryScheduler(num_workers=2)
-        doomed = scheduler.submit(flaky(10), label="doomed")
-        child = scheduler.submit(lambda: 1, deps=[doomed], label="child")
-        with pytest.raises(TransientBackendError):
-            scheduler.run()
-        scheduler._queries[doomed].attempts = 3
-        report = ScheduleReport(
-            list(scheduler._queries.values()), 0.0, workers=2
-        )
-        assert report.exhausted_queries == ["doomed"]
-        by_label = {o["label"]: o for o in report.query_outcomes()}
-        assert by_label["doomed"]["status"] == "error"
-        assert by_label["doomed"]["exhausted"] is True
-        assert by_label["doomed"]["error"] == "TransientBackendError"
-        assert by_label["child"]["status"] == "skipped"
-
-    def test_unlabeled_query_described_by_id(self):
-        from repro.engine.scheduler import ScheduleReport, ScheduledQuery
-
-        q = ScheduledQuery(query_id=3, fn=lambda: None)
-        q.timed_out = True
-        report = ScheduleReport([q], 0.0, workers=1)
-        assert report.timed_out_queries == ["query 3"]
-
-
-class TestProcessExecutorScheduler:
-    """The scheduler's process path: wave dispatch, crash recovery and
-    the supervision fields flowing into the report."""
-
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError, match="executor"):
-            QueryScheduler(num_workers=2, executor="rowboat")
-
-    def test_process_run_merges_pool_and_inline_results(self):
-        scheduler = QueryScheduler(num_workers=2, executor="process")
-        pooled = scheduler.submit(
-            lambda: None, spec=_spec_for(_task_double, 21), label="pooled"
-        )
-        inline = scheduler.submit(
-            lambda: "inline", deps=[pooled], label="inline"
-        )
-        report = scheduler.run()
-        assert report.results() == [42, "inline"]
-        assert report.executor == "process"
-
-    def test_crashed_task_redispatch_surfaces_in_report(self):
-        scheduler = QueryScheduler(num_workers=2, executor="process")
-        victim = scheduler.submit(
-            lambda: None,
-            spec=_spec_for(_task_double, 5, chaos="worker_crash"),
-            label="victim",
-        )
-        report = scheduler.run()
-        assert report.results() == [10]
-        assert report.redispatched == 1
-        by_label = {o["label"]: o for o in report.query_outcomes()}
-        assert by_label["victim"]["redispatches"] == 1
-        assert by_label["victim"]["attempts"] == 2
-
-    def test_stalled_task_named_in_report(self):
-        scheduler = QueryScheduler(
-            num_workers=2, executor="process", task_deadline=0.5
-        )
-        scheduler.submit(
-            lambda: None,
-            spec=_spec_for(_task_double, 4, chaos="stall"),
-            label="sleeper",
-        )
-        report = scheduler.run()
-        assert report.results() == [8]
-        assert report.timed_out == 1
-        assert report.timed_out_queries == ["sleeper"]
-
-    def test_declined_spec_runs_inline(self):
-        scheduler = QueryScheduler(num_workers=2, executor="process")
-        scheduler.submit(lambda: "fell back", spec=lambda: None, label="x")
-        report = scheduler.run()
-        assert report.results() == ["fell back"]

@@ -372,12 +372,7 @@ class TestRoundPipeline:
         factorizer.lift()
         trainer = DecisionTreeTrainer(
             db, graph, factorizer, VarianceCriterion(),
-            # statement faults fire where the statement runs: pin reads to
-            # this process (JOINBOOST_EXECUTOR=process would ship them out)
-            TrainParams.from_dict({
-                "num_leaves": 4, "num_workers": workers,
-                "executor": "thread",
-            }),
+            TrainParams.from_dict({"num_leaves": 4, "num_workers": workers}),
         )
         with pytest.raises(BackendExecutionError, match="permanent"):
             trainer.train()
