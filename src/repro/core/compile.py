@@ -3,27 +3,31 @@
 The seed scoring path (:meth:`DecisionTreeModel.predict_arrays`) recurses
 node by node, computing a full-length boolean mask at *every* internal
 node — O(nodes x rows) work per tree.  Serving "millions of users"
-(ROADMAP item 1) needs the LightGBM evaluation shape instead: each tree
-flattened into contiguous numpy arrays (feature index / threshold /
-left-right child / leaf value, with explicit missing-direction and
-categorical-set handling) and evaluated level by level, so each row does
-O(depth) gathers regardless of tree width.
+(ROADMAP item 1) needs each tree flattened into contiguous numpy arrays
+(feature index / threshold / left-right child / leaf value, with explicit
+missing-direction and categorical-set handling), evaluated two ways by
+frame size:
+
+* **request-sized frames** descend level by level, all (tree, row) pairs
+  of the ensemble at once, so each row does O(depth) gathers and the
+  whole model costs one level loop of numpy calls;
+* **bulk frames** visit each internal node once over whole columns and
+  read every row's leaf off a per-tree leaf bitmask (QuickScorer), so
+  the work is one comparison and two bit operations per node and row,
+  with no gathers.
 
 Bit-identity with the recursive path is the contract (the paper's models
 are "identical to LightGBM", Section 5.1; the differential-parity suite
-in ``tests/test_predict_compiled.py`` enforces it).  Two evaluation paths
-keep that honest:
+in ``tests/test_predict_compiled.py`` enforces it).  Both evaluators
+route each row the way :func:`~repro.core.tree._eval_predicate` does:
 
-* the **numeric fast path** — rows sitting at nodes whose split is a
-  numeric comparison over a float/int column evaluate via gathered
-  thresholds and one vectorized comparison per opcode, with NaN rows
-  routed by the node's missing direction exactly as
-  :func:`~repro.core.tree._eval_predicate` routes them;
-* the **generic fallback** — rows at categorical / string / set-valued
-  splits (``IN``, ``=`` over object arrays, ``IS NULL``, ...) evaluate
-  the node's original :class:`Predicate` over just the resident rows via
-  the same ``_eval_predicate`` kernel the recursive path uses, so the
-  semantics cannot drift.
+* the **numeric fast path** — numeric comparisons over float/int
+  columns are one vectorized comparison, with NaN rows routed by the
+  node's missing direction exactly as ``_eval_predicate`` routes them;
+* the **generic fallback** — categorical / string / set-valued splits
+  (``IN``, ``=`` over object arrays, ``IS NULL``, ...) evaluate the
+  node's original :class:`Predicate` over the whole column via
+  ``_eval_predicate`` itself, so the semantics cannot drift.
 
 Ensemble wrappers (:class:`CompiledGradientBoosting`,
 :class:`CompiledMulticlassBoosting`, :class:`CompiledRandomForest`)
@@ -35,7 +39,7 @@ same first-max ``argmax`` — so ensemble scores are bit-identical too.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -51,9 +55,35 @@ from repro.semiring.losses import SoftmaxLoss
 _NUMERIC_OPS = {"<=": 0, "<": 1, ">": 2, ">=": 3, "=": 4, "!=": 5}
 _GENERIC_OP = -1
 
-#: (tree, row) entries per bank-descent chunk — sized so the level
-#: temporaries (a handful of 8-byte arrays this long) stay in L2
-_CHUNK_ENTRIES = 65_536
+#: per opcode, the left-child predicate as a comparison ufunc, and the
+#: one true exactly where a non-NaN value fails it (``x <= t`` fails iff
+#: ``x > t``, ...)
+_GOES_LEFT: Dict[int, np.ufunc] = {
+    0: np.less_equal,
+    1: np.less,
+    2: np.greater,
+    3: np.greater_equal,
+    4: np.equal,
+    5: np.not_equal,
+}
+_GOES_RIGHT: Dict[int, np.ufunc] = {
+    0: np.greater,
+    1: np.greater_equal,
+    2: np.less_equal,
+    3: np.less,
+    4: np.not_equal,
+    5: np.equal,
+}
+
+#: frames of at least this many rows score by leaf bitmasks over whole
+#: columns; smaller ones descend level by level.  On the 12 x 32 GBM of
+#: the serving benchmark the two tie between 256 and 512 rows: below,
+#: the bitmask walk's fixed cost of a few numpy calls per internal node
+#: dominates; above, the descent's per-row gathers do (5x slower at
+#: 4 000 rows, 8x at 100 000; the kernel-only table in
+#: docs/EXPERIMENTS.md).  A key request gathers ~200 rows, so it stays
+#: on the descent.
+_BITMASK_MIN_ROWS = 512
 
 FeatureFrame = Dict[str, np.ndarray]
 
@@ -61,28 +91,38 @@ FeatureFrame = Dict[str, np.ndarray]
 PreparedFrame = Tuple[np.ndarray, np.ndarray, List[np.ndarray]]
 
 
+def _frame_columns(
+    columns: Sequence[str], features: FeatureFrame
+) -> List[np.ndarray]:
+    """The frame's array for each of ``columns``, in order."""
+    raw_cols: List[np.ndarray] = []
+    for column in columns:
+        if column not in features:
+            raise TrainingError(f"missing feature column {column!r}")
+        raw_cols.append(np.asarray(features[column]))
+    return raw_cols
+
+
+def _is_numeric(raw: np.ndarray) -> bool:
+    return not (raw.dtype == object or raw.dtype.kind in ("U", "S"))
+
+
 def prepare_frame(
     columns: Sequence[str], features: FeatureFrame
 ) -> PreparedFrame:
-    """Stage a feature frame for the flat evaluators.
+    """Stage a feature frame for the level-synchronous descent.
 
     Numeric columns are stacked into one (n, k) float64 matrix so the
     hot loop gathers values with a single fancy index instead of a
     per-column pass.  Object/string columns map to -1 and are only
     touched by the generic fallback, which sees the raw arrays — the
-    same inputs the recursive path hands ``_eval_predicate``.  Ensemble
-    wrappers call this once per scoring call and share the result across
-    member trees.
+    same inputs the recursive path hands ``_eval_predicate``.
     """
-    raw_cols: List[np.ndarray] = []
+    raw_cols = _frame_columns(columns, features)
     numeric_cols: List[np.ndarray] = []
     mat_col = np.full(len(columns), -1, dtype=np.int32)
-    for i, column in enumerate(columns):
-        if column not in features:
-            raise TrainingError(f"missing feature column {column!r}")
-        raw = np.asarray(features[column])
-        raw_cols.append(raw)
-        if not (raw.dtype == object or raw.dtype.kind in ("U", "S")):
+    for i, raw in enumerate(raw_cols):
+        if _is_numeric(raw):
             mat_col[i] = len(numeric_cols)
             numeric_cols.append(raw.astype(np.float64, copy=False))
     if numeric_cols:
@@ -105,29 +145,264 @@ class _NodeTables:
     right: List[int]
     value: List[float]
     predicates: List[Optional[Predicate]]
+    left_leaves: List[Tuple[int, int]]
 
 
-class _FlatEvaluator:
-    """Shared level-synchronous descent over flat node tables.
+class CompiledTree:
+    """One decision tree as flat arrays.
 
-    Subclasses (:class:`CompiledTree`, :class:`CompiledTreeBank`) fill
-    the arrays; :meth:`_descend` walks rows from their start nodes to
-    leaves.  The bank packs every tree of an ensemble into one node
-    table, so a 100-tree model costs the same number of numpy calls per
-    level as a single tree — the per-call overhead that dominates
-    request-sized serving batches amortizes across the whole model.
+    ``feature[i]`` indexes :attr:`columns` (``-1`` marks a leaf),
+    ``threshold[i]``/``opcode[i]`` encode the numeric comparison of the
+    *left*-child predicate, ``default_left[i]`` is the missing direction
+    (NULL/NaN rows go left when set), ``left[i]``/``right[i]`` are child
+    node ids and ``value[i]`` the leaf prediction.  Non-numeric splits
+    keep their :class:`Predicate` in :attr:`predicates` for the generic
+    fallback.  :attr:`leaf_nodes` lists the leaves left to right, and
+    ``left_leaves[i]`` is the ``[lo, hi)`` range of that order the left
+    subtree of internal node ``i`` covers (``(0, 0)`` at a leaf).
     """
 
-    columns: List[str]
-    feature: np.ndarray
-    opcode: np.ndarray
-    threshold: np.ndarray
-    default_left: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    value: np.ndarray
-    predicates: List[Optional[Predicate]]
+    def __init__(
+        self,
+        model: DecisionTreeModel,
+        interner: Optional[Tuple[Dict[str, int], List[str]]] = None,
+    ):
+        # Ensemble wrappers pass one shared interner so every member tree
+        # indexes the same column universe and the per-call frame
+        # preparation happens once, not once per tree.
+        col_index, columns = interner if interner is not None else ({}, [])
+        self.columns: List[str] = columns
+        tables = _NodeTables([], [], [], [], [], [], [], [], [])
+        leaf_nodes: List[int] = []
 
+        def intern(column: str) -> int:
+            if column not in col_index:
+                col_index[column] = len(self.columns)
+                self.columns.append(column)
+            return col_index[column]
+
+        def flatten(node: TreeNode) -> int:
+            idx = len(tables.feature)
+            tables.feature.append(-1)
+            tables.opcode.append(_GENERIC_OP)
+            tables.threshold.append(np.nan)
+            tables.default_left.append(False)
+            tables.left.append(-1)
+            tables.right.append(-1)
+            tables.value.append(float(node.prediction))
+            tables.predicates.append(None)
+            tables.left_leaves.append((0, 0))
+            if node.is_leaf:
+                leaf_nodes.append(idx)
+                return idx
+            left = node.left
+            if left is None or left.predicate is None or node.right is None:
+                raise TrainingError("malformed tree: internal node without split")
+            pred = left.predicate
+            tables.feature[idx] = intern(pred.column)
+            tables.default_left[idx] = bool(pred.include_null)
+            if pred.op in _NUMERIC_OPS and isinstance(
+                pred.value, (int, float)
+            ) and not isinstance(pred.value, bool):
+                tables.opcode[idx] = _NUMERIC_OPS[pred.op]
+                tables.threshold[idx] = float(pred.value)
+            else:
+                tables.predicates[idx] = pred
+            lo = len(leaf_nodes)
+            tables.left[idx] = flatten(left)
+            tables.left_leaves[idx] = (lo, len(leaf_nodes))
+            tables.right[idx] = flatten(node.right)
+            return idx
+
+        flatten(model.root)
+        self.feature = np.asarray(tables.feature, dtype=np.int32)
+        self.opcode = np.asarray(tables.opcode, dtype=np.int8)
+        self.threshold = np.asarray(tables.threshold, dtype=np.float64)
+        self.default_left = np.asarray(tables.default_left, dtype=bool)
+        self.left = np.asarray(tables.left, dtype=np.int32)
+        self.right = np.asarray(tables.right, dtype=np.int32)
+        self.value = np.asarray(tables.value, dtype=np.float64)
+        self.predicates = tables.predicates
+        self.left_leaves = tables.left_leaves
+        self.leaf_nodes = np.asarray(leaf_nodes, dtype=np.int32)
+
+    @property
+    def num_nodes(self) -> int:
+        return len(self.feature)
+
+
+class _Step(NamedTuple):
+    """One internal node of a :class:`_LeafBits` walk."""
+
+    node: int  # bank node id
+    feature: int
+    goes_right: Optional[np.ufunc]  # None: the generic fallback
+    threshold: float
+    nan_goes_right: bool
+    clears: List[Tuple[int, np.unsignedinteger]]  # (word, bits)
+
+
+@dataclasses.dataclass
+class _LeafBits:
+    """One bank tree's bitmask tables (QuickScorer, Lucchese et al.,
+    SIGIR 2015).  Leaf ``j`` (left to right) is bit ``j % width`` of
+    word ``j // width``.  A row that fails an internal node's left
+    predicate cannot exit in its left subtree, so it sets the bits that
+    node's step ``clears``; the row's leaf is the lowest bit left clear,
+    because every leaf left of the exit leaf lies in the left subtree of
+    an ancestor the row went right at, and the exit leaf is in no
+    subtree the row skipped."""
+
+    steps: List[_Step]
+    values: np.ndarray
+    dtype: type
+    width: int
+    words: int
+
+    @classmethod
+    def build(cls, tree: CompiledTree, offset: int) -> "_LeafBits":
+        num_leaves = len(tree.leaf_nodes)
+        dtype, width = (np.uint32, 32) if num_leaves <= 32 else (np.uint64, 64)
+        steps = []
+        for node in np.flatnonzero(tree.left >= 0):
+            lo, hi = tree.left_leaves[node]
+            clears = []
+            for word in range(lo // width, (hi - 1) // width + 1):
+                a = max(lo - word * width, 0)
+                b = min(hi - word * width, width)
+                clears.append((word, dtype(((1 << b) - 1) ^ ((1 << a) - 1))))
+            steps.append(_Step(
+                node=int(node) + offset,
+                feature=int(tree.feature[node]),
+                goes_right=_GOES_RIGHT.get(int(tree.opcode[node])),
+                threshold=float(tree.threshold[node]),
+                nan_goes_right=not tree.default_left[node],
+                clears=clears,
+            ))
+        return cls(
+            steps=steps,
+            values=tree.value[tree.leaf_nodes],
+            dtype=dtype,
+            width=width,
+            words=-(-num_leaves // width),
+        )
+
+    def exit_leaves(self, cleared: List[np.ndarray]) -> np.ndarray:
+        """Leaf position of each row: the lowest clear bit over the words
+        (an all-set word yields ``-1`` and defers to the next word)."""
+        top = self.words - 1
+        for word in range(top, -1, -1):
+            bits = cleared[word]
+            lowest = (bits + 1) & ~bits
+            pos = np.frexp(lowest.astype(np.float64))[1] - 1 + word * self.width
+            leaf = pos if word == top else np.where(lowest != 0, pos, leaf)
+        return leaf
+
+
+class CompiledTreeBank:
+    """Every tree of an ensemble packed into one flat node table.
+
+    Member trees must share one column universe (the ensemble wrappers
+    compile them with a shared interner).  Child pointers are offset into
+    the packed table.  :meth:`leaf_matrix` has two evaluators, chosen by
+    frame size (:data:`_BITMASK_MIN_ROWS`): request-sized frames descend
+    all (tree, row) pairs level by level at once, so the whole ensemble
+    costs one level loop whatever its width; bulk frames visit each
+    internal node once over whole columns and read every row's leaf off
+    a bitmask (:class:`_LeafBits`).  Both route every row exactly as
+    :func:`~repro.core.tree._eval_predicate` does, so they return the
+    same bits.
+    """
+
+    def __init__(self, trees: Sequence[CompiledTree]):
+        if not trees:
+            raise TrainingError("tree bank needs at least one tree")
+        first = trees[0].columns
+        if any(t.columns is not first for t in trees):
+            raise TrainingError("bank trees must share one column universe")
+        self.columns = first
+        self.num_trees = len(trees)
+        offsets = np.cumsum([0] + [t.num_nodes for t in trees])
+        self.roots = offsets[:-1].astype(np.int32)
+        self.feature = np.concatenate([t.feature for t in trees])
+        self.opcode = np.concatenate([t.opcode for t in trees])
+        self.threshold = np.concatenate([t.threshold for t in trees])
+        self.default_left = np.concatenate([t.default_left for t in trees])
+        self.left = np.concatenate(
+            [np.where(t.left >= 0, t.left + off, -1)
+             for t, off in zip(trees, offsets)]
+        ).astype(np.int32)
+        self.right = np.concatenate(
+            [np.where(t.right >= 0, t.right + off, -1)
+             for t, off in zip(trees, offsets)]
+        ).astype(np.int32)
+        self.value = np.concatenate([t.value for t in trees])
+        self.predicates = [p for t in trees for p in t.predicates]
+        self.leaf_bits = [
+            _LeafBits.build(t, int(off)) for t, off in zip(trees, offsets)
+        ]
+
+    def leaf_matrix(self, features: FeatureFrame) -> np.ndarray:
+        """(num_trees, n) leaf values — row t is tree t's prediction."""
+        lengths = [len(v) for v in features.values()]
+        n = lengths[0] if lengths else 0
+        if n == 0:
+            return np.zeros((self.num_trees, 0), dtype=np.float64)
+        mask_cache: Dict[Predicate, np.ndarray] = {}
+        if n >= _BITMASK_MIN_ROWS:
+            return self._bitmask_matrix(features, n, mask_cache)
+        # Tree-major flat layout: entry t*n + r is (tree t, frame row r).
+        state = np.repeat(self.roots, n)
+        row_of = np.tile(np.arange(n), self.num_trees)
+        prepared = prepare_frame(self.columns, features)
+        leaves = self._descend(state, row_of, prepared, mask_cache)
+        return self.value[leaves].reshape(self.num_trees, n)
+
+    # ------------------------------------------------------------------
+    # Bulk frames: one pass per internal node over whole columns
+    # ------------------------------------------------------------------
+    def _bitmask_matrix(
+        self,
+        features: FeatureFrame,
+        n: int,
+        mask_cache: Dict[Predicate, np.ndarray],
+    ) -> np.ndarray:
+        raw_cols = _frame_columns(self.columns, features)
+        numeric = [
+            raw.astype(np.float64, copy=False) if _is_numeric(raw) else None
+            for raw in raw_cols
+        ]
+        nan_rows: Dict[int, np.ndarray] = {}
+        go_right = np.empty(n, dtype=bool)
+        out = np.empty((self.num_trees, n), dtype=np.float64)
+        for t, bits in enumerate(self.leaf_bits):
+            cleared = [np.zeros(n, dtype=bits.dtype) for _ in range(bits.words)]
+            scratch = np.empty(n, dtype=bits.dtype)
+            for step in bits.steps:
+                column = numeric[step.feature]
+                if step.goes_right is not None and column is not None:
+                    step.goes_right(column, step.threshold, out=go_right)
+                    nan = nan_rows.get(step.feature)
+                    if nan is None:
+                        nan = nan_rows[step.feature] = np.flatnonzero(
+                            np.isnan(column)
+                        )
+                    if len(nan):
+                        # NaN fails every comparison but "!="; route it
+                        # by the node's missing direction.
+                        go_right[nan] = step.nan_goes_right
+                else:
+                    left = self._generic_mask(step.node, raw_cols, mask_cache)
+                    np.logical_not(left, out=go_right)
+                for word, mask in step.clears:
+                    np.multiply(go_right, mask, out=scratch)
+                    np.bitwise_or(cleared[word], scratch, out=cleared[word])
+            out[t] = bits.values[bits.exit_leaves(cleared)]
+        return out
+
+    # ------------------------------------------------------------------
+    # Request-sized frames: level-synchronous descent
+    # ------------------------------------------------------------------
     def _compare(
         self, ops: np.ndarray, vals: np.ndarray, thr: np.ndarray
     ) -> np.ndarray:
@@ -135,22 +410,10 @@ class _FlatEvaluator:
         only emits ``<=``, so the uniform path in :meth:`_descend`
         usually short-circuits past this)."""
         result = np.zeros(len(vals), dtype=bool)
-        for op_name, op_code in _NUMERIC_OPS.items():
+        for op_code, goes_left in _GOES_LEFT.items():
             osel = ops == op_code
-            if not osel.any():
-                continue
-            if op_name == "<=":
-                result[osel] = vals[osel] <= thr[osel]
-            elif op_name == "<":
-                result[osel] = vals[osel] < thr[osel]
-            elif op_name == ">":
-                result[osel] = vals[osel] > thr[osel]
-            elif op_name == ">=":
-                result[osel] = vals[osel] >= thr[osel]
-            elif op_name == "=":
-                result[osel] = vals[osel] == thr[osel]
-            else:
-                result[osel] = vals[osel] != thr[osel]
+            if osel.any():
+                result[osel] = goes_left(vals[osel], thr[osel])
         return result
 
     def _descend(
@@ -158,7 +421,7 @@ class _FlatEvaluator:
         start_nodes: np.ndarray,
         frame_rows: np.ndarray,
         prepared: PreparedFrame,
-        mask_cache: Optional[Dict[Predicate, np.ndarray]],
+        mask_cache: Dict[Predicate, np.ndarray],
     ) -> np.ndarray:
         """Route every (start node, frame row) entry to its leaf node id.
 
@@ -207,13 +470,8 @@ class _FlatEvaluator:
                     result[nulls] = self.default_left[nnodes][nulls]
                     go_left[nsel] = result
 
-                # Generic fallback: per-node evaluation of the original
-                # Predicate via the same ``_eval_predicate`` kernel the
-                # recursive path uses (elementwise, so evaluating the
-                # full column and gathering cannot change any row's
-                # routing).  Identical predicates recur across boosted
-                # trees (e.g. the same categorical root split), so the
-                # per-call mask cache dedupes them.
+                # Generic fallback, one node at a time over just the
+                # resident rows.
                 pending = np.nonzero(~numeric_ok)[0]
                 pnodes = nodes[pending]
                 order = np.argsort(pnodes, kind="stable")
@@ -222,22 +480,8 @@ class _FlatEvaluator:
                 boundaries = np.nonzero(np.diff(pnodes))[0] + 1
                 for segment in np.split(np.arange(len(pending)), boundaries):
                     node_id = int(pnodes[segment[0]])
-                    pred = self.predicates[node_id]
-                    if pred is None:
-                        # Numeric opcode but object-typed column values.
-                        pred = self._rebuild_numeric_predicate(node_id)
-                    raw = raw_cols[int(self.feature[node_id])]
-                    seg_rows = frows[pending[segment]]
-                    full = (
-                        mask_cache.get(pred)
-                        if mask_cache is not None
-                        else None
-                    )
-                    if full is None:
-                        full = _eval_predicate(pred, raw)
-                        if mask_cache is not None:
-                            mask_cache[pred] = full
-                    go_left[pending[segment]] = full[seg_rows]
+                    full = self._generic_mask(node_id, raw_cols, mask_cache)
+                    go_left[pending[segment]] = full[frows[pending[segment]]]
 
             nodes = np.where(go_left, self.left[nodes], self.right[nodes])
             at_leaf = self.left[nodes] < 0
@@ -249,6 +493,30 @@ class _FlatEvaluator:
                 frows = frows[keep]
         return final
 
+    # ------------------------------------------------------------------
+    def _generic_mask(
+        self,
+        node_id: int,
+        raw_cols: List[np.ndarray],
+        mask_cache: Dict[Predicate, np.ndarray],
+    ) -> np.ndarray:
+        """Left-child mask of a categorical / string / set-valued split
+        over the whole column, via the same ``_eval_predicate`` kernel
+        the recursive path uses (elementwise, so evaluating the full
+        column and gathering cannot change any row's routing).
+        Identical predicates recur across boosted trees (e.g. the same
+        categorical root split), so the per-call mask cache dedupes
+        them."""
+        pred = self.predicates[node_id]
+        if pred is None:
+            # Numeric opcode but object-typed column values.
+            pred = self._rebuild_numeric_predicate(node_id)
+        full = mask_cache.get(pred)
+        if full is None:
+            full = _eval_predicate(pred, raw_cols[int(self.feature[node_id])])
+            mask_cache[pred] = full
+        return full
+
     def _rebuild_numeric_predicate(self, node_id: int) -> Predicate:
         op = [k for k, v in _NUMERIC_OPS.items() if v == self.opcode[node_id]][0]
         return Predicate(
@@ -257,176 +525,6 @@ class _FlatEvaluator:
             value=float(self.threshold[node_id]),
             include_null=bool(self.default_left[node_id]),
         )
-
-
-class CompiledTree(_FlatEvaluator):
-    """One decision tree as flat arrays, evaluated level by level.
-
-    ``feature[i]`` indexes :attr:`columns` (``-1`` marks a leaf),
-    ``threshold[i]``/``opcode[i]`` encode the numeric comparison of the
-    *left*-child predicate, ``default_left[i]`` is the missing direction
-    (NULL/NaN rows go left when set), ``left[i]``/``right[i]`` are child
-    node ids and ``value[i]`` the leaf prediction.  Non-numeric splits
-    keep their :class:`Predicate` in :attr:`predicates` for the generic
-    fallback.
-    """
-
-    def __init__(
-        self,
-        model: DecisionTreeModel,
-        interner: Optional[Tuple[Dict[str, int], List[str]]] = None,
-    ):
-        # Ensemble wrappers pass one shared interner so every member tree
-        # indexes the same column universe and the per-call frame
-        # preparation happens once, not once per tree.
-        col_index, columns = interner if interner is not None else ({}, [])
-        self.columns: List[str] = columns
-        tables = _NodeTables([], [], [], [], [], [], [], [])
-
-        def intern(column: str) -> int:
-            if column not in col_index:
-                col_index[column] = len(self.columns)
-                self.columns.append(column)
-            return col_index[column]
-
-        def flatten(node: TreeNode) -> int:
-            idx = len(tables.feature)
-            tables.feature.append(-1)
-            tables.opcode.append(_GENERIC_OP)
-            tables.threshold.append(np.nan)
-            tables.default_left.append(False)
-            tables.left.append(-1)
-            tables.right.append(-1)
-            tables.value.append(float(node.prediction))
-            tables.predicates.append(None)
-            if node.is_leaf:
-                return idx
-            left = node.left
-            if left is None or left.predicate is None or node.right is None:
-                raise TrainingError("malformed tree: internal node without split")
-            pred = left.predicate
-            tables.feature[idx] = intern(pred.column)
-            tables.default_left[idx] = bool(pred.include_null)
-            if pred.op in _NUMERIC_OPS and isinstance(
-                pred.value, (int, float)
-            ) and not isinstance(pred.value, bool):
-                tables.opcode[idx] = _NUMERIC_OPS[pred.op]
-                tables.threshold[idx] = float(pred.value)
-            else:
-                tables.predicates[idx] = pred
-            tables.left[idx] = flatten(left)
-            tables.right[idx] = flatten(node.right)
-            return idx
-
-        flatten(model.root)
-        self.feature = np.asarray(tables.feature, dtype=np.int32)
-        self.opcode = np.asarray(tables.opcode, dtype=np.int8)
-        self.threshold = np.asarray(tables.threshold, dtype=np.float64)
-        self.default_left = np.asarray(tables.default_left, dtype=bool)
-        self.left = np.asarray(tables.left, dtype=np.int32)
-        self.right = np.asarray(tables.right, dtype=np.int32)
-        self.value = np.asarray(tables.value, dtype=np.float64)
-        self.predicates = tables.predicates
-        #: nodes needing the generic fallback (categorical / string / set)
-        self.generic_nodes = np.asarray(
-            [i for i, p in enumerate(self.predicates) if p is not None],
-            dtype=np.int32,
-        )
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self.feature)
-
-    # ------------------------------------------------------------------
-    # Evaluation
-    # ------------------------------------------------------------------
-    def predict(
-        self,
-        features: FeatureFrame,
-        prepared: Optional[PreparedFrame] = None,
-        mask_cache: Optional[Dict[Predicate, np.ndarray]] = None,
-    ) -> np.ndarray:
-        """Route a feature frame to leaf values.
-
-        Callers sharing work across several trees pass ``prepared`` (one
-        shared :func:`prepare_frame` result) and ``mask_cache`` (a
-        per-call dict deduplicating identical categorical predicates);
-        standalone calls build both locally.
-        """
-        lengths = [len(v) for v in features.values()]
-        n = lengths[0] if lengths else 0
-        state = np.zeros(n, dtype=np.int32)
-        if n == 0 or self.left[0] < 0:
-            return self.value[state] if n else np.zeros(0, dtype=np.float64)
-        if prepared is None:
-            prepared = prepare_frame(self.columns, features)
-        leaves = self._descend(state, np.arange(n), prepared, mask_cache)
-        return self.value[leaves]
-
-
-class CompiledTreeBank(_FlatEvaluator):
-    """Every tree of an ensemble packed into one flat node table.
-
-    Member trees must share one column universe (the ensemble wrappers
-    compile them with a shared interner).  Child pointers are offset into
-    the packed table; :meth:`leaf_matrix` descends all (tree, row) pairs
-    simultaneously, so the whole ensemble costs one level loop instead of
-    one per tree.
-    """
-
-    def __init__(self, trees: Sequence[CompiledTree]):
-        if not trees:
-            raise TrainingError("tree bank needs at least one tree")
-        first = trees[0].columns
-        if any(t.columns is not first for t in trees):
-            raise TrainingError("bank trees must share one column universe")
-        self.columns = first
-        self.num_trees = len(trees)
-        offsets = np.cumsum([0] + [t.num_nodes for t in trees])
-        self.roots = offsets[:-1].astype(np.int32)
-        self.feature = np.concatenate([t.feature for t in trees])
-        self.opcode = np.concatenate([t.opcode for t in trees])
-        self.threshold = np.concatenate([t.threshold for t in trees])
-        self.default_left = np.concatenate([t.default_left for t in trees])
-        self.left = np.concatenate(
-            [np.where(t.left >= 0, t.left + off, -1)
-             for t, off in zip(trees, offsets)]
-        ).astype(np.int32)
-        self.right = np.concatenate(
-            [np.where(t.right >= 0, t.right + off, -1)
-             for t, off in zip(trees, offsets)]
-        ).astype(np.int32)
-        self.value = np.concatenate([t.value for t in trees])
-        self.predicates = [p for t in trees for p in t.predicates]
-
-    def leaf_matrix(
-        self,
-        features: FeatureFrame,
-        prepared: Optional[PreparedFrame] = None,
-        mask_cache: Optional[Dict[Predicate, np.ndarray]] = None,
-    ) -> np.ndarray:
-        """(num_trees, n) leaf values — row t is tree t's prediction."""
-        lengths = [len(v) for v in features.values()]
-        n = lengths[0] if lengths else 0
-        if n == 0:
-            return np.zeros((self.num_trees, 0), dtype=np.float64)
-        if prepared is None:
-            prepared = prepare_frame(self.columns, features)
-        if mask_cache is None:
-            mask_cache = {}
-        # Tree-major flat layout: entry t*n + r is (tree t, frame row r).
-        # Large frames are chunked so the per-level temporaries stay
-        # cache-resident; chunking is elementwise-invisible (each row's
-        # routing is independent), so the output bits don't change.
-        chunk = max(1, _CHUNK_ENTRIES // self.num_trees)
-        out = np.empty((self.num_trees, n), dtype=np.float64)
-        for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
-            state = np.repeat(self.roots, hi - lo)
-            row_of = np.tile(np.arange(lo, hi), self.num_trees)
-            leaves = self._descend(state, row_of, prepared, mask_cache)
-            out[:, lo:hi] = self.value[leaves].reshape(self.num_trees, hi - lo)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -439,10 +537,11 @@ class CompiledDecisionTree:
 
     def __init__(self, model: DecisionTreeModel):
         self.tree = CompiledTree(model)
+        self.bank = CompiledTreeBank([self.tree])
         self.required_features = list(self.tree.columns)
 
     def predict_arrays(self, features: FeatureFrame) -> np.ndarray:
-        return self.tree.predict(features)
+        return self.bank.leaf_matrix(features)[0]
 
 
 class CompiledGradientBoosting:

@@ -27,6 +27,11 @@ from repro.joingraph.hypertree import edge_between, rooted_tree
 
 KeyValue = Union[str, int, float, None]
 
+#: what a frame holds when no column is asked for (a model without
+#: splits reads no feature): the fact row positions.  Scorers take the
+#: row count from a frame's first array, so ``{}`` would score no rows.
+ROW_COLUMN = "jb_row"
+
 
 def _join_order(graph: JoinGraph, fact: str):
     """``(parent_map, order)``: the join tree rooted at ``fact`` and its
@@ -79,7 +84,8 @@ def feature_frame(
     Walks the join tree rooted at the fact table; for each relation owning
     a requested column, composes the N-to-1 key mappings hop by hop so the
     returned arrays all align with fact rows.  NULLs appear where a join
-    key has no match (left-join semantics).
+    key has no match (left-join semantics).  With no column to return,
+    the frame is ``{ROW_COLUMN: fact row positions}``.
     """
     fact = fact or graph.target_relation
     wanted: List[str]
@@ -124,7 +130,7 @@ def feature_frame(
         out[column] = _gather_values(
             db.table(owner).column(column), row_map[owner]
         )
-    return out
+    return out or {ROW_COLUMN: row_map[fact]}
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +267,8 @@ def gather_frame(
     columns equal ``keys`` (ascending; several key columns intersect) and
     the feature arrays aligned with them — column for column what
     ``feature_frame(...)[column][mask]`` holds, including left-join NULLs
-    for dangling keys and last-match-wins on duplicate dimension keys.
+    for dangling keys and last-match-wins on duplicate dimension keys
+    (``{ROW_COLUMN: rows}`` when ``columns`` is empty).
 
     Nothing scans the fact: the rows come from the key column's grouped
     row index, and each hop looks the join keys of just those rows up in
@@ -311,7 +318,7 @@ def gather_frame(
         frame[column] = _gather_values(
             db.table(owner).column(column), positions(owner)
         )
-    return rows, frame
+    return rows, frame or {ROW_COLUMN: rows}
 
 
 def predict_join(db, graph: JoinGraph, model, fact: Optional[str] = None) -> np.ndarray:

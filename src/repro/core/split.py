@@ -330,7 +330,10 @@ class SplitFinder:
             return None
         left = {w_name: float(row["cw"]), s_name: float(row["sw"])}
         right = {w_name: w_total - left[w_name], s_name: s_total - left[s_name]}
-        predicate = Predicate(feature, "<=", _plain(row[feature]), include_null=False)
+        predicate = Predicate(
+            feature, "<=", _plain(row[feature], relation, feature),
+            include_null=False,
+        )
         return SplitCandidate(
             gain=float(row["criteria"]),
             relation=relation,
@@ -446,11 +449,12 @@ def best_split_from_aggregates(
     right = {c: totals.get(c, 0.0) - left[c] for c in comps}
 
     if categorical:
-        members = tuple(_plain(v) for v in values[: idx + 1])
+        members = tuple(_plain(v, relation, feature) for v in values[: idx + 1])
         predicate = Predicate(feature, "IN", members, include_null=null_left)
     else:
         predicate = Predicate(
-            feature, "<=", _plain(values[idx]), include_null=null_left
+            feature, "<=", _plain(values[idx], relation, feature),
+            include_null=null_left,
         )
     return SplitCandidate(
         gain=float(gain),
@@ -495,8 +499,16 @@ def _gain_candidates(
     return np.flatnonzero(ok & (gains >= gains[ok].max() - tol)).tolist()
 
 
-def _plain(value):
-    """Convert NumPy scalars to plain Python for Predicate literals."""
+def _plain(value, relation: str, feature: str):
+    """Convert NumPy scalars to plain Python for Predicate literals.
+
+    ±inf has no SQL literal, so a split on it is refused by name."""
+    if isinstance(value, (float, np.floating)) and np.isinf(value):
+        raise TrainingError(
+            f"feature {feature!r} of relation {relation!r} holds "
+            f"{float(value)}: infinite values cannot be split on "
+            f"(store missing values as NULL)"
+        )
     if isinstance(value, (np.floating,)):
         out = float(value)
         return int(out) if out == int(out) and abs(out) < 1e15 else out

@@ -413,6 +413,38 @@ class TestConnectorParity:
         np.testing.assert_allclose(scores["embedded"], scores[backend],
                                    atol=1e-9)
 
+    @pytest.mark.parametrize("split_batching", ("auto", "off"))
+    @pytest.mark.parametrize("backend", backend_matrix("embedded", "sqlite"))
+    def test_infinite_split_value_is_a_training_error(
+        self, backend, split_batching
+    ):
+        """-inf is the best threshold here (it alone separates the two
+        target levels) and has no SQL literal: every connector refuses
+        it by relation, feature and value instead of crashing."""
+        from repro.exceptions import TrainingError
+
+        rng = np.random.default_rng(0)
+        n = 200
+        x = rng.normal(size=n)
+        x[:50] = -np.inf
+        conn = repro.connect(backend=backend)
+        conn.create_table("f", {
+            "k": rng.integers(0, 5, n),
+            "x": x,
+            "y": np.where(np.isinf(x), 10.0, -10.0) + rng.normal(0, 0.1, n),
+        })
+        conn.create_table("d", {"k": np.arange(5), "z": np.arange(5.0)})
+        train_set = repro.join_graph(conn)
+        train_set.add_node("f", X=["x"], y="y")
+        train_set.add_node("d", X=["z"])
+        train_set.add_edge("f", "d", ["k"])
+        with pytest.raises(TrainingError, match=r"'x' of relation 'f' holds -inf"):
+            repro.train(
+                {"num_iterations": 2, "num_leaves": 4,
+                 "split_batching": split_batching},
+                train_set,
+            )
+
     def test_sqlite_leaves_no_temp_tables(self):
         conn = repro.connect(backend="sqlite")
         train_set = _build_trainset(conn)

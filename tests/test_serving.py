@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.core.compile import _BITMASK_MIN_ROWS
 from repro.core.predict import feature_frame
 from repro.core.serialize import model_digest
 from repro.datasets.synthetic import star_schema
@@ -26,7 +27,9 @@ from repro.exceptions import (
     TrainingError,
     TransientServingError,
 )
-from repro.serve import CompiledModelCache, PredictionService
+from repro.serve import CompiledModelCache, PredictionService, ServingGateway
+
+from conftest import backend_matrix
 
 
 @pytest.fixture
@@ -149,6 +152,23 @@ class TestWorkerParity:
         parallel = service.score_all(batch_rows=64)  # env-resolved workers
         assert np.array_equal(parallel, serial)
 
+    def test_thread_slices_straddling_the_crossover(self):
+        """Slices of ``score_all`` land on both kernel regimes (bitmask
+        at and above the crossover, level descent below it) and still
+        reassemble to the single-call bits."""
+        rows = 2 * _BITMASK_MIN_ROWS + 100
+        db, graph = star_schema(num_fact_rows=rows, num_dims=2, seed=3)
+        model = repro.train_gradient_boosting(
+            db, graph, {"num_iterations": 3, "num_leaves": 8, "seed": 1}
+        )
+        service = PredictionService(db, graph)
+        service.deploy(model)
+        single = service.score_all(workers=1)
+        frame = feature_frame(db, graph, include_target=False)
+        assert np.array_equal(single, model.predict_arrays(frame))
+        sliced = service.score_all(batch_rows=_BITMASK_MIN_ROWS, workers=2)
+        assert np.array_equal(sliced, single)
+
     def test_score_batches_preserves_order(self, served):
         db, graph, model, service = served
         service.deploy(model)
@@ -168,6 +188,37 @@ class TestWorkerParity:
         _, _, model, service = served
         service.deploy(model)
         assert np.array_equal(service.score_sql(), service.score_all())
+
+
+class TestModelWithoutSplits:
+    @pytest.mark.parametrize("backend", backend_matrix("embedded", "sqlite"))
+    def test_every_path_scores_every_row(self, backend):
+        """A model that reads no feature still scores each fact row: its
+        frames carry the row count even with no column in them."""
+        db, graph = star_schema(
+            repro.connect(backend=backend), num_fact_rows=300
+        )
+        model = repro.train_gradient_boosting(
+            db, graph, {"num_iterations": 2, "min_split_gain": 1e18}
+        )
+        assert model.required_features == []
+        service = PredictionService(db, graph)
+        service.deploy(model)
+        gateway = ServingGateway(service)
+        expected = service.score_sql()
+        assert expected.shape == (300,)
+        assert np.array_equal(service.score_all(), expected)
+        assert np.array_equal(gateway.score_compiled().scores, expected)
+        assert np.array_equal(gateway._recursive_scores("default"), expected)
+
+        k0 = np.asarray(db.table("fact").column("k0").as_float())
+        keyed = service.score_key({"k0": 3})
+        scored = np.asarray(keyed.column("jb_score").as_float())
+        assert np.array_equal(scored, expected[k0 == 3])
+        relation = gateway.score_key({"k0": 3}).relation
+        assert np.array_equal(
+            np.asarray(relation.column("jb_score").as_float()), scored
+        )
 
 
 class TestRegistryLocking:
