@@ -8,8 +8,8 @@ aggregate + materialize) form the slow tail of the latency histogram.
 Batched mode (the Section 5 batching optimization): each frontier round
 fuses a relation's features into one UNION ALL query with leaf membership
 as a grouping column, dropping the split-query count from
-O(leaves x features) to O(relations) per round — with tree-for-tree
-parity (identical rmse) between the two modes.  Leaf membership itself
+O(leaves x features) to O(relations) per round — with split-for-split
+parity (rmse equal to 1e-9) between the two modes.  Leaf membership itself
 is a persistent column maintained incrementally (one root pass per tree
 + two narrow UPDATEs per split), never rebuilt per round.
 """

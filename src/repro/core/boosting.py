@@ -111,6 +111,8 @@ class MulticlassBoostingModel:
         self.init_scores = init_scores
         self.learning_rate = learning_rate
         self.loss = loss
+        #: one frontier census per class chain (set by the training driver)
+        self.class_census: List[Dict[str, object]] = []
 
     @property
     def num_classes(self) -> int:
@@ -309,7 +311,9 @@ def _train_snowflake(
         updater = ResidualUpdater(
             db, graph, fact, fact_table, loss, strategy=params.update_strategy
         )
-        criterion = GradientCriterion(reg_lambda=params.reg_lambda)
+        criterion = GradientCriterion(
+            reg_lambda=params.reg_lambda, count_weight=hessian_constant
+        )
         trainer = DecisionTreeTrainer(db, graph, factorizer, criterion, params)
 
         # Replay restored rounds: consume the same RNG draws an
@@ -577,6 +581,7 @@ def _train_multiclass_body(
         for factorizer in factorizers:
             factorizer.invalidate_for_relation(fact)
     model = MulticlassBoostingModel(chains, init_scores, params.learning_rate, loss)
+    model.class_census = [trainer.evaluator.census() for trainer in trainers]
     factorizers[0].cleanup()
     return model
 

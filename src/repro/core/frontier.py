@@ -30,8 +30,17 @@ one query per relation:
 4. **Scan.**  Per (leaf, feature) slices run through the same client-side
    prefix-scan kernel as the per-leaf path
    (:func:`~repro.core.split.best_split_from_aggregates`), and the winner
-   per leaf is reduced in the caller's feature order — so batched and
-   per-leaf modes choose identical splits, tie for tie.
+   per leaf is reduced in the caller's feature order.
+
+5. **Subtract.**  When the criterion's weight is an exact row count
+   (``Criterion.count_weight``), each leaf's slices are kept until its
+   children are evaluated.  A round for two siblings then queries only
+   the lighter child and derives the other's slices as parent minus
+   queried child (:func:`subtract_slice`) — LightGBM's histogram
+   subtraction.  The derived child's sums are float differences, so its
+   gains and leaf values can differ from the per-leaf path's in the last
+   bits; counts, and so every split's partition of the rows, are exact.
+   Other criteria (non-constant hessians) query both children.
 
 Batching requires leaf membership to be a *function of the fact row*,
 i.e. a snowflake schema (fact 1-1 with the join result), and a backend
@@ -41,7 +50,10 @@ factorizers, backends without ``UNION ALL`` or predicated in-place
 fails mid-training (e.g. a split behind a multi-column join key, which
 the semi-join rewrite refuses) all record the reason on
 ``batching_veto`` and run the rest of training on the per-leaf path —
-the parity reference; ``split_batching="off"`` forces it.
+the parity reference; ``split_batching="off"`` forces it.  Batched and
+per-leaf trees agree split for split, with sums equal to ~1e-12
+relative wherever a child was derived, except where two features give
+one partition of a leaf's rows with exactly equal gains.
 
 Every batched round is one dependency DAG on the
 :class:`~repro.engine.scheduler.QueryScheduler` — the paper's Section
@@ -52,7 +64,8 @@ the DAG inline, depth-first, relation by relation; with
 ``num_workers > 1`` (and a backend declaring
 ``Capabilities.concurrent_read``) different relations' chains overlap on
 the worker pool's threads.  Candidates merge by (node, feature
-index), so the grown tree is bit-identical at every worker count.
+index), and the subtraction runs client-side in the scan, so the grown
+tree is bit-identical at every worker count and on every backend.
 """
 
 from __future__ import annotations
@@ -84,6 +97,16 @@ from repro.storage.column import Column, ColumnType
 #: the leaf-membership grouping alias of the fused split queries
 LEAF_COLUMN = "jb_leaf"
 
+#: one (leaf, feature) slice of a fused result: the distinct feature
+#: values, their NULL/NaN mask, and the aggregate arrays by component
+Slice = Tuple[np.ndarray, np.ndarray, Dict[str, np.ndarray]]
+
+#: one leaf's slices by ``(relation, feature)``
+Slices = Dict[Tuple[str, str], Slice]
+
+#: a child derived by subtraction, with its parent's slices
+Sibling = Tuple[TreeNode, Slices]
+
 #: physical names for persistent (incremental) label columns — distinct
 #: from the bare grouping alias so several trainers can share one lifted
 #: fact (multiclass) without tripping the user-column collision veto
@@ -105,6 +128,72 @@ def concurrent_read_veto(db) -> Optional[str]:
         f"backend dialect {getattr(db, 'dialect', 'unknown')!r} declares "
         "Capabilities.concurrent_read=False"
     )
+
+
+def subtract_slice(parent: Slice, child: Slice, weight: str) -> Slice:
+    """The sibling's slice: ``parent`` minus ``child``, aligned by value.
+
+    Numbers align by ``searchsorted``, strings by exact lookup, and the
+    NULL/NaN groups of each side sum into one group matched on its own.
+    The result keeps the parent's value order.  A group whose ``weight``
+    (an exact row count) reaches 0 holds no sibling row and is dropped.
+    A child value the parent lacks breaks the invariant that a child's
+    rows are a subset of its parent's, so it raises instead of being
+    skipped.
+    """
+    p_values, p_nulls, p_aggs = parent
+    c_values, c_nulls, c_aggs = child
+    present = np.flatnonzero(~p_nulls)
+    rows = _align(p_values[present], c_values[~c_nulls])
+    values = p_values[present]
+    nulls = np.zeros(len(present), dtype=bool)
+    aggs: Dict[str, np.ndarray] = {}
+    for name, column in p_aggs.items():
+        derived = column[present]
+        derived[rows] -= c_aggs[name][~c_nulls]
+        aggs[name] = derived
+    null_rows = np.flatnonzero(p_nulls)
+    if len(null_rows):
+        values = np.concatenate([values, p_values[null_rows[:1]]])
+        nulls = np.append(nulls, True)
+        for name, derived in aggs.items():
+            mass = p_aggs[name][p_nulls].sum() - c_aggs[name][c_nulls].sum()
+            aggs[name] = np.append(derived, mass)
+    elif c_nulls.any():
+        raise TrainingError(
+            "internal invariant violated: a child slice holds a NULL group "
+            "its parent's slice lacks"
+        )
+    live = aggs[weight] != 0
+    return values[live], nulls[live], {n: a[live] for n, a in aggs.items()}
+
+
+def _align(parent_values: np.ndarray, child_values: np.ndarray) -> np.ndarray:
+    """The position in ``parent_values`` of each of ``child_values``."""
+    if len(child_values) == 0:
+        return np.empty(0, dtype=np.intp)
+    if len(parent_values) and parent_values.dtype.kind in "biuf" and (
+        child_values.dtype.kind in "biuf"
+    ):
+        order = np.argsort(parent_values, kind="stable")
+        ordered = parent_values[order]
+        found = np.minimum(
+            np.searchsorted(ordered, child_values), len(ordered) - 1
+        )
+        missing = ordered[found] != child_values
+        positions = order[found]
+    else:
+        lookup = {value: i for i, value in enumerate(parent_values.tolist())}
+        found_list = [lookup.get(value, -1) for value in child_values.tolist()]
+        positions = np.asarray(found_list, dtype=np.intp)
+        missing = positions < 0
+    if missing.any():
+        value = child_values[np.flatnonzero(missing)[0]]
+        raise TrainingError(
+            f"internal invariant violated: child slice value {value!r} is "
+            "missing from its parent's slice"
+        )
+    return positions
 
 
 class FrontierState:
@@ -313,11 +402,16 @@ class FrontierEvaluator:
         self.min_child_samples = min_child_samples
         self.num_workers = max(1, int(num_workers))
         self.state = FrontierState(db, graph, factorizer)
+        # The current tree's open leaves' slices, kept while their
+        # children may still be derived by subtraction:
+        # node_id -> {(relation, feature): slice}.
+        self._slices: Dict[int, Slices] = {}
         # census counters (read by the Figure 9 bench and the CI gate)
         self.rounds = 0
         self.batched_rounds = 0
         self.batched_split_queries = 0
         self.per_leaf_split_queries = 0
+        self.sibling_subtractions = 0
         # inter-query parallelism census (Figure 18 measured numbers)
         self.parallel_rounds = 0
         self.parallel_wall_seconds = 0.0
@@ -337,6 +431,7 @@ class FrontierEvaluator:
     def begin_tree(self, root: TreeNode) -> None:
         """Reset the incremental state for a new tree's root."""
         self.state.begin_tree(root)
+        self._slices.clear()
 
     def notify_split(self, node: TreeNode) -> None:
         """A split committed: apply the delta label update.  A failure
@@ -400,6 +495,7 @@ class FrontierEvaluator:
             "carry_cache_misses": self.factorizer.carry_cache_misses,
             "batched_split_queries": self.batched_split_queries,
             "per_leaf_split_queries": self.per_leaf_split_queries,
+            "sibling_subtractions": self.sibling_subtractions,
             "batching_veto": self._batching_veto(),
             "num_workers": self.num_workers,
             "parallel_rounds": self.parallel_rounds,
@@ -532,6 +628,13 @@ class FrontierEvaluator:
         out: Dict[int, Optional[SplitCandidate]] = {
             node.node_id: None for node in nodes
         }
+        # This round evaluates the parents' children: their slices are
+        # needed by this round at most.
+        held = {
+            node.parent.node_id: self._slices.pop(node.parent.node_id)
+            for node in nodes
+            if node.parent is not None and node.parent.node_id in self._slices
+        }
         eligible = [
             node for node in nodes if self.criterion.weight(node.aggregates) > 0
         ]
@@ -543,10 +646,16 @@ class FrontierEvaluator:
             # The label column cannot serve this round: the rest of
             # training runs per-leaf, and the census says why.
             self._batch_veto = "lifted fact holds no current leaf labels"
+            self._slices.clear()
             return self._per_leaf(nodes, features)
         self.batched_rounds += 1
+        sibling = self._sibling_plan(eligible, features, held)
+        queried = list(eligible)
+        if sibling is not None:
+            queried.remove(sibling[0])
+            self.sibling_subtractions += 1
         candidates = self._evaluate_round(
-            eligible, features, fact, label_column
+            queried, features, fact, label_column, sibling
         )
 
         # Reduce in the caller's feature order so ties across features
@@ -561,6 +670,32 @@ class FrontierEvaluator:
                     best = candidate
             out[node.node_id] = best
         return out
+
+    def _sibling_plan(
+        self,
+        eligible: Sequence[TreeNode],
+        features: Sequence[Tuple[str, str]],
+        held: Dict[int, Slices],
+    ) -> Optional[Sibling]:
+        """``(derived child, parent's slices)`` when this round can query
+        one of two siblings and derive the other; None otherwise.
+
+        The lighter child (by weight, then node id) is queried, so the
+        round aggregates the fewer rows.
+        """
+        if not self.criterion.count_weight or len(eligible) != 2:
+            return None
+        parent = eligible[0].parent
+        if parent is None or eligible[1].parent is not parent:
+            return None
+        slices = held.get(parent.node_id)
+        if slices is None or not all(key in slices for key in features):
+            return None
+        weight = self.criterion.weight
+        _, derived = sorted(
+            eligible, key=lambda node: (weight(node.aggregates), node.node_id)
+        )
+        return derived, slices
 
     # ------------------------------------------------------------------
     # The round pipeline (Section 5.5.3 inter-query parallelism)
@@ -589,9 +724,13 @@ class FrontierEvaluator:
         features: Sequence[Tuple[str, str]],
         fact: str,
         label_column: str,
+        sibling: Optional[Sibling] = None,
     ) -> Dict[Tuple[int, int], SplitCandidate]:
         """One evaluation round as one DAG on the scheduler; returns the
-        split candidates keyed by ``(node_id, feature index)``.
+        split candidates keyed by ``(node_id, feature index)``.  With a
+        ``sibling`` (derived child, parent's slices), ``nodes`` is the
+        one queried child, and each scan also derives and scores the
+        sibling.
 
         Each relation is a chain: *build* (its carry messages, serialized
         against other builds by the factorizer's build lock, cached under
@@ -616,7 +755,10 @@ class FrontierEvaluator:
         by_relation: Dict[str, List[Tuple[int, str]]] = {}
         for index, (relation, feature) in enumerate(features):
             by_relation.setdefault(relation, []).append((index, feature))
-        node_by_id = {node.node_id: node for node in nodes}
+        if self.criterion.count_weight:
+            evaluated = list(nodes) + ([sibling[0]] if sibling else [])
+            for node in evaluated:
+                self._slices[node.node_id] = {}
         num_workers = self._pool_eligible(by_relation)
         # No retry wiring here: each statement a node issues is retried by
         # the connector that runs it, so wrapping the node in a second
@@ -646,7 +788,7 @@ class FrontierEvaluator:
         def scan(relation: str, group: List[Tuple[int, str]], read_id: int):
             self._scan_fused_result(
                 scheduler.take_result(read_id),
-                relation, group, node_by_id, candidates,
+                relation, group, nodes, sibling, candidates,
             )
 
         def finalize(relation: str) -> None:
@@ -750,48 +892,84 @@ class FrontierEvaluator:
         result,
         relation: str,
         indexed: List[Tuple[int, str]],
-        node_by_id: Dict[int, TreeNode],
+        nodes: Sequence[TreeNode],
+        sibling: Optional[Sibling],
         candidates: Dict[Tuple[int, int], SplitCandidate],
     ) -> None:
         """Client-side prefix scan over a fused query's aggregates,
         filling ``candidates`` keyed by ``(node_id, feature index)`` —
         identical numpy arithmetic regardless of which worker produced
-        ``result``."""
-        if result is None or result.num_rows == 0:
-            return
-
-        feature_ids = result.column("jb_feature").values.astype(np.int64)
-        leaf_ids = np.asarray(
-            result.column(LEAF_COLUMN).values, dtype=np.float64
-        ).astype(np.int64)
-        value_column = result.column("jb_value")
-        values = value_column.values
-        nulls = value_column.is_null()
-        if values.dtype.kind == "f":
-            nulls = nulls | np.isnan(values)
-        agg_arrays = {
-            c: result.column(c).values.astype(np.float64)
-            for c in self.criterion.components
-        }
-
+        ``result``.  Each evaluated leaf with an entry in ``_slices``
+        keeps its slices there; a ``sibling``'s are its parent's minus
+        the queried child's."""
+        columns = self._fused_columns(result)
+        components = self.criterion.components
+        weight = components[0]
         for index, feature in indexed:
-            categorical = self.graph.is_categorical(relation, feature)
-            feature_mask = feature_ids == index
-            for node_id, node in node_by_id.items():
-                mask = feature_mask & (leaf_ids == node_id)
-                if not mask.any():
+            key = (relation, feature)
+            pieces = [
+                (node, _take_slice(columns, index, node.node_id, components))
+                for node in nodes
+            ]
+            if sibling is not None:
+                derived, parent_slices = sibling
+                pieces.append((
+                    derived,
+                    subtract_slice(parent_slices[key], pieces[0][1], weight),
+                ))
+            for node, (values, nulls, aggs) in pieces:
+                kept = self._slices.get(node.node_id)
+                if kept is not None:
+                    kept[key] = (values, nulls, aggs)
+                if len(values) == 0:
                     continue
                 candidate = best_split_from_aggregates(
                     self.criterion,
                     relation,
                     feature,
-                    values[mask],
-                    nulls[mask],
-                    {c: a[mask] for c, a in agg_arrays.items()},
+                    values,
+                    nulls,
+                    aggs,
                     node.aggregates,
-                    categorical=categorical,
+                    categorical=self.graph.is_categorical(relation, feature),
                     missing=self.missing,
                     min_child_samples=self.min_child_samples,
                 )
                 if candidate is not None:
-                    candidates[(node_id, index)] = candidate
+                    candidates[(node.node_id, index)] = candidate
+
+    def _fused_columns(self, result):
+        """``(feature ids, leaf ids, values, nulls, aggregates)`` of a
+        fused result; None when it holds no rows."""
+        if result is None or result.num_rows == 0:
+            return None
+        value_column = result.column("jb_value")
+        values = value_column.values
+        nulls = value_column.is_null()
+        if values.dtype.kind == "f":
+            nulls = nulls | np.isnan(values)
+        return (
+            result.column("jb_feature").values.astype(np.int64),
+            np.asarray(
+                result.column(LEAF_COLUMN).values, dtype=np.float64
+            ).astype(np.int64),
+            values,
+            nulls,
+            {
+                c: result.column(c).values.astype(np.float64)
+                for c in self.criterion.components
+            },
+        )
+
+
+def _take_slice(
+    columns, index: int, node_id: int, components: Sequence[str]
+) -> Slice:
+    """One (leaf, feature) slice of :meth:`FrontierEvaluator._fused_columns`
+    (empty when the leaf has no row for the feature)."""
+    if columns is None:
+        empty = np.empty(0)
+        return empty, np.empty(0, dtype=bool), {c: empty for c in components}
+    feature_ids, leaf_ids, values, nulls, aggs = columns
+    mask = (feature_ids == index) & (leaf_ids == node_id)
+    return values[mask], nulls[mask], {c: a[mask] for c, a in aggs.items()}

@@ -111,7 +111,10 @@ class TrainParams:
     # the CI parity gate).  External backends ignore the knob.
     encoding_cache: str = "auto"
     # Inter-query parallelism (Section 5.5.3): the worker-pool size the
-    # dependency-DAG scheduler executes with.  "auto" = min(4, cpus);
+    # dependency-DAG scheduler executes with.  "auto" is one worker for a
+    # tree's frontier rounds (two threads made both spine GBM trainings
+    # ~11 % slower on a 2-core host, docs/EXPERIMENTS.md "Figure 18") and
+    # min(4, cpus) for a forest's trees and score_all's slices;
     # 1 = the same DAG run inline (no threads spawned — the parity gates
     # pin it).  The JOINBOOST_NUM_WORKERS env var supplies the default
     # when the caller does not set the parameter (the CI race-smoke leg
@@ -170,6 +173,14 @@ class TrainParams:
         """The concrete worker-pool size for this run."""
         if self.num_workers == "auto":
             return max(1, min(4, os.cpu_count() or 1))
+        return int(self.num_workers)
+
+    def frontier_workers(self) -> int:
+        """The worker count for one tree's frontier rounds: one under
+        "auto" (the rounds' client-side scans hold the interpreter lock,
+        so threads only contend), the explicit count otherwise."""
+        if self.num_workers == "auto":
+            return 1
         return int(self.num_workers)
 
     @staticmethod

@@ -40,6 +40,10 @@ class Criterion:
     components: Tuple[str, ...] = ()
     #: True when the numeric split can run as one SQL window query
     sql_capable = False
+    #: True when the weight component (``components[0]``) is an exact row
+    #: count: a child's aggregates are then its parent's minus its
+    #: sibling's, and a value whose count cancels to 0 holds no row
+    count_weight = False
 
     def gain_aggs(
         self, left: Dict[str, float], totals: Dict[str, float]
@@ -89,6 +93,7 @@ class VarianceCriterion(Criterion):
 
     components = ("c", "s")
     sql_capable = True
+    count_weight = True
 
     def gain_sql(self, w: str, s: str, w_total: float, s_total: float) -> str:
         st, ct = repr(float(s_total)), repr(float(w_total))
@@ -141,9 +146,13 @@ class GradientCriterion(Criterion):
         reg_lambda: float = 0.0,
         weight_component: str = "h",
         sum_component: str = "g",
+        count_weight: bool = False,
     ):
         self.reg_lambda = float(reg_lambda)
         self.components = (weight_component, sum_component)
+        # The hessian sum is a row count only when the loss's hessian is
+        # the constant 1; the training driver knows which loss it lifted.
+        self.count_weight = count_weight
 
     def gain_sql(self, w: str, s: str, w_total: float, s_total: float) -> str:
         lam = repr(self.reg_lambda)
@@ -205,6 +214,7 @@ class ClassificationCriterion(Criterion):
     """Gini / entropy / chi-square over class counts (Appendix A)."""
 
     sql_capable = False
+    count_weight = True
 
     def __init__(self, num_classes: int, measure: str = "gini"):
         if measure not in ("gini", "entropy", "chi2"):

@@ -64,7 +64,7 @@ class DecisionTreeTrainer:
             mode=params.split_batching,
             missing=params.missing,
             min_child_samples=params.min_child_samples,
-            num_workers=params.resolved_workers(),
+            num_workers=params.frontier_workers(),
         )
         self._ids = itertools.count()
 

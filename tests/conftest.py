@@ -6,6 +6,8 @@ import os
 import numpy as np
 import pytest
 
+import repro
+from repro.core.predict import feature_frame
 from repro.engine.database import Database
 from repro.datasets import favorita, imdb, star_schema
 
@@ -96,3 +98,101 @@ def materialized_frame(db, graph):
     from repro.baselines.export import load_feature_matrix
 
     return load_feature_matrix(db, graph)
+
+
+#: tolerance of batched growth against ``split_batching="off"``: a child
+#: derived by sibling subtraction carries float differences of its
+#: parent's and sibling's sums, so its values differ in the last bits
+SIBLING_RTOL = 1e-12
+
+#: aggregate components that are exact row counts under every criterion
+#: that derives children (variance/class ``c``, constant-hessian ``h``)
+COUNT_COMPONENTS = ("c", "h")
+
+
+def _paired_nodes(auto, off):
+    """Walk two serialized trees together, asserting identical shape:
+    node ids, depths, relations, predicates and row counts."""
+    assert auto["node_id"] == off["node_id"]
+    assert auto["depth"] == off["depth"]
+    assert auto.get("relation") == off.get("relation"), auto["node_id"]
+    assert auto.get("predicate") == off.get("predicate"), auto["node_id"]
+    assert set(auto["aggregates"]) == set(off["aggregates"])
+    for name in COUNT_COMPONENTS:
+        assert auto["aggregates"].get(name) == off["aggregates"].get(name)
+    assert ("left" in auto) == ("left" in off), auto["node_id"]
+    yield auto, off
+    if "left" in auto:
+        yield from _paired_nodes(auto["left"], off["left"])
+        yield from _paired_nodes(auto["right"], off["right"])
+
+
+def same_partition_tie(auto_trees, off_trees):
+    """The first split, in tree then pre-order, where two growths part,
+    as ``(node id, auto predicate, off predicate)`` of the differing
+    child; None when every split agrees.  Asserts that the parting is an
+    exact gain tie between two predicates with one partition of the
+    parent's rows: equal gains and the same child row counts."""
+    def fork(auto, off):
+        if "left" not in auto and "left" not in off:
+            return None
+        if "left" not in auto or "left" not in off or (
+            auto["left"].get("predicate") != off["left"].get("predicate")
+        ):
+            return auto, off
+        return fork(auto["left"], off["left"]) or fork(
+            auto["right"], off["right"]
+        )
+
+    def child_counts(node):
+        count = next(c for c in COUNT_COMPONENTS if c in node["aggregates"])
+        return sorted(node[side]["aggregates"][count]
+                      for side in ("left", "right"))
+
+    for auto, off in zip(auto_trees, off_trees):
+        found = fork(auto["tree"], off["tree"])
+        if found is not None:
+            auto, off = found
+            assert_close([auto["gain"]], [off["gain"]])
+            assert child_counts(auto) == child_counts(off)
+            return (auto["left"]["node_id"], auto["left"]["predicate"],
+                    off["left"]["predicate"])
+    return None
+
+
+def assert_close(auto, off, rtol=SIBLING_RTOL):
+    """``auto`` equals ``off`` to ``rtol`` of each value, with an absolute
+    floor of ``rtol`` times the largest magnitude (a value that cancels to
+    ~0 keeps the error of the terms it cancelled)."""
+    auto = np.asarray(auto, dtype=np.float64)
+    off = np.asarray(off, dtype=np.float64)
+    floor = rtol * float(np.abs(off).max()) if off.size else 0.0
+    np.testing.assert_allclose(auto, off, rtol=rtol, atol=floor)
+
+
+def assert_sibling_parity(auto_trees, off_trees):
+    """Batched trees (``to_dict()`` form) grow the per-leaf reference's
+    trees split for split: identical structure, predicates and row
+    counts, and sums, gains and leaf values within :data:`SIBLING_RTOL`."""
+    assert len(auto_trees) == len(off_trees)
+    for auto, off in zip(auto_trees, off_trees):
+        assert auto["features"] == off["features"]
+        pairs = list(_paired_nodes(auto["tree"], off["tree"]))
+        for field in ("prediction", "gain"):
+            assert_close([a[field] for a, _ in pairs],
+                         [o[field] for _, o in pairs])
+        for name in pairs[0][1]["aggregates"]:
+            assert_close([a["aggregates"][name] for a, _ in pairs],
+                         [o["aggregates"][name] for _, o in pairs])
+
+
+def assert_score_parity(auto, off, db, graph):
+    """Two models score the training frame of ``db`` alike: predictions
+    within :data:`SIBLING_RTOL` of the largest score, rmse within
+    :data:`SIBLING_RTOL` relative."""
+    frame = feature_frame(db, graph)
+    got, want = auto.predict_arrays(frame), off.predict_arrays(frame)
+    assert np.abs(got - want).max() <= SIBLING_RTOL * np.abs(want).max()
+    rmse_auto = repro.rmse_on_join(db, graph, auto)
+    rmse_off = repro.rmse_on_join(db, graph, off)
+    assert abs(rmse_auto - rmse_off) <= SIBLING_RTOL * abs(rmse_off)

@@ -1,11 +1,12 @@
 """Batched frontier evaluation: parity, census, and fallbacks.
 
-The load-bearing claim (ISSUE 2 acceptance): batched mode — one fused
-split query per relation per frontier round — grows *identical* trees to
-the per-leaf path (and identical rmse to 1e-9) on both the embedded and
-sqlite backends, across growth policies, categorical features and
-missing-value routing, while issuing at most ``relations x rounds`` split
-queries instead of ``nodes x features``.
+The load-bearing claim: batched mode — one fused split query per
+relation per frontier round — grows the per-leaf path's trees split for
+split (sums, gains and scores equal to 1e-12 relative where sibling
+subtraction derived a child) on both the embedded and sqlite backends,
+across growth policies, categorical features and missing-value routing,
+while issuing at most ``relations x rounds`` split queries instead of
+``nodes x features``.
 """
 
 import numpy as np
@@ -24,12 +25,13 @@ from repro.factorize.executor import Factorizer
 from repro.joingraph.graph import JoinGraph
 from repro.semiring.variance import VarianceSemiRing
 
+from conftest import assert_score_parity, assert_sibling_parity
 
-def mixed_schema(db):
+
+def mixed_schema(db, n=1200, seed=3):
     """Star schema with a string categorical, numeric nulls, and a local
     fact feature — the awkward-path sampler for parity tests."""
-    rng = np.random.default_rng(3)
-    n = 1200
+    rng = np.random.default_rng(seed)
     k = rng.integers(0, 40, n)
     color_codes = rng.integers(0, 4, 40)
     colors = np.array(["red", "green", "blue", "teal"], dtype=object)[color_codes]
@@ -112,8 +114,9 @@ class TestParity:
                 {"num_iterations": 2, "num_leaves": 6, "min_data_in_leaf": 3,
                  "split_batching": mode},
             )
-            grown[mode] = trees_of(model)
-        assert grown["auto"] == grown["off"]
+            grown[mode] = (trees_of(model), model)
+        assert_sibling_parity(grown["auto"][0], grown["off"][0])
+        assert_score_parity(grown["auto"][1], grown["off"][1], db, graph)
 
     def test_single_tree_parity(self, small_star):
         db, graph = small_star
@@ -124,7 +127,8 @@ class TestParity:
             db, graph,
             {"num_leaves": 8, "min_data_in_leaf": 3, "split_batching": "off"},
         )
-        assert on.to_dict() == off.to_dict()
+        assert_sibling_parity([on.to_dict()], [off.to_dict()])
+        assert_score_parity(on, off, db, graph)
 
 
 class TestCensus:
@@ -286,8 +290,9 @@ class TestModesAndFallbacks:
                 db, graph, {"num_iterations": 1, "num_leaves": 4,
                             "split_batching": mode},
             )
-            grown[mode] = (trees_of(model), model.frontier_census)
-        assert grown["auto"][0] == grown["off"][0]
+            grown[mode] = (trees_of(model), model.frontier_census, model)
+        assert_sibling_parity(grown["auto"][0], grown["off"][0])
+        assert_score_parity(grown["auto"][2], grown["off"][2], db, graph)
         census = grown["auto"][1]
         assert census["batching_veto"] is None
         assert census["batched_rounds"] == census["rounds"] > 0

@@ -2,8 +2,10 @@
 
 The load-bearing claim: maintaining leaf membership as a persistent
 column — one root pass per tree plus two depth-1 narrow UPDATEs per
-committed split — grows *identical* trees to the per-leaf path
-(``split_batching="off"``), at depth >= 6, on embedded and sqlite,
+committed split — grows the per-leaf path's trees
+(``split_batching="off"``) split for split, with sums equal to 1e-12
+relative where sibling subtraction derived a child, at depth >= 6, on
+embedded and sqlite,
 across growth policies, categorical features and missing-value routing,
 with a non-zero carry-message cache hit rate; and when the label column
 cannot be kept current (a backend without the narrow-UPDATE capability,
@@ -28,6 +30,12 @@ from repro.exceptions import ExecutionError
 from repro.factorize.executor import Factorizer
 from repro.joingraph.graph import JoinGraph
 from repro.semiring.variance import VarianceSemiRing
+
+from conftest import (
+    assert_score_parity,
+    assert_sibling_parity,
+    same_partition_tie,
+)
 
 
 def deep_schema(db, n=2500, seed=11):
@@ -95,13 +103,23 @@ class TestDeepParity:
             )
             grown[mode] = (
                 trees_of(model),
-                repro.rmse_on_join(db, graph, model),
+                model,
                 dict(model.frontier_census),
                 db.table("fact").num_rows(),
             )
         assert model_depth_from_dicts(grown["auto"][0]) >= 6
-        assert grown["auto"][0] == grown["off"][0]
-        assert grown["auto"][1] == pytest.approx(grown["off"][1], abs=1e-9)
+        if (growth, missing) == ("best-first", "both"):
+            # An exact gain tie: color and dnum both live on the 12-row
+            # far relation, and for one leaf color IN ('green') and
+            # dnum <= 3.017 are the same partition of its rows.  The
+            # batched path's float sums pick the first, the per-leaf
+            # path's the second, so past that split only scores compare.
+            assert same_partition_tie(
+                grown["auto"][0], grown["off"][0]
+            ) == (248, "color IN ('green')", "dnum <= 3.0173952236680144")
+        else:
+            assert_sibling_parity(grown["auto"][0], grown["off"][0])
+        assert_score_parity(grown["auto"][1], grown["off"][1], db, graph)
         census = grown["auto"][2]
         assert census["batched_rounds"] == census["rounds"]
         assert census["root_label_passes"] == DEEP_PARAMS["num_iterations"]
@@ -124,9 +142,18 @@ class TestDeepParity:
                 {**DEEP_PARAMS, "num_iterations": 1, "growth": growth,
                  "missing": "both", "split_batching": mode},
             )
-            grown[mode] = (trees_of(model), dict(model.frontier_census))
+            grown[mode] = (trees_of(model), dict(model.frontier_census), model)
         assert model_depth_from_dicts(grown["auto"][0]) >= 6
-        assert grown["auto"][0] == grown["off"][0]
+        # The embedded test's exact gain tie, on this data under both
+        # growth policies: a 14-row leaf splits on color IN ('teal')
+        # batched and on dnum <= -4.981 per-leaf, one partition with its
+        # sides swapped, so past that split only scores compare.
+        assert same_partition_tie(grown["auto"][0], grown["off"][0]) == (
+            99 if growth == "best-first" else 91,
+            "color IN ('teal')",
+            "dnum <= -4.98139908110782",
+        )
+        assert_score_parity(grown["auto"][2], grown["off"][2], db, graph)
         census = grown["auto"][1]
         assert census["batched_rounds"] == census["rounds"]
         assert census["root_label_passes"] == 1
@@ -168,9 +195,9 @@ class TestResidualLabels:
                 {"num_iterations": 3, "num_leaves": 8, "min_data_in_leaf": 3,
                  "update_strategy": strategy, "split_batching": mode},
             )
-            grown[mode] = (trees_of(model), repro.rmse_on_join(db, graph, model))
-        assert grown["auto"][0] == grown["off"][0]
-        assert grown["auto"][1] == pytest.approx(grown["off"][1], abs=1e-9)
+            grown[mode] = (trees_of(model), model)
+        assert_sibling_parity(grown["auto"][0], grown["off"][0])
+        assert_score_parity(grown["auto"][1], grown["off"][1], db, graph)
 
     def test_general_loss_parity(self):
         """Non-L2 losses route through apply_general: the label-driven

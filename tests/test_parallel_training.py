@@ -228,6 +228,21 @@ class TestNumWorkersParam:
         assert resolved <= max(1, os.cpu_count() or 1)
         assert params.resolved_workers() == resolved or params.num_workers != "auto"
 
+    def test_auto_runs_frontier_rounds_on_one_worker(self, monkeypatch):
+        """Two threads made both spine GBM trainings ~11 % slower than
+        one (docs/EXPERIMENTS.md, Figure 18): "auto" keeps a trainer's
+        rounds inline, and only forests and score_all fan out."""
+        monkeypatch.delenv(NUM_WORKERS_ENV, raising=False)
+        assert TrainParams(num_workers="auto").frontier_workers() == 1
+        assert TrainParams(num_workers=3).frontier_workers() == 3
+        db, graph = mixed_schema(Database())
+        model = repro.train_gradient_boosting(
+            db, graph, {"num_iterations": 1, "num_leaves": 4}
+        )
+        census = model.frontier_census
+        assert census["num_workers"] == 1
+        assert census["parallel_rounds"] == 0
+
     def test_invalid_values_rejected(self):
         with pytest.raises(TrainingError):
             TrainParams(num_workers=0)

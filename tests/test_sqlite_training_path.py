@@ -10,7 +10,11 @@
 
 Digests are pinned from the implementation that fetched the column and
 indexed the lifted fact at setup: the physical plan changed, the models
-did not.  10 000 rows is the smallest Favorita size found where the
+did not.  Batched regression has its own pin: sibling subtraction
+derives one child's sums per split as float differences, which moves
+its digest at the ulp level.  Huber subtracts too (its hessian is the
+constant 1), but its gradients clip to +-delta on nearly every row, so
+its sums stay exact and it keeps the shared pin.  10 000 rows is the smallest Favorita size found where the
 per-leaf digest depends on the lifted-fact index (without it sqlite sums
 in another order), so these pins would catch a misplaced index.
 """
@@ -34,6 +38,9 @@ from repro.storage.table import StorageConfig
 #: model_digest prefixes on 10 000-row Favorita (seed 1), 2 trees x 8
 #: leaves — identical for every update strategy and batching mode
 PINNED = {"regression": "3cd61e60f6a69866", "huber": "c964c6049694e79b"}
+
+#: the batched regression pin (sibling subtraction), every strategy
+PINNED_REGRESSION_AUTO = "25d1dcb6213e8725"
 
 #: 2 000-row Favorita (seed 1) with a 3-class target, 2 rounds x 4 leaves
 PINNED_MULTICLASS = "12e6ba1742ec798a"
@@ -69,7 +76,10 @@ class TestDigestParity:
             })
         finally:
             conn.close()
-        assert model_digest(model).startswith(PINNED[objective])
+        if (objective, batching) == ("regression", "auto"):
+            assert model_digest(model).startswith(PINNED_REGRESSION_AUTO)
+        else:
+            assert model_digest(model).startswith(PINNED[objective])
 
 
 class TestResidualWrite:
