@@ -40,7 +40,8 @@ from repro.backends.chaos import (
     wrap_with_chaos,
 )
 from repro.backends.embedded import EmbeddedConnector
-from repro.backends.sqlite3_backend import SQLiteConnector, SQLiteTableView
+from repro.backends.dbapi import SQLConnector, SQLTableView
+from repro.backends.sqlite3_backend import SQLiteConnector
 from repro.backends.duckdb_backend import DuckDBConnector
 from repro.backends.dialect import DuckDBDialect, SQLiteDialect, split_statements
 
@@ -54,8 +55,9 @@ __all__ = [
     "RetryConnector",
     "wrap_with_chaos",
     "EmbeddedConnector",
+    "SQLConnector",
+    "SQLTableView",
     "SQLiteConnector",
-    "SQLiteTableView",
     "DuckDBConnector",
     "DuckDBDialect",
     "SQLiteDialect",

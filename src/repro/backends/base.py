@@ -22,8 +22,6 @@ Three implementations ship:
 from __future__ import annotations
 
 import dataclasses
-import itertools
-import threading
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -34,7 +32,6 @@ from repro.engine.result import Relation
 # BackendError moved to repro.exceptions (PR 8, error taxonomy) so the
 # whole hierarchy lives in one module; re-exported here for compat.
 from repro.exceptions import BackendError, StorageError
-from repro.storage.catalog import TEMP_PREFIX
 
 #: the logical residual-update strategies every backend must accept
 #: (external engines map them all onto their own physical write)
@@ -44,7 +41,6 @@ __all__ = [
     "BackendError",
     "Capabilities",
     "Connector",
-    "TempNamespaceMixin",
     "UPDATE_STRATEGIES",
     "backend_names",
     "check_equal_lengths",
@@ -72,8 +68,6 @@ class Capabilities:
     #: it the residual updater resolves ``update_strategy="swap"`` to one
     #: in-DBMS ``UPDATE`` per tree
     column_swap: bool = False
-    #: the engine records per-query latency profiles (Figure 9 census)
-    query_profiles: bool = False
     #: window functions (``SUM(...) OVER (ORDER BY ...)``) are available;
     #: without them the split finder falls back to client-side prefix scans
     window_functions: bool = True
@@ -91,8 +85,6 @@ class Capabilities:
     #: in-process read path); without it the scheduler never fans
     #: evaluation rounds or forest trees out to a worker pool
     concurrent_read: bool = True
-    #: the engine runs inside this process (no network / IPC hop)
-    in_process: bool = True
 
 
 class Connector:
@@ -374,45 +366,6 @@ def check_equal_lengths(name: str, arrays: Dict[str, np.ndarray]) -> None:
         raise StorageError(
             f"table {name!r} columns have unequal lengths: {lengths}"
         )
-
-
-#: guards lazy per-connector counter creation only (next() itself is
-#: atomic); without it, two scheduler threads' *first-ever* temp_name
-#: calls on a fresh connector could each build a counter and collide
-_TEMP_NAME_INIT_LOCK = threading.Lock()
-
-
-class TempNamespaceMixin:
-    """Counter-minted ``jb_tmp_`` names + cleanup for external engines.
-
-    Requires ``table_names()`` and ``drop_table(name, if_exists=True)``
-    from the host connector.  Names mint through ``itertools.count`` —
-    ``next()`` is atomic in CPython, so concurrent scheduler tasks
-    (parallel forest trees each lifting and messaging) can never be
-    handed the same temp name.
-    """
-
-    def temp_name(self, hint: str = "t") -> str:
-        """Mint a fresh ``jb_tmp_{hint}_{n}`` name (thread-safe)."""
-        counter = getattr(self, "_temp_name_counter", None)
-        if counter is None:
-            with _TEMP_NAME_INIT_LOCK:
-                counter = getattr(self, "_temp_name_counter", None)
-                if counter is None:
-                    counter = self._temp_name_counter = itertools.count(1)
-        return f"{TEMP_PREFIX}{hint}_{next(counter)}"
-
-    def cleanup_temp(self, keep: Optional[List[str]] = None) -> int:
-        """Drop every ``jb_tmp_`` table not named in ``keep``; return the
-        count dropped (the paper's leave-no-trace safety contract)."""
-        keep_keys = {k.lower() for k in (keep or [])}
-        doomed = [
-            n for n in self.table_names()
-            if n.startswith(TEMP_PREFIX) and n.lower() not in keep_keys
-        ]
-        for table_name in doomed:
-            self.drop_table(table_name, if_exists=True)
-        return len(doomed)
 
 
 # ---------------------------------------------------------------------------

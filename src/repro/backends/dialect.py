@@ -27,7 +27,7 @@ semantics:
 Scalar functions the emitted SQL needs but SQLite may lack (``EXP``,
 ``POWER``, ``SIGN``, ``GREATEST``, ``LEAST``, ...) are not translated —
 they are registered as Python functions on the connection by the
-connector (see ``SQLiteConnector._register_functions``).
+connector (see ``sqlite3_backend.register_sql_functions``).
 
 DuckDB (the paper's actual demo engine) needs almost nothing: ``/`` on
 integers is REAL division, ``TRUE``/``FALSE``, window frames and every

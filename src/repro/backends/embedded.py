@@ -43,7 +43,6 @@ class EmbeddedConnector(Connector):
         self.capabilities = Capabilities(
             column_swap=self._db.config.allow_column_swap
             or self._db.config.layout == "external",
-            query_profiles=True,
             window_functions=True,
             union_all=True,
             narrow_update=True,
@@ -52,7 +51,6 @@ class EmbeddedConnector(Connector):
             # get-or-compute encoding is lock-protected, and temp-table
             # registration is serialized behind the catalog lock.
             concurrent_read=True,
-            in_process=True,
         )
 
     @property

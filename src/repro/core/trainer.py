@@ -30,6 +30,17 @@ from repro.joingraph.clusters import Cluster
 from repro.joingraph.graph import JoinGraph
 
 
+def heap_entry(growth: str, node: TreeNode, cand: SplitCandidate):
+    """The leaf heap's entry for ``node`` and its best split: depth-wise
+    growth pops by (depth, node id), best-first by largest gain (node id
+    breaks ties).  Sharded training grows its trees by the same order."""
+    if growth == "depth-wise":
+        priority = (node.depth, node.node_id)
+    else:
+        priority = (-cand.gain, node.node_id)
+    return (priority, node.node_id, node, cand)
+
+
 class DecisionTreeTrainer:
     """Trains one factorized decision tree over a join graph."""
 
@@ -99,7 +110,7 @@ class DecisionTreeTrainer:
         heap: List[Tuple[float, int, TreeNode, SplitCandidate]] = []
         candidate = self.evaluator.best_splits([root], allowed).get(root.node_id)
         if candidate is not None:
-            heapq.heappush(heap, self._entry(root, candidate))
+            heapq.heappush(heap, heap_entry(self.params.growth, root, candidate))
 
         num_leaves = 1
         while heap and num_leaves < self.params.num_leaves:
@@ -124,7 +135,9 @@ class DecisionTreeTrainer:
             for child in frontier:
                 child_cand = child_candidates.get(child.node_id)
                 if child_cand is not None and child_cand.gain > self.params.min_split_gain:
-                    heapq.heappush(heap, self._entry(child, child_cand))
+                    heapq.heappush(
+                        heap, heap_entry(self.params.growth, child, child_cand)
+                    )
         return model
 
     def leaf_label_column(self, model: DecisionTreeModel) -> Optional[str]:
@@ -135,13 +148,6 @@ class DecisionTreeTrainer:
         return self.evaluator.leaf_label_column(model)
 
     # ------------------------------------------------------------------
-    def _entry(self, node: TreeNode, cand: SplitCandidate):
-        if self.params.growth == "depth-wise":
-            priority = (node.depth, node.node_id)
-        else:  # best-first: largest gain first
-            priority = (-cand.gain, node.node_id)
-        return (priority, node.node_id, node, cand)
-
     def _apply_split(self, node: TreeNode, cand: SplitCandidate) -> None:
         node.gain = cand.gain
         left = TreeNode(

@@ -49,6 +49,7 @@ from repro.core.split import (
     SplitCandidate,
     best_split_from_aggregates,
 )
+from repro.core.trainer import heap_entry
 from repro.core.tree import DecisionTreeModel, TreeNode
 from repro.core.boosting import GradientBoostingModel
 from repro.core.checkpoint import (
@@ -58,6 +59,7 @@ from repro.core.checkpoint import (
     write_checkpoint,
 )
 from repro.engine.operators import factorize, group_sum
+from repro.engine.retry import RetryCensus, RetryPolicy, call_with_retry
 from repro.engine.scheduler import QueryScheduler
 from repro.factorize.executor import Factorizer
 from repro.factorize.predicates import PredicateMap
@@ -68,6 +70,9 @@ from repro.semiring.losses import get_loss
 
 #: transient-error retries per shard step
 MAX_STEP_RETRIES = 3
+
+#: a shard step's retries run back to back (no backoff sleep)
+_STEP_RETRY_POLICY = RetryPolicy(max_attempts=MAX_STEP_RETRIES + 1, base_delay=0.0)
 
 
 @dataclasses.dataclass
@@ -105,7 +110,8 @@ class SimulatedCluster:
         self.simulated_seconds = 0.0
         self.measured_wall_seconds = 0.0
         self.shuffle_bytes = 0
-        self._task_retries = 0
+        # retries only: exhaustion is counted once per step in _parallel
+        self._step_retries = RetryCensus()
         self._retry_exhausted = 0
 
     # ------------------------------------------------------------------
@@ -113,15 +119,9 @@ class SimulatedCluster:
     # ------------------------------------------------------------------
     def _run_step(self, step_fn: Callable[[int], object], index: int) -> object:
         """One shard step, with bounded transient retries."""
-        retries = 0
-        while True:
-            try:
-                return step_fn(index)
-            except TransientBackendError:
-                if retries >= MAX_STEP_RETRIES:
-                    raise
-                retries += 1
-                self._task_retries += 1
+        return call_with_retry(
+            partial(step_fn, index), _STEP_RETRY_POLICY, self._step_retries
+        )
 
     def _parallel(
         self, step_fn: Callable[[int], object], tag: str = "step"
@@ -159,7 +159,7 @@ class SimulatedCluster:
         """Retry counters plus both clocks, for benches and CI."""
         return {
             "num_shards": len(self.workers),
-            "task_retries": self._task_retries,
+            "task_retries": self._step_retries.retries,
             "retry_exhausted": self._retry_exhausted,
             "simulated_seconds": self.simulated_seconds,
             "measured_wall_seconds": self.measured_wall_seconds,
@@ -335,7 +335,7 @@ class SimulatedCluster:
         heap: List[Tuple[Tuple, int, TreeNode, SplitCandidate]] = []
         cand = self._merged_best_split(factorizers, criterion, params, {}, totals, features)
         if cand is not None:
-            heapq.heappush(heap, ((-cand.gain, root.node_id), root.node_id, root, cand))
+            heapq.heappush(heap, heap_entry(params.growth, root, cand))
         num_leaves = 1
         while heap and num_leaves < params.num_leaves:
             _, _, node, cand = heapq.heappop(heap)
@@ -363,11 +363,7 @@ class SimulatedCluster:
                     factorizers, criterion, params, preds, child.aggregates, features
                 )
                 if child_cand is not None and child_cand.gain > params.min_split_gain:
-                    heapq.heappush(
-                        heap,
-                        ((-child_cand.gain, child.node_id), child.node_id, child,
-                         child_cand),
-                    )
+                    heapq.heappush(heap, heap_entry(params.growth, child, child_cand))
         return model
 
     def _merged_totals(

@@ -14,15 +14,18 @@ from repro.datasets import favorita, imdb, star_schema
 #: is the optional duckdb package importable on this host?
 DUCKDB_INSTALLED = importlib.util.find_spec("duckdb") is not None
 
-#: mark for tests that need a real duckdb (clean skip when absent)
-requires_duckdb = pytest.mark.skipif(
-    not DUCKDB_INSTALLED, reason="optional 'duckdb' package not installed"
-)
-
 #: an extra backend column forced into every parametrized matrix — the
 #: CI backend-duckdb leg sets JOINBOOST_BACKEND=duckdb so parity suites
 #: fail loudly (not skip) if the forced backend is broken or missing
 FORCED_BACKEND = os.environ.get("JOINBOOST_BACKEND", "").strip().lower()
+
+#: mark for duckdb runs of a backend suite (a matrix column or a contract
+#: class): a clean skip when the package is absent, unless
+#: ``JOINBOOST_BACKEND=duckdb`` forces it, where a missing package fails
+duckdb_column = pytest.mark.skipif(
+    not DUCKDB_INSTALLED and FORCED_BACKEND != "duckdb",
+    reason="optional 'duckdb' package not installed",
+)
 
 
 def backend_matrix(*base):
@@ -35,10 +38,7 @@ def backend_matrix(*base):
     """
     params = [pytest.param(name) for name in base]
     if "duckdb" not in base:
-        if FORCED_BACKEND == "duckdb":
-            params.append(pytest.param("duckdb"))
-        else:
-            params.append(pytest.param("duckdb", marks=requires_duckdb))
+        params.append(pytest.param("duckdb", marks=duckdb_column))
     if FORCED_BACKEND and FORCED_BACKEND not in base + ("duckdb",):
         params.append(pytest.param(FORCED_BACKEND))
     return params

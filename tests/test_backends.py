@@ -26,7 +26,7 @@ from repro.backends import (
 from repro.exceptions import CatalogError, ExecutionError
 from repro.joingraph.graph import JoinGraph
 
-from conftest import backend_matrix
+from conftest import backend_matrix, duckdb_column
 
 
 # ---------------------------------------------------------------------------
@@ -143,24 +143,32 @@ class TestDuckDBDialect:
 
 
 # ---------------------------------------------------------------------------
-# SQLiteConnector mechanics
+# The SQL connector contract, run on every DB-API engine
 # ---------------------------------------------------------------------------
-class TestSQLiteConnector:
+class ConnectorContract:
+    """Backend-generic connector mechanics; each engine's ``Test*``
+    subclass names its registered backend."""
+
+    backend = ""
+
+    def connect(self):
+        return get_backend(self.backend)
+
     def test_create_execute_roundtrip(self):
-        conn = SQLiteConnector()
+        conn = self.connect()
         conn.create_table("t", {"a": [1, 2, 3], "b": [1.5, 2.5, 3.5]})
         result = conn.execute("SELECT a, b FROM t WHERE a <= 2")
         assert result.num_rows == 2
         np.testing.assert_array_equal(result["a"], [1, 2])
 
     def test_integer_division_matches_embedded_semantics(self):
-        conn = SQLiteConnector()
+        conn = self.connect()
         conn.create_table("t", {"c": [1, 1, 1], "s": [1, 2, 4]})
         row = conn.execute("SELECT SUM(s) / SUM(c) AS mean FROM t").first_row()
         assert row["mean"] == pytest.approx(7 / 3)
 
     def test_nan_stored_as_null_and_read_back_as_nan(self):
-        conn = SQLiteConnector()
+        conn = self.connect()
         conn.create_table("t", {"x": np.array([1.0, np.nan, 3.0])})
         assert conn.execute(
             "SELECT COUNT(*) AS n FROM t WHERE x IS NULL"
@@ -170,7 +178,7 @@ class TestSQLiteConnector:
         assert col.is_null()[1]
 
     def test_table_view_interface(self):
-        conn = SQLiteConnector()
+        conn = self.connect()
         conn.create_table("t", {"k": np.arange(4), "v": np.arange(4) * 0.5})
         view = conn.table("t")
         assert view.column_names() == ["k", "v"]
@@ -179,7 +187,7 @@ class TestSQLiteConnector:
         assert view.column("v").ctype.name == "FLOAT"
 
     def test_create_table_as_select_and_rename(self):
-        conn = SQLiteConnector()
+        conn = self.connect()
         conn.create_table("t", {"a": [1, 2, 3]})
         conn.execute("CREATE TABLE u AS SELECT a * 2 AS a2 FROM t")
         conn.rename_table("u", "w")
@@ -188,7 +196,7 @@ class TestSQLiteConnector:
                                       [2, 4, 6])
 
     def test_rename_to_existing_raises(self):
-        conn = SQLiteConnector()
+        conn = self.connect()
         conn.create_table("a", {"x": [1]})
         conn.create_table("b", {"x": [1]})
         with pytest.raises(CatalogError):
@@ -201,12 +209,12 @@ class TestSQLiteConnector:
         engine, instead of zip() silently truncating."""
         from repro.exceptions import StorageError
 
-        conn = SQLiteConnector()
+        conn = self.connect()
         with pytest.raises(StorageError, match="unequal lengths"):
             conn.create_table("t", {"a": [1, 2, 3], "b": [1, 2]})
 
     def test_duplicate_create_and_missing_drop_raise(self):
-        conn = SQLiteConnector()
+        conn = self.connect()
         conn.create_table("t", {"x": [1]})
         with pytest.raises(CatalogError):
             conn.create_table("t", {"x": [2]})
@@ -216,7 +224,7 @@ class TestSQLiteConnector:
         conn.drop_table("nope", if_exists=True)
 
     def test_temp_namespace_cleanup(self):
-        conn = SQLiteConnector()
+        conn = self.connect()
         keep = conn.temp_name("keepme")
         doomed = conn.temp_name("msg")
         conn.create_table(keep, {"x": [1]})
@@ -227,14 +235,14 @@ class TestSQLiteConnector:
         assert not conn.has_table(doomed)
 
     def test_replace_column_preserves_row_order(self):
-        conn = SQLiteConnector()
+        conn = self.connect()
         conn.create_table("t", {"k": np.arange(5), "v": np.zeros(5)})
         conn.replace_column("t", "v", np.arange(5) * 1.5)
         np.testing.assert_allclose(conn.table("t").column("v").values,
                                    np.arange(5) * 1.5)
 
     def test_replace_column_length_mismatch_raises(self):
-        conn = SQLiteConnector()
+        conn = self.connect()
         conn.create_table("t", {"v": np.zeros(3)})
         with pytest.raises(ExecutionError):
             conn.replace_column("t", "v", np.zeros(2))
@@ -243,10 +251,78 @@ class TestSQLiteConnector:
         """Typo'd strategies fail identically across backends."""
         from repro.exceptions import StorageError
 
-        conn = SQLiteConnector()
+        conn = self.connect()
         conn.create_table("t", {"v": np.zeros(3)})
         with pytest.raises(StorageError, match="unknown update strategy"):
             conn.replace_column("t", "v", np.ones(3), strategy="teleport")
+
+    def test_profiles_record_kind_and_tag(self):
+        conn = self.connect()
+        conn.create_table("t", {"x": [1.0]})
+        conn.reset_profiles()
+        conn.execute("SELECT x FROM t", tag="feature")
+        conn.execute("CREATE TABLE u AS SELECT x FROM t", tag="message")
+        kinds = [(p.kind, p.tag) for p in conn.profiles]
+        assert kinds == [("Select", "feature"), ("CreateTableAs", "message")]
+        assert "feature" in conn.profiles_by_tag()
+        # started stamps feed the scheduler's overlap accounting
+        assert all(p.started is not None for p in conn.profiles)
+
+    def test_update_profile_reports_affected_rows(self):
+        """The frontier census prices narrow label updates with
+        rows_out: an UPDATE's profile counts the rows it changed."""
+        conn = self.connect()
+        conn.create_table("t", {"a": [1, 2, 3, 4]})
+        conn.reset_profiles()
+        conn.execute("UPDATE t SET a = a + 1 WHERE a <= 2", tag="delta")
+        (profile,) = conn.profiles
+        assert profile.kind == "Update"
+        assert profile.rows_out == 2
+
+    def test_fetch_errors_are_translated(self):
+        """A driver error raised while rows are fetched — not only while
+        the statement starts — reaches the caller translated."""
+        from repro.exceptions import BackendExecutionError
+
+        conn = self.connect()
+        raw = conn._driver_errors[0]("fetch failed")
+
+        class FailingFetch:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def execute(self, *args):
+                cursor = self.inner.execute(*args)
+                self.description = cursor.description
+                return self
+
+            def fetchall(self):
+                raise raw
+
+        owner = conn._conn
+        conn._conn = FailingFetch(owner)
+        try:
+            with pytest.raises(BackendExecutionError) as excinfo:
+                conn.execute("SELECT 1 AS one")
+        finally:
+            conn._conn = owner
+        assert excinfo.value.__cause__ is raw
+        conn.close()
+
+    def test_repr_runs_no_statement(self):
+        """repr() is safe on any connector state, closed included: it
+        reads no catalog and records no profile."""
+        conn = self.connect()
+        conn.create_table("t", {"a": [1]})
+        conn.reset_profiles()
+        shown = repr(conn)
+        conn.close()
+        assert repr(conn) == shown
+        assert list(conn.profiles) == []
+
+
+class TestSQLiteConnector(ConnectorContract):
+    backend = "sqlite"
 
     def test_registered_functions(self):
         conn = SQLiteConnector()
@@ -263,20 +339,15 @@ class TestSQLiteConnector:
             "SELECT MEDIAN(x) AS m FROM t"
         ).first_row()["m"] == 2.0
 
-    def test_profiles_record_kind_and_tag(self):
-        conn = SQLiteConnector()
-        conn.create_table("t", {"x": [1.0]})
-        conn.reset_profiles()
-        conn.execute("SELECT x FROM t", tag="feature")
-        conn.execute("CREATE TABLE u AS SELECT x FROM t", tag="message")
-        kinds = [(p.kind, p.tag) for p in conn.profiles]
-        assert kinds == [("Select", "feature"), ("CreateTableAs", "message")]
-        assert "feature" in conn.profiles_by_tag()
-
     def test_execution_error_wraps_sqlite_errors(self):
         conn = SQLiteConnector()
         with pytest.raises(ExecutionError):
             conn.execute("SELECT * FROM missing_table")
+
+
+@duckdb_column
+class TestDuckDBConnector(ConnectorContract):
+    backend = "duckdb"
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +393,7 @@ class TestRegistry:
         assert isinstance(conn, Connector)
         # The plain preset allows column swap (no WAL/MVCC in the way).
         assert conn.capabilities == Capabilities(
-            column_swap=True, query_profiles=True,
-            window_functions=True, in_process=True,
+            column_swap=True, window_functions=True,
         )
 
 
@@ -476,8 +546,7 @@ class TestConnectorParity:
             conn = repro.connect(backend="sqlite")
             if not windows:
                 conn.capabilities = Capabilities(
-                    column_swap=False, query_profiles=True,
-                    window_functions=False, in_process=True,
+                    column_swap=False, window_functions=False,
                 )
             train_set = _build_trainset(conn)
             model = repro.train(

@@ -215,6 +215,21 @@ class TestShardedParity:
         assert model_digest(tree) == model_digest(single)
 
 
+    @pytest.mark.parametrize("machines", [1, 4])
+    def test_depth_wise_tree_matches_single_node(self, machines):
+        """Sharded growth orders its leaf heap by the same priority as
+        the single-node trainer, depth-wise included."""
+        params = {**TREE_PARAMS, "num_leaves": 6, "growth": "depth-wise"}
+        db, graph = _int_y_star()
+        single = repro.train_decision_tree(db, graph, params)
+        db, graph = _int_y_star()
+        tree, _ = SimulatedCluster(
+            db, graph, "k0", ClusterConfig(num_machines=machines)
+        ).train_decision_tree(params)
+        assert tree.dump() == single.dump()
+        assert model_digest(tree) == model_digest(single)
+
+
 class TestShardFailure:
     def _cluster(self):
         db, graph = _int_y_star(rows=256)

@@ -10,8 +10,6 @@ parity contract), the scheduler actually engages on this backend
 (``sql_scores`` / ``score_by_key``) run natively.
 """
 
-import threading
-
 import numpy as np
 import pytest
 
@@ -21,123 +19,17 @@ import repro
 from repro.backends import DuckDBConnector
 from repro.core.serialize import model_digest
 from repro.datasets import favorita
-from repro.exceptions import CatalogError, ExecutionError
+from repro.exceptions import ExecutionError
 from repro.storage.catalog import TEMP_PREFIX
 
 from test_backends import _build_trainset, _tree_shape
 
 
 # ---------------------------------------------------------------------------
-# Connector mechanics
+# Driver-specific mechanics (the shared connector and reader-pool
+# contracts run on duckdb from test_backends.py / test_parallel_training.py)
 # ---------------------------------------------------------------------------
 class TestDuckDBMechanics:
-    def test_create_execute_roundtrip(self):
-        conn = DuckDBConnector()
-        conn.create_table("t", {"a": [1, 2, 3], "b": [1.5, 2.5, 3.5]})
-        result = conn.execute("SELECT a, b FROM t WHERE a <= 2")
-        assert result.num_rows == 2
-        np.testing.assert_array_equal(result["a"], [1, 2])
-        conn.close()
-
-    def test_integer_division_matches_embedded_semantics(self):
-        conn = DuckDBConnector()
-        conn.create_table("t", {"c": [1, 1, 1], "s": [1, 2, 4]})
-        row = conn.execute("SELECT SUM(s) / SUM(c) AS mean FROM t").first_row()
-        assert row["mean"] == pytest.approx(7 / 3)
-        conn.close()
-
-    def test_nan_stored_as_null_and_read_back_as_nan(self):
-        conn = DuckDBConnector()
-        conn.create_table("t", {"x": np.array([1.0, np.nan, 3.0])})
-        assert conn.execute(
-            "SELECT COUNT(*) AS n FROM t WHERE x IS NULL"
-        ).first_row()["n"] == 1
-        col = conn.table("t").column("x")
-        assert np.isnan(col.values[1])
-        assert col.is_null()[1]
-        conn.close()
-
-    def test_create_table_as_select_and_rename(self):
-        conn = DuckDBConnector()
-        conn.create_table("t", {"a": [1, 2, 3]})
-        conn.execute("CREATE TABLE u AS SELECT a * 2 AS a2 FROM t")
-        conn.rename_table("u", "w")
-        assert conn.has_table("w") and not conn.has_table("u")
-        np.testing.assert_array_equal(conn.table("w").column("a2").values,
-                                      [2, 4, 6])
-        conn.close()
-
-    def test_duplicate_create_and_missing_drop_raise(self):
-        conn = DuckDBConnector()
-        conn.create_table("t", {"x": [1]})
-        with pytest.raises(CatalogError):
-            conn.create_table("t", {"x": [2]})
-        conn.create_table("t", {"x": [5]}, replace=True)
-        with pytest.raises(CatalogError):
-            conn.drop_table("nope")
-        conn.drop_table("nope", if_exists=True)
-        conn.close()
-
-    def test_replace_column_preserves_row_order(self):
-        conn = DuckDBConnector()
-        conn.create_table("t", {"k": np.arange(5), "v": np.zeros(5)})
-        conn.replace_column("t", "v", np.arange(5) * 1.5)
-        np.testing.assert_allclose(conn.table("t").column("v").values,
-                                   np.arange(5) * 1.5)
-        conn.close()
-
-    def test_replace_column_length_mismatch_raises(self):
-        conn = DuckDBConnector()
-        conn.create_table("t", {"v": np.zeros(3)})
-        with pytest.raises(ExecutionError):
-            conn.replace_column("t", "v", np.zeros(2))
-        conn.close()
-
-    def test_replace_column_rejects_unknown_strategy(self):
-        from repro.exceptions import StorageError
-
-        conn = DuckDBConnector()
-        conn.create_table("t", {"v": np.zeros(3)})
-        with pytest.raises(StorageError, match="unknown update strategy"):
-            conn.replace_column("t", "v", np.ones(3), strategy="teleport")
-        conn.close()
-
-    def test_temp_namespace_cleanup(self):
-        conn = DuckDBConnector()
-        keep = conn.temp_name("keepme")
-        doomed = conn.temp_name("msg")
-        conn.create_table(keep, {"x": [1]})
-        conn.create_table(doomed, {"x": [1]})
-        conn.create_table("user_data", {"x": [1]})
-        assert conn.cleanup_temp(keep=[keep]) == 1
-        assert conn.has_table(keep) and conn.has_table("user_data")
-        assert not conn.has_table(doomed)
-        conn.close()
-
-    def test_profiles_record_kind_tag_and_start_stamp(self):
-        conn = DuckDBConnector()
-        conn.create_table("t", {"x": [1.0]})
-        conn.reset_profiles()
-        conn.execute("SELECT x FROM t", tag="feature")
-        conn.execute("CREATE TABLE u AS SELECT x FROM t", tag="message")
-        kinds = [(p.kind, p.tag) for p in conn.profiles]
-        assert kinds == [("Select", "feature"), ("CreateTableAs", "message")]
-        # started stamps feed the scheduler's overlap accounting
-        assert all(p.started is not None for p in conn.profiles)
-        conn.close()
-
-    def test_update_profile_reports_affected_rows(self):
-        """The frontier census prices narrow label updates with
-        rows_out; DuckDB reports the count as a one-row result."""
-        conn = DuckDBConnector()
-        conn.create_table("t", {"a": [1, 2, 3, 4]})
-        conn.reset_profiles()
-        conn.execute("UPDATE t SET a = a + 1 WHERE a <= 2", tag="delta")
-        (profile,) = conn.profiles
-        assert profile.kind == "Update"
-        assert profile.rows_out == 2
-        conn.close()
-
     def test_population_variance_semantics(self):
         """VARIANCE through the dialect is the population estimator,
         matching the embedded engine (DuckDB's bare spelling is sample)."""
@@ -151,88 +43,6 @@ class TestDuckDBMechanics:
         conn = DuckDBConnector()
         with pytest.raises(ExecutionError):
             conn.execute("SELECT * FROM missing_table")
-        conn.close()
-
-
-# ---------------------------------------------------------------------------
-# The cursor pool (concurrent_read=True, for real)
-# ---------------------------------------------------------------------------
-class TestDuckDBCursorPool:
-    def test_capabilities_declare_concurrent_read(self):
-        conn = DuckDBConnector()
-        assert conn.capabilities.concurrent_read
-        conn.close()
-
-    def test_concurrent_reads_from_many_threads(self):
-        conn = DuckDBConnector()
-        conn.create_table("t", {"a": np.arange(1000), "b": np.arange(1000.0)})
-        results, errors = [], []
-        barrier = threading.Barrier(6)
-
-        def read(k):
-            barrier.wait()
-            try:
-                for _ in range(10):
-                    row = conn.execute_read(
-                        f"SELECT SUM(a) AS s FROM t WHERE a < {100 * (k + 1)}"
-                    ).first_row()
-                    results.append((k, row["s"]))
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        threads = [threading.Thread(target=read, args=(k,)) for k in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        for k, total in results:
-            n = 100 * (k + 1)
-            assert total == n * (n - 1) // 2
-        # The pool is bounded by peak concurrency, not thread lifetimes.
-        assert 1 <= len(conn._all_readers) <= 6
-        conn.close()
-
-    def test_cursor_pool_reuses_handles_across_rounds(self):
-        conn = DuckDBConnector()
-        conn.create_table("t", {"a": np.arange(100)})
-        for _ in range(50):
-            conn.execute_read("SELECT COUNT(*) AS n FROM t")
-        assert len(conn._all_readers) == 1
-        for _ in range(10):
-            t = threading.Thread(
-                target=lambda: conn.execute_read("SELECT MAX(a) AS m FROM t")
-            )
-            t.start()
-            t.join()
-        assert len(conn._all_readers) == 1
-        conn.close()
-
-    def test_execute_read_funnels_writes_to_owner(self):
-        conn = DuckDBConnector()
-        conn.create_table("t", {"a": [1, 2, 3]})
-        conn.execute_read("CREATE TABLE made_by_read (x INTEGER)")
-        assert "made_by_read" in conn.table_names()
-        assert len(conn._all_readers) == 0
-        conn.close()
-
-    def test_reads_see_owner_writes(self):
-        conn = DuckDBConnector()
-        conn.create_table("t", {"a": [1, 2, 3]})
-        assert conn.execute_read(
-            "SELECT COUNT(*) AS n FROM t"
-        ).first_row()["n"] == 3
-        conn.execute("UPDATE t SET a = a + 10")
-        assert conn.execute_read(
-            "SELECT MIN(a) AS m FROM t"
-        ).first_row()["m"] == 11
-        conn.close()
-
-    def test_close_is_idempotent(self):
-        conn = DuckDBConnector()
-        conn.create_table("t", {"a": [1]})
-        conn.execute_read("SELECT a FROM t")
-        conn.close()
         conn.close()
 
 
@@ -349,6 +159,6 @@ class TestDuckDBServing:
         mask = dates == target
         assert len(rows) == int(mask.sum())
         np.testing.assert_allclose(
-            np.sort(np.asarray(rows, dtype=float)),
+            np.sort(np.asarray(rows["jb_score"], dtype=float)),
             np.sort(full[mask]), atol=1e-9,
         )

@@ -7,8 +7,8 @@ missing-value routing — because each relation's fused split query
 computes exactly what the serial loop would and results merge in
 relation order.  Alongside parity, these tests pin the wiring: the
 scheduler actually engages (census reports parallel rounds), worker
-counts resolve from params/env, the sqlite reader pool serves
-concurrent threads, and unsupported backends fall back to serial.
+counts resolve from params/env, the sqlite and duckdb reader pools
+serve concurrent threads, and unsupported backends fall back to serial.
 """
 
 import dataclasses
@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.backends import SQLiteConnector
+from repro.backends import SQLiteConnector, get_backend
 from repro.backends.base import Capabilities
 from repro.backends.embedded import EmbeddedConnector
 from repro.core.params import NUM_WORKERS_ENV, TrainParams
@@ -27,6 +27,7 @@ from repro.datasets import favorita
 from repro.engine.database import Database
 from repro.exceptions import TrainingError
 
+from conftest import duckdb_column
 from test_frontier_batching import mixed_schema
 
 
@@ -269,11 +270,19 @@ class TestNumWorkersParam:
 
 
 # ---------------------------------------------------------------------------
-# The sqlite reader pool
+# The reader pool, on every DB-API engine
 # ---------------------------------------------------------------------------
-class TestSQLiteReaderPool:
+class ReaderPoolContract:
+    """The pooled-reader contract behind ``concurrent_read=True``; each
+    engine's ``Test*`` subclass names its registered backend."""
+
+    backend = ""
+
+    def connect(self):
+        return get_backend(self.backend)
+
     def test_concurrent_reads_from_many_threads(self):
-        db = SQLiteConnector()
+        db = self.connect()
         db.create_table("t", {"a": np.arange(1000), "b": np.arange(1000.0)})
         results, errors = [], []
         barrier = threading.Barrier(6)
@@ -306,7 +315,7 @@ class TestSQLiteReaderPool:
         """Scheduler rounds spawn fresh threads every time; the pool must
         recycle checked-in connections instead of minting one per thread
         (the fd-leak failure mode: rounds x workers connections)."""
-        db = SQLiteConnector()
+        db = self.connect()
         db.create_table("t", {"a": np.arange(100)})
         for _ in range(50):
             db.execute_read("SELECT COUNT(*) AS n FROM t")
@@ -322,7 +331,7 @@ class TestSQLiteReaderPool:
         db.close()
 
     def test_execute_read_funnels_writes_to_owner(self):
-        db = SQLiteConnector()
+        db = self.connect()
         db.create_table("t", {"a": [1, 2, 3]})
         # DDL through the read entry point must still work (owner path)...
         db.execute_read("CREATE TABLE made_by_read (x INTEGER)")
@@ -332,7 +341,7 @@ class TestSQLiteReaderPool:
         db.close()
 
     def test_reads_see_owner_writes(self):
-        db = SQLiteConnector()
+        db = self.connect()
         db.create_table("t", {"a": [1, 2, 3]})
         assert db.execute_read("SELECT COUNT(*) AS n FROM t").first_row()["n"] == 3
         db.execute("UPDATE t SET a = a + 10")
@@ -342,21 +351,38 @@ class TestSQLiteReaderPool:
         db.close()
 
     def test_capabilities_declare_concurrent_read(self):
-        assert SQLiteConnector().capabilities.concurrent_read
+        assert self.connect().capabilities.concurrent_read
+
+    def test_close_is_idempotent_and_cleans_up(self):
+        from repro.exceptions import BackendExecutionError
+
+        db = self.connect()
+        db.create_table("t", {"a": [1]})
+        db.execute_read("SELECT a FROM t")
+        db.close()
+        db.close()
+        assert db._all_readers == []
+        with pytest.raises(BackendExecutionError):
+            db.execute_read("SELECT a FROM t")
+
+
+class TestSQLiteReaderPool(ReaderPoolContract):
+    backend = "sqlite"
+
+    def test_capabilities_declare_concurrent_read(self):
+        super().test_capabilities_declare_concurrent_read()
         assert EmbeddedConnector().capabilities.concurrent_read
         assert Capabilities().concurrent_read  # permissive default
 
-    def test_close_is_idempotent_and_cleans_up(self, tmp_path):
+    def test_close_is_idempotent_and_cleans_up(self):
         import os
 
-        db = SQLiteConnector()
-        db.create_table("t", {"a": [1]})
-        db.execute_read("SELECT a FROM t")
+        db = self.connect()
         scratch = db._tmpdir
         assert scratch is not None and os.path.isdir(scratch)
         db.close()
-        db.close()
         assert not os.path.exists(scratch)
+        super().test_close_is_idempotent_and_cleans_up()
 
     def test_file_backed_database_is_preserved(self, tmp_path):
         path = str(tmp_path / "keep.db")
@@ -369,3 +395,8 @@ class TestSQLiteReaderPool:
         again = SQLiteConnector(path=path)
         assert again.execute("SELECT COUNT(*) AS n FROM t").first_row()["n"] == 2
         again.close()
+
+
+@duckdb_column
+class TestDuckDBReaderPool(ReaderPoolContract):
+    backend = "duckdb"
