@@ -46,6 +46,7 @@ import numpy as np
 
 from repro.backends.base import (
     BackendError,
+    Capabilities,
     check_update_strategy,
     register_backend,
 )
@@ -128,6 +129,15 @@ class DuckDBConnector(SQLConnector):
     """
 
     dialect = "duckdb"
+    # Pooled per-thread cursors (DuckDB's documented threading model)
+    # make the read path concurrency-safe, so ``concurrent_read`` holds.
+    capabilities = Capabilities(
+        column_swap=False,
+        window_functions=True,
+        union_all=True,
+        narrow_update=True,
+        concurrent_read=True,
+    )
     _dialect = DuckDBDialect()
     _TABLE_NAMES_SQL = (
         "SELECT table_name FROM information_schema.tables "

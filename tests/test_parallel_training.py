@@ -354,9 +354,13 @@ class ReaderPoolContract:
         assert self.connect().capabilities.concurrent_read
 
     def test_close_is_idempotent_and_cleans_up(self):
+        self.check_close_is_idempotent(self.connect())
+
+    def check_close_is_idempotent(self, db):
+        """Write, read through a pooled reader, close twice; the pool is
+        empty afterwards and further reads raise."""
         from repro.exceptions import BackendExecutionError
 
-        db = self.connect()
         db.create_table("t", {"a": [1]})
         db.execute_read("SELECT a FROM t")
         db.close()
@@ -380,9 +384,8 @@ class TestSQLiteReaderPool(ReaderPoolContract):
         db = self.connect()
         scratch = db._tmpdir
         assert scratch is not None and os.path.isdir(scratch)
-        db.close()
+        self.check_close_is_idempotent(db)
         assert not os.path.exists(scratch)
-        super().test_close_is_idempotent_and_cleans_up()
 
     def test_file_backed_database_is_preserved(self, tmp_path):
         path = str(tmp_path / "keep.db")
