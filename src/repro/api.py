@@ -31,6 +31,7 @@ from repro.exceptions import TrainingError
 from repro.joingraph.graph import JoinGraph
 from repro.core.boosting import train_gradient_boosting
 from repro.core.forest import train_random_forest
+from repro.core.frontier import FrontierEvaluator
 from repro.core.params import TrainParams
 from repro.core.predict import predict_join, rmse_on_join
 from repro.core.session import TrainingSessionGuard
@@ -159,10 +160,13 @@ def train_decision_tree(db, graph: JoinGraph, params=None, **overrides):
     with TrainingSessionGuard(db).register(factorizer):
         factorizer.lift()
         prepare_training_paths(db, graph, factorizer)
-        trainer = DecisionTreeTrainer(
-            db, graph, factorizer, VarianceCriterion(), train_params
-        )
-        model = trainer.train()
+        criterion = VarianceCriterion()
+        model = DecisionTreeTrainer(
+            graph, criterion, train_params,
+            FrontierEvaluator.for_params(
+                db, graph, factorizer, criterion, train_params
+            ),
+        ).train()
         factorizer.cleanup()
     return model
 

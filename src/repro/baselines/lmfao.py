@@ -78,11 +78,14 @@ def _train_factorized(
     factorizer.lift()
     criterion = VarianceCriterion()
     if share_across_nodes:
-        trainer = DecisionTreeTrainer(db, graph, factorizer, criterion, params)
-        model = trainer.train()
+        evaluator = FrontierEvaluator.for_params(
+            db, graph, factorizer, criterion, params
+        )
     else:
-        trainer = _PerNodeCacheTrainer(db, graph, factorizer, criterion, params)
-        model = trainer.train()
+        evaluator = _PerNodeCacheEvaluator.for_params(
+            db, graph, factorizer, criterion, _per_leaf_params(params)
+        )
+    model = DecisionTreeTrainer(graph, criterion, params, evaluator).train()
     factorizer.cleanup()
     return model
 
@@ -102,23 +105,6 @@ class _PerNodeCacheEvaluator(FrontierEvaluator):
             self.factorizer.invalidate_all()
             out.update(super()._per_leaf([node], features))
         return out
-
-
-class _PerNodeCacheTrainer(DecisionTreeTrainer):
-    """DecisionTreeTrainer with the per-node-cache ablation evaluator."""
-
-    def __init__(self, db, graph, factorizer, criterion, params, **kwargs):
-        super().__init__(db, graph, factorizer, criterion, params, **kwargs)
-        self.evaluator = _PerNodeCacheEvaluator(
-            db,
-            graph,
-            factorizer,
-            criterion,
-            self.finder,
-            mode="off",
-            missing=params.missing,
-            min_child_samples=params.min_child_samples,
-        )
 
 
 def _train_naive(db, graph: JoinGraph, params: TrainParams) -> DecisionTreeModel:
@@ -143,11 +129,12 @@ def _train_naive(db, graph: JoinGraph, params: TrainParams) -> DecisionTreeModel
     ring = VarianceSemiRing()
     factorizer = Factorizer(db, wide_graph, ring, cache_enabled=False)
     factorizer.lift()
-    trainer = DecisionTreeTrainer(
-        db, wide_graph, factorizer, VarianceCriterion(),
-        _per_leaf_params(params),
-    )
-    model = trainer.train()
+    criterion = VarianceCriterion()
+    params = _per_leaf_params(params)
+    model = DecisionTreeTrainer(
+        wide_graph, criterion, params,
+        FrontierEvaluator.for_params(db, wide_graph, factorizer, criterion, params),
+    ).train()
     factorizer.cleanup()
     db.drop_table(wide_name, if_exists=True)
     return model

@@ -17,6 +17,7 @@ from __future__ import annotations
 import time
 from typing import Optional, Tuple
 
+from repro.core.frontier import FrontierEvaluator
 from repro.core.params import TrainParams
 from repro.core.split import VarianceCriterion
 from repro.core.trainer import DecisionTreeTrainer
@@ -74,10 +75,13 @@ def train_madlib_tree(
         RowTable(lifted_name, list(lifted.columns()), StorageConfig(layout="row"))
     )
 
-    trainer = DecisionTreeTrainer(
-        db, wide_graph, factorizer, VarianceCriterion(), train_params
-    )
-    model = trainer.train()
+    criterion = VarianceCriterion()
+    model = DecisionTreeTrainer(
+        wide_graph, criterion, train_params,
+        FrontierEvaluator.for_params(
+            db, wide_graph, factorizer, criterion, train_params
+        ),
+    ).train()
     factorizer.cleanup()
     db.drop_table(wide_name, if_exists=True)
     return model, time.perf_counter() - start

@@ -15,17 +15,17 @@ then updates those annotations in place of the residuals:
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import TrainingError
-from repro.core.checkpoint import CheckpointSink, write_checkpoint
+from repro.core.checkpoint import CheckpointSink, restored_rounds, write_checkpoint
+from repro.core.frontier import FrontierEvaluator
 from repro.core.params import TrainParams
 from repro.core.session import TrainingSessionGuard
-from repro.core.predict import feature_frame, rmse_on_join
+from repro.core.predict import rmse_on_join
 from repro.core.residual import ResidualUpdater
 from repro.core.split import GradientCriterion
 from repro.core.trainer import DecisionTreeTrainer
@@ -215,7 +215,7 @@ def train_gradient_boosting(
     :func:`repro.core.checkpoint.resume_training` rather than passing it
     directly.
     """
-    train_params = TrainParams.from_dict(params, **overrides)
+    train_params = boosting_params(params, **overrides)
     loss = get_loss(train_params.objective, **train_params.loss_kwargs())
     graph.validate()
     configure_encoding_cache(db, train_params.encoding_cache)
@@ -244,7 +244,7 @@ def train_gradient_boosting(
             "checkpoint/resume supports snowflake schemas only; galaxy "
             "(CPT) training is not checkpointable yet"
         )
-    return _train_galaxy(db, graph, train_params, loss, clusters, evaluate_every)
+    return _train_galaxy(db, graph, train_params, loss, clusters)
 
 
 def _train_snowflake(
@@ -258,33 +258,14 @@ def _train_snowflake(
 ) -> GradientBoostingModel:
     fact = graph.target_relation
     y = graph.target_column
-
     # Resume: the checkpoint's init score and trees are authoritative —
     # recomputing the init would re-run a query the interrupted run
     # already committed to.
-    restored: List[DecisionTreeModel] = []
-    start_round = 0
-    if resume_from is not None:
-        from repro.core.serialize import tree_from_dict
-
-        spec = resume_from["model"]
-        if spec.get("kind") != "gradient_boosting":
-            raise TrainingError(
-                "checkpoint does not hold a gradient-boosting model"
-            )
-        start_round = int(resume_from["round"])
-        restored = [tree_from_dict(t) for t in spec["trees"][:start_round]]
-        init = float(spec["init_score"])
-    else:
+    restored, init = restored_rounds(resume_from)
+    if init is None:
         init = _init_score_sql(db, fact, y, loss)
-
-    rng = np.random.default_rng(params.seed)
-    trees: List[DecisionTreeModel] = list(restored)
-    history: List[IterationRecord] = []
-    model = GradientBoostingModel(
-        trees, init, params.learning_rate, loss, history
-    )
-    if start_round >= params.num_iterations:
+    model = GradientBoostingModel(restored, init, params.learning_rate, loss)
+    if len(restored) >= params.num_iterations:
         # The checkpoint already covers every round: nothing to train.
         return model
 
@@ -293,8 +274,7 @@ def _train_snowflake(
     # Any failure from here on — chaos-injected or real — must leave the
     # connection re-trainable: the guard drops the lifted fact, message
     # temps and minted leaf columns before re-raising.
-    guard = TrainingSessionGuard(db).register(factorizer)
-    with guard:
+    with TrainingSessionGuard(db).register(factorizer):
         init_lit = repr(float(init))
         hessian_constant = loss.hessian_sql("y", "p") == "1"
         lift_exprs: List[Tuple[str, str]] = [("pred", init_lit)]
@@ -314,48 +294,15 @@ def _train_snowflake(
         criterion = GradientCriterion(
             reg_lambda=params.reg_lambda, count_weight=hessian_constant
         )
-        trainer = DecisionTreeTrainer(db, graph, factorizer, criterion, params)
+        evaluator = FrontierEvaluator.for_params(
+            db, graph, factorizer, criterion, params
+        )
+        trainer = DecisionTreeTrainer(graph, criterion, params, evaluator)
 
-        # Replay restored rounds: consume the same RNG draws an
-        # uninterrupted run would have, and re-apply each restored
-        # tree's residual update through the semi-join path (which is
-        # float-bit-identical to the leaf-label fast path), so the
-        # gradient state entering round ``start_round`` matches exactly.
-        for iteration in range(start_round):
-            _sample_features(graph, params, rng)
-            tree = restored[iteration]
-            if loss.supports_galaxy:
-                updater.apply_additive(
-                    tree, params.learning_rate, component="g",
-                    label_column=None,
-                )
-            else:
-                updater.apply_general(
-                    tree, params.learning_rate, y_column=y,
-                    hessian_constant=hessian_constant,
-                    label_column=None,
-                )
-            factorizer.invalidate_for_relation(fact)
-        if restored:
-            # Node ids must continue where the interrupted run stopped —
-            # they are part of the serialized model, hence of the digest.
-            max_node_id = max(
-                node.node_id for tree in restored for node in tree.nodes()
-            )
-            trainer._ids = itertools.count(max_node_id + 1)
-
-        for iteration in range(start_round, params.num_iterations):
-            features = _sample_features(graph, params, rng)
-            start = time.perf_counter()
-            tree = trainer.train(feature_subset=features)
-            train_seconds = time.perf_counter() - start
-
-            start = time.perf_counter()
-            # The incremental frontier state leaves a current leaf-
-            # membership column on the lifted fact: residual updates
-            # become one CASE over it instead of per-leaf semi-join
-            # scans (falls back when absent).
-            label_column = trainer.leaf_label_column(tree)
+        def update(tree: DecisionTreeModel, label_column: Optional[str]) -> None:
+            # A current leaf-membership column makes the update one CASE
+            # over it instead of per-leaf semi-join scans; replayed rounds
+            # take the semi-join path, which is float-bit-identical.
             if loss.supports_galaxy:
                 # L2: the gradient shifts additively by lr·p* — one column.
                 updater.apply_additive(
@@ -369,21 +316,13 @@ def _train_snowflake(
                     label_column=label_column,
                 )
             factorizer.invalidate_for_relation(fact)
-            update_seconds = time.perf_counter() - start
 
-            trees.append(tree)
-            model.trees = trees
-            record = IterationRecord(iteration, train_seconds, update_seconds)
-            if evaluate_every and (iteration + 1) % evaluate_every == 0:
-                record.rmse = rmse_on_join(db, graph, model)
-            history.append(record)
-            if checkpoint is not None:
-                # The round is committed (tree appended, residuals
-                # shifted): persist the partial model before starting
-                # the next one.
-                write_checkpoint(checkpoint, model, params, iteration + 1)
+        boost_rounds(
+            model, trainer, params, update,
+            evaluate_every=evaluate_every, db=db, checkpoint=checkpoint,
+        )
         model.frontier_census = {
-            **trainer.evaluator.census(),
+            **evaluator.census(),
             "factorizer": factorizer.census(),
         }
         factorizer.cleanup()
@@ -396,78 +335,54 @@ def _train_galaxy(
     params: TrainParams,
     loss: Loss,
     clusters: Optional[Sequence[Cluster]],
-    evaluate_every: int,
 ) -> GradientBoostingModel:
     if clusters is None:
         clusters = cluster_graph(graph)
+    target = graph.target_relation
+    y = graph.target_column
     init = _join_mean(db, graph)
     ring = GradientSemiRing()
     factorizer = Factorizer(db, graph, ring)
     # Mid-training failure drops the cluster lifts and message temps.
     with TrainingSessionGuard(db).register(factorizer):
-        return _train_galaxy_body(
-            db, graph, params, loss, clusters, evaluate_every,
-            init, ring, factorizer,
-        )
-
-
-def _train_galaxy_body(
-    db, graph, params, loss, clusters, evaluate_every,
-    init, ring, factorizer,
-) -> GradientBoostingModel:
-    target = graph.target_relation
-    y = graph.target_column
-    # Target lift: g = p0 - y (the L2 gradient at the base score).
-    factorizer.lift(ring.lift_pair_sql("1", f"({init!r} - t.{y})"))
-    updaters: Dict[str, ResidualUpdater] = {}
-    for cluster in clusters:
-        if cluster.fact == target:
-            updaters[cluster.fact] = ResidualUpdater(
-                db, graph, cluster.fact, factorizer.lifted[target], loss,
-                strategy=params.update_strategy,
+        # Target lift: g = p0 - y (the L2 gradient at the base score).
+        factorizer.lift(ring.lift_pair_sql("1", f"({init!r} - t.{y})"))
+        updaters: Dict[str, ResidualUpdater] = {}
+        for cluster in clusters:
+            table = (
+                factorizer.lifted[target] if cluster.fact == target
+                else factorizer.lift_identity(cluster.fact)
             )
-        else:
-            table = factorizer.lift_identity(cluster.fact)
             updaters[cluster.fact] = ResidualUpdater(
                 db, graph, cluster.fact, table, loss,
                 strategy=params.update_strategy,
             )
-
-    prepare_training_paths(db, graph, factorizer)
-    criterion = GradientCriterion(reg_lambda=params.reg_lambda)
-    trainer = DecisionTreeTrainer(
-        db, graph, factorizer, criterion, params, clusters=clusters
-    )
-    rng = np.random.default_rng(params.seed)
-
-    trees: List[DecisionTreeModel] = []
-    history: List[IterationRecord] = []
-    model = GradientBoostingModel([], init, params.learning_rate, loss, history)
-    for iteration in range(params.num_iterations):
-        features = _sample_features(graph, params, rng)
-        start = time.perf_counter()
-        tree = trainer.train(feature_subset=features)
-        train_seconds = time.perf_counter() - start
-
-        start = time.perf_counter()
-        cluster = _tree_cluster(tree, clusters, target)
-        updaters[cluster.fact].apply_additive(
-            tree, params.learning_rate, component=ring.g
+        prepare_training_paths(db, graph, factorizer)
+        criterion = GradientCriterion(reg_lambda=params.reg_lambda)
+        evaluator = FrontierEvaluator.for_params(
+            db, graph, factorizer, criterion, params
         )
-        factorizer.invalidate_for_relation(cluster.fact)
-        update_seconds = time.perf_counter() - start
+        trainer = DecisionTreeTrainer(
+            graph, criterion, params, evaluator, clusters=clusters
+        )
 
-        trees.append(tree)
-        model.trees = trees
+        def update(tree: DecisionTreeModel, _label_column: Optional[str]) -> None:
+            cluster = _tree_cluster(tree, clusters, target)
+            updaters[cluster.fact].apply_additive(
+                tree, params.learning_rate, component=ring.g
+            )
+            factorizer.invalidate_for_relation(cluster.fact)
+
+        model = GradientBoostingModel([], init, params.learning_rate, loss)
         # Per-iteration rmse would require materializing the galaxy join —
         # exactly what CPT exists to avoid — so galaxy history records
         # timings only (Figure 14 plots time, not accuracy).
-        history.append(IterationRecord(iteration, train_seconds, update_seconds))
-    model.frontier_census = {
-        **trainer.evaluator.census(),
-        "factorizer": factorizer.census(),
-    }
-    factorizer.cleanup()
+        boost_rounds(model, trainer, params, update)
+        model.frontier_census = {
+            **evaluator.census(),
+            "factorizer": factorizer.census(),
+        }
+        factorizer.cleanup()
     return model
 
 
@@ -497,6 +412,66 @@ def _sample_features(
     size = max(1, int(round(len(features) * params.colsample)))
     picks = rng.choice(len(features), size=size, replace=False)
     return [features[i] for i in sorted(picks)]
+
+
+def boosting_params(params: Optional[dict] = None, **overrides) -> TrainParams:
+    """Parse a boosting run's parameters.  Boosting grows every tree on
+    every row, so a row sample it would silently ignore is refused."""
+    train_params = TrainParams.from_dict(params, **overrides)
+    if train_params.subsample < 1.0:
+        raise TrainingError(
+            f"subsample (bagging_fraction) = {train_params.subsample} is not "
+            "supported by gradient boosting, which trains every tree on "
+            "every row; use train_random_forest for row bagging"
+        )
+    return train_params
+
+
+def boost_rounds(
+    model: GradientBoostingModel,
+    trainer: DecisionTreeTrainer,
+    params: TrainParams,
+    update: Callable[[DecisionTreeModel, Optional[str]], None],
+    *,
+    evaluate_every: int = 0,
+    db=None,
+    checkpoint: Optional[CheckpointSink] = None,
+) -> None:
+    """The additive round loop every gradient-boosting driver runs.
+
+    Each round samples features, grows a tree, and hands it to the
+    driver's ``update`` step — which shifts the gradient state by the
+    tree and invalidates the messages it staled — with the leaf-label
+    column the trainer left current (or None).  ``model.trees`` may hold
+    rounds restored from a checkpoint: their RNG draws are consumed and
+    their updates replayed (with no label column) first, and node ids
+    continue after them, so the run goes on exactly as an uninterrupted
+    one would.  ``evaluate_every=k`` records the rmse over ``db`` every k
+    rounds; ``checkpoint`` receives the model after every round.
+    """
+    rng = np.random.default_rng(params.seed)
+    graph = trainer.graph
+    for tree in model.trees:
+        _sample_features(graph, params, rng)
+        update(tree, None)
+    trainer.continue_ids(model.trees)
+    for iteration in range(len(model.trees), params.num_iterations):
+        features = _sample_features(graph, params, rng)
+        start = time.perf_counter()
+        tree = trainer.train(feature_subset=features)
+        train_seconds = time.perf_counter() - start
+        start = time.perf_counter()
+        update(tree, trainer.leaf_label_column(tree))
+        update_seconds = time.perf_counter() - start
+        model.trees.append(tree)
+        record = IterationRecord(iteration, train_seconds, update_seconds)
+        if evaluate_every and (iteration + 1) % evaluate_every == 0:
+            record.rmse = rmse_on_join(db, graph, model)
+        model.history.append(record)
+        if checkpoint is not None:
+            # The round is committed (tree appended, gradients shifted):
+            # persist the partial model before starting the next one.
+            write_checkpoint(checkpoint, model, params, iteration + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -548,8 +523,8 @@ def _train_multiclass_body(
         factorizer.adopt_lifted(fact, fact_table)
     prepare_training_paths(db, graph, factorizers[0])
 
-    trainers = [
-        DecisionTreeTrainer(
+    evaluators = [
+        FrontierEvaluator.for_params(
             db, graph, factorizers[i],
             GradientCriterion(
                 reg_lambda=params.reg_lambda,
@@ -560,17 +535,23 @@ def _train_multiclass_body(
         )
         for i in range(k)
     ]
+    trainers = [
+        DecisionTreeTrainer(graph, evaluator.criterion, params, evaluator)
+        for evaluator in evaluators
+    ]
     updaters = [
         ResidualUpdater(db, graph, fact, fact_table, loss, strategy="swap")
         for _ in range(k)
     ]
 
+    rng = np.random.default_rng(params.seed)
     chains: List[List[DecisionTreeModel]] = [[] for _ in range(k)]
     for _ in range(params.num_iterations):
-        new_trees: List[DecisionTreeModel] = []
-        for i in range(k):
-            tree = trainers[i].train()
-            new_trees.append(tree)
+        # One feature sample per class tree, drawn in class order.
+        new_trees = [
+            trainer.train(feature_subset=_sample_features(graph, params, rng))
+            for trainer in trainers
+        ]
         # Update every class's pred, then recompute all probabilities and
         # per-class gradients in one pass.
         for i, tree in enumerate(new_trees):
@@ -581,7 +562,7 @@ def _train_multiclass_body(
         for factorizer in factorizers:
             factorizer.invalidate_for_relation(fact)
     model = MulticlassBoostingModel(chains, init_scores, params.learning_rate, loss)
-    model.class_census = [trainer.evaluator.census() for trainer in trainers]
+    model.class_census = [evaluator.census() for evaluator in evaluators]
     factorizers[0].cleanup()
     return model
 

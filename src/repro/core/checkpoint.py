@@ -8,10 +8,11 @@ round: the partial :class:`GradientBoostingModel` serialized through the
 canonical JSON of :mod:`repro.core.serialize`, wrapped with the round
 index and the full :class:`~repro.core.params.TrainParams`.
 
-:func:`resume_training` rebuilds the side state and *replays* the
-restored trees' residual updates through the same semi-join update path
-an uninterrupted run uses, fast-forwards the RNG and the tree node-id
-counter, and continues the loop — the parity bar (held by the tests) is
+:func:`resume_training` rebuilds the side state, and the boosting round
+loop (:func:`repro.core.boosting.boost_rounds`) *replays* the restored
+trees' residual updates through the same semi-join update path an
+uninterrupted run uses, fast-forwards the RNG and the tree node-id
+counter, and continues — the parity bar (held by the tests) is
 that the resumed run's ``model_digest`` is bit-identical to an
 uninterrupted run's, across backends and worker counts.
 
@@ -26,7 +27,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.exceptions import TrainingError
 
@@ -164,6 +165,20 @@ def read_checkpoint(sink: CheckpointSink) -> Optional[dict]:
         for name in RETIRED_PARAMS:
             payload["params"].pop(name, None)
     return payload
+
+
+def restored_rounds(payload: Optional[dict]) -> Tuple[list, Optional[float]]:
+    """The committed trees and init score of a checkpoint ``payload``
+    (``([], None)`` for a fresh run)."""
+    if payload is None:
+        return [], None
+    from repro.core.serialize import tree_from_dict
+
+    spec = payload["model"]
+    if spec.get("kind") != "gradient_boosting":
+        raise TrainingError("checkpoint does not hold a gradient-boosting model")
+    trees = [tree_from_dict(t) for t in spec["trees"][: int(payload["round"])]]
+    return trees, float(spec["init_score"])
 
 
 def check_resume_params(stored, requested) -> None:

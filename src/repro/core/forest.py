@@ -5,29 +5,33 @@ uses the snowflake fast path — a uniform row sample of the fact table is a
 uniform sample of R⋈ because they are 1-1 — falling back to ancestral
 sampling for general acyclic graphs.  Trees are independent, which is what
 the paper's inter-query parallelism exploits (~35% faster random forests,
-Figure 18): with ``num_workers > 1`` and a concurrency-safe backend,
-whole trees run on the :class:`~repro.engine.scheduler.QueryScheduler`
-worker pool.  Every random draw (row sample, feature sample) is taken
-*serially* up front in iteration order, so the forest is tree-for-tree
-identical to ``num_workers=1`` regardless of which worker trains which
-tree; inner trainers run serial (the tree is the unit of parallelism —
-nesting pools would oversubscribe the backend).
+Figure 18): whole trees run on the
+:class:`~repro.engine.scheduler.QueryScheduler` worker pool — one worker,
+run inline, for ``num_workers=1`` or a backend without concurrent reads.
+Every random draw (row sample, feature sample) is taken *serially* up
+front in iteration order, so the forest is tree-for-tree identical at
+any worker count regardless of which worker trains which tree; inner
+trainers run serial (the tree is the unit of parallelism — nesting pools
+would oversubscribe the backend).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Dict, List, Optional, Sequence, Tuple, cast
+from functools import partial
+from typing import Dict, List, Optional, Tuple, cast
 
 import numpy as np
 
 from repro.exceptions import TrainingError
-from repro.core.frontier import concurrent_read_veto
+from repro.core.boosting import _sample_features, is_snowflake
+from repro.core.frontier import FrontierEvaluator, concurrent_read_veto
 from repro.core.params import TrainParams
 from repro.core.split import ClassificationCriterion, VarianceCriterion
 from repro.core.trainer import DecisionTreeTrainer
 from repro.core.tree import DecisionTreeModel
+from repro.engine.scheduler import QueryScheduler
 from repro.factorize.executor import (
     Factorizer,
     configure_encoding_cache,
@@ -36,7 +40,6 @@ from repro.factorize.executor import (
 from repro.factorize.sampling import ancestral_sample, sample_fact_table
 from repro.joingraph.graph import JoinGraph
 from repro.semiring.classcount import ClassCountSemiRing
-from repro.semiring.losses import SoftmaxLoss
 from repro.semiring.variance import VarianceSemiRing
 
 
@@ -93,11 +96,7 @@ def train_random_forest(
         "multiclass", "softmax", "binary", "classification",
     )
     fact = graph.target_relation
-    y = graph.target_column
     rng = np.random.default_rng(train_params.seed)
-
-    from repro.core.boosting import is_snowflake
-
     snowflake = is_snowflake(graph, fact)
     if classification:
         ring = ClassCountSemiRing(train_params.num_class)
@@ -105,16 +104,21 @@ def train_random_forest(
     else:
         ring = VarianceSemiRing()
         criterion = VarianceCriterion()
+    # The tree is the unit of parallelism: inner trainers stay serial.
+    tree_params = dataclasses.replace(train_params, num_workers=1)
 
-    all_features = graph.all_features()
-    workers = min(train_params.resolved_workers(), train_params.num_iterations)
-
-    def train_one(sampled_fact: str, feature_subset, tree_params: TrainParams):
+    def train_one(indexes: Optional[np.ndarray], feature_subset):
+        sampled_fact = _materialize_sample(db, fact, indexes)
         start = time.perf_counter()
         factorizer = Factorizer(db, graph, ring)
         factorizer.lift(source_table=sampled_fact)
         prepare_training_paths(db, graph, factorizer)
-        trainer = DecisionTreeTrainer(db, graph, factorizer, criterion, tree_params)
+        trainer = DecisionTreeTrainer(
+            graph, criterion, tree_params,
+            FrontierEvaluator.for_params(
+                db, graph, factorizer, criterion, tree_params
+            ),
+        )
         try:
             tree = trainer.train(feature_subset=feature_subset)
         finally:
@@ -123,75 +127,29 @@ def train_random_forest(
                 db.drop_table(sampled_fact, if_exists=True)
         return tree, time.perf_counter() - start
 
-    if workers > 1 and concurrent_read_veto(db) is None:
-        trees, history = _train_trees_parallel(
-            db, graph, fact, train_params, rng, snowflake, all_features,
-            workers, train_one,
-        )
-    else:
-        trees, history = [], []
-        for _ in range(train_params.num_iterations):
-            sampled_fact = _sampled_fact_table(
-                db, graph, fact, train_params, rng, snowflake
-            )
-            feature_subset = _feature_sample(all_features, train_params, rng)
-            tree, seconds = train_one(sampled_fact, feature_subset, train_params)
-            trees.append(tree)
-            history.append(seconds)
-    return RandomForestModel(
-        trees, classification,
-        num_classes=train_params.num_class if classification else 0,
-        history=history,
-    )
-
-
-def _train_trees_parallel(
-    db,
-    graph: JoinGraph,
-    fact: str,
-    params: TrainParams,
-    rng: np.random.Generator,
-    snowflake: bool,
-    all_features: Sequence[Tuple[str, str]],
-    workers: int,
-    train_one,
-) -> Tuple[List[DecisionTreeModel], List[float]]:
-    """Whole trees on the scheduler's worker pool (Section 5.5.3).
-
-    Random state is consumed serially up front — the k-th task trains on
-    exactly the sample the k-th serial iteration would have drawn — and
-    scheduler results come back in submission order, so the forest is
-    identical to the serial loop tree for tree.  Only the *draws*
-    (row-index arrays, feature subsets) happen up front; each task
-    materializes and drops its own sampled fact table, so peak sample
-    storage is bounded by in-flight workers, not forest size.
-    """
-    from repro.engine.scheduler import QueryScheduler
-
-    # Every random draw happens on this thread, in iteration order.
-    plans = []
-    for _ in range(params.num_iterations):
-        indexes = _sample_indexes(db, graph, fact, params, rng, snowflake)
-        plans.append((indexes, _feature_sample(all_features, params, rng)))
-    # The tree is the unit of parallelism: inner trainers stay serial.
-    tree_params = dataclasses.replace(params, num_workers=1)
+    # Every random draw happens on this thread, in iteration order; only
+    # the draws (row-index arrays, feature subsets) happen up front — each
+    # task materializes and drops its own sampled fact table, so peak
+    # sample storage is bounded by in-flight workers, not forest size.
+    workers = min(train_params.resolved_workers(), train_params.num_iterations)
+    if concurrent_read_veto(db) is not None:
+        workers = 1
     scheduler = QueryScheduler(num_workers=workers)
-    for k, (indexes, feature_subset) in enumerate(plans):
+    for k in range(train_params.num_iterations):
+        indexes = _sample_indexes(db, graph, fact, train_params, rng, snowflake)
+        features = _sample_features(graph, train_params, rng)
         scheduler.submit(
-            lambda i=indexes, f=feature_subset: train_one(
-                _materialize_sample(db, fact, i), f, tree_params
-            ),
-            label=f"tree:{k}",
+            partial(train_one, indexes, features), label=f"tree:{k}"
         )
-    report = scheduler.run()
-    trees: List[DecisionTreeModel] = []
-    history: List[float] = []
-    for tree, seconds in cast(
-        List[Tuple[DecisionTreeModel, float]], report.results()
-    ):
-        trees.append(tree)
-        history.append(seconds)
-    return trees, history
+    # Results come back in submission order.
+    grown = cast(
+        List[Tuple[DecisionTreeModel, float]], scheduler.run().results()
+    )
+    return RandomForestModel(
+        [tree for tree, _ in grown], classification,
+        num_classes=train_params.num_class if classification else 0,
+        history=[seconds for _, seconds in grown],
+    )
 
 
 def _sample_indexes(
@@ -200,9 +158,9 @@ def _sample_indexes(
 ) -> Optional[np.ndarray]:
     """Draw one tree's fact-row sample (None = train on the full fact).
 
-    This is the only RNG-consuming half of sampling — the parallel
-    forest calls it serially per tree so random state is deterministic,
-    then materializes on the workers."""
+    This is the only RNG-consuming half of sampling — the forest calls
+    it serially per tree so random state is deterministic, then each
+    tree's task materializes its own sample."""
     if params.subsample >= 1.0:
         return None
     if snowflake:
@@ -225,21 +183,3 @@ def _materialize_sample(db, fact: str, indexes: Optional[np.ndarray]) -> str:
     sampled_name = db.temp_name(f"sample_{fact}")
     db.create_table(sampled_name, data)
     return sampled_name
-
-
-def _sampled_fact_table(
-    db, graph: JoinGraph, fact: str, params: TrainParams,
-    rng: np.random.Generator, snowflake: bool,
-) -> str:
-    """Materialize the per-tree data sample as a temp fact table."""
-    return _materialize_sample(
-        db, fact, _sample_indexes(db, graph, fact, params, rng, snowflake)
-    )
-
-
-def _feature_sample(all_features, params: TrainParams, rng: np.random.Generator):
-    if params.colsample >= 1.0 or len(all_features) <= 1:
-        return None
-    size = max(1, int(round(len(all_features) * params.colsample)))
-    picks = rng.choice(len(all_features), size=size, replace=False)
-    return [all_features[i] for i in sorted(picks)]

@@ -76,6 +76,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.core.params import TrainParams
 from repro.core.residual import leaf_fact_condition
 from repro.core.split import (
     Criterion,
@@ -425,9 +426,42 @@ class FrontierEvaluator:
         self._kind_cache: Dict[Tuple[str, str], str] = {}
         self._lifted_indexed = False
 
+    @classmethod
+    def for_params(
+        cls,
+        db,
+        graph: JoinGraph,
+        factorizer: Factorizer,
+        criterion: Criterion,
+        params: TrainParams,
+    ) -> "FrontierEvaluator":
+        """The evaluator a single-node training run's parameters ask for."""
+        finder = SplitFinder(
+            db,
+            factorizer,
+            criterion,
+            min_child_samples=params.min_child_samples,
+            missing=params.missing,
+        )
+        return cls(
+            db,
+            graph,
+            factorizer,
+            criterion,
+            finder,
+            mode=params.split_batching,
+            missing=params.missing,
+            min_child_samples=params.min_child_samples,
+            num_workers=params.frontier_workers(),
+        )
+
     # ------------------------------------------------------------------
     # Tree lifecycle (driven by the trainer)
     # ------------------------------------------------------------------
+    def totals(self) -> Dict[str, float]:
+        """The root aggregates of a new tree."""
+        return self.factorizer.totals()
+
     def begin_tree(self, root: TreeNode) -> None:
         """Reset the incremental state for a new tree's root."""
         self.state.begin_tree(root)

@@ -19,14 +19,15 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.exceptions import TrainingError
-from repro.core.params import TrainParams
+from repro.core.frontier import FrontierEvaluator
 from repro.core.residual import ResidualUpdater
 from repro.core.split import GradientCriterion
 from repro.core.trainer import DecisionTreeTrainer
 from repro.core.boosting import (
     GradientBoostingModel,
-    IterationRecord,
     _init_score_sql,
+    boost_rounds,
+    boosting_params,
 )
 from repro.factorize.executor import Factorizer
 from repro.joingraph.graph import JoinGraph
@@ -176,7 +177,7 @@ def train_boosting_on_cuboid(
     Only the rmse objective is supported (the cuboid stores (h, g)
     aggregates, and residual updates must be additive).
     """
-    train_params = TrainParams.from_dict(params, **overrides)
+    train_params = boosting_params(params, **overrides)
     loss = get_loss(train_params.objective, **train_params.loss_kwargs())
     if not loss.supports_galaxy:
         raise TrainingError("cuboid training supports the rmse objective only")
@@ -211,31 +212,23 @@ def train_boosting_on_cuboid(
 
     criterion = GradientCriterion(reg_lambda=train_params.reg_lambda)
     trainer = DecisionTreeTrainer(
-        db, cuboid_graph, factorizer, criterion, train_params
+        cuboid_graph, criterion, train_params,
+        FrontierEvaluator.for_params(
+            db, cuboid_graph, factorizer, criterion, train_params
+        ),
     )
     updater = ResidualUpdater(
         db, cuboid_graph, cuboid, cuboid, loss, strategy="swap"
     )
 
-    import time
-
-    trees = []
-    history: List[IterationRecord] = []
-    for iteration in range(train_params.num_iterations):
-        start = time.perf_counter()
-        tree = trainer.train()
-        train_seconds = time.perf_counter() - start
-        start = time.perf_counter()
+    def update(tree, _label_column) -> None:
         # g is per-group Σ(p - y); the shift is lr·leaf times the group
         # count h, which apply_additive handles via the weight column.
         updater.apply_additive(tree, train_params.learning_rate, component="g")
         factorizer.invalidate_for_relation(cuboid)
-        update_seconds = time.perf_counter() - start
-        trees.append(tree)
-        history.append(IterationRecord(iteration, train_seconds, update_seconds))
-    model = GradientBoostingModel(
-        trees, init, train_params.learning_rate, loss, history
-    )
+
+    model = GradientBoostingModel([], init, train_params.learning_rate, loss)
+    boost_rounds(model, trainer, train_params, update)
     factorizer.cleanup()
     if binned is not None:
         binned.cleanup(db)

@@ -7,33 +7,54 @@ Depth-wise growth orders by (depth, node id) instead.
 
 All heavy computation — the best-split queries (line 14) — is SQL against
 the factorizer; the Python driver is bookkeeping, exactly the division of
-labour of Figure 4's ML Compiler.  Split search goes through the
+labour of Figure 4's ML Compiler.  The split search is a constructor
+argument (:class:`SplitSearch`): single-node drivers pass a
 :class:`~repro.core.frontier.FrontierEvaluator`, which batches each
 evaluation round into one query per relation on snowflake schemas
 (``split_batching="auto"``, the default) and otherwise issues the
-classic one query per (leaf, feature).
+classic one query per (leaf, feature); sharded training passes a search
+over shard aggregates merged at the coordinator.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
 
 from repro.exceptions import TrainingError
-from repro.core.frontier import FrontierEvaluator
 from repro.core.params import TrainParams
-from repro.core.split import Criterion, SplitCandidate, SplitFinder
+from repro.core.split import Criterion, SplitCandidate
 from repro.core.tree import DecisionTreeModel, TreeNode
-from repro.factorize.executor import Factorizer
 from repro.joingraph.clusters import Cluster
 from repro.joingraph.graph import JoinGraph
 
 
-def heap_entry(growth: str, node: TreeNode, cand: SplitCandidate):
+class SplitSearch(Protocol):
+    """What the trainer asks of its split search."""
+
+    def totals(self) -> Dict[str, float]:
+        """The root aggregates of a new tree."""
+
+    def begin_tree(self, root: TreeNode) -> None:
+        """A new tree starts at ``root``."""
+
+    def best_splits(
+        self, nodes: Sequence[TreeNode], features: Sequence[Tuple[str, str]]
+    ) -> Dict[int, Optional[SplitCandidate]]:
+        """Best split per frontier node (node_id -> candidate or None)."""
+
+    def notify_split(self, node: TreeNode) -> None:
+        """``node`` was split."""
+
+    def leaf_label_column(self, model: DecisionTreeModel) -> Optional[str]:
+        """A column holding each fact row's leaf in ``model``, if current."""
+
+
+def _heap_entry(growth: str, node: TreeNode, cand: SplitCandidate):
     """The leaf heap's entry for ``node`` and its best split: depth-wise
     growth pops by (depth, node id), best-first by largest gain (node id
-    breaks ties).  Sharded training grows its trees by the same order."""
+    breaks ties)."""
     if growth == "depth-wise":
         priority = (node.depth, node.node_id)
     else:
@@ -42,60 +63,44 @@ def heap_entry(growth: str, node: TreeNode, cand: SplitCandidate):
 
 
 class DecisionTreeTrainer:
-    """Trains one factorized decision tree over a join graph."""
+    """Trains decision trees over a join graph, one at a time; node ids
+    continue from tree to tree."""
 
     def __init__(
         self,
-        db,
         graph: JoinGraph,
-        factorizer: Factorizer,
         criterion: Criterion,
         params: TrainParams,
+        evaluator: SplitSearch,
         clusters: Optional[Sequence[Cluster]] = None,
     ):
-        self.db = db
         self.graph = graph
-        self.factorizer = factorizer
         self.criterion = criterion
         self.params = params
+        self.evaluator = evaluator
         self.clusters = list(clusters) if clusters else None
-        self.finder = SplitFinder(
-            db,
-            factorizer,
-            criterion,
-            min_child_samples=params.min_child_samples,
-            missing=params.missing,
-        )
-        self.evaluator = FrontierEvaluator(
-            db,
-            graph,
-            factorizer,
-            criterion,
-            self.finder,
-            mode=params.split_batching,
-            missing=params.missing,
-            min_child_samples=params.min_child_samples,
-            num_workers=params.frontier_workers(),
-        )
         self._ids = itertools.count()
+
+    def continue_ids(self, trees: Iterable[DecisionTreeModel]) -> None:
+        """Number the next tree's nodes after every node of ``trees``
+        (the rounds a resumed run restored): node ids are part of the
+        serialized model, hence of its digest."""
+        last = max(
+            (node.node_id for tree in trees for node in tree.nodes()),
+            default=-1,
+        )
+        self._ids = itertools.count(last + 1)
 
     # ------------------------------------------------------------------
     def train(
-        self,
-        feature_subset: Optional[Sequence[Tuple[str, str]]] = None,
-        totals: Optional[Dict[str, float]] = None,
+        self, feature_subset: Optional[Sequence[Tuple[str, str]]] = None
     ) -> DecisionTreeModel:
-        """Grow one tree.
-
-        ``feature_subset`` restricts candidate features (random forests'
-        feature sampling); ``totals`` are the root aggregates if the
-        caller already knows them.
-        """
+        """Grow one tree; ``feature_subset`` restricts candidate features
+        (feature sampling)."""
         features = list(feature_subset or self.graph.all_features())
         if not features:
             raise TrainingError("no features to split on")
-        if totals is None:
-            totals = self.factorizer.totals()
+        totals = self.evaluator.totals()
 
         root = TreeNode(node_id=next(self._ids), depth=0, aggregates=dict(totals))
         root.prediction = self.criterion.leaf_value(totals)
@@ -110,7 +115,7 @@ class DecisionTreeTrainer:
         heap: List[Tuple[float, int, TreeNode, SplitCandidate]] = []
         candidate = self.evaluator.best_splits([root], allowed).get(root.node_id)
         if candidate is not None:
-            heapq.heappush(heap, heap_entry(self.params.growth, root, candidate))
+            heapq.heappush(heap, _heap_entry(self.params.growth, root, candidate))
 
         num_leaves = 1
         while heap and num_leaves < self.params.num_leaves:
@@ -136,7 +141,7 @@ class DecisionTreeTrainer:
                 child_cand = child_candidates.get(child.node_id)
                 if child_cand is not None and child_cand.gain > self.params.min_split_gain:
                     heapq.heappush(
-                        heap, heap_entry(self.params.growth, child, child_cand)
+                        heap, _heap_entry(self.params.growth, child, child_cand)
                     )
         return model
 

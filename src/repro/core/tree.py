@@ -66,6 +66,8 @@ class DecisionTreeModel:
         self.root = root
         #: feature column -> owning relation (for prediction and updates)
         self.feature_relations = dict(feature_relations)
+        #: training accounting a driver attaches (sharded training's census)
+        self.frontier_census: Dict[str, object] = {}
 
     # ------------------------------------------------------------------
     # Structure

@@ -18,13 +18,20 @@ run in index order in this process, each over its shard's private
 :class:`Database`, so each step's seconds are uncontended compute.  A
 shard step retries transient errors (``MAX_STEP_RETRIES``); every shard
 runs even when one fails, and the failure with the lowest shard index
-is raised.  Every merge happens in shard-index order, so the trained
-model is bit-identical to the single-shard run on exact-arithmetic
-data — which the tests assert via ``model_digest``.
+is raised.
 
-Checkpoints (PR 8 machinery) are written at shard-merge granularity:
-after every committed boosting round — i.e. once all shards have merged
-the round's residual update — the partial model goes to the configured
+Trees are grown by the single-node
+:class:`~repro.core.trainer.DecisionTreeTrainer` over a split search
+that merges the shards' aggregates in shard-index order, and boosting
+runs the single-node round loop
+(:func:`~repro.core.boosting.boost_rounds`) with a per-shard update
+step.  So the model equals single-node ``split_batching="off"``
+training at one shard, and is bit-identical across shard counts on
+exact-arithmetic data — which the tests assert via ``model_digest``.
+
+Checkpoints are written at shard-merge granularity: after every
+committed boosting round — i.e. once all shards have merged the round's
+residual update — the partial model goes to the configured
 :class:`~repro.core.checkpoint.CheckpointSink`.  A cluster built over
 the same data resumes from the last committed round, replaying the
 restored trees' residual updates through the same per-shard path.
@@ -33,10 +40,9 @@ restored trees' residual updates through the same per-shard path.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import time
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, cast
 
 import numpy as np
 
@@ -47,16 +53,21 @@ from repro.core.split import (
     Criterion,
     GradientCriterion,
     SplitCandidate,
+    VarianceCriterion,
     best_split_from_aggregates,
 )
-from repro.core.trainer import heap_entry
+from repro.core.trainer import DecisionTreeTrainer
 from repro.core.tree import DecisionTreeModel, TreeNode
-from repro.core.boosting import GradientBoostingModel
+from repro.core.boosting import (
+    GradientBoostingModel,
+    boost_rounds,
+    boosting_params,
+)
 from repro.core.checkpoint import (
     CheckpointSink,
     check_resume_params,
     read_checkpoint,
-    write_checkpoint,
+    restored_rounds,
 )
 from repro.engine.operators import factorize, group_sum
 from repro.engine.retry import RetryCensus, RetryPolicy, call_with_retry
@@ -66,10 +77,13 @@ from repro.factorize.predicates import PredicateMap
 from repro.joingraph.graph import JoinGraph
 from repro.distributed.partition import partition_database
 from repro.semiring.gradient import GradientSemiRing
+from repro.semiring.variance import VarianceSemiRing
 from repro.semiring.losses import get_loss
 
 #: transient-error retries per shard step
 MAX_STEP_RETRIES = 3
+
+T = TypeVar("T")
 
 #: a shard step's retries run back to back (no backoff sleep)
 _STEP_RETRY_POLICY = RetryPolicy(max_attempts=MAX_STEP_RETRIES + 1, base_delay=0.0)
@@ -117,15 +131,15 @@ class SimulatedCluster:
     # ------------------------------------------------------------------
     # Shard-step execution
     # ------------------------------------------------------------------
-    def _run_step(self, step_fn: Callable[[int], object], index: int) -> object:
+    def _run_step(self, step_fn: Callable[[int], T], index: int) -> T:
         """One shard step, with bounded transient retries."""
         return call_with_retry(
             partial(step_fn, index), _STEP_RETRY_POLICY, self._step_retries
         )
 
     def _parallel(
-        self, step_fn: Callable[[int], object], tag: str = "step"
-    ) -> List[object]:
+        self, step_fn: Callable[[int], T], tag: str = "step"
+    ) -> List[T]:
         """Run ``step_fn(i)`` for every shard ``i``; return index-ordered
         results and account both clocks.
 
@@ -146,7 +160,7 @@ class SimulatedCluster:
             raise
         self.measured_wall_seconds += time.perf_counter() - wall_start
         self.simulated_seconds += max(q.seconds for q in report.queries)
-        return report.results()
+        return cast(List[T], report.results())
 
     def _sync(self, nbytes: int) -> None:
         """Account one coordinator synchronization."""
@@ -172,25 +186,25 @@ class SimulatedCluster:
     ) -> Tuple[GradientBoostingModel, float]:
         """Distributed rmse boosting; returns (model, simulated seconds).
 
-        With a ``checkpoint`` sink configured, every committed round is
-        checkpointed after its residual update has merged on all shards,
-        and a non-empty sink resumes from its last committed round
-        (parameters must match the checkpoint on every model-defining
-        field; the restored trees' updates are replayed per shard before
-        training continues).
+        Each tree is grown by the single-node trainer over merged shard
+        aggregates and applied by the single-node round loop, whose update
+        step shifts every shard's gradients.  With a ``checkpoint`` sink
+        configured, every committed round is checkpointed after its
+        residual update has merged on all shards, and a non-empty sink
+        resumes from its last committed round (parameters must match the
+        checkpoint on every model-defining field; the restored trees'
+        updates are replayed per shard before training continues).
         """
-        train_params = TrainParams.from_dict(params, **overrides)
-        restored_spec: Optional[dict] = None
-        start_round = 0
-        if self.checkpoint is not None:
-            payload = read_checkpoint(self.checkpoint)
-            if payload is not None:
-                stored_params = TrainParams.from_dict(payload["params"])
-                check_resume_params(stored_params, train_params)
-                stored_params.num_workers = train_params.num_workers
-                train_params = stored_params
-                restored_spec = payload["model"]
-                start_round = int(payload["round"])
+        train_params = boosting_params(params, **overrides)
+        payload = (
+            read_checkpoint(self.checkpoint) if self.checkpoint is not None
+            else None
+        )
+        if payload is not None:
+            stored_params = TrainParams.from_dict(payload["params"])
+            check_resume_params(stored_params, train_params)
+            stored_params.num_workers = train_params.num_workers
+            train_params = stored_params
         loss = get_loss(train_params.objective, **train_params.loss_kwargs())
         if not loss.supports_galaxy:
             raise TrainingError("distributed training supports rmse only")
@@ -201,52 +215,33 @@ class SimulatedCluster:
         fact = self.graph.target_relation
         y = self.graph.target_column
         workers, worker_graphs = self.workers, self.worker_graphs
+        # The checkpoint's init score and trees are authoritative.
+        restored, init = restored_rounds(payload)
+        if init is None:
+            query = f"SELECT SUM({y}) AS s, COUNT(*) AS n FROM {fact}"
 
-        if restored_spec is not None:
-            # The checkpoint's init score and trees are authoritative.
-            from repro.core.serialize import tree_from_dict
+            def shard_stats(i: int) -> Dict[str, Any]:
+                result = workers[i].execute(query)
+                if result is None:
+                    raise TrainingError("shard statistics query returned no result")
+                return dict(result.first_row())
 
-            if restored_spec.get("kind") != "gradient_boosting":
-                raise TrainingError(
-                    "checkpoint does not hold a gradient-boosting model"
-                )
-            restored = [
-                tree_from_dict(t) for t in restored_spec["trees"][:start_round]
-            ]
-            init = float(restored_spec["init_score"])
-        else:
-            restored = []
-            stats = self._parallel(
-                lambda i: dict(
-                    workers[i]
-                    .execute(f"SELECT SUM({y}) AS s, COUNT(*) AS n FROM {fact}")
-                    .first_row()
-                ),
-                tag="stats",
-            )
+            stats = self._parallel(shard_stats, tag="stats")
             self._sync(len(stats) * 16)
             total = sum(float(row["n"]) for row in stats)
             init = sum(float(row["s"] or 0.0) for row in stats) / max(total, 1.0)
-
-        trees: List[DecisionTreeModel] = list(restored)
         model = GradientBoostingModel(
-            trees, init, train_params.learning_rate, loss
+            restored, init, train_params.learning_rate, loss
         )
-        if start_round >= train_params.num_iterations:
+        if len(restored) >= train_params.num_iterations:
             # The checkpoint already covers every round.
             model.frontier_census = self.census()
             return model, self.simulated_seconds
 
         ring = GradientSemiRing()
-
-        def lift(i: int) -> Factorizer:
-            factorizer = Factorizer(workers[i], worker_graphs[i], ring)
-            factorizer.lift(ring.lift_pair_sql("1", f"({init!r} - t.{y})"))
-            return factorizer
-
-        # _parallel returns in shard-index order: factorizers[i] is shard i's.
-        factorizers: List[Factorizer] = self._parallel(lift, tag="lift")
-        criterion = GradientCriterion(reg_lambda=train_params.reg_lambda)
+        factorizers = self._lift(
+            ring, ring.lift_pair_sql("1", f"({init!r} - t.{y})")
+        )
         updaters = [
             ResidualUpdater(
                 worker, wgraph, fact, factorizer.lifted[fact], loss,
@@ -257,30 +252,21 @@ class SimulatedCluster:
             )
         ]
 
-        def apply_tree(tree: DecisionTreeModel) -> None:
-            def update(i: int) -> None:
+        def update(tree: DecisionTreeModel, _label_column: Optional[str]) -> None:
+            def shard_update(i: int) -> None:
                 updaters[i].apply_additive(
                     tree, train_params.learning_rate, component=ring.g
                 )
                 factorizers[i].invalidate_for_relation(fact)
 
-            self._parallel(update, tag="update")
+            self._parallel(shard_update, tag="update")
 
-        # Resume: replay the restored trees' residual updates through
-        # the same per-shard path an uninterrupted run takes, so the
-        # shards' gradient columns match round `start_round` exactly.
-        for tree in restored:
-            apply_tree(tree)
-
-        for iteration in range(start_round, train_params.num_iterations):
-            tree = self._train_tree(factorizers, criterion, train_params)
-            trees.append(tree)
-            model.trees = trees
-            apply_tree(tree)
-            if self.checkpoint is not None:
-                write_checkpoint(
-                    self.checkpoint, model, train_params, iteration + 1
-                )
+        criterion = GradientCriterion(reg_lambda=train_params.reg_lambda)
+        search = _MergedSplitSearch(self, factorizers, criterion, train_params)
+        trainer = DecisionTreeTrainer(self.graph, criterion, train_params, search)
+        boost_rounds(
+            model, trainer, train_params, update, checkpoint=self.checkpoint
+        )
         for factorizer in factorizers:
             factorizer.cleanup()
         if self.checkpoint is not None:
@@ -296,75 +282,27 @@ class SimulatedCluster:
         self.simulated_seconds = 0.0
         self.measured_wall_seconds = 0.0
         self.shuffle_bytes = 0
-        workers, worker_graphs = self.workers, self.worker_graphs
-        from repro.core.split import VarianceCriterion
-        from repro.semiring.variance import VarianceSemiRing
-
-        ring = VarianceSemiRing()
-
-        def lift(i: int) -> Factorizer:
-            factorizer = Factorizer(workers[i], worker_graphs[i], ring)
-            factorizer.lift()
-            return factorizer
-
-        factorizers: List[Factorizer] = self._parallel(lift, tag="lift")
-        tree = self._train_tree(factorizers, VarianceCriterion(), train_params)
+        factorizers = self._lift(VarianceSemiRing())
+        criterion = VarianceCriterion()
+        search = _MergedSplitSearch(self, factorizers, criterion, train_params)
+        tree = DecisionTreeTrainer(self.graph, criterion, train_params, search).train()
         for factorizer in factorizers:
             factorizer.cleanup()
         tree.frontier_census = self.census()
         return tree, self.simulated_seconds
 
     # ------------------------------------------------------------------
-    # Distributed tree growth with merged aggregates
+    # Tree growth over merged aggregates
     # ------------------------------------------------------------------
-    def _train_tree(
-        self,
-        factorizers: List[Factorizer],
-        criterion: Criterion,
-        params: TrainParams,
-    ) -> DecisionTreeModel:
-        import heapq
+    def _lift(self, ring, lift_exprs=None) -> List[Factorizer]:
+        """Every shard's lifted fact; factorizers[i] is shard i's."""
 
-        features = self.graph.all_features()
-        totals = self._merged_totals(factorizers, {})
-        ids = itertools.count()
-        root = TreeNode(node_id=next(ids), depth=0, aggregates=totals)
-        root.prediction = criterion.leaf_value(totals)
-        model = DecisionTreeModel(root, {f: rel for rel, f in features})
+        def lift(i: int) -> Factorizer:
+            factorizer = Factorizer(self.workers[i], self.worker_graphs[i], ring)
+            factorizer.lift(lift_exprs)
+            return factorizer
 
-        heap: List[Tuple[Tuple, int, TreeNode, SplitCandidate]] = []
-        cand = self._merged_best_split(factorizers, criterion, params, {}, totals, features)
-        if cand is not None:
-            heapq.heappush(heap, heap_entry(params.growth, root, cand))
-        num_leaves = 1
-        while heap and num_leaves < params.num_leaves:
-            _, _, node, cand = heapq.heappop(heap)
-            if cand.gain <= params.min_split_gain:
-                break
-            left = TreeNode(
-                node_id=next(ids), depth=node.depth + 1, predicate=cand.predicate,
-                relation=cand.relation, parent=node,
-                aggregates=dict(cand.left_aggregates),
-            )
-            right = TreeNode(
-                node_id=next(ids), depth=node.depth + 1,
-                predicate=cand.predicate.negate(), relation=cand.relation,
-                parent=node, aggregates=dict(cand.right_aggregates),
-            )
-            left.prediction = criterion.leaf_value(left.aggregates)
-            right.prediction = criterion.leaf_value(right.aggregates)
-            node.left, node.right, node.gain = left, right, cand.gain
-            num_leaves += 1
-            for child in (left, right):
-                if params.max_depth >= 0 and child.depth >= params.max_depth:
-                    continue
-                preds = child.path_predicates()
-                child_cand = self._merged_best_split(
-                    factorizers, criterion, params, preds, child.aggregates, features
-                )
-                if child_cand is not None and child_cand.gain > params.min_split_gain:
-                    heapq.heappush(heap, heap_entry(params.growth, child, child_cand))
-        return model
+        return self._parallel(lift, tag="lift")
 
     def _merged_totals(
         self, factorizers: List[Factorizer], predicates: PredicateMap
@@ -444,3 +382,47 @@ class SimulatedCluster:
         order = np.argsort(merged_vals, kind="stable")
         return merged_vals[order], {c: a[order] for c, a in merged_aggs.items()}
 
+
+class _MergedSplitSearch:
+    """The :class:`~repro.core.trainer.SplitSearch` the single-node
+    trainer grows sharded trees with: one leaf at a time, every
+    feature's per-shard group-by merged in shard-index order, scored by
+    the single-node kernel."""
+
+    def __init__(
+        self,
+        cluster: SimulatedCluster,
+        factorizers: List[Factorizer],
+        criterion: Criterion,
+        params: TrainParams,
+    ):
+        self.cluster = cluster
+        self.factorizers = factorizers
+        self.criterion = criterion
+        self.params = params
+
+    def totals(self) -> Dict[str, float]:
+        """The merged root aggregates."""
+        return self.cluster._merged_totals(self.factorizers, {})
+
+    def begin_tree(self, root: TreeNode) -> None:
+        """No per-tree state."""
+
+    def best_splits(
+        self, nodes: Sequence[TreeNode], features: Sequence[Tuple[str, str]]
+    ) -> Dict[int, Optional[SplitCandidate]]:
+        """Each node's best split over the merged aggregates."""
+        return {
+            node.node_id: self.cluster._merged_best_split(
+                self.factorizers, self.criterion, self.params,
+                node.path_predicates(), node.aggregates, features,
+            )
+            for node in nodes
+        }
+
+    def notify_split(self, node: TreeNode) -> None:
+        """Shards keep no leaf labels."""
+
+    def leaf_label_column(self, model: DecisionTreeModel) -> Optional[str]:
+        """Shards keep no leaf labels."""
+        return None

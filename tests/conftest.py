@@ -93,6 +93,17 @@ def small_imdb():
     return imdb(rows_per_fact=1_500, num_movies=80, num_persons=120, seed=6)
 
 
+def frontier_trainer(db, graph, factorizer, criterion, params, **kwargs):
+    """A single-node tree trainer: FrontierEvaluator split search."""
+    from repro.core.frontier import FrontierEvaluator
+    from repro.core.trainer import DecisionTreeTrainer
+
+    evaluator = FrontierEvaluator.for_params(
+        db, graph, factorizer, criterion, params
+    )
+    return DecisionTreeTrainer(graph, criterion, params, evaluator, **kwargs)
+
+
 def materialized_frame(db, graph):
     """Feature matrix + y of the materialized join (test helper)."""
     from repro.baselines.export import load_feature_matrix

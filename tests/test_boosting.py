@@ -5,6 +5,7 @@ import pytest
 
 import repro
 from repro.core.predict import feature_frame, rmse_on_join
+from repro.core.serialize import model_digest
 from repro.exceptions import TrainingError
 from repro.joingraph.clusters import cluster_graph
 from repro.semiring.losses import get_loss
@@ -151,18 +152,19 @@ class TestGalaxyBoosting:
         assert len(model.trees) == 2
 
 
+@pytest.fixture
+def class_data():
+    from repro.datasets import star_schema
+
+    db, graph = star_schema(num_fact_rows=900, num_dims=2, seed=3)
+    table = db.table("fact")
+    y = table.column("target").values
+    labels = np.digitize(y, np.quantile(y, [0.33, 0.66])).astype(np.int64)
+    table.set_column(Column("target", labels))
+    return db, graph, labels
+
+
 class TestMulticlass:
-    @pytest.fixture
-    def class_data(self):
-        from repro.datasets import star_schema
-
-        db, graph = star_schema(num_fact_rows=900, num_dims=2, seed=3)
-        table = db.table("fact")
-        y = table.column("target").values
-        labels = np.digitize(y, np.quantile(y, [0.33, 0.66])).astype(np.int64)
-        table.set_column(Column("target", labels))
-        return db, graph, labels
-
     def test_accuracy_beats_majority(self, class_data):
         db, graph, labels = class_data
         model = repro.train_gradient_boosting(
@@ -196,6 +198,117 @@ class TestMulticlass:
         )
         assert model.num_classes == 3
         assert all(len(chain) == 2 for chain in model.trees_per_class)
+
+
+def _round_draws(graph, params, draws):
+    """The feature subsets a seeded run draws, in draw order."""
+    from repro.core.boosting import _sample_features
+    from repro.core.params import TrainParams
+
+    train_params = TrainParams.from_dict(params)
+    rng = np.random.default_rng(train_params.seed)
+    return [
+        {feature for _, feature in _sample_features(graph, train_params, rng)}
+        for _ in range(draws)
+    ]
+
+
+def _split_features(tree):
+    return {column for _, column in tree.referenced_attributes()}
+
+
+class TestFeatureFraction:
+    """Every boosting driver grows each tree on the feature subset the
+    run's seeded generator draws for it."""
+
+    def test_multiclass_draws_one_subset_per_class_tree(self, class_data):
+        db, graph, _ = class_data
+        params = {"objective": "multiclass", "num_class": 3,
+                  "num_iterations": 3, "num_leaves": 4,
+                  "feature_fraction": 0.3, "seed": 4}
+        model = repro.train_gradient_boosting(db, graph, params)
+        draws = _round_draws(graph, params, 3 * 3)
+        for k, chain in enumerate(model.trees_per_class):
+            for i, tree in enumerate(chain):
+                assert _split_features(tree) <= draws[3 * i + k]
+        full = repro.train_gradient_boosting(
+            db, graph, dict(params, feature_fraction=1.0)
+        )
+        assert model_digest(model) != model_digest(full)
+
+    def test_cuboid_trees_split_on_their_draw(self):
+        from repro.core.histogram import train_boosting_on_cuboid
+        from repro.datasets import favorita
+
+        params = {"num_iterations": 3, "num_leaves": 8, "max_bin": 10,
+                  "feature_fraction": 0.3}
+        db, graph = favorita(num_fact_rows=3000)
+        model = train_boosting_on_cuboid(db, graph, params)
+        draws = _round_draws(graph, params, 3)
+        for tree, drawn in zip(model.trees, draws):
+            assert _split_features(tree) <= drawn
+        full = train_boosting_on_cuboid(
+            db, graph, dict(params, feature_fraction=1.0)
+        )
+        assert model_digest(model) != model_digest(full)
+
+
+class TestRowBaggingRefused:
+    """No boosting driver samples rows, so a row sample is refused
+    rather than silently ignored."""
+
+    @pytest.mark.parametrize("name", ["subsample", "bagging_fraction"])
+    def test_snowflake(self, small_star, name):
+        db, graph = small_star
+        with pytest.raises(TrainingError, match="train_random_forest"):
+            repro.train_gradient_boosting(
+                db, graph, {"num_iterations": 2, name: 0.5}
+            )
+
+    def test_galaxy(self, small_imdb):
+        db, graph = small_imdb
+        with pytest.raises(TrainingError, match="subsample"):
+            repro.train_gradient_boosting(
+                db, graph, {"num_iterations": 2, "subsample": 0.5}
+            )
+
+    def test_multiclass(self, class_data):
+        db, graph, _ = class_data
+        with pytest.raises(TrainingError, match="subsample"):
+            repro.train_gradient_boosting(
+                db, graph, {"objective": "multiclass", "num_class": 3,
+                            "num_iterations": 2, "subsample": 0.5},
+            )
+
+    def test_cuboid(self, small_star):
+        from repro.core.histogram import train_boosting_on_cuboid
+
+        db, graph = small_star
+        with pytest.raises(TrainingError, match="subsample"):
+            train_boosting_on_cuboid(
+                db, graph, {"num_iterations": 2, "max_bin": 4,
+                            "bagging_fraction": 0.5},
+            )
+        assert db.catalog.temp_names() == []
+
+    def test_sharded(self, small_star):
+        from repro.distributed import ClusterConfig, SimulatedCluster
+
+        db, graph = small_star
+        cluster = SimulatedCluster(
+            db, graph, "k0", ClusterConfig(num_machines=2)
+        )
+        with pytest.raises(TrainingError, match="subsample"):
+            cluster.train_gradient_boosting(
+                {"num_iterations": 2, "subsample": 0.5}
+            )
+
+    def test_full_sample_still_accepted(self, small_star):
+        db, graph = small_star
+        model = repro.train_gradient_boosting(
+            db, graph, {"num_iterations": 1, "subsample": 1.0}
+        )
+        assert len(model.trees) == 1
 
 
 class TestQualityParityWithLightGBMStandIn:

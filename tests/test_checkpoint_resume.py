@@ -369,6 +369,32 @@ class TestShardedResume:
         assert model_digest(model) == model_digest(reference)
         assert sink.payload is None  # completed runs clear their sink
 
+    def test_sharded_resume_with_feature_sampling(self):
+        """The restore replays the restored rounds' feature draws, so a
+        resumed 4-shard run samples what the uninterrupted one did."""
+        from repro.distributed import ClusterConfig, SimulatedCluster
+
+        params = dict(self.PARAMS, feature_fraction=0.5, seed=5)
+        db, graph = self._dataset()
+        reference, _ = SimulatedCluster(
+            db, graph, "k0", ClusterConfig(num_machines=4)
+        ).train_gradient_boosting(params)
+
+        db2, graph2 = self._dataset()
+        sink = _InterruptingSink(after=2)
+        with pytest.raises(RuntimeError):
+            SimulatedCluster(
+                db2, graph2, "k0", ClusterConfig(num_machines=4),
+                checkpoint=sink,
+            ).train_gradient_boosting(params)
+        assert read_checkpoint(sink)["round"] == 2
+        sink.after = -1
+        model, _ = SimulatedCluster(
+            db2, graph2, "k0", ClusterConfig(num_machines=4),
+            checkpoint=sink,
+        ).train_gradient_boosting(params)
+        assert model_digest(model) == model_digest(reference)
+
     def test_sharded_resume_rejects_param_drift(self):
         from repro.distributed import ClusterConfig, SimulatedCluster
 

@@ -230,6 +230,69 @@ class TestShardedParity:
         assert model_digest(tree) == model_digest(single)
 
 
+class TestShardedEqualsSingleNode:
+    """Sharded boosting is the single-node round loop and trainer over
+    merged aggregates: its model equals single-node
+    ``split_batching="off"`` at one shard, and at any shard count on
+    integer targets — node ids and feature sampling included."""
+
+    @staticmethod
+    def _digests(make, params, machines):
+        db, graph = make()
+        single = repro.train_gradient_boosting(
+            db, graph, dict(params, split_batching="off")
+        )
+        db, graph = make()
+        sharded, _ = SimulatedCluster(
+            db, graph, "k0", ClusterConfig(num_machines=machines)
+        ).train_gradient_boosting(params)
+        return model_digest(sharded), model_digest(single)
+
+    @pytest.mark.parametrize("feature_fraction", [1.0, 0.5])
+    def test_star_one_shard(self, feature_fraction):
+        sharded, single = self._digests(
+            lambda: star_schema(num_fact_rows=2000, num_dims=3, seed=2),
+            {"num_iterations": 3, "num_leaves": 4, "learning_rate": 0.5,
+             "feature_fraction": feature_fraction, "seed": 5},
+            machines=1,
+        )
+        assert sharded == single
+
+    def test_integer_target_three_rounds_one_shard(self):
+        sharded, single = self._digests(
+            _int_y_star,
+            {"num_iterations": 3, "num_leaves": 8, "min_data_in_leaf": 2,
+             "learning_rate": 0.5},
+            machines=1,
+        )
+        assert sharded == single
+
+    @pytest.mark.parametrize("machines", [1, 4])
+    def test_integer_target_one_round(self, machines):
+        sharded, single = self._digests(
+            _int_y_star, {"num_iterations": 1, "num_leaves": 8}, machines
+        )
+        assert sharded == single
+
+    def test_feature_fraction_restricts_the_first_tree(self):
+        """At feature_fraction 0.3 the first tree splits only on the
+        features the seeded generator drew for round one."""
+        from repro.core.boosting import _sample_features
+        from repro.core.params import TrainParams
+
+        params = {"num_iterations": 1, "num_leaves": 4,
+                  "feature_fraction": 0.3, "seed": 5}
+        db, graph = star_schema(num_fact_rows=2000, num_dims=3, seed=2)
+        drawn = _sample_features(
+            graph, TrainParams.from_dict(params),
+            np.random.default_rng(params["seed"]),
+        )
+        model, _ = SimulatedCluster(
+            db, graph, "k0", ClusterConfig(num_machines=4)
+        ).train_gradient_boosting(params)
+        assert set(model.trees[0].referenced_attributes()) <= set(drawn)
+
+
 class TestShardFailure:
     def _cluster(self):
         db, graph = _int_y_star(rows=256)

@@ -17,7 +17,6 @@ from repro.backends import SQLiteConnector
 from repro.backends.chaos import ChaosConnector, FaultPlan, FaultRule
 from repro.core.params import TrainParams
 from repro.core.split import VarianceCriterion
-from repro.core.trainer import DecisionTreeTrainer
 from repro.datasets import favorita, star_schema
 from repro.engine.database import Database
 from repro.exceptions import BackendExecutionError, TrainingError
@@ -25,7 +24,7 @@ from repro.factorize.executor import Factorizer
 from repro.joingraph.graph import JoinGraph
 from repro.semiring.variance import VarianceSemiRing
 
-from conftest import assert_score_parity, assert_sibling_parity
+from conftest import assert_score_parity, assert_sibling_parity, frontier_trainer
 
 
 def mixed_schema(db, n=1200, seed=3):
@@ -167,7 +166,7 @@ class TestCensus:
         db, graph = tiny_star
         factorizer = Factorizer(db, graph, VarianceSemiRing())
         factorizer.lift()
-        trainer = DecisionTreeTrainer(
+        trainer = frontier_trainer(
             db, graph, factorizer, VarianceCriterion(),
             TrainParams.from_dict({"num_leaves": 4}),
         )
@@ -243,7 +242,7 @@ class TestModesAndFallbacks:
             db, graph = self._composite_key_schema()
             factorizer = Factorizer(db, graph, VarianceSemiRing())
             factorizer.lift()
-            trainer = DecisionTreeTrainer(
+            trainer = frontier_trainer(
                 db, graph, factorizer, VarianceCriterion(),
                 TrainParams.from_dict(
                     {"num_leaves": 4, "split_batching": mode}
@@ -330,7 +329,7 @@ class TestSatelliteFixes:
         factorizer = Factorizer(db, graph, VarianceSemiRing())
         factorizer.lift()
         clusters = [Cluster(fact="dim0", members=["dim0"])]
-        trainer = DecisionTreeTrainer(
+        trainer = frontier_trainer(
             db, graph, factorizer, VarianceCriterion(),
             TrainParams.from_dict({"num_leaves": 4}), clusters=clusters,
         )
@@ -375,7 +374,7 @@ class TestRoundPipeline:
         db, graph = mixed_schema(conn)
         factorizer = Factorizer(db, graph, VarianceSemiRing())
         factorizer.lift()
-        trainer = DecisionTreeTrainer(
+        trainer = frontier_trainer(
             db, graph, factorizer, VarianceCriterion(),
             TrainParams.from_dict({"num_leaves": 4, "num_workers": workers}),
         )

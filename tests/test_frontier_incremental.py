@@ -23,7 +23,6 @@ from repro.backends.embedded import EmbeddedConnector
 from repro.core.params import TrainParams
 from repro.core.predict import feature_frame
 from repro.core.split import VarianceCriterion
-from repro.core.trainer import DecisionTreeTrainer
 from repro.datasets import favorita
 from repro.engine.database import Database
 from repro.exceptions import ExecutionError
@@ -32,6 +31,7 @@ from repro.joingraph.graph import JoinGraph
 from repro.semiring.variance import VarianceSemiRing
 
 from conftest import (
+    frontier_trainer,
     assert_score_parity,
     assert_sibling_parity,
     same_partition_tie,
@@ -226,7 +226,7 @@ class TestResidualLabels:
         factorizer.lift(
             [("pred", "0.0")] + ring.lift_pair_sql("1", "(0.0 - t.unit_sales)")
         )
-        trainer = DecisionTreeTrainer(
+        trainer = frontier_trainer(
             db, graph, factorizer, GradientCriterion(),
             TrainParams.from_dict({"num_leaves": 8, "min_data_in_leaf": 3}),
         )
@@ -404,7 +404,7 @@ class TestTempHygiene:
         factorizer = Factorizer(db, graph, VarianceSemiRing(),
                                 cache_enabled=False)
         factorizer.lift()
-        trainer = DecisionTreeTrainer(
+        trainer = frontier_trainer(
             db, graph, factorizer, VarianceCriterion(),
             TrainParams.from_dict({"num_leaves": 6, "min_data_in_leaf": 3}),
         )

@@ -23,6 +23,7 @@ from repro.backends import SQLiteConnector, get_backend
 from repro.backends.base import Capabilities
 from repro.backends.embedded import EmbeddedConnector
 from repro.core.params import NUM_WORKERS_ENV, TrainParams
+from repro.core.serialize import model_digest
 from repro.datasets import favorita
 from repro.engine.database import Database
 from repro.exceptions import TrainingError
@@ -99,6 +100,16 @@ class TestParity:
         assert grown[4] == grown[1]
         assert grown[8] == grown[1]
 
+    # model_digest of the two forests below at num_workers=1, pinned
+    # from the serial tree loop that forests ran before every worker
+    # count shared the scheduler path
+    SERIAL_FOREST_DIGESTS = {
+        "embedded": "474de06bbf08001d1051d6a78e10902e"
+                    "1e68f241dbc3119da325f28e6cbdcf04",
+        "sqlite": "61b8e964f9764a69cbc0758fad5d68f8"
+                  "0c0b31c19e3c256c6b3684f4100c2ddf",
+    }
+
     def test_random_forest_parity_embedded(self):
         grown = {}
         for workers in (1, 4):
@@ -111,6 +122,7 @@ class TestParity:
             )
             grown[workers] = trees_of(forest)
             assert len(forest.history) == 5
+            assert model_digest(forest) == self.SERIAL_FOREST_DIGESTS["embedded"]
         assert grown[4] == grown[1]
 
     def test_random_forest_parity_sqlite(self):
@@ -125,6 +137,7 @@ class TestParity:
                  "min_data_in_leaf": 3, "num_workers": workers},
             )
             grown[workers] = trees_of(forest)
+            assert model_digest(forest) == self.SERIAL_FOREST_DIGESTS["sqlite"]
             db.close()
         assert grown[4] == grown[1]
 

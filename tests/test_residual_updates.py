@@ -11,12 +11,13 @@ from repro.core.serialize import model_digest
 from repro.datasets import favorita
 from repro.storage.table import StorageConfig
 from repro.core.split import GradientCriterion
-from repro.core.trainer import DecisionTreeTrainer
 from repro.core.params import TrainParams
 from repro.factorize.executor import Factorizer
 from repro.factorize.predicates import Predicate
 from repro.semiring.gradient import GradientSemiRing
 from repro.semiring.losses import get_loss
+
+from conftest import frontier_trainer
 
 
 def trained_setup(small_star):
@@ -27,7 +28,7 @@ def trained_setup(small_star):
     y = graph.target_column
     factorizer.lift(ring.lift_pair_sql("1", f"(0.0 - t.{y})"))
     params = TrainParams.from_dict({"num_leaves": 4})
-    trainer = DecisionTreeTrainer(
+    trainer = frontier_trainer(
         db, graph, factorizer, GradientCriterion(), params
     )
     tree = trainer.train()

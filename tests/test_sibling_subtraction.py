@@ -19,7 +19,6 @@ from repro.backends import SQLiteConnector
 from repro.core.frontier import subtract_slice
 from repro.core.params import TrainParams
 from repro.core.split import VarianceCriterion
-from repro.core.trainer import DecisionTreeTrainer
 from repro.datasets import favorita, star_schema
 from repro.engine.database import Database
 from repro.exceptions import TrainingError
@@ -27,6 +26,7 @@ from repro.factorize.executor import Factorizer
 from repro.semiring.variance import VarianceSemiRing
 
 from conftest import (
+    frontier_trainer,
     assert_score_parity,
     assert_sibling_parity,
     backend_matrix,
@@ -223,7 +223,7 @@ def _trainer(db, graph, **params):
     factorizer = Factorizer(db, graph, VarianceSemiRing())
     factorizer.lift()
     train_params = TrainParams.from_dict({"min_data_in_leaf": 3, **params})
-    return DecisionTreeTrainer(
+    return frontier_trainer(
         db, graph, factorizer, VarianceCriterion(), train_params
     )
 
@@ -240,7 +240,7 @@ class TestRoundsThatQueryNormally:
         evaluator = trainer.evaluator
         features = graph.all_features()
         root = TreeNode(node_id=next(trainer._ids), depth=0,
-                        aggregates=dict(trainer.factorizer.totals()))
+                        aggregates=dict(trainer.evaluator.totals()))
         evaluator.begin_tree(root)
         cand = evaluator.best_splits([root], features)[root.node_id]
         trainer._apply_split(root, cand)

@@ -18,13 +18,14 @@ from repro.baselines.export import load_feature_matrix
 from repro.core.params import TrainParams
 from repro.core.predict import feature_frame
 from repro.core.split import VarianceCriterion
-from repro.core.trainer import DecisionTreeTrainer
 from repro.core.tree import _eval_predicate
 from repro.datasets import star_schema
 from repro.engine.database import Database
 from repro.factorize.executor import Factorizer
 from repro.joingraph.graph import JoinGraph
 from repro.semiring.variance import VarianceSemiRing
+
+from conftest import frontier_trainer
 
 
 def jb_structure(model, names):
@@ -245,7 +246,7 @@ class TestCPTRestriction:
         y = graph.target_column
         factorizer.lift(ring.lift_pair_sql("1", f"(0.0 - t.{y})"))
         params = TrainParams.from_dict({"num_leaves": 6})
-        trainer = DecisionTreeTrainer(
+        trainer = frontier_trainer(
             db, graph, factorizer, GradientCriterion(), params, clusters=clusters
         )
         model = trainer.train()
