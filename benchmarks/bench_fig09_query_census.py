@@ -11,7 +11,7 @@ as a grouping column, dropping the split-query count from
 O(leaves x features) to O(relations) per round — with split-for-split
 parity (rmse equal to 1e-9) between the two modes.  Leaf membership itself
 is a persistent column maintained incrementally (one root pass per tree
-+ two narrow UPDATEs per split), never rebuilt per round.
++ one narrow UPDATE per split), never rebuilt per round.
 """
 
 from repro.bench.harness import (

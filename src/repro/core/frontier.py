@@ -8,12 +8,12 @@ one query per relation:
 
 1. **Label.**  Leaf membership is a persistent column on the lifted fact
    table, maintained by :class:`FrontierState`: one root pass per tree,
-   then two depth-1 ``UPDATE``\\ s per committed split relabel only the
-   split leaf's rows (each child's one-level predicate rewritten
-   fact-side by the Section 4.1 semi-join movement).  No per-round
-   full-fact copy, no re-evaluation of ancestor sigmas; the final labels
-   also drive the residual update (one ``CASE jb_leaf`` pass instead of
-   per-leaf semi-join scans).
+   then one depth-1 ``UPDATE … SET jb_leaf = CASE …`` per committed
+   split relabels only the split leaf's rows (each child's one-level
+   predicate rewritten fact-side by the Section 4.1 semi-join
+   movement).  No per-round full-fact copy, no re-evaluation of
+   ancestor sigmas; the final labels also drive the residual update
+   (one ``CASE jb_leaf`` pass instead of per-leaf semi-join scans).
 
 2. **Carry.**  For each relation R holding candidate features, a
    multi-group absorption (:meth:`Factorizer.multi_absorption`) routes
@@ -207,8 +207,8 @@ class FrontierState:
 
     * **root pass** (once per tree) — every row is labeled with the root
       node id (adding the column on first use);
-    * **delta update** (per committed split) — two depth-1 ``UPDATE``
-      statements relabel rows of the split leaf only, using the child's
+    * **delta update** (per committed split) — one depth-1 ``UPDATE``
+      relabels rows of the split leaf only, a ``CASE`` over each child's
       one-level predicate rewritten through the Section 4.1 semi-join
       movement.  Rows matching neither side (e.g. null join keys under
       an inner-join factorizer) keep the parent label and fall outside
@@ -316,39 +316,48 @@ class FrontierState:
 
     # ------------------------------------------------------------------
     def apply_split(self, node: TreeNode) -> None:
-        """Relabel the split leaf's rows with two depth-1 narrow updates.
+        """Relabel the split leaf's rows with one narrow update.
 
-        Each child's predicate is rewritten fact-side on its own (depth
-        1) — ancestor sigmas are already encoded in ``jb_leaf = parent``,
-        so no depth-long semi-join chain is re-evaluated.
+        ``UPDATE … SET label = CASE WHEN <left> THEN l WHEN <right> THEN
+        r ELSE label END WHERE label = parent``: each child's predicate is
+        rewritten fact-side on its own (depth 1) — ancestor sigmas are
+        already encoded in ``label = parent``, so no depth-long semi-join
+        chain is re-evaluated.  The left child wins a row both sides
+        match, and the relabel is one statement: it applies whole or not
+        at all.
         """
         if not self.active:
             return
         fact = self.graph.target_relation
         table = self.factorizer.storage_table(fact)
         parent_id = node.node_id
-        for child in (node.left, node.right):
-            condition = leaf_fact_condition(
+        left, right = (
+            leaf_fact_condition(
                 self.graph,
                 fact,
                 {child.relation: (child.predicate,)},
                 fact_alias=table,
             )
-            self.db.execute(
-                f"UPDATE {table} SET {self.column} = {child.node_id} "
-                f"WHERE {self.column} = {parent_id} AND {condition}",
-                tag="frontier_delta",
-            )
-            self.delta_label_updates += 1
-            self._count_written(table)
+            for child in (node.left, node.right)
+        )
+        self.db.execute(
+            f"UPDATE {table} SET {self.column} = CASE "
+            f"WHEN {left} THEN {node.left.node_id} "
+            f"WHEN {right} THEN {node.right.node_id} "
+            f"ELSE {self.column} END WHERE {self.column} = {parent_id}",
+            tag="frontier_delta",
+        )
+        self.delta_label_updates += 1
+        self._count_written(table)
         self.leaf_ids.discard(parent_id)
         self.leaf_ids.update((node.left.node_id, node.right.node_id))
         self.epoch += 1
 
     def _count_written(self, table: str) -> None:
-        """Label cells written by the last delta update (from the query
-        profile when available, conservatively the full column size
-        otherwise)."""
+        """Label cells written by the last delta update: the rows its
+        ``WHERE`` matched, i.e. every row of the split leaf (from the
+        query profile when available, conservatively the full column
+        size otherwise)."""
         rows = None
         profiles = getattr(self.db, "profiles", None)
         if profiles:

@@ -2,7 +2,9 @@
 
 Best-first growth keeps a max-heap of leaf nodes ordered by the criterion
 reduction of their best split; each iteration pops the best leaf, splits
-it, finds the best splits of the two children, and pushes them back.
+it, finds the best splits of the two children, and pushes them back —
+except after the split that reaches ``num_leaves``, whose children can
+never be split and so are not evaluated.
 Depth-wise growth orders by (depth, node id) instead.
 
 All heavy computation — the best-split queries (line 14) — is SQL against
@@ -126,9 +128,12 @@ class DecisionTreeTrainer:
                 # CPT: the first realized split pins the cluster (§4.2.2).
                 allowed = self._restrict_to_cluster(cand.relation, features)
             self._apply_split(node, cand)
-            # Delta label update: relabel only the split leaf's rows.
+            # Delta label update: relabel only the split leaf's rows (the
+            # residual update reads the labels of the last split too).
             self.evaluator.notify_split(node)
             num_leaves += 1
+            if num_leaves >= self.params.num_leaves:
+                break
             # Both children are one frontier round: batched mode turns the
             # 2 x |features| per-leaf queries into one query per relation.
             frontier = [

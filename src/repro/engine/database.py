@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.exceptions import CatalogError, ExecutionError, PlanError, SQLError
 from repro.sql import ast_nodes as ast
-from repro.sql.expressions import Frame, evaluate
+from repro.sql.expressions import Frame, as_objects, evaluate, restrict
 from repro.sql.parser import parse
 from repro.sql.shapes import Shape, normalize
 from repro.engine import operators as ops
@@ -25,7 +25,7 @@ from repro.engine.encodings import EncodingCache
 from repro.engine.planner import run_query, run_select, _precompute_subqueries
 from repro.engine.result import Relation
 from repro.storage.catalog import Catalog
-from repro.storage.column import Column
+from repro.storage.column import Column, ColumnType
 from repro.storage.mvcc import VersionStore
 from repro.storage.table import ColumnTable, StorageConfig, Table
 from repro.storage.wal import WriteAheadLog
@@ -257,38 +257,39 @@ class Database:
         for col in table.columns():
             frame.bind(col, binding=statement.table)
         context: Dict[int, object] = {"__encodings__": self.encodings}
-        mask = None
-        affected = table.num_rows()
+        rows = None
         if statement.where is not None:
             _precompute_subqueries(statement.where, self, context)
             mask = np.asarray(evaluate(statement.where, frame, context), dtype=bool)
-            affected = int(mask.sum())
-        # Evaluate every assignment against the pre-update row values
-        # before applying any write (SQL semantics: `SET a = b, b = a`
-        # swaps) — the in-place masked write below would otherwise feed
-        # already-updated values into later assignments.
+            rows = np.flatnonzero(mask)
+        # SET is evaluated over the rows WHERE matched only, and every
+        # assignment against the pre-update values before any write (SQL
+        # semantics: `SET a = b, b = a` swaps).
+        sub, sub_context = restrict(frame, context, rows)
         computed = []
         for col_name, expr in statement.assignments:
-            _precompute_subqueries(expr, self, context)
-            new_values = np.asarray(evaluate(expr, frame, context))
+            _precompute_subqueries(expr, self, sub_context)
+            new_values = np.asarray(evaluate(expr, sub, sub_context))
             if new_values.ndim == 0:
-                new_values = np.full(table.num_rows(), new_values[()])
-            elif mask is not None:
+                new_values = np.full(sub.num_rows, new_values[()])
+            elif rows is not None:
                 # Snapshot: evaluate() may return a view of a stored
-                # array that a later in-place masked write would mutate.
+                # array that a later write would replace or mutate.
                 new_values = new_values.copy()
             computed.append((col_name, new_values))
         for col_name, new_values in computed:
-            if mask is not None:
+            if rows is not None:
                 # Partial write: only the matched rows are touched (the
-                # in-place fast path when the storage config allows it).
+                # pointer-swap fast path when the storage config allows it).
                 apply_masked_update(
-                    self, statement.table, col_name, new_values, mask
+                    self, statement.table, col_name, new_values, rows
                 )
             else:
                 old = table.column(col_name)
+                if old.ctype is ColumnType.STR:
+                    new_values = as_objects(new_values)
                 table.set_column(Column(col_name, new_values, old.ctype))
-        return affected
+        return table.num_rows() if rows is None else len(rows)
 
     # ------------------------------------------------------------------
     # Profiling helpers (Figure 9)

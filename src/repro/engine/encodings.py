@@ -32,8 +32,9 @@ Two classes of columns are deliberately not cached:
 
 Derived columns carry a *lazy* encoding hint, a ``("gather", parent,
 positions)`` tuple on ``Column.enc``: the planner gathers every column by
-position — join indices, and the selection vector a WHERE or residual
-join condition becomes — so materializing a hint is an O(n) integer
+position — join indices, the selection vector a WHERE or residual join
+condition becomes, and the rows a ``CASE`` branch or an ``UPDATE``'s
+``SET`` is evaluated over — so materializing a hint is an O(n) integer
 gather of the parent's cached codes instead of an O(n log n) re-encode of
 the gathered values.
 
@@ -92,8 +93,8 @@ class EncodingCache:
     # ------------------------------------------------------------------
     def mark_uncached(self, uid: int, name: str) -> None:
         """Exempt one column from caching — the frontier's persistent
-        ``jb_leaf`` column on the lifted fact, which is rewritten by two
-        narrow UPDATEs per committed split; caching it would only churn
+        ``jb_leaf`` column on the lifted fact, which is rewritten by one
+        narrow UPDATE per committed split; caching it would only churn
         the LRU (its version stamps keep correctness either way).  Carried
         copies of the label inside immutable message temps stay cacheable."""
         with self._lock:

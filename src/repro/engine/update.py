@@ -21,6 +21,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.exceptions import StorageError
+from repro.sql.expressions import as_objects
 from repro.storage.column import Column, ColumnType
 from repro.storage.table import ColumnTable, ExternalColumnStore, Table
 
@@ -32,17 +33,18 @@ def apply_masked_update(
     table_name: str,
     column_name: str,
     new_values: np.ndarray,
-    mask: np.ndarray,
+    rows: np.ndarray,
 ) -> int:
-    """Write only the ``mask`` positions of one stored column.
+    """Write ``new_values`` to the positions ``rows`` of one stored column.
 
     This is the physical half of the narrow predicated ``UPDATE`` the
-    incremental frontier state issues: the logical write touches only the
-    rows whose leaf membership changed.  It reuses the column-swap
-    permission — a table whose configuration allows pointer swaps has no
-    WAL, MVCC or compression to honor, so a masked-merged copy of the
-    column is pointer-swapped into the store with no logging, no value
-    re-inference and no dtype round-trip.  (The merge is a fresh buffer,
+    incremental frontier state issues: ``rows`` is the selection vector
+    the ``WHERE`` matched and ``new_values`` the ``SET`` result for those
+    rows only.  It reuses the column-swap permission — a table whose
+    configuration allows pointer swaps has no WAL, MVCC or compression to
+    honor, so a merged copy of the column is pointer-swapped into the
+    store with no logging, no value re-inference and no dtype
+    round-trip.  (The merge is a fresh buffer,
     never a write through the stored array: stored arrays can be
     buffer-aliased with other columns or tables — ``UPDATE t SET a = b``,
     ``CREATE TABLE AS SELECT`` — and an in-place write would corrupt
@@ -51,8 +53,7 @@ def apply_masked_update(
     Returns the rows written.
     """
     table = db.table(table_name)
-    mask = np.asarray(mask, dtype=bool)
-    count = int(mask.sum())
+    count = len(rows)
     old = table.column(column_name)
     new_values = np.asarray(new_values)
 
@@ -70,30 +71,30 @@ def apply_masked_update(
     if swap_path and old.ctype is not ColumnType.STR:
         if old.ctype is ColumnType.INT and new_values.dtype.kind in "iub":
             fresh = old.values.copy()
-            fresh[mask] = new_values[mask].astype(np.int64)
+            fresh[rows] = new_values
             # swap_in bumps the column's version stamp, so encoded-key
             # caches keyed on (uid, name, version) see the mutation.
             table.swap_in(Column(column_name, fresh, old.ctype))
             return count
         if old.ctype is ColumnType.FLOAT:
             as_float = new_values.astype(np.float64, copy=False)
-            if not np.isnan(as_float[mask]).any():
+            if not np.isnan(as_float).any():
                 fresh = old.values.copy()
-                fresh[mask] = as_float[mask]
+                fresh[rows] = as_float
                 table.swap_in(Column(column_name, fresh, old.ctype))
                 return count
 
     # Merge + full write (logged) — the general path.
     if old.ctype is ColumnType.STR:
         merged = old.values.astype(object, copy=True)
-        merged[mask] = new_values[mask]
+        new_values = as_objects(new_values)
     elif old.ctype is ColumnType.INT and new_values.dtype.kind in "iub" \
             and old.valid is None:
         merged = old.values.copy()
-        merged[mask] = new_values[mask]
     else:
-        merged = np.where(mask, new_values.astype(np.float64, copy=False),
-                          old.as_float())
+        merged = np.array(old.as_float(), dtype=np.float64)
+        new_values = new_values.astype(np.float64, copy=False)
+    merged[rows] = new_values
     table.set_column(Column(column_name, merged, old.ctype))
     return count
 

@@ -3,7 +3,11 @@
 A :class:`Frame` binds column names (qualified ``alias.col`` and, when
 unambiguous, bare ``col``) to :class:`~repro.storage.column.Column` vectors
 of equal length.  :func:`evaluate` interprets an expression AST against a
-frame and returns a NumPy array.
+frame and returns a NumPy array.  A :class:`SubFrame` is some rows of a
+frame, gathered per column on first use: a ``CASE`` evaluates each
+``WHEN`` over the rows no earlier ``WHEN`` took and each outcome over the
+rows it decides, and an ``UPDATE`` evaluates its ``SET`` over the rows its
+``WHERE`` matched.
 
 Null semantics follow SQL closely enough for the JoinBoost workload:
 numeric nulls are NaN (comparisons with NaN are false, arithmetic
@@ -15,7 +19,7 @@ one here is a planner bug and raises.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -116,6 +120,64 @@ class Frame:
         return seen
 
 
+class SubFrame(Frame):
+    """The rows ``positions`` (ascending) of ``parent``, gathered lazily.
+
+    A column is taken on its first :meth:`resolve` and kept; columns the
+    evaluation never names are never gathered.  A sub-frame of a
+    sub-frame composes the positions and gathers from the root frame.
+    With an encoded-key cache, a gathered column reuses the root column's
+    dictionary codes (``EncodingCache.attach_gather``), so semi-join
+    membership over it stays a gather of cached codes.
+    """
+
+    def __init__(self, parent: Frame, positions: np.ndarray, cache=None):
+        if isinstance(parent, SubFrame):
+            positions = parent.positions[positions]
+            parent = parent.parent
+        super().__init__(len(positions))
+        self.parent = parent
+        self.positions = positions
+        self._cache = cache
+        self._taken: Dict[int, Column] = {}
+
+    def resolve(self, ref: ast.ColumnRef) -> Column:
+        col = self.parent.resolve(ref)
+        taken = self._taken.get(id(col))
+        if taken is None:
+            taken = col.take(self.positions)
+            if self._cache is not None:
+                self._cache.attach_gather(taken, col, self.positions)
+            self._taken[id(col)] = taken
+        return taken
+
+
+def restrict(
+    frame: Frame, context: dict, positions: Optional[np.ndarray]
+) -> Tuple[Frame, dict]:
+    """``frame`` and ``context`` cut to the rows ``positions`` (ascending;
+    ``None`` or every row: both unchanged).
+
+    Per-row placeholders (aggregate and window values keyed by node id)
+    are gathered with the rows; subquery value sets and scalars are
+    shared as they are."""
+    n = frame.num_rows
+    if positions is None or len(positions) == n:
+        return frame, context
+    sub = SubFrame(frame, positions, context.get("__encodings__"))
+    sub_context = {}
+    for key, value in context.items():
+        if (
+            isinstance(key, int)
+            and isinstance(value, np.ndarray)
+            and value.ndim == 1
+            and len(value) == n
+        ):
+            value = value[positions]
+        sub_context[key] = value
+    return sub, sub_context
+
+
 def _to_numeric(values: np.ndarray) -> np.ndarray:
     if values.dtype == object:
         raise ExecutionError("string value used in numeric context")
@@ -128,7 +190,7 @@ def _as_bool(values: np.ndarray) -> np.ndarray:
     if values.dtype.kind == "b":
         return values
     if values.dtype == object:
-        return np.array([bool(v) for v in values])
+        return np.array([bool(v) for v in values], dtype=bool)
     with np.errstate(invalid="ignore"):
         return np.nan_to_num(values) != 0
 
@@ -268,7 +330,7 @@ def evaluate(expr: ast.Expr, frame: Frame, context: Optional[dict] = None) -> np
     if isinstance(expr, ast.IsNull):
         operand = evaluate(expr.operand, frame, context)
         if operand.dtype == object:
-            nulls = np.array([v is None for v in operand])
+            nulls = np.array([v is None for v in operand], dtype=bool)
         elif operand.dtype.kind == "f":
             nulls = np.isnan(operand)
         else:
@@ -324,14 +386,14 @@ def _eval_binary(expr: ast.BinaryOp, frame: Frame, context: dict) -> np.ndarray:
             rstr = right if right.dtype == object else right.astype(object)
             if op == "=":
                 return np.array([a is not None and b is not None and a == b
-                                 for a, b in zip(lstr, rstr)])
+                                 for a, b in zip(lstr, rstr)], dtype=bool)
             if op == "!=":
                 return np.array([a is not None and b is not None and a != b
-                                 for a, b in zip(lstr, rstr)])
+                                 for a, b in zip(lstr, rstr)], dtype=bool)
             comparator = {"<": lambda a, b: a < b, "<=": lambda a, b: a <= b,
                           ">": lambda a, b: a > b, ">=": lambda a, b: a >= b}[op]
             return np.array([a is not None and b is not None and comparator(a, b)
-                             for a, b in zip(lstr, rstr)])
+                             for a, b in zip(lstr, rstr)], dtype=bool)
         lnum, rnum = _to_numeric(left), _to_numeric(right)
         with np.errstate(invalid="ignore"):
             if op == "=":
@@ -366,36 +428,59 @@ def _eval_binary(expr: ast.BinaryOp, frame: Frame, context: dict) -> np.ndarray:
 
 
 def _eval_case(expr: ast.CaseExpr, frame: Frame, context: dict) -> np.ndarray:
+    """Searched ``CASE`` over selection vectors.
+
+    Each ``WHEN`` sees only the rows no earlier ``WHEN`` took (a NULL
+    condition takes none), and each outcome and the ``ELSE`` see only the
+    rows they decide — an outcome deciding no row is evaluated over zero
+    rows, so the result type does not depend on the data.  The result
+    keeps SQL types: integer when every outcome is, unless a row falls
+    through to NULL (no ``ELSE``); object, NULL as ``None``, when any
+    outcome is a string."""
     n = frame.num_rows
-    result: Optional[np.ndarray] = None
-    decided = np.zeros(n, dtype=bool)
+    undecided: Optional[np.ndarray] = None  # None: every row
+    pieces: List[Tuple[np.ndarray, np.ndarray]] = []
     for cond, outcome in expr.whens:
-        mask = _as_bool(evaluate(cond, frame, context)) & ~decided
-        value = evaluate(outcome, frame, context)
-        if result is None:
-            if value.dtype == object:
-                result = np.empty(n, dtype=object)
-            else:
-                result = np.full(n, np.nan, dtype=np.float64)
-        if result.dtype == object:
-            result[mask] = value[mask]
-        else:
-            result[mask] = value.astype(np.float64)[mask]
-        decided |= mask
-    default = (
-        evaluate(expr.default, frame, context)
-        if expr.default is not None
-        else None
-    )
-    if result is None:
-        result = np.full(n, np.nan)
-    remaining = ~decided
-    if default is not None and remaining.any():
-        if result.dtype == object:
-            result[remaining] = default[remaining]
-        else:
-            result[remaining] = default.astype(np.float64)[remaining]
+        sub, sub_context = restrict(frame, context, undecided)
+        hits = _as_bool(evaluate(cond, sub, sub_context))
+        taken, rest = np.flatnonzero(hits), np.flatnonzero(~hits)
+        if undecided is not None:
+            taken, rest = undecided[taken], undecided[rest]
+        pieces.append((taken, _evaluate_rows(outcome, frame, context, taken)))
+        undecided = rest
+    # ``rest``: the rows no WHEN took (the parser requires one WHEN)
+    if expr.default is not None:
+        pieces.append((rest, _evaluate_rows(expr.default, frame, context, rest)))
+    elif len(rest):  # rows falling through to NULL
+        pieces.append((rest, np.full(len(rest), np.nan)))
+    dtypes = [values.dtype for _, values in pieces]
+    if any(dtype.kind in "OUS" for dtype in dtypes):
+        result = np.empty(n, dtype=object)
+        pieces = [(positions, as_objects(values)) for positions, values in pieces]
+    else:
+        result = np.empty(n, dtype=np.result_type(*dtypes))
+    for positions, values in pieces:
+        result[positions] = values
     return result
+
+
+def _evaluate_rows(
+    expr: ast.Expr, frame: Frame, context: dict, positions: np.ndarray
+) -> np.ndarray:
+    """``expr`` over the rows ``positions`` of ``frame``."""
+    sub, sub_context = restrict(frame, context, positions)
+    return evaluate(expr, sub, sub_context)
+
+
+def as_objects(values: np.ndarray) -> np.ndarray:
+    """Values for an object (string) column: numeric NULLs (NaN) become
+    ``None``."""
+    if values.dtype == object:
+        return values
+    out = values.astype(object)
+    if values.dtype.kind == "f":
+        out[np.isnan(values)] = None
+    return out
 
 
 def referenced_columns(expr: ast.Expr) -> Set[str]:

@@ -11,6 +11,12 @@ ambiguity, ORDER BY a column that is not projected, HAVING, windows,
 derived tables, IN-subqueries, statements that read no column, outer
 join pads, CROSS joins, WHERE clauses that keep no row or every row,
 and the carry-message and fused ``UNION ALL`` shapes training emits.
+``CASE`` gets generated shapes of its own — nested, over NULL
+conditions, without ``ELSE`` or with ``ELSE NULL``, with string outcomes,
+over aggregates and windows, around IN-subqueries — and the predicated
+``UPDATE … SET x = CASE …`` shapes, the frontier's fused label
+statement among them, are compared by the rows and NULL counts they
+leave behind.
 
 Only stdlib ``sqlite3`` is needed.  Values are multiples of 0.25, so
 every SUM is exact in either summation order.
@@ -26,6 +32,7 @@ import pytest
 
 from repro.engine.database import Database
 from repro.exceptions import PlanError
+from repro.storage.column import ColumnType
 
 SEEDS = range(6)
 KEY_DTYPES = ("int", "str")
@@ -233,6 +240,35 @@ SHAPES = [
      "WHERE t.x < 3 UNION ALL "
      "SELECT u.c, COUNT(*) FROM f AS t LEFT JOIN d AS u ON t.k = u.k "
      "WHERE t.x < 3 GROUP BY u.c", False),
+    # CASE: per-row placeholders (aggregates, windows) are gathered to
+    # the rows each outcome decides
+    ("case_over_aggregates",
+     "SELECT t.k, CASE WHEN COUNT(*) > 4 THEN SUM(t.g) "
+     "WHEN MAX(t.v) IS NULL THEN -1 ELSE MIN(t.x) END AS a, "
+     "CASE WHEN SUM(t.g) > 0 THEN COUNT(t.v) END AS b "
+     "FROM f AS t GROUP BY t.k", False),
+    ("case_in_having",
+     "SELECT t.x, COUNT(*) AS n FROM f AS t GROUP BY t.x "
+     "HAVING CASE WHEN SUM(t.g) > 0 THEN COUNT(*) ELSE 0 END > 2", False),
+    ("case_over_window",
+     "SELECT t.rid, CASE WHEN t.x > 2 THEN SUM(t.g) OVER (PARTITION BY t.k) "
+     "ELSE t.x END AS w FROM f AS t", False),
+    ("case_over_in_subquery_conditions",
+     "SELECT t.rid, CASE "
+     "WHEN t.k IN (SELECT k FROM d WHERE c = 1 AND k IS NOT NULL) "
+     "THEN t.jb_leaf_s1 + 10 "
+     "WHEN t.k IN (SELECT k FROM d WHERE c = 2 AND k IS NOT NULL) THEN 20 "
+     "ELSE t.jb_leaf_s1 END AS leaf FROM f AS t WHERE t.jb_leaf_s1 = 1", False),
+    ("in_subquery_projecting_case",
+     "SELECT t.rid FROM f AS t WHERE t.x IN "
+     "(SELECT CASE WHEN u.c = 1 THEN u.did ELSE u.c + 2 END FROM d AS u)",
+     False),
+    ("case_decides_no_row",
+     "SELECT t.rid, CASE WHEN t.x > 100 THEN t.v ELSE t.x END AS a, "
+     "CASE WHEN t.x >= 0 THEN t.name END AS b FROM f AS t", False),
+    ("case_over_empty_frame",
+     "SELECT CASE WHEN t.x > 1 THEN 'a' ELSE t.name END AS c "
+     "FROM f AS t WHERE t.x > 100", False),
 ]
 
 
@@ -272,3 +308,150 @@ def test_qualified_reference_falls_back_to_the_bare_name(engines):
     ours = embedded_rows(db, "SELECT z.v, z.rid FROM f AS t WHERE z.x < 3")
     theirs = sqlite_rows(conn, "SELECT v, rid FROM f AS t WHERE x < 3")
     assert sorted(ours, key=_order_key) == sorted(theirs, key=_order_key)
+
+
+# ---------------------------------------------------------------------------
+# Generated CASE expressions
+# ---------------------------------------------------------------------------
+#: conditions over columns with NULLs (``v``, ``name``) and bare NULL; no
+#: ``NOT`` over a nullable operand, whose three-valued result the engine
+#: does not model
+_CONDITIONS = (
+    "t.x > {i}", "t.v >= {q}", "t.v IS NULL", "t.name = 'n{i}'",
+    "t.name IS NOT NULL", "t.g < {q}", "NULL", "t.x = t.jb_leaf_s1",
+    "(t.v > {q} OR t.name IS NULL)", "(t.x IN (1, 3) AND t.g > {q})",
+    "t.x BETWEEN 1 AND 3", "NOT (t.g > {q})",
+)
+_NUMBERS = ("t.x", "t.v", "t.g", "t.jb_leaf_s1", "{i}", "-{i}", "{q}",
+            "NULL", "t.x + t.v", "t.g * 2")
+_STRINGS = ("t.name", "'s{i}'", "'n{i}'", "NULL")
+
+
+def _fill(rng, template: str) -> str:
+    return template.format(i=int(rng.integers(0, 4)),
+                           q=float(rng.integers(-8, 16)) / 4.0)
+
+
+def generated_case(rng, leaves, depth: int) -> str:
+    """A random searched CASE: 1-3 WHENs, no ELSE / ELSE NULL / ELSE
+    value, outcomes drawn from ``leaves`` or nested CASEs."""
+
+    def outcome():
+        if depth > 0 and rng.random() < 0.4:
+            return generated_case(rng, leaves, depth - 1)
+        return _fill(rng, leaves[int(rng.integers(len(leaves)))])
+
+    whens = " ".join(
+        f"WHEN {_fill(rng, _CONDITIONS[int(rng.integers(len(_CONDITIONS)))])} "
+        f"THEN {outcome()}"
+        for _ in range(int(rng.integers(1, 4)))
+    )
+    tail = ("", " ELSE NULL", f" ELSE {outcome()}")[int(rng.integers(3))]
+    return f"CASE {whens}{tail} END"
+
+
+def _both(db, conn, sql):
+    ours = sorted(embedded_rows(db, sql), key=_order_key)
+    theirs = sorted(sqlite_rows(conn, sql), key=_order_key)
+    assert ours == theirs, sql
+
+
+@pytest.mark.parametrize("case_seed", range(4))
+def test_generated_case_agrees_with_sqlite(engines, case_seed):
+    db, conn = engines
+    rng = np.random.default_rng([case_seed, 17])
+    for _ in range(3):
+        number = generated_case(rng, _NUMBERS, depth=2)
+        text = generated_case(rng, _STRINGS, depth=2)
+        where = _fill(rng, "t.x < {i}")
+        _both(db, conn, f"SELECT t.rid, {number} AS a, {text} AS b FROM f AS t")
+        _both(db, conn,
+              f"SELECT t.rid, {number} AS a FROM f AS t WHERE {where}")
+        _both(db, conn, f"SELECT t.rid FROM f AS t WHERE ({number}) > 1")
+
+
+#: (id, UPDATE, follow-up queries); the UPDATE runs once per engine
+UPDATE_SHAPES = [
+    ("fused_label_update",
+     "UPDATE f SET jb_leaf_s1 = CASE "
+     "WHEN k IN (SELECT k FROM d WHERE c = 1 AND k IS NOT NULL) THEN 10 "
+     "WHEN x > 2 THEN 11 ELSE jb_leaf_s1 END WHERE jb_leaf_s1 = 2",
+     ["SELECT rid, jb_leaf_s1 FROM f",
+      "SELECT jb_leaf_s1, COUNT(*) AS n FROM f GROUP BY jb_leaf_s1"]),
+    ("no_else_writes_nulls",
+     "UPDATE f SET v = CASE WHEN x > 2 THEN v * 2 WHEN v IS NULL THEN 7 END "
+     "WHERE name IS NOT NULL",
+     ["SELECT rid, v FROM f", "SELECT COUNT(*) AS n FROM f WHERE v IS NULL",
+      "SELECT COUNT(v) AS n FROM f"]),
+    ("string_case_else_null",
+     "UPDATE f SET name = CASE WHEN x = 1 THEN 'z' WHEN x = 2 THEN name "
+     "ELSE NULL END WHERE g > 0",
+     ["SELECT rid, name FROM f",
+      "SELECT COUNT(*) AS n FROM f WHERE name IS NULL",
+      "SELECT COUNT(name) AS n FROM f"]),
+    ("integer_column_gets_nulls",
+     "UPDATE f SET x = CASE WHEN v > 1 THEN x + 1 ELSE NULL END "
+     "WHERE jb_leaf_s1 IN (0, 3)",
+     ["SELECT rid, x FROM f", "SELECT COUNT(x) AS n FROM f",
+      "SELECT COUNT(*) AS n FROM f WHERE x IS NULL"]),
+    ("nested_case_every_row",
+     "UPDATE f SET g = CASE WHEN x > 1 THEN CASE WHEN v IS NULL THEN -1 "
+     "ELSE g + v END ELSE g END",
+     ["SELECT rid, g FROM f"]),
+    ("swap_reads_pre_update_values",
+     "UPDATE f SET x = jb_leaf_s1, jb_leaf_s1 = CASE WHEN x > 2 THEN 0 "
+     "ELSE x END WHERE g > 0",
+     ["SELECT rid, x, jb_leaf_s1 FROM f"]),
+    ("where_matches_no_row",
+     "UPDATE f SET x = CASE WHEN v > 0 THEN 1 END WHERE g > 1000",
+     ["SELECT rid, x FROM f", "SELECT COUNT(x) AS n FROM f"]),
+]
+
+
+@pytest.mark.parametrize("update,queries", [s[1:] for s in UPDATE_SHAPES],
+                         ids=[s[0] for s in UPDATE_SHAPES])
+def test_update_agrees_with_sqlite(engines, update, queries):
+    db, conn = engines
+    db.execute(update)
+    conn.execute(update)
+    for sql in queries:
+        _both(db, conn, sql)
+
+
+class TestCaseResultTypes:
+    """``CASE`` result columns carry sqlite's value types."""
+
+    def _engines(self):
+        tables = {"t": {"a": [1, 2, 3], "b": [4, 5, 6]}}
+        return embedded(tables), stdlib(tables)
+
+    def test_integer_outcomes_give_an_integer_column(self):
+        db, conn = self._engines()
+        sql = "SELECT CASE WHEN a = 1 THEN 10 ELSE b END AS c FROM t"
+        column = db.execute(sql).column("c")
+        assert column.ctype is ColumnType.INT
+        assert column.values.tolist() == [10, 5, 6]
+        typed = f"SELECT typeof(c) FROM ({sql})"
+        assert {row[0] for row in conn.execute(typed)} == {"integer"}
+
+    def test_fall_through_to_null_gives_a_float_column(self):
+        db, _ = self._engines()
+        column = db.execute(
+            "SELECT CASE WHEN a = 1 THEN 10 END AS c FROM t"
+        ).column("c")
+        assert column.ctype is ColumnType.FLOAT
+        assert column.is_null().tolist() == [False, True, True]
+
+    def test_string_case_stores_null_as_none(self):
+        db, conn = self._engines()
+        create = ("CREATE TABLE u AS SELECT CASE WHEN a = 1 THEN 'x' "
+                  "ELSE NULL END AS c FROM t")
+        db.execute(create)
+        conn.execute(create)
+        assert db.table("u").column("c").values.tolist() == ["x", None, None]
+        for sql, want in (
+            ("SELECT COUNT(*) AS n FROM u WHERE c IS NULL", 2),
+            ("SELECT COUNT(c) AS n FROM u", 1),
+        ):
+            assert db.execute(sql).scalar() == want
+            assert conn.execute(sql).fetchone()[0] == want

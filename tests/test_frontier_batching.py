@@ -170,18 +170,17 @@ class TestCensus:
             db, graph, factorizer, VarianceCriterion(),
             TrainParams.from_dict({"num_leaves": 4}),
         )
-        trainer.train()
+        tree = trainer.train()
         census = trainer.evaluator.census()
         assert census["mode"] == "auto"
         assert census["batching_veto"] is None
         assert census["batched_rounds"] == census["rounds"] > 0
         assert census["batched_split_queries"] > 0
         assert census["per_leaf_split_queries"] == 0
-        # Leaf labels: one root pass, two narrow updates per committed
-        # split (at most 4 - 1 splits).
+        # Leaf labels: one root pass, one fused narrow update per
+        # committed split.
         assert census["root_label_passes"] == 1
-        assert census["delta_label_updates"] % 2 == 0
-        assert 0 < census["delta_label_updates"] <= 2 * (4 - 1)
+        assert census["delta_label_updates"] == len(tree.leaves()) - 1 == 3
         factorizer.cleanup()
 
 

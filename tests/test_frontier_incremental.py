@@ -1,7 +1,7 @@
 """Incremental frontier state: parity, census, fallbacks, residual labels.
 
 The load-bearing claim: maintaining leaf membership as a persistent
-column — one root pass per tree plus two depth-1 narrow UPDATEs per
+column — one root pass per tree plus one depth-1 narrow UPDATE per
 committed split — grows the per-leaf path's trees
 (``split_batching="off"``) split for split, with sums equal to 1e-12
 relative where sibling subtraction derived a child, at depth >= 6, on

@@ -171,7 +171,9 @@ class TestGate:
         census = model.frontier_census
         splits = sum(len(tree.leaves()) - 1 for tree in model.trees)
         assert splits == 3 * 7
-        assert census["sibling_subtractions"] == splits
+        # every split but each tree's last, whose children are never
+        # evaluated (the tree is full)
+        assert census["sibling_subtractions"] == 3 * 6
         assert census["batched_rounds"] == census["rounds"]
 
     @pytest.mark.parametrize("objective", ["fair", "poisson"])
@@ -202,8 +204,10 @@ class TestGate:
     def test_lighter_child_is_the_one_queried(self):
         db, graph = star_schema(num_fact_rows=400, num_dims=2, dim_size=10,
                                 seed=4)
+        # three leaves: the root's children are evaluated (the second
+        # split's are not)
         model = repro.train_decision_tree(
-            db, graph, {"num_leaves": 2, "min_data_in_leaf": 3}
+            db, graph, {"num_leaves": 3, "min_data_in_leaf": 3}
         )
         root = model.root
         lighter = min(
@@ -277,9 +281,15 @@ class TestRoundsThatQueryNormally:
         open_leaves = set(trainer.evaluator._slices)
         assert open_leaves  # unsplit leaves keep theirs until the next tree
         tree = trainer.train()
-        assert set(trainer.evaluator._slices) <= {
-            leaf.node_id for leaf in tree.leaves()
-        }
+        # Kept: the evaluated unsplit leaves, and the last split node,
+        # whose children were never evaluated.
+        last = max(tree.nodes(), key=lambda node: node.node_id).parent
+        children = {last.left.node_id, last.right.node_id}
+        leaves = {leaf.node_id for leaf in tree.leaves()}
+        assert set(trainer.evaluator._slices) == (
+            (leaves - children) | {last.node_id}
+        )
+        assert len(trainer.evaluator._slices) == 6 - 2 + 1
         assert not open_leaves & set(trainer.evaluator._slices)
 
 
@@ -343,6 +353,6 @@ class TestBackendMatrix:
         auto, pooled, off = (grown[key] for key in (
             ("auto", 1), ("auto", 4), ("off", 1)
         ))
-        assert auto[1].frontier_census["sibling_subtractions"] == 2 * 7
+        assert auto[1].frontier_census["sibling_subtractions"] == 2 * 6
         assert repro.model_digest(auto[1]) == repro.model_digest(pooled[1])
         assert_sibling_parity(auto[0], off[0])

@@ -102,7 +102,10 @@ def test_every_training_statement_binds_like_parse(monkeypatch, params):
 
 def test_training_parses_once_per_shape(monkeypatch, parse_calls):
     _, _, _, texts = logged_training(monkeypatch)
-    assert len(texts) > 300
+    # 3 trees x (7 rounds x 5 relations x (carry + fused read) + 7 label
+    # updates) = 231, plus 21 set-up, totals, root-label and residual
+    # statements: 252
+    assert len(texts) > 250
     assert len(parse_calls) <= 50
 
 
