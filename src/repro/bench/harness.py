@@ -26,7 +26,6 @@ from repro.datasets.synthetic import ResidualWorkload, residual_update_microbenc
 from repro.backends import SQLiteConnector
 from repro.distributed import ClusterConfig, SimulatedCluster
 from repro.engine.database import Database
-from repro.engine.update import apply_column_update
 from repro.exceptions import MemoryBudgetExceeded, StorageError
 from repro.storage.table import StorageConfig
 
@@ -105,7 +104,7 @@ def _run_one_update(workload: ResidualWorkload, method: str) -> float:
     elif method == "swap":
         case = _leaf_case_sql(workload, "s")
         result = db.execute(f"SELECT {case} AS s FROM f")
-        apply_column_update(db, "f", "s", result.column("s").values, "swap")
+        db.replace_column("f", "s", result.column("s").values, "swap")
     else:
         raise ValueError(method)
     return time.perf_counter() - start

@@ -217,6 +217,13 @@ def train_gradient_boosting(
     """
     train_params = boosting_params(params, **overrides)
     loss = get_loss(train_params.objective, **train_params.loss_kwargs())
+    if train_params.update_strategy == "naive" and not loss.supports_galaxy:
+        # The U-join baseline shifts one additive component; other losses
+        # must recompute g/h from the shifted prediction.
+        raise TrainingError(
+            "update_strategy 'naive' supports the additive rmse update "
+            f"only, not objective {loss.name!r}"
+        )
     graph.validate()
     configure_encoding_cache(db, train_params.encoding_cache)
     if isinstance(loss, SoftmaxLoss):
@@ -539,10 +546,15 @@ def _train_multiclass_body(
         DecisionTreeTrainer(graph, evaluator.criterion, params, evaluator)
         for evaluator in evaluators
     ]
-    updaters = [
-        ResidualUpdater(db, graph, fact, fact_table, loss, strategy="swap")
-        for _ in range(k)
-    ]
+    updater = ResidualUpdater(
+        db, graph, fact, fact_table, loss, strategy=params.update_strategy
+    )
+    alias = updater.alias
+    probs = _softmax_exprs([f"{alias}.pred{i}" for i in range(k)])
+    refresh: Dict[str, str] = {}
+    for i in range(k):
+        refresh[f"g{i}"] = loss.gradient_sql_class(f"{alias}.{y}", probs[i], i)
+        refresh[f"h{i}"] = loss.hessian_sql_class(probs[i])
 
     rng = np.random.default_rng(params.seed)
     chains: List[List[DecisionTreeModel]] = [[] for _ in range(k)]
@@ -552,13 +564,15 @@ def _train_multiclass_body(
             trainer.train(feature_subset=_sample_features(graph, params, rng))
             for trainer in trainers
         ]
-        # Update every class's pred, then recompute all probabilities and
-        # per-class gradients in one pass.
-        for i, tree in enumerate(new_trees):
-            _shift_pred(db, graph, fact, fact_table, tree,
-                        params.learning_rate, f"pred{i}")
+        # Shift every class's pred, then recompute all probabilities and
+        # per-class gradients in one write.
+        for i, (trainer, tree) in enumerate(zip(trainers, new_trees)):
+            updater.write({f"pred{i}": updater.shift_expr(
+                tree, params.learning_rate, f"pred{i}",
+                trainer.leaf_label_column(tree),
+            )})
             chains[i].append(tree)
-        _refresh_multiclass_gradients(db, fact_table, y, loss, k)
+        updater.write(refresh)
         for factorizer in factorizers:
             factorizer.invalidate_for_relation(fact)
     model = MulticlassBoostingModel(chains, init_scores, params.learning_rate, loss)
@@ -571,47 +585,3 @@ def _softmax_exprs(pred_exprs: List[str]) -> List[str]:
     denominator = " + ".join(f"EXP({p})" for p in pred_exprs)
     return [f"(EXP({p}) / ({denominator}))" for p in pred_exprs]
 
-
-def _shift_pred(
-    db, graph, fact, fact_table, tree, learning_rate: float, pred_column: str
-) -> None:
-    from repro.core.residual import leaf_conditions
-    from repro.engine.update import apply_column_update
-
-    pairs = leaf_conditions(graph, fact, tree, fact_alias="t")
-    whens = " ".join(
-        f"WHEN {condition} THEN t.{pred_column} + "
-        f"{learning_rate * leaf.prediction!r}"
-        for leaf, condition in pairs
-    )
-    expr = f"CASE {whens} ELSE t.{pred_column} END"
-    result = db.execute(
-        f"SELECT {expr} AS {pred_column} FROM {fact_table} AS t",
-        tag="residual_update",
-    )
-    apply_column_update(
-        db, fact_table, pred_column, result.column(pred_column).values, "swap"
-    )
-
-
-def _refresh_multiclass_gradients(db, fact_table, y, loss, k) -> None:
-    from repro.engine.update import apply_column_update
-
-    prob_exprs = _softmax_exprs([f"t.pred{i}" for i in range(k)])
-    select_parts = []
-    for i in range(k):
-        select_parts.append(
-            f"{loss.gradient_sql_class(f't.{y}', prob_exprs[i], i)} AS g{i}"
-        )
-        select_parts.append(
-            f"{loss.hessian_sql_class(prob_exprs[i])} AS h{i}"
-        )
-    result = db.execute(
-        f"SELECT {', '.join(select_parts)} FROM {fact_table} AS t",
-        tag="residual_update",
-    )
-    for i in range(k):
-        apply_column_update(db, fact_table, f"g{i}",
-                            result.column(f"g{i}").values, "swap")
-        apply_column_update(db, fact_table, f"h{i}",
-                            result.column(f"h{i}").values, "swap")

@@ -22,23 +22,25 @@ Two update shapes:
   component shifts, by ``lr · leaf_value`` per matched row.  This is the
   "only s is needed" optimization.
 * **general** — other losses on snowflake schemas: the prediction column
-  shifts per leaf, then g (and a non-constant h) are recomputed from the
-  loss formulas.
+  shifts per leaf, and g (and a non-constant h) are recomputed from the
+  loss formulas over the shifted prediction.  Multiclass chains shift
+  each class's prediction and then refresh every class's softmax g/h.
+
+Every shape is a set of new column expressions handed to
+:meth:`ResidualUpdater.write`, the one place the logical/physical
+strategy is dispatched; only ``naive`` keeps its own path.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.exceptions import TrainingError
 from repro.core.tree import DecisionTreeModel, TreeNode
-from repro.engine.update import apply_column_update
 from repro.factorize.predicates import PredicateMap, render_conjunction
 from repro.joingraph.graph import JoinGraph
 from repro.joingraph.hypertree import edge_between, rooted_tree
-from repro.semiring.losses import L2Loss, Loss
+from repro.semiring.losses import Loss
 
 
 # ---------------------------------------------------------------------------
@@ -155,31 +157,78 @@ class ResidualUpdater:
             strategy = "update"
         self.strategy = strategy
 
-    # -- leaf-label fast path --------------------------------------------
-    def _labels_usable(self, label_column: Optional[str]) -> Optional[str]:
-        """The label column when the fast path applies, else None.
+    @property
+    def alias(self) -> str:
+        """The name :meth:`write`'s column expressions qualify fact
+        columns with: the fact table itself for an in-place ``UPDATE``
+        (which takes no alias), ``t`` for the SELECT-based strategies."""
+        return self.fact_table if self.strategy == "update" else "t"
 
-        The persistent ``jb_leaf`` column (incremental frontier state)
-        already encodes every leaf's σ, so residual updates become one
-        ``CASE`` over an integer column instead of per-leaf depth-long
-        semi-join scans.  The ``naive`` strategy keeps the Section 4.2.1
-        baseline untouched (it is the thing Figure 5 measures).
-        """
-        if label_column is None or self.strategy == "naive":
-            return None
-        names = {c.lower() for c in self.db.table(self.fact_table).column_names()}
-        if label_column.lower() not in names:
-            return None
-        return label_column
-
-    @staticmethod
-    def _label_deltas(
-        tree: DecisionTreeModel, scale: float, label_ref: str
+    def _deltas(
+        self,
+        tree: DecisionTreeModel,
+        scale: float,
+        label_column: Optional[str],
+        alias: str,
     ) -> List[Tuple[str, float]]:
+        """One (fact-row condition, ``scale·leaf value``) pair per leaf.
+
+        A current leaf-membership column (``label_column``, from the
+        trainer's frontier state) already encodes every leaf's σ, so each
+        condition is an equality test on it; otherwise it is the leaf's
+        Section 4.1 semi-join.  Both select the same rows.
+        """
+        if label_column is not None:
+            return [
+                (f"{alias}.{label_column} = {leaf.node_id}",
+                 scale * leaf.prediction)
+                for leaf in tree.leaves()
+            ]
         return [
-            (f"{label_ref} = {leaf.node_id}", scale * leaf.prediction)
-            for leaf in tree.leaves()
+            (condition, scale * leaf.prediction)
+            for leaf, condition in leaf_conditions(
+                self.graph, self.fact, tree, fact_alias=alias
+            )
         ]
+
+    def shift_expr(
+        self,
+        tree: DecisionTreeModel,
+        scale: float,
+        column: str,
+        label_column: Optional[str] = None,
+        weight: Optional[str] = None,
+    ) -> str:
+        """``column`` shifted by ``scale·leaf value`` (times ``weight``)
+        per leaf, rendered over :attr:`alias` for :meth:`write`."""
+        alias = self.alias
+        base = f"{alias}.{column}"
+        factor = f" * {alias}.{weight}" if weight else ""
+        whens = " ".join(
+            f"WHEN {condition} THEN {base} + {delta!r}{factor}"
+            for condition, delta in self._deltas(tree, scale, label_column, alias)
+        )
+        return f"CASE {whens} ELSE {base} END"
+
+    def write(self, columns: Dict[str, str]) -> None:
+        """Replace fact columns by expressions over :attr:`alias` — the
+        one write every residual update goes through.  ``update`` is one
+        in-place ``UPDATE`` (every expression reads pre-update values),
+        ``create`` re-creates the table (Section 5.3.1), ``swap``
+        computes the columns with a query and pointer-swaps them in."""
+        if self.strategy == "update":
+            sets = ", ".join(f"{name} = {expr}" for name, expr in columns.items())
+            self.db.execute(
+                f"UPDATE {self.fact_table} SET {sets}", tag="residual_update"
+            )
+        elif self.strategy == "create":
+            self._recreate_with(columns)
+        elif self.strategy == "swap":
+            self._swap_with(columns)
+        else:
+            raise TrainingError(
+                f"strategy {self.strategy!r} is not supported for column writes"
+            )
 
     # -- additive shape (L2 / galaxy clusters) ---------------------------
     def apply_additive(
@@ -187,74 +236,21 @@ class ResidualUpdater:
         tree: DecisionTreeModel,
         learning_rate: float,
         component: str = "g",
-        sign: float = 1.0,
         label_column: Optional[str] = None,
     ) -> None:
-        """Shift ``component`` by ``sign·lr·leaf_value`` per matched tuple.
+        """Shift ``component`` by ``lr·leaf_value`` per matched tuple.
 
         The shift is the semi-ring ⊗ with lift(δ): the component moves by
         δ times the row's weight component (h or c) — 1 for base fact rows,
-        the group count for pre-aggregated cuboids.  ``label_column``
-        (when current) switches the leaf conditions from semi-join scans
-        to equality tests on the persistent leaf-membership column.
+        the group count for pre-aggregated cuboids.
         """
-        weight = self._weight_column()
-        label = self._labels_usable(label_column)
-        if label is not None:
-            if self.strategy == "update":
-                deltas = self._label_deltas(
-                    tree, sign * learning_rate, f"{self.fact_table}.{label}"
-                )
-                case_expr = self._case_expr(deltas, component, weight=weight)
-                self.db.execute(
-                    f"UPDATE {self.fact_table} SET {component} = {case_expr}",
-                    tag="residual_update",
-                )
-            else:
-                deltas = self._label_deltas(
-                    tree, sign * learning_rate, f"t.{label}"
-                )
-                case_expr = self._case_expr(
-                    deltas, f"t.{component}",
-                    weight=f"t.{weight}" if weight else None,
-                )
-                if self.strategy == "create":
-                    self._recreate_with({component: case_expr})
-                else:
-                    self._swap_with({component: case_expr})
-            return
-        if self.strategy == "update":
-            pairs = leaf_conditions(
-                self.graph, self.fact, tree, fact_alias=self.fact_table
-            )
-            for leaf, condition in pairs:
-                delta = sign * learning_rate * leaf.prediction
-                shift = f"{delta!r} * {weight}" if weight else repr(delta)
-                self.db.execute(
-                    f"UPDATE {self.fact_table} "
-                    f"SET {component} = {component} + {shift} "
-                    f"WHERE {condition}",
-                    tag="residual_update",
-                )
-            return
-        pairs = leaf_conditions(self.graph, self.fact, tree, fact_alias="t")
-        deltas = [
-            (condition, sign * learning_rate * leaf.prediction)
-            for leaf, condition in pairs
-        ]
-        case_expr = self._case_expr(
-            deltas, f"t.{component}", weight=f"t.{weight}" if weight else None
-        )
-        if self.strategy == "create":
-            self._recreate_with(
-                {component: case_expr}
-            )
-        elif self.strategy == "swap":
-            self._swap_with({component: case_expr})
-        elif self.strategy == "naive":
+        if self.strategy == "naive":
+            deltas = self._deltas(tree, learning_rate, None, "t")
             self._naive_update(tree, deltas, component)
-        else:
-            raise TrainingError(f"unknown update strategy {self.strategy!r}")
+            return
+        self.write({component: self.shift_expr(
+            tree, learning_rate, component, label_column, self._weight_column()
+        )})
 
     # -- general shape (arbitrary snowflake losses) -----------------------
     def apply_general(
@@ -266,66 +262,14 @@ class ResidualUpdater:
         hessian_constant: bool = False,
         label_column: Optional[str] = None,
     ) -> None:
-        """Shift the prediction per leaf, then recompute g (and h)."""
-        label = self._labels_usable(label_column)
-        if label is not None:
-            deltas = self._label_deltas(tree, learning_rate, f"t.{label}")
-        else:
-            pairs = leaf_conditions(self.graph, self.fact, tree, fact_alias="t")
-            deltas = [
-                (condition, learning_rate * leaf.prediction)
-                for leaf, condition in pairs
-            ]
-        pred_expr = self._case_expr(deltas, f"t.{pred_column}")
-        new_columns = {pred_column: pred_expr}
-        new_columns["g"] = self.loss.gradient_sql(f"t.{y_column}", f"({pred_expr})")
+        """Shift the prediction per leaf and recompute g (and h) from the
+        shifted prediction, in one write."""
+        pred = self.shift_expr(tree, learning_rate, pred_column, label_column)
+        y = f"{self.alias}.{y_column}"
+        columns = {pred_column: pred, "g": self.loss.gradient_sql(y, f"({pred})")}
         if not hessian_constant:
-            new_columns["h"] = self.loss.hessian_sql(f"t.{y_column}", f"({pred_expr})")
-        if self.strategy == "update":
-            if label is not None:
-                bare_deltas = self._label_deltas(
-                    tree, learning_rate, f"{self.fact_table}.{label}"
-                )
-                case_expr = self._case_expr(bare_deltas, pred_column)
-                self.db.execute(
-                    f"UPDATE {self.fact_table} "
-                    f"SET {pred_column} = {case_expr}",
-                    tag="residual_update",
-                )
-            else:
-                bare_pairs = leaf_conditions(
-                    self.graph, self.fact, tree, fact_alias=self.fact_table
-                )
-                for leaf, condition in bare_pairs:
-                    delta = learning_rate * leaf.prediction
-                    self.db.execute(
-                        f"UPDATE {self.fact_table} "
-                        f"SET {pred_column} = {pred_column} + {delta!r} "
-                        f"WHERE {condition}",
-                        tag="residual_update",
-                    )
-            g_expr = self.loss.gradient_sql(
-                f"{self.fact_table}.{y_column}", f"{self.fact_table}.{pred_column}"
-            )
-            sets = [f"g = {g_expr}"]
-            if not hessian_constant:
-                h_expr = self.loss.hessian_sql(
-                    f"{self.fact_table}.{y_column}",
-                    f"{self.fact_table}.{pred_column}",
-                )
-                sets.append(f"h = {h_expr}")
-            self.db.execute(
-                f"UPDATE {self.fact_table} SET {', '.join(sets)}",
-                tag="residual_update",
-            )
-        elif self.strategy == "create":
-            self._recreate_with(new_columns)
-        elif self.strategy == "swap":
-            self._swap_with(new_columns)
-        else:
-            raise TrainingError(
-                f"strategy {self.strategy!r} is not supported for general losses"
-            )
+            columns["h"] = self.loss.hessian_sql(y, f"({pred})")
+        self.write(columns)
 
     # -- shared helpers ----------------------------------------------------
     def _weight_column(self) -> Optional[str]:
@@ -335,19 +279,6 @@ class ResidualUpdater:
             if candidate in names:
                 return candidate
         return None
-
-    @staticmethod
-    def _case_expr(
-        deltas: Sequence[Tuple[str, float]],
-        base: str,
-        weight: Optional[str] = None,
-    ) -> str:
-        whens = " ".join(
-            f"WHEN {condition} THEN {base} + {delta!r}"
-            + (f" * {weight}" if weight else "")
-            for condition, delta in deltas
-        )
-        return f"CASE {whens} ELSE {base} END"
 
     def _recreate_with(self, new_columns: Dict[str, str]) -> None:
         """CREATE TABLE F_updated AS SELECT ... (Section 5.3.1) + rename."""
@@ -375,9 +306,8 @@ class ResidualUpdater:
             tag="residual_update",
         )
         for name in new_columns:
-            apply_column_update(
-                self.db, self.fact_table, name,
-                result.column(name).values, strategy="swap",
+            self.db.replace_column(
+                self.fact_table, name, result.column(name).values, "swap"
             )
 
     def _naive_update(
@@ -407,13 +337,11 @@ class ResidualUpdater:
             f"{delta_expr} AS delta FROM {self.fact_table} AS t",
             tag="residual_update",
         )
-        table = self.db.table(self.fact_table)
-        names = table.column_names()
         # Per-row weight component (1 per base row, but written generally
         # so the semi-ring multiplication F ⋈ lift(delta) stays exact).
-        weight = "h" if "h" in names else ("c" if "c" in names else None)
+        weight = self._weight_column()
         select_parts = []
-        for name in names:
+        for name in self.db.table(self.fact_table).column_names():
             if name == component:
                 if weight is not None:
                     select_parts.append(

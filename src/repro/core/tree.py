@@ -50,13 +50,6 @@ class TreeNode:
             preds = add_predicate(preds, node.relation, node.predicate)
         return preds
 
-    def sql_condition(self, alias_for) -> str:
-        """Render σ as SQL, with ``alias_for(relation)`` supplying aliases."""
-        parts = []
-        for relation, preds in self.path_predicates().items():
-            alias = alias_for(relation)
-            parts.extend(p.render(alias) for p in preds)
-        return " AND ".join(parts) if parts else "TRUE"
 
 
 class DecisionTreeModel:

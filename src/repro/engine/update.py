@@ -16,7 +16,7 @@ column of the fact table each boosting iteration:
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -24,8 +24,6 @@ from repro.exceptions import StorageError
 from repro.sql.expressions import as_objects
 from repro.storage.column import Column, ColumnType
 from repro.storage.table import ColumnTable, ExternalColumnStore, Table
-
-STRATEGIES = ("update", "create", "swap")
 
 
 def apply_masked_update(
@@ -99,27 +97,6 @@ def apply_masked_update(
     return count
 
 
-def apply_column_update(
-    db,
-    table_name: str,
-    column_name: str,
-    new_values: np.ndarray,
-    strategy: str = "update",
-) -> None:
-    """Replace ``table.column_name`` with ``new_values`` using ``strategy``.
-
-    Dispatches through the connector protocol: any ``db`` exposing
-    ``replace_column`` (external backends map every strategy to their own
-    physical write) handles it; the embedded strategies below are the
-    fallback for a bare catalog-compatible object.
-    """
-    replace = getattr(db, "replace_column", None)
-    if replace is not None:
-        replace(table_name, column_name, np.asarray(new_values), strategy)
-        return
-    embedded_column_update(db, table_name, column_name, new_values, strategy)
-
-
 def embedded_column_update(
     db,
     table_name: str,
@@ -127,7 +104,8 @@ def embedded_column_update(
     new_values: np.ndarray,
     strategy: str = "update",
 ) -> None:
-    """The embedded engine's physical strategies (Section 5.3/5.4)."""
+    """The embedded engine's physical strategies (Section 5.3/5.4),
+    behind :meth:`Database.replace_column`."""
     table = db.table(table_name)
     if strategy == "update":
         _update_in_place(table, column_name, new_values)

@@ -120,9 +120,5 @@ class MessageCache:
     def stats(self) -> Dict[str, int]:
         return {"hits": self.hits, "misses": self.misses, "size": len(self._store)}
 
-    def reset_stats(self) -> None:
-        self.hits = 0
-        self.misses = 0
-
     def __len__(self) -> int:
         return len(self._store)

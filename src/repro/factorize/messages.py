@@ -76,13 +76,6 @@ class Annotation:
             exprs[comp] = expr
         return Annotation.full(exprs)
 
-    def storage_columns(self, semiring: SemiRing) -> List[str]:
-        """Component column names this annotation materializes."""
-        if self.kind == IDENTITY:
-            return []
-        if self.kind == COUNT:
-            return [COUNT_COLUMN]
-        return list(semiring.components)
 
 
 def combine_annotations(

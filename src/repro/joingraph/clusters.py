@@ -36,9 +36,6 @@ class Cluster:
             out.extend(graph.relations[name].features)
         return out
 
-    def subgraph(self, graph: JoinGraph) -> JoinGraph:
-        return graph.copy_with_relations(self.members)
-
     def __contains__(self, relation: str) -> bool:
         return relation in self.members
 
@@ -109,14 +106,6 @@ def _check_coverage(graph: JoinGraph, clusters: List[Cluster]) -> None:
         raise JoinGraphError(
             f"relations with features are outside every CPT cluster: {missing}"
         )
-
-
-def cluster_for_feature(
-    clusters: List[Cluster], graph: JoinGraph, feature: str
-) -> List[Cluster]:
-    """All clusters whose members declare ``feature``."""
-    owner = graph.relation_for_feature(feature)
-    return [c for c in clusters if owner in c]
 
 
 def cluster_index(clusters: List[Cluster]) -> Dict[str, List[int]]:

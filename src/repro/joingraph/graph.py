@@ -61,13 +61,6 @@ class JoinEdge:
             return self.left
         raise JoinGraphError(f"{relation!r} is not part of edge {self}")
 
-    def join_condition(self, left_alias: str, right_alias: str) -> str:
-        """SQL ON clause joining aliased sides of this edge."""
-        parts = [
-            f"{left_alias}.{lk} = {right_alias}.{rk}"
-            for lk, rk in zip(self.left_keys, self.right_keys)
-        ]
-        return " AND ".join(parts)
 
 
 class JoinGraph:
@@ -289,30 +282,6 @@ class JoinGraph:
             if n_side:
                 facts.append(name)
         return facts
-
-    def copy_with_relations(self, keep: Sequence[str]) -> "JoinGraph":
-        """Sub-graph restricted to ``keep`` (used per CPT cluster)."""
-        sub = JoinGraph(self.db)
-        keep_set = set(keep)
-        for name in keep:
-            info = self.relations[name]
-            sub.relations[name] = RelationInfo(
-                name=info.name,
-                features=list(info.features),
-                target=info.target,
-                is_fact=info.is_fact,
-                categorical=list(info.categorical),
-            )
-        for edge in self.edges:
-            if edge.left in keep_set and edge.right in keep_set:
-                sub.edges.append(
-                    JoinEdge(
-                        edge.left, edge.right,
-                        list(edge.left_keys), list(edge.right_keys),
-                        edge.multiplicity,
-                    )
-                )
-        return sub
 
     def __repr__(self) -> str:
         return (

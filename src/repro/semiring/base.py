@@ -17,7 +17,7 @@ Two faces are exposed:
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.exceptions import SemiRingError
 
@@ -97,11 +97,6 @@ class SemiRing:
             comp: f"({expr} * {count_expr})" for comp, expr in exprs.items()
         }
 
-    def sum_sql(self, alias: str = "") -> List[Tuple[str, str]]:
-        """⊕-aggregation fragments: SUM over each component column."""
-        prefix = f"{alias}." if alias else ""
-        return [(comp, f"SUM({prefix}{comp})") for comp in self.components]
-
     # ------------------------------------------------------------------
     # Count-scaling (multiplying by an un-lifted relation whose annotation
     # is k copies of 1, i.e. the element lift-of-1 added k times).
@@ -148,7 +143,3 @@ def get_semiring(name: str, **kwargs) -> SemiRing:
         raise SemiRingError(
             f"unknown semi-ring {name!r}; known: {sorted(_REGISTRY)}"
         ) from None
-
-
-def registered_semirings() -> List[str]:
-    return sorted(_REGISTRY)

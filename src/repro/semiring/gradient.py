@@ -8,7 +8,8 @@ semi-ring with h in the count slot::
 
 and the lift of a fact row is (h(t), g(t)) from Table 3's loss formulas.
 The aggregated (H, G) of a leaf gives the optimal prediction
-``p* = -G / (H + λ)`` and the split gain of Appendix B.
+``p* = -G / (H + λ)`` and the split gain of Appendix B
+(:class:`repro.core.split.GradientCriterion`).
 
 For rmse (h ≡ 1) the lift ``g ↦ (1, g)`` is addition-to-multiplication
 preserving, so galaxy-schema residual updates work by joining with
@@ -68,9 +69,6 @@ class GradientSemiRing(SemiRing):
         """Lift a gradient with unit hessian (the rmse case)."""
         return (1.0, float(value))
 
-    def lift_pair(self, hessian: float, gradient: float) -> Element:
-        return (float(hessian), float(gradient))
-
     # -- SQL face ----------------------------------------------------------
     def lift_sql(self, y_expr: str) -> List[Tuple[str, str]]:
         """Unit-hessian lift; general losses use :meth:`lift_pair_sql`."""
@@ -85,53 +83,6 @@ class GradientSemiRing(SemiRing):
             h: f"({left[h]} * {right[h]})",
             g: f"({left[g]} * {right[h]} + {right[g]} * {left[h]})",
         }
-
-    def residual_update_sql(self, alias: str, delta_expr: str) -> List[Tuple[str, str]]:
-        """⊗ with lift(δ) = (1, δ): shifts every gradient by δ.
-
-        For L2 loss g = p - y, so after a leaf adds lr·p* to the prediction
-        the gradient shifts by exactly δ = lr·p* — the galaxy-schema update.
-        """
-        prefix = f"{alias}." if alias else ""
-        h, g = self.components
-        return [
-            (h, f"{prefix}{h}"),
-            (g, f"({prefix}{g} + ({delta_expr}) * {prefix}{h})"),
-        ]
-
-    # -- boosting statistics (Appendix B) -----------------------------------
-    @staticmethod
-    def leaf_value(g_sum: float, h_sum: float, reg_lambda: float = 0.0) -> float:
-        denominator = h_sum + reg_lambda
-        if denominator <= 0:
-            return 0.0
-        return -g_sum / denominator
-
-    @staticmethod
-    def objective(g_sum: float, h_sum: float, reg_lambda: float = 0.0) -> float:
-        denominator = h_sum + reg_lambda
-        if denominator <= 0:
-            return 0.0
-        return -0.5 * g_sum * g_sum / denominator
-
-    @classmethod
-    def split_gain(
-        cls,
-        g_left: float,
-        h_left: float,
-        g_total: float,
-        h_total: float,
-        reg_lambda: float = 0.0,
-        reg_alpha: float = 0.0,
-    ) -> float:
-        """Reduction in loss from splitting (G,H) into left and complement."""
-        g_right = g_total - g_left
-        h_right = h_total - h_left
-        before = cls.objective(g_total, h_total, reg_lambda)
-        after = cls.objective(g_left, h_left, reg_lambda) + cls.objective(
-            g_right, h_right, reg_lambda
-        )
-        return before - after - reg_alpha
 
 
 @register_semiring
@@ -171,15 +122,6 @@ class MulticlassGradientSemiRing(SemiRing):
         for i in range(self.num_classes):
             out += [1.0, 1.0 if i == label else 0.0]
         return tuple(out)
-
-    def lift_pairs_sql(self, pairs: List[Tuple[str, str]]) -> List[Tuple[str, str]]:
-        """Lift per-class (h_expr, g_expr) SQL pairs."""
-        if len(pairs) != self.num_classes:
-            raise SemiRingError("need one (h, g) expression pair per class")
-        out: List[Tuple[str, str]] = []
-        for i, (h_expr, g_expr) in enumerate(pairs):
-            out += [(f"h{i}", f"({h_expr})"), (f"g{i}", f"({g_expr})")]
-        return out
 
     def lift_sql(self, y_expr: str) -> List[Tuple[str, str]]:
         out: List[Tuple[str, str]] = []

@@ -71,29 +71,6 @@ class VarianceSemiRing(SemiRing):
             )
         return out
 
-    # -- residual update (⊗ lift(-p)) -------------------------------------
-    def residual_update_sql(self, alias: str, neg_pred_expr: str) -> List[Tuple[str, str]]:
-        """⊗ with ``lift(-p)`` where ``neg_pred_expr`` is the SQL for -p.
-
-        lift(-p) = (1, -p, p²), so::
-
-            c' = c
-            s' = s + (-p) * c
-            q' = q + p²·c + 2·s·(-p)
-        """
-        prefix = f"{alias}." if alias else ""
-        out = [
-            ("c", f"{prefix}c"),
-            ("s", f"({prefix}s + ({neg_pred_expr}) * {prefix}c)"),
-        ]
-        if self.include_q:
-            out.append((
-                "q",
-                f"({prefix}q + ({neg_pred_expr}) * ({neg_pred_expr}) * {prefix}c"
-                f" + 2 * {prefix}s * ({neg_pred_expr}))",
-            ))
-        return out
-
     # -- statistics ---------------------------------------------------------
     @staticmethod
     def variance(c: float, s: float, q: float) -> float:

@@ -482,11 +482,3 @@ def as_objects(values: np.ndarray) -> np.ndarray:
         out[np.isnan(values)] = None
     return out
 
-
-def referenced_columns(expr: ast.Expr) -> Set[str]:
-    """Bare lower-case names of all column references in ``expr``."""
-    return {
-        node.name.lower()
-        for node in ast.walk(expr)
-        if isinstance(node, ast.ColumnRef)
-    }

@@ -10,7 +10,7 @@ from repro.engine.database import Database
 from repro.engine.retry import RetryCensus, RetryPolicy, call_with_retry
 from repro.engine.scheduler import QueryScheduler
 from repro.exceptions import StorageError, TransientBackendError
-from repro.engine.update import apply_column_update, supported_strategies
+from repro.engine.update import supported_strategies
 from repro.storage.table import StorageConfig
 
 
@@ -27,7 +27,7 @@ class TestUpdateStrategies:
     def test_strategies_agree(self, strategy):
         db = make_db("plain" if strategy != "swap" else "d-swap")
         new = np.full(10, 5.0)
-        apply_column_update(db, "f", "s", new, strategy)
+        db.replace_column("f", "s", new, strategy)
         assert np.allclose(db.table("f").column("s").values, 5.0)
         # other columns untouched
         assert np.array_equal(db.table("f").column("d").values, np.arange(10))
@@ -35,7 +35,7 @@ class TestUpdateStrategies:
     def test_swap_rejected_on_stock_backend(self):
         db = make_db("d-mem")
         with pytest.raises(StorageError):
-            apply_column_update(db, "f", "s", np.zeros(10), "swap")
+            db.replace_column("f", "s", np.zeros(10), "swap")
 
     def test_swap_on_external_store(self):
         db = make_db("plain")
@@ -45,13 +45,13 @@ class TestUpdateStrategies:
         table = db.table("f")
         db.catalog.drop("f")
         db.register(ExternalColumnStore("f", list(table.columns())))
-        apply_column_update(db, "f", "s", np.ones(10), "swap")
+        db.replace_column("f", "s", np.ones(10), "swap")
         assert np.allclose(db.table("f").column("s").values, 1.0)
 
     def test_unknown_strategy(self):
         db = make_db()
         with pytest.raises(StorageError):
-            apply_column_update(db, "f", "s", np.zeros(10), "teleport")
+            db.replace_column("f", "s", np.zeros(10), "teleport")
 
     def test_supported_strategies(self):
         db = make_db("d-mem")
@@ -61,12 +61,12 @@ class TestUpdateStrategies:
     def test_update_in_place_pays_mvcc(self):
         db = make_db("d-mem")
         before = db._mvcc.version_count
-        apply_column_update(db, "f", "s", np.zeros(10), "update")
+        db.replace_column("f", "s", np.zeros(10), "update")
         assert db._mvcc.version_count == before + 1
 
     def test_create_preserves_column_order(self):
         db = make_db()
-        apply_column_update(db, "f", "s", np.zeros(10), "create")
+        db.replace_column("f", "s", np.zeros(10), "create")
         assert db.table("f").column_names() == ["s", "d"]
 
 

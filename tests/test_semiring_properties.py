@@ -169,8 +169,3 @@ class TestSQLFace:
         ring = VarianceSemiRing()
         scaled = dict(ring.scale_sql("m", "k.cnt"))
         assert scaled["s"] == "(m.s * k.cnt)"
-
-    def test_gradient_residual_update_sql(self):
-        ring = GradientSemiRing()
-        update = dict(ring.residual_update_sql("t", "0.5"))
-        assert update["g"] == "(t.g + (0.5) * t.h)"

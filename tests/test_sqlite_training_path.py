@@ -5,8 +5,13 @@
   new column and writing it back row by row;
 * the lifted fact's join-key index is built only for the per-leaf split
   path, which reads it — a default (batched) training never creates it;
-* ``SQLiteConnector.replace_column`` (still reached by multiclass
-  training and explicit column updates) is one set-based write.
+* every residual write, multiclass chains included, goes through
+  ``ResidualUpdater.write``: on sqlite that is one in-DBMS ``UPDATE``
+  per tree (the softmax refresh is one more per round), and no column is
+  fetched and written back; ``SQLiteConnector.replace_column`` (reached
+  by explicit column updates only) is one set-based write;
+* a permanent fault on a label ``UPDATE`` ends batching, and training
+  finishes on the per-leaf path with the per-leaf pin.
 
 Digests are pinned from the implementation that fetched the column and
 indexed the lifted fact at setup: the physical plan changed, the models
@@ -29,7 +34,7 @@ from repro.core.serialize import model_digest
 from repro.core.split import SplitFinder
 from repro.datasets import favorita
 from repro.engine.database import Database
-from repro.exceptions import ExecutionError
+from repro.exceptions import ExecutionError, TrainingError
 from repro.factorize.executor import Factorizer
 from repro.semiring.losses import get_loss
 from repro.semiring.variance import VarianceSemiRing
@@ -45,11 +50,28 @@ PINNED_REGRESSION_AUTO = "25d1dcb6213e8725"
 #: 2 000-row Favorita (seed 1) with a 3-class target, 2 rounds x 4 leaves
 PINNED_MULTICLASS = "12e6ba1742ec798a"
 
+#: the same multiclass model on the embedded engine, every storage preset
+PINNED_MULTICLASS_EMBEDDED = "b946d0de1f577a2f"
+
 
 def _favorita(rows=10_000):
     conn = repro.connect(backend="sqlite")
     _, graph = favorita(db=conn, num_fact_rows=rows, seed=1)
     return conn, graph
+
+
+def _multiclass(conn, **params):
+    """Train the pinned 3-class model on ``conn`` (then close it)."""
+    _, graph = favorita(db=conn, num_fact_rows=2_000, seed=1)
+    fact, y = graph.target_relation, graph.target_column
+    conn.execute(f"UPDATE {fact} SET {y} = CAST(ABS({y}) AS INTEGER) % 3")
+    try:
+        return repro.train_gradient_boosting(conn, graph, {
+            "objective": "multiclass", "num_class": 3,
+            "num_iterations": 2, "num_leaves": 4, **params,
+        })
+    finally:
+        conn.close()
 
 
 def _lifted_indexes(conn):
@@ -212,12 +234,97 @@ class TestSetBasedReplaceColumn:
         conn.close()
 
     def test_multiclass_digest_unchanged(self):
-        conn, graph = _favorita(rows=2_000)
-        fact, y = graph.target_relation, graph.target_column
-        conn.execute(f"UPDATE {fact} SET {y} = CAST(ABS({y}) AS INTEGER) % 3")
-        model = repro.train_gradient_boosting(conn, graph, {
-            "objective": "multiclass", "num_class": 3,
-            "num_iterations": 2, "num_leaves": 4,
-        })
-        conn.close()
+        model = _multiclass(repro.connect(backend="sqlite"))
         assert model_digest(model).startswith(PINNED_MULTICLASS)
+
+
+class TestMulticlassResidualWrite:
+    @pytest.mark.parametrize("strategy", ["swap", "update", "create"])
+    @pytest.mark.parametrize("backend, pin", [
+        (preset, PINNED_MULTICLASS_EMBEDDED) for preset in StorageConfig.PRESETS
+    ] + [("sqlite", PINNED_MULTICLASS)])
+    def test_every_strategy_grows_one_model(self, backend, pin, strategy):
+        """Multiclass honours ``update_strategy``; on presets without a
+        column swap (x-col, x-row, d-disk, d-mem) ``swap`` resolves to the
+        in-DBMS UPDATE, where multiclass used to raise StorageError."""
+        model = _multiclass(
+            repro.connect(backend=backend), update_strategy=strategy
+        )
+        assert model_digest(model).startswith(pin)
+
+    def test_k_plus_one_in_dbms_updates_per_round(self, monkeypatch):
+        """Each round shifts the k class predictions (one UPDATE each) and
+        refreshes every class's g/h (one more); nothing is fetched and
+        written back."""
+        written = []
+        monkeypatch.setattr(
+            SQLiteConnector, "replace_column",
+            lambda self, *args, **kwargs: written.append(args[:2]),
+        )
+        conn = repro.connect(backend="sqlite")
+        profiles = conn.profiles
+        _multiclass(conn)
+        writes = [p for p in profiles if p.tag == "residual_update"]
+        assert [p.kind for p in writes] == ["Update"] * (2 * (3 + 1))
+        assert written == []
+
+
+class TestGeneralLossWrite:
+    @pytest.mark.parametrize("batching", ["auto", "off"])
+    def test_one_statement_per_tree(self, batching):
+        """Huber shifts pred and recomputes g in one UPDATE per tree, over
+        the leaf labels (auto) and over the semi-joins (off) alike."""
+        conn, graph = _favorita(rows=2_000)
+        model = repro.train_gradient_boosting(conn, graph, {
+            "num_iterations": 3, "num_leaves": 4, "objective": "huber",
+            "update_strategy": "update", "split_batching": batching,
+        })
+        writes = conn.profiles_by_tag()["residual_update"]
+        conn.close()
+        assert len(writes) == len(model.trees) == 3
+        assert all(p.sql.startswith("UPDATE ") for p in writes)
+        if batching == "off":
+            assert all("IN (SELECT" in p.sql for p in writes)
+        else:
+            assert not any("IN (SELECT" in p.sql for p in writes)
+
+
+class TestNaiveNeedsAdditiveLoss:
+    @pytest.mark.parametrize("params", [
+        {"objective": "huber"},
+        {"objective": "multiclass", "num_class": 3},
+    ])
+    def test_refused_before_any_statement(self, params):
+        conn, graph = _favorita(rows=2_000)
+        issued = len(conn.profiles)
+        with pytest.raises(TrainingError, match="naive"):
+            repro.train_gradient_boosting(conn, graph, {
+                "num_iterations": 2, "num_leaves": 4,
+                "update_strategy": "naive", **params,
+            })
+        assert len(conn.profiles) == issued
+        conn.close()
+
+
+class TestLabelFallback:
+    @pytest.mark.parametrize("strategy", ["swap", "update", "create"])
+    def test_permanent_label_fault_falls_back_per_leaf(self, strategy):
+        """A permanent fault on the third split's label UPDATE ends
+        batching: the rest of training runs per-leaf, and the model is
+        the per-leaf one (batched regression's own pin cannot hold once
+        the fallback removes its sibling subtraction)."""
+        conn = repro.connect(
+            backend="sqlite",
+            chaos="tag=frontier_delta:nth=3:times=1:kind=permanent",
+        )
+        _, graph = favorita(db=conn, num_fact_rows=10_000, seed=1)
+        try:
+            model = repro.train_gradient_boosting(conn, graph, {
+                "num_iterations": 2, "num_leaves": 8,
+                "update_strategy": strategy,
+            })
+        finally:
+            conn.close()
+        veto = model.frontier_census["batching_veto"]
+        assert veto.startswith("delta label update failed")
+        assert model_digest(model).startswith(PINNED["regression"])
