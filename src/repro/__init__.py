@@ -36,7 +36,6 @@ from repro.backends import (
     ChaosConnector,
     Connector,
     DuckDBConnector,
-    EmbeddedConnector,
     FaultPlan,
     RetryConnector,
     SQLiteConnector,
@@ -120,7 +119,6 @@ __all__ = [
     "TrainSet",
     "TrainParams",
     "Connector",
-    "EmbeddedConnector",
     "SQLiteConnector",
     "DuckDBConnector",
     "ChaosConnector",

@@ -151,7 +151,9 @@ def train(params: Optional[Dict] = None, train_set: TrainSet = None, **overrides
 
 def train_decision_tree(db, graph: JoinGraph, params=None, **overrides):
     """Train one factorized decision tree (variance criterion)."""
-    train_params = TrainParams.from_dict(params, **overrides)
+    train_params = TrainParams.from_dict(params, **overrides).unbinned(
+        "train_decision_tree"
+    )
     graph.validate()
     configure_encoding_cache(db, train_params.encoding_cache)
     factorizer = Factorizer(db, graph, VarianceSemiRing())

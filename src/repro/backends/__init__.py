@@ -6,7 +6,7 @@ package's registry:
 ===============  ==========================================================
 name             engine
 ===============  ==========================================================
-``embedded``     the in-process engine (``repro.engine.database.Database``)
+``embedded``     the in-process engine, ``repro.engine.database.Database``
 ``plain`` ...    embedded-engine *storage presets* (``x-col``, ``x-row``,
                  ``d-disk``, ``d-mem``, ``dp``, ``d-swap``) — one engine,
                  different physical layouts (the Figure 5/15 benches)
@@ -39,7 +39,6 @@ from repro.backends.chaos import (
     RetryConnector,
     wrap_with_chaos,
 )
-from repro.backends.embedded import EmbeddedConnector
 from repro.backends.dbapi import SQLConnector, SQLTableView
 from repro.backends.sqlite3_backend import SQLiteConnector
 from repro.backends.duckdb_backend import DuckDBConnector
@@ -54,7 +53,6 @@ __all__ = [
     "FaultRule",
     "RetryConnector",
     "wrap_with_chaos",
-    "EmbeddedConnector",
     "SQLConnector",
     "SQLTableView",
     "SQLiteConnector",

@@ -11,8 +11,8 @@ and never to a concrete engine.
 
 Three implementations ship:
 
-* :class:`~repro.backends.embedded.EmbeddedConnector` — the in-process
-  engine under ``repro.engine.database.Database`` (the default);
+* :class:`~repro.engine.database.Database` — the in-process engine (the
+  default), a connector in its own right;
 * :class:`~repro.backends.sqlite3_backend.SQLiteConnector` — stdlib
   ``sqlite3``, an actual second DBMS, with a dialect-translation layer;
 * :class:`~repro.backends.duckdb_backend.DuckDBConnector` — DuckDB when
@@ -22,12 +22,17 @@ Three implementations ship:
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Union,
+)
 
 import numpy as np
 
-from repro.engine.operators import ColumnEncoding
-from repro.engine.result import Relation
+# Annotation-only: repro.engine.database subclasses Connector, so a
+# runtime import of the engine package from here would be circular.
+if TYPE_CHECKING:
+    from repro.engine.operators import ColumnEncoding
+    from repro.engine.result import Relation
 
 # BackendError moved to repro.exceptions (PR 8, error taxonomy) so the
 # whole hierarchy lives in one module; re-exported here for compat.
@@ -90,10 +95,10 @@ class Capabilities:
 class Connector:
     """Abstract DBMS connector: execute SQL, manage tables, report caps.
 
-    The protocol is intentionally the surface the training stack already
-    consumes, so a bare :class:`~repro.engine.database.Database` is itself
-    protocol-compatible; :class:`EmbeddedConnector` wraps one to add the
-    capability flags and dialect identity.
+    Every engine the trainer runs on is one of these, the embedded
+    :class:`~repro.engine.database.Database` included, so training and
+    serving read :attr:`capabilities` and call the protocol methods
+    without fallbacks.
     """
 
     #: dialect tag ("embedded", "sqlite", "duckdb") for diagnostics
@@ -265,7 +270,7 @@ class Connector:
         return None
 
     # -- profiling -------------------------------------------------------
-    #: per-query :class:`~repro.engine.database.QueryProfile` records;
+    #: per-query :class:`~repro.engine.result.QueryProfile` records;
     #: connectors that profile shadow this with an instance list
     profiles: Sequence = ()
 

@@ -50,8 +50,7 @@ from repro.backends.base import (
     to_sql_values,
 )
 from repro.backends.dialect import DuckDBDialect, SQLiteDialect, split_statements
-from repro.engine.database import QueryProfile
-from repro.engine.result import Relation
+from repro.engine.result import QueryProfile, Relation
 from repro.exceptions import BackendExecutionError, CatalogError, ReproError
 from repro.storage.catalog import TEMP_PREFIX
 from repro.storage.column import Column

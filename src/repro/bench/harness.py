@@ -277,7 +277,10 @@ def fig09_query_census(
     """One gradient-boosting iteration's query census.
 
     ``split_batching="off"`` reproduces the paper's Figure 9 shape — one
-    best-split query per (node, feature), 270 = 15 x 18 by default.
+    best-split query per (evaluated node, feature).  A tree that reaches
+    ``num_leaves`` evaluates every node but the last split's two
+    children, whose candidates are never used: 234 = 13 x 18 by default
+    (the paper's 270 = 15 x 18 counts those two).
     ``"auto"`` runs the batched frontier evaluator: one fused split query
     per feature-bearing relation per evaluation round, so the count drops
     from O(leaves x features) to O(relations), over a persistent
@@ -332,7 +335,7 @@ def fig09_query_census(
         "num_delta_update_queries": len(delta_times),
         "num_root_label_queries": len(root_times),
         "num_feature_relations": len(feature_relations),
-        "expected_feature_queries": (2 * num_leaves - 1) * num_features,
+        "expected_feature_queries": (2 * num_leaves - 3) * num_features,
         "feature_ms": sorted(t * 1000 for t in feature_times),
         "message_ms": sorted(t * 1000 for t in message_times),
         "latency_histogram_ms": (histogram[0].tolist(),

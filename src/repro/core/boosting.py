@@ -215,7 +215,9 @@ def train_gradient_boosting(
     :func:`repro.core.checkpoint.resume_training` rather than passing it
     directly.
     """
-    train_params = boosting_params(params, **overrides)
+    train_params = boosting_params(params, **overrides).unbinned(
+        "train_gradient_boosting"
+    )
     loss = get_loss(train_params.objective, **train_params.loss_kwargs())
     if train_params.update_strategy == "naive" and not loss.supports_galaxy:
         # The U-join baseline shifts one additive component; other losses

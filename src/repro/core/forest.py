@@ -89,7 +89,9 @@ def train_random_forest(
     ``objective='multiclass'``/``'gini'``-style classification via the
     class-count semi-ring.
     """
-    train_params = TrainParams.from_dict(params, **overrides)
+    train_params = TrainParams.from_dict(params, **overrides).unbinned(
+        "train_random_forest"
+    )
     graph.validate()
     configure_encoding_cache(db, train_params.encoding_cache)
     classification = train_params.objective.lower() in (

@@ -116,17 +116,14 @@ _STATE_COLUMNS = itertools.count(1)
 
 def concurrent_read_veto(db) -> Optional[str]:
     """Why the scheduler must NOT fan read queries out on this backend
-    (``None`` = safe).  Missing capabilities follow the permissive idiom
-    the training stack uses everywhere (a bare embedded ``Database`` has
-    the audited read path); connectors opt out via
+    (``None`` = safe).  Connectors opt out via
     ``Capabilities.concurrent_read=False`` — and the reason string is
     what ``frontier_census["parallel_fallback_reason"]`` surfaces, so
     the fallback is never silent."""
-    capabilities = getattr(db, "capabilities", None)
-    if capabilities is None or getattr(capabilities, "concurrent_read", True):
+    if db.capabilities.concurrent_read:
         return None
     return (
-        f"backend dialect {getattr(db, 'dialect', 'unknown')!r} declares "
+        f"backend dialect {db.dialect!r} declares "
         "Capabilities.concurrent_read=False"
     )
 
@@ -358,13 +355,10 @@ class FrontierState:
         ``WHERE`` matched, i.e. every row of the split leaf (from the
         query profile when available, conservatively the full column
         size otherwise)."""
-        rows = None
-        profiles = getattr(self.db, "profiles", None)
-        if profiles:
-            last = profiles[-1]
-            if getattr(last, "kind", None) == "Update":
-                rows = last.rows_out
-        if rows is None:
+        profiles = self.db.profiles
+        if profiles and profiles[-1].kind == "Update":
+            rows = profiles[-1].rows_out
+        else:
             rows = self.db.table(table).num_rows()
         self.label_rows_written += rows
         self.label_bytes_written += 8 * rows
@@ -588,14 +582,10 @@ class FrontierEvaluator:
         return self._batch_veto
 
     def _compute_veto(self) -> Optional[str]:
-        capabilities = getattr(self.db, "capabilities", None)
-        if capabilities is not None and not getattr(
-            capabilities, "union_all", True
-        ):
+        capabilities = self.db.capabilities
+        if not capabilities.union_all:
             return "backend lacks UNION ALL"
-        if capabilities is not None and not getattr(
-            capabilities, "narrow_update", True
-        ):
+        if not capabilities.narrow_update:
             return "backend lacks narrow predicated UPDATE (leaf labels)"
         if self.factorizer.outer_joins:
             return "outer-join factorizer (missing-key tolerance mode)"
@@ -633,9 +623,7 @@ class FrontierEvaluator:
             # Standard messages out of the lifted fact group by its join
             # key: build that index before the first one (training setup
             # leaves it out, the batched path never reads it).
-            index_lifted = getattr(self.db, "index_lifted", None)
-            if index_lifted is not None:
-                index_lifted(self.graph, self.factorizer.lifted)
+            self.db.index_lifted(self.graph, self.factorizer.lifted)
             self._lifted_indexed = True
         out: Dict[int, Optional[SplitCandidate]] = {}
         for node in nodes:
@@ -821,12 +809,11 @@ class FrontierEvaluator:
         def read(relation: str, group: List[Tuple[int, str]]):
             # A pooled per-thread connection on sqlite, the audited
             # in-process read path on the embedded engine.
-            runner = getattr(self.db, "execute_read", self.db.execute)
             sql = self._fused_sql(
                 relation, group, fact, absorptions[relation],
                 label_column, frontier_ids,
             )
-            return runner(sql, tag="feature")
+            return self.db.execute_read(sql, tag="feature")
 
         def scan(relation: str, group: List[Tuple[int, str]], read_id: int):
             self._scan_fused_result(

@@ -199,6 +199,18 @@ class TrainParams:
                 merged["num_workers"] = env
         return TrainParams(**merged)  # type: ignore[arg-type]
 
+    def unbinned(self, driver: str) -> "TrainParams":
+        """These parameters, for a ``driver`` that splits on exact feature
+        values: ``max_bin``, which only the cuboid driver honours, is
+        refused rather than silently ignored."""
+        if self.max_bin is not None:
+            raise TrainingError(
+                f"max_bin = {self.max_bin} is not supported by {driver}, "
+                "which splits on exact feature values; use "
+                "train_boosting_on_cuboid for binned training"
+            )
+        return self
+
     def loss_kwargs(self) -> Dict[str, object]:
         """Constructor arguments for the configured objective's Loss."""
         name = self.objective.lower()

@@ -149,11 +149,8 @@ class ResidualUpdater:
         self.loss = loss
         # Without a column swap, "swap" would fetch the new column and
         # write it back row by row (the expensive form of Fig. 5): the
-        # in-DBMS UPDATE is the cheap write there.  A connector without
-        # capabilities keeps the requested strategy (the permissive idiom).
-        capabilities = getattr(db, "capabilities", None)
-        if strategy == "swap" and capabilities is not None \
-                and not capabilities.column_swap:
+        # in-DBMS UPDATE is the cheap write there.
+        if strategy == "swap" and not db.capabilities.column_swap:
             strategy = "update"
         self.strategy = strategy
 

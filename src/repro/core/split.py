@@ -295,18 +295,12 @@ class SplitFinder:
             self.criterion.sql_capable
             and not categorical
             and self.missing == "right"
-            and self._window_capable()
+            and self.db.capabilities.window_functions
         ):
             return self._sql_split(feature, relation, predicates, totals)
         return self._client_side_split(
             feature, relation, predicates, totals, categorical
         )
-
-    def _window_capable(self) -> bool:
-        """Whether the backend can run the Example-2 window query; old
-        engines (connector capability flag off) use the client-side scan."""
-        capabilities = getattr(self.db, "capabilities", None)
-        return capabilities is None or capabilities.window_functions
 
     # ------------------------------------------------------------------
     # Numeric, two-component criteria: single SQL query (Example 2 shape)

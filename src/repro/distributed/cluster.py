@@ -195,7 +195,9 @@ class SimulatedCluster:
         checkpoint on every model-defining field; the restored trees'
         updates are replayed per shard before training continues).
         """
-        train_params = boosting_params(params, **overrides)
+        train_params = boosting_params(params, **overrides).unbinned(
+            "SimulatedCluster"
+        )
         payload = (
             read_checkpoint(self.checkpoint) if self.checkpoint is not None
             else None
@@ -278,7 +280,9 @@ class SimulatedCluster:
         self, params: Optional[dict] = None, **overrides
     ) -> Tuple[DecisionTreeModel, float]:
         """Distributed decision tree (the Figure 13 warehouse workload)."""
-        train_params = TrainParams.from_dict(params, **overrides)
+        train_params = TrainParams.from_dict(params, **overrides).unbinned(
+            "SimulatedCluster"
+        )
         self.simulated_seconds = 0.0
         self.measured_wall_seconds = 0.0
         self.shuffle_bytes = 0

@@ -6,8 +6,8 @@ and records a per-query profile (used to reproduce the paper's Figure 9
 query census).
 """
 
-from repro.engine.database import Database, QueryProfile
-from repro.engine.result import Relation
+from repro.engine.database import Database
+from repro.engine.result import QueryProfile, Relation
 from repro.engine.scheduler import QueryScheduler, ScheduledQuery
 
 __all__ = [

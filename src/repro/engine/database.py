@@ -1,67 +1,60 @@
 """The Database facade: parse, plan, execute, profile.
 
-This is the object that stands in for DuckDB / DBMS-X.  JoinBoost's
-connector hands it SQL strings; it returns :class:`Relation` results and
-keeps a per-query profile (kind, latency, rows) that the Figure 9 census
-bench reads back.
+This is the object that stands in for DuckDB / DBMS-X, and the embedded
+engine's :class:`~repro.backends.base.Connector`: JoinBoost hands it SQL
+strings; it returns :class:`Relation` results and keeps a per-query
+profile (kind, latency, rows) that the Figure 9 census bench reads back.
+
+Storage presets ("plain", "x-col", "d-mem", "dp", "d-swap", ...) are
+configurations of this one engine, registered as backends so that
+``connect(backend="d-swap")`` builds a ``Database`` of that preset.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 import time
 from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.exceptions import CatalogError, ExecutionError, PlanError, SQLError
+from repro.backends.base import Capabilities, Connector, register_backend
+from repro.exceptions import ExecutionError, SQLError
 from repro.sql import ast_nodes as ast
 from repro.sql.expressions import Frame, as_objects, evaluate, restrict
 from repro.sql.parser import parse
 from repro.sql.shapes import Shape, normalize
 from repro.engine import operators as ops
 from repro.engine.encodings import EncodingCache
-from repro.engine.planner import run_query, run_select, _precompute_subqueries
-from repro.engine.result import Relation
+from repro.engine.planner import run_query, _precompute_subqueries
+from repro.engine.result import QueryProfile, Relation
 from repro.storage.catalog import Catalog
 from repro.storage.column import Column, ColumnType
 from repro.storage.mvcc import VersionStore
-from repro.storage.table import ColumnTable, StorageConfig, Table
+from repro.storage.table import StorageConfig, Table
 from repro.storage.wal import WriteAheadLog
 
 #: statement shapes whose parsed ASTs the plan cache keeps
 PARSE_CACHE_SIZE = 256
 
 
-@dataclasses.dataclass
-class QueryProfile:
-    """One executed statement: text, classification tag, latency, fan-out.
-
-    ``encode_passes``/``encode_seconds`` split the latency into key-encode
-    work vs everything else (aggregation, joins, projection): the Figure 9
-    census and the encoding-cache CI gate read the split.
-    """
-
-    sql: str
-    kind: str
-    seconds: float
-    rows_out: int
-    tag: Optional[str] = None
-    encode_passes: int = 0
-    encode_seconds: float = 0.0
-    #: ``time.perf_counter()`` at statement start — two profiles overlap
-    #: when their [started, started+seconds) intervals intersect, which is
-    #: how the Figure 18 bench measures real inter-query concurrency
-    started: float = 0.0
-
-
-class Database:
+class Database(Connector):
     """An embedded single-process database over the storage substrate."""
+
+    dialect = "embedded"
 
     def __init__(self, config: Optional[StorageConfig] = None, name: str = "repro"):
         self.name = name
         self.config = config or StorageConfig()
+        # Every other flag keeps its default, True.  concurrent_read holds
+        # because the plain execute path is the read path: base relations
+        # and the encoding cache are immutable during an evaluation round,
+        # get-or-compute encoding is lock-protected, and catalog mutations
+        # are serialized behind the catalog lock.
+        self.capabilities = Capabilities(
+            column_swap=self.config.allow_column_swap
+            or self.config.layout == "external",
+        )
         self.catalog = Catalog()
         self._wal = (
             WriteAheadLog(sync=self.config.wal_sync) if self.config.wal else None
@@ -187,16 +180,6 @@ class Database:
                     del self._parse_cache[next(iter(self._parse_cache))]
         return shape.bind(sql_text, slots)
 
-    def execute_read(self, sql_text: str, tag: Optional[str] = None) -> Optional[Relation]:
-        """Concurrency-safe read entry point (the Connector protocol's
-        ``execute_read``).  The embedded engine executes in-process over
-        immutable-during-a-round storage: SELECTs from worker threads
-        read shared arrays, the encoding cache's get-or-compute is
-        lock-protected, and catalog mutations are serialized behind the
-        catalog lock — so the plain execute path is the read path.
-        """
-        return self.execute(sql_text, tag=tag)
-
     def _run_statement(self, statement: ast.Statement, tag: Optional[str]) -> Optional[Relation]:
         start = time.perf_counter()
         encode_before = ops.encode_census()
@@ -297,12 +280,6 @@ class Database:
     def reset_profiles(self) -> None:
         self.profiles.clear()
 
-    def profiles_by_tag(self) -> Dict[str, List[QueryProfile]]:
-        grouped: Dict[str, List[QueryProfile]] = {}
-        for profile in self.profiles:
-            grouped.setdefault(profile.tag or "untagged", []).append(profile)
-        return grouped
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -314,3 +291,14 @@ class Database:
 
     def __repr__(self) -> str:
         return f"Database({self.name!r}, tables={len(self.catalog)})"
+
+
+def _preset_factory(preset: str):
+    return lambda name="repro": Database(
+        config=StorageConfig.preset(preset), name=name
+    )
+
+
+register_backend("embedded")(_preset_factory("plain"))
+for _preset in StorageConfig.PRESETS:
+    register_backend(_preset)(_preset_factory(_preset))

@@ -1,13 +1,37 @@
-"""Query results: an ordered, immutable bag of named columns."""
+"""Query results: an ordered, immutable bag of named columns, and the
+per-statement profile every connector records."""
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Sequence, Tuple
+import dataclasses
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import ExecutionError
 from repro.storage.column import Column
+
+
+@dataclasses.dataclass
+class QueryProfile:
+    """One executed statement: text, classification tag, latency, fan-out.
+
+    ``encode_passes``/``encode_seconds`` split the latency into key-encode
+    work vs everything else (aggregation, joins, projection): the Figure 9
+    census and the encoding-cache CI gate read the split.
+    """
+
+    sql: str
+    kind: str
+    seconds: float
+    rows_out: int
+    tag: Optional[str] = None
+    encode_passes: int = 0
+    encode_seconds: float = 0.0
+    #: ``time.perf_counter()`` at statement start — two profiles overlap
+    #: when their [started, started+seconds) intervals intersect, which is
+    #: how the Figure 18 bench measures real inter-query concurrency
+    started: float = 0.0
 
 
 class Relation:

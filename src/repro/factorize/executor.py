@@ -73,9 +73,7 @@ def prepare_training_paths(db, graph: JoinGraph, factorizer: "Factorizer") -> No
     so per-tree drivers (random forests) can call this per lift.
     """
     factorizer.warm_encodings()
-    prepare = getattr(db, "prepare_training", None)
-    if prepare is not None:
-        prepare(graph, factorizer.lifted)
+    db.prepare_training(graph, factorizer.lifted)
 
 
 def configure_encoding_cache(db, mode: str) -> None:

@@ -16,15 +16,18 @@ from repro.backends import (
     Connector,
     DuckDBConnector,
     DuckDBDialect,
-    EmbeddedConnector,
     SQLiteConnector,
     SQLiteDialect,
     backend_names,
     get_backend,
     split_statements,
 )
+from repro.core.serialize import model_digest
+from repro.datasets import favorita
+from repro.engine.database import Database
 from repro.exceptions import CatalogError, ExecutionError
 from repro.joingraph.graph import JoinGraph
+from repro.storage.table import StorageConfig
 
 from conftest import backend_matrix, duckdb_column
 
@@ -363,7 +366,7 @@ class TestRegistry:
         # .unwrapped sees through the chaos/retry proxies connect() may
         # stack (e.g. under a JOINBOOST_CHAOS CI leg)
         conn = repro.connect(backend="d-swap")
-        assert isinstance(conn.unwrapped, EmbeddedConnector)
+        assert isinstance(conn.unwrapped, Database)
         assert conn.capabilities.column_swap
         assert not repro.connect(backend="d-mem").capabilities.column_swap
 
@@ -385,6 +388,19 @@ class TestRegistry:
             pass
         with pytest.raises(BackendError, match="pip install"):
             DuckDBConnector()
+
+    @pytest.mark.parametrize("preset", sorted(StorageConfig.PRESETS))
+    def test_front_doors_train_one_model(self, preset):
+        """A bare preset ``Database`` is the connector ``connect`` builds:
+        default boosting picks the same strategy and model through both."""
+
+        def digest(db):
+            db, graph = favorita(db=db, num_fact_rows=1_000, seed=3)
+            model = repro.train_gradient_boosting(db, graph, {"num_iterations": 3})
+            return model_digest(model)
+
+        bare = digest(Database(config=StorageConfig.preset(preset)))
+        assert bare == digest(repro.connect(backend=preset))
 
     def test_embedded_connector_proxies_engine_internals(self):
         conn = repro.connect(backend="plain", t={"a": [1.0, 2.0]})

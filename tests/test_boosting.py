@@ -311,6 +311,55 @@ class TestRowBaggingRefused:
         assert len(model.trees) == 1
 
 
+class TestMaxBinRefused:
+    """Only the cuboid driver bins features, so every exact-split driver
+    refuses ``max_bin`` rather than silently ignoring it."""
+
+    def test_boosting(self, small_star):
+        db, graph = small_star
+        with pytest.raises(TrainingError, match="train_boosting_on_cuboid"):
+            repro.train_gradient_boosting(
+                db, graph, {"num_iterations": 2, "max_bin": 4}
+            )
+
+    def test_decision_tree(self, small_star):
+        db, graph = small_star
+        with pytest.raises(TrainingError, match="train_boosting_on_cuboid"):
+            repro.train_decision_tree(db, graph, {"max_bin": 4})
+
+    def test_random_forest(self, small_star):
+        db, graph = small_star
+        with pytest.raises(TrainingError, match="train_boosting_on_cuboid"):
+            repro.train_random_forest(
+                db, graph, {"num_iterations": 2, "max_bin": 4}
+            )
+
+    def test_sharded(self, small_star):
+        from repro.distributed import ClusterConfig, SimulatedCluster
+
+        db, graph = small_star
+        cluster = SimulatedCluster(
+            db, graph, "k0", ClusterConfig(num_machines=2)
+        )
+        with pytest.raises(TrainingError, match="train_boosting_on_cuboid"):
+            cluster.train_gradient_boosting({"num_iterations": 2, "max_bin": 4})
+        with pytest.raises(TrainingError, match="train_boosting_on_cuboid"):
+            cluster.train_decision_tree({"max_bin": 4})
+
+    def test_cuboid_honours_max_bin(self, small_star):
+        from repro.core.histogram import train_boosting_on_cuboid
+
+        db, graph = small_star
+        params = {"num_iterations": 3, "num_leaves": 6}
+        digests = {
+            bins: model_digest(train_boosting_on_cuboid(
+                db, graph, dict(params, max_bin=bins)
+            ))
+            for bins in (2, 16)
+        }
+        assert digests[2] != digests[16]
+
+
 class TestQualityParityWithLightGBMStandIn:
     def test_final_rmse_close(self, small_favorita):
         """Section 6.1: final model error is nearly identical."""

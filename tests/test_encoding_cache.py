@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 import repro
-from repro.backends.embedded import EmbeddedConnector
 from repro.datasets import favorita
 from repro.engine import operators as ops
 from repro.engine.database import Database
@@ -360,7 +359,7 @@ class TestTrainingParity:
     def test_parity_without_narrow_update_capability(self):
         models = []
         for mode in ("auto", "off"):
-            conn = EmbeddedConnector()
+            conn = Database()
             conn.capabilities = dataclasses.replace(
                 conn.capabilities, narrow_update=False
             )

@@ -19,7 +19,6 @@ import pytest
 
 import repro
 from repro.backends import SQLiteConnector
-from repro.backends.embedded import EmbeddedConnector
 from repro.core.params import TrainParams
 from repro.core.predict import feature_frame
 from repro.core.split import VarianceCriterion
@@ -250,7 +249,7 @@ class TestResidualLabels:
 
 class TestFallbacks:
     def _no_narrow_update_db(self):
-        conn = EmbeddedConnector()
+        conn = Database()
         conn.capabilities = dataclasses.replace(
             conn.capabilities, narrow_update=False
         )

@@ -21,7 +21,6 @@ import pytest
 import repro
 from repro.backends import SQLiteConnector, get_backend
 from repro.backends.base import Capabilities
-from repro.backends.embedded import EmbeddedConnector
 from repro.core.params import NUM_WORKERS_ENV, TrainParams
 from repro.core.serialize import model_digest
 from repro.datasets import favorita
@@ -179,7 +178,7 @@ class TestWiring:
         assert "num_workers=1" in census["parallel_fallback_reason"]
 
     def test_backend_without_concurrent_read_stays_serial(self):
-        db, graph = mixed_schema(EmbeddedConnector())
+        db, graph = mixed_schema(Database())
         db.capabilities = dataclasses.replace(
             db.capabilities, concurrent_read=False
         )
@@ -388,7 +387,7 @@ class TestSQLiteReaderPool(ReaderPoolContract):
 
     def test_capabilities_declare_concurrent_read(self):
         super().test_capabilities_declare_concurrent_read()
-        assert EmbeddedConnector().capabilities.concurrent_read
+        assert Database().capabilities.concurrent_read
         assert Capabilities().concurrent_read  # permissive default
 
     def test_close_is_idempotent_and_cleans_up(self):

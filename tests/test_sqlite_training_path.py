@@ -115,8 +115,8 @@ class TestResidualWrite:
         assert resolved(repro.connect(backend="sqlite")) == "update"
         assert resolved(repro.connect(backend="d-mem")) == "update"
         assert resolved(repro.connect(backend="plain")) == "swap"
-        # no capabilities at all: the requested strategy stands
-        assert resolved(Database(config=StorageConfig.preset("d-mem"))) == "swap"
+        # the bare engine is the same connector as its registry entry
+        assert resolved(Database(config=StorageConfig.preset("d-mem"))) == "update"
 
     def test_one_in_dbms_update_per_tree(self, monkeypatch):
         """Default params on sqlite: each tree's residual write is one
