@@ -70,7 +70,6 @@ tree is bit-identical at every worker count and on every backend.
 
 from __future__ import annotations
 
-import itertools
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -108,10 +107,16 @@ Slices = Dict[Tuple[str, str], Slice]
 #: a child derived by subtraction, with its parent's slices
 Sibling = Tuple[TreeNode, Slices]
 
-#: physical names for persistent (incremental) label columns — distinct
-#: from the bare grouping alias so several trainers can share one lifted
-#: fact (multiclass) without tripping the user-column collision veto
-_STATE_COLUMNS = itertools.count(1)
+def _state_column_name(names: Set[str]) -> str:
+    """The persistent label column's name on a lifted fact holding
+    ``names``: the first free ``jb_leaf_s<k>``.  Distinct from the bare
+    grouping alias, and from every earlier trainer's column on a shared
+    lifted fact (multiclass), yet a function of the table alone, so the
+    statement text does not depend on what trained before."""
+    k = 1
+    while f"{LEAF_COLUMN}_s{k}" in names:
+        k += 1
+    return f"{LEAF_COLUMN}_s{k}"
 
 
 def concurrent_read_veto(db) -> Optional[str]:
@@ -275,9 +280,7 @@ class FrontierState:
                 tag="frontier_root",
             )
             return True
-        name = f"{LEAF_COLUMN}_s{next(_STATE_COLUMNS)}"
-        while name in names:  # pragma: no cover - counter names are fresh
-            name = f"{LEAF_COLUMN}_s{next(_STATE_COLUMNS)}"
+        name = _state_column_name(names)
         try:
             self.db.execute(
                 f"ALTER TABLE {table} ADD COLUMN {name} INTEGER",
