@@ -27,12 +27,12 @@ from typing import Dict, Optional, Tuple
 from repro.exceptions import TrainingError
 from repro.core.frontier import FrontierEvaluator
 from repro.core.params import TrainParams
+from repro.core.sql_score import join_tree_sql
 from repro.core.split import VarianceCriterion
 from repro.core.trainer import DecisionTreeTrainer
 from repro.core.tree import DecisionTreeModel
 from repro.factorize.executor import Factorizer
 from repro.joingraph.graph import JoinGraph
-from repro.joingraph.hypertree import edge_between, rooted_tree
 from repro.semiring.variance import VarianceSemiRing
 
 VARIANTS = ("naive", "batch", "joinboost")
@@ -74,7 +74,7 @@ def _train_factorized(
     db, graph: JoinGraph, params: TrainParams, share_across_nodes: bool
 ) -> DecisionTreeModel:
     ring = VarianceSemiRing()
-    factorizer = Factorizer(db, graph, ring, cache_enabled=True)
+    factorizer = Factorizer(db, graph, ring)
     factorizer.lift()
     criterion = VarianceCriterion()
     if share_across_nodes:
@@ -111,7 +111,7 @@ def _train_naive(db, graph: JoinGraph, params: TrainParams) -> DecisionTreeModel
     """Materialize the wide table, then train over the single relation."""
     fact = graph.target_relation
     wide_name = db.temp_name("wide")
-    sql, feature_names = _wide_table_sql(db, graph, fact)
+    sql, feature_names = _wide_table_sql(graph, fact)
     db.execute(f"CREATE TABLE {wide_name} AS {sql}", tag="materialize")
 
     wide_graph = JoinGraph(db)
@@ -127,7 +127,7 @@ def _train_naive(db, graph: JoinGraph, params: TrainParams) -> DecisionTreeModel
         categorical=categorical,
     )
     ring = VarianceSemiRing()
-    factorizer = Factorizer(db, wide_graph, ring, cache_enabled=False)
+    factorizer = Factorizer(db, wide_graph, ring)
     factorizer.lift()
     criterion = VarianceCriterion()
     params = _per_leaf_params(params)
@@ -140,22 +140,9 @@ def _train_naive(db, graph: JoinGraph, params: TrainParams) -> DecisionTreeModel
     return model
 
 
-def _wide_table_sql(db, graph: JoinGraph, fact: str) -> Tuple[str, list]:
-    parent_map, children, _ = rooted_tree(graph, fact)
-    aliases = {fact: "t"}
-    joins = []
-    frontier = [fact]
-    while frontier:
-        current = frontier.pop(0)
-        for child in children[current]:
-            aliases[child] = f"r{len(aliases)}"
-            edge = edge_between(graph, current, child)
-            condition = " AND ".join(
-                f"{aliases[current]}.{a} = {aliases[child]}.{b}"
-                for a, b in zip(edge.keys_for(current), edge.keys_for(child))
-            )
-            joins.append(f"JOIN {child} AS {aliases[child]} ON {condition}")
-            frontier.append(child)
+def _wide_table_sql(graph: JoinGraph, fact: str) -> Tuple[str, list]:
+    """The wide (fully joined) table's SELECT and its feature names."""
+    aliases, joins = join_tree_sql(graph, fact, join_kind="JOIN")
     select_parts = []
     feature_names = []
     for relation, feature in graph.all_features():

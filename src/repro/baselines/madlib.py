@@ -42,7 +42,7 @@ def train_madlib_tree(
 
     # Materialize the join and convert it to row-oriented storage.
     fact = graph.target_relation
-    sql, feature_names = _wide_table_sql(db, graph, fact)
+    sql, feature_names = _wide_table_sql(graph, fact)
     relation = db.execute(sql, tag="materialize")
     wide_name = db.temp_name("madlib_wide")
     row_table = RowTable(
@@ -64,8 +64,8 @@ def train_madlib_tree(
         y=graph.target_column,
         categorical=categorical,
     )
-    # No factorization and no caching: every query re-scans the rows.
-    factorizer = Factorizer(db, wide_graph, VarianceSemiRing(), cache_enabled=False)
+    # One wide relation: no messages, so every query re-scans the rows.
+    factorizer = Factorizer(db, wide_graph, VarianceSemiRing())
     factorizer.lift()
     # The lifted copy must stay row-oriented too.
     lifted_name = factorizer.lifted[wide_name]

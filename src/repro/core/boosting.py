@@ -360,7 +360,7 @@ def _train_galaxy(
         for cluster in clusters:
             table = (
                 factorizer.lifted[target] if cluster.fact == target
-                else factorizer.lift_identity(cluster.fact)
+                else factorizer.lift(ring.identity_sql(), relation=cluster.fact)
             )
             updaters[cluster.fact] = ResidualUpdater(
                 db, graph, cluster.fact, table, loss,

@@ -58,8 +58,8 @@ one partition of a leaf's rows with exactly equal gains.
 Every batched round is one dependency DAG on the
 :class:`~repro.engine.scheduler.QueryScheduler` — the paper's Section
 5.5.3 inter-query parallelism executed for real.  Each relation is a
-chain: *build* (its carry messages) → per kind group *read* (the fused
-query) → *scan* → *finalize* (drop the message temps).  One worker runs
+chain: *build* (its carry messages, owned by the message cache) → per
+kind group *read* (the fused query) → *scan*.  One worker runs
 the DAG inline, depth-first, relation by relation; with
 ``num_workers > 1`` (and a backend declaring
 ``Capabilities.concurrent_read``) different relations' chains overlap on
@@ -106,6 +106,7 @@ Slices = Dict[Tuple[str, str], Slice]
 
 #: a child derived by subtraction, with its parent's slices
 Sibling = Tuple[TreeNode, Slices]
+
 
 def _state_column_name(names: Set[str]) -> str:
     """The persistent label column's name on a lifted fact holding
@@ -770,8 +771,9 @@ class FrontierEvaluator:
         against other builds by the factorizer's build lock, cached under
         the leaf epoch so relations whose routing paths share a prefix
         reuse them) → per kind group a *read* (the fused query) → *scan*
-        (the client-side prefix scan) → *finalize* (drop the message
-        temps).  Kind groups are chained, so a failed build or read skips
+        (the client-side prefix scan).  The message cache owns every
+        carry message, so nothing is left to drop when a chain ends or
+        fails.  Kind groups are chained, so a failed build or read skips
         the rest of its relation while the other relations still run,
         and the first failure in submission order is raised — one worker
         and many issue the same statements.  Inline, the chains run
@@ -824,10 +826,6 @@ class FrontierEvaluator:
                 relation, group, nodes, sibling, candidates,
             )
 
-        def finalize(relation: str) -> None:
-            for temp in absorptions.pop(relation).temp_tables:
-                self.db.drop_table(temp, if_exists=True)
-
         queries = 0
         for relation, indexed in by_relation.items():
             previous = scheduler.submit(
@@ -846,11 +844,6 @@ class FrontierEvaluator:
                     label=f"scan:{relation}:{group_index}",
                 )
             queries += len(groups)
-            scheduler.submit(
-                partial(finalize, relation),
-                deps=[previous],
-                label=f"finalize:{relation}",
-            )
         try:
             report = scheduler.run()
         finally:
@@ -858,11 +851,6 @@ class FrontierEvaluator:
             # unbind it so the round's DAG is freed by refcount, not left
             # to the cyclic collector, whose late passes raise peak rss.
             del scheduler
-            # A failed build or read skips the rest of its chain, finalize
-            # included: drop the message temps nobody consumed.
-            for absorption in absorptions.values():
-                for temp in absorption.temp_tables:
-                    self.db.drop_table(temp, if_exists=True)
         self.batched_split_queries += queries
         if num_workers > 1:
             self.parallel_rounds += 1

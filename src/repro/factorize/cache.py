@@ -49,9 +49,8 @@ class MessageCache:
     served.
     """
 
-    def __init__(self, db, enabled: bool = True):
+    def __init__(self, db):
         self.db = db
-        self.enabled = enabled
         self._store: Dict[Tuple, MessageInfo] = {}
         self.hits = 0
         self.misses = 0
@@ -74,9 +73,6 @@ class MessageCache:
         side_predicates: PredicateState,
         scope: Optional[Hashable] = None,
     ) -> Optional[MessageInfo]:
-        if not self.enabled:
-            self.misses += 1
-            return None
         info = self._store.get(self.key(child, parent, side_predicates, scope))
         if info is not None:
             self.hits += 1
@@ -92,8 +88,7 @@ class MessageCache:
         info: MessageInfo,
         scope: Optional[Hashable] = None,
     ) -> None:
-        if self.enabled:
-            self._store[self.key(child, parent, side_predicates, scope)] = info
+        self._store[self.key(child, parent, side_predicates, scope)] = info
 
     def drop_scoped(self, keep_scope: Optional[Hashable] = None) -> int:
         """Drop every scoped (carry) entry whose scope differs from

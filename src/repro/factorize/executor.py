@@ -43,10 +43,10 @@ from repro.semiring.base import SemiRing
 class MultiAbsorption:
     """A prepared multi-group absorption rooted at one relation.
 
-    Messages (standard and carry) are already materialized; callers
-    assemble one or more SELECTs from the pieces — the frontier evaluator
-    builds a ``UNION ALL`` branch per feature over the same ``from_sql`` —
-    then drop ``temp_tables`` when done.
+    Messages (standard and carry) are already materialized and owned by
+    the message cache; callers assemble one or more SELECTs from the
+    pieces — the frontier evaluator builds a ``UNION ALL`` branch per
+    feature over the same ``from_sql``.
     """
 
     root: str
@@ -56,12 +56,29 @@ class MultiAbsorption:
     agg_selects: List[Tuple[str, str]]
     #: alias-qualified references for carried columns: (relation, column)
     carry_refs: Dict[Tuple[str, str], str]
-    #: carry-message tables to drop after the query runs
-    temp_tables: List[str]
 
     def ref(self, relation: str, column: str) -> str:
         """The SQL reference of a carried (or root-owned) column."""
         return self.carry_refs[(relation, column)]
+
+
+@dataclasses.dataclass
+class _Carry:
+    """What carry messages propagate: columns by relation, the values
+    worth keeping per carried (relation, column), and the cache scope."""
+
+    columns: Dict[str, Sequence[str]]
+    filters: Dict[Tuple[str, str], Sequence]
+    scope: Hashable
+
+    def condition(self, rel_col: Tuple[str, str], ref: str) -> str:
+        """Earliest-hop pruning of a carried column: restrict it to its
+        filter values when known, else drop unlabeled rows."""
+        values = self.filters.get(rel_col)
+        if values is not None:
+            rendered = ", ".join(str(int(v)) for v in values)
+            return f"{ref} IN ({rendered})"
+        return f"{ref} IS NOT NULL"
 
 
 def prepare_training_paths(db, graph: JoinGraph, factorizer: "Factorizer") -> None:
@@ -98,7 +115,6 @@ class Factorizer:
         graph: JoinGraph,
         semiring: SemiRing,
         assume_ri: bool = True,
-        cache_enabled: bool = True,
         outer_joins: bool = False,
     ):
         graph.validate(require_target=False)
@@ -111,7 +127,7 @@ class Factorizer:
         self.semiring = semiring
         self.assume_ri = assume_ri
         self.outer_joins = outer_joins
-        self.cache = MessageCache(db, enabled=cache_enabled)
+        self.cache = MessageCache(db)
         self.lifted: Dict[str, str] = {}
         self._side: Dict[Tuple[str, str], FrozenSet[str]] = {}
         self.message_requests = 0
@@ -153,48 +169,27 @@ class Factorizer:
         self,
         lift_exprs: Optional[Sequence[Tuple[str, str]]] = None,
         source_table: Optional[str] = None,
+        relation: Optional[str] = None,
     ) -> str:
-        """Materialize the lifted copy of the target relation.
+        """Materialize the lifted copy of ``relation`` (default: the
+        target relation).
 
         ``lift_exprs`` defaults to the semi-ring's own lift of Y; gradient
-        boosting passes loss-specific (h, g) expressions instead.
-        ``source_table`` substitutes a different physical table for the
-        target relation (random forests lift their per-tree sample).
-        Returns the lifted table's name.  Non-target relations are not
-        copied — they carry the 1 annotation implicitly.
+        boosting passes loss-specific (h, g) expressions instead, and
+        galaxy training lifts each CPT cluster's fact with the semi-ring's
+        identity (Section 4.2), which residual updates then multiply by
+        lift(-p) in place.  ``source_table`` substitutes a different
+        physical table for the relation (random forests lift their
+        per-tree sample).  Returns the lifted table's name.  Relations
+        without a lifted copy carry the 1 annotation implicitly.
         """
-        target = self.graph.target_relation
-        y_column = self.graph.target_column
-        source = source_table or target
-        exprs = list(lift_exprs) if lift_exprs is not None else self.semiring.lift_sql(y_column)
-        base_cols = self.db.table(source).column_names()
-        collisions = {c for c, _ in exprs} & {c.lower() for c in base_cols}
-        if collisions:
-            raise TrainingError(
-                f"target relation {target!r} has columns colliding with "
-                f"semi-ring components: {sorted(collisions)}"
-            )
-        lifted_name = self.db.temp_name(f"lift_{target}")
-        select_parts = [f"t.{c}" for c in base_cols] + [
-            f"{expr} AS {comp}" for comp, expr in exprs
-        ]
-        self.db.execute(
-            f"CREATE TABLE {lifted_name} AS SELECT {', '.join(select_parts)} "
-            f"FROM {source} AS t",
-            tag="lift",
+        relation = relation or self.graph.target_relation
+        source = source_table or relation
+        exprs = (
+            list(lift_exprs) if lift_exprs is not None
+            else self.semiring.lift_sql(self.graph.target_column)
         )
-        self.lifted[target] = lifted_name
-        return lifted_name
-
-    def lift_identity(self, relation: str) -> str:
-        """Materialize a lifted copy of ``relation`` annotated with 1.
-
-        Used for galaxy-schema update annotations (Section 4.2): each CPT
-        cluster's fact table carries components initialized to the 1
-        element; residual updates multiply them by lift(-p) in place.
-        """
-        exprs = self.semiring.identity_sql()
-        base_cols = self.db.table(relation).column_names()
+        base_cols = self.db.table(source).column_names()
         collisions = {c for c, _ in exprs} & {c.lower() for c in base_cols}
         if collisions:
             raise TrainingError(
@@ -207,7 +202,7 @@ class Factorizer:
         ]
         self.db.execute(
             f"CREATE TABLE {lifted_name} AS SELECT {', '.join(select_parts)} "
-            f"FROM {relation} AS t",
+            f"FROM {source} AS t",
             tag="lift",
         )
         self.lifted[relation] = lifted_name
@@ -262,22 +257,86 @@ class Factorizer:
         be dropped (Appendix D): nothing lifted or filtered on the child's
         side and the join into ``parent`` is fan-out-free.
         """
-        predicates = predicates or {}
         with self._build_lock:
-            self.message_requests += 1
-            side = self._side[(child, parent)]
-            state = predicate_state(predicates, side)
+            return self._message(child, parent, predicates or {}, None)
 
-            if self._droppable(child, parent, side, state):
-                return None
+    def _message(
+        self,
+        child: str,
+        parent: str,
+        predicates: PredicateMap,
+        carry: Optional[_Carry],
+    ) -> Optional[MessageInfo]:
+        """The one message builder, recursive over the sending side.
 
-            cached = self.cache.lookup(child, parent, state)
-            if cached is not None:
-                return cached
+        Without ``carry`` the message is filtered by ``predicates`` and
+        cached by their state on the side.  With it the message is
+        unfiltered, additionally groups by (and re-exposes) the side's
+        carried columns under the earliest-hop filter, and is cached
+        under the carry's scope — unless the side carries nothing, which
+        is the plain message.
+        """
+        side = self._side[(child, parent)]
+        if carry is not None and not any(rel in side for rel in carry.columns):
+            carry = None
+        self.message_requests += 1
+        state = predicate_state(predicates, side)
+        if carry is None and self._droppable(child, parent, side, state):
+            return None
+        scope = None if carry is None else carry.scope
+        cached = self.cache.lookup(child, parent, state, scope=scope)
+        if carry is not None:
+            if cached is None:
+                self.carry_cache_misses += 1
+            else:
+                self.carry_cache_hits += 1
+        if cached is not None:
+            return cached
 
-            info = self._materialize_message(child, parent, predicates, state)
-            self.cache.store(child, parent, state, info)
-            return info
+        infos = self._incoming(child, parent, predicates, carry)
+        own = () if carry is None else carry.columns.get(child, ())
+        joins, annotation, refs = self._join_clauses(child, infos, own)
+        keys = edge_between(self.graph, child, parent).keys_for(child)
+        if carry is None:
+            where = render_conjunction(predicates.get(child, ()), alias="t")
+        else:
+            # Rows outside every frontier leaf cannot contribute to any
+            # group: drop them at the earliest hop.
+            where = " AND ".join(
+                carry.condition(rel_col, ref) for rel_col, ref in refs.items()
+            )
+        select = (
+            [f"t.{k} AS {k}" for k in keys]
+            + [f"{ref} AS {column}" for (_, column), ref in refs.items()]
+            + [
+                f"{expr} AS {comp}"
+                for comp, expr in aggregate_select_list(self.semiring, annotation)
+            ]
+        )
+        group = [f"t.{k}" for k in keys] + list(refs.values())
+        msg_name = self.db.temp_name(f"msg_{child}_{parent}")
+        self.db.execute(
+            f"CREATE TABLE {msg_name} AS SELECT {', '.join(select)} "
+            f"FROM {self.storage_table(child)} AS t {' '.join(joins)}"
+            + (f" WHERE {where}" if where else "")
+            + f" GROUP BY {', '.join(group)}",
+            tag="message",
+        )
+        self.message_executions += 1
+        if carry is not None:
+            self.carry_message_executions += 1
+        info = MessageInfo(
+            table=msg_name,
+            kind=aggregated_kind(annotation),
+            key_columns=tuple(keys),
+            child=child,
+            parent=parent,
+            carried=tuple(refs),
+        )
+        # The cache owns the table from here on: it is dropped on scope
+        # eviction, relation invalidation or cleanup.
+        self.cache.store(child, parent, state, info, scope=scope)
+        return info
 
     def _droppable(
         self,
@@ -305,21 +364,32 @@ class Factorizer:
         relation: str,
         exclude: Optional[str],
         predicates: PredicateMap,
+        carry: Optional[_Carry] = None,
     ) -> List[MessageInfo]:
-        infos: List[MessageInfo] = []
-        for neighbor in self.graph.neighbors(relation):
-            if neighbor == exclude:
-                continue
-            info = self.message(neighbor, relation, predicates)
-            if info is not None:
-                infos.append(info)
-        return infos
+        # The build lock covers the whole hop chain: a concurrent round
+        # evaluating another relation re-uses (never re-builds) any
+        # message this chain materializes, and vice versa.
+        with self._build_lock:
+            infos: List[MessageInfo] = []
+            for neighbor in self.graph.neighbors(relation):
+                if neighbor == exclude:
+                    continue
+                info = self._message(neighbor, relation, predicates, carry)
+                if info is not None:
+                    infos.append(info)
+            return infos
 
     def _join_clauses(
-        self, relation: str, infos: List[MessageInfo]
-    ) -> Tuple[List[str], Annotation]:
-        """JOIN fragments plus the folded annotation for ``relation``."""
+        self,
+        relation: str,
+        infos: List[MessageInfo],
+        carry: Sequence[str] = (),
+    ) -> Tuple[List[str], Annotation, Dict[Tuple[str, str], str]]:
+        """JOIN fragments, the folded annotation, and the references of
+        the carried columns — ``relation``'s own ``carry`` columns, then
+        each message's — for ``relation`` joined with its messages."""
         annotation = self._own_annotation(relation, "t")
+        refs = {(relation, column): f"t.{column}" for column in carry}
         clauses: List[str] = []
         join_kind = "LEFT JOIN" if self.outer_joins else "JOIN"
         for i, info in enumerate(infos):
@@ -338,43 +408,9 @@ class Factorizer:
                     info.kind, alias, self.semiring, outer=self.outer_joins
                 ),
             )
-        return clauses, annotation
-
-    def _materialize_message(
-        self,
-        child: str,
-        parent: str,
-        predicates: PredicateMap,
-        state: FrozenSet,
-    ) -> MessageInfo:
-        edge = edge_between(self.graph, child, parent)
-        keys = edge.keys_for(child)
-        infos = self._incoming(child, exclude=parent, predicates=predicates)
-        joins, annotation = self._join_clauses(child, infos)
-        select_keys = [f"t.{k} AS {k}" for k in keys]
-        agg_parts = [
-            f"{expr} AS {comp}"
-            for comp, expr in aggregate_select_list(self.semiring, annotation)
-        ]
-        where = render_conjunction(predicates.get(child, ()), alias="t")
-        table = self.storage_table(child)
-        msg_name = self.db.temp_name(f"msg_{child}_{parent}")
-        sql = (
-            f"CREATE TABLE {msg_name} AS "
-            f"SELECT {', '.join(select_keys + agg_parts)} "
-            f"FROM {table} AS t {' '.join(joins)}"
-            + (f" WHERE {where}" if where else "")
-            + f" GROUP BY {', '.join(f't.{k}' for k in keys)}"
-        )
-        self.db.execute(sql, tag="message")
-        self.message_executions += 1
-        return MessageInfo(
-            table=msg_name,
-            kind=aggregated_kind(annotation),
-            key_columns=tuple(keys),
-            child=child,
-            parent=parent,
-        )
+            for rel_col in info.carried:
+                refs[rel_col] = f"{alias}.{rel_col[1]}"
+        return clauses, annotation, refs
 
     # ------------------------------------------------------------------
     # Absorption
@@ -393,8 +429,8 @@ class Factorizer:
         Returns (sql, component_columns).
         """
         predicates = predicates or {}
-        infos = self._incoming(root, exclude=None, predicates=predicates)
-        joins, annotation = self._join_clauses(root, infos)
+        infos = self._incoming(root, None, predicates)
+        joins, annotation, _ = self._join_clauses(root, infos)
         agg = aggregate_select_list(self.semiring, annotation)
         select_parts = [f"t.{a} AS {a}" for a in group_attrs] + [
             f"{expr} AS {comp}" for comp, expr in agg
@@ -446,8 +482,8 @@ class Factorizer:
         self,
         root: str,
         carry: Dict[str, Sequence[str]],
-        carry_filters: Optional[Dict[Tuple[str, str], Sequence]] = None,
-        cache_scope: Optional[Hashable] = None,
+        carry_filters: Dict[Tuple[str, str], Sequence],
+        cache_scope: Hashable,
     ) -> MultiAbsorption:
         """Prepare an unfiltered absorption at ``root`` with grouping
         columns carried in from *other* relations.
@@ -461,197 +497,27 @@ class Factorizer:
         ``carry_filters`` maps a carried (relation, column) to the values
         worth propagating — the frontier passes the round's open leaf
         ids, so carry messages aggregate only rows that can contribute
-        (cost proportional to the frontier, not the table).
+        (cost proportional to the frontier, not the table); a carried
+        column without an entry keeps its non-NULL rows.
 
-        ``cache_scope`` controls carry-message reuse.  ``None`` keeps the
-        historical behavior — carry messages are materialized fresh and
-        listed in ``temp_tables`` for the caller to drop.  A hashable
-        scope (the frontier's leaf epoch) caches them instead, shared by
-        every relation evaluated in the same round; stale scopes are
-        evicted via :meth:`begin_carry_scope`.  Temps materialized before
-        a mid-build failure are dropped, not stranded.
+        Carry messages are cached under ``cache_scope`` (the frontier's
+        leaf epoch), shared by every relation evaluated in the same
+        round, and evicted by :meth:`begin_carry_scope`.  The cache owns
+        every message the moment it is materialized, so a build that
+        fails midway leaves nothing that :meth:`cleanup` does not drop.
         """
-        carry_filters = carry_filters or {}
-        if not self.cache.enabled:
-            # A disabled cache makes store() a silent no-op: scoped carry
-            # tables would be owned by nobody and leak.  Fall back to the
-            # caller-dropped temp path.
-            cache_scope = None
-        temps: List[str] = []
-        try:
-            # The build lock covers the whole hop chain: a concurrent
-            # round evaluating another relation re-uses (never re-builds)
-            # any message this chain materializes, and vice versa.
-            with self._build_lock:
-                entries: List[Tuple[MessageInfo, Tuple[Tuple[str, str], ...]]] = []
-                for neighbor in self.graph.neighbors(root):
-                    entry = self._carry_message(
-                        neighbor, root, carry, temps, carry_filters,
-                        cache_scope,
-                    )
-                    if entry is not None:
-                        entries.append(entry)
-        except Exception:
-            for temp in temps:
-                self.db.drop_table(temp, if_exists=True)
-            raise
-
-        annotation = self._own_annotation(root, "t")
-        joins: List[str] = []
-        carry_refs: Dict[Tuple[str, str], str] = {}
-        for column in carry.get(root, ()):
-            carry_refs[(root, column)] = f"t.{column}"
-        join_kind = "LEFT JOIN" if self.outer_joins else "JOIN"
-        for i, (info, carried) in enumerate(entries):
-            alias = f"m{i}"
-            edge = edge_between(self.graph, root, info.child)
-            own_keys = edge.keys_for(root)
-            condition = " AND ".join(
-                f"t.{ok} = {alias}.{mk}"
-                for ok, mk in zip(own_keys, info.key_columns)
-            )
-            joins.append(f"{join_kind} {info.table} AS {alias} ON {condition}")
-            annotation = combine_annotations(
-                self.semiring,
-                annotation,
-                Annotation.from_columns(
-                    info.kind, alias, self.semiring, outer=self.outer_joins
-                ),
-            )
-            for rel_col in carried:
-                carry_refs[rel_col] = f"{alias}.{rel_col[1]}"
+        spec = _Carry(carry, carry_filters, cache_scope)
+        infos = self._incoming(root, None, {}, spec)
+        joins, annotation, refs = self._join_clauses(
+            root, infos, carry.get(root, ())
+        )
         table = self.storage_table(root)
         return MultiAbsorption(
             root=root,
             from_sql=f"FROM {table} AS t {' '.join(joins)}".rstrip(),
             agg_selects=aggregate_select_list(self.semiring, annotation),
-            carry_refs=carry_refs,
-            temp_tables=temps,
+            carry_refs=refs,
         )
-
-    @staticmethod
-    def _carry_condition(
-        ref: str,
-        rel_col: Tuple[str, str],
-        carry_filters: Dict[Tuple[str, str], Sequence],
-    ) -> str:
-        """Earliest-hop pruning of carried columns: restrict to the
-        frontier's values when known, else drop unlabeled rows."""
-        values = carry_filters.get(rel_col)
-        if values is not None:
-            rendered = ", ".join(str(int(v)) for v in values)
-            return f"{ref} IN ({rendered})"
-        return f"{ref} IS NOT NULL"
-
-    def _carry_message(
-        self,
-        child: str,
-        parent: str,
-        carry: Dict[str, Sequence[str]],
-        temps: List[str],
-        carry_filters: Dict[Tuple[str, str], Sequence],
-        cache_scope: Optional[Hashable],
-    ) -> Optional[Tuple[MessageInfo, Tuple[Tuple[str, str], ...]]]:
-        """Message child -> parent, propagating carry columns of the
-        sending side; falls through to the cached standard path when the
-        side carries nothing."""
-        side = self._side[(child, parent)]
-        if not any(rel in side for rel in carry):
-            info = self.message(child, parent)
-            return None if info is None else (info, ())
-
-        self.message_requests += 1
-        # Carry messages are unfiltered: their cache key is the empty
-        # predicate state, scoped by the caller's leaf epoch.
-        state = predicate_state({}, side)
-        if cache_scope is not None:
-            cached = self.cache.lookup(child, parent, state, scope=cache_scope)
-            if cached is not None:
-                self.carry_cache_hits += 1
-                return (cached, cached.carried)
-            self.carry_cache_misses += 1
-
-        edge = edge_between(self.graph, child, parent)
-        keys = edge.keys_for(child)
-        entries: List[Tuple[MessageInfo, Tuple[Tuple[str, str], ...]]] = []
-        for neighbor in self.graph.neighbors(child):
-            if neighbor == parent:
-                continue
-            entry = self._carry_message(
-                neighbor, child, carry, temps, carry_filters, cache_scope,
-            )
-            if entry is not None:
-                entries.append(entry)
-
-        annotation = self._own_annotation(child, "t")
-        joins: List[str] = []
-        carried: List[Tuple[str, str]] = []
-        refs: List[str] = []
-        for column in carry.get(child, ()):
-            carried.append((child, column))
-            refs.append(f"t.{column}")
-        join_kind = "LEFT JOIN" if self.outer_joins else "JOIN"
-        for i, (info, sub_carried) in enumerate(entries):
-            alias = f"m{i}"
-            sub_edge = edge_between(self.graph, child, info.child)
-            own_keys = sub_edge.keys_for(child)
-            condition = " AND ".join(
-                f"t.{ok} = {alias}.{mk}"
-                for ok, mk in zip(own_keys, info.key_columns)
-            )
-            joins.append(f"{join_kind} {info.table} AS {alias} ON {condition}")
-            annotation = combine_annotations(
-                self.semiring,
-                annotation,
-                Annotation.from_columns(
-                    info.kind, alias, self.semiring, outer=self.outer_joins
-                ),
-            )
-            for rel_col in sub_carried:
-                carried.append(rel_col)
-                refs.append(f"{alias}.{rel_col[1]}")
-
-        select_parts = [f"t.{k} AS {k}" for k in keys]
-        select_parts += [f"{ref} AS {col}" for (_, col), ref in zip(carried, refs)]
-        select_parts += [
-            f"{expr} AS {comp}"
-            for comp, expr in aggregate_select_list(self.semiring, annotation)
-        ]
-        # Rows outside every frontier leaf cannot contribute to any group —
-        # drop them at the earliest hop (and, when the frontier's leaf ids
-        # are known, everything outside the open leaves with them).
-        where_parts = [
-            self._carry_condition(ref, rel_col, carry_filters)
-            for rel_col, ref in zip(carried, refs)
-        ]
-        group_refs = [f"t.{k}" for k in keys] + refs
-        table = self.storage_table(child)
-        msg_name = self.db.temp_name(f"msg_{child}_{parent}")
-        sql = (
-            f"CREATE TABLE {msg_name} AS "
-            f"SELECT {', '.join(select_parts)} "
-            f"FROM {table} AS t {' '.join(joins)}"
-            + (f" WHERE {' AND '.join(where_parts)}" if where_parts else "")
-            + f" GROUP BY {', '.join(group_refs)}"
-        )
-        self.db.execute(sql, tag="message")
-        self.message_executions += 1
-        self.carry_message_executions += 1
-        info = MessageInfo(
-            table=msg_name,
-            kind=aggregated_kind(annotation),
-            key_columns=tuple(keys),
-            child=child,
-            parent=parent,
-            carried=tuple(carried),
-        )
-        if cache_scope is not None:
-            # The cache owns the table now; eviction happens on epoch
-            # advance (begin_carry_scope) or relation invalidation.
-            self.cache.store(child, parent, state, info, scope=cache_scope)
-        else:
-            temps.append(msg_name)
-        return (info, tuple(carried))
 
     def begin_carry_scope(self, scope: Optional[Hashable]) -> int:
         """Evict carry messages cached under any other scope (their leaf

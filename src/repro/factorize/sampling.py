@@ -38,8 +38,7 @@ def _downstream_weights(db, graph: JoinGraph, relation: str, parent: Optional[st
     from repro.factorize.executor import Factorizer
 
     # A COUNT-only factorizer: no target lift, so every message is a count.
-    counting = Factorizer(db, graph, VarianceSemiRing(), assume_ri=False,
-                          cache_enabled=True)
+    counting = Factorizer(db, graph, VarianceSemiRing(), assume_ri=False)
     table = db.table(relation)
     n = table.num_rows()
     weights = np.ones(n, dtype=np.float64)

