@@ -348,9 +348,10 @@ def evaluate(expr: ast.Expr, frame: Frame, context: Optional[dict] = None) -> np
     if isinstance(expr, ast.Cast):
         inner = evaluate(expr.operand, frame, context)
         if expr.target == "INT":
-            with np.errstate(invalid="ignore"):
-                return np.where(np.isnan(inner.astype(np.float64)), np.nan,
-                                np.trunc(inner.astype(np.float64)))
+            # An integer result, as in SQL, unless a NULL needs NaN.
+            values = np.trunc(inner.astype(np.float64))
+            nulls = np.isnan(values)
+            return values if nulls.any() else values.astype(np.int64)
         if expr.target == "FLOAT":
             return inner.astype(np.float64)
         out = np.empty(n, dtype=object)

@@ -74,6 +74,16 @@ def _safe_log(x: np.ndarray) -> np.ndarray:
         return np.log(np.asarray(x, dtype=np.float64))
 
 
+def _round(x: np.ndarray) -> np.ndarray:
+    """SQL ``ROUND``: halves round away from zero, as in sqlite (NumPy's
+    ``round`` sends them to the even neighbour).  From 2**52 up every
+    double is already whole, and ``+ 0.5`` could round up."""
+    x = np.asarray(x, dtype=np.float64)
+    with np.errstate(invalid="ignore"):
+        whole = np.abs(x) >= 2.0**52
+    return np.where(whole, x, np.copysign(np.floor(np.abs(x) + 0.5), x))
+
+
 def _power(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     with np.errstate(all="ignore"):
         return np.power(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
@@ -91,7 +101,7 @@ SCALAR_FUNCTIONS: Dict[str, Callable] = {
     "floor": _unary(np.floor),
     "ceil": _unary(np.ceil),
     "ceiling": _unary(np.ceil),
-    "round": _unary(np.round),
+    "round": _unary(_round),
     "power": _binary(_power),
     "pow": _binary(_power),
     "mod": _binary(lambda a, b: np.mod(a, b)),

@@ -201,6 +201,14 @@ SHAPES = [
     ("where_null_aware",
      "SELECT t.rid FROM f AS t WHERE t.v IS NULL OR t.name IS NULL", False),
     ("distinct", "SELECT DISTINCT t.k, t.x FROM f AS t", False),
+    # sqlite rounds halves away from zero: ROUND(-2.5) = -3, ROUND(0.5) = 1
+    ("round_halves_away_from_zero",
+     "SELECT t.rid, ROUND(t.g * 2) AS a, ROUND(t.v) AS b, "
+     "ROUND(-t.g * 2) AS c FROM f AS t", False),
+    # CAST(... AS INTEGER) is an integer, so it renders without ".0"
+    ("cast_integer_renders_as_integer",
+     "SELECT t.rid, CAST(t.g AS INTEGER) || '' AS s, "
+     "CAST(t.v AS INTEGER) AS n FROM f AS t", False),
     ("carry_message",
      "CREATE TABLE msg AS SELECT t.k AS k, t.jb_leaf_s1 AS jb_leaf_s1, "
      "SUM(t.h) AS h, SUM(t.g) AS g FROM f AS t "
