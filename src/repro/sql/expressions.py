@@ -348,10 +348,11 @@ def evaluate(expr: ast.Expr, frame: Frame, context: Optional[dict] = None) -> np
     if isinstance(expr, ast.Cast):
         inner = evaluate(expr.operand, frame, context)
         if expr.target == "INT":
-            # An integer result, as in SQL, unless a NULL needs NaN.
+            # An integer result, as in SQL, unless a NULL (NaN) or a
+            # value beyond int64 (infinities included) needs a float.
             values = np.trunc(inner.astype(np.float64))
-            nulls = np.isnan(values)
-            return values if nulls.any() else values.astype(np.int64)
+            fits = np.abs(values) < 2.0**63
+            return values.astype(np.int64) if fits.all() else values
         if expr.target == "FLOAT":
             return inner.astype(np.float64)
         out = np.empty(n, dtype=object)

@@ -104,14 +104,6 @@ def _connector(backend):
     return SQLiteConnector() if backend == "sqlite" else Database()
 
 
-def _logged(make):
-    """``make(connector) -> graph`` over a logging proxy."""
-    def build(backend):
-        db = StatementLog(_connector(backend))
-        return db, make(db)
-    return build
-
-
 def _favorita(db):
     return favorita(db=db, num_fact_rows=1500, num_extra_features=1, seed=3)[1]
 
@@ -174,7 +166,7 @@ def _shards(db, graph, workers):
     cluster.train_gradient_boosting(dict(PARAMS, num_workers=workers))
 
 
-#: config -> (data builder, training run)
+#: config -> (``make(db) -> graph``, ``train(db, graph, workers)``)
 CONFIGS = {
     "gbm_auto": (_favorita, _gbm()),
     "gbm_off": (_favorita, _gbm(split_batching="off")),
@@ -189,8 +181,8 @@ CONFIGS = {
 
 def statement_log(config, backend, workers):
     make, train = CONFIGS[config]
-    db, graph = _logged(make)(backend)
-    train(db, graph, workers)
+    db = StatementLog(_connector(backend))
+    train(db, make(db), workers)
     return db.log
 
 
