@@ -111,6 +111,8 @@ def test_fig09_encoding_cache(benchmark, figure_report):
         ["encode seconds, cache on",
          round(results["encode_seconds_on"], 3)],
         ["wall speedup factor", round(results["wall_speedup_factor"], 2)],
+        ["cache hits / misses",
+         f"{stats.get('hits', 0)} / {stats.get('misses', 0)}"],
         ["cache stores / invalidations",
          f"{stats.get('stores', 0)} / {stats.get('invalidations', 0)}"],
     ]

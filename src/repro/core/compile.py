@@ -81,8 +81,10 @@ _GOES_RIGHT: Dict[int, np.ufunc] = {
 #: the bitmask walk's fixed cost of a few numpy calls per internal node
 #: dominates; above, the descent's per-row gathers do (5x slower at
 #: 4 000 rows, 8x at 100 000; the kernel-only table in
-#: docs/EXPERIMENTS.md).  A key request gathers ~200 rows, so it stays
-#: on the descent.
+#: docs/EXPERIMENTS.md).  One-row calls descend; an embedded key request
+#: scores nothing itself (it reads the score column the bitmask walk
+#: built in 8 192-row chunks) and descends only over the ~200 gathered
+#: rows of a fallback while that column is stale.
 _BITMASK_MIN_ROWS = 512
 
 FeatureFrame = Dict[str, np.ndarray]

@@ -253,6 +253,23 @@ def _candidates(
     return probe[keep], rows[keep]
 
 
+def key_rows(db, fact: str, keys: Mapping[str, KeyValue]) -> np.ndarray:
+    """Positions of the fact rows whose key columns equal ``keys``
+    (ascending; several key columns intersect), read off the key
+    column's grouped row index without scanning the fact.  ``keys`` are
+    values normalized by :func:`check_key_request`."""
+    encodings = [_encoding(db, fact, column) for column in keys]
+    probes = [
+        np.array([value], dtype=object) if isinstance(value, str)
+        else np.array([np.nan if value is None else value])
+        for value in keys.values()
+    ]
+    _, rows = _candidates(
+        encodings, [_codes(e, p) for e, p in zip(encodings, probes)]
+    )
+    return rows
+
+
 def gather_frame(
     db,
     graph: JoinGraph,
@@ -270,23 +287,13 @@ def gather_frame(
     for dangling keys and last-match-wins on duplicate dimension keys
     (``{ROW_COLUMN: rows}`` when ``columns`` is empty).
 
-    Nothing scans the fact: the rows come from the key column's grouped
-    row index, and each hop looks the join keys of just those rows up in
-    the next relation's key encoding, only along the paths to relations
-    that own a requested column.  ``keys`` are values normalized by
-    :func:`check_key_request`.
+    Nothing scans the fact: the rows come from :func:`key_rows`, and
+    each hop looks the join keys of just those rows up in the next
+    relation's key encoding, only along the paths to relations that own
+    a requested column.
     """
     fact = fact or graph.target_relation
-    encodings = [_encoding(db, fact, column) for column in keys]
-    probes = [
-        np.array([value], dtype=object) if isinstance(value, str)
-        else np.array([np.nan if value is None else value])
-        for value in keys.values()
-    ]
-    _, rows = _candidates(
-        encodings, [_codes(e, p) for e, p in zip(encodings, probes)]
-    )
-
+    rows = key_rows(db, fact, keys)
     parent_map, order = _join_order(graph, fact)
     row_map: Dict[str, np.ndarray] = {fact: rows}
 

@@ -177,6 +177,8 @@ class EncodingCache:
             return None
         hint = col.enc
         if isinstance(hint, ColumnEncoding):
+            with self._lock:
+                self.hits += 1  # reuse through the attached encoding
             return hint
         if isinstance(hint, tuple):
             materialized = self._materialize(hint)

@@ -11,11 +11,17 @@ three ways —
   over fact-aligned :func:`repro.core.predict.feature_frame` batches;
 * :meth:`score_sql` — the model pushed into the backend as one nested
   ``CASE WHEN`` expression (:mod:`repro.core.sql_score`);
-* :meth:`score_key` — the "score user id X" path: only the fact rows a
-  key predicate reaches and the ≤ 1 dimension row each of their join keys
-  reaches — a gather over the cached key encodings on the embedded
-  engine (no statement at all), a pushed-down semi-join in SQL on an
-  external DBMS.  No denormalization either way.
+* :meth:`score_key` — the "score user id X" path.  On the embedded
+  engine every fact row is scored once per deployed version into a
+  fact-aligned score column — the paper's derived per-row value kept as
+  a column over the fact (§5.4), the model as a relational view — and a
+  request is the key's row lookup plus a ``take`` of that column, with
+  no statement.  The column carries a stamp of the tables it was built
+  from; while a write has made it stale, requests gather the matching
+  rows' features over the cached key encodings and score them with the
+  kernel, and it is rebuilt once that fallback time has cost as much as
+  the last build (ski rental).  On an external DBMS the request is a
+  pushed-down semi-join in SQL.  No denormalization either way.
 
 Deploys are versioned and reversible (PR 10): redeploying a name with a
 retrained model mints a new digest and pushes the previous version into
@@ -55,6 +61,7 @@ from repro.core.predict import (
     check_key_request,
     feature_frame,
     gather_frame,
+    key_rows,
 )
 from repro.core.serialize import model_digest
 from repro.core.sql_score import score_by_checked_key, sql_scores
@@ -85,6 +92,10 @@ DEFAULT_RETAINED_VERSIONS = 2
 #: fact rows the canary shadow-scores through live and candidate kernels
 DEFAULT_CANARY_SAMPLE_ROWS = 256
 
+#: fact rows per kernel call while a score column is built: the bitmask
+#: walk's per-call buffers stay one chunk wide instead of fact-wide
+SCORE_COLUMN_CHUNK_ROWS = 8_192
+
 
 @dataclasses.dataclass
 class Deployment:
@@ -94,6 +105,18 @@ class Deployment:
     digest: str
     model: object
     deployed_at: float
+
+
+@dataclasses.dataclass
+class ScoreColumn:
+    """Every fact row's score under one digest, valid while ``stamp``
+    (:meth:`PredictionService._stamp`) still describes the tables."""
+
+    stamp: tuple
+    scores: np.ndarray
+    build_s: float
+    #: request time spent falling back since the stamp stopped matching
+    stale_s: float = 0.0
 
 
 class PredictionService:
@@ -122,6 +145,8 @@ class PredictionService:
         self._deployments: Dict[str, Deployment] = {}
         self._history: Dict[str, List[Deployment]] = {}
         self._serving_faults = {"transient": 0, "permanent": 0}
+        self._score_columns: Dict[str, ScoreColumn] = {}
+        self._score_column_census = {"builds": 0, "stale_fallbacks": 0}
 
     # ------------------------------------------------------------------
     # Deployment / versioning
@@ -148,6 +173,12 @@ class PredictionService:
         outputs are bit-identical — a changed model needs ``force=True``
         to ship.  The canary runs outside the registry lock, so scoring
         traffic continues while it compares.
+
+        Where key requests gather (the embedded engine), deploy also
+        builds the version's score column — every fact row scored once,
+        so a key request is a row lookup and a take (:meth:`score_key`).
+        Retained versions keep their column: rollback and a redeploy of
+        a retained version stay warm.
         """
         digest = model_digest(model)
         candidate = Deployment(
@@ -155,26 +186,29 @@ class PredictionService:
         )
         with self._registry_lock:
             previous = self._deployments.get(name)
-        if previous is not None and previous.digest == digest:
-            # Same bits: refresh the deployment record, keep history.
-            with self._registry_lock:
-                self._deployments[name] = candidate
-            return digest
-        if canary and previous is not None and not force:
+        same_bits = previous is not None and previous.digest == digest
+        if canary and previous is not None and not (same_bits or force):
             self._run_canary(previous, candidate)
         with self._registry_lock:
             previous = self._deployments.get(name)
-            if previous is not None and previous.digest == digest:
-                self._deployments[name] = candidate
-                return digest
             self._deployments[name] = candidate
-            self.cache.pin(digest)
-            if previous is not None:
-                history = self._history.setdefault(name, [])
-                history.insert(0, previous)
-                while len(history) > self.retained_versions - 1:
-                    stale = history.pop()
-                    self._release_version(stale.digest)
+            if previous is None or previous.digest != digest:
+                # New bits (same bits only refresh the record).
+                self.cache.pin(digest)
+                if previous is not None:
+                    history = self._history.setdefault(name, [])
+                    history.insert(0, previous)
+                    while len(history) > self.retained_versions - 1:
+                        stale = history.pop()
+                        self._release_version(stale.digest)
+        # Warm the score column where key requests will read it.  The
+        # probe encodes a fact join key, the kind of column requests
+        # name, so a first request on it finds that encoding warm too.
+        edges = self.graph.edges_of(self.fact)
+        if edges and self._key_path_gathers(edges[0].keys_for(self.fact)[0]):
+            column = self._score_columns.get(digest)
+            if column is None or column.stamp != self._stamp():
+                self._build_score_column(candidate)
         return digest
 
     def rollback(self, name: str = "default") -> str:
@@ -243,6 +277,7 @@ class PredictionService:
         self.cache.unpin(digest)
         if not self._digest_referenced(digest):
             self.cache.invalidate(digest)
+            self._score_columns.pop(digest, None)
 
     def _digest_referenced(self, digest: str) -> bool:
         # registry lock held
@@ -422,10 +457,14 @@ class PredictionService:
         ``jb_score`` in fact order.
 
         On a connector that serves cached key encodings (the embedded
-        engine) this is a gather (:func:`~repro.core.predict.gather_frame`)
-        and executes no statement.  Elsewhere the DBMS runs the semi-join
-        (:func:`~repro.core.sql_score.score_by_key`), its own optimizer
-        pushing the key predicate into the fact scan.
+        engine) this executes no statement: the matching rows
+        (:func:`~repro.core.predict.key_rows`) index the version's score
+        column when its stamp still matches the tables, and otherwise
+        their features are gathered
+        (:func:`~repro.core.predict.gather_frame`) and scored with the
+        kernel until a rebuild pays off.  Elsewhere the DBMS runs the
+        semi-join (:func:`~repro.core.sql_score.score_by_key`), its own
+        optimizer pushing the key predicate into the fact scan.
         """
         checked = check_key_request(self.db, self.fact, keys, extra_columns)
         return self._score_key(checked, name, extra_columns)
@@ -439,9 +478,18 @@ class PredictionService:
         name: str,
         extra_columns: Sequence[str],
     ) -> Relation:
-        if self.db.encoding_for(self.fact, next(iter(keys))) is not None:  # type: ignore[attr-defined]
-            return self._score_key_gathered(keys, name, extra_columns)
         deployment = self._deployment(name)
+        if self._key_path_gathers(next(iter(keys))):
+            column = self._score_columns.get(deployment.digest)
+            if column is not None and column.stamp == self._stamp():
+                rows = key_rows(self.db, self.fact, keys)
+                return self._key_relation(
+                    keys, extra_columns, rows, column.scores[rows]
+                )
+            start = time.perf_counter()
+            relation = self._score_key_gathered(keys, name, extra_columns)
+            self._note_stale(deployment, column, time.perf_counter() - start)
+            return relation
         with self._wrap_serving_faults("score_key"):
             return score_by_checked_key(
                 self.db,
@@ -477,12 +525,88 @@ class PredictionService:
             fact=self.fact,
         )
         scores = np.asarray(scorer.predict_arrays(frame), dtype=np.float64)
+        return self._key_relation(keys, extra_columns, rows, scores)
+
+    def _key_relation(
+        self,
+        keys: Mapping[str, KeyValue],
+        extra_columns: Sequence[str],
+        rows: np.ndarray,
+        scores: np.ndarray,
+    ) -> Relation:
         table = self.db.table(self.fact)  # type: ignore[attr-defined]
         columns = [
             table.column(c).take(rows) for c in [*keys, *extra_columns]
         ]
         columns.append(Column("jb_score", scores))
         return Relation(columns)
+
+    # ------------------------------------------------------------------
+    # The score column: key requests as a take from scores built once
+    # ------------------------------------------------------------------
+    def _key_path_gathers(self, column: str) -> bool:
+        """Whether key requests gather instead of running SQL: the
+        connector serves cached key encodings (the embedded engine)."""
+        encoding = self.db.encoding_for(self.fact, column)  # type: ignore[attr-defined]
+        return encoding is not None
+
+    def _stamp(self) -> tuple:
+        """``(name, uid, version, rows)`` of every relation of the join
+        graph — a table's ``version`` advances on any write to any of its
+        columns, and renames keep ``uid`` — so an equal stamp means the
+        tables a score column was built from hold the same data.  A
+        missing table stamps as its name alone."""
+        stamp = []
+        for name in self.graph.relations:
+            if self.db.has_table(name):  # type: ignore[attr-defined]
+                table = self.db.table(name)  # type: ignore[attr-defined]
+                stamp.append((name, table.uid, table.version, table.num_rows()))
+            else:
+                stamp.append((name,))
+        return tuple(stamp)
+
+    def _build_score_column(self, deployment: Deployment) -> None:
+        """Score every fact row with the bulk kernel, in fixed chunks, and
+        keep the scores for ``deployment``'s digest under the current
+        stamp (taken first, so a write racing the build reads stale)."""
+        kernel = self._kernel_for(deployment)
+        stamp = self._stamp()
+        start = time.perf_counter()
+        frame = feature_frame(
+            self.db,
+            self.graph,
+            columns=list(kernel.required_features),
+            fact=self.fact,
+            include_target=False,
+        )
+        scores = np.empty(len(next(iter(frame.values()))))
+        for lo in range(0, len(scores), SCORE_COLUMN_CHUNK_ROWS):
+            hi = lo + SCORE_COLUMN_CHUNK_ROWS
+            scores[lo:hi] = kernel.predict_arrays(
+                {k: v[lo:hi] for k, v in frame.items()}
+            )
+        column = ScoreColumn(stamp, scores, time.perf_counter() - start)
+        with self._registry_lock:
+            if self._digest_referenced(deployment.digest):
+                self._score_columns[deployment.digest] = column
+                self._score_column_census["builds"] += 1
+
+    def _note_stale(
+        self,
+        deployment: Deployment,
+        column: Optional[ScoreColumn],
+        elapsed: float,
+    ) -> None:
+        """Count a fallback and rebuild ski-rental style: once the time
+        spent falling back since the stamp changed exceeds what the last
+        build took (at once when there is no column)."""
+        with self._registry_lock:
+            self._score_column_census["stale_fallbacks"] += 1
+            if column is not None:
+                column.stale_s += elapsed
+                if column.stale_s <= column.build_s:
+                    return
+        self._build_score_column(deployment)
 
     @contextlib.contextmanager
     def _wrap_serving_faults(self, where: str) -> Iterator[None]:
@@ -515,7 +639,9 @@ class PredictionService:
 
         Includes the per-name version history, the serving-fault counts
         (transient vs permanent backend failures seen by
-        ``score_sql``/``score_key``), and — when the bound connector
+        ``score_sql``/``score_key``), the key requests' score-column
+        census (``score_column_builds``, ``score_column_stale_fallbacks``
+        and the ``score_column_bytes`` held), and — when the bound connector
         carries fault-tolerance proxies (``connect(..., chaos=...,
         retry=...)``) — their retry and chaos-injection counters, so a
         serving dashboard sees fault pressure without reaching into
@@ -532,6 +658,11 @@ class PredictionService:
                 if entries
             }
             out["serving_faults"] = dict(self._serving_faults)
+            for key, count in self._score_column_census.items():
+                out[f"score_column_{key}"] = count
+            out["score_column_bytes"] = sum(
+                c.scores.nbytes for c in self._score_columns.values()
+            )
         retry_census = getattr(self.db, "retry_census", None)
         if retry_census is not None:
             out["retry"] = retry_census.snapshot()

@@ -376,8 +376,10 @@ def _eval_binary(expr: ast.BinaryOp, frame: Frame, context: dict) -> np.ndarray:
     right = evaluate(expr.right, frame, context)
 
     if op == "||":
+        # NULL is None in text columns and NaN in numeric ones (x != x)
         return np.array(
-            [None if a is None or b is None else str(a) + str(b)
+            [None if a is None or b is None or a != a or b != b
+             else str(a) + str(b)
              for a, b in zip(left, right)],
             dtype=object,
         )

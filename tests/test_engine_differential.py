@@ -209,6 +209,10 @@ SHAPES = [
     ("cast_integer_renders_as_integer",
      "SELECT t.rid, CAST(t.g AS INTEGER) || '' AS s, "
      "CAST(t.v AS INTEGER) AS n FROM f AS t", False),
+    # a NULL number concatenates to NULL, not to the text 'nan'
+    ("concat_nullable_number",
+     "SELECT t.rid, t.v || 'x' AS a, t.name || t.v AS b, u.w || '' AS c "
+     "FROM f AS t LEFT JOIN d AS u ON t.k = u.k", False),
     ("carry_message",
      "CREATE TABLE msg AS SELECT t.k AS k, t.jb_leaf_s1 AS jb_leaf_s1, "
      "SUM(t.h) AS h, SUM(t.g) AS g FROM f AS t "

@@ -1,4 +1,4 @@
-"""Key scoring as a gather: differential, invalidation and semantics tests.
+"""Key scoring: differential, invalidation and semantics tests.
 
 :func:`repro.core.predict.gather_frame` must be ``feature_frame`` masked
 by the key predicate — column for column, NULL for NULL — on generated
@@ -7,14 +7,20 @@ join: int and string keys, NULL and dangling fact keys, NULL, dangling
 and duplicate dimension keys, an empty dimension, a composite edge, a
 two-hop snowflake arm, composite and zero-match request keys.  On top of
 the frame, every way of answering a key request must return the same
-bits: the embedded gather, sqlite's pushed-down SQL, and the gateway's
-compiled and recursive rungs on both backends.
+bits: the embedded score column, sqlite's pushed-down SQL, and the
+gateway's compiled and recursive gather rungs on both backends, for
+GBM, multiclass and forest models.  The score column must never serve
+a stale score: any write between two requests — a feature, a fact key,
+a replaced fact, a renamed table, a rollback — shows in the second.
 
 One carve-out, asserted rather than hidden: with *duplicate* dimension
 keys a SQL ``LEFT JOIN`` multiplies fact rows while the evaluation frame
 keeps one row per fact row (the last match wins), so the SQL leg is
 compared only on scenarios whose dimensions are N-to-1.
 """
+
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -173,7 +179,7 @@ def requests(tables, seed):
 
 
 def predicate_mask(table, keys):
-    mask = np.ones(len(table["rid"]), dtype=bool)
+    mask = np.ones(len(next(iter(table.values()))), dtype=bool)
     for column, value in keys.items():
         mask &= np.asarray(table[column] == value, dtype=bool)
     return mask
@@ -242,9 +248,88 @@ def test_every_key_path_returns_the_same_bits(seed, duplicates):
             ), (path, keys)
 
 
+def train_kind(kind, seed):
+    """A GBM, a three-class boosting model or a forest, trained on the
+    clean snowflake of ``seed``."""
+    tables = snowflake(seed, messy=False)
+    params = dict(TRAIN_PARAMS, seed=seed)
+    if kind == "multiclass":
+        y = tables["fact"]["y"]
+        tables["fact"]["y"] = np.digitize(y, np.quantile(y, [1 / 3, 2 / 3]))
+        params.update(objective="multiclass", num_class=3)
+    conn, graph = load(tables, composite_feature=False)
+    if kind == "forest":
+        return repro.train_random_forest(conn, graph, params)
+    return repro.train_gradient_boosting(conn, graph, params)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("kind", ["gbm", "multiclass", "forest"])
+def test_score_column_gather_and_recursive_rungs_agree(kind, seed):
+    """The embedded key rung reads the score column; the degraded rungs
+    gather and score with the kernel or the recursive model.  On messy
+    snowflakes — NULL, dangling and duplicate keys, string keys,
+    composite requests — all three return the reference's bits."""
+    model = train_kind(kind, seed)
+    tables = snowflake(seed)
+    conn, graph = load(tables)
+    service = PredictionService(conn, graph)
+    service.deploy(model)
+    reference = model.predict_arrays(
+        feature_frame(conn, graph, include_target=False)
+    )
+    for keys in requests(tables, seed):
+        checked = check_key_request(conn, "fact", keys, ["rid"])
+        expected = reference[predicate_mask(tables["fact"], keys)]
+        rungs = (
+            service._score_key(checked, "default", ["rid"]),
+            service._score_key_gathered(checked, "default", ["rid"]),
+            service._score_key_gathered(
+                checked, "default", ["rid"], recursive=True
+            ),
+        )
+        for relation in rungs:
+            assert relation.names == [*keys, "rid", "jb_score"]
+            assert np.array_equal(
+                relation.column("jb_score").as_float(), expected
+            ), keys
+    stats = service.stats()
+    assert stats["score_column_builds"] == 1
+    assert stats["score_column_stale_fallbacks"] == 0
+
+
+def answer_until_fresh(service, model, keys, rebuild):
+    """Ask ``keys`` until the score column serves it again, checking every
+    answer against the recursive reference on the current tables.
+
+    ``rebuild``: the tables changed since the column was built, so the
+    requests fall back until one of them rebuilds it; otherwise every
+    request reads the column."""
+    db, graph = service.db, service.graph
+    frame = feature_frame(db, graph, include_target=False)
+    mask = predicate_mask(db.table("fact").to_dict(), keys)
+    expected = model.predict_arrays(frame)[mask]
+    before = service.stats()
+    for _ in range(1_000):
+        fallbacks = service.stats()["score_column_stale_fallbacks"]
+        assert np.array_equal(service.score_key(keys)["jb_score"], expected)
+        if service.stats()["score_column_stale_fallbacks"] == fallbacks:
+            break  # the column served it
+    after = service.stats()
+    fell_back = after["score_column_stale_fallbacks"] - before[
+        "score_column_stale_fallbacks"
+    ]
+    assert after["score_column_builds"] - before["score_column_builds"] == int(
+        rebuild
+    )
+    assert (fell_back > 0) == rebuild
+    return len(expected)
+
+
 class TestInvalidation:
-    """Staleness is the (uid, column, version) stamps' job: a write
-    between two requests must show in the second one."""
+    """Staleness is the stamps' job: a write between two requests must
+    show in the second one, whether that request reads the score column
+    or falls back while the column is stale."""
 
     def test_mutated_fact_key_and_dimension_feature_give_fresh_answers(
         self, tiny_star
@@ -274,6 +359,125 @@ class TestInvalidation:
         after = service.score_key({"k0": 4})["jb_score"]
         assert len(after) > len(before) > 0
         assert np.array_equal(after, reference(4))
+
+    def test_every_write_between_requests_gives_fresh_answers(self, tiny_star):
+        db, graph = tiny_star
+        first, second = (
+            repro.train_gradient_boosting(
+                db, graph, {"num_iterations": 3, "num_leaves": leaves, "seed": 5}
+            )
+            for leaves in (4, 6)
+        )
+        service = PredictionService(db, graph)
+        service.deploy(first)
+        service.deploy(second)
+        keys = {"k0": 3}
+        answer_until_fresh(service, second, keys, rebuild=False)
+        service.rollback()  # the retained version's column is still warm
+        answer_until_fresh(service, first, keys, rebuild=False)
+
+        dfeat = db.table("dim0").column("dfeat0").values.copy()
+        dfeat[3] += 1000.0
+        db.replace_column("dim0", "dfeat0", dfeat)
+        answer_until_fresh(service, first, keys, rebuild=True)
+
+        db.execute("UPDATE fact SET k0 = 3 WHERE k0 = 4")
+        assert answer_until_fresh(service, first, keys, rebuild=True) > 50
+
+        fact = db.table("fact").to_dict()
+        db.create_table(
+            "fact",
+            {c: np.concatenate([v, v[:40]]) for c, v in fact.items()},
+            replace=True,
+        )
+        answer_until_fresh(service, first, keys, rebuild=True)
+
+        # A table renamed away fails the request as the gather does; once
+        # it is back, its data never changed and the column is current.
+        db.rename_table("dim1", "dim1_away")
+        checked = check_key_request(db, "fact", keys)
+        with pytest.raises(Exception) as gathered:
+            service._score_key_gathered(checked, "default", ())
+        with pytest.raises(type(gathered.value)) as served:
+            service.score_key(keys)
+        assert str(served.value) == str(gathered.value)
+        db.rename_table("dim1_away", "dim1")
+        answer_until_fresh(service, first, keys, rebuild=False)
+
+        service.rollback()  # back to a version built before every write
+        answer_until_fresh(service, second, keys, rebuild=True)
+
+    def test_a_write_costs_one_fallback_and_one_rebuild(self, tiny_star):
+        db, graph = tiny_star
+        model = repro.train_gradient_boosting(
+            db, graph, {"num_iterations": 3, "num_leaves": 4, "seed": 5}
+        )
+        service = PredictionService(db, graph)
+        service.deploy(model)
+        stats = service.stats()
+        assert stats["score_column_builds"] == 1
+        assert stats["score_column_stale_fallbacks"] == 0
+        assert stats["score_column_bytes"] == 8 * db.table("fact").num_rows()
+        # A column that took no time to build is worth rebuilding at the
+        # first stale request (the rule compares fallback time with it).
+        service._score_columns[service.version()].build_s = 0.0
+        db.execute("UPDATE fact SET local_feat = local_feat + 1 WHERE k0 = 3")
+        for _ in range(3):
+            service.score_key({"k0": 3})
+        stats = service.stats()
+        assert stats["score_column_builds"] == 2
+        assert stats["score_column_stale_fallbacks"] == 1
+        service.undeploy()
+        assert service.stats()["score_column_bytes"] == 0
+
+    def test_concurrent_requests_across_a_rebuild_agree(self, tiny_star):
+        """Requests racing the fallbacks and rebuilds a write sets off
+        all return the reference's bits, and the column serves again."""
+        db, graph = tiny_star
+        model = repro.train_gradient_boosting(
+            db, graph, {"num_iterations": 3, "num_leaves": 4, "seed": 5}
+        )
+        service = PredictionService(db, graph)
+        service.deploy(model)
+        service._score_columns[service.version()].build_s = 0.0
+        db.execute("UPDATE fact SET k0 = 3 WHERE k0 = 4")
+        frame = feature_frame(db, graph, include_target=False)
+        k0 = db.table("fact").column("k0").values
+        expected = {
+            key: model.predict_arrays(frame)[k0 == key] for key in (3, 5)
+        }
+        wrong, errors = [], []
+
+        def client(key):
+            try:
+                for _ in range(30):
+                    got = service.score_key({"k0": key})["jb_score"]
+                    if not np.array_equal(got, expected[key]):
+                        wrong.append(key)
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=client, args=((3, 5)[i % 2],))
+            for i in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors and not wrong
+        stats = service.stats()
+        assert stats["score_column_builds"] >= 2
+        assert stats["score_column_stale_fallbacks"] >= 1
+        fallbacks = stats["score_column_stale_fallbacks"]
+        service.score_key({"k0": 3})
+        assert service.stats()["score_column_stale_fallbacks"] == fallbacks
 
     def test_healthy_embedded_key_request_executes_no_statement(self, tiny_star):
         db, graph = tiny_star

@@ -114,8 +114,9 @@ class TestDeployment:
 class TestCacheCensus:
     def test_hit_miss_store_counts(self, served):
         _, _, model, service = served
+        # On the embedded engine deploy builds the key-request score
+        # column, which compiles: miss -> compile -> store.
         service.deploy(model)
-        service.score_all()  # miss -> compile -> store
         service.score_all()  # hit
         service.score_all()  # hit
         stats = service.stats()
