@@ -83,7 +83,7 @@ _GOES_RIGHT: Dict[int, np.ufunc] = {
 #: 4 000 rows, 8x at 100 000; the kernel-only table in
 #: docs/EXPERIMENTS.md).  One-row calls descend; an embedded key request
 #: scores nothing itself (it reads the score column the bitmask walk
-#: built in 8 192-row chunks) and descends only over the ~200 gathered
+#: built in 65 536-row chunks) and descends only over the ~200 gathered
 #: rows of a fallback while that column is stale.
 _BITMASK_MIN_ROWS = 512
 

@@ -114,7 +114,7 @@ class TrainParams:
     # dependency-DAG scheduler executes with.  "auto" is one worker for a
     # tree's frontier rounds (two threads made both spine GBM trainings
     # ~11 % slower on a 2-core host, docs/EXPERIMENTS.md "Figure 18") and
-    # min(4, cpus) for a forest's trees and score_all's slices;
+    # min(4, cpus) for a forest's trees;
     # 1 = the same DAG run inline (no threads spawned — the parity gates
     # pin it).  The JOINBOOST_NUM_WORKERS env var supplies the default
     # when the caller does not set the parameter (the CI race-smoke leg

@@ -93,7 +93,11 @@ def cluster_graph(
 
 
 def _check_coverage(graph: JoinGraph, clusters: List[Cluster]) -> None:
-    """Every feature-bearing relation must land in some cluster."""
+    """Every feature-bearing relation must land in some cluster.
+
+    The error names each edge from a cluster to a relation left outside:
+    its key columns and inferred multiplicity, whose outside side is not
+    key-unique (a duplicated dimension key, say)."""
     covered = set()
     for cluster in clusters:
         covered.update(cluster.members)
@@ -103,8 +107,18 @@ def _check_coverage(graph: JoinGraph, clusters: List[Cluster]) -> None:
         if r.features and r.name not in covered
     ]
     if missing:
+        failing = [
+            f"{e.left}({', '.join(e.left_keys)}) -> "
+            f"{e.right}({', '.join(e.right_keys)}) is {e.multiplicity} "
+            f"({outside}'s keys are not unique)"
+            for e in graph.edges
+            for outside in (e.left, e.right)
+            if outside not in covered and e.other(outside) in covered
+        ]
         raise JoinGraphError(
-            f"relations with features are outside every CPT cluster: {missing}"
+            f"relations with features are outside every CPT cluster: "
+            f"{missing}. A relation joins a cluster only over an N-to-1 "
+            f"edge: " + ("; ".join(failing) or "no edge reaches them")
         )
 
 

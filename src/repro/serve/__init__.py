@@ -1,8 +1,8 @@
 """Model serving: versioned deploys + warm compiled scoring + gateway.
 
 See :mod:`repro.serve.service` for the batch scorer (deploy, canary,
-rollback), :mod:`repro.serve.cache` for the compiled-model LRU with
-version pinning, :mod:`repro.serve.breaker` for the per-path circuit
+rollback; one record per deployed digest holding its compiled kernel
+and score column), :mod:`repro.serve.breaker` for the per-path circuit
 breakers, and :mod:`repro.serve.gateway` for the resilient front door
 (deadlines, admission control, degradation ladder).
 """
@@ -15,7 +15,6 @@ from repro.serve.breaker import (
     BreakerPolicy,
     CircuitBreaker,
 )
-from repro.serve.cache import CompiledModelCache
 from repro.serve.gateway import (
     DEADLINE_ENV,
     DEFAULT_DEADLINE_SECONDS,
@@ -23,8 +22,7 @@ from repro.serve.gateway import (
     ServingGateway,
 )
 from repro.serve.service import (
-    DEFAULT_BATCH_ROWS,
-    DEFAULT_RETAINED_VERSIONS,
+    RETAINED_VERSIONS,
     Deployment,
     PredictionService,
 )
@@ -36,11 +34,9 @@ __all__ = [
     "OPEN",
     "HALF_OPEN",
     "DEFAULT_BREAKER_POLICY",
-    "CompiledModelCache",
     "DEADLINE_ENV",
     "DEFAULT_DEADLINE_SECONDS",
-    "DEFAULT_BATCH_ROWS",
-    "DEFAULT_RETAINED_VERSIONS",
+    "RETAINED_VERSIONS",
     "Deployment",
     "GatewayResponse",
     "PredictionService",

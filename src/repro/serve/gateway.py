@@ -44,7 +44,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.predict import check_key_request, feature_frame
+from repro.core.predict import check_key_request
 from repro.engine.result import Relation
 from repro.exceptions import (
     CircuitOpenError,
@@ -71,6 +71,9 @@ PATH_SQL = "sql"
 PATH_KEY = "key"
 PATH_COMPILED = "compiled"
 PATH_RECURSIVE = "recursive"
+
+#: one rung of a degradation ladder: the path's name and its scorer
+Rung = Tuple[str, Callable[[], object]]
 
 #: errors the ladder never swallows: they are verdicts about the
 #: *request* (shed, out of time, misconfigured), not about path health
@@ -117,6 +120,7 @@ class GatewayResponse:
 
     @property
     def degraded(self) -> bool:
+        """Whether a rung below the primary path served the request."""
         return self.degraded_reason is not None
 
 
@@ -205,12 +209,16 @@ class ServingGateway:
         ``degrade=False`` the first path failure (or an open breaker)
         raises instead of falling through.
         """
+        service = self.service
         ladder = [
-            (PATH_SQL, lambda: np.asarray(self.service.score_sql(name))),
-            (PATH_COMPILED, lambda: np.asarray(self.service.score_all(name))),
-            (PATH_RECURSIVE, lambda: self._recursive_scores(name)),
+            (PATH_SQL, lambda: np.asarray(service.score_sql(name))),
+            (PATH_COMPILED, lambda: service.score_all(name)),
+            (
+                PATH_RECURSIVE,
+                lambda: service._score_fact(service.deployment(name).model),
+            ),
         ]
-        return self._request("sql", name, ladder, deadline, degrade)
+        return self._request("sql", name, lambda: ladder, deadline, degrade)
 
     def score_key(
         self,
@@ -227,25 +235,26 @@ class ServingGateway:
         → ``recursive``.  Both degraded rungs gather only the matching
         rows' features through direct column reads and execute no SQL,
         so they survive any statement fault plan at O(matching rows).
-        The request is validated once, before the ladder, and every
-        rung returns the same Relation: key columns, ``extra_columns``,
-        ``jb_score``.
+        The request is validated once, before admission (a refusal
+        counts as a failed request), and every rung returns the same
+        Relation: key columns, ``extra_columns``, ``jb_score``.
         """
         service = self.service
-        keys = check_key_request(service.db, service.fact, keys, extra_columns)
-        ladder = [
-            (PATH_KEY, lambda: service._score_key(keys, name, extra_columns)),
-            (
-                PATH_COMPILED,
-                lambda: service._score_key_gathered(keys, name, extra_columns),
-            ),
-            (
-                PATH_RECURSIVE,
-                lambda: service._score_key_gathered(
-                    keys, name, extra_columns, recursive=True
+
+        def ladder() -> List[Rung]:
+            checked = check_key_request(
+                service.db, service.fact, keys, extra_columns
+            )
+            gathered, extra = service._score_key_gathered, extra_columns
+            return [
+                (PATH_KEY, lambda: service._score_key(checked, name, extra)),
+                (PATH_COMPILED, lambda: gathered(checked, name, extra)),
+                (
+                    PATH_RECURSIVE,
+                    lambda: gathered(checked, name, extra, recursive=True),
                 ),
-            ),
-        ]
+            ]
+
         return self._request("key", name, ladder, deadline, degrade)
 
     def score_compiled(
@@ -258,26 +267,17 @@ class ServingGateway:
 
         Ladder: ``compiled`` → ``recursive``.
         """
+        service = self.service
         ladder = [
-            (PATH_COMPILED, lambda: np.asarray(self.service.score_all(name))),
-            (PATH_RECURSIVE, lambda: self._recursive_scores(name)),
+            (PATH_COMPILED, lambda: service.score_all(name)),
+            (
+                PATH_RECURSIVE,
+                lambda: service._score_fact(service.deployment(name).model),
+            ),
         ]
-        return self._request("compiled", name, ladder, deadline, degrade)
-
-    # ------------------------------------------------------------------
-    # Fallback scoring (no SQL executed on these paths)
-    # ------------------------------------------------------------------
-    def _recursive_scores(self, name: str) -> np.ndarray:
-        deployment = self.service.deployment(name)
-        model = deployment.model
-        frame = feature_frame(
-            self.service.db,
-            self.service.graph,
-            columns=list(model.required_features),  # type: ignore[attr-defined]
-            fact=self.service.fact,
-            include_target=False,
+        return self._request(
+            "compiled", name, lambda: ladder, deadline, degrade
         )
-        return np.asarray(model.predict_arrays(frame))  # type: ignore[attr-defined]
 
     # ------------------------------------------------------------------
     # The request pipeline: admit → ladder → census
@@ -286,7 +286,7 @@ class ServingGateway:
         self,
         request: str,
         name: str,
-        ladder: Sequence[Tuple[str, Callable[[], object]]],
+        ladder: Callable[[], Sequence[Rung]],
         deadline: Optional[float],
         degrade: bool,
     ) -> GatewayResponse:
@@ -297,11 +297,18 @@ class ServingGateway:
         deadline_at = start + budget
         with self._admission:
             self.requests += 1
-        digest = self.service.version(name)  # raises TrainingError early
+        try:
+            # refusals before admission: nothing deployed, a bad request
+            digest = self.service.version(name)
+            rungs = ladder()
+        except TrainingError:
+            with self._admission:
+                self.failures += 1
+            raise
         self._admit(deadline_at, budget)
         try:
             return self._walk_ladder(
-                request, name, digest, ladder, start, deadline_at, budget, degrade
+                request, name, digest, rungs, start, deadline_at, budget, degrade
             )
         finally:
             with self._admission:
@@ -345,7 +352,7 @@ class ServingGateway:
         request: str,
         name: str,
         digest: str,
-        ladder: Sequence[Tuple[str, Callable[[], object]]],
+        ladder: Sequence[Rung],
         start: float,
         deadline_at: float,
         budget: float,

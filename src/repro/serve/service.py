@@ -3,12 +3,11 @@
 The ROADMAP's north-star is serving "millions of users" without ever
 materializing R⋈.  :class:`PredictionService` is the serving half of that
 promise: models are *deployed* under a name, versioned by the sha256
-digest of their canonical JSON dump, compiled once into flat numpy
-kernels (:mod:`repro.core.compile`) held in a warm LRU cache, and scored
-three ways —
+digest of their canonical JSON dump, and scored three ways —
 
 * :meth:`score_all` / :meth:`score_frame` — the compiled numpy kernel
-  over fact-aligned :func:`repro.core.predict.feature_frame` batches;
+  (:mod:`repro.core.compile`) over a fact-aligned
+  :func:`repro.core.predict.feature_frame`;
 * :meth:`score_sql` — the model pushed into the backend as one nested
   ``CASE WHEN`` expression (:mod:`repro.core.sql_score`);
 * :meth:`score_key` — the "score user id X" path.  On the embedded
@@ -23,25 +22,25 @@ three ways —
   the last build (ski rental).  On an external DBMS the request is a
   pushed-down semi-join in SQL.  No denormalization either way.
 
-Deploys are versioned and reversible (PR 10): redeploying a name with a
-retrained model mints a new digest and pushes the previous version into
-a bounded per-name history whose compiled kernels stay *pinned* in the
-warm cache — so :meth:`rollback` restores the prior digest in O(1)
-without recompiling, and ``deploy(..., canary=True)`` shadow-scores a
-sample through the live and candidate kernels, promoting only on
-bit-parity (or an explicit ``force=True``).  The deployment registry is
-guarded by an RLock so concurrent score calls never observe a
-half-applied deploy.
+The service keeps one record per digest (:class:`_Version`): the
+compiled kernel, compiled on first use, and the score column.  The
+record lives exactly while a live deployment or a retained history entry
+references the digest.  Deploys are versioned and reversible:
+redeploying a name with a retrained model mints a new digest and pushes
+the previous version into a bounded per-name history
+(:data:`RETAINED_VERSIONS`), whose record stays — so :meth:`rollback`
+restores the prior digest in O(1) without recompiling, and
+``deploy(..., canary=True)`` shadow-scores a sample through the live and
+candidate kernels, promoting only on bit-parity (or an explicit
+``force=True``).  The deployment registry is guarded by an RLock so
+concurrent score calls never observe a half-applied deploy.
 
 Backend scoring failures never escape raw: ``score_sql``/``score_key``
 wrap driver/backend errors into the serving taxonomy
 (:class:`~repro.exceptions.TransientServingError` vs
 :class:`~repro.exceptions.ServingBackendError`), counted in
 :meth:`stats` — which is what makes the gateway's circuit-breaker trip
-decisions principled.  Batch scoring fans out over the PR-5 query
-scheduler when ``JOINBOOST_NUM_WORKERS`` (or an explicit ``workers=``)
-asks for it; the kernels are pure numpy, so worker count never changes
-the bits.
+decisions principled.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.core.compile import CompiledModel, compile_model
-from repro.core.params import TrainParams
 from repro.core.predict import (
     KeyValue,
     check_key_request,
@@ -66,7 +64,6 @@ from repro.core.predict import (
 from repro.core.serialize import model_digest
 from repro.core.sql_score import score_by_checked_key, sql_scores
 from repro.engine.result import Relation
-from repro.engine.scheduler import QueryScheduler
 from repro.exceptions import (
     BackendError,
     CanaryParityError,
@@ -78,23 +75,20 @@ from repro.exceptions import (
     TransientServingError,
 )
 from repro.joingraph.graph import JoinGraph
-from repro.serve.cache import CompiledModelCache
 from repro.storage.column import Column
-
-#: default fact-row chunk for batched scoring; small enough to overlap,
-#: large enough that per-chunk dispatch overhead disappears.
-DEFAULT_BATCH_ROWS = 65_536
 
 #: versions retained warm per name: the live deployment plus
 #: (RETAINED_VERSIONS - 1) rollback targets
-DEFAULT_RETAINED_VERSIONS = 2
+RETAINED_VERSIONS = 2
 
 #: fact rows the canary shadow-scores through live and candidate kernels
-DEFAULT_CANARY_SAMPLE_ROWS = 256
+CANARY_SAMPLE_ROWS = 256
 
-#: fact rows per kernel call while a score column is built: the bitmask
-#: walk's per-call buffers stay one chunk wide instead of fact-wide
-SCORE_COLUMN_CHUNK_ROWS = 8_192
+#: fact rows per scorer call when the whole fact is scored: the bitmask
+#: walk's per-call buffers stay one chunk wide instead of fact-wide.
+#: 8 192 is ~20 % slower; 32 768 scores as fast but triples the page
+#: faults of a later SQL scan (docs/EXPERIMENTS.md)
+SCORE_CHUNK_ROWS = 65_536
 
 
 @dataclasses.dataclass
@@ -119,34 +113,37 @@ class ScoreColumn:
     stale_s: float = 0.0
 
 
+@dataclasses.dataclass
+class _Version:
+    """What the service holds for one digest while a live deployment or
+    a history entry references it."""
+
+    kernel: Optional[CompiledModel] = None
+    column: Optional[ScoreColumn] = None
+
+
 class PredictionService:
     """Digest-versioned batch scorer bound to one database + join graph."""
 
     def __init__(
-        self,
-        db: object,
-        graph: JoinGraph,
-        fact: Optional[str] = None,
-        cache_size: int = 8,
-        retained_versions: int = DEFAULT_RETAINED_VERSIONS,
-        canary_sample_rows: int = DEFAULT_CANARY_SAMPLE_ROWS,
+        self, db: object, graph: JoinGraph, fact: Optional[str] = None
     ):
-        if retained_versions < 1:
-            raise ValueError("retained_versions must be >= 1")
         self.db = db
         self.graph = graph
         self.fact = fact or graph.target_relation
-        self.cache = CompiledModelCache(max_entries=cache_size)
-        self.retained_versions = int(retained_versions)
-        self.canary_sample_rows = int(canary_sample_rows)
         # Deploy/undeploy/rollback mutate the registry while concurrent
         # score calls read it; every access funnels through this RLock.
         self._registry_lock = threading.RLock()
         self._deployments: Dict[str, Deployment] = {}
         self._history: Dict[str, List[Deployment]] = {}
+        self._versions: Dict[str, _Version] = {}
+        self._census = {
+            "hits": 0,
+            "misses": 0,
+            "score_column_builds": 0,
+            "score_column_stale_fallbacks": 0,
+        }
         self._serving_faults = {"transient": 0, "permanent": 0}
-        self._score_columns: Dict[str, ScoreColumn] = {}
-        self._score_column_census = {"builds": 0, "stale_fallbacks": 0}
 
     # ------------------------------------------------------------------
     # Deployment / versioning
@@ -161,11 +158,11 @@ class PredictionService:
         """Register ``model`` under ``name``; returns its version digest.
 
         Redeploying a name with a different model retains the previous
-        version in a bounded history (``retained_versions``, default 2:
-        live + one rollback target) with its compiled kernel pinned warm
-        in the cache, so :meth:`rollback` never recompiles.  Versions
-        falling off the history are unpinned and their kernels
-        invalidated (unless still referenced by another name).
+        version in a bounded history (:data:`RETAINED_VERSIONS`: live +
+        one rollback target) with its record — kernel and score column —
+        kept, so :meth:`rollback` never recompiles.  A version falling off
+        the history drops its record unless another name still
+        references the digest.
 
         ``canary=True`` shadow-scores a deterministic sample of fact
         rows through the live and the candidate kernels before
@@ -187,26 +184,26 @@ class PredictionService:
         with self._registry_lock:
             previous = self._deployments.get(name)
         same_bits = previous is not None and previous.digest == digest
+        kernel = None
         if canary and previous is not None and not (same_bits or force):
-            self._run_canary(previous, candidate)
+            kernel = self._run_canary(previous, candidate)
         with self._registry_lock:
             previous = self._deployments.get(name)
             self._deployments[name] = candidate
-            if previous is None or previous.digest != digest:
-                # New bits (same bits only refresh the record).
-                self.cache.pin(digest)
-                if previous is not None:
-                    history = self._history.setdefault(name, [])
-                    history.insert(0, previous)
-                    while len(history) > self.retained_versions - 1:
-                        stale = history.pop()
-                        self._release_version(stale.digest)
+            version = self._versions.setdefault(digest, _Version())
+            if version.kernel is None:
+                version.kernel = kernel
+            if previous is not None and previous.digest != digest:
+                history = self._history.setdefault(name, [])
+                history.insert(0, previous)
+                while len(history) > RETAINED_VERSIONS - 1:
+                    self._release_version(history.pop().digest)
         # Warm the score column where key requests will read it.  The
         # probe encodes a fact join key, the kind of column requests
         # name, so a first request on it finds that encoding warm too.
         edges = self.graph.edges_of(self.fact)
         if edges and self._key_path_gathers(edges[0].keys_for(self.fact)[0]):
-            column = self._score_columns.get(digest)
+            column = version.column
             if column is None or column.stamp != self._stamp():
                 self._build_score_column(candidate)
         return digest
@@ -216,8 +213,8 @@ class PredictionService:
 
         The most recent history entry becomes live and the current
         deployment takes its place in history (so rollback is itself
-        reversible).  The restored kernel is still pinned warm in the
-        cache — no recompilation.
+        reversible).  The restored version's record is still held, so
+        its kernel is warm — no recompilation.
         """
         with self._registry_lock:
             deployment = self._deployment(name)
@@ -254,6 +251,7 @@ class PredictionService:
             return [d.digest for d in self._history.get(name, [])]
 
     def deployments(self) -> List[Deployment]:
+        """Every live :class:`Deployment`, one per deployed name."""
         with self._registry_lock:
             return list(self._deployments.values())
 
@@ -272,37 +270,27 @@ class PredictionService:
             return deployment
 
     def _release_version(self, digest: str) -> None:
-        # registry lock held: unpin one reference; invalidate the kernel
-        # only when no deployment or history entry still uses the digest
-        self.cache.unpin(digest)
-        if not self._digest_referenced(digest):
-            self.cache.invalidate(digest)
-            self._score_columns.pop(digest, None)
-
-    def _digest_referenced(self, digest: str) -> bool:
-        # registry lock held
-        for deployment in self._deployments.values():
-            if deployment.digest == digest:
-                return True
+        # registry lock held: one reference to ``digest`` went; drop its
+        # record once no deployment or history entry uses the digest
+        live = {d.digest for d in self._deployments.values()}
         for entries in self._history.values():
-            for entry in entries:
-                if entry.digest == digest:
-                    return True
-        return False
+            live.update(d.digest for d in entries)
+        if digest not in live:
+            self._versions.pop(digest, None)
 
     # ------------------------------------------------------------------
     # Canary comparison
     # ------------------------------------------------------------------
-    def _run_canary(self, live: Deployment, candidate: Deployment) -> None:
-        """Shadow-score a sample through both versions; refuse on drift."""
+    def _run_canary(
+        self, live: Deployment, candidate: Deployment
+    ) -> CompiledModel:
+        """Shadow-score a sample through both versions; refuse on drift.
+        Returns the candidate's kernel, for its record on promotion."""
         live_kernel = self._kernel_for(live)
-        candidate_kernel = self.cache.get(candidate.digest)
-        if candidate_kernel is None:
-            candidate_kernel = compile_model(candidate.model)
-            self.cache.put(candidate.digest, candidate_kernel)
+        candidate_kernel = self._kernel_for(candidate)
         columns = sorted(
             set(live_kernel.required_features)
-            | set(candidate_kernel.required_features)  # type: ignore[attr-defined]
+            | set(candidate_kernel.required_features)
         )
         frame = feature_frame(
             self.db,
@@ -311,19 +299,14 @@ class PredictionService:
             fact=self.fact,
             include_target=False,
         )
-        sample = {
-            k: v[: self.canary_sample_rows] for k, v in frame.items()
-        }
-        live_scores = np.asarray(live_kernel.predict_arrays(sample))  # type: ignore[attr-defined]
-        new_scores = np.asarray(candidate_kernel.predict_arrays(sample))  # type: ignore[attr-defined]
+        sample = {k: v[:CANARY_SAMPLE_ROWS] for k, v in frame.items()}
+        live_scores = np.asarray(live_kernel.predict_arrays(sample))
+        new_scores = np.asarray(candidate_kernel.predict_arrays(sample))
         if not np.array_equal(live_scores, new_scores):
             if live_scores.shape == new_scores.shape:
                 diverging = int(np.sum(live_scores != new_scores))
             else:
                 diverging = int(live_scores.size)
-            with self._registry_lock:
-                if not self._digest_referenced(candidate.digest):
-                    self.cache.invalidate(candidate.digest)
             raise CanaryParityError(
                 f"canary refused for {candidate.name!r}: candidate "
                 f"{candidate.digest[:12]} diverges from live "
@@ -333,6 +316,7 @@ class PredictionService:
                 candidate_digest=candidate.digest,
                 diverging_rows=diverging,
             )
+        return candidate_kernel
 
     # ------------------------------------------------------------------
     # Compiled-kernel access
@@ -342,11 +326,20 @@ class PredictionService:
         return self._kernel_for(self._deployment(name))
 
     def _kernel_for(self, deployment: Deployment) -> CompiledModel:
-        kernel = self.cache.get(deployment.digest)
-        if kernel is None:
-            kernel = compile_model(deployment.model)
-            self.cache.put(deployment.digest, kernel)
-        return kernel  # type: ignore[return-value]
+        """The digest's kernel, compiled on first use and kept in its
+        record (a version no longer referenced compiles uncached)."""
+        with self._registry_lock:
+            version = self._versions.get(deployment.digest)
+            if version is not None and version.kernel is not None:
+                self._census["hits"] += 1
+                return version.kernel
+            self._census["misses"] += 1
+        kernel = compile_model(deployment.model)
+        with self._registry_lock:
+            version = self._versions.get(deployment.digest)
+            if version is not None and version.kernel is None:
+                version.kernel = kernel
+        return kernel
 
     # ------------------------------------------------------------------
     # Scoring
@@ -359,73 +352,31 @@ class PredictionService:
         """Score a prepared fact-aligned feature frame."""
         return self.compiled(name).predict_arrays(dict(features))
 
-    def score_all(
-        self,
-        name: str = "default",
-        batch_rows: Optional[int] = None,
-        workers: Optional[int] = None,
-    ) -> np.ndarray:
-        """Score every fact row with the compiled kernel.
+    def score_all(self, name: str = "default") -> np.ndarray:
+        """Score every fact row with the compiled kernel
+        (:meth:`_score_fact`)."""
+        return self._score_fact(self.compiled(name))
 
-        The feature frame is built once (narrow N-to-1 joins only), then
-        chunked into ``batch_rows`` slices scored through the PR-5 query
-        scheduler.  Results are reassembled in fact order; worker count
-        never changes the output bits because each chunk is independent
-        pure-numpy work.
-        """
-        kernel = self.compiled(name)
+    def _score_fact(self, scorer: Any) -> np.ndarray:
+        """Every fact row's score under ``scorer`` — a compiled kernel or
+        a model (the gateway's recursive rung).  The feature frame is
+        built once (narrow N-to-1 joins only) and scored in serial
+        :data:`SCORE_CHUNK_ROWS`-row chunks; rows are independent, so
+        the chunking never changes a bit."""
         frame = feature_frame(
             self.db,
             self.graph,
-            columns=list(kernel.required_features),
+            columns=list(scorer.required_features),
             fact=self.fact,
             include_target=False,
         )
-        n = len(next(iter(frame.values()))) if frame else 0
-        if n == 0:
-            return np.zeros(0)
-        chunk = int(batch_rows or DEFAULT_BATCH_ROWS)
-        resolved = self._resolved_workers(workers)
-        starts = list(range(0, n, chunk))
-        if len(starts) <= 1 or resolved <= 1:
-            return np.asarray(kernel.predict_arrays(dict(frame)))
-
-        def score_slice(lo: int, hi: int):
-            piece = {k: v[lo:hi] for k, v in frame.items()}
-            return kernel.predict_arrays(piece)
-
-        scheduler = QueryScheduler(num_workers=resolved)
-        for lo in starts:
-            hi = min(lo + chunk, n)
-            scheduler.submit(
-                lambda lo=lo, hi=hi: score_slice(lo, hi),
-                label=f"score[{lo}:{hi}]",
+        scores = np.empty(len(next(iter(frame.values()))))
+        for lo in range(0, len(scores), SCORE_CHUNK_ROWS):
+            hi = lo + SCORE_CHUNK_ROWS
+            scores[lo:hi] = scorer.predict_arrays(
+                {k: v[lo:hi] for k, v in frame.items()}
             )
-        report = scheduler.run()
-        pieces = report.results()
-        return np.concatenate([np.asarray(p) for p in pieces])
-
-    def score_batches(
-        self,
-        frames: Sequence[Mapping[str, np.ndarray]],
-        name: str = "default",
-        workers: Optional[int] = None,
-    ) -> List[np.ndarray]:
-        """Score many independent feature frames, fanned out over the
-        scheduler.  Output order matches input order regardless of the
-        worker count."""
-        kernel = self.compiled(name)
-        resolved = self._resolved_workers(workers)
-        if resolved <= 1 or len(frames) <= 1:
-            return [np.asarray(kernel.predict_arrays(dict(f))) for f in frames]
-        scheduler = QueryScheduler(num_workers=resolved)
-        for i, frame in enumerate(frames):
-            scheduler.submit(
-                lambda frame=frame: kernel.predict_arrays(dict(frame)),
-                label=f"batch[{i}]",
-            )
-        report = scheduler.run()
-        return [np.asarray(r) for r in report.results()]
+        return scores
 
     def score_sql(self, name: str = "default") -> np.ndarray:
         """Score every fact row by pushing the model into the backend as
@@ -480,7 +431,8 @@ class PredictionService:
     ) -> Relation:
         deployment = self._deployment(name)
         if self._key_path_gathers(next(iter(keys))):
-            column = self._score_columns.get(deployment.digest)
+            version = self._versions.get(deployment.digest)
+            column = version.column if version is not None else None
             if column is not None and column.stamp == self._stamp():
                 rows = key_rows(self.db, self.fact, keys)
                 return self._key_relation(
@@ -566,30 +518,19 @@ class PredictionService:
         return tuple(stamp)
 
     def _build_score_column(self, deployment: Deployment) -> None:
-        """Score every fact row with the bulk kernel, in fixed chunks, and
-        keep the scores for ``deployment``'s digest under the current
+        """Score every fact row with the kernel (:meth:`_score_fact`) and
+        keep the scores in ``deployment``'s record under the current
         stamp (taken first, so a write racing the build reads stale)."""
         kernel = self._kernel_for(deployment)
         stamp = self._stamp()
         start = time.perf_counter()
-        frame = feature_frame(
-            self.db,
-            self.graph,
-            columns=list(kernel.required_features),
-            fact=self.fact,
-            include_target=False,
-        )
-        scores = np.empty(len(next(iter(frame.values()))))
-        for lo in range(0, len(scores), SCORE_COLUMN_CHUNK_ROWS):
-            hi = lo + SCORE_COLUMN_CHUNK_ROWS
-            scores[lo:hi] = kernel.predict_arrays(
-                {k: v[lo:hi] for k, v in frame.items()}
-            )
+        scores = self._score_fact(kernel)
         column = ScoreColumn(stamp, scores, time.perf_counter() - start)
         with self._registry_lock:
-            if self._digest_referenced(deployment.digest):
-                self._score_columns[deployment.digest] = column
-                self._score_column_census["builds"] += 1
+            version = self._versions.get(deployment.digest)
+            if version is not None:
+                version.column = column
+                self._census["score_column_builds"] += 1
 
     def _note_stale(
         self,
@@ -601,7 +542,7 @@ class PredictionService:
         spent falling back since the stamp changed exceeds what the last
         build took (at once when there is no column)."""
         with self._registry_lock:
-            self._score_column_census["stale_fallbacks"] += 1
+            self._census["score_column_stale_fallbacks"] += 1
             if column is not None:
                 column.stale_s += elapsed
                 if column.stale_s <= column.build_s:
@@ -635,9 +576,10 @@ class PredictionService:
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:
-        """Cache census plus the deployment table (observability hook).
+        """Service census plus the deployment table (observability hook).
 
-        Includes the per-name version history, the serving-fault counts
+        ``hits`` / ``misses`` count kernel reuse vs compilation.  Also
+        included: the per-name version history, the serving-fault counts
         (transient vs permanent backend failures seen by
         ``score_sql``/``score_key``), the key requests' score-column
         census (``score_column_builds``, ``score_column_stale_fallbacks``
@@ -647,8 +589,8 @@ class PredictionService:
         serving dashboard sees fault pressure without reaching into
         backend internals.
         """
-        out: Dict[str, object] = dict(self.cache.stats())
         with self._registry_lock:
+            out: Dict[str, object] = dict(self._census)
             out["deployments"] = {
                 name: d.digest for name, d in self._deployments.items()
             }
@@ -658,10 +600,10 @@ class PredictionService:
                 if entries
             }
             out["serving_faults"] = dict(self._serving_faults)
-            for key, count in self._score_column_census.items():
-                out[f"score_column_{key}"] = count
             out["score_column_bytes"] = sum(
-                c.scores.nbytes for c in self._score_columns.values()
+                v.column.scores.nbytes
+                for v in self._versions.values()
+                if v.column is not None
             )
         retry_census = getattr(self.db, "retry_census", None)
         if retry_census is not None:
@@ -670,9 +612,3 @@ class PredictionService:
         if chaos_census is not None:
             out["chaos"] = chaos_census.snapshot()
         return out
-
-    @staticmethod
-    def _resolved_workers(workers: Optional[int]) -> int:
-        if workers is not None:
-            return max(1, int(workers))
-        return TrainParams.from_dict({}).resolved_workers()

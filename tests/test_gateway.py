@@ -27,6 +27,7 @@ from repro.exceptions import (
     DeadlineExceededError,
     ServiceOverloadedError,
     ServingError,
+    TrainingError,
     TransientServingError,
 )
 from repro.serve import (
@@ -412,9 +413,9 @@ class TestDegradation:
         def boom(*args, **kwargs):
             raise TransientServingError("injected everywhere")
 
+        # score_all and the recursive rung both score through _score_fact
         monkeypatch.setattr(service, "score_sql", boom)
-        monkeypatch.setattr(service, "score_all", boom)
-        monkeypatch.setattr(gateway, "_recursive_scores", boom)
+        monkeypatch.setattr(service, "_score_fact", boom)
         with pytest.raises(ServingError, match="every scoring path"):
             gateway.score_sql()
         assert gateway.stats()["failures"] == 1
@@ -435,6 +436,30 @@ class TestDegradation:
         for _ in range(3):
             response = gateway.score_sql()
             assert np.array_equal(response.scores, expected)
+
+
+class TestCensus:
+    def test_refused_requests_keep_the_counters_in_step(self, healthy):
+        """A request refused before admission — nothing deployed under
+        the name, a key column off the fact — is a request and a
+        failure, so every request is accounted for exactly once."""
+        _, _, _, service = healthy
+        gateway = ServingGateway(service)
+        gateway.score_sql()
+        with pytest.raises(TrainingError):
+            gateway.score_sql(name="nope")
+        with pytest.raises(TrainingError):
+            gateway.score_key({"nope_col": 1})
+        stats = gateway.stats()
+        assert stats["requests"] == 3
+        assert stats["failures"] == 2
+        assert stats["requests"] == (
+            stats["served"]
+            + stats["shed"]
+            + stats["deadline_exceeded"]
+            + stats["failures"]
+        )
+        assert stats["in_flight"] == 0
 
 
 class TestCanaryAndRollback:
@@ -468,14 +493,14 @@ class TestCanaryAndRollback:
         second = gateway.deploy(retrained, canary=True, force=True)
         assert service.version() == second
         assert service.history() == [first]
-        stores_before = service.stats()["stores"]
+        misses_before = service.stats()["misses"]
         restored = gateway.rollback()
         assert restored == first
         assert service.history() == [second]
         rolled_scores = gateway.score_compiled().scores
         assert np.array_equal(rolled_scores, first_scores)
         # O(1) rollback: the retained kernel was still warm, no recompile.
-        assert service.stats()["stores"] == stores_before
+        assert service.stats()["misses"] == misses_before
 
     def test_rollback_without_history_raises(self, healthy):
         _, _, _, service = healthy

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import repro
+from repro.datasets.synthetic import star_schema
 from repro.engine.database import Database
 from repro.exceptions import JoinGraphError
 from repro.joingraph.clusters import cluster_graph, cluster_index
@@ -13,6 +15,8 @@ from repro.joingraph.hypertree import (
     is_acyclic,
     rooted_tree,
 )
+
+from conftest import backend_matrix
 
 
 @pytest.fixture
@@ -182,3 +186,25 @@ class TestClusters:
         db, graph = small_imdb
         with pytest.raises(JoinGraphError):
             cluster_graph(graph, fact_tables=["person_info"])
+
+    @pytest.mark.parametrize("backend", backend_matrix("embedded", "sqlite"))
+    def test_duplicate_dimension_key_names_the_edge(self, backend):
+        """One duplicated dimension row makes the fact's edge to it m-n:
+        the refusal names that edge, its keys and its multiplicity."""
+        db, graph = star_schema(
+            repro.connect(backend=backend), num_fact_rows=200, num_dims=2,
+            dim_size=10, seed=4,
+        )
+        dim = db.execute("SELECT * FROM dim0").to_dict()
+        db.drop_table("dim0")
+        db.create_table("dim0", {k: np.append(v, v[3]) for k, v in dim.items()})
+        with pytest.raises(JoinGraphError) as excinfo:
+            repro.train_gradient_boosting(
+                db, graph, {"num_iterations": 2, "num_leaves": 4}
+            )
+        message = str(excinfo.value)
+        assert "outside every CPT cluster: ['dim0']" in message
+        assert "fact(k0) -> dim0(k0) is m-n (dim0's keys are not unique)" in (
+            message
+        )
+        assert "dim1" not in message

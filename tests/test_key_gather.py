@@ -420,7 +420,7 @@ class TestInvalidation:
         assert stats["score_column_bytes"] == 8 * db.table("fact").num_rows()
         # A column that took no time to build is worth rebuilding at the
         # first stale request (the rule compares fallback time with it).
-        service._score_columns[service.version()].build_s = 0.0
+        service._versions[service.version()].column.build_s = 0.0
         db.execute("UPDATE fact SET local_feat = local_feat + 1 WHERE k0 = 3")
         for _ in range(3):
             service.score_key({"k0": 3})
@@ -439,7 +439,7 @@ class TestInvalidation:
         )
         service = PredictionService(db, graph)
         service.deploy(model)
-        service._score_columns[service.version()].build_s = 0.0
+        service._versions[service.version()].column.build_s = 0.0
         db.execute("UPDATE fact SET k0 = 3 WHERE k0 = 4")
         frame = feature_frame(db, graph, include_target=False)
         k0 = db.table("fact").column("k0").values
@@ -573,5 +573,12 @@ class TestKeySemantics:
             ):
                 with pytest.raises(TrainingError):
                     call()
-        # Refused before the ladder: no slot taken, no breaker touched.
-        assert gateway.stats()["requests"] == 0
+        # Refused before admission: three failed requests, no slot taken,
+        # no breaker touched.
+        stats = gateway.stats()
+        assert stats["requests"] == stats["failures"] == 3
+        assert stats["in_flight"] == 0
+        assert all(
+            breaker["consecutive_failures"] == 0
+            for breaker in stats["breakers"].values()
+        )

@@ -244,7 +244,7 @@ class TestNumWorkersParam:
     def test_auto_runs_frontier_rounds_on_one_worker(self, monkeypatch):
         """Two threads made both spine GBM trainings ~11 % slower than
         one (docs/EXPERIMENTS.md, Figure 18): "auto" keeps a trainer's
-        rounds inline, and only forests and score_all fan out."""
+        rounds inline, and only a forest's trees fan out."""
         monkeypatch.delenv(NUM_WORKERS_ENV, raising=False)
         assert TrainParams(num_workers="auto").frontier_workers() == 1
         assert TrainParams(num_workers=3).frontier_workers() == 3

@@ -1,15 +1,14 @@
-"""PredictionService: versioning, warm-cache census, worker parity.
+"""PredictionService: versioning, kernel census, chunked fact scoring.
 
-The service compiles deployed models once per version digest and keeps
-the kernels in a warm LRU (:class:`repro.serve.CompiledModelCache`).
-These tests pin the cache census (hits/misses/stores/evictions), the
-bounded version-history retention on redeploy (PR 10: the previous
-kernel stays pinned warm so rollback never recompiles), the registry
-lock under deploy-vs-score races, the serving error taxonomy on the
-backend paths, and that fanning batch scoring out over
-``JOINBOOST_NUM_WORKERS=4`` workers returns bytes identical to serial —
-the kernels are pure numpy, so concurrency must never show up in the
-output.
+The service keeps one record per deployed digest — the kernel, compiled
+on first use, and the score column — while a live deployment or a
+history entry references it.  These tests pin the kernel census
+(``hits`` = reuse, ``misses`` = compiles), the bounded version-history
+retention on redeploy (the previous version's record stays, so rollback
+never recompiles) and the record's release, the registry lock under
+deploy-vs-score races, the serving error taxonomy on the backend paths,
+and that scoring the fact in fixed chunks — which land on both kernel
+regimes — returns the single-call bits.
 """
 
 import threading
@@ -27,7 +26,8 @@ from repro.exceptions import (
     TrainingError,
     TransientServingError,
 )
-from repro.serve import CompiledModelCache, PredictionService, ServingGateway
+from repro.serve import PredictionService, ServingGateway
+from repro.serve import service as service_module
 
 from conftest import backend_matrix
 
@@ -61,7 +61,8 @@ class TestDeployment:
         service.score_all()
         service.undeploy()
         assert service.deployments() == []
-        assert service.stats()["entries"] == 0
+        assert service._versions == {}
+        assert service.stats()["score_column_bytes"] == 0
 
     def test_redeploy_retains_previous_version_warm(self, served):
         db, graph, model, service = served
@@ -73,9 +74,9 @@ class TestDeployment:
         second = service.deploy(retrained)
         assert second != first
         stats = service.stats()
-        # PR 10: the previous version is retained, not evicted — its
-        # kernel stays pinned warm for canary comparison and rollback.
-        assert stats["invalidations"] == 0
+        # The previous version is retained, not dropped — its record
+        # (kernel included) stays for canary comparison and rollback.
+        assert set(service._versions) == {first, second}
         assert stats["deployments"]["default"] == second
         assert stats["history"]["default"] == [first]
         # The new version serves its own bits (fresh compile).
@@ -83,11 +84,11 @@ class TestDeployment:
         frame = feature_frame(db, graph, include_target=False)
         assert np.array_equal(scores, retrained.predict_arrays(frame))
         # Rollback restores the retained version without a recompile.
-        stores = service.stats()["stores"]
+        misses = service.stats()["misses"]
         assert service.rollback() == first
         rolled = service.score_all()
         assert np.array_equal(rolled, model.predict_arrays(frame))
-        assert service.stats()["stores"] == stores
+        assert service.stats()["misses"] == misses
 
     def test_history_is_bounded(self, served):
         db, graph, model, service = served
@@ -103,60 +104,49 @@ class TestDeployment:
             digests.append(service.deploy(retrained))
             service.score_all()
         assert len(set(digests)) == 3
-        # retained_versions=2 keeps live + one previous: the oldest
-        # version fell off the history and its kernel was invalidated.
+        # RETAINED_VERSIONS=2 keeps live + one previous: the oldest
+        # version fell off the history and its record was dropped.
         stats = service.stats()
         assert stats["history"]["default"] == [digests[1]]
-        assert stats["invalidations"] == 1
-        assert not service.cache.pinned(first)
+        assert set(service._versions) == {digests[1], digests[2]}
 
 
 class TestCacheCensus:
+    """``hits`` / ``misses``: a kernel reused from its version's record
+    vs compiled (the names predate the record; kept as test ids)."""
+
     def test_hit_miss_store_counts(self, served):
         _, _, model, service = served
         # On the embedded engine deploy builds the key-request score
-        # column, which compiles: miss -> compile -> store.
+        # column, which compiles: one miss.
         service.deploy(model)
         service.score_all()  # hit
         service.score_all()  # hit
         stats = service.stats()
         assert stats["misses"] == 1
-        assert stats["stores"] == 1
         assert stats["hits"] == 2
-        assert stats["entries"] == 1
 
-    def test_lru_evicts_oldest(self):
-        cache = CompiledModelCache(max_entries=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1  # refresh a; b is now oldest
-        cache.put("c", 3)
-        assert cache.get("b") is None
-        assert cache.get("a") == 1 and cache.get("c") == 3
-        assert cache.stats()["evictions"] == 1
-
-    def test_invalidate_unknown_digest_is_noop(self):
-        cache = CompiledModelCache()
-        assert cache.invalidate("nope") is False
-        assert cache.stats()["invalidations"] == 0
+    def test_a_version_shared_by_two_names_keeps_its_record(self, served):
+        db, graph, model, service = served
+        digest = service.deploy(model, name="a")
+        service.deploy(model, name="b")
+        service.undeploy("a")
+        misses = service.stats()["misses"]
+        service.score_all(name="b")
+        assert service.stats()["misses"] == misses
+        service.undeploy("b")
+        assert digest not in service._versions
 
 
 class TestWorkerParity:
-    def test_parallel_score_all_identical_to_serial(self, served, monkeypatch):
-        db, graph, model, service = served
-        service.deploy(model)
-        serial = service.score_all(workers=1)
-        frame = feature_frame(db, graph, include_target=False)
-        assert np.array_equal(serial, model.predict_arrays(frame))
+    """Whole-fact scoring is serial fixed chunks; neither the chunking
+    nor the path may show up in the bits (the names predate the serial
+    chunks; kept as test ids)."""
 
-        monkeypatch.setenv("JOINBOOST_NUM_WORKERS", "4")
-        parallel = service.score_all(batch_rows=64)  # env-resolved workers
-        assert np.array_equal(parallel, serial)
-
-    def test_thread_slices_straddling_the_crossover(self):
-        """Slices of ``score_all`` land on both kernel regimes (bitmask
-        at and above the crossover, level descent below it) and still
-        reassemble to the single-call bits."""
+    def test_thread_slices_straddling_the_crossover(self, monkeypatch):
+        """Chunks of the fact scorer land on both kernel regimes
+        (bitmask at and above the crossover, level descent below it)
+        and still reassemble to the single-call bits."""
         rows = 2 * _BITMASK_MIN_ROWS + 100
         db, graph = star_schema(num_fact_rows=rows, num_dims=2, seed=3)
         model = repro.train_gradient_boosting(
@@ -164,26 +154,15 @@ class TestWorkerParity:
         )
         service = PredictionService(db, graph)
         service.deploy(model)
-        single = service.score_all(workers=1)
+        single = service.score_all()
         frame = feature_frame(db, graph, include_target=False)
+        assert np.array_equal(single, service.compiled().predict_arrays(frame))
         assert np.array_equal(single, model.predict_arrays(frame))
-        sliced = service.score_all(batch_rows=_BITMASK_MIN_ROWS, workers=2)
-        assert np.array_equal(sliced, single)
-
-    def test_score_batches_preserves_order(self, served):
-        db, graph, model, service = served
-        service.deploy(model)
-        frame = feature_frame(db, graph, include_target=False)
-        rng = np.random.default_rng(8)
-        n = len(next(iter(frame.values())))
-        frames = []
-        for _ in range(6):
-            idx = rng.integers(0, n, 17)
-            frames.append({k: v[idx] for k, v in frame.items()})
-        serial = service.score_batches(frames, workers=1)
-        fanned = service.score_batches(frames, workers=4)
-        for a, b in zip(serial, fanned):
-            assert np.array_equal(a, b)
+        monkeypatch.setattr(
+            service_module, "SCORE_CHUNK_ROWS", _BITMASK_MIN_ROWS
+        )
+        assert np.array_equal(service.score_all(), single)
+        assert np.array_equal(service._score_fact(model), single)
 
     def test_sql_path_matches_compiled(self, served):
         _, _, model, service = served
@@ -210,7 +189,7 @@ class TestModelWithoutSplits:
         assert expected.shape == (300,)
         assert np.array_equal(service.score_all(), expected)
         assert np.array_equal(gateway.score_compiled().scores, expected)
-        assert np.array_equal(gateway._recursive_scores("default"), expected)
+        assert np.array_equal(service._score_fact(model), expected)
 
         k0 = np.asarray(db.table("fact").column("k0").as_float())
         keyed = service.score_key({"k0": 3})

@@ -14,6 +14,10 @@ and backend, so each log is pinned by sha256:
 A change that alters SQL text or order restates these pins and says why
 in CHANGES.md, the same contract as the ``model_digest`` pins.  A
 refactor that claims "same behaviour" restates none.
+
+Each config also trains to one ``model_digest`` on both backends at one
+worker — except the two fenced as strict xfails (``DIGESTS_DIFFER``),
+which must start failing loudly once their digests agree.
 """
 
 from __future__ import annotations
@@ -137,21 +141,21 @@ def _galaxy(db):
 
 def _gbm(**extra):
     def train(db, graph, workers):
-        repro.train_gradient_boosting(
+        return repro.train_gradient_boosting(
             db, graph, dict(PARAMS, num_workers=workers, **extra)
         )
     return train
 
 
 def _forest(db, graph, workers):
-    repro.train_random_forest(
+    return repro.train_random_forest(
         db, graph,
         dict(PARAMS, num_iterations=3, subsample=0.5, num_workers=workers),
     )
 
 
 def _cuboid(db, graph, workers):
-    train_boosting_on_cuboid(
+    return train_boosting_on_cuboid(
         db, graph, dict(PARAMS, max_bin=6, num_workers=workers)
     )
 
@@ -163,10 +167,12 @@ def _shards(db, graph, workers):
     cluster.workers = [StatementLog(w, db.log) for w in cluster.workers]
     for worker, shard_graph in zip(cluster.workers, cluster.worker_graphs):
         shard_graph.db = worker
-    cluster.train_gradient_boosting(dict(PARAMS, num_workers=workers))
+    return cluster.train_gradient_boosting(
+        dict(PARAMS, num_workers=workers)
+    )[0]
 
 
-#: config -> (``make(db) -> graph``, ``train(db, graph, workers)``)
+#: config -> (``make(db) -> graph``, ``train(db, graph, workers) -> model``)
 CONFIGS = {
     "gbm_auto": (_favorita, _gbm()),
     "gbm_off": (_favorita, _gbm(split_batching="off")),
@@ -179,11 +185,16 @@ CONFIGS = {
 }
 
 
-def statement_log(config, backend, workers):
+def logged_training(config, backend, workers):
+    """``(log, model)`` of one training behind a :class:`StatementLog`."""
     make, train = CONFIGS[config]
     db = StatementLog(_connector(backend))
-    train(db, make(db), workers)
-    return db.log
+    model = train(db, make(db), workers)
+    return db.log, model
+
+
+def statement_log(config, backend, workers):
+    return logged_training(config, backend, workers)[0]
 
 
 def serial_digest(log):
@@ -208,6 +219,35 @@ def test_serial_log_matches_pin(config, backend):
 def test_parallel_log_multiset_matches_pin(config, backend):
     log = statement_log(config, backend, workers=4)
     assert parallel_digest(log) == PINNED_PARALLEL[(config, backend)]
+
+
+#: configs whose two backends train different bits today: every split
+#: and count matches, but float sums differ in the last bits (summation
+#: order).  ROADMAP item 4 (exact integer aggregates) closes this.
+DIGESTS_DIFFER = {"galaxy", "cuboid"}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        pytest.param(
+            config,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="float sums differ across backends (ROADMAP item 4)",
+            ),
+        )
+        if config in DIGESTS_DIFFER
+        else config
+        for config in CONFIGS
+    ],
+)
+def test_digest_agrees_across_backends(config):
+    sqlite, embedded = (
+        repro.model_digest(logged_training(config, backend, workers=1)[1])
+        for backend in BACKENDS
+    )
+    assert sqlite == embedded
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
