@@ -248,11 +248,13 @@ class Connector:
         An engine that keeps version-stamped
         :class:`~repro.engine.operators.ColumnEncoding` objects for its
         key columns (the embedded engine's encoding cache) returns the
-        current one; key scoring then gathers the matching rows from it
-        instead of rendering a statement
-        (:func:`repro.core.predict.gather_frame`).  Engines that own
-        their storage return ``None`` and keep the SQL path, where their
-        optimizer pushes the key predicate down.  The hook runs no
+        current one; key scoring then finds the matching rows in it
+        (:func:`repro.core.predict.key_rows`) instead of rendering a
+        statement.  Engines that own their storage return ``None`` and
+        keep the SQL path, where their optimizer pushes the key
+        predicate down; client-side frames
+        (:func:`repro.core.predict.feature_frame`) then encode their
+        column snapshots once per data version.  The hook runs no
         statement, so there is nothing for a proxy to intercept: the
         default resolves through :attr:`unwrapped`, and a chaos, retry
         or timing wrapper inherits the backend's answer unchanged.

@@ -13,9 +13,12 @@ Python functions on the connection.
 Query results come back as the same :class:`Relation`/:class:`Column`
 objects the embedded engine produces, so client-side consumers
 (``feature_frame``, categorical split scans, forest sampling) run
-unchanged.  NaN is the NULL interchange value on both sides: floats
-arriving as NaN are stored as SQL NULL, and NULLs read back as NaN under
-a validity mask — matching the embedded engine's convention.
+unchanged.  ``feature_frame`` walks key encodings of the client-side
+column snapshots, encoded once per data version and memoized on the
+snapshot, since this connector serves no ``encoding_for``.  NaN is the
+NULL interchange value on both sides: floats arriving as NaN are stored
+as SQL NULL, and NULLs read back as NaN under a validity mask — matching
+the embedded engine's convention.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from repro.core.frontier import FrontierEvaluator
 from repro.core.params import TrainParams
 from repro.core.session import TrainingSessionGuard
 from repro.core.predict import rmse_on_join
-from repro.core.residual import ResidualUpdater
+from repro.core.residual import ResidualUpdater, check_semi_join_keys
 from repro.core.split import GradientCriterion
 from repro.core.trainer import DecisionTreeTrainer
 from repro.core.tree import DecisionTreeModel
@@ -227,6 +227,13 @@ def train_gradient_boosting(
             f"only, not objective {loss.name!r}"
         )
     graph.validate()
+    fact = graph.target_relation
+    flagged = [r.name for r in graph.relations.values() if r.is_fact]
+    if clusters is None and flagged == [fact]:
+        # Every split updates through the one fact: refuse a feature
+        # whose predicates cannot move to it before any statement (the
+        # analysis that tells snowflake from galaxy included).
+        check_semi_join_keys(graph, fact)
     configure_encoding_cache(db, train_params.encoding_cache)
     if isinstance(loss, SoftmaxLoss):
         if checkpoint is not None or resume_from is not None:
@@ -236,7 +243,6 @@ def train_gradient_boosting(
             )
         return _train_multiclass(db, graph, train_params, loss)
 
-    fact = graph.target_relation
     snowflake = is_snowflake(graph, fact) and clusters is None
     if not snowflake and not loss.supports_galaxy:
         raise TrainingError(
@@ -267,6 +273,7 @@ def _train_snowflake(
 ) -> GradientBoostingModel:
     fact = graph.target_relation
     y = graph.target_column
+    check_semi_join_keys(graph, fact)
     # Resume: the checkpoint's init score and trees are authoritative —
     # recomputing the init would re-run a query the interrupted run
     # already committed to.
@@ -347,6 +354,8 @@ def _train_galaxy(
 ) -> GradientBoostingModel:
     if clusters is None:
         clusters = cluster_graph(graph)
+    for cluster in clusters:
+        check_semi_join_keys(graph, cluster.fact, cluster.members)
     target = graph.target_relation
     y = graph.target_column
     init = _join_mean(db, graph)
@@ -492,6 +501,7 @@ def _train_multiclass(
     fact = graph.target_relation
     if not is_snowflake(graph, fact):
         raise TrainingError("softmax objectives require a snowflake schema")
+    check_semi_join_keys(graph, fact)
     y = graph.target_column
     k = loss.num_classes
 

@@ -5,10 +5,10 @@ For snowflake schemas the fact table is 1-1 with R⋈, so scoring needs only
 a *narrow* join: the fact table's rows augmented with exactly the feature
 columns the model references (each dimension contributes a couple of
 columns, fetched with N-to-1 joins).  :func:`feature_frame` builds that
-frame for every fact row; :func:`gather_frame` builds it for just the fact
-rows a key predicate reaches ("score user id X") without ever touching the
-rest of the fact — the per-table semi-join annotation idea of the
-reference ``cjt.annotations``, run over the cached key encodings.  The
+frame for every fact row or for chosen ones — the rows a key predicate
+reaches ("score user id X", :func:`key_rows`) without touching the rest
+of the fact: the per-table semi-join annotation idea of the reference
+``cjt.annotations``.  Every hop runs over the cached key encodings.  The
 model classes route rows through their trees vectorized.
 """
 
@@ -20,8 +20,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.exceptions import TrainingError
-from repro.engine.operators import ColumnEncoding, encode_values, join_indices
-from repro.joingraph.graph import JoinGraph
+from repro.engine.operators import ColumnEncoding, encode_values
+from repro.joingraph.graph import JoinEdge, JoinGraph
 from repro.joingraph.hypertree import edge_between, rooted_tree
 
 
@@ -33,16 +33,10 @@ KeyValue = Union[str, int, float, None]
 ROW_COLUMN = "jb_row"
 
 
-def _join_order(graph: JoinGraph, fact: str):
-    """``(parent_map, order)``: the join tree rooted at ``fact`` and its
-    relations top-down (breadth-first, the fact first)."""
-    parent_map, _, bottom_up = rooted_tree(graph, fact)
-    return parent_map, bottom_up[::-1]
-
-
-def _owner(db, order: Sequence[str], column: str) -> str:
-    """The first relation (top-down from the fact) storing ``column``."""
-    for name in order:
+def _owner(db, bottom_up: Sequence[str], column: str) -> str:
+    """The first relation storing ``column`` top-down from the fact (the
+    join tree's ``bottom_up`` order reversed: breadth-first)."""
+    for name in reversed(bottom_up):
         if column in db.table(name).column_names():
             return name
     raise TrainingError(f"no relation provides column {column!r}")
@@ -78,14 +72,18 @@ def feature_frame(
     columns: Optional[Sequence[str]] = None,
     fact: Optional[str] = None,
     include_target: bool = True,
+    rows: Optional[np.ndarray] = None,
 ) -> Dict[str, np.ndarray]:
-    """Fact-aligned arrays for the requested feature columns.
+    """Arrays of the requested feature columns aligned with fact rows.
 
-    Walks the join tree rooted at the fact table; for each relation owning
-    a requested column, composes the N-to-1 key mappings hop by hop so the
-    returned arrays all align with fact rows.  NULLs appear where a join
-    key has no match (left-join semantics).  With no column to return,
-    the frame is ``{ROW_COLUMN: fact row positions}``.
+    ``rows`` are the fact row positions to build the frame for (every
+    fact row by default), e.g. a key's rows from :func:`key_rows`.  Each
+    relation owning a requested column is reached from the fact down the
+    join tree, one N-to-1 hop (:func:`_hop`) per edge and only along the
+    paths to owners, so a frame costs O(rows) per hop and never reads the
+    rest of the fact.  NULLs appear where a join key has no match
+    (left-join semantics).  With no column to return, the frame is
+    ``{ROW_COLUMN: rows}``.
     """
     fact = fact or graph.target_relation
     wanted: List[str]
@@ -98,43 +96,29 @@ def feature_frame(
         if target not in wanted:
             wanted.append(target)
 
-    parent_map, order = _join_order(graph, fact)
-    n = db.table(fact).num_rows()
+    parent_map, _, bottom_up = rooted_tree(graph, fact)
+    if rows is None:
+        rows = np.arange(db.table(fact).num_rows())
+    row_map: Dict[str, np.ndarray] = {fact: rows}
 
-    # row_map[rel] = for each fact row, the matching row index in rel (-1
-    # when missing).  Built top-down along the join tree.
-    row_map: Dict[str, np.ndarray] = {fact: np.arange(n)}
-    for relation in order[1:]:
-        parent = parent_map[relation]
-        edge = edge_between(graph, relation, parent)
-        parent_table = db.table(parent)
-        child_table = db.table(relation)
-        parent_idx = row_map[parent]
-        parent_keys = [
-            _gather_values(parent_table.column(key), parent_idx)
-            for key in edge.keys_for(parent)
-        ]
-        child_keys = [
-            child_table.column(k).values for k in edge.keys_for(relation)
-        ]
-        l_idx, r_idx = join_indices(parent_keys, child_keys, how="left")
-        # N-to-1 joins have at most one match per fact row; if the data
-        # violates that, the last match wins (evaluation path only).
-        first = np.full(n, -1, dtype=np.int64)
-        first[l_idx] = r_idx
-        row_map[relation] = first
+    def positions(relation: str) -> np.ndarray:
+        if relation not in row_map:
+            parent = parent_map[relation]
+            edge = edge_between(graph, relation, parent)
+            row_map[relation] = _hop(db, edge, parent, relation, positions(parent))
+        return row_map[relation]
 
     out: Dict[str, np.ndarray] = {}
     for column in wanted:
-        owner = _owner(db, order, column)
+        owner = _owner(db, bottom_up, column)
         out[column] = _gather_values(
-            db.table(owner).column(column), row_map[owner]
+            db.table(owner).column(column), positions(owner)
         )
-    return out or {ROW_COLUMN: row_map[fact]}
+    return out or {ROW_COLUMN: rows}
 
 
 # ---------------------------------------------------------------------------
-# Key scoring: the same frame for only the fact rows a key predicate reaches
+# Key encodings: the rows a key predicate reaches, and the walk's hops
 # ---------------------------------------------------------------------------
 def check_key_request(
     db,
@@ -200,21 +184,28 @@ def _encoding(db, table: str, column: str) -> ColumnEncoding:
 
 def _codes(encoding: ColumnEncoding, values: np.ndarray) -> np.ndarray:
     """Dictionary code of each probe value, -1 where no stored key equals
-    it.  Key equality for the gather, on request keys and join hops
-    alike: numbers compare by value (``3 == 3.0``), strings by text, a
-    string never equals a number, and NULL (NaN / ``None``) equals
-    nothing — stored NULLs are not in the dictionary at all.  The SQL
-    key path agrees because :func:`check_key_request` has already turned
-    a str/numeric mismatch into NULL."""
+    it.  Key equality on request keys and join hops alike: numbers
+    compare by value (``3 == 3.0``), strings by text, a string never
+    equals a number, and NULL (NaN / ``None``) equals nothing — stored
+    NULLs are not in the dictionary at all.  Probes are request values
+    (``None`` for a NULL string) or another encoding's dictionary.  The
+    SQL key path agrees because :func:`check_key_request` has already
+    turned a str/numeric mismatch into NULL."""
     uniques = encoding.uniques
     none = np.full(len(values), -1, dtype=np.int64)
     textual = uniques.dtype.kind in "US"
-    if not len(uniques) or not len(values) or textual != (values.dtype == object):
+    if (
+        not len(uniques)
+        or not len(values)
+        or textual != (values.dtype.kind in "OUS")
+    ):
         return none
     comparable = None
-    if textual:
+    if values.dtype == object:
         comparable = values != None  # noqa: E711 - elementwise
         probe = np.where(comparable, values, "").astype("U")
+    elif textual:
+        probe = values
     elif values.dtype.kind == "f" and uniques.dtype.kind in "iu":
         with np.errstate(invalid="ignore"):
             probe = values.astype(np.int64)
@@ -257,7 +248,8 @@ def key_rows(db, fact: str, keys: Mapping[str, KeyValue]) -> np.ndarray:
     """Positions of the fact rows whose key columns equal ``keys``
     (ascending; several key columns intersect), read off the key
     column's grouped row index without scanning the fact.  ``keys`` are
-    values normalized by :func:`check_key_request`."""
+    values normalized by :func:`check_key_request`; the rows' frame is
+    ``feature_frame(..., rows=key_rows(...))``."""
     encodings = [_encoding(db, fact, column) for column in keys]
     probes = [
         np.array([value], dtype=object) if isinstance(value, str)
@@ -270,62 +262,57 @@ def key_rows(db, fact: str, keys: Mapping[str, KeyValue]) -> np.ndarray:
     return rows
 
 
-def gather_frame(
-    db,
-    graph: JoinGraph,
-    columns: Sequence[str],
-    keys: Mapping[str, KeyValue],
-    fact: Optional[str] = None,
-) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
-    """:func:`feature_frame` restricted to the fact rows matching ``keys``,
-    in O(matching rows) instead of O(fact).
+def _last_match(
+    encodings: Sequence[ColumnEncoding], codes: Sequence[np.ndarray]
+) -> np.ndarray:
+    """For each probe tuple of :func:`_candidates`, the last stored row
+    whose key tuple equals it (-1 where none does): N-to-1 joins match at
+    most one row, and on duplicate dimension keys the last one wins."""
+    probe, rows = _candidates(encodings, codes)
+    last = np.ones(len(probe), dtype=bool)
+    last[:-1] = probe[1:] != probe[:-1]
+    out = np.full(len(codes[0]), -1, dtype=np.int64)
+    out[probe[last]] = rows[last]
+    return out
 
-    Returns ``(rows, frame)``: the positions of the fact rows whose key
-    columns equal ``keys`` (ascending; several key columns intersect) and
-    the feature arrays aligned with them — column for column what
-    ``feature_frame(...)[column][mask]`` holds, including left-join NULLs
-    for dangling keys and last-match-wins on duplicate dimension keys
-    (``{ROW_COLUMN: rows}`` when ``columns`` is empty).
 
-    Nothing scans the fact: the rows come from :func:`key_rows`, and
-    each hop looks the join keys of just those rows up in the next
-    relation's key encoding, only along the paths to relations that own
-    a requested column.
-    """
-    fact = fact or graph.target_relation
-    rows = key_rows(db, fact, keys)
-    parent_map, order = _join_order(graph, fact)
-    row_map: Dict[str, np.ndarray] = {fact: rows}
+def _hop(
+    db, edge: JoinEdge, parent: str, relation: str, parent_rows: np.ndarray
+) -> np.ndarray:
+    """The row of ``relation`` each of ``parent_rows`` joins to over
+    ``edge`` (-1 where none does; a parent row of -1 joins nothing).
 
-    def positions(relation: str) -> np.ndarray:
-        if relation not in row_map:
-            parent = parent_map[relation]
-            edge = edge_between(graph, relation, parent)
-            parent_table = db.table(parent)
-            parent_idx = positions(parent)
-            child_encodings = [
-                _encoding(db, relation, k) for k in edge.keys_for(relation)
-            ]
-            child_codes = [
-                _codes(e, _gather_values(parent_table.column(k), parent_idx))
-                for e, k in zip(child_encodings, edge.keys_for(parent))
-            ]
-            probe, matches = _candidates(child_encodings, child_codes)
-            # N-to-1 joins match at most one row; on duplicate dimension
-            # keys the last match wins, as in feature_frame.
-            last = np.ones(len(probe), dtype=bool)
-            last[:-1] = probe[1:] != probe[:-1]
-            row_map[relation] = np.full(len(rows), -1, dtype=np.int64)
-            row_map[relation][probe[last]] = matches[last]
-        return row_map[relation]
-
-    frame: Dict[str, np.ndarray] = {}
-    for column in columns:
-        owner = _owner(db, order, column)
-        frame[column] = _gather_values(
-            db.table(owner).column(column), positions(owner)
-        )
-    return rows, frame or {ROW_COLUMN: rows}
+    Keys match by :func:`_codes`, probed with the parent key's dictionary
+    entries rather than re-hashed values: when the rows are at least as
+    many as the parent's distinct keys, every entry is probed once and
+    each row takes its entry's match; otherwise only the rows' own
+    entries are probed.  A hop so costs O(min(rows, parent keys)) probes
+    plus O(rows) takes."""
+    child = [_encoding(db, relation, key) for key in edge.keys_for(relation)]
+    sources = [_encoding(db, parent, key) for key in edge.keys_for(parent)]
+    # Each row's parent dictionary code; one past the dictionary for a
+    # NULL key (the NULL group is coded last) or a row that joins nothing.
+    known = parent_rows >= 0
+    codes = []
+    for source in sources:
+        code = np.full(len(parent_rows), len(source.uniques), dtype=np.int64)
+        code[known] = source.codes[parent_rows[known]]
+        codes.append(code)
+    if len(parent_rows) >= max(len(source.uniques) for source in sources):
+        probes = [
+            np.append(_codes(encoding, source.uniques), -1)
+            for encoding, source in zip(child, sources)
+        ]
+        if len(probes) == 1:
+            return _last_match(child, probes)[codes[0]]
+        return _last_match(child, [p[c] for p, c in zip(probes, codes)])
+    probes = []
+    for encoding, source, code in zip(child, sources, codes):
+        keyed = code < len(source.uniques)
+        probe = np.full(len(code), -1, dtype=np.int64)
+        probe[keyed] = _codes(encoding, source.uniques[code[keyed]])
+        probes.append(probe)
+    return _last_match(child, probes)
 
 
 def predict_join(db, graph: JoinGraph, model, fact: Optional[str] = None) -> np.ndarray:

@@ -46,6 +46,49 @@ from repro.semiring.losses import Loss
 # ---------------------------------------------------------------------------
 # Leaf predicate -> fact-table semi-join condition (Section 4.1)
 # ---------------------------------------------------------------------------
+def semi_join_path(
+    graph: JoinGraph,
+    fact: str,
+    relation: str,
+    parent_map: Dict[str, Optional[str]],
+) -> List[str]:
+    """The relations from ``relation`` up the join tree rooted at
+    ``fact`` (``parent_map``) to the fact.
+
+    A predicate on ``relation`` moves to the fact as one single-column
+    ``key IN (SELECT key ...)`` semi-join per edge of this path, so every
+    edge on it must join on one column: raises :class:`TrainingError`
+    naming the first edge that does not.
+    """
+    path = [relation]
+    while path[-1] != fact:
+        current = path[-1]
+        parent = parent_map.get(current)
+        if parent is None:
+            raise TrainingError(f"no path from {relation!r} to fact {fact!r}")
+        keys = edge_between(graph, current, parent).keys_for(current)
+        if len(keys) != 1:
+            raise TrainingError(
+                "semi-join predicate movement requires single-column "
+                f"join keys on the {current!r} -> {parent!r} edge "
+                f"({', '.join(keys)})"
+            )
+        path.append(parent)
+    return path
+
+
+def check_semi_join_keys(
+    graph: JoinGraph, fact: str, relations: Optional[Sequence[str]] = None
+) -> None:
+    """Refuse, before training runs a statement, a relation declaring
+    features among ``relations`` (default: the whole graph) whose split
+    predicates could not move to ``fact`` (:func:`semi_join_path`)."""
+    parent_map = rooted_tree(graph, fact)[0]
+    for relation in graph.relations if relations is None else relations:
+        if graph.relations[relation].features:
+            semi_join_path(graph, fact, relation, parent_map)
+
+
 def leaf_fact_condition(
     graph: JoinGraph,
     fact: str,
@@ -56,9 +99,10 @@ def leaf_fact_condition(
     """Rewrite a leaf's σ as a predicate over the fact table only.
 
     Dimension predicates become nested ``IN (SELECT ...)`` semi-joins
-    moved hop by hop toward the fact (the D_{i-1} ⋉ σ(D_i) rewriting).
-    ``table_for`` maps relation names to their physical tables (lifted
-    copies); defaults to the relation names themselves.
+    moved hop by hop toward the fact (the D_{i-1} ⋉ σ(D_i) rewriting)
+    along :func:`semi_join_path`.  ``table_for`` maps relation names to
+    their physical tables (lifted copies); defaults to the relation
+    names themselves.
     """
     table_for = table_for or {}
     parent_map, _, _ = rooted_tree(graph, fact)
@@ -69,46 +113,19 @@ def leaf_fact_condition(
         if relation == fact:
             conditions.append(render_conjunction(tuple(preds), alias=fact_alias))
             continue
-        # Path from the predicate's relation up to the fact.
-        path = [relation]
-        while path[-1] != fact:
-            parent = parent_map.get(path[-1])
-            if parent is None:
-                raise TrainingError(
-                    f"no path from {relation!r} to fact {fact!r}"
-                )
-            path.append(parent)
+        path = semi_join_path(graph, fact, relation, parent_map)
         subquery = None
         for i, current in enumerate(path[:-1]):
-            parent = path[i + 1]
-            edge = edge_between(graph, current, parent)
-            out_keys = edge.keys_for(current)
-            if len(out_keys) != 1:
-                raise TrainingError(
-                    "semi-join predicate movement requires single-column "
-                    f"join keys on the {current!r} -> {parent!r} edge"
-                )
-            table = table_for.get(current, current)
-            where_parts: List[str] = []
+            out_key = edge_between(graph, current, path[i + 1]).keys_for(current)[0]
             if i == 0:
-                where_parts.append(render_conjunction(tuple(preds)))
+                where = render_conjunction(tuple(preds))
             else:
-                prev = path[i - 1]
-                prev_edge = edge_between(graph, prev, current)
-                in_keys = prev_edge.keys_for(current)
-                if len(in_keys) != 1:
-                    raise TrainingError(
-                        "semi-join predicate movement requires single-column "
-                        f"join keys on the {prev!r} -> {current!r} edge"
-                    )
-                where_parts.append(f"{in_keys[0]} IN ({subquery})")
-            subquery = (
-                f"SELECT {out_keys[0]} FROM {table}"
-                f" WHERE {' AND '.join(where_parts)}"
-            )
-        last_edge = edge_between(graph, path[-2], fact)
-        fact_keys = last_edge.keys_for(fact)
-        conditions.append(f"{fact_alias}.{fact_keys[0]} IN ({subquery})")
+                in_key = edge_between(graph, path[i - 1], current).keys_for(current)[0]
+                where = f"{in_key} IN ({subquery})"
+            table = table_for.get(current, current)
+            subquery = f"SELECT {out_key} FROM {table} WHERE {where}"
+        fact_key = edge_between(graph, path[-2], fact).keys_for(fact)[0]
+        conditions.append(f"{fact_alias}.{fact_key} IN ({subquery})")
     return " AND ".join(conditions) if conditions else "TRUE"
 
 

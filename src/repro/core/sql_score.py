@@ -368,7 +368,9 @@ def score_by_key(
     with the key columns, any ``extra_columns``, and ``jb_score``.  This
     is the key path of connectors whose DBMS owns the storage and pushes
     the predicate into its own fact scan; the embedded engine answers
-    the same request with :func:`repro.core.predict.gather_frame`.
+    the same request without SQL, from the matching rows
+    (:func:`repro.core.predict.key_rows`) and their
+    :func:`repro.core.predict.feature_frame` or score column.
     """
     fact = fact or graph.target_relation
     normalized = check_key_request(db, fact, keys, extra_columns)

@@ -48,7 +48,7 @@ import numpy as np
 
 from repro.exceptions import TrainingError, TransientBackendError
 from repro.core.params import TrainParams
-from repro.core.residual import ResidualUpdater
+from repro.core.residual import ResidualUpdater, check_semi_join_keys
 from repro.core.split import (
     Criterion,
     GradientCriterion,
@@ -216,6 +216,7 @@ class SimulatedCluster:
 
         fact = self.graph.target_relation
         y = self.graph.target_column
+        check_semi_join_keys(self.graph, fact)
         workers, worker_graphs = self.workers, self.worker_graphs
         # The checkpoint's init score and trees are authoritative.
         restored, init = restored_rounds(payload)

@@ -40,11 +40,11 @@ import dataclasses
 import os
 import threading
 import time
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.predict import check_key_request
+from repro.core.predict import check_key_request, key_rows
 from repro.engine.result import Relation
 from repro.exceptions import (
     CircuitOpenError,
@@ -215,7 +215,7 @@ class ServingGateway:
             (PATH_COMPILED, lambda: service.score_all(name)),
             (
                 PATH_RECURSIVE,
-                lambda: service._score_fact(service.deployment(name).model),
+                lambda: service._score_rows(service.deployment(name).model),
             ),
         ]
         return self._request("sql", name, lambda: ladder, deadline, degrade)
@@ -245,14 +245,17 @@ class ServingGateway:
             checked = check_key_request(
                 service.db, service.fact, keys, extra_columns
             )
-            gathered, extra = service._score_key_gathered, extra_columns
+            extra = extra_columns
+
+            def gathered(scorer: Any) -> Relation:
+                rows = key_rows(service.db, service.fact, checked)
+                scores = service._score_rows(scorer, rows)
+                return service._key_relation(checked, extra, rows, scores)
+
             return [
                 (PATH_KEY, lambda: service._score_key(checked, name, extra)),
-                (PATH_COMPILED, lambda: gathered(checked, name, extra)),
-                (
-                    PATH_RECURSIVE,
-                    lambda: gathered(checked, name, extra, recursive=True),
-                ),
+                (PATH_COMPILED, lambda: gathered(service.compiled(name))),
+                (PATH_RECURSIVE, lambda: gathered(service.deployment(name).model)),
             ]
 
         return self._request("key", name, ladder, deadline, degrade)
@@ -272,7 +275,7 @@ class ServingGateway:
             (PATH_COMPILED, lambda: service.score_all(name)),
             (
                 PATH_RECURSIVE,
-                lambda: service._score_fact(service.deployment(name).model),
+                lambda: service._score_rows(service.deployment(name).model),
             ),
         ]
         return self._request(

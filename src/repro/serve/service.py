@@ -7,7 +7,8 @@ digest of their canonical JSON dump, and scored three ways —
 
 * :meth:`score_all` / :meth:`score_frame` — the compiled numpy kernel
   (:mod:`repro.core.compile`) over a fact-aligned
-  :func:`repro.core.predict.feature_frame`;
+  :func:`repro.core.predict.feature_frame`, the one N-to-1 row walk
+  over cached key encodings that every frame here is built by;
 * :meth:`score_sql` — the model pushed into the backend as one nested
   ``CASE WHEN`` expression (:mod:`repro.core.sql_score`);
 * :meth:`score_key` — the "score user id X" path.  On the embedded
@@ -16,10 +17,10 @@ digest of their canonical JSON dump, and scored three ways —
   a column over the fact (§5.4), the model as a relational view — and a
   request is the key's row lookup plus a ``take`` of that column, with
   no statement.  The column carries a stamp of the tables it was built
-  from; while a write has made it stale, requests gather the matching
-  rows' features over the cached key encodings and score them with the
-  kernel, and it is rebuilt once that fallback time has cost as much as
-  the last build (ski rental).  On an external DBMS the request is a
+  from; while a write has made it stale, the kernel scores the matching
+  rows' feature frame (the same walk over just those rows), and the
+  column is rebuilt once that fallback time has cost as much as the
+  last build (ski rental).  On an external DBMS the request is a
   pushed-down semi-join in SQL.  No denormalization either way.
 
 The service keeps one record per digest (:class:`_Version`): the
@@ -30,8 +31,9 @@ redeploying a name with a retrained model mints a new digest and pushes
 the previous version into a bounded per-name history
 (:data:`RETAINED_VERSIONS`), whose record stays — so :meth:`rollback`
 restores the prior digest in O(1) without recompiling, and
-``deploy(..., canary=True)`` shadow-scores a sample through the live and
-candidate kernels, promoting only on bit-parity (or an explicit
+``deploy(..., canary=True)`` shadow-scores the first
+:data:`CANARY_SAMPLE_ROWS` fact rows through the live and candidate
+kernels, promoting only on bit-parity (or an explicit
 ``force=True``).  The deployment registry is guarded by an RLock so
 concurrent score calls never observe a half-applied deploy.
 
@@ -58,7 +60,6 @@ from repro.core.predict import (
     KeyValue,
     check_key_request,
     feature_frame,
-    gather_frame,
     key_rows,
 )
 from repro.core.serialize import model_digest
@@ -288,25 +289,12 @@ class PredictionService:
         Returns the candidate's kernel, for its record on promotion."""
         live_kernel = self._kernel_for(live)
         candidate_kernel = self._kernel_for(candidate)
-        columns = sorted(
-            set(live_kernel.required_features)
-            | set(candidate_kernel.required_features)
-        )
-        frame = feature_frame(
-            self.db,
-            self.graph,
-            columns=columns,
-            fact=self.fact,
-            include_target=False,
-        )
-        sample = {k: v[:CANARY_SAMPLE_ROWS] for k, v in frame.items()}
-        live_scores = np.asarray(live_kernel.predict_arrays(sample))
-        new_scores = np.asarray(candidate_kernel.predict_arrays(sample))
+        num_rows = self.db.table(self.fact).num_rows()  # type: ignore[attr-defined]
+        sample = np.arange(min(num_rows, CANARY_SAMPLE_ROWS))
+        live_scores = self._score_rows(live_kernel, sample)
+        new_scores = self._score_rows(candidate_kernel, sample)
         if not np.array_equal(live_scores, new_scores):
-            if live_scores.shape == new_scores.shape:
-                diverging = int(np.sum(live_scores != new_scores))
-            else:
-                diverging = int(live_scores.size)
+            diverging = int(np.sum(live_scores != new_scores))
             raise CanaryParityError(
                 f"canary refused for {candidate.name!r}: candidate "
                 f"{candidate.digest[:12]} diverges from live "
@@ -354,21 +342,25 @@ class PredictionService:
 
     def score_all(self, name: str = "default") -> np.ndarray:
         """Score every fact row with the compiled kernel
-        (:meth:`_score_fact`)."""
-        return self._score_fact(self.compiled(name))
+        (:meth:`_score_rows`)."""
+        return self._score_rows(self.compiled(name))
 
-    def _score_fact(self, scorer: Any) -> np.ndarray:
-        """Every fact row's score under ``scorer`` — a compiled kernel or
-        a model (the gateway's recursive rung).  The feature frame is
-        built once (narrow N-to-1 joins only) and scored in serial
-        :data:`SCORE_CHUNK_ROWS`-row chunks; rows are independent, so
-        the chunking never changes a bit."""
+    def _score_rows(
+        self, scorer: Any, rows: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """The scores of fact rows ``rows`` (every fact row by default)
+        under ``scorer`` — a compiled kernel or a model (the gateway's
+        recursive rungs).  The feature frame is built once (narrow N-to-1
+        joins only) and scored in serial :data:`SCORE_CHUNK_ROWS`-row
+        chunks; rows are independent, so the chunking never changes a
+        bit."""
         frame = feature_frame(
             self.db,
             self.graph,
             columns=list(scorer.required_features),
             fact=self.fact,
             include_target=False,
+            rows=rows,
         )
         scores = np.empty(len(next(iter(frame.values()))))
         for lo in range(0, len(scores), SCORE_CHUNK_ROWS):
@@ -411,16 +403,16 @@ class PredictionService:
         engine) this executes no statement: the matching rows
         (:func:`~repro.core.predict.key_rows`) index the version's score
         column when its stamp still matches the tables, and otherwise
-        their features are gathered
-        (:func:`~repro.core.predict.gather_frame`) and scored with the
-        kernel until a rebuild pays off.  Elsewhere the DBMS runs the
-        semi-join (:func:`~repro.core.sql_score.score_by_key`), its own
-        optimizer pushing the key predicate into the fact scan.
+        the kernel scores them (:meth:`_score_rows`: their feature frame
+        over the cached key encodings) until a rebuild pays off.
+        Elsewhere the DBMS runs the semi-join
+        (:func:`~repro.core.sql_score.score_by_key`), its own optimizer
+        pushing the key predicate into the fact scan.
         """
         checked = check_key_request(self.db, self.fact, keys, extra_columns)
         return self._score_key(checked, name, extra_columns)
 
-    # The two methods below take keys ``check_key_request`` has already
+    # The methods below take keys ``check_key_request`` has already
     # validated: ``score_key`` and the gateway check a request once, then
     # call these per ladder rung.
     def _score_key(
@@ -433,15 +425,15 @@ class PredictionService:
         if self._key_path_gathers(next(iter(keys))):
             version = self._versions.get(deployment.digest)
             column = version.column if version is not None else None
+            rows = key_rows(self.db, self.fact, keys)
             if column is not None and column.stamp == self._stamp():
-                rows = key_rows(self.db, self.fact, keys)
                 return self._key_relation(
                     keys, extra_columns, rows, column.scores[rows]
                 )
             start = time.perf_counter()
-            relation = self._score_key_gathered(keys, name, extra_columns)
+            scores = self._score_rows(self._kernel_for(deployment), rows)
             self._note_stale(deployment, column, time.perf_counter() - start)
-            return relation
+            return self._key_relation(keys, extra_columns, rows, scores)
         with self._wrap_serving_faults("score_key"):
             return score_by_checked_key(
                 self.db,
@@ -452,32 +444,6 @@ class PredictionService:
                 tuple(extra_columns),
                 tag="serve_key",
             )
-
-    def _score_key_gathered(
-        self,
-        keys: Mapping[str, KeyValue],
-        name: str,
-        extra_columns: Sequence[str],
-        recursive: bool = False,
-    ) -> Relation:
-        """Key scoring without SQL on any connector: gather the matching
-        rows' features (:func:`~repro.core.predict.gather_frame`) and
-        score them with the warm compiled kernel, or with the recursive
-        reference model when ``recursive`` — the gateway's degraded key
-        rungs."""
-        deployment = self._deployment(name)
-        scorer: Any = (
-            deployment.model if recursive else self._kernel_for(deployment)
-        )
-        rows, frame = gather_frame(
-            self.db,
-            self.graph,
-            list(scorer.required_features),
-            keys,
-            fact=self.fact,
-        )
-        scores = np.asarray(scorer.predict_arrays(frame), dtype=np.float64)
-        return self._key_relation(keys, extra_columns, rows, scores)
 
     def _key_relation(
         self,
@@ -518,13 +484,13 @@ class PredictionService:
         return tuple(stamp)
 
     def _build_score_column(self, deployment: Deployment) -> None:
-        """Score every fact row with the kernel (:meth:`_score_fact`) and
+        """Score every fact row with the kernel (:meth:`_score_rows`) and
         keep the scores in ``deployment``'s record under the current
         stamp (taken first, so a write racing the build reads stale)."""
         kernel = self._kernel_for(deployment)
         stamp = self._stamp()
         start = time.perf_counter()
-        scores = self._score_fact(kernel)
+        scores = self._score_rows(kernel)
         column = ScoreColumn(stamp, scores, time.perf_counter() - start)
         with self._registry_lock:
             version = self._versions.get(deployment.digest)

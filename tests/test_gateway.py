@@ -20,6 +20,8 @@ import numpy as np
 import pytest
 
 import repro
+import repro.serve.service as service_module
+from repro.core.predict import feature_frame
 from repro.datasets.synthetic import star_schema
 from repro.exceptions import (
     CanaryParityError,
@@ -39,6 +41,7 @@ from repro.serve import (
     PredictionService,
     ServingGateway,
 )
+from repro.serve.service import CANARY_SAMPLE_ROWS
 
 TRAIN_PARAMS = {"num_iterations": 3, "num_leaves": 4, "seed": 5}
 STAR = dict(num_fact_rows=300, num_dims=2, dim_size=10, seed=4)
@@ -413,9 +416,9 @@ class TestDegradation:
         def boom(*args, **kwargs):
             raise TransientServingError("injected everywhere")
 
-        # score_all and the recursive rung both score through _score_fact
+        # score_all and the recursive rung both score through _score_rows
         monkeypatch.setattr(service, "score_sql", boom)
-        monkeypatch.setattr(service, "_score_fact", boom)
+        monkeypatch.setattr(service, "_score_rows", boom)
         with pytest.raises(ServingError, match="every scoring path"):
             gateway.score_sql()
         assert gateway.stats()["failures"] == 1
@@ -475,6 +478,28 @@ class TestCanaryAndRollback:
         assert excinfo.value.live_digest == first
         assert excinfo.value.diverging_rows > 0
         assert gateway.service.version() == first  # live unchanged
+
+    def test_canary_frames_only_its_sample(self, healthy, monkeypatch):
+        """The canary builds each kernel's frame over the first
+        CANARY_SAMPLE_ROWS fact rows, not the whole fact, and still
+        refuses a drifting candidate."""
+        db, graph, _, service = healthy
+        assert db.table("fact").num_rows() > CANARY_SAMPLE_ROWS
+        retrained = repro.train_gradient_boosting(
+            db, graph, {"num_iterations": 5, "num_leaves": 4, "seed": 9}
+        )
+        built = []
+
+        def recording(*args, **kwargs):
+            frame = feature_frame(*args, **kwargs)
+            built.append(len(next(iter(frame.values()))))
+            return frame
+
+        monkeypatch.setattr(service_module, "feature_frame", recording)
+        with pytest.raises(CanaryParityError) as excinfo:
+            service.deploy(retrained, canary=True)
+        assert built == [CANARY_SAMPLE_ROWS, CANARY_SAMPLE_ROWS]
+        assert 0 < excinfo.value.diverging_rows <= CANARY_SAMPLE_ROWS
 
     def test_canary_accepts_identical_model(self, healthy):
         _, _, model, service = healthy

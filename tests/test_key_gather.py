@@ -1,17 +1,20 @@
 """Key scoring: differential, invalidation and semantics tests.
 
-:func:`repro.core.predict.gather_frame` must be ``feature_frame`` masked
-by the key predicate — column for column, NULL for NULL — on generated
-snowflake schemas with everything evaluation data can throw at an N-to-1
-join: int and string keys, NULL and dangling fact keys, NULL, dangling
-and duplicate dimension keys, an empty dimension, a composite edge, a
-two-hop snowflake arm, composite and zero-match request keys.  On top of
-the frame, every way of answering a key request must return the same
-bits: the embedded score column, sqlite's pushed-down SQL, and the
-gateway's compiled and recursive gather rungs on both backends, for
-GBM, multiclass and forest models.  The score column must never serve
-a stale score: any write between two requests — a feature, a fact key,
-a replaced fact, a renamed table, a rollback — shows in the second.
+:func:`repro.core.predict.feature_frame` — over the whole fact, a key's
+rows (:func:`~repro.core.predict.key_rows`) or any other rows — must
+equal a per-row pure-Python reference walk, column for column and NULL
+for NULL, on generated snowflake schemas with everything evaluation data
+can throw at an N-to-1 join: int and string keys, NULL and dangling fact
+keys, NULL, dangling and duplicate dimension keys, an empty dimension, a
+composite edge, a two-hop snowflake arm, composite and zero-match
+request keys.  On top of the frame, every way of answering a key
+request must return the same bits: the embedded score column, sqlite's
+pushed-down SQL, and the gateway's compiled and recursive gather rungs
+on both backends, for GBM, multiclass and forest models.  Training
+refuses the composite edge's feature up front.  The score column must
+never serve a stale score: any write between two requests — a feature,
+a fact key, a replaced fact, a renamed table, a rollback — shows in the
+second.
 
 One carve-out, asserted rather than hidden: with *duplicate* dimension
 keys a SQL ``LEFT JOIN`` multiplies fact rows while the evaluation frame
@@ -28,7 +31,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.core.predict import check_key_request, feature_frame, gather_frame
+from repro.core.predict import (
+    ROW_COLUMN,
+    check_key_request,
+    feature_frame,
+    key_rows,
+)
 from repro.exceptions import TrainingError
 from repro.joingraph.graph import JoinGraph
 from repro.serve import BreakerPolicy, PredictionService, ServingGateway
@@ -141,8 +149,8 @@ def snowflake(seed, messy=True, duplicates=True):
 
 
 def load(tables, backend="embedded", composite_feature=True):
-    """``composite_feature=False`` hides ``xc`` from training, whose
-    residual updates cannot move predicates over a composite edge."""
+    """``composite_feature=False`` hides ``xc`` from training, which
+    refuses it: split predicates cannot move over a composite edge."""
     conn = repro.connect(backend=backend)
     for name, data in tables.items():
         conn.create_table(name, data)
@@ -191,22 +199,119 @@ def same_values(left, right):
     return np.array_equal(left, right, equal_nan=True)
 
 
+#: the snowflake's join tree from the fact: relation -> (parent, keys)
+HOPS = {
+    "dim_a": ("fact", ("a",)),
+    "sub_a": ("dim_a", ("s",)),
+    "dim_b": ("fact", ("b",)),
+    "dim_c": ("fact", ("c1", "c2")),
+}
+#: the relation each frame column is read from (the fact stores ``a``
+#: and ``c2`` itself, ``dim_a`` stores ``s``)
+OWNER = {
+    "xf": "fact", "xa": "dim_a", "xs": "sub_a", "xb": "dim_b",
+    "xc": "dim_c", "a": "fact", "s": "dim_a", "c2": "fact",
+}
+
+
+def key_value(value):
+    """``value`` as a dict key, ``None`` for NULL: numbers match by value
+    (``3 == 3.0`` hash alike), strings by text, and a string never equals
+    a number."""
+    if value is None or (not isinstance(value, str) and value != value):
+        return None
+    return value
+
+
+def reference_frame(tables, columns, rows):
+    """The frame a per-row walk reads: each fact row follows its keys
+    hop by hop, where a dict maps every key tuple to its last matching
+    row and a NULL key matches nothing.  Numeric columns come back as
+    float64 with NaN, string columns as object with ``None``."""
+    last = {}
+    for relation, (parent, keys) in HOPS.items():
+        table = tables[relation]
+        index = {}
+        for row in range(len(table[keys[0]])):
+            key = tuple(key_value(table[k][row]) for k in keys)
+            if None not in key:
+                index[key] = row
+        last[relation] = index
+
+    def reached(relation, row):
+        if relation == "fact" or row is None:
+            return row
+        parent, keys = HOPS[relation]
+        parent_row = reached(parent, row)
+        if parent_row is None:
+            return None
+        key = tuple(key_value(tables[parent][k][parent_row]) for k in keys)
+        return None if None in key else last[relation].get(key)
+
+    frame = {}
+    for column in columns:
+        stored = tables[OWNER[column]][column]
+        values = [
+            None if r is None else stored[r]
+            for r in (reached(OWNER[column], int(row)) for row in rows)
+        ]
+        if stored.dtype == object:
+            frame[column] = np.array(values, dtype=object)
+        else:
+            frame[column] = np.array(
+                [np.nan if v is None else float(v) for v in values],
+                dtype=np.float64,
+            )
+    return frame
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10_000))
-def test_gather_frame_is_feature_frame_masked_by_the_key(seed):
+def test_feature_frame_matches_a_per_row_reference_walk(seed):
+    """Whole-fact frames probe each parent dictionary once, key frames
+    mostly probe their rows' own keys; both must read what the walk reads."""
     tables = snowflake(seed)
-    conn, graph = load(tables)
     columns = FEATURES + ["a", "s", "c2"]  # features and a few raw keys
-    full = feature_frame(conn, graph, columns=columns, include_target=False)
-    for keys in requests(tables, seed):
-        mask = predicate_mask(tables["fact"], keys)
-        rows, frame = gather_frame(
-            conn, graph, columns, check_key_request(conn, "fact", keys)
-        )
-        assert np.array_equal(rows, np.flatnonzero(mask)), keys
-        assert list(frame) == columns
-        for column in columns:
-            assert same_values(frame[column], full[column][mask]), (keys, column)
+    n = len(tables["fact"]["rid"])
+    few = np.random.default_rng([seed, 2]).integers(0, n, 3)
+    for backend in ("embedded", "sqlite"):
+        conn, graph = load(tables, backend)
+        selections = [None, np.zeros(0, dtype=np.int64), few]
+        for keys in requests(tables, seed):
+            rows = key_rows(conn, "fact", check_key_request(conn, "fact", keys))
+            mask = predicate_mask(tables["fact"], keys)
+            assert np.array_equal(rows, np.flatnonzero(mask)), (backend, keys)
+            selections.append(rows)
+        for rows in selections:
+            frame = feature_frame(
+                conn, graph, columns=columns, include_target=False, rows=rows
+            )
+            expected_rows = np.arange(n) if rows is None else rows
+            expected = reference_frame(tables, columns, expected_rows)
+            assert list(frame) == columns
+            for column in columns:
+                got, want = frame[column], expected[column]
+                assert got.dtype == want.dtype, (backend, column)
+                assert same_values(got, want), (backend, rows, column)
+            bare = feature_frame(
+                conn, graph, columns=[], include_target=False, rows=rows
+            )
+            assert list(bare) == [ROW_COLUMN]
+            assert np.array_equal(bare[ROW_COLUMN], expected_rows)
+        conn.close()
+
+
+@pytest.mark.parametrize("backend", ["embedded", "sqlite"])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_training_refuses_a_feature_behind_a_composite_edge(seed, backend):
+    """A split on ``xc`` could not move to the fact as a single-column
+    semi-join, so boosting refuses it before running any statement."""
+    conn, graph = load(snowflake(seed, messy=False), backend)
+    statements = len(conn.profiles)
+    with pytest.raises(TrainingError, match=r"'dim_c' -> 'fact' edge \(c1, c2\)"):
+        repro.train_gradient_boosting(conn, graph, TRAIN_PARAMS)
+    assert len(conn.profiles) == statements
+    conn.close()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
@@ -281,14 +386,10 @@ def test_score_column_gather_and_recursive_rungs_agree(kind, seed):
     for keys in requests(tables, seed):
         checked = check_key_request(conn, "fact", keys, ["rid"])
         expected = reference[predicate_mask(tables["fact"], keys)]
-        rungs = (
+        for relation in (
             service._score_key(checked, "default", ["rid"]),
-            service._score_key_gathered(checked, "default", ["rid"]),
-            service._score_key_gathered(
-                checked, "default", ["rid"], recursive=True
-            ),
-        )
-        for relation in rungs:
+            *rung_answers(service, keys, ["rid"]).values(),
+        ):
             assert relation.names == [*keys, "rid", "jb_score"]
             assert np.array_equal(
                 relation.column("jb_score").as_float(), expected
@@ -395,9 +496,9 @@ class TestInvalidation:
         # A table renamed away fails the request as the gather does; once
         # it is back, its data never changed and the column is current.
         db.rename_table("dim1", "dim1_away")
-        checked = check_key_request(db, "fact", keys)
+        rows = key_rows(db, "fact", check_key_request(db, "fact", keys))
         with pytest.raises(Exception) as gathered:
-            service._score_key_gathered(checked, "default", ())
+            service._score_rows(service.compiled(), rows)
         with pytest.raises(type(gathered.value)) as served:
             service.score_key(keys)
         assert str(served.value) == str(gathered.value)

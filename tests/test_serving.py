@@ -162,7 +162,7 @@ class TestWorkerParity:
             service_module, "SCORE_CHUNK_ROWS", _BITMASK_MIN_ROWS
         )
         assert np.array_equal(service.score_all(), single)
-        assert np.array_equal(service._score_fact(model), single)
+        assert np.array_equal(service._score_rows(model), single)
 
     def test_sql_path_matches_compiled(self, served):
         _, _, model, service = served
@@ -189,7 +189,7 @@ class TestModelWithoutSplits:
         assert expected.shape == (300,)
         assert np.array_equal(service.score_all(), expected)
         assert np.array_equal(gateway.score_compiled().scores, expected)
-        assert np.array_equal(service._score_fact(model), expected)
+        assert np.array_equal(service._score_rows(model), expected)
 
         k0 = np.asarray(db.table("fact").column("k0").as_float())
         keyed = service.score_key({"k0": 3})
