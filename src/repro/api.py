@@ -37,11 +37,7 @@ from repro.core.predict import predict_join, rmse_on_join
 from repro.core.session import TrainingSessionGuard
 from repro.core.split import VarianceCriterion
 from repro.core.trainer import DecisionTreeTrainer
-from repro.factorize.executor import (
-    Factorizer,
-    configure_encoding_cache,
-    prepare_training_paths,
-)
+from repro.factorize.executor import Factorizer, prepare_training_paths
 from repro.semiring.variance import VarianceSemiRing
 
 
@@ -155,7 +151,6 @@ def train_decision_tree(db, graph: JoinGraph, params=None, **overrides):
         "train_decision_tree"
     )
     graph.validate()
-    configure_encoding_cache(db, train_params.encoding_cache)
     factorizer = Factorizer(db, graph, VarianceSemiRing())
     # A mid-training failure must not strand the lifted fact or message
     # temps — the guard drops them before re-raising.

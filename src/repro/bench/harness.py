@@ -271,7 +271,6 @@ def fig09_query_census(
     num_features: int = 18,
     num_leaves: int = 8,
     split_batching: str = "off",
-    encoding_cache: str = "auto",
     key_dtype: str = "int",
 ) -> Dict[str, object]:
     """One gradient-boosting iteration's query census.
@@ -285,10 +284,10 @@ def fig09_query_census(
     per feature-bearing relation per evaluation round, so the count drops
     from O(leaves x features) to O(relations), over a persistent
     ``jb_leaf`` column maintained by narrow delta UPDATEs (label bytes
-    proportional to the rows that move).  ``encoding_cache="off"``
-    disables the version-stamped encoded-key cache (every query
-    re-encodes its keys, the pre-PR4 behavior); ``key_dtype="str"`` uses
-    natural string join keys, the workload where re-encoding hurts most.
+    proportional to the rows that move).  ``key_dtype="str"`` uses
+    natural string join keys, the workload where re-encoding hurts most
+    (``encode_passes`` counts the key-encode passes the version-stamped
+    encoded-key cache leaves).
     """
     db, graph = favorita(
         num_fact_rows=num_fact_rows, num_extra_features=num_features - 5,
@@ -302,7 +301,6 @@ def fig09_query_census(
     model = repro.train_gradient_boosting(
         db, graph, {"num_iterations": 1, "num_leaves": num_leaves,
                     "min_data_in_leaf": 3, "split_batching": split_batching,
-                    "encoding_cache": encoding_cache,
                     "num_workers": 1},
     )
     wall_seconds = time.perf_counter() - start
@@ -324,7 +322,6 @@ def fig09_query_census(
     frontier_census = dict(getattr(model, "frontier_census", {}) or {})
     return {
         "split_batching": split_batching,
-        "encoding_cache": encoding_cache,
         "key_dtype": key_dtype,
         "encode_passes": int(encode_totals["passes"]),
         "encode_seconds": float(encode_totals["seconds"]),
@@ -369,40 +366,6 @@ def fig09_batching_comparison(
         "batched": batched,
         "query_drop_factor": drop,
         "rmse_delta": abs(per_leaf["rmse"] - batched["rmse"]),
-    }
-
-
-def fig09_encoding_cache_comparison(
-    num_fact_rows: int = 30_000,
-    num_features: int = 18,
-    num_leaves: int = 8,
-    key_dtype: str = "str",
-) -> Dict[str, object]:
-    """Encoded-key cache on vs off on the batched/incremental config.
-
-    Reports the encode-pass drop (how many fewer full key-encode passes
-    over base relations the cache leaves), the end-to-end wall speedup,
-    and the tree-parity check via rmse.  String keys are the default
-    workload: the raw Favorita dump joins on string-typed natural keys,
-    where per-query ``np.unique`` re-encoding dominates.
-    """
-    off = fig09_query_census(
-        num_fact_rows, num_features, num_leaves,
-        split_batching="auto", encoding_cache="off", key_dtype=key_dtype,
-    )
-    on = fig09_query_census(
-        num_fact_rows, num_features, num_leaves,
-        split_batching="auto", encoding_cache="auto", key_dtype=key_dtype,
-    )
-    return {
-        "off": off,
-        "on": on,
-        "encode_pass_drop_factor": off["encode_passes"]
-        / max(on["encode_passes"], 1),
-        "wall_speedup_factor": off["wall_seconds"] / max(on["wall_seconds"], 1e-12),
-        "encode_seconds_off": off["encode_seconds"],
-        "encode_seconds_on": on["encode_seconds"],
-        "rmse_delta": abs(off["rmse"] - on["rmse"]),
     }
 
 

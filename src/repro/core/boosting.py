@@ -30,11 +30,7 @@ from repro.core.residual import ResidualUpdater, check_semi_join_keys
 from repro.core.split import GradientCriterion
 from repro.core.trainer import DecisionTreeTrainer
 from repro.core.tree import DecisionTreeModel
-from repro.factorize.executor import (
-    Factorizer,
-    configure_encoding_cache,
-    prepare_training_paths,
-)
+from repro.factorize.executor import Factorizer, prepare_training_paths
 from repro.joingraph.clusters import Cluster, cluster_graph
 from repro.joingraph.graph import JoinGraph
 from repro.joingraph.hypertree import rooted_tree
@@ -234,7 +230,6 @@ def train_gradient_boosting(
         # whose predicates cannot move to it before any statement (the
         # analysis that tells snowflake from galaxy included).
         check_semi_join_keys(graph, fact)
-    configure_encoding_cache(db, train_params.encoding_cache)
     if isinstance(loss, SoftmaxLoss):
         if checkpoint is not None or resume_from is not None:
             raise TrainingError(

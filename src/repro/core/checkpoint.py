@@ -41,7 +41,7 @@ EXECUTION_ONLY_PARAMS = ("num_workers",)
 
 #: retired TrainParams fields older checkpoints may still carry; reading
 #: a payload drops them, so it resumes under the current parameters
-RETIRED_PARAMS = ("executor",)
+RETIRED_PARAMS = ("executor", "encoding_cache")
 
 
 class CheckpointSink:

@@ -32,11 +32,7 @@ from repro.core.split import ClassificationCriterion, VarianceCriterion
 from repro.core.trainer import DecisionTreeTrainer
 from repro.core.tree import DecisionTreeModel
 from repro.engine.scheduler import QueryScheduler
-from repro.factorize.executor import (
-    Factorizer,
-    configure_encoding_cache,
-    prepare_training_paths,
-)
+from repro.factorize.executor import Factorizer, prepare_training_paths
 from repro.factorize.sampling import ancestral_sample, sample_fact_table
 from repro.joingraph.graph import JoinGraph
 from repro.semiring.classcount import ClassCountSemiRing
@@ -93,7 +89,6 @@ def train_random_forest(
         "train_random_forest"
     )
     graph.validate()
-    configure_encoding_cache(db, train_params.encoding_cache)
     classification = train_params.objective.lower() in (
         "multiclass", "softmax", "binary", "classification",
     )

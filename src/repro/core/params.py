@@ -64,7 +64,6 @@ _ALIASES = {
     "missing": "missing",
     "update_strategy": "update_strategy",
     "split_batching": "split_batching",
-    "encoding_cache": "encoding_cache",
     "num_workers": "num_workers",
     "workers": "num_workers",
     "num_threads": "num_workers",
@@ -105,11 +104,6 @@ class TrainParams:
     # batching_veto says why); "off" keeps the classic one query per
     # (leaf, feature).
     split_batching: str = "auto"
-    # Version-stamped encoded-key cache (embedded engine): "auto"
-    # factorizes each join/group-by column once per training run; "off"
-    # re-encodes per query (the pre-PR4 behavior, kept for ablations and
-    # the CI parity gate).  External backends ignore the knob.
-    encoding_cache: str = "auto"
     # Inter-query parallelism (Section 5.5.3): the worker-pool size the
     # dependency-DAG scheduler executes with.  "auto" is one worker for a
     # tree's frontier rounds (two threads made both spine GBM trainings
@@ -146,11 +140,6 @@ class TrainParams:
             raise TrainingError(
                 f"split_batching must be 'auto' or 'off', "
                 f"got {self.split_batching!r}"
-            )
-        if self.encoding_cache not in ("auto", "off"):
-            raise TrainingError(
-                f"encoding_cache must be 'auto' or 'off', "
-                f"got {self.encoding_cache!r}"
             )
         if self.max_bin is not None and self.max_bin < 2:
             raise TrainingError("max_bin must be at least 2")

@@ -116,10 +116,10 @@ class Database(Connector):
         # valid because the data did not move.
         self.catalog.rename(old, new)
 
-    def encoding_for(self, table: str, column: str) -> Optional[ops.ColumnEncoding]:
-        """The cached, version-stamped key encoding of one stored column
-        (the Connector protocol's ``encoding_for`` hook); ``None`` when
-        the encoding cache is off or the column is exempt from it."""
+    def encoding_for(self, table: str, column: str) -> ops.ColumnEncoding:
+        """The version-stamped key encoding of one stored column (the
+        Connector protocol's ``encoding_for`` hook): cached, or encoded
+        fresh for a column exempt from the cache — never ``None``."""
         return self.encodings.encoding_for(self.table(table).column(column))
 
     def _forget_encodings(self, name: str) -> None:

@@ -19,7 +19,12 @@ ColumnEncoding` objects keyed by ``(table uid, column name, version)``:
   staleness is *detected*, never assumed.  A lookup that finds an entry
   under an outdated version drops it and reports an invalidation.
 
-Two classes of columns are deliberately not cached:
+:meth:`EncodingCache.encoding_for` always returns an encoding, and it is
+the only way the engine's equi-joins see a key: every encoding folds the
+column's validity mask into the NULL group, so a NULL that exists only
+as a mask (the padded side of an outer join over an INT column) matches
+nothing, as in SQL.  Two classes of columns are encoded fresh and kept
+out of the cache (the encoding is memoized on ``Column.enc`` only):
 
 * columns with no provenance (query-derived arrays) — there is no
   identity to version;
@@ -40,7 +45,9 @@ the gathered values.
 
 The cache is LRU-bounded by bytes and keeps census counters (hits,
 misses, stores, invalidations, evictions, bytes) that surface in
-``query_census`` and the Figure 9 encoding-cache bench.
+``query_census`` and the Figure 9 encoding-cache bench.  An entry's size
+is re-read on each hit, so a grouped row index built after the entry was
+stored is charged (and may evict older entries) from then on.
 """
 
 from __future__ import annotations
@@ -64,9 +71,8 @@ Key = Tuple[int, str]
 class EncodingCache:
     """Byte-bounded LRU of column encodings keyed by table identity."""
 
-    def __init__(self, max_bytes: int = DEFAULT_MAX_BYTES, enabled: bool = True):
+    def __init__(self, max_bytes: int = DEFAULT_MAX_BYTES):
         self.max_bytes = max_bytes
-        self.enabled = enabled
         self._entries: "OrderedDict[Key, Tuple[int, ColumnEncoding, int]]" = (
             OrderedDict()
         )
@@ -102,6 +108,7 @@ class EncodingCache:
             self._evict((uid, name))
 
     def cacheable(self, uid: int, name: str) -> bool:
+        """Whether the column may be stored (not exempted)."""
         return (uid, name) not in self._uncached
 
     def _evict(self, key: Key, count_invalidation: bool = True) -> bool:
@@ -115,13 +122,36 @@ class EncodingCache:
             self.invalidations += 1
         return True
 
+    def _shrink(self) -> None:
+        """Evict least-recently-used entries until within budget."""
+        while self.bytes > self.max_bytes and self._entries:
+            _, (_, _, dropped) = self._entries.popitem(last=False)
+            self.bytes -= dropped
+            self.evictions += 1
+
+    def _recharge(self, key: Key, encoding: ColumnEncoding) -> None:
+        """Re-read the size of ``key``'s entry when it holds ``encoding``
+        (its grouped row index may have been built since it was charged)
+        and evict what the growth pushes over budget."""
+        entry = self._entries.get(key)
+        if entry is None or entry[1] is not encoding:
+            return
+        nbytes = encoding.nbytes()
+        if nbytes != entry[2]:
+            self._entries[key] = (entry[0], encoding, nbytes)
+            self._entries.move_to_end(key)
+            self.bytes += nbytes - entry[2]
+            self._shrink()
+
     def lookup(self, uid: int, name: str, version: int) -> Optional[ColumnEncoding]:
+        """The cached encoding at exactly ``version``, or ``None`` (a miss;
+        an older stored version is evicted as stale)."""
         with self._lock:
             entry = self._entries.get((uid, name))
             if entry is None:
                 self.misses += 1
                 return None
-            stored_version, encoding, nbytes = entry
+            stored_version, encoding, _ = entry
             if stored_version < version:
                 # Stale entry: the column mutated since this encoding was built.
                 self._evict((uid, name))
@@ -134,10 +164,14 @@ class EncodingCache:
                 self.misses += 1
                 return None
             self._entries.move_to_end((uid, name))
+            self._recharge((uid, name), encoding)
             self.hits += 1
             return encoding
 
     def store(self, uid: int, name: str, version: int, encoding: ColumnEncoding) -> None:
+        """Keep ``encoding`` for ``(uid, name)`` at ``version``, unless it
+        alone exceeds the budget, the column is exempt, or a newer
+        version is already stored."""
         nbytes = encoding.nbytes()
         if nbytes > self.max_bytes:
             return
@@ -155,41 +189,41 @@ class EncodingCache:
             self._entries[(uid, name)] = (version, encoding, nbytes)
             self.bytes += nbytes
             self.stores += 1
-            while self.bytes > self.max_bytes and self._entries:
-                _, (_, _, dropped) = self._entries.popitem(last=False)
-                self.bytes -= dropped
-                self.evictions += 1
+            self._shrink()
 
     # ------------------------------------------------------------------
     # Column-level entry points (what the planner calls)
     # ------------------------------------------------------------------
-    def encoding_for(self, col: Column) -> Optional[ColumnEncoding]:
+    def encoding_for(self, col: Column) -> ColumnEncoding:
         """The encoding of ``col``, from cache when possible.
 
         Resolution order: an attached encoding (or lazy gather hint),
-        then the provenance-keyed cache, then a fresh encode that is
-        stored when the column has cacheable provenance.  Returns
-        ``None`` when the cache is disabled or the column is opaque —
-        callers fall back to the legacy per-query encode, so behavior
-        (and the encode census) matches the pre-cache engine exactly.
+        then the provenance-keyed cache, then a fresh encode — stored
+        when the column has cacheable provenance, otherwise only
+        memoized on ``col.enc``.  Every path folds ``col.valid`` into
+        the null group.
         """
-        if not self.enabled:
-            return None
         hint = col.enc
         if isinstance(hint, ColumnEncoding):
             with self._lock:
                 self.hits += 1  # reuse through the attached encoding
+                if col.source is not None:
+                    self._recharge(col.source[:2], hint)
             return hint
-        if isinstance(hint, tuple):
-            materialized = self._materialize(hint)
-            col.enc = materialized  # memoize (None poisons nothing: retry is cheap)
-            return materialized
         source = col.source
-        if source is None:
-            return None
-        uid, name, version = source
-        if not self.cacheable(uid, name):
-            return None
+        if isinstance(hint, tuple):
+            _, parent, positions = hint
+            encoding = self.encoding_for(parent).take(positions)
+        elif source is None or not self.cacheable(*source[:2]):
+            encoding = encode_values(col.values, col.valid)
+        else:
+            encoding = self._cached(col, *source)
+        col.enc = encoding
+        return encoding
+
+    def _cached(self, col: Column, uid: int, name: str, version: int) -> ColumnEncoding:
+        """The cached encoding of a provenance-stamped column, encoded and
+        stored on a miss."""
         # Single-flight get-or-compute: N threads racing the same
         # (uid, column, version) produce exactly one encode pass and one
         # store — waiters block on the winner's in-flight event, then
@@ -201,15 +235,15 @@ class EncodingCache:
                 event = self._inflight.get(key)
                 if event is None:
                     cached = self.lookup(uid, name, version)
+                    if cached is not None and len(cached.codes) != len(col):
+                        # Defensive: a version collision across
+                        # differently sized payloads can only mean
+                        # provenance misuse — evict it so the dead
+                        # entry cannot re-hit (and re-count) forever,
+                        # and encode the column afresh.
+                        self._evict(key)
+                        cached = None
                     if cached is not None:
-                        if len(cached.codes) != len(col):
-                            # Defensive: a version collision across
-                            # differently sized payloads can only mean
-                            # provenance misuse — evict it so the dead
-                            # entry cannot re-hit (and re-count) forever.
-                            self._evict(key)
-                            return None
-                        col.enc = cached
                         return cached
                     event = threading.Event()
                     self._inflight[key] = event
@@ -222,15 +256,7 @@ class EncodingCache:
             with self._lock:
                 self._inflight.pop(key, None)
             event.set()
-        col.enc = encoding
         return encoding
-
-    def _materialize(self, hint: tuple) -> Optional[ColumnEncoding]:
-        _, parent, positions = hint
-        parent_encoding = self.encoding_for(parent)
-        if parent_encoding is None:
-            return None
-        return parent_encoding.take(positions)
 
     # ------------------------------------------------------------------
     # Lazy hints (attached by the planner's gathers)
@@ -238,7 +264,7 @@ class EncodingCache:
     def attach_gather(self, out: Column, parent: Column, indexes: np.ndarray) -> None:
         """Mark ``out`` as ``parent`` gathered by non-negative positions;
         its codes become a cheap int gather of the parent's codes."""
-        if not self.enabled or out.enc is not None:
+        if out.enc is not None:
             return
         if isinstance(parent.enc, (ColumnEncoding, tuple)) or parent.source is not None:
             out.enc = ("gather", parent, indexes)
@@ -255,6 +281,7 @@ class EncodingCache:
             return len(doomed)
 
     def clear(self) -> int:
+        """Drop every entry; returns how many there were."""
         with self._lock:
             count = len(self._entries)
             self._entries.clear()
@@ -265,8 +292,8 @@ class EncodingCache:
         return len(self._entries)
 
     def stats(self) -> Dict[str, int]:
+        """The census: entry count, bytes charged and event counters."""
         return {
-            "enabled": int(self.enabled),
             "entries": len(self._entries),
             "bytes": int(self.bytes),
             "hits": self.hits,

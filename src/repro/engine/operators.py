@@ -8,7 +8,7 @@ group in GROUP BY, and aggregates skip nulls.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -31,6 +31,7 @@ def encode_census() -> Dict[str, float]:
 
 
 def reset_encode_census() -> None:
+    """Zero the process-wide encode counters."""
     _ENCODE_CENSUS["passes"] = 0
     _ENCODE_CENSUS["rows"] = 0
     _ENCODE_CENSUS["seconds"] = 0.0
@@ -87,7 +88,7 @@ class ColumnEncoding:
     """
 
     __slots__ = ("codes", "cardinality", "null_mask", "uniques", "has_null",
-                 "group_index")
+                 "group_index", "_nbytes")
 
     def __init__(
         self,
@@ -103,28 +104,34 @@ class ColumnEncoding:
         self.uniques = uniques
         self.has_null = has_null
         self.group_index: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        self._nbytes: Optional[int] = None
 
     def __len__(self) -> int:
         return len(self.codes)
 
     def nulls(self) -> np.ndarray:
+        """The per-row null mask (all False when the column has no null)."""
         if self.null_mask is None:
             return np.zeros(len(self.codes), dtype=bool)
         return self.null_mask
 
     def nbytes(self) -> int:
-        total = int(self.codes.nbytes)
-        if self.null_mask is not None:
-            total += int(self.null_mask.nbytes)
-        if self.uniques.dtype == object:
-            total += sum(len(str(v)) for v in self.uniques) + 8 * len(self.uniques)
-        else:
-            total += int(self.uniques.nbytes)
-        # The grouped row index is built lazily, after any cache accounted
-        # this encoding's size — charge for it up front so a byte-bounded
-        # LRU never silently exceeds its budget when the index appears.
-        total += 8 * len(self.codes) + 16 * self.cardinality
-        return total
+        """Bytes held: codes, null mask, dictionary and — once
+        :meth:`ensure_group_index` built it — the grouped row index.  A
+        cache re-reads this on a hit, so the index is charged when it
+        appears, not before; the sum is computed once per state."""
+        if self._nbytes is None:
+            total = int(self.codes.nbytes)
+            if self.null_mask is not None:
+                total += int(self.null_mask.nbytes)
+            if self.uniques.dtype == object:
+                total += sum(len(str(v)) for v in self.uniques) + 8 * len(self.uniques)
+            else:
+                total += int(self.uniques.nbytes)
+            if self.group_index is not None:
+                total += sum(int(part.nbytes) for part in self.group_index)
+            self._nbytes = total
+        return self._nbytes
 
     def ensure_group_index(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(order, starts, counts): row positions grouped by code."""
@@ -133,6 +140,7 @@ class ColumnEncoding:
             counts = np.bincount(self.codes, minlength=self.cardinality)
             starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
             self.group_index = (order, starts.astype(np.int64), counts.astype(np.int64))
+            self._nbytes = None
         return self.group_index
 
     def take(self, indexes: np.ndarray) -> "ColumnEncoding":
@@ -298,7 +306,7 @@ def factorize_parts(
 
 def _merge_dictionaries(
     left_enc: ColumnEncoding, right_enc: ColumnEncoding
-) -> Optional[Tuple[np.ndarray, np.ndarray, int]]:
+) -> Tuple[np.ndarray, np.ndarray, int]:
     """Merge two column dictionaries into one shared code space.
 
     Returns ``(left_map, right_map, size)`` where the maps re-code each
@@ -306,13 +314,13 @@ def _merge_dictionaries(
     shared null slot (callers mask null rows out of matching anyway).
     The merge runs over the *dictionaries* — cardinality-sized, not
     row-count-sized — which is the whole point of composing cached codes
-    instead of concatenating raw key columns.
+    instead of concatenating raw key columns.  A string dictionary
+    merged with a numeric one compares as text, each number rendered by
+    ``astype("U")`` (``'1'`` matches ``1``).
     """
     lu, ru = left_enc.uniques, right_enc.uniques
-    l_str = lu.dtype.kind in ("U", "S", "O")
-    r_str = ru.dtype.kind in ("U", "S", "O")
-    if l_str != r_str:
-        return None  # mixed string/numeric keys: legacy path decides
+    if (lu.dtype.kind in "USO") != (ru.dtype.kind in "USO"):
+        lu, ru = lu.astype("U"), ru.astype("U")
     merged = np.concatenate([lu, ru]) if len(lu) or len(ru) else lu
     uniques, inverse = np.unique(merged, return_inverse=True)
     inverse = inverse.reshape(len(merged)).astype(np.int64)
@@ -330,8 +338,9 @@ def _merge_dictionaries(
 def _compose_shared(
     left_encodings: Sequence[ColumnEncoding],
     right_encodings: Sequence[ColumnEncoding],
-) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Shared codes for key tuples built from cached per-column codes."""
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Shared codes and null masks for key tuples, composed from the
+    per-column codes with no pass over the raw key columns."""
     n_left = len(left_encodings[0]) if left_encodings else 0
     n_right = len(right_encodings[0]) if right_encodings else 0
     left_nulls = np.zeros(n_left, dtype=bool)
@@ -339,10 +348,7 @@ def _compose_shared(
     combined = np.zeros(n_left + n_right, dtype=np.int64)
     radix = 1
     for left_enc, right_enc in zip(left_encodings, right_encodings):
-        maps = _merge_dictionaries(left_enc, right_enc)
-        if maps is None:
-            return None
-        left_map, right_map, size = maps
+        left_map, right_map, size = _merge_dictionaries(left_enc, right_enc)
         left_nulls |= left_enc.nulls()
         right_nulls |= right_enc.nulls()
         shared = np.concatenate(
@@ -358,71 +364,13 @@ def _compose_shared(
     return combined[:n_left], combined[n_left:], left_nulls, right_nulls
 
 
-def _shared_codes(
-    left: Sequence[np.ndarray],
-    right: Sequence[np.ndarray],
-    left_encodings: Optional[Sequence[Optional[ColumnEncoding]]] = None,
-    right_encodings: Optional[Sequence[Optional[ColumnEncoding]]] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Code left and right key tuples in one shared dictionary.
-
-    When every key column on both sides carries a (cached) encoding, the
-    shared dictionary is composed from the per-column dictionaries with no
-    pass over the raw key columns.  Single-column integer keys otherwise
-    skip dictionary construction entirely — value-minus-min is already a
-    shared comparable code.
-    """
-    if (
-        left_encodings is not None
-        and right_encodings is not None
-        and len(left_encodings) == len(left)
-        and len(right_encodings) == len(right)
-        and all(e is not None for e in left_encodings)
-        and all(e is not None for e in right_encodings)
-    ):
-        composed = _compose_shared(left_encodings, right_encodings)
-        if composed is not None:
-            return composed
-    n_left = len(left[0]) if left else 0
-    left_nulls = np.zeros(n_left, dtype=bool)
-    right_nulls = np.zeros(len(right[0]) if right else 0, dtype=bool)
-    for l in left:
-        left_nulls |= _normalize_key(np.asarray(l))[1]
-    for r in right:
-        right_nulls |= _normalize_key(np.asarray(r))[1]
-
-    if len(left) == 1:
-        l_arr, r_arr = np.asarray(left[0]), np.asarray(right[0])
-        if l_arr.dtype.kind in ("i", "u") and r_arr.dtype.kind in ("i", "u"):
-            lo = min(int(l_arr.min(initial=0)), int(r_arr.min(initial=0)))
-            hi = max(int(l_arr.max(initial=0)), int(r_arr.max(initial=0)))
-            # Guard downstream lookup-table allocations against sparse keys.
-            if hi - lo + 1 <= max(4 * (len(l_arr) + len(r_arr)), 65_536):
-                return (
-                    l_arr.astype(np.int64) - lo,
-                    r_arr.astype(np.int64) - lo,
-                    left_nulls,
-                    right_nulls,
-                )
-
-    merged = [
-        np.concatenate([_normalize_key(np.asarray(l))[0].astype(object, copy=False)
-                        if np.asarray(l).dtype == object else _normalize_key(np.asarray(l))[0],
-                        _normalize_key(np.asarray(r))[0]])
-        if np.asarray(l).dtype == object or np.asarray(r).dtype == object
-        else np.concatenate([
-            _normalize_key(np.asarray(l))[0].astype(np.float64),
-            _normalize_key(np.asarray(r))[0].astype(np.float64),
-        ])
-        for l, r in zip(left, right)
-    ]
-    codes, _, _, _ = factorize(merged)
-    return codes[:n_left], codes[n_left:], left_nulls, right_nulls
+def _as_encoding(key: Union[ColumnEncoding, np.ndarray]) -> ColumnEncoding:
+    return key if isinstance(key, ColumnEncoding) else encode_values(key)
 
 
 def _indexed_join(
     left_enc: ColumnEncoding, right_enc: ColumnEncoding, how: str
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Single-key join against a cached right side's grouped row index.
 
     The right side's rows are already grouped by code (``group_index``),
@@ -430,10 +378,7 @@ def _indexed_join(
     bucket-count passes over the right side disappear: the join is one
     dictionary merge (cardinality-sized) plus O(n) gathers.
     """
-    maps = _merge_dictionaries(left_enc, right_enc)
-    if maps is None:
-        return None
-    left_map, right_map, size = maps
+    left_map, right_map, size = _merge_dictionaries(left_enc, right_enc)
     order, starts_own, counts_own = right_enc.ensure_group_index()
     counts_shared = np.zeros(size, dtype=np.int64)
     starts_shared = np.zeros(size, dtype=np.int64)
@@ -506,33 +451,25 @@ def _pad_outer(
 
 
 def join_indices(
-    left_keys: Sequence[np.ndarray],
-    right_keys: Sequence[np.ndarray],
+    left_keys: Sequence[Union[ColumnEncoding, np.ndarray]],
+    right_keys: Sequence[Union[ColumnEncoding, np.ndarray]],
     how: str = "inner",
-    left_encodings: Optional[Sequence[Optional[ColumnEncoding]]] = None,
-    right_encodings: Optional[Sequence[Optional[ColumnEncoding]]] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Compute matching row positions for an equi-join.
 
-    Returns ``(left_idx, right_idx)``; a position of ``-1`` marks a padded
-    null row (outer joins).  Null keys never match.  Cached per-column
-    encodings, when supplied, replace the per-query key-encoding passes.
+    Each key is a :class:`ColumnEncoding` (the planner passes the cached
+    ones, whose null group includes the column's validity mask) or a raw
+    array, encoded here with NaN / ``None`` as NULL.  Returns
+    ``(left_idx, right_idx)``; a position of ``-1`` marks a padded null
+    row (outer joins).  Null keys never match.
     """
     if len(left_keys) != len(right_keys) or not left_keys:
         raise ExecutionError("join_indices: key arity mismatch")
-    if (
-        len(left_keys) == 1
-        and left_encodings is not None
-        and right_encodings is not None
-        and left_encodings[0] is not None
-        and right_encodings[0] is not None
-    ):
-        fast = _indexed_join(left_encodings[0], right_encodings[0], how)
-        if fast is not None:
-            return fast
-    lcodes, rcodes, lnull, rnull = _shared_codes(
-        left_keys, right_keys, left_encodings, right_encodings
-    )
+    left = [_as_encoding(key) for key in left_keys]
+    right = [_as_encoding(key) for key in right_keys]
+    if len(left) == 1:
+        return _indexed_join(left[0], right[0], how)
+    lcodes, rcodes, lnull, rnull = _compose_shared(left, right)
     # Null keys are excluded from matching by pushing them out of range.
     lcodes = np.where(lnull, -1, lcodes)
     rcodes = np.where(rnull, -2, rcodes)
@@ -558,26 +495,6 @@ def join_indices(
     return _pad_outer(left_idx, right_idx, counts, len(rcodes), how, total)
 
 
-def semi_join_mask(
-    left_keys: Sequence[np.ndarray],
-    right_keys: Sequence[np.ndarray],
-    left_encodings: Optional[Sequence[Optional[ColumnEncoding]]] = None,
-    right_encodings: Optional[Sequence[Optional[ColumnEncoding]]] = None,
-) -> np.ndarray:
-    """Boolean mask of left rows whose key appears on the right."""
-    lcodes, rcodes, lnull, rnull = _shared_codes(
-        left_keys, right_keys, left_encodings, right_encodings
-    )
-    present = np.zeros(int(max(lcodes.max(initial=-1), rcodes.max(initial=-1))) + 2,
-                       dtype=bool)
-    valid_r = rcodes[~rnull]
-    if len(valid_r):
-        present[valid_r] = True
-    mask = present[lcodes]
-    mask[lnull] = False
-    return mask
-
-
 # ---------------------------------------------------------------------------
 # Grouped aggregation
 # ---------------------------------------------------------------------------
@@ -593,10 +510,12 @@ def group_sum(codes: np.ndarray, ngroups: int, values: np.ndarray) -> Tuple[np.n
 
 
 def group_count_star(codes: np.ndarray, ngroups: int) -> np.ndarray:
+    """Per-group COUNT(*): every row counts, nulls included."""
     return np.bincount(codes, minlength=ngroups).astype(np.int64)
 
 
 def group_count(codes: np.ndarray, ngroups: int, values: np.ndarray) -> np.ndarray:
+    """Per-group COUNT(x): the non-null values of each group."""
     values = np.asarray(values)
     if values.dtype == object:
         nonnull = np.array([v is not None for v in values], dtype=bool)
@@ -608,6 +527,7 @@ def group_count(codes: np.ndarray, ngroups: int, values: np.ndarray) -> np.ndarr
 
 
 def group_count_distinct(codes: np.ndarray, ngroups: int, values: np.ndarray) -> np.ndarray:
+    """Per-group COUNT(DISTINCT x), nulls skipped."""
     vcodes, _, _, vnull = factorize([np.asarray(values)])
     keep = ~vnull
     pair = codes[keep].astype(np.int64) * (int(vcodes.max(initial=0)) + 1) + vcodes[keep]
@@ -617,6 +537,7 @@ def group_count_distinct(codes: np.ndarray, ngroups: int, values: np.ndarray) ->
 
 
 def group_min(codes: np.ndarray, ngroups: int, values: np.ndarray) -> np.ndarray:
+    """Per-group MIN skipping NaNs; NaN for a group with no value."""
     values = np.asarray(values, dtype=np.float64)
     out = np.full(ngroups, np.inf)
     keep = ~np.isnan(values)
@@ -626,6 +547,7 @@ def group_min(codes: np.ndarray, ngroups: int, values: np.ndarray) -> np.ndarray
 
 
 def group_max(codes: np.ndarray, ngroups: int, values: np.ndarray) -> np.ndarray:
+    """Per-group MAX skipping NaNs; NaN for a group with no value."""
     values = np.asarray(values, dtype=np.float64)
     out = np.full(ngroups, -np.inf)
     keep = ~np.isnan(values)
@@ -663,6 +585,8 @@ def group_median(codes: np.ndarray, ngroups: int, values: np.ndarray) -> np.ndar
 
 
 def group_var(codes: np.ndarray, ngroups: int, values: np.ndarray) -> np.ndarray:
+    """Per-group population VARIANCE skipping NaNs; NaN for a group
+    with no value."""
     sums, counts = group_sum(codes, ngroups, values)
     sq, _ = group_sum(codes, ngroups, np.asarray(values, dtype=np.float64) ** 2)
     with np.errstate(invalid="ignore", divide="ignore"):

@@ -276,39 +276,17 @@ def _apply_join(
             "join requires at least one equality condition "
             f"(got {join.condition.sql() if join.condition else 'none'})"
         )
-    cache = getattr(db, "encodings", None)
-    left_cols = [left.resolve(l) for l, _ in equi]
-    right_cols = [right.resolve(r) for _, r in equi]
-    left_keys = [c.values for c in left_cols]
-    right_keys = [c.values for c in right_cols]
-    # Cached key encodings (None entries fall back per column inside the
-    # operators): base-table and message-table join keys factorize once
-    # per training run instead of once per query.  Columns carrying a
-    # validity mask are excluded: the legacy join path matches on raw
-    # stored values (ignoring validity), while encodings fold the mask
-    # into the null group — using them here would change join results
-    # between cache-on and cache-off.
-    left_encodings = right_encodings = None
-    if cache is not None and cache.enabled:
-        left_encodings = [
-            cache.encoding_for(c) if c.valid is None else None
-            for c in left_cols
-        ]
-        right_encodings = [
-            cache.encoding_for(c) if c.valid is None else None
-            for c in right_cols
-        ]
-    how = {"INNER": "inner", "LEFT": "left", "RIGHT": "left", "FULL": "full"}[kind]
+    # Every key goes through its encoding (cached for base and message
+    # columns): the validity mask is folded into the NULL group, so a
+    # NULL held only as a mask — an outer join's pad — matches nothing.
+    cache = db.encodings
+    left_keys = [cache.encoding_for(left.resolve(l)) for l, _ in equi]
+    right_keys = [cache.encoding_for(right.resolve(r)) for _, r in equi]
     if kind == "RIGHT":
-        r_idx, l_idx = ops.join_indices(
-            right_keys, left_keys, how="left",
-            left_encodings=right_encodings, right_encodings=left_encodings,
-        )
+        r_idx, l_idx = ops.join_indices(right_keys, left_keys, how="left")
     else:
-        l_idx, r_idx = ops.join_indices(
-            left_keys, right_keys, how=how,
-            left_encodings=left_encodings, right_encodings=right_encodings,
-        )
+        how = {"INNER": "inner", "LEFT": "left", "FULL": "full"}[kind]
+        l_idx, r_idx = ops.join_indices(left_keys, right_keys, how=how)
     merged = _gather_merge(left, right, l_idx, r_idx, cache)
     for conjunct in residual:
         _precompute_subqueries(conjunct, db, context)
@@ -370,7 +348,7 @@ def _take_into(out: Frame, frame: Frame, idx: np.ndarray, cache=None) -> None:
     codes only propagate through pure gathers.
     """
     pads = bool(len(idx)) and int(idx.min()) < 0
-    propagate = cache is not None and cache.enabled and not pads
+    propagate = cache is not None and not pads
     taken: Dict[int, Column] = {}
     for key in frame.order:
         col = _lookup(frame, key)
@@ -506,22 +484,18 @@ def _apply_grouping(
     aggregates: List[ast.FuncCall],
 ) -> Frame:
     if select.group_by:
-        cache = getattr(db, "encodings", None)
         group_arrays: List[np.ndarray] = []
         parts: List[Tuple[np.ndarray, int, np.ndarray]] = []
         for expr in select.group_by:
-            # Grouping keys resolve through the encoding cache when they
-            # are plain column references with known provenance (base
-            # tables, messages, or gathers of them);
-            # anything else pays the classic per-query encode.
+            # Plain column references group on their encodings (cached
+            # for base tables, messages and gathers of them); anything
+            # else pays the classic per-query encode.
             part = None
-            if cache is not None and cache.enabled and isinstance(expr, ast.ColumnRef):
+            if isinstance(expr, ast.ColumnRef):
                 try:
-                    encoding = cache.encoding_for(frame.resolve(expr))
+                    part = db.encodings.encoding_for(frame.resolve(expr)).triple()
                 except PlanError:
-                    encoding = None
-                if encoding is not None:
-                    part = encoding.triple()
+                    part = None
             array = np.asarray(evaluate(expr, frame, context))
             if part is None:
                 part = ops._column_codes(array)

@@ -93,19 +93,6 @@ def prepare_training_paths(db, graph: JoinGraph, factorizer: "Factorizer") -> No
     db.prepare_training(graph, factorizer.lifted)
 
 
-def configure_encoding_cache(db, mode: str) -> None:
-    """Apply the ``encoding_cache`` training parameter to ``db``.
-
-    ``"auto"`` enables the embedded engine's version-stamped
-    encoded-key cache for the run; ``"off"`` disables it (every query
-    re-encodes, the pre-cache behavior used by ablations and the CI
-    parity gate).  Backends without an encoding cache ignore the knob.
-    """
-    cache = getattr(db, "encodings", None)
-    if cache is not None:
-        cache.enabled = mode != "off"
-
-
 class Factorizer:
     """Executes factorized aggregations for one (graph, semi-ring) pair."""
 
@@ -224,7 +211,7 @@ class Factorizer:
         of columns warmed.
         """
         cache = getattr(self.db, "encodings", None)
-        if cache is None or not cache.enabled:
+        if cache is None:
             return 0
         warmed = 0
         for edge in self.graph.edges:
@@ -232,8 +219,8 @@ class Factorizer:
                 table = self.db.table(self.storage_table(relation))
                 for key in edge.keys_for(relation):
                     if key in table:
-                        if cache.encoding_for(table.column(key)) is not None:
-                            warmed += 1
+                        cache.encoding_for(table.column(key))
+                        warmed += 1
         return warmed
 
     def storage_table(self, relation: str) -> str:

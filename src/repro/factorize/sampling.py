@@ -22,10 +22,16 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.engine.operators import ColumnEncoding, encode_values, join_indices
 from repro.exceptions import JoinGraphError
 from repro.joingraph.graph import JoinGraph
 from repro.joingraph.hypertree import edge_between, rooted_tree
 from repro.semiring.variance import VarianceSemiRing
+
+
+def _key(col) -> ColumnEncoding:
+    """A join key with its validity mask folded into NULL."""
+    return encode_values(col.values, col.valid)
 
 
 def _downstream_weights(db, graph: JoinGraph, relation: str, parent: Optional[str]):
@@ -50,10 +56,8 @@ def _downstream_weights(db, graph: JoinGraph, relation: str, parent: Optional[st
         own_keys = edge.keys_for(relation)
         msg = db.table(info.table)
         # Map each row's key tuple to the message count (0 when absent).
-        from repro.engine.operators import join_indices
-
-        left = [table.column(k).values for k in own_keys]
-        right = [msg.column(k).values for k in info.key_columns]
+        left = [_key(table.column(k)) for k in own_keys]
+        right = [_key(msg.column(k)) for k in info.key_columns]
         l_idx, r_idx = join_indices(left, right, how="left")
         counts = msg.column("c").values.astype(np.float64)
         row_counts = np.zeros(n, dtype=np.float64)

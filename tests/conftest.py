@@ -44,6 +44,43 @@ def backend_matrix(*base):
     return params
 
 
+def reference_join(left, right, how="inner"):
+    """A per-row nested-loop equi-join: the oracle for ``join_indices``.
+
+    ``left`` and ``right`` are lists of key arrays (one per key column).
+    A key tuple holding a NULL (``None`` or NaN) matches nothing.
+    Returns the sorted ``(left, right)`` position pairs, ``-1`` for the
+    padded side of an outer join's unmatched row.
+    """
+    def rows(keys):
+        return list(zip(*[np.asarray(k).tolist() for k in keys]))
+
+    def null(value):
+        return value is None or (isinstance(value, float) and value != value)
+
+    lrows, rrows = rows(left), rows(right)
+    pairs = [
+        (i, j)
+        for i, lk in enumerate(lrows)
+        for j, rk in enumerate(rrows)
+        if not any(map(null, lk)) and not any(map(null, rk)) and lk == rk
+    ]
+    matched_left = {i for i, _ in pairs}
+    matched_right = {j for _, j in pairs}
+    if how in ("left", "full"):
+        pairs += [(i, -1) for i in range(len(lrows)) if i not in matched_left]
+    if how == "full":
+        pairs += [(-1, j) for j in range(len(rrows)) if j not in matched_right]
+    return sorted(pairs)
+
+
+def join_pairs(indices):
+    """``join_indices`` output as the sorted pair list of
+    :func:`reference_join`."""
+    left_idx, right_idx = indices
+    return sorted(zip(left_idx.tolist(), right_idx.tolist()))
+
+
 @pytest.fixture
 def db():
     return Database()

@@ -265,18 +265,21 @@ class TestCheckpointScope:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints written while TrainParams still had an ``executor`` field
+# Checkpoints written while TrainParams still had the ``executor`` and
+# ``encoding_cache`` fields
 # ---------------------------------------------------------------------------
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def _pinned_sink(filename):
     """A sink holding a checkpoint payload byte-for-byte as an earlier
-    build wrote it: its params carry the retired ``executor`` field."""
+    build wrote it: its params carry the retired ``executor`` and
+    ``encoding_cache`` fields."""
     sink = MemoryCheckpointSink()
     with open(os.path.join(DATA, filename)) as handle:
         sink.payload = handle.read().strip()
     assert '"executor":"thread"' in sink.payload
+    assert '"encoding_cache":' in sink.payload
     return sink
 
 
@@ -286,19 +289,20 @@ class TestRetiredParamCheckpoint:
             _pinned_sink("checkpoint_with_executor_param.json")
         )
         assert "executor" not in payload["params"]
+        assert "encoding_cache" not in payload["params"]
         assert payload["round"] == 2
 
     def test_resume_matches_uninterrupted(self):
-        conn = repro.connect(backend="sqlite")
-        resumed = resume_training(
-            conn, _build(conn),
-            _pinned_sink("checkpoint_with_executor_param.json"),
-        )
         clean_conn = repro.connect(backend="sqlite")
         reference = train_gradient_boosting(
             clean_conn, _build(clean_conn), dict(PARAMS)
         )
-        assert model_digest(resumed) == model_digest(reference)
+        # The second payload was written with encoding_cache="off".
+        for filename in ("checkpoint_with_executor_param.json",
+                         "checkpoint_with_encoding_cache_off.json"):
+            conn = repro.connect(backend="sqlite")
+            resumed = resume_training(conn, _build(conn), _pinned_sink(filename))
+            assert model_digest(resumed) == model_digest(reference), filename
 
     def test_sharded_resume_matches_uninterrupted(self):
         from repro.datasets import star_schema

@@ -3,9 +3,10 @@
 The cache's safety contract is that staleness is *detected*, never
 assumed: every mutating storage path bumps a per-column version stamp,
 and a lookup under a newer version rejects the cached codes.  These
-tests poison and mutate the cache adversarially and assert both the
-rejection mechanics and end-to-end tree parity against the cache-off
-(pre-PR4) behavior.
+tests poison and mutate the cache adversarially and assert the rejection
+mechanics, joins over encodings against a per-row pure-Python join in
+which NULL never matches, and end-to-end tree parity between a retrain
+over a warm cache and a cold run on a fresh database.
 """
 
 import dataclasses
@@ -23,6 +24,8 @@ from repro.exceptions import ExecutionError
 from repro.storage.column import Column
 from repro.storage.table import ColumnTable
 
+from conftest import join_pairs, reference_join
+
 
 def trees_of(model):
     return [tree.to_dict() for tree in model.trees]
@@ -30,24 +33,39 @@ def trees_of(model):
 
 PARAMS = {"num_iterations": 2, "num_leaves": 6, "min_data_in_leaf": 3}
 
+#: (encode passes, cache stores) of one PARAMS training on a 2 000-row
+#: seed-6 Favorita: integer keys with 2 extra features, and the Figure 9
+#: shape (13 extra features, string keys)
+CACHED_PASSES, CACHED_STORES = 136, 116
+FIG09_PASSES, FIG09_STORES = 147, 127
 
-def train_pair(seed=6, key_dtype="int", mutate=None, **extra):
-    """Train cache-on and cache-off on identical data (optionally mutating
-    both databases identically in between) and return both models."""
-    models = []
-    for mode in ("auto", "off"):
-        db, graph = favorita(
-            num_fact_rows=2000, num_extra_features=2, seed=seed,
-            key_dtype=key_dtype,
-        )
-        params = {**PARAMS, **extra, "encoding_cache": mode}
-        first = repro.train_gradient_boosting(db, graph, params)
-        if mutate is None:
-            models.append(first)
-            continue
+
+def warm_and_cold(build, params, mutate=None):
+    """The warm-cache retrain and a cold run of one training.
+
+    ``build()`` returns a fresh ``(db, graph)``.  Warm: train, apply
+    ``mutate`` (when given), then train again on the same database, over
+    the first training's cache entries.  Cold: a fresh database, mutated
+    the same way, trained once.  Returns ``(warm, cold)``.
+    """
+    db, graph = build()
+    repro.train_gradient_boosting(db, graph, params)
+    if mutate is not None:
         mutate(db)
-        models.append(repro.train_gradient_boosting(db, graph, params))
-    return models
+    warm = repro.train_gradient_boosting(db, graph, params)
+    db, graph = build()
+    if mutate is not None:
+        mutate(db)
+    return warm, repro.train_gradient_boosting(db, graph, params)
+
+
+def train_pair(seed=6, key_dtype="int", mutate=None):
+    """:func:`warm_and_cold` on a small Favorita."""
+    return warm_and_cold(
+        lambda: favorita(num_fact_rows=2000, num_extra_features=2,
+                         seed=seed, key_dtype=key_dtype),
+        PARAMS, mutate,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +170,12 @@ class TestCacheMechanics:
         table = db.table("t")
         wrong_size = encode_values(np.array([1, 2]))
         db.encodings.store(table.uid, "k", table.column_version("k"), wrong_size)
-        assert db.encodings.encoding_for(table.column("k")) is None
+        recovered = db.encodings.encoding_for(table.column("k"))
+        assert recovered is not wrong_size
+        np.testing.assert_array_equal(recovered.codes, [0, 1, 2, 3])
+        assert db.encodings.lookup(
+            table.uid, "k", table.column_version("k")
+        ) is recovered
 
     def test_lru_eviction_by_bytes(self):
         cache = EncodingCache(max_bytes=16384)
@@ -164,10 +187,58 @@ class TestCacheMechanics:
         assert cache.lookup(0, "k", 1) is None  # oldest evicted first
         assert cache.lookup(9, "k", 1) is not None
 
-    def test_disabled_cache_returns_none(self, db):
-        db.create_table("t", {"k": [1, 2, 3]})
-        db.encodings.enabled = False
-        assert db.encodings.encoding_for(db.table("t").column("k")) is None
+    def test_group_index_is_charged_once_built(self):
+        """An entry is charged for its grouped row index only after
+        ``ensure_group_index`` built it; the cache re-reads the size on
+        the next hit and evicts least-recently-used entries to fit."""
+        encodings = [encode_values(np.arange(200) % 50) for _ in range(3)]
+        size = encodings[0].nbytes()
+        index = 8 * 200 + 16 * 50  # order + starts + counts, int64
+        cache = EncodingCache(max_bytes=3 * size + index - 1)
+        for uid, encoding in enumerate(encodings):
+            cache.store(uid, "k", 1, encoding)
+        assert cache.bytes == 3 * size and cache.evictions == 0
+
+        encodings[0].ensure_group_index()
+        grown = encodings[0].nbytes()
+        assert grown == size + index
+        assert cache.bytes == 3 * size  # not re-read until the next hit
+        assert cache.lookup(0, "k", 1) is encodings[0]
+        # The hit made uid 0 the most recent entry, so uid 1 — now the
+        # least recently used — is the one evicted.
+        assert cache.evictions == 1
+        assert cache.bytes == grown + size <= cache.max_bytes
+        assert cache.lookup(1, "k", 1) is None
+        assert cache.lookup(2, "k", 1) is encodings[2]
+
+    def test_attached_hit_recharges(self, db):
+        """A hit through the column's attached encoding re-reads the
+        entry's size too."""
+        db.create_table("t", {"k": np.arange(100) % 7})
+        column = db.table("t").column("k")
+        encoding = db.encodings.encoding_for(column)
+        before = db.encodings.bytes
+        assert before == encoding.nbytes()
+        encoding.ensure_group_index()
+        assert db.encodings.encoding_for(column) is encoding
+        assert db.encodings.bytes == encoding.nbytes() > before
+
+    def test_uncached_column_is_encoded_fresh(self, db):
+        """A column with no provenance, or one exempt from caching, still
+        gets an encoding — with its validity mask folded into NULL — that
+        is memoized on the column and never stored."""
+        from repro.storage.column import ColumnType
+
+        derived = Column("k", np.array([3, 0, 3]), ColumnType.INT,
+                         np.array([True, False, True]))
+        encoding = db.encodings.encoding_for(derived)
+        assert derived.enc is encoding
+        np.testing.assert_array_equal(encoding.nulls(), [False, True, False])
+        db.create_table("t", {"k": [1, 2, 1]})
+        table = db.table("t")
+        db.encodings.mark_uncached(table.uid, "k")
+        assert db.encodings.encoding_for(table.column("k")).cardinality == 2
+        assert db.encodings.stores == 0 and len(db.encodings) == 0
 
     def test_drop_table_invalidates(self, db):
         db.create_table("t", {"k": [1, 2, 3]})
@@ -204,28 +275,43 @@ class TestEncodingEquivalence:
         (np.array(["a", "c", "b"], dtype=object),
          np.array(["b", "b", "z"], dtype=object)),
         (np.array([1.0, np.nan, 2.0]), np.array([2.0, np.nan])),
+        (np.array(["a", None, "b"], dtype=object),
+         np.array([None, "b"], dtype=object)),
     ])
     def test_join_matches_with_and_without_encodings(self, left, right):
+        expected = reference_join([left], [right], "full")
         plain = ops.join_indices([left], [right], how="full")
         encoded = ops.join_indices(
-            [left], [right], how="full",
-            left_encodings=[encode_values(left)],
-            right_encodings=[encode_values(right)],
+            [encode_values(left)], [encode_values(right)], how="full"
         )
-        np.testing.assert_array_equal(plain[0], encoded[0])
-        np.testing.assert_array_equal(plain[1], encoded[1])
+        assert join_pairs(plain) == expected
+        assert join_pairs(encoded) == expected
 
     def test_multi_column_composed_join(self):
-        left = [np.array([1, 1, 2, 2]), np.array(["x", "y", "x", "y"], dtype=object)]
-        right = [np.array([1, 2, 2]), np.array(["y", "x", "q"], dtype=object)]
-        plain = ops.join_indices(left, right)
+        left = [np.array([1, 1, 2, 2, 2]),
+                np.array(["x", "y", "x", "y", None], dtype=object)]
+        right = [np.array([1, 2, 2, 2]),
+                 np.array(["y", "x", "q", None], dtype=object)]
+        expected = reference_join(left, right)
+        assert join_pairs(ops.join_indices(left, right)) == expected
         encoded = ops.join_indices(
-            left, right,
-            left_encodings=[encode_values(a) for a in left],
-            right_encodings=[encode_values(a) for a in right],
+            [encode_values(a) for a in left],
+            [encode_values(a) for a in right],
         )
-        np.testing.assert_array_equal(plain[0], encoded[0])
-        np.testing.assert_array_equal(plain[1], encoded[1])
+        assert join_pairs(encoded) == expected
+
+    def test_string_key_joins_numeric_key_as_text(self):
+        """A string dictionary merged with a numeric one compares as
+        text: ``'1'`` matches ``1``, ``'1.5'`` matches ``1.5``."""
+        text = np.array(["1", "x", "1.5", None], dtype=object)
+        for number in (np.array([1, 3]), np.array([1.5, 2.0])):
+            expected = reference_join(
+                [text], [number.astype(str).astype(object)]
+            )
+            assert join_pairs(ops.join_indices([text], [number])) == expected
+            assert join_pairs(ops.join_indices([number], [text])) == sorted(
+                (j, i) for i, j in expected
+            )
 
     def test_gather_and_filter_propagation(self):
         values = np.array(["c", "a", None, "b", "a"], dtype=object)
@@ -251,39 +337,40 @@ class TestEncodingEquivalence:
         left = np.array([1, 2, 3])
         empty = np.array([], dtype=np.int64)
         for how in ("inner", "left", "full"):
+            expected = reference_join([left], [empty], how)
             plain = ops.join_indices([left], [empty], how=how)
             encoded = ops.join_indices(
-                [left], [empty], how=how,
-                left_encodings=[encode_values(left)],
-                right_encodings=[encode_values(empty)],
+                [encode_values(left)], [encode_values(empty)], how=how
             )
-            np.testing.assert_array_equal(plain[0], encoded[0])
-            np.testing.assert_array_equal(plain[1], encoded[1])
+            assert join_pairs(plain) == expected
+            assert join_pairs(encoded) == expected
 
     def test_masked_key_join_parity(self):
-        """Legacy joins match on raw stored values, ignoring validity
-        masks; the planner must not swap in valid-aware encodings for
-        masked key columns (cache on/off would disagree on which rows
-        join)."""
+        """A key NULL only through its validity mask (stored value 0)
+        matches nothing — not the dimension's key 0 — as in sqlite3."""
+        import sqlite3
+
         from repro.storage.column import ColumnType
 
-        results = []
-        for enabled in (True, False):
-            db = Database()
-            db.create_table("l", {"k": [9, 9, 9, 9],
-                                  "v": [1.0, 2.0, 3.0, 4.0]})
-            db.table("l").set_column(Column(
-                "k", np.array([1, 2, 0, 4]), ColumnType.INT,
-                np.array([True, True, False, True]),
-            ))
-            db.create_table("r", {"k": [0, 1], "x": [10.0, 20.0]})
-            db.encodings.enabled = enabled
-            out = db.execute(
-                "SELECT l.v AS v, r.x AS x FROM l JOIN r ON l.k = r.k "
-                "ORDER BY l.v"
-            )
-            results.append((out["v"].tolist(), out["x"].tolist()))
-        assert results[0] == results[1]
+        db = Database()
+        db.create_table("l", {"k": [9, 9, 9, 9],
+                              "v": [1.0, 2.0, 3.0, 4.0]})
+        db.table("l").set_column(Column(
+            "k", np.array([1, 2, 0, 4]), ColumnType.INT,
+            np.array([True, True, False, True]),
+        ))
+        db.create_table("r", {"k": [0, 1], "x": [10.0, 20.0]})
+        conn = sqlite3.connect(":memory:")
+        conn.execute("CREATE TABLE l (k, v)")
+        conn.executemany("INSERT INTO l VALUES (?, ?)",
+                         [(1, 1.0), (2, 2.0), (None, 3.0), (4, 4.0)])
+        conn.execute("CREATE TABLE r (k, x)")
+        conn.executemany("INSERT INTO r VALUES (?, ?)", [(0, 10.0), (1, 20.0)])
+        sql = ("SELECT l.v AS v, r.x AS x FROM l JOIN r ON l.k = r.k "
+               "ORDER BY l.v")
+        out = db.execute(sql)
+        assert list(zip(out["v"].tolist(), out["x"].tolist())) == \
+            conn.execute(sql).fetchall() == [(1.0, 20.0)]
 
     def test_vectorized_null_detection(self):
         values = np.array(["x", None, "", "None", None], dtype=object)
@@ -335,56 +422,46 @@ class TestTrainingParity:
         """A delta-update failure mid-training flips the frontier to
         per-leaf rounds; the cache must keep rejecting stale codes through
         the mode switch (label columns stop churning afterwards)."""
-        models = []
-        for mode in ("auto", "off"):
-            db, graph = favorita(
-                num_fact_rows=2000, num_extra_features=0, seed=6
-            )
-            real_execute = db.execute
-            fired = {"n": 0}
+        fired = []
 
-            def flaky(sql, tag=None, _real=real_execute, _fired=fired):
-                if tag == "frontier_delta" and _fired["n"] == 0:
-                    _fired["n"] += 1
+        def inject(db):
+            real_execute = db.execute
+            calls = {"n": 0}
+            fired.append(calls)
+
+            def flaky(sql, tag=None):
+                if tag == "frontier_delta" and calls["n"] == 0:
+                    calls["n"] += 1
                     raise ExecutionError("injected delta failure")
-                return _real(sql, tag=tag)
+                return real_execute(sql, tag=tag)
 
             db.execute = flaky
-            models.append(repro.train_gradient_boosting(
-                db, graph, {**PARAMS, "encoding_cache": mode}
-            ))
-            assert fired["n"] == 1
-        assert trees_of(models[0]) == trees_of(models[1])
+
+        warm, cold = warm_and_cold(
+            lambda: favorita(num_fact_rows=2000, num_extra_features=0, seed=6),
+            PARAMS, inject,
+        )
+        assert [calls["n"] for calls in fired] == [1, 1]
+        assert trees_of(warm) == trees_of(cold)
 
     def test_parity_without_narrow_update_capability(self):
-        models = []
-        for mode in ("auto", "off"):
+        def build():
             conn = Database()
             conn.capabilities = dataclasses.replace(
                 conn.capabilities, narrow_update=False
             )
-            db, graph = favorita(
+            return favorita(
                 db=conn, num_fact_rows=2000, num_extra_features=0, seed=6
             )
-            models.append(repro.train_gradient_boosting(
-                db, graph, {**PARAMS, "encoding_cache": mode}
-            ))
-        assert trees_of(models[0]) == trees_of(models[1])
+
+        warm, cold = warm_and_cold(build, PARAMS)
+        assert trees_of(warm) == trees_of(cold)
 
 
 # ---------------------------------------------------------------------------
 # Frontier interaction and census surfacing
 # ---------------------------------------------------------------------------
 class TestIntegration:
-    def test_one_enabled_value(self):
-        """``"auto"`` is the only enabled spelling; ``"on"`` is gone."""
-        from repro.core.params import TrainParams
-        from repro.exceptions import TrainingError
-
-        assert TrainParams.from_dict({"encoding_cache": "auto"}).encoding_cache == "auto"
-        with pytest.raises(TrainingError, match="'auto' or 'off'"):
-            TrainParams.from_dict({"encoding_cache": "on"})
-
     def test_jb_leaf_column_stays_uncached(self):
         db, graph = favorita(num_fact_rows=2000, num_extra_features=0, seed=6)
         model = repro.train_gradient_boosting(db, graph, PARAMS)
@@ -395,32 +472,24 @@ class TestIntegration:
             assert (uid, name) not in db.encodings._entries
 
     def test_cache_reduces_encode_passes(self):
-        def passes(encoding_cache, **shape):
+        """Encode passes are deterministic counts: each cacheable key
+        column is encoded once per version, the rest once per query."""
+        def passes(**shape):
             db, graph = favorita(num_fact_rows=2000, seed=6, **shape)
             ops.reset_encode_census()
-            repro.train_gradient_boosting(
-                db, graph, {**PARAMS, "encoding_cache": encoding_cache}
-            )
-            return ops.encode_census()["passes"], db
+            repro.train_gradient_boosting(db, graph, PARAMS)
+            return ops.encode_census()["passes"], db.encodings.stores
 
-        cached_passes, db = passes("auto", num_extra_features=2)
-        uncached_passes, _ = passes("off", num_extra_features=2)
-        assert cached_passes < uncached_passes / 2
-        assert db.encodings.stores > 0
+        assert passes(num_extra_features=2) == (CACHED_PASSES, CACHED_STORES)
         # The Figure 9 shape (18 features, string natural keys), where
-        # per-query re-encoding hurts most: at least 4x fewer passes.
-        # Only 4x because the UNION ALL branches of a fused split read
-        # share one join frame, so even "off" encodes each read's join
-        # keys once, not once per branch (922 passes against 205).
-        fig09 = {"num_extra_features": 13, "key_dtype": "str"}
-        auto_passes = passes("auto", **fig09)[0]
-        assert auto_passes <= 205
-        assert passes("off", **fig09)[0] >= 4 * auto_passes
+        # per-query re-encoding hurts most.
+        assert passes(num_extra_features=13, key_dtype="str") == (
+            FIG09_PASSES, FIG09_STORES
+        )
 
     def test_profiles_carry_encode_split(self):
         db = Database()
         db.create_table("t", {"k": [1, 2, 2, 3], "v": [1.0, 2.0, 3.0, 4.0]})
-        db.encodings.enabled = False
         db.execute("SELECT k, SUM(v) AS s FROM t GROUP BY k")
         profile = db.profiles[-1]
         assert profile.encode_passes > 0
@@ -445,18 +514,15 @@ class TestIntegration:
         still key them correctly (and stay parity-safe)."""
         from repro.storage.table import StorageConfig
 
-        models = []
-        for mode in ("auto", "off"):
-            db, graph = favorita(
+        warm, cold = warm_and_cold(
+            lambda: favorita(
                 db=Database(config=StorageConfig.preset("plain")),
                 num_fact_rows=1500, num_extra_features=0, seed=3,
                 fact_config=StorageConfig.preset("x-col"),
-            )
-            models.append(repro.train_gradient_boosting(
-                db, graph, {**PARAMS, "encoding_cache": mode,
-                            "update_strategy": "create"}
-            ))
-        assert trees_of(models[0]) == trees_of(models[1])
+            ),
+            {**PARAMS, "update_strategy": "create"},
+        )
+        assert trees_of(warm) == trees_of(cold)
 
 
 # ---------------------------------------------------------------------------
@@ -624,5 +690,5 @@ class TestConcurrency:
             t.join()
 
         assert not cache.cacheable(table.uid, "k")
-        assert cache.encoding_for(table.column("k")) is None
+        assert cache.encoding_for(table.column("k")) is not None
         assert cache.lookup(table.uid, "k", table.column_version("k")) is None

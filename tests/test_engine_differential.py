@@ -1,16 +1,17 @@
 """Engine differential: the embedded engine against stdlib ``sqlite3``.
 
-Seeded two-table schemas (a fact ``f`` and a dimension ``d``) carry NULL
-keys, dangling fact keys, duplicate dimension keys, a bare column name
-present in both tables, and either integer or string keys.  Every
-statement shape runs on both engines and the results are compared as
-bags (as ordered lists when the statement fixes an order).  The shapes
-cover what the planner's column pruning, selection vectors and join
-index expansion must keep intact: ``*`` and ``t.*``, ``USING``, name
-ambiguity, ORDER BY a column that is not projected, HAVING, windows,
-derived tables, IN-subqueries, statements that read no column, outer
-join pads, CROSS joins, WHERE clauses that keep no row or every row,
-and the carry-message and fused ``UNION ALL`` shapes training emits.
+Seeded schemas (a fact ``f``, a dimension ``d`` and a second-hop table
+``e``) carry NULL keys, dangling fact keys, duplicate dimension keys, a
+bare column name present in both tables, and either integer or string
+keys.  Every statement shape runs on both engines and the results are
+compared as bags (as ordered lists when the statement fixes an order).
+The shapes cover what the planner's column pruning, selection vectors
+and join index expansion must keep intact: ``*`` and ``t.*``, ``USING``,
+name ambiguity, ORDER BY a column that is not projected, HAVING,
+windows, derived tables, IN-subqueries, statements that read no column,
+outer join pads (also as the key of the next join in a chain), CROSS
+joins, WHERE clauses that keep no row or every row, and the
+carry-message and fused ``UNION ALL`` shapes training emits.
 ``CASE`` gets generated shapes of its own — nested, over NULL
 conditions, without ``ELSE`` or with ``ELSE NULL``, with string outcomes,
 over aggregates and windows, around IN-subqueries — and the predicated
@@ -38,6 +39,7 @@ SEEDS = range(6)
 KEY_DTYPES = ("int", "str")
 FACT_ROWS = 40
 DIM_ROWS = 8
+HOP_ROWS = 6
 
 
 def generate(seed: int, key_dtype: str):
@@ -81,7 +83,16 @@ def generate(seed: int, key_dtype: str):
         "name": names(DIM_ROWS),
         "c": [int(v) for v in rng.integers(0, 3, size=DIM_ROWS)],
     }
-    return {"f": fact, "d": dim}
+    # A second hop's table: its keys hold 0 and NULL, so an outer join's
+    # pad (an INT key NULL only through its validity mask, over a stored
+    # value such as 0) must still match nothing.
+    hop = {
+        "eid": list(range(HOP_ROWS)),
+        "ek": [0, None, 1, 0, 3, 2],
+        "ec": [int(v) for v in rng.integers(0, 3, size=HOP_ROWS)],
+        "z": quarters(HOP_ROWS, 0.2),
+    }
+    return {"f": fact, "d": dim, "e": hop}
 
 
 def _array(values):
@@ -213,6 +224,20 @@ SHAPES = [
     ("concat_nullable_number",
      "SELECT t.rid, t.v || 'x' AS a, t.name || t.v AS b, u.w || '' AS c "
      "FROM f AS t LEFT JOIN d AS u ON t.k = u.k", False),
+    # a LEFT JOIN chain continued on the padded INT key: pads are NULL
+    ("left_chain_then_inner_on_pad",
+     "SELECT t.rid, u.did, q.z FROM f AS t LEFT JOIN d AS u ON t.k = u.k "
+     "INNER JOIN e AS q ON u.did = q.ek", False),
+    ("left_chain_then_left_on_pad",
+     "SELECT t.rid, u.c, q.eid, q.z FROM f AS t LEFT JOIN d AS u "
+     "ON t.k = u.k LEFT JOIN e AS q ON u.c = q.ec", False),
+    ("left_chain_three_hops",
+     "SELECT t.rid, q.eid, v.did FROM f AS t LEFT JOIN d AS u ON t.k = u.k "
+     "LEFT JOIN e AS q ON u.did = q.ek LEFT JOIN d AS v ON q.ec = v.c", False),
+    ("left_chain_grouped_on_pad",
+     "SELECT q.ek, COUNT(*) AS n, SUM(t.g) AS g FROM f AS t "
+     "LEFT JOIN d AS u ON t.k = u.k INNER JOIN e AS q ON u.c = q.ec "
+     "GROUP BY q.ek", False),
     ("carry_message",
      "CREATE TABLE msg AS SELECT t.k AS k, t.jb_leaf_s1 AS jb_leaf_s1, "
      "SUM(t.h) AS h, SUM(t.g) AS g FROM f AS t "

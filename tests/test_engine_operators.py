@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from repro.engine import operators as ops
 
+from conftest import join_pairs, reference_join
+
 
 class TestFactorize:
     def test_single_key(self):
@@ -41,39 +43,32 @@ class TestFactorize:
 
 
 class TestJoinIndices:
-    def brute(self, left, right):
-        return sorted(
-            (i, j)
-            for i, lv in enumerate(left)
-            for j, rv in enumerate(right)
-            if lv == rv
-        )
+    """Every case against :func:`conftest.reference_join`, a per-row
+    pure-Python join in which NULL never matches."""
 
     def test_inner_matches_brute_force(self):
         rng = np.random.default_rng(0)
         left = rng.integers(0, 5, 30)
         right = rng.integers(0, 5, 20)
-        l_idx, r_idx = ops.join_indices([left], [right])
-        assert sorted(zip(l_idx, r_idx)) == self.brute(left, right)
+        assert join_pairs(ops.join_indices([left], [right])) == \
+            reference_join([left], [right])
 
     def test_left_join_pads(self):
-        l_idx, r_idx = ops.join_indices(
-            [np.array([1, 2, 9])], [np.array([1, 2])], how="left"
-        )
-        padded = r_idx[l_idx == 2]
-        assert list(padded) == [-1]
+        left, right = np.array([1, 2, 9]), np.array([1, 2])
+        got = join_pairs(ops.join_indices([left], [right], how="left"))
+        assert got == reference_join([left], [right], "left")
+        assert (2, -1) in got
 
     def test_full_join(self):
-        l_idx, r_idx = ops.join_indices(
-            [np.array([1, 9])], [np.array([1, 7])], how="full"
-        )
-        assert (-1 in list(l_idx)) and (-1 in list(r_idx))
+        left, right = np.array([1, 9]), np.array([1, 7])
+        got = join_pairs(ops.join_indices([left], [right], how="full"))
+        assert got == reference_join([left], [right], "full")
+        assert (1, -1) in got and (-1, 1) in got
 
     def test_nan_keys_never_match(self):
-        l_idx, r_idx = ops.join_indices(
-            [np.array([np.nan, 1.0])], [np.array([np.nan, 1.0])]
-        )
-        assert len(l_idx) == 1
+        left, right = np.array([np.nan, 1.0]), np.array([np.nan, 1.0])
+        got = join_pairs(ops.join_indices([left], [right]))
+        assert got == reference_join([left], [right]) == [(1, 1)]
 
     @given(
         st.lists(st.integers(0, 6), max_size=40),
@@ -84,12 +79,8 @@ class TestJoinIndices:
         left, right = np.array(left, dtype=np.int64), np.array(right, dtype=np.int64)
         if len(left) == 0 or len(right) == 0:
             return
-        l_idx, r_idx = ops.join_indices([left], [right])
-        assert sorted(zip(l_idx, r_idx)) == self.brute(left, right)
-
-    def test_semi_join_mask(self):
-        mask = ops.semi_join_mask([np.array([1, 2, 3])], [np.array([2, 9])])
-        assert list(mask) == [False, True, False]
+        assert join_pairs(ops.join_indices([left], [right])) == \
+            reference_join([left], [right])
 
 
 class TestGroupedAggregates:
@@ -219,12 +210,6 @@ class TestLongStringKeys:
         right = np.array(["p" * 70 + "B"], dtype=object)
         left_idx, right_idx = ops.join_indices([left], [right])
         assert list(left_idx) == [1]
-
-    def test_semi_join_mask_long_keys(self):
-        left = self._keys()
-        right = np.array(["p" * 70 + "A"], dtype=object)
-        mask = ops.semi_join_mask([left], [right])
-        assert list(mask) == [True, False, True]
 
     def test_group_by_long_keys_via_sql(self):
         from repro.engine.database import Database

@@ -438,10 +438,12 @@ class TestCarryCacheScoping:
     def test_params_alias_and_validation(self):
         from repro.exceptions import TrainingError
 
-        # One label strategy: the old selector is an unknown parameter.
+        # One label strategy and one key path: the old selectors are
+        # unknown parameters.
         for alias, value in (("frontier_state", "incremental"),
                              ("leaf_state", "rebuild"),
                              ("key_encoding_cache", "off"),
+                             ("encoding_cache", "off"),
                              ("task_executor", "thread")):
             with pytest.raises(TrainingError, match="unknown training parameter"):
                 TrainParams.from_dict({alias: value})

@@ -170,6 +170,49 @@ class TestWorkerParity:
         assert np.array_equal(service.score_sql(), service.score_all())
 
 
+class TestDanglingKeySnowflake:
+    """A three-level snowflake whose fact keys dangle at the first hop,
+    while the second dimension holds key 0: the first hop's pads are
+    NULL keys over a stored value, and must not join the second
+    dimension's row 0 in the SQL scan."""
+
+    @staticmethod
+    def _snowflake(conn):
+        rng = np.random.default_rng(3)
+        n = 400
+        k1 = rng.integers(0, 14, n)  # d1 holds 0..9: keys 10..13 dangle
+        d1_k2 = np.arange(10) % 5  # d1's first row stores k2 = 0
+        x2 = np.array([-3.0, 5.0, 1.0, 2.0, 0.5])
+        y = np.where(k1 < 10, x2[d1_k2[np.minimum(k1, 9)]], -1.0)
+        conn.create_table("f", {"k1": k1, "x": rng.normal(size=n),
+                                "y": y + 0.1 * rng.normal(size=n)})
+        conn.create_table("d1", {"k1": np.arange(10), "k2": d1_k2,
+                                 "x1": rng.normal(size=10)})
+        conn.create_table("d2", {"k2": np.arange(5), "x2": x2})
+        graph = repro.JoinGraph(conn)
+        graph.add_relation("f", features=["x"], y="y")
+        graph.add_relation("d1", features=["x1"])
+        graph.add_relation("d2", features=["x2"])
+        graph.add_edge("f", "d1", ["k1"])
+        graph.add_edge("d1", "d2", ["k2"])
+        return graph
+
+    @pytest.mark.parametrize("backend", ["embedded", "sqlite"])
+    def test_sql_scan_matches_compiled_and_recursive(self, backend):
+        conn = repro.connect(backend=backend)
+        graph = self._snowflake(conn)
+        model = repro.train_gradient_boosting(
+            conn, graph, {"num_iterations": 3, "num_leaves": 8, "seed": 1}
+        )
+        assert "x2" in model.required_features
+        service = PredictionService(conn, graph)
+        service.deploy(model)
+        frame = feature_frame(conn, graph, include_target=False)
+        recursive = model.predict_arrays(frame)
+        assert np.array_equal(service.score_all(), recursive)
+        assert np.array_equal(service.score_sql(), recursive)
+
+
 class TestModelWithoutSplits:
     @pytest.mark.parametrize("backend", backend_matrix("embedded", "sqlite"))
     def test_every_path_scores_every_row(self, backend):
