@@ -370,7 +370,7 @@ def _as_encoding(key: Union[ColumnEncoding, np.ndarray]) -> ColumnEncoding:
 
 def _indexed_join(
     left_enc: ColumnEncoding, right_enc: ColumnEncoding, how: str
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, bool]:
     """Single-key join against a cached right side's grouped row index.
 
     The right side's rows are already grouped by code (``group_index``),
@@ -390,47 +390,51 @@ def _indexed_join(
     lcodes = left_map[left_enc.codes]
     counts = counts_shared[lcodes]
     starts = starts_shared[lcodes]
-    left_idx, right_idx, total = _expand_matches(counts, starts, order)
+    left_idx, right_idx, in_order = _expand_matches(counts, starts, order)
     return _pad_outer(
-        left_idx, right_idx, counts, len(right_enc.codes), how, total
+        left_idx, right_idx, in_order, counts, len(right_enc.codes), how
     )
 
 
 def _expand_matches(
     counts: np.ndarray, starts: np.ndarray, order: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, int]:
+) -> Tuple[np.ndarray, np.ndarray, bool]:
     """Every (left, right) match: left row ``i`` pairs with the right rows
     ``order[starts[i] : starts[i] + counts[i]]``.
 
-    Returns ``(left_idx, right_idx, total)``.  When no left row matches
+    Returns ``(left_idx, right_idx, in_order)``.  When no left row matches
     more than once (the N:1 fact-to-dimension join) the matched rows are
     the selection itself, so the three output-sized ``np.repeat``s of the
-    fan-out case are skipped.
+    fan-out case are skipped; ``in_order`` says every left row matched
+    exactly once, so ``left_idx`` is the identity.
     """
     total = int(counts.sum())
     if total == 0:
         empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, 0
+        return empty, empty, False
     if int(counts.max()) == 1:
+        if total == len(counts):
+            return np.arange(total), order[starts], True
         left_idx = np.flatnonzero(counts)
-        return left_idx, order[starts[left_idx]], total
+        return left_idx, order[starts[left_idx]], False
     left_idx = np.repeat(np.arange(len(counts)), counts)
     offsets = np.repeat(np.cumsum(counts) - counts, counts)
     within = np.arange(total) - offsets
     right_idx = order[np.repeat(starts, counts) + within]
-    return left_idx, right_idx, total
+    return left_idx, right_idx, False
 
 
 def _pad_outer(
     left_idx: np.ndarray,
     right_idx: np.ndarray,
+    in_order: bool,
     counts: np.ndarray,
     n_right: int,
     how: str,
-    total: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Append the -1-padded rows LEFT/FULL joins owe for unmatched keys."""
-    if how in ("left", "full"):
+) -> Tuple[np.ndarray, np.ndarray, bool]:
+    """Append the -1-padded rows LEFT/FULL joins owe for unmatched keys;
+    ``in_order`` stays true while the left index is the identity."""
+    if how in ("left", "full") and not in_order:
         unmatched_left = np.flatnonzero(counts == 0)
         left_idx = np.concatenate([left_idx, unmatched_left])
         right_idx = np.concatenate(
@@ -438,16 +442,20 @@ def _pad_outer(
         )
     if how == "full":
         matched_right = np.zeros(n_right, dtype=bool)
-        if total:
-            matched_right[right_idx[right_idx >= 0]] = True
+        matched_right[right_idx[right_idx >= 0]] = True
         unmatched_right = np.flatnonzero(~matched_right)
         left_idx = np.concatenate(
             [left_idx, np.full(len(unmatched_right), -1, dtype=np.int64)]
         )
         right_idx = np.concatenate([right_idx, unmatched_right])
+        in_order = in_order and not len(unmatched_right)
     if how not in ("inner", "left", "full"):
         raise ExecutionError(f"unsupported join type {how!r}")
-    return left_idx.astype(np.int64), right_idx.astype(np.int64)
+    return (
+        left_idx.astype(np.int64, copy=False),
+        right_idx.astype(np.int64, copy=False),
+        in_order,
+    )
 
 
 def join_indices(
@@ -463,6 +471,18 @@ def join_indices(
     ``(left_idx, right_idx)``; a position of ``-1`` marks a padded null
     row (outer joins).  Null keys never match.
     """
+    left_idx, right_idx, _ = join_rows(left_keys, right_keys, how)
+    return left_idx, right_idx
+
+
+def join_rows(
+    left_keys: Sequence[Union[ColumnEncoding, np.ndarray]],
+    right_keys: Sequence[Union[ColumnEncoding, np.ndarray]],
+    how: str = "inner",
+) -> Tuple[np.ndarray, np.ndarray, bool]:
+    """:func:`join_indices` plus whether ``left_idx`` is the identity:
+    every left row matched exactly once, and no padded row was appended
+    (the fact-to-dimension LEFT JOIN), so the left side passes through."""
     if len(left_keys) != len(right_keys) or not left_keys:
         raise ExecutionError("join_indices: key arity mismatch")
     left = [_as_encoding(key) for key in left_keys]
@@ -491,8 +511,8 @@ def join_indices(
         starts = np.searchsorted(sorted_r, lcodes, side="left")
         ends = np.searchsorted(sorted_r, lcodes, side="right")
         counts = ends - starts
-    left_idx, right_idx, total = _expand_matches(counts, starts, order)
-    return _pad_outer(left_idx, right_idx, counts, len(rcodes), how, total)
+    left_idx, right_idx, in_order = _expand_matches(counts, starts, order)
+    return _pad_outer(left_idx, right_idx, in_order, counts, len(rcodes), how)
 
 
 # ---------------------------------------------------------------------------

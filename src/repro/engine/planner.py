@@ -282,11 +282,19 @@ def _apply_join(
     cache = db.encodings
     left_keys = [cache.encoding_for(left.resolve(l)) for l, _ in equi]
     right_keys = [cache.encoding_for(right.resolve(r)) for _, r in equi]
+    # A side whose rows all pass through in order (the fact of an N:1
+    # LEFT JOIN where every key matches) is bound as it is: index None.
+    l_idx: Optional[np.ndarray]
+    r_idx: Optional[np.ndarray]
     if kind == "RIGHT":
-        r_idx, l_idx = ops.join_indices(right_keys, left_keys, how="left")
+        r_idx, l_idx, in_order = ops.join_rows(right_keys, left_keys, how="left")
+        if in_order:
+            r_idx = None
     else:
         how = {"INNER": "inner", "LEFT": "left", "FULL": "full"}[kind]
-        l_idx, r_idx = ops.join_indices(left_keys, right_keys, how=how)
+        l_idx, r_idx, in_order = ops.join_rows(left_keys, right_keys, how=how)
+        if in_order:
+            l_idx = None
     merged = _gather_merge(left, right, l_idx, r_idx, cache)
     for conjunct in residual:
         _precompute_subqueries(conjunct, db, context)
@@ -330,34 +338,41 @@ def _lookup(frame: Frame, key: str):
 def _gather_merge(
     left: Frame,
     right: Frame,
-    l_idx: np.ndarray,
-    r_idx: np.ndarray,
+    l_idx: Optional[np.ndarray],
+    r_idx: Optional[np.ndarray],
     cache=None,
 ) -> Frame:
-    merged = Frame(len(l_idx))
+    """``left`` and ``right`` gathered by the join's positions (``None``:
+    the side's rows as they are) into one frame."""
+    merged = Frame(left.num_rows if l_idx is None else len(l_idx))
     _take_into(merged, left, l_idx, cache)
     _take_into(merged, right, r_idx, cache)
     return merged
 
 
-def _take_into(out: Frame, frame: Frame, idx: np.ndarray, cache=None) -> None:
-    """Bind every column of ``frame`` gathered by ``idx`` into ``out``.
+def _take_into(
+    out: Frame, frame: Frame, idx: Optional[np.ndarray], cache=None
+) -> None:
+    """Bind every column of ``frame`` gathered by ``idx`` into ``out``
+    (``idx`` ``None``: the columns themselves).
 
     The outer-join pad test (any -1 position) runs once for the whole
     side.  Pads introduce nulls the parent encoding does not describe, so
     codes only propagate through pure gathers.
     """
-    pads = bool(len(idx)) and int(idx.min()) < 0
+    pads = idx is not None and bool(len(idx)) and int(idx.min()) < 0
     propagate = cache is not None and not pads
     taken: Dict[int, Column] = {}
     for key in frame.order:
         col = _lookup(frame, key)
-        if id(col) not in taken:
-            taken[id(col)] = col.take(idx, pads=pads)
-            if propagate:
-                cache.attach_gather(taken[id(col)], col, idx)
+        if idx is not None:
+            if id(col) not in taken:
+                taken[id(col)] = col.take(idx, pads=pads)
+                if propagate:
+                    cache.attach_gather(taken[id(col)], col, idx)
+            col = taken[id(col)]
         binding, _, _ = key.rpartition(".")
-        out.bind(taken[id(col)], binding or None)
+        out.bind(col, binding or None)
 
 
 def _select_rows(frame: Frame, mask: np.ndarray, cache=None) -> Frame:
@@ -396,45 +411,28 @@ def _apply_where(select: ast.Select, db, frame: Frame, context: Dict[int, object
 # ---------------------------------------------------------------------------
 def _collect_aggregates(select: ast.Select) -> List[ast.FuncCall]:
     """Aggregate calls in output/having/order expressions (not in windows)."""
-    found: List[ast.FuncCall] = []
-
-    def visit(expr: ast.Expr) -> None:
-        if isinstance(expr, ast.WindowCall):
-            return  # window aggregates are handled separately
-        if isinstance(expr, ast.FuncCall) and is_aggregate(expr.name):
-            found.append(expr)
-            return
-        for child in _children(expr):
-            visit(child)
-
-    for item in select.items:
-        visit(item.expr)
+    exprs = [item.expr for item in select.items]
     if select.having is not None:
-        visit(select.having)
-    for order in select.order_by:
-        visit(order.expr)
+        exprs.append(select.having)
+    exprs += [order.expr for order in select.order_by]
+    return _find_nodes(
+        exprs, lambda node: isinstance(node, ast.FuncCall) and is_aggregate(node.name)
+    )
+
+
+def _find_nodes(exprs: List[ast.Expr], match) -> list:
+    """The nodes of ``exprs`` that ``match``, in pre-order, descending
+    into neither a match nor a window call (window aggregates are
+    computed separately)."""
+    found = []
+    stack = list(reversed(exprs))
+    while stack:
+        node = stack.pop()
+        if match(node):
+            found.append(node)
+        elif not isinstance(node, ast.WindowCall):
+            stack.extend(reversed(ast.children(node)))
     return found
-
-
-def _children(expr: ast.Expr) -> List[ast.Expr]:
-    if isinstance(expr, ast.UnaryOp):
-        return [expr.operand]
-    if isinstance(expr, ast.BinaryOp):
-        return [expr.left, expr.right]
-    if isinstance(expr, ast.FuncCall):
-        return list(expr.args)
-    if isinstance(expr, ast.CaseExpr):
-        out = [e for pair in expr.whens for e in pair]
-        if expr.default is not None:
-            out.append(expr.default)
-        return out
-    if isinstance(expr, ast.InList):
-        return [expr.operand, *expr.items]
-    if isinstance(expr, (ast.InSubquery, ast.IsNull, ast.Cast)):
-        return [expr.operand]
-    if isinstance(expr, ast.Between):
-        return [expr.operand, expr.low, expr.high]
-    return []
 
 
 def _compute_aggregate(
@@ -560,21 +558,9 @@ def _expr_name(expr: ast.Expr) -> str:
 # Window functions
 # ---------------------------------------------------------------------------
 def _compute_windows(select: ast.Select, frame: Frame, context: Dict[int, object]) -> None:
-    calls: List[ast.WindowCall] = []
-
-    def visit(expr: ast.Expr) -> None:
-        if isinstance(expr, ast.WindowCall):
-            calls.append(expr)
-            return
-        for child in _children(expr):
-            visit(child)
-
-    for item in select.items:
-        visit(item.expr)
-    for order in select.order_by:
-        visit(order.expr)
-
-    for call in calls:
+    exprs = [item.expr for item in select.items]
+    exprs += [order.expr for order in select.order_by]
+    for call in _find_nodes(exprs, lambda node: isinstance(node, ast.WindowCall)):
         if id(call) in context:
             continue
         name = call.func.name.lower()

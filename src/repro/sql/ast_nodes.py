@@ -8,7 +8,7 @@ generated SQL debuggable and portable.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 
 # ---------------------------------------------------------------------------
@@ -18,6 +18,7 @@ class Expr:
     """Base class for expression nodes."""
 
     def sql(self) -> str:
+        """The node as SQL text; parsing it gives the node back."""
         raise NotImplementedError
 
     def __str__(self) -> str:
@@ -26,9 +27,12 @@ class Expr:
 
 @dataclasses.dataclass
 class Literal(Expr):
+    """A constant: a number, a string, a boolean or NULL (``None``)."""
+
     value: Union[int, float, str, bool, None]
 
     def sql(self) -> str:
+        """The node as SQL text."""
         if self.value is None:
             return "NULL"
         if isinstance(self.value, bool):
@@ -41,31 +45,41 @@ class Literal(Expr):
 
 @dataclasses.dataclass
 class ColumnRef(Expr):
+    """A column, optionally qualified by a table binding."""
+
     name: str
     table: Optional[str] = None
 
     def sql(self) -> str:
+        """The node as SQL text."""
         return f"{self.table}.{self.name}" if self.table else self.name
 
     @property
     def qualified(self) -> str:
+        """The lower-cased ``table.name`` (``name`` when unqualified)."""
         return self.sql().lower()
 
 
 @dataclasses.dataclass
 class Star(Expr):
+    """``*`` or ``t.*`` in a SELECT list."""
+
     table: Optional[str] = None
 
     def sql(self) -> str:
+        """The node as SQL text."""
         return f"{self.table}.*" if self.table else "*"
 
 
 @dataclasses.dataclass
 class UnaryOp(Expr):
+    """A prefix ``-``, ``+`` or ``NOT``."""
+
     op: str  # '-', '+', 'NOT'
     operand: Expr
 
     def sql(self) -> str:
+        """The node as SQL text."""
         if self.op == "NOT":
             return f"NOT ({self.operand.sql()})"
         return f"{self.op}({self.operand.sql()})"
@@ -73,22 +87,37 @@ class UnaryOp(Expr):
 
 @dataclasses.dataclass
 class BinaryOp(Expr):
+    """An infix operator: arithmetic, comparison, ``||``, ``AND`` / ``OR``."""
+
     op: str  # arithmetic, comparison, AND/OR
     left: Expr
     right: Expr
 
     def sql(self) -> str:
-        return f"({self.left.sql()} {self.op} {self.right.sql()})"
+        """The node as SQL text, rendered in a loop down the left spine:
+        a ``((a + b) + c)`` chain is as deep as it is long."""
+        spine = []
+        node: Expr = self
+        while isinstance(node, BinaryOp):
+            spine.append(node)
+            node = node.left
+        parts = ["(" * len(spine), node.sql()]
+        for op in reversed(spine):
+            parts.append(f" {op.op} {op.right.sql()})")
+        return "".join(parts)
 
 
 @dataclasses.dataclass
 class FuncCall(Expr):
+    """A scalar or aggregate function call (``COUNT(*)`` sets ``star``)."""
+
     name: str
     args: List[Expr]
     distinct: bool = False
     star: bool = False  # COUNT(*)
 
     def sql(self) -> str:
+        """The node as SQL text."""
         if self.star:
             inner = "*"
         else:
@@ -100,10 +129,13 @@ class FuncCall(Expr):
 
 @dataclasses.dataclass
 class WindowSpec:
+    """The ``OVER (PARTITION BY … ORDER BY …)`` clause of a window call."""
+
     partition_by: List[Expr] = dataclasses.field(default_factory=list)
     order_by: List["OrderItem"] = dataclasses.field(default_factory=list)
 
     def sql(self) -> str:
+        """The clause as SQL text."""
         parts = []
         if self.partition_by:
             parts.append("PARTITION BY " + ", ".join(e.sql() for e in self.partition_by))
@@ -114,19 +146,25 @@ class WindowSpec:
 
 @dataclasses.dataclass
 class WindowCall(Expr):
+    """A function evaluated over a window."""
+
     func: FuncCall
     window: WindowSpec
 
     def sql(self) -> str:
+        """The node as SQL text."""
         return f"{self.func.sql()} {self.window.sql()}"
 
 
 @dataclasses.dataclass
 class CaseExpr(Expr):
+    """A searched ``CASE WHEN … THEN … [ELSE …] END``."""
+
     whens: List[Tuple[Expr, Expr]]
     default: Optional[Expr] = None
 
     def sql(self) -> str:
+        """The node as SQL text."""
         parts = ["CASE"]
         for cond, result in self.whens:
             parts.append(f"WHEN {cond.sql()} THEN {result.sql()}")
@@ -138,11 +176,14 @@ class CaseExpr(Expr):
 
 @dataclasses.dataclass
 class InList(Expr):
+    """``x [NOT] IN (a, b, …)`` over a list of expressions."""
+
     operand: Expr
     items: List[Expr]
     negated: bool = False
 
     def sql(self) -> str:
+        """The node as SQL text."""
         op = "NOT IN" if self.negated else "IN"
         inner = ", ".join(i.sql() for i in self.items)
         return f"({self.operand.sql()} {op} ({inner}))"
@@ -150,43 +191,55 @@ class InList(Expr):
 
 @dataclasses.dataclass
 class InSubquery(Expr):
+    """``x [NOT] IN (SELECT …)``."""
+
     operand: Expr
     query: "Query"
     negated: bool = False
 
     def sql(self) -> str:
+        """The node as SQL text."""
         op = "NOT IN" if self.negated else "IN"
         return f"({self.operand.sql()} {op} ({self.query.sql()}))"
 
 
 @dataclasses.dataclass
 class IsNull(Expr):
+    """``x IS [NOT] NULL``."""
+
     operand: Expr
     negated: bool = False
 
     def sql(self) -> str:
+        """The node as SQL text."""
         op = "IS NOT NULL" if self.negated else "IS NULL"
         return f"({self.operand.sql()} {op})"
 
 
 @dataclasses.dataclass
 class Between(Expr):
+    """``x [NOT] BETWEEN low AND high``."""
+
     operand: Expr
     low: Expr
     high: Expr
     negated: bool = False
 
     def sql(self) -> str:
+        """The node as SQL text."""
         op = "NOT BETWEEN" if self.negated else "BETWEEN"
         return f"({self.operand.sql()} {op} {self.low.sql()} AND {self.high.sql()})"
 
 
 @dataclasses.dataclass
 class Cast(Expr):
+    """``CAST(x AS INT | FLOAT | STR)``."""
+
     operand: Expr
     target: str  # 'INT' | 'FLOAT' | 'STR'
 
     def sql(self) -> str:
+        """The node as SQL text."""
         return f"CAST({self.operand.sql()} AS {self.target})"
 
 
@@ -195,15 +248,20 @@ class Cast(Expr):
 # ---------------------------------------------------------------------------
 @dataclasses.dataclass
 class SelectItem:
+    """One SELECT-list entry and its optional alias."""
+
     expr: Expr
     alias: Optional[str] = None
 
     def sql(self) -> str:
+        """The clause as SQL text."""
         if self.alias:
             return f"{self.expr.sql()} AS {self.alias}"
         return self.expr.sql()
 
     def output_name(self, index: int) -> str:
+        """The result column's name: the alias, a bare column's own name,
+        else ``col<index>``."""
         if self.alias:
             return self.alias
         if isinstance(self.expr, ColumnRef):
@@ -213,10 +271,13 @@ class SelectItem:
 
 @dataclasses.dataclass
 class OrderItem:
+    """One ORDER BY key and its direction."""
+
     expr: Expr
     ascending: bool = True
 
     def sql(self) -> str:
+        """The clause as SQL text."""
         return f"{self.expr.sql()} {'ASC' if self.ascending else 'DESC'}"
 
 
@@ -229,22 +290,27 @@ class TableRef:
     alias: Optional[str] = None
 
     def sql(self) -> str:
+        """The clause as SQL text."""
         base = f"({self.subquery.sql()})" if self.subquery is not None else str(self.name)
         return f"{base} AS {self.alias}" if self.alias else base
 
     @property
     def binding(self) -> Optional[str]:
+        """The name the table is referred to by: its alias, else its name."""
         return self.alias or self.name
 
 
 @dataclasses.dataclass
 class Join:
+    """A JOIN clause: its kind, its table and an ``ON`` condition or a ``USING`` list."""
+
     table: TableRef
     kind: str = "INNER"  # INNER | LEFT | RIGHT | FULL | CROSS
     condition: Optional[Expr] = None
     using: Optional[List[str]] = None
 
     def sql(self) -> str:
+        """The clause as SQL text."""
         head = f"{self.kind} JOIN {self.table.sql()}"
         if self.using:
             return f"{head} USING ({', '.join(self.using)})"
@@ -255,6 +321,8 @@ class Join:
 
 @dataclasses.dataclass
 class Select:
+    """A SELECT statement."""
+
     items: List[SelectItem]
     source: Optional[TableRef] = None
     joins: List[Join] = dataclasses.field(default_factory=list)
@@ -266,6 +334,7 @@ class Select:
     distinct: bool = False
 
     def sql(self) -> str:
+        """The statement as SQL text."""
         parts = ["SELECT"]
         if self.distinct:
             parts.append("DISTINCT")
@@ -299,6 +368,7 @@ class UnionAll:
     selects: List[Select]
 
     def sql(self) -> str:
+        """The statement as SQL text."""
         return " UNION ALL ".join(s.sql() for s in self.selects)
 
 
@@ -308,32 +378,41 @@ Query = Union[Select, "UnionAll"]
 
 @dataclasses.dataclass
 class CreateTableAs:
+    """``CREATE [OR REPLACE] TABLE name AS <query>``."""
+
     name: str
     query: Query
     replace: bool = False
 
     def sql(self) -> str:
+        """The statement as SQL text."""
         head = "CREATE OR REPLACE TABLE" if self.replace else "CREATE TABLE"
         return f"{head} {self.name} AS {self.query.sql()}"
 
 
 @dataclasses.dataclass
 class DropTable:
+    """``DROP TABLE [IF EXISTS] name``."""
+
     name: str
     if_exists: bool = False
 
     def sql(self) -> str:
+        """The statement as SQL text."""
         mid = "IF EXISTS " if self.if_exists else ""
         return f"DROP TABLE {mid}{self.name}"
 
 
 @dataclasses.dataclass
 class Update:
+    """``UPDATE table SET col = expr, … [WHERE …]``."""
+
     table: str
     assignments: List[Tuple[str, Expr]]
     where: Optional[Expr] = None
 
     def sql(self) -> str:
+        """The statement as SQL text."""
         sets = ", ".join(f"{c} = {e.sql()}" for c, e in self.assignments)
         tail = f" WHERE {self.where.sql()}" if self.where is not None else ""
         return f"UPDATE {self.table} SET {sets}{tail}"
@@ -342,32 +421,47 @@ class Update:
 Statement = Union[Select, UnionAll, CreateTableAs, DropTable, Update]
 
 
-def walk(expr: Expr):
-    """Yield ``expr`` and all nested sub-expressions (pre-order)."""
-    yield expr
-    children: Sequence[Expr] = ()
-    if isinstance(expr, UnaryOp):
-        children = (expr.operand,)
-    elif isinstance(expr, BinaryOp):
-        children = (expr.left, expr.right)
-    elif isinstance(expr, FuncCall):
-        children = tuple(expr.args)
-    elif isinstance(expr, WindowCall):
-        children = tuple(expr.func.args) + tuple(expr.window.partition_by) + tuple(
-            o.expr for o in expr.window.order_by
-        )
-    elif isinstance(expr, CaseExpr):
-        pairs = [e for pair in expr.whens for e in pair]
-        if expr.default is not None:
-            pairs.append(expr.default)
-        children = tuple(pairs)
-    elif isinstance(expr, (InList,)):
-        children = (expr.operand, *expr.items)
-    elif isinstance(expr, InSubquery):
-        children = (expr.operand,)
-    elif isinstance(expr, (IsNull, Cast)):
-        children = (expr.operand,)
-    elif isinstance(expr, Between):
-        children = (expr.operand, expr.low, expr.high)
-    for child in children:
-        yield from walk(child)
+def _case_children(expr: CaseExpr) -> Tuple[Expr, ...]:
+    nested = [e for pair in expr.whens for e in pair]
+    if expr.default is not None:
+        nested.append(expr.default)
+    return tuple(nested)
+
+
+_CHILDREN = {
+    BinaryOp: lambda e: (e.left, e.right),
+    UnaryOp: lambda e: (e.operand,),
+    InSubquery: lambda e: (e.operand,),
+    IsNull: lambda e: (e.operand,),
+    Cast: lambda e: (e.operand,),
+    FuncCall: lambda e: tuple(e.args),
+    WindowCall: lambda e: (
+        *e.func.args, *e.window.partition_by, *(o.expr for o in e.window.order_by)
+    ),
+    CaseExpr: _case_children,
+    InList: lambda e: (e.operand, *e.items),
+    Between: lambda e: (e.operand, e.low, e.high),
+}
+
+
+def children(expr: Expr) -> Tuple[Expr, ...]:
+    """The direct sub-expressions of ``expr``, in source order.
+
+    A window call's children are its function arguments, then its
+    ``PARTITION BY`` and ``ORDER BY`` expressions; a subquery is planned
+    on its own, so only the operand of ``IN (SELECT ...)`` is a child."""
+    of = _CHILDREN.get(type(expr))
+    return of(expr) if of is not None else ()
+
+
+def walk(expr: Expr) -> Iterator[Expr]:
+    """Yield ``expr`` and all nested sub-expressions (pre-order).
+
+    An explicit stack, so a deep expression (a boosting chain of a
+    thousand trees is a left spine a thousand ``+`` deep) costs time
+    linear in its nodes and no recursion."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(children(node)))

@@ -6,7 +6,8 @@ of equal length.  :func:`evaluate` interprets an expression AST against a
 frame and returns a NumPy array.  A :class:`SubFrame` is some rows of a
 frame, gathered per column on first use: a ``CASE`` evaluates each
 ``WHEN`` over the rows no earlier ``WHEN`` took and each outcome over the
-rows it decides, and an ``UPDATE`` evaluates its ``SET`` over the rows its
+rows it decides (a tree of nested ``CASE``s fills one result array, at
+the top), and an ``UPDATE`` evaluates its ``SET`` over the rows its
 ``WHERE`` matched.
 
 Null semantics follow SQL closely enough for the JoinBoost workload:
@@ -41,6 +42,7 @@ class Frame:
 
     @staticmethod
     def from_columns(columns: Iterable[Column], binding: Optional[str] = None) -> "Frame":
+        """A frame of ``columns``, each under the optional qualifier ``binding``."""
         cols = list(columns)
         frame = Frame(len(cols[0]) if cols else 0)
         for col in cols:
@@ -77,6 +79,9 @@ class Frame:
         self.order.extend(k for k in other.order if k not in self.order)
 
     def resolve(self, ref: ast.ColumnRef) -> Column:
+        """The column ``ref`` names; a qualifier that names no binding
+        falls back to the bare name.  Unknown or ambiguous names raise
+        :class:`~repro.exceptions.PlanError`."""
         bare = ref.name.lower()
         if ref.table:
             key = f"{ref.table.lower()}.{bare}"
@@ -96,6 +101,7 @@ class Frame:
         return col
 
     def has(self, ref: ast.ColumnRef) -> bool:
+        """Whether ``ref`` resolves in this frame."""
         try:
             self.resolve(ref)
             return True
@@ -103,10 +109,12 @@ class Frame:
             return False
 
     def columns_for_binding(self, binding: str) -> list[Column]:
+        """The columns bound under the qualifier ``binding``."""
         prefix = binding.lower() + "."
         return [c for k, c in self._by_qualified.items() if k.startswith(prefix)]
 
     def all_columns(self) -> list[Column]:
+        """Every distinct bound column, in binding order."""
         seen: list[Column] = []
         ids = set()
         for key in self.order:
@@ -142,6 +150,7 @@ class SubFrame(Frame):
         self._taken: Dict[int, Column] = {}
 
     def resolve(self, ref: ast.ColumnRef) -> Column:
+        """The parent's column ``ref`` names, gathered to these rows once."""
         col = self.parent.resolve(ref)
         taken = self._taken.get(id(col))
         if taken is None:
@@ -270,15 +279,7 @@ def evaluate(expr: ast.Expr, frame: Frame, context: Optional[dict] = None) -> np
         return _broadcast(context[id(expr)], n)
 
     if isinstance(expr, ast.Literal):
-        if expr.value is None:
-            return np.full(n, np.nan)
-        if isinstance(expr.value, str):
-            out = np.empty(n, dtype=object)
-            out[:] = expr.value
-            return out
-        if isinstance(expr.value, bool):
-            return np.full(n, expr.value, dtype=bool)
-        return np.full(n, expr.value, dtype=np.float64 if isinstance(expr.value, float) else np.int64)
+        return np.full(n, _constant(expr, context))
 
     if isinstance(expr, ast.ColumnRef):
         return _column_values(frame.resolve(expr))
@@ -365,15 +366,65 @@ def evaluate(expr: ast.Expr, frame: Frame, context: Optional[dict] = None) -> np
     raise PlanError(f"unsupported expression node {type(expr).__name__}")
 
 
-def _eval_binary(expr: ast.BinaryOp, frame: Frame, context: dict) -> np.ndarray:
-    op = expr.op
-    if op in ("AND", "OR"):
-        left = _as_bool(evaluate(expr.left, frame, context))
-        right = _as_bool(evaluate(expr.right, frame, context))
-        return (left & right) if op == "AND" else (left | right)
+def _constant(expr: ast.Expr, context: dict) -> Optional[np.ndarray]:
+    """A literal (or a signed numeric one) as a 0-d value of the dtype its
+    column would have: NULL a float NaN, a string an object.  ``None``
+    when ``expr`` is no such literal or ``context`` holds it."""
+    sign = None
+    if isinstance(expr, ast.UnaryOp) and expr.op in ("-", "+") and id(expr) not in context:
+        sign, expr = expr.op, expr.operand
+    if not isinstance(expr, ast.Literal) or id(expr) in context:
+        return None
+    value = expr.value
+    if sign is not None:
+        if type(value) not in (int, float):
+            return None
+        number = np.float64(value) if isinstance(value, float) else np.int64(value)
+        return -number if sign == "-" else number
+    if value is None:
+        return np.float64(np.nan)
+    if isinstance(value, str):
+        return np.array(value, dtype=object)
+    if isinstance(value, bool):
+        return np.bool_(value)
+    return np.float64(value) if isinstance(value, float) else np.int64(value)
 
-    left = evaluate(expr.left, frame, context)
-    right = evaluate(expr.right, frame, context)
+
+def _operand(expr: ast.Expr, frame: Frame, context: dict) -> np.ndarray:
+    """A binary operator's operand: a non-string literal stays a 0-d
+    scalar that numpy broadcasts, anything else is evaluated per row."""
+    value = _constant(expr, context)
+    if value is None or value.dtype == object:
+        return evaluate(expr, frame, context)
+    return value
+
+
+def _eval_binary(expr: ast.BinaryOp, frame: Frame, context: dict) -> np.ndarray:
+    """A left-deep chain ``((a op b) op c) ...`` in one loop up its spine,
+    left to right: a boosting chain is as deep as it has trees.  The
+    spine stops at a node ``context`` holds."""
+    spine = [expr]
+    node = expr.left
+    while isinstance(node, ast.BinaryOp) and id(node) not in context:
+        spine.append(node)
+        node = node.left
+    left = _operand(node, frame, context)
+    for step in reversed(spine):
+        right = _operand(step.right, frame, context)
+        left = _apply_binary(step.op, left, right, frame.num_rows)
+    return left
+
+
+def _apply_binary(op: str, left: np.ndarray, right: np.ndarray, n: int) -> np.ndarray:
+    if left.ndim == 0 or right.ndim == 0:
+        # A scalar literal meets a numeric column; a string operand, text
+        # concatenation and literal-op-literal take whole arrays.
+        if left.ndim == right.ndim or op == "||" or object in (left.dtype, right.dtype):
+            left, right = _broadcast(left, n), _broadcast(right, n)
+
+    if op in ("AND", "OR"):
+        left, right = _as_bool(left), _as_bool(right)
+        return (left & right) if op == "AND" else (left | right)
 
     if op == "||":
         # NULL is None in text columns and NaN in numeric ones (x != x)
@@ -437,35 +488,67 @@ def _eval_case(expr: ast.CaseExpr, frame: Frame, context: dict) -> np.ndarray:
     Each ``WHEN`` sees only the rows no earlier ``WHEN`` took (a NULL
     condition takes none), and each outcome and the ``ELSE`` see only the
     rows they decide — an outcome deciding no row is evaluated over zero
-    rows, so the result type does not depend on the data.  The result
-    keeps SQL types: integer when every outcome is, unless a row falls
-    through to NULL (no ``ELSE``); object, NULL as ``None``, when any
-    outcome is a string."""
-    n = frame.num_rows
-    undecided: Optional[np.ndarray] = None  # None: every row
+    rows, so the result type does not depend on the data.  A nested
+    ``CASE`` outcome adds its own pieces and a literal outcome a scalar,
+    so a tree of ``CASE``s writes each row once, here.  The result keeps
+    SQL types: the promotion of every piece's type (integer when every
+    outcome is, unless a row falls through to NULL), or object, NULL as
+    ``None``, when any piece is a string."""
     pieces: List[Tuple[np.ndarray, np.ndarray]] = []
+    _case_pieces(expr, frame, context, None, pieces)
+    dtypes = list(dict.fromkeys(values.dtype for _, values in pieces))
+    if any(dtype.kind in "OUS" for dtype in dtypes):
+        result = np.empty(frame.num_rows, dtype=object)
+        pieces = [(positions, as_objects(values)) for positions, values in pieces]
+    else:
+        result = np.empty(frame.num_rows, dtype=np.result_type(*dtypes))
+    for positions, values in pieces:
+        result[positions] = values
+    return result
+
+
+def _case_pieces(
+    expr: ast.CaseExpr,
+    frame: Frame,
+    context: dict,
+    rows: Optional[np.ndarray],
+    pieces: List[Tuple[np.ndarray, np.ndarray]],
+) -> None:
+    """Append ``expr``'s ``(positions, values)`` pieces over the rows
+    ``rows`` of ``frame`` (ascending; ``None``: every row)."""
+    undecided = rows
     for cond, outcome in expr.whens:
         sub, sub_context = restrict(frame, context, undecided)
         hits = _as_bool(evaluate(cond, sub, sub_context))
         taken, rest = np.flatnonzero(hits), np.flatnonzero(~hits)
         if undecided is not None:
             taken, rest = undecided[taken], undecided[rest]
-        pieces.append((taken, _evaluate_rows(outcome, frame, context, taken)))
+        _outcome_pieces(outcome, frame, context, taken, pieces)
         undecided = rest
     # ``rest``: the rows no WHEN took (the parser requires one WHEN)
     if expr.default is not None:
-        pieces.append((rest, _evaluate_rows(expr.default, frame, context, rest)))
+        _outcome_pieces(expr.default, frame, context, rest, pieces)
     elif len(rest):  # rows falling through to NULL
-        pieces.append((rest, np.full(len(rest), np.nan)))
-    dtypes = [values.dtype for _, values in pieces]
-    if any(dtype.kind in "OUS" for dtype in dtypes):
-        result = np.empty(n, dtype=object)
-        pieces = [(positions, as_objects(values)) for positions, values in pieces]
-    else:
-        result = np.empty(n, dtype=np.result_type(*dtypes))
-    for positions, values in pieces:
-        result[positions] = values
-    return result
+        pieces.append((rest, np.float64(np.nan)))
+
+
+def _outcome_pieces(
+    expr: ast.Expr,
+    frame: Frame,
+    context: dict,
+    positions: np.ndarray,
+    pieces: List[Tuple[np.ndarray, np.ndarray]],
+) -> None:
+    """Append the pieces of one outcome over the rows ``positions`` it
+    decides: a nested ``CASE``'s own, a literal's scalar, else the
+    outcome evaluated over those rows."""
+    if isinstance(expr, ast.CaseExpr) and id(expr) not in context:
+        _case_pieces(expr, frame, context, positions, pieces)
+        return
+    value = _constant(expr, context)
+    if value is None:
+        value = _evaluate_rows(expr, frame, context, positions)
+    pieces.append((positions, value))
 
 
 def _evaluate_rows(
@@ -481,6 +564,8 @@ def as_objects(values: np.ndarray) -> np.ndarray:
     ``None``."""
     if values.dtype == object:
         return values
+    if values.ndim == 0:  # a literal outcome
+        return None if values.dtype.kind == "f" and np.isnan(values) else values.item()
     out = values.astype(object)
     if values.dtype.kind == "f":
         out[np.isnan(values)] = None

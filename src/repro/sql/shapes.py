@@ -104,37 +104,45 @@ def _slot_trie(template: List[ast.Statement], slots: Tuple[str, ...]) -> Optiona
     """The sentinels' paths as a trie, or ``None`` unless each sentinel
     occurs exactly once where its token type cannot have changed the
     parse: a number as a bare column reference (where ``parse_primary``
-    makes a literal of a NUMBER token), a name in a table-name field."""
-    found: Dict[str, List[Tuple[Tuple[Step, ...], str]]] = {}
+    makes a literal of a NUMBER token), a name in a table-name field.
 
-    def visit(node: object, path: Tuple[Step, ...]) -> None:
+    One pass over an explicit stack; a path is a linked ``(step,
+    parent)`` chain, spelled out only for the sentinels, so a deep
+    statement costs time linear in its nodes."""
+    found: Dict[str, List[Tuple[object, str]]] = {}
+    stack: List[Tuple[object, object]] = [(template, None)]
+    while stack:
+        node, path = stack.pop()
         if isinstance(node, (list, tuple)):
-            for index, child in enumerate(node):
-                visit(child, path + (index,))
-            return
+            stack.extend((child, (index, path)) for index, child in enumerate(node))
+            continue
         if not dataclasses.is_dataclass(node):
-            return
+            continue
         if isinstance(node, ast.ColumnRef) and node.table is None:
             found.setdefault(node.name, []).append((path, "p"))
-            return
+            continue
         for field in dataclasses.fields(node):
             value = getattr(node, field.name)
             if isinstance(value, str):
                 role = "t" if (type(node), field.name) in _NAME_FIELDS else "-"
-                found.setdefault(value, []).append((path + (field.name,), role))
+                found.setdefault(value, []).append(((field.name, path), role))
             else:
-                visit(value, path + (field.name,))
+                stack.append((value, (field.name, path)))
 
-    visit(template, ())
     trie: Trie = {}
     for index, slot in enumerate(slots):
         sentinel = _sentinel(slot, index)
         occurrences = found.get(sentinel, [])
         if len(occurrences) != 1 or occurrences[0][1] != sentinel[4]:
             return None
-        *steps, last = occurrences[0][0]
+        steps: List[Step] = []
+        link = occurrences[0][0]
+        while link is not None:
+            step, link = link
+            steps.append(step)
+        *inner, last = reversed(steps)
         node: dict = trie
-        for step in steps:
+        for step in inner:
             node = node.setdefault(step, {})
         node[last] = index
     return trie
@@ -142,21 +150,41 @@ def _slot_trie(template: List[ast.Statement], slots: Tuple[str, ...]) -> Optiona
 
 def _rebuild(node, trie: Trie, values: list):
     """A copy of ``node`` with the slots under ``trie`` filled; subtrees
-    off the slot paths are shared with ``node``."""
-    if isinstance(node, (list, tuple)):
-        items = list(node)
-        for index, child in trie.items():
-            items[index] = (
-                values[child] if isinstance(child, int)
-                else _rebuild(items[index], child, values)
-            )
-        return items if isinstance(node, list) else tuple(items)
-    clone = object.__new__(type(node))
-    fields = clone.__dict__
-    fields.update(node.__dict__)
-    for name, child in trie.items():
-        fields[name] = (
-            values[child] if isinstance(child, int)
-            else _rebuild(fields[name], child, values)
-        )
-    return clone
+    off the slot paths are shared with ``node``.
+
+    Top-down over an explicit stack: each node on a slot path is cloned
+    into its (already cloned) parent, a tuple as a list until its own
+    slots are filled."""
+    top = [node]
+    tuples: List[Tuple[object, Step]] = []
+    stack: List[Tuple[object, Step, Trie]] = [(top, 0, trie)]
+    while stack:
+        holder, key, sub = stack.pop()
+        original = _child(holder, key)
+        if isinstance(original, (list, tuple)):
+            clone = list(original)
+            if isinstance(original, tuple):
+                tuples.append((holder, key))
+        else:
+            clone = object.__new__(type(original))
+            clone.__dict__.update(original.__dict__)
+        _set_child(holder, key, clone)
+        for step, child in sub.items():
+            if isinstance(child, int):
+                _set_child(clone, step, values[child])
+            else:
+                stack.append((clone, step, child))
+    for holder, key in reversed(tuples):  # innermost first
+        _set_child(holder, key, tuple(_child(holder, key)))
+    return top[0]
+
+
+def _child(holder, step: Step):
+    return holder[step] if isinstance(holder, list) else holder.__dict__[step]
+
+
+def _set_child(holder, step: Step, value) -> None:
+    if isinstance(holder, list):
+        holder[step] = value
+    else:
+        holder.__dict__[step] = value

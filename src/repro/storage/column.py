@@ -144,9 +144,17 @@ class Column:
         if pads is None:
             pads = bool(len(indexes)) and int(indexes.min()) < 0
         if not pads:
-            values = self.values[indexes]
-            valid = self.valid[indexes] if self.valid is not None else None
-            return Column(self.name, values, self.ctype, valid)
+            # The gathered payload already has this column's dtype and
+            # its nulls are the gathered mask: no re-cast, no NaN scan.
+            clone = Column.__new__(Column)
+            clone.name = self.name
+            clone.ctype = self.ctype
+            clone.values = self.values[indexes]
+            clone.valid = self.valid[indexes] if self.valid is not None else None
+            clone.version = next_version()
+            clone.source = None
+            clone.enc = None
+            return clone
         if len(self.values) == 0:
             # Outer join against an empty side: every position is a pad.
             if self.ctype is ColumnType.STR:

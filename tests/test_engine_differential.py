@@ -33,6 +33,7 @@ import pytest
 
 from repro.engine.database import Database
 from repro.exceptions import PlanError
+from repro.sql.ast_nodes import ColumnRef
 from repro.storage.column import ColumnType
 
 SEEDS = range(6)
@@ -306,6 +307,37 @@ SHAPES = [
     ("case_over_empty_frame",
      "SELECT CASE WHEN t.x > 1 THEN 'a' ELSE t.name END AS c "
      "FROM f AS t WHERE t.x > 100", False),
+    # nested CASEs in THEN and ELSE write their rows straight into the
+    # top CASE's result, literal outcomes as scalars
+    ("nested_case_in_arithmetic",
+     "SELECT t.rid, 0.1 * (CASE WHEN t.x > 1 THEN CASE WHEN t.v IS NULL "
+     "THEN 2 ELSE 0.5 END ELSE CASE WHEN t.g < 0 THEN NULL ELSE t.x END "
+     "END) + 1 AS a FROM f AS t", False),
+    ("nested_case_integer_outcomes",
+     "SELECT t.rid, CASE WHEN t.x > 2 THEN CASE WHEN t.g > 0 THEN 1 "
+     "ELSE -2 END ELSE CASE WHEN t.v IS NULL THEN t.x ELSE 3 END END AS a "
+     "FROM f AS t", False),
+    ("nested_case_mixed_outcomes",
+     "SELECT t.rid, CASE WHEN t.x > 1 THEN CASE WHEN t.v IS NULL THEN 'a' "
+     "ELSE 3 END ELSE CASE WHEN t.g < 0 THEN NULL ELSE 2.5 END END AS a "
+     "FROM f AS t", False),
+    ("nested_case_string_outcomes",
+     "SELECT t.rid, CASE WHEN t.name IS NULL THEN CASE WHEN t.x > 1 "
+     "THEN 'p' END ELSE CASE WHEN t.g > 0 THEN t.name ELSE 'q' END END AS a "
+     "FROM f AS t", False),
+    ("select_literal_comparison_no_from", "SELECT 1 < 2.5 AS a", False),
+    # fact -> dimension LEFT JOINs: every key matches (the fact's columns
+    # pass through unchanged), then a hop whose key dangles
+    ("left_chain_every_row_matches",
+     "SELECT t.rid, t.v, q.z, u.w FROM f AS t LEFT JOIN e AS q "
+     "ON t.x = q.eid LEFT JOIN d AS u ON q.eid = u.did", False),
+    ("right_join_every_row_matches",
+     "SELECT t.rid, q.z, q.ec FROM e AS q RIGHT JOIN f AS t ON q.eid = t.x",
+     False),
+    ("left_chain_with_dangling_key",
+     "SELECT t.rid, t.name, q.z, u.w FROM f AS t LEFT JOIN "
+     "(SELECT eid, ec, z FROM e WHERE eid < 4) AS q ON t.x = q.eid "
+     "LEFT JOIN d AS u ON q.ec = u.did", False),
 ]
 
 
@@ -407,6 +439,65 @@ def test_generated_case_agrees_with_sqlite(engines, case_seed):
         _both(db, conn, f"SELECT t.rid FROM f AS t WHERE ({number}) > 1")
 
 
+# ---------------------------------------------------------------------------
+# Literal operands
+# ---------------------------------------------------------------------------
+#: an INT column, a FLOAT one, a FLOAT one holding NULLs, and a STR one
+_COLUMNS = ("t.x", "t.g", "t.v", "t.name")
+_COMPARISONS = ("=", "!=", "<", "<=", ">", ">=")
+_LITERALS = ("2", "-1", "2.5", "-0.75", "0")
+
+
+@pytest.mark.parametrize("column", _COLUMNS)
+def test_literal_either_side_of_a_comparison(engines, column):
+    """A numeric literal operand stays a scalar; it must compare as the
+    column it meets, NULLs included.  Each comparison is read through
+    ``CASE WHEN`` (a NULL comparison takes no row): a projected
+    comparison is 0/1 here, never sqlite's NULL.  A string compares with
+    a number by equality only (sqlite orders every number before every
+    text; this engine does not order across types)."""
+    db, conn = engines
+    ops = ("=", "!=") if column == "t.name" else _COMPARISONS
+    for op in ops:
+        terms = []
+        for literal in _LITERALS:
+            terms += [f"{column} {op} {literal}", f"{literal} {op} {column}"]
+        items = ", ".join(
+            f"CASE WHEN {term} THEN 1 ELSE 0 END AS c{i}"
+            for i, term in enumerate(terms)
+        )
+        _both(db, conn, f"SELECT t.rid, {items} FROM f AS t")
+        _both(db, conn, f"SELECT t.rid FROM f AS t WHERE {terms[0]}")
+
+
+@pytest.mark.parametrize("column", _COLUMNS[:3])
+def test_literal_either_side_of_arithmetic(engines, column):
+    """``+ - *`` with a literal on either side of INT, FLOAT and
+    NULL-holding columns.  ``/`` and ``%`` keep to operands where the
+    dialects agree: sqlite truncates INT / INT, answers NULL for a zero
+    divisor and truncates ``%``'s operands to integers, while this
+    engine divides as floats (DuckDB's ``/``)."""
+    db, conn = engines
+    terms = []
+    for literal in _LITERALS:
+        for op in ("+", "-", "*"):
+            terms += [f"{column} {op} {literal}", f"{literal} {op} {column}"]
+    terms += [f"{column} / 2.5", f"{column} / -0.5", f"1.5 * {column} / 4.0"]
+    if column == "t.x":
+        terms += ["t.x % 3", "t.x % 2"]
+    items = ", ".join(f"{term} AS a{i}" for i, term in enumerate(terms))
+    _both(db, conn, f"SELECT t.rid, {items} FROM f AS t")
+    _both(db, conn, f"SELECT t.rid, 3.0 / {column} AS q FROM f AS t "
+                    f"WHERE {column} <> 0")
+
+
+def test_literal_operands_in_where_and_case(engines):
+    db, conn = engines
+    _both(db, conn, "SELECT t.rid FROM f AS t WHERE 1 < t.x AND t.v * 2 > -3")
+    _both(db, conn, "SELECT t.rid, CASE WHEN 0.5 <= t.g THEN 1 - t.g "
+                    "ELSE 2 * t.x END AS a FROM f AS t WHERE 1 = 1")
+
+
 #: (id, UPDATE, follow-up queries); the UPDATE runs once per engine
 UPDATE_SHAPES = [
     ("fused_label_update",
@@ -492,3 +583,43 @@ class TestCaseResultTypes:
         ):
             assert db.execute(sql).scalar() == want
             assert conn.execute(sql).fetchone()[0] == want
+
+
+class TestOrderPreservingJoin:
+    """A LEFT JOIN where every left row matches exactly one right row
+    keeps the left side's rows in order: its columns are bound as they
+    are, not gathered through an identity index."""
+
+    def _join(self, tables, dimension_sql: str):
+        from repro.engine import planner
+        from repro.sql.expressions import Frame
+        from repro.sql.parser import parse
+
+        db = embedded(tables)
+        select = parse(
+            f"SELECT t.rid FROM f AS t LEFT JOIN {dimension_sql} AS q "
+            "ON t.x = q.eid"
+        )[0]
+        left = Frame.from_columns(
+            [db.table("f").column(name) for name in ("rid", "x", "v")], "t"
+        )
+        right = planner._frame_for_table_ref(select.joins[0].table, db, None)
+        merged = planner._apply_join(
+            left, right, select.joins[0], db, planner._new_context(db)
+        )
+        return left, merged
+
+    def test_every_row_matched_binds_the_left_columns(self):
+        left, merged = self._join(generate(0, "int"), "e")
+        assert merged.num_rows == left.num_rows
+        for name in ("rid", "x", "v"):
+            ref = ColumnRef(name, "t")
+            assert merged.resolve(ref) is left.resolve(ref)
+
+    def test_a_dangling_key_gathers(self):
+        left, merged = self._join(
+            generate(0, "int"), "(SELECT eid, z FROM e WHERE eid < 4)"
+        )
+        assert merged.resolve(ColumnRef("rid", "t")) is not left.resolve(
+            ColumnRef("rid", "t")
+        )

@@ -190,3 +190,44 @@ class TestFullOuterJoin:
             "SELECT w FROM t RIGHT JOIN u ON t.k = u.k"
         )
         assert sorted(result["w"]) == [20.0, 90.0]
+
+
+class TestDeepBoostingChain:
+    """A GBM scores as ``init + lr * (CASE …) + lr * (CASE …) + …``: a
+    left spine as deep as the model has trees.  Parsing, shape binding,
+    planning, evaluation and rendering walk it without recursion."""
+
+    TERMS = 1_000
+
+    def _chain(self, rng):
+        thresholds, lows, highs = rng.normal(size=(3, self.TERMS)).tolist()
+        parts = ["1.0"] + [
+            f"0.1 * (CASE WHEN x <= {t!r} THEN {a!r} ELSE {b!r} END)"
+            for t, a, b in zip(thresholds, lows, highs)
+        ]
+        return " + ".join(parts), thresholds, lows, highs
+
+    def test_thousand_terms_equal_the_left_associated_sum(self):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=64)
+        database = Database()
+        database.create_table("t", {"x": x})
+        chain, thresholds, lows, highs = self._chain(rng)
+        got = database.execute(f"SELECT ({chain}) AS s FROM t").column("s").values
+        want = np.full(len(x), 1.0)
+        for t, a, b in zip(thresholds, lows, highs):
+            want = want + 0.1 * np.where(x <= t, a, b)
+        assert np.array_equal(got, want)
+
+    def test_rendering_and_walking_a_deep_chain(self):
+        from repro.sql import ast_nodes as ast
+        from repro.sql.parser import parse
+
+        chain, _, _, _ = self._chain(np.random.default_rng(6))
+        expr = parse(f"SELECT {chain} AS s FROM t")[0].items[0].expr
+        text = expr.sql()
+        assert text.startswith("(" * self.TERMS + "1.0 + (0.1 * CASE WHEN")
+        assert text.count("CASE WHEN") == self.TERMS and text.endswith(" END))")
+        nodes = list(ast.walk(expr))
+        assert nodes[0] is expr
+        assert sum(isinstance(n, ast.CaseExpr) for n in nodes) == self.TERMS
