@@ -102,10 +102,18 @@ def feature_frame(
     row_map: Dict[str, np.ndarray] = {fact: rows}
 
     def positions(relation: str) -> np.ndarray:
-        if relation not in row_map:
-            parent = parent_map[relation]
-            edge = edge_between(graph, relation, parent)
-            row_map[relation] = _hop(db, edge, parent, relation, positions(parent))
+        # The hops down from the nearest relation already reached; a loop,
+        # not a self-referencing closure, whose reference cycle would
+        # keep every hop's positions alive until the next collection.
+        missing = []
+        hop = relation
+        while hop not in row_map:
+            missing.append(hop)
+            hop = parent_map[hop]
+        for child in reversed(missing):
+            parent = parent_map[child]
+            edge = edge_between(graph, child, parent)
+            row_map[child] = _hop(db, edge, parent, child, row_map[parent])
         return row_map[relation]
 
     out: Dict[str, np.ndarray] = {}

@@ -79,9 +79,11 @@ class Database(Connector):
     # Table management
     # ------------------------------------------------------------------
     def table(self, name: str) -> Table:
+        """The stored table ``name`` (case-insensitive; raises when absent)."""
         return self.catalog.get(name)
 
     def has_table(self, name: str) -> bool:
+        """Whether a table ``name`` exists."""
         return self.catalog.exists(name)
 
     def register(self, table: Table, replace: bool = False) -> None:
@@ -108,10 +110,12 @@ class Database(Connector):
         return table
 
     def drop_table(self, name: str, if_exists: bool = False) -> None:
+        """Drop table ``name`` and release its cached encodings."""
         self._forget_encodings(name)
         self.catalog.drop(name, if_exists=if_exists)
 
     def rename_table(self, old: str, new: str) -> None:
+        """Rename table ``old`` to ``new``, keeping its identity."""
         # Renames preserve table identity (uid): cached encodings stay
         # valid because the data did not move.
         self.catalog.rename(old, new)
@@ -140,6 +144,7 @@ class Database(Connector):
         embedded_column_update(self, table_name, column_name, values, strategy)
 
     def temp_name(self, hint: str = "t") -> str:
+        """A fresh ``jb_tmp_<hint>_<n>`` table name."""
         return self.catalog.temp_name(hint)
 
     def cleanup_temp(self, keep: Optional[List[str]] = None) -> int:
@@ -278,15 +283,18 @@ class Database(Connector):
     # Profiling helpers (Figure 9)
     # ------------------------------------------------------------------
     def reset_profiles(self) -> None:
+        """Forget every recorded query profile."""
         self.profiles.clear()
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def table_names(self) -> List[str]:
+        """The names of every stored table."""
         return self.catalog.names()
 
     def nbytes(self) -> int:
+        """Approximate in-memory bytes of every stored table."""
         return sum(t.nbytes() for t in self.catalog)
 
     def __repr__(self) -> str:

@@ -41,7 +41,26 @@ position — join indices, the selection vector a WHERE or residual join
 condition becomes, and the rows a ``CASE`` branch or an ``UPDATE``'s
 ``SET`` is evaluated over — so materializing a hint is an O(n) integer
 gather of the parent's cached codes instead of an O(n log n) re-encode of
-the gathered values.
+the gathered values.  Codes also flow through the operators that keep a
+key's values, so each key is encoded once per connection:
+
+* a projected bare column reference of unchanged type takes its source's
+  encoding or hint (``positions`` ``None``: the same rows), so a
+  ``CREATE TABLE … AS SELECT t.k …`` (the lifted fact) stores the base
+  table's codes;
+* a ``GROUP BY`` key grouped through an encoding gets
+  ``encoding.take(first_idx)`` in the same dictionary, so message temps
+  are never encoded;
+* ``COUNT(DISTINCT col)`` counts the codes of ``col``'s encoding.
+
+A carried encoding matches a fresh ``encode_values(values, valid)`` of
+its column — the same NULL rows, the same value on every other row,
+codes in value order, unused dictionary entries allowed — and none is
+carried onto a column whose type changed (a padded INT reads back as
+FLOAT).  :attr:`EncodingCache.merges`, a byte-bounded
+:class:`~repro.engine.operators.MergeMemo`, memoizes each join's
+dictionary merge per pair of dictionary arrays, which ``take`` shares:
+every round's ``dimension ⋈ message`` join merges the same two.
 
 The cache is LRU-bounded by bytes and keeps census counters (hits,
 misses, stores, invalidations, evictions, bytes) that surface in
@@ -58,7 +77,7 @@ from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.engine.operators import ColumnEncoding, encode_values
+from repro.engine.operators import ColumnEncoding, MergeMemo, encode_values
 from repro.storage.column import Column
 
 #: default cache budget: generous for laptop-scale benches, small enough
@@ -93,6 +112,8 @@ class EncodingCache:
         # the expensive encode_values sort happens outside the lock.
         self._lock = threading.RLock()
         self._inflight: Dict[Key, threading.Event] = {}
+        #: the connection's memo of dictionary merges (its joins pass it)
+        self.merges = MergeMemo()
 
     # ------------------------------------------------------------------
     # Lookup / store
@@ -213,7 +234,9 @@ class EncodingCache:
         source = col.source
         if isinstance(hint, tuple):
             _, parent, positions = hint
-            encoding = self.encoding_for(parent).take(positions)
+            encoding = self.encoding_for(parent)
+            if positions is not None:
+                encoding = encoding.take(positions)
         elif source is None or not self.cacheable(*source[:2]):
             encoding = encode_values(col.values, col.valid)
         else:
@@ -261,12 +284,20 @@ class EncodingCache:
     # ------------------------------------------------------------------
     # Lazy hints (attached by the planner's gathers)
     # ------------------------------------------------------------------
-    def attach_gather(self, out: Column, parent: Column, indexes: np.ndarray) -> None:
+    def attach_gather(
+        self, out: Column, parent: Column, indexes: Optional[np.ndarray] = None
+    ) -> None:
         """Mark ``out`` as ``parent`` gathered by non-negative positions;
-        its codes become a cheap int gather of the parent's codes."""
+        its codes become a cheap int gather of the parent's codes.
+
+        ``indexes`` ``None`` says ``out`` holds ``parent``'s rows as they
+        are (a projected column reference of the same type): ``out``
+        takes the parent's encoding or hint itself."""
         if out.enc is not None:
             return
-        if isinstance(parent.enc, (ColumnEncoding, tuple)) or parent.source is not None:
+        if indexes is None and parent.enc is not None:
+            out.enc = parent.enc
+        elif isinstance(parent.enc, (ColumnEncoding, tuple)) or parent.source is not None:
             out.enc = ("gather", parent, indexes)
 
     # ------------------------------------------------------------------
@@ -286,7 +317,8 @@ class EncodingCache:
             count = len(self._entries)
             self._entries.clear()
             self.bytes = 0
-            return count
+        self.merges.clear()
+        return count
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -7,7 +7,9 @@ group in GROUP BY, and aggregates skip nulls.
 
 from __future__ import annotations
 
+import threading
 import time
+from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -210,6 +212,10 @@ def encode_values(
 
     if values.dtype == object:
         work_values = values[~nulls] if has_null else values
+        hashed = _hash_encode_strings(work_values)
+        if hashed is not None:
+            uniques, inverse = hashed
+            return _finish_encoding(uniques, inverse, nulls, has_null, start)
         comparable = work_values.astype("U") if len(work_values) else \
             np.zeros(0, dtype="U1")
     elif values.dtype.kind in ("i", "u", "b"):
@@ -220,15 +226,52 @@ def encode_values(
         comparable = values[~nulls] if has_null else values
     uniques, inverse = np.unique(comparable, return_inverse=True)
     inverse = inverse.reshape(len(comparable)).astype(np.int64)
+    return _finish_encoding(uniques, inverse, nulls, has_null, start)
+
+
+def _hash_encode_strings(
+    values: np.ndarray,
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """``(uniques, inverse)`` of an object column holding only ``str``,
+    by hashing: the distinct values are found once, sorted once (Python
+    and numpy both order text by code point) and every row is mapped
+    through a dict — the same dictionary and codes as ``np.unique`` over
+    ``astype("U")``, without sorting every row.  ``None`` (use the sort
+    path) for an empty column, a non-``str`` value, or a value ending in
+    ``'\\x00'``, which ``astype("U")`` strips and so merges with its
+    stripped twin."""
+    if not len(values):
+        return None
+    rows = values.tolist()
+    distinct = set(rows)
+    if not all(type(v) is str and not v.endswith("\x00") for v in distinct):
+        return None
+    ordered = sorted(distinct)
+    position = dict(zip(ordered, range(len(ordered))))
+    inverse = np.fromiter(
+        map(position.__getitem__, rows), dtype=np.int64, count=len(rows)
+    )
+    return np.array(ordered, dtype=str), inverse
+
+
+def _finish_encoding(
+    uniques: np.ndarray,
+    inverse: np.ndarray,
+    nulls: np.ndarray,
+    has_null: bool,
+    start: float,
+) -> ColumnEncoding:
+    """The encoding of the non-null rows' ``inverse`` codes into
+    ``uniques``, the null group (when present) coded last."""
     card = len(uniques)
     if has_null:
-        codes = np.empty(n, dtype=np.int64)
+        codes = np.empty(len(nulls), dtype=np.int64)
         codes[~nulls] = inverse
         codes[nulls] = card
         card += 1
     else:
         codes = inverse
-    _count_pass(n, time.perf_counter() - start)
+    _count_pass(len(nulls), time.perf_counter() - start)
     return ColumnEncoding(
         codes, max(card, 1), nulls if has_null else None, uniques, has_null
     )
@@ -291,10 +334,13 @@ def factorize_parts(
     n = len(parts[0][0])
     any_null = np.zeros(n, dtype=bool)
     radix = 1
-    combined = np.zeros(n, dtype=np.int64)
-    for codes, card, nulls in parts:
+    combined = parts[0][0]
+    for index, (codes, card, nulls) in enumerate(parts):
         any_null |= nulls
-        combined = combined * card + codes
+        if index:
+            # one temporary per key, not two (these are row-sized)
+            combined = combined * card
+            combined += codes
         radix *= card
         if radix > 2**62:
             # Re-densify to avoid overflow on very wide keys.
@@ -335,9 +381,89 @@ def _merge_dictionaries(
     return left_map, right_map, size
 
 
+Merge = Tuple[np.ndarray, np.ndarray, int]
+#: a memo entry: both dictionaries, their merge, its bytes
+_MemoEntry = Tuple[np.ndarray, np.ndarray, Merge, int]
+
+#: bytes of merge maps (and the dictionaries they pin) a memo keeps
+MERGE_MEMO_BYTES = 32 * 1024 * 1024
+
+
+class MergeMemo:
+    """Byte-bounded LRU of :func:`_merge_dictionaries` results, one per
+    pair of dictionary arrays.
+
+    :meth:`ColumnEncoding.take` shares its parent's ``uniques``, so every
+    message temp grouped off the lifted fact carries the fact key's
+    dictionary object, and a round's ``dimension ⋈ message`` join merges
+    the same two dictionaries as the round before.  Entries are keyed by
+    the arrays' ids and cardinalities and hold the arrays themselves, so
+    an id is never reused while its entry lives, and a hit also checks
+    identity.  The merged maps are read-only.  One lock guards the
+    entries (scheduler workers share a connection's memo); the merge
+    itself runs outside it.
+    """
+
+    def __init__(self, max_bytes: int = MERGE_MEMO_BYTES):
+        self.max_bytes = max_bytes
+        self.bytes = 0
+        self.hits = 0
+        self.misses = 0
+        self._entries: "OrderedDict[Tuple[int, int, int, int], _MemoEntry]" = (
+            OrderedDict()
+        )
+        self._lock = threading.Lock()
+
+    def merge(self, left_enc: ColumnEncoding, right_enc: ColumnEncoding) -> Merge:
+        """:func:`_merge_dictionaries` of the two encodings, memoized."""
+        lu, ru = left_enc.uniques, right_enc.uniques
+        key = (id(lu), id(ru), left_enc.cardinality, right_enc.cardinality)
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None and entry[0] is lu and entry[1] is ru:
+                self._entries.move_to_end(key)
+                self.hits += 1
+                return entry[2]
+            self.misses += 1
+        merged = _merge_dictionaries(left_enc, right_enc)
+        for part in merged[:2]:
+            part.flags.writeable = False
+        nbytes = int(lu.nbytes + ru.nbytes + merged[0].nbytes + merged[1].nbytes)
+        if nbytes > self.max_bytes:
+            return merged
+        with self._lock:
+            old = self._entries.pop(key, None)
+            if old is not None:
+                self.bytes -= old[3]
+            self._entries[key] = (lu, ru, merged, nbytes)
+            self.bytes += nbytes
+            while self.bytes > self.max_bytes:
+                _, (_, _, _, dropped) = self._entries.popitem(last=False)
+                self.bytes -= dropped
+        return merged
+
+    def clear(self) -> None:
+        """Drop every entry."""
+        with self._lock:
+            self._entries.clear()
+            self.bytes = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+def _merge(
+    left_enc: ColumnEncoding, right_enc: ColumnEncoding, merges: Optional[MergeMemo]
+) -> Merge:
+    if merges is None:
+        return _merge_dictionaries(left_enc, right_enc)
+    return merges.merge(left_enc, right_enc)
+
+
 def _compose_shared(
     left_encodings: Sequence[ColumnEncoding],
     right_encodings: Sequence[ColumnEncoding],
+    merges: Optional[MergeMemo] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Shared codes and null masks for key tuples, composed from the
     per-column codes with no pass over the raw key columns."""
@@ -348,7 +474,7 @@ def _compose_shared(
     combined = np.zeros(n_left + n_right, dtype=np.int64)
     radix = 1
     for left_enc, right_enc in zip(left_encodings, right_encodings):
-        left_map, right_map, size = _merge_dictionaries(left_enc, right_enc)
+        left_map, right_map, size = _merge(left_enc, right_enc, merges)
         left_nulls |= left_enc.nulls()
         right_nulls |= right_enc.nulls()
         shared = np.concatenate(
@@ -369,7 +495,10 @@ def _as_encoding(key: Union[ColumnEncoding, np.ndarray]) -> ColumnEncoding:
 
 
 def _indexed_join(
-    left_enc: ColumnEncoding, right_enc: ColumnEncoding, how: str
+    left_enc: ColumnEncoding,
+    right_enc: ColumnEncoding,
+    how: str,
+    merges: Optional[MergeMemo] = None,
 ) -> Tuple[np.ndarray, np.ndarray, bool]:
     """Single-key join against a cached right side's grouped row index.
 
@@ -378,7 +507,7 @@ def _indexed_join(
     bucket-count passes over the right side disappear: the join is one
     dictionary merge (cardinality-sized) plus O(n) gathers.
     """
-    left_map, right_map, size = _merge_dictionaries(left_enc, right_enc)
+    left_map, right_map, size = _merge(left_enc, right_enc, merges)
     order, starts_own, counts_own = right_enc.ensure_group_index()
     counts_shared = np.zeros(size, dtype=np.int64)
     starts_shared = np.zeros(size, dtype=np.int64)
@@ -479,17 +608,20 @@ def join_rows(
     left_keys: Sequence[Union[ColumnEncoding, np.ndarray]],
     right_keys: Sequence[Union[ColumnEncoding, np.ndarray]],
     how: str = "inner",
+    merges: Optional[MergeMemo] = None,
 ) -> Tuple[np.ndarray, np.ndarray, bool]:
     """:func:`join_indices` plus whether ``left_idx`` is the identity:
     every left row matched exactly once, and no padded row was appended
-    (the fact-to-dimension LEFT JOIN), so the left side passes through."""
+    (the fact-to-dimension LEFT JOIN), so the left side passes through.
+    ``merges`` memoizes the dictionary merges (a connection's
+    :class:`MergeMemo`)."""
     if len(left_keys) != len(right_keys) or not left_keys:
         raise ExecutionError("join_indices: key arity mismatch")
     left = [_as_encoding(key) for key in left_keys]
     right = [_as_encoding(key) for key in right_keys]
     if len(left) == 1:
-        return _indexed_join(left[0], right[0], how)
-    lcodes, rcodes, lnull, rnull = _compose_shared(left, right)
+        return _indexed_join(left[0], right[0], how, merges)
+    lcodes, rcodes, lnull, rnull = _compose_shared(left, right, merges)
     # Null keys are excluded from matching by pushing them out of range.
     lcodes = np.where(lnull, -1, lcodes)
     rcodes = np.where(rnull, -2, rcodes)
@@ -522,10 +654,13 @@ def group_sum(codes: np.ndarray, ngroups: int, values: np.ndarray) -> Tuple[np.n
     """Per-group SUM skipping NaNs; returns (sums, non-null counts)."""
     values = np.asarray(values, dtype=np.float64)
     null = np.isnan(values)
-    filled = np.where(null, 0.0, values)
+    if null.any():
+        values = np.where(null, 0.0, values)
+        counts = np.bincount(codes[~null], minlength=ngroups)
+    else:
+        counts = np.bincount(codes, minlength=ngroups)
     # bincount returns int64 on empty input; force float for NaN marking.
-    sums = np.bincount(codes, weights=filled, minlength=ngroups).astype(np.float64)
-    counts = np.bincount(codes[~null], minlength=ngroups)
+    sums = np.bincount(codes, weights=values, minlength=ngroups).astype(np.float64)
     return sums, counts
 
 
@@ -548,12 +683,26 @@ def group_count(codes: np.ndarray, ngroups: int, values: np.ndarray) -> np.ndarr
 
 def group_count_distinct(codes: np.ndarray, ngroups: int, values: np.ndarray) -> np.ndarray:
     """Per-group COUNT(DISTINCT x), nulls skipped."""
-    vcodes, _, _, vnull = factorize([np.asarray(values)])
-    keep = ~vnull
-    pair = codes[keep].astype(np.int64) * (int(vcodes.max(initial=0)) + 1) + vcodes[keep]
+    return group_count_distinct_encoded(codes, ngroups, encode_values(values))
+
+
+def group_count_distinct_encoded(
+    codes: np.ndarray, ngroups: int, encoding: ColumnEncoding
+) -> np.ndarray:
+    """Per-group COUNT(DISTINCT x) over x's encoding: the distinct codes
+    present among each group's non-null rows.  Codes are value-ordered
+    and dictionary entries distinct, so an unused entry (a gathered
+    encoding's) is simply never counted."""
+    keep = ~encoding.nulls()
+    width = encoding.cardinality
+    pair = codes[keep].astype(np.int64) * width + encoding.codes[keep]
+    span = ngroups * width
+    if span <= max(4 * len(pair), 65_536):
+        present = np.zeros(span, dtype=bool)
+        present[pair] = True
+        return present.reshape(ngroups, width).sum(axis=1).astype(np.int64)
     unique_pairs = np.unique(pair)
-    owner = (unique_pairs // (int(vcodes.max(initial=0)) + 1)).astype(np.int64)
-    return np.bincount(owner, minlength=ngroups).astype(np.int64)
+    return np.bincount(unique_pairs // width, minlength=ngroups).astype(np.int64)
 
 
 def group_min(codes: np.ndarray, ngroups: int, values: np.ndarray) -> np.ndarray:

@@ -171,7 +171,7 @@ def _finish_select(
         frame = _apply_grouping(select, db, frame, context, aggregates)
 
     _compute_windows(select, frame, context)
-    out_columns = _project(select, frame, context)
+    out_columns = _project(select, frame, context, db.encodings)
 
     if select.distinct and out_columns:
         codes, _, first_idx, _ = ops.factorize([c.values for c in out_columns])
@@ -287,12 +287,16 @@ def _apply_join(
     l_idx: Optional[np.ndarray]
     r_idx: Optional[np.ndarray]
     if kind == "RIGHT":
-        r_idx, l_idx, in_order = ops.join_rows(right_keys, left_keys, how="left")
+        r_idx, l_idx, in_order = ops.join_rows(
+            right_keys, left_keys, how="left", merges=cache.merges
+        )
         if in_order:
             r_idx = None
     else:
         how = {"INNER": "inner", "LEFT": "left", "FULL": "full"}[kind]
-        l_idx, r_idx, in_order = ops.join_rows(left_keys, right_keys, how=how)
+        l_idx, r_idx, in_order = ops.join_rows(
+            left_keys, right_keys, how=how, merges=cache.merges
+        )
         if in_order:
             l_idx = None
     merged = _gather_merge(left, right, l_idx, r_idx, cache)
@@ -441,15 +445,21 @@ def _compute_aggregate(
     ngroups: int,
     frame: Frame,
     context: Dict[int, object],
+    cache,
 ) -> np.ndarray:
     name = call.name.lower()
     if name == "count" and call.star:
         return ops.group_count_star(codes, ngroups)
     if not call.args:
         raise PlanError(f"aggregate {name}() needs an argument")
-    values = evaluate(call.args[0], frame, context)
     if name == "count" and call.distinct:
+        # Over a plain column, count the codes of its (cached) encoding.
+        encoding = _encoding_of(call.args[0], frame, cache)
+        if encoding is not None:
+            return ops.group_count_distinct_encoded(codes, ngroups, encoding)
+        values = evaluate(call.args[0], frame, context)
         return ops.group_count_distinct(codes, ngroups, values)
+    values = evaluate(call.args[0], frame, context)
     if name == "count":
         return ops.group_count(codes, ngroups, values)
     if name == "sum":
@@ -484,36 +494,41 @@ def _apply_grouping(
     if select.group_by:
         group_arrays: List[np.ndarray] = []
         parts: List[Tuple[np.ndarray, int, np.ndarray]] = []
+        encodings: List[Optional[ops.ColumnEncoding]] = []
         for expr in select.group_by:
             # Plain column references group on their encodings (cached
             # for base tables, messages and gathers of them); anything
             # else pays the classic per-query encode.
-            part = None
-            if isinstance(expr, ast.ColumnRef):
-                try:
-                    part = db.encodings.encoding_for(frame.resolve(expr)).triple()
-                except PlanError:
-                    part = None
+            encoding = _encoding_of(expr, frame, db.encodings)
             array = np.asarray(evaluate(expr, frame, context))
-            if part is None:
-                part = ops._column_codes(array)
+            if encoding is None:
+                parts.append(ops._column_codes(array))
+            else:
+                parts.append(encoding.triple())
             group_arrays.append(array)
-            parts.append(part)
+            encodings.append(encoding)
         codes, ngroups, first_idx, _ = ops.factorize_parts(parts)
     else:
         codes = np.zeros(frame.num_rows, dtype=np.int64)
         ngroups = 1
         first_idx = np.zeros(1, dtype=np.int64) if frame.num_rows else np.zeros(0, dtype=np.int64)
         group_arrays = []
+        encodings = []
 
     for call in aggregates:
-        context[id(call)] = _compute_aggregate(call, codes, ngroups, frame, context)
+        context[id(call)] = _compute_aggregate(
+            call, codes, ngroups, frame, context, db.encodings
+        )
 
     grouped = Frame(ngroups)
     rep_by_sql: Dict[str, np.ndarray] = {}
-    for expr, array in zip(select.group_by, group_arrays):
+    for expr, array, encoding in zip(select.group_by, group_arrays, encodings):
         rep = array[first_idx] if len(first_idx) else array[:0]
         col = Column(_expr_name(expr), rep)
+        if encoding is not None and col.ctype is frame.resolve(expr).ctype:
+            # The group representatives' codes, in the key's dictionary:
+            # a message temp's key is never re-encoded.
+            col.enc = encoding.take(first_idx)
         if isinstance(expr, ast.ColumnRef):
             grouped.bind(col, binding=expr.table)
         else:
@@ -542,10 +557,23 @@ def _apply_grouping(
 
     if select.having is not None:
         mask = np.asarray(evaluate(select.having, grouped, context), dtype=bool)
-        grouped = _select_rows(grouped, mask)
+        grouped = _select_rows(grouped, mask, db.encodings)
         for call in aggregates:
             context[id(call)] = np.asarray(context[id(call)])[mask]
     return grouped
+
+
+def _encoding_of(
+    expr: ast.Expr, frame: Frame, cache
+) -> Optional[ops.ColumnEncoding]:
+    """The encoding of the column a plain column reference names, or
+    ``None`` (no cache, not a plain column, or not in ``frame``)."""
+    if cache is None or not isinstance(expr, ast.ColumnRef):
+        return None
+    try:
+        return cache.encoding_for(frame.resolve(expr))
+    except PlanError:
+        return None
 
 
 def _expr_name(expr: ast.Expr) -> str:
@@ -596,19 +624,30 @@ def _make_output_column(name: str, values: np.ndarray) -> Column:
     return Column(name, values.astype(np.float64), ColumnType.FLOAT)
 
 
-def _project(select: ast.Select, frame: Frame, context: Dict[int, object]) -> List[Column]:
+def _project(
+    select: ast.Select, frame: Frame, context: Dict[int, object], cache
+) -> List[Column]:
     out: List[Column] = []
     for index, item in enumerate(select.items):
-        if isinstance(item.expr, ast.Star):
+        expr = item.expr
+        if isinstance(expr, ast.Star):
             cols = (
-                frame.columns_for_binding(item.expr.table)
-                if item.expr.table
+                frame.columns_for_binding(expr.table)
+                if expr.table
                 else frame.all_columns()
             )
             out.extend(cols)
             continue
-        values = evaluate(item.expr, frame, context)
-        out.append(_make_output_column(item.output_name(index), values))
+        values = evaluate(expr, frame, context)
+        col = _make_output_column(item.output_name(index), values)
+        if isinstance(expr, ast.ColumnRef) and id(expr) not in context:
+            # A bare column reference holds its source's rows: it keeps
+            # the source's codes unless evaluation changed its type (a
+            # masked INT reads back as FLOAT).
+            source = frame.resolve(expr)
+            if source.ctype is col.ctype:
+                cache.attach_gather(col, source)
+        out.append(col)
     return out
 
 

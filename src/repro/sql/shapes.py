@@ -12,17 +12,21 @@ the key a slot renders as a sentinel identifier the grammar accepts
 
 :class:`Shape` parses a key once and records the path to each sentinel;
 :meth:`Shape.bind` rebuilds only the nodes on those paths, so that
-``repr(shape.bind(text, slots)) == repr(parse(text))``.  A shape whose
-sentinels land where a literal or a temp name could not have been (an
-alias, a column name, a skipped ``ROWS`` clause, ...) records no paths
-and binds by parsing the text itself.
+``repr(shape.bind(text, slots)) == repr(parse(text))``.  A bind whose
+slots differ from the previous bind's in only some places (a serving
+scan re-issued with a fresh ``jb_tmp_*`` copy of the fact, its hundreds
+of split thresholds unchanged) rebuilds only the changed slots' paths,
+from the previous bind's statements.  A shape whose sentinels land where
+a literal or a temp name could not have been (an alias, a column name, a
+skipped ``ROWS`` clause, ...) records no paths and binds by parsing the
+text itself.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import re
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.sql import ast_nodes as ast
 from repro.sql.parser import number_literal, parse
@@ -78,33 +82,63 @@ class Shape:
 
     def __init__(self, key: str, slots: Tuple[str, ...]):
         self.template = parse(key)
-        self.trie = _slot_trie(self.template, slots)
-        #: ``(text, statements)`` of the last bind: one tuple, assigned
-        #: at once, because worker threads share the shape
-        self.memo: Optional[Tuple[str, List[ast.Statement]]] = None
+        self.paths = _slot_paths(self.template, slots)
+        self.trie = (
+            None if self.paths is None else _trie(self.paths, range(len(slots)))
+        )
+        #: ``(text, slots, statements)`` of the last bind: one tuple,
+        #: assigned at once, because worker threads share the shape
+        self.memo: Optional[
+            Tuple[str, Tuple[str, ...], List[ast.Statement]]
+        ] = None
 
     def bind(self, text: str, slots: Tuple[str, ...]) -> List[ast.Statement]:
         """The statements of ``text``, whose shape this is."""
         memo = self.memo
         if memo is not None and memo[0] == text:
-            return memo[1]
-        if self.trie is None:
+            return memo[2]
+        if self.paths is None or self.trie is None:
             statements = parse(text)
         else:
-            values = [
-                raw if raw.startswith("jb_tmp_") else ast.Literal(number_literal(raw))
-                for raw in slots
-            ]
-            statements = _rebuild(self.template, self.trie, values)
-        self.memo = (text, statements)
+            base, trie = self.template, self.trie
+            changed: Sequence[int] = range(len(slots))
+            if memo is not None:
+                # Rebuild only the slots that differ from the last bind,
+                # from its statements (equal slots bind equal nodes).
+                differ = [i for i, (a, b) in enumerate(zip(memo[1], slots)) if a != b]
+                if len(differ) < len(slots):
+                    base, trie, changed = memo[2], _trie(self.paths, differ), differ
+            values = {i: _slot_value(slots[i]) for i in changed}
+            statements = _rebuild(base, trie, values)
+        self.memo = (text, slots, statements)
         return statements
 
 
-def _slot_trie(template: List[ast.Statement], slots: Tuple[str, ...]) -> Optional[Trie]:
-    """The sentinels' paths as a trie, or ``None`` unless each sentinel
-    occurs exactly once where its token type cannot have changed the
-    parse: a number as a bare column reference (where ``parse_primary``
-    makes a literal of a NUMBER token), a name in a table-name field.
+def _slot_value(raw: str):
+    """What a slot binds: a temp name as it is, a number as a literal."""
+    return raw if raw.startswith("jb_tmp_") else ast.Literal(number_literal(raw))
+
+
+def _trie(paths: List[List[Step]], indexes) -> Trie:
+    """The paths of the slots ``indexes`` as one trie."""
+    trie: Trie = {}
+    for index in indexes:
+        *inner, last = paths[index]
+        node: dict = trie
+        for step in inner:
+            node = node.setdefault(step, {})
+        node[last] = index
+    return trie
+
+
+def _slot_paths(
+    template: List[ast.Statement], slots: Tuple[str, ...]
+) -> Optional[List[List[Step]]]:
+    """Each sentinel's path from the statement list, or ``None`` unless
+    each sentinel occurs exactly once where its token type cannot have
+    changed the parse: a number as a bare column reference (where
+    ``parse_primary`` makes a literal of a NUMBER token), a name in a
+    table-name field.
 
     One pass over an explicit stack; a path is a linked ``(step,
     parent)`` chain, spelled out only for the sentinels, so a deep
@@ -129,7 +163,7 @@ def _slot_trie(template: List[ast.Statement], slots: Tuple[str, ...]) -> Optiona
             else:
                 stack.append((value, (field.name, path)))
 
-    trie: Trie = {}
+    paths: List[List[Step]] = []
     for index, slot in enumerate(slots):
         sentinel = _sentinel(slot, index)
         occurrences = found.get(sentinel, [])
@@ -140,15 +174,11 @@ def _slot_trie(template: List[ast.Statement], slots: Tuple[str, ...]) -> Optiona
         while link is not None:
             step, link = link
             steps.append(step)
-        *inner, last = reversed(steps)
-        node: dict = trie
-        for step in inner:
-            node = node.setdefault(step, {})
-        node[last] = index
-    return trie
+        paths.append(steps[::-1])
+    return paths
 
 
-def _rebuild(node, trie: Trie, values: list):
+def _rebuild(node, trie: Trie, values: Dict[int, object]):
     """A copy of ``node`` with the slots under ``trie`` filled; subtrees
     off the slot paths are shared with ``node``.
 

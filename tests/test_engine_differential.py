@@ -10,7 +10,9 @@ and join index expansion must keep intact: ``*`` and ``t.*``, ``USING``,
 name ambiguity, ORDER BY a column that is not projected, HAVING,
 windows, derived tables, IN-subqueries, statements that read no column,
 outer join pads (also as the key of the next join in a chain), CROSS
-joins, WHERE clauses that keep no row or every row, and the
+joins, WHERE clauses that keep no row or every row, ``COUNT(DISTINCT)``
+over pads, NULL strings and a text key joined to a numeric one, tables
+whose keys carry the codes of the columns they came from, and the
 carry-message and fused ``UNION ALL`` shapes training emits.
 ``CASE`` gets generated shapes of its own — nested, over NULL
 conditions, without ``ELSE`` or with ``ELSE NULL``, with string outcomes,
@@ -338,6 +340,42 @@ SHAPES = [
      "SELECT t.rid, t.name, q.z, u.w FROM f AS t LEFT JOIN "
      "(SELECT eid, ec, z FROM e WHERE eid < 4) AS q ON t.x = q.eid "
      "LEFT JOIN d AS u ON q.ec = u.did", False),
+    # COUNT(DISTINCT col) counts the codes of the column's encoding: over
+    # a padded INT, over NULL-holding strings, and through a text key
+    # joined to a numeric one (with string keys no key equals a number)
+    ("count_distinct_padded_int",
+     "SELECT COUNT(DISTINCT u.did) AS a, COUNT(DISTINCT u.c) AS b, "
+     "COUNT(*) AS n FROM f AS t LEFT JOIN d AS u ON t.k = u.k", False),
+    ("count_distinct_padded_int_grouped",
+     "SELECT t.x, COUNT(DISTINCT u.c) AS a, COUNT(DISTINCT u.did) AS b "
+     "FROM f AS t LEFT JOIN d AS u ON t.k = u.k GROUP BY t.x", False),
+    ("count_distinct_null_strings",
+     "SELECT COUNT(DISTINCT t.name) AS a, COUNT(DISTINCT t.k) AS b "
+     "FROM f AS t", False),
+    ("count_distinct_null_strings_grouped",
+     "SELECT t.x, COUNT(DISTINCT t.name) AS a, COUNT(DISTINCT t.k) AS b "
+     "FROM f AS t WHERE t.g > -2 GROUP BY t.x", False),
+    ("count_distinct_text_key_joined_to_number",
+     "SELECT COUNT(DISTINCT q.eid) AS a, COUNT(DISTINCT t.k) AS b "
+     "FROM f AS t LEFT JOIN e AS q ON t.k = q.ek", False),
+    ("count_distinct_text_key_joined_to_number_grouped",
+     "SELECT q.ec, COUNT(DISTINCT t.name) AS a, COUNT(DISTINCT q.z) AS b "
+     "FROM f AS t LEFT JOIN e AS q ON t.k = q.ek GROUP BY q.ec", False),
+    # a projected key and GROUP BY keys keep their codes in the table
+    # CREATE TABLE AS stores; the next statement joins on them
+    ("carried_projection_then_join",
+     "CREATE TABLE p AS SELECT t.k AS k, t.name AS name FROM f AS t "
+     "WHERE t.x > 0;"
+     "SELECT p.k, p.name, u.did FROM p LEFT JOIN d AS u ON p.k = u.k", False),
+    ("carried_group_key_then_join",
+     "CREATE TABLE m AS SELECT t.k AS k, COUNT(*) AS n FROM f AS t "
+     "WHERE t.x > 0 GROUP BY t.k;"
+     "SELECT m.k, m.n, u.did FROM m LEFT JOIN d AS u ON m.k = u.k", False),
+    ("carried_padded_group_keys_then_join",
+     "CREATE TABLE m AS SELECT u.c AS c, u.name AS name, COUNT(*) AS n "
+     "FROM f AS t LEFT JOIN d AS u ON t.k = u.k GROUP BY u.c, u.name;"
+     "SELECT m.c, m.name, m.n, q.eid, v.did FROM m LEFT JOIN e AS q "
+     "ON m.c = q.ec LEFT JOIN d AS v ON m.name = v.name", False),
 ]
 
 

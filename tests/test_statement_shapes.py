@@ -130,6 +130,68 @@ def test_serving_scan_binds_like_parse(monkeypatch):
     assert np.array_equal(first, again)
 
 
+def _slot_count(trie) -> int:
+    return sum(
+        _slot_count(child) if isinstance(child, dict) else 1
+        for child in trie.values()
+    )
+
+
+def test_repeated_score_sql_rebinds_only_its_temp_name(monkeypatch):
+    """Each ``score_sql`` scans a fresh ``jb_tmp_score_*`` copy of the
+    fact, so consecutive scan texts differ in one name: the second bind
+    rebuilds that one slot from the first bind's statements, not every
+    split threshold of the model."""
+    db, graph = favorita(num_fact_rows=2000, seed=7)
+    model = repro.train_gradient_boosting(db, graph, TRAIN)
+    service = repro.PredictionService(db, graph)
+    service.deploy(model)
+    gateway = repro.ServingGateway(service)
+    rebuilt = []
+    binds = []
+    real_rebuild, real_bind = shapes_module._rebuild, Shape.bind
+
+    def counting_rebuild(node, trie, values):
+        rebuilt.append(_slot_count(trie))
+        return real_rebuild(node, trie, values)
+
+    def recording_bind(self, text, slots):
+        statements = real_bind(self, text, slots)
+        binds.append((text, slots, statements))
+        return statements
+
+    monkeypatch.setattr(shapes_module, "_rebuild", counting_rebuild)
+    monkeypatch.setattr(Shape, "bind", recording_bind)
+    first = gateway.score_sql()
+    count = len(rebuilt)
+    second = gateway.score_sql()
+    assert np.array_equal(first.scores, second.scores)
+    scan = max(binds, key=lambda bind: len(bind[1]))
+    assert len(scan[1]) > 20
+    # one rebuild per statement of the second call; the scan's rebinds
+    # its one temp name (the copy's CREATE and DROP rebind theirs)
+    assert rebuilt[count:] and max(rebuilt[count:]) == 1
+    for text, _, statements in binds:
+        assert repr(statements) == repr(parse(text))
+
+
+def test_partial_rebind_binds_like_parse():
+    """Consecutive binds of one shape whose slots change in some places
+    (names, numbers, both, all) each equal a cold parse."""
+    texts = [
+        f"SELECT t.k, SUM(t.v) AS s FROM {name} AS t WHERE t.k IN ({a}, {b}) "
+        f"AND t.v > {c} GROUP BY t.k"
+        for name, a, b, c in [
+            ("jb_tmp_x_1", 1, 2, 0.5), ("jb_tmp_x_2", 1, 2, 0.5),
+            ("jb_tmp_x_2", 1, 3, 0.5), ("jb_tmp_x_3", 4, 3, 1.5),
+            ("jb_tmp_x_3", 4, 3, 2), ("jb_tmp_x_4", 5, 6, 7),
+            ("jb_tmp_x_1", 1, 2, 0.5),
+        ]
+    ]
+    shapes, checked = assert_binds_like_parse(texts)
+    assert checked == len(texts) and len(shapes) == 1
+
+
 # ---------------------------------------------------------------------------
 # Generated expressions
 # ---------------------------------------------------------------------------
