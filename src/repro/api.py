@@ -160,9 +160,7 @@ def train_decision_tree(db, graph: JoinGraph, params=None, **overrides):
         criterion = VarianceCriterion()
         model = DecisionTreeTrainer(
             graph, criterion, train_params,
-            FrontierEvaluator.for_params(
-                db, graph, factorizer, criterion, train_params
-            ),
+            FrontierEvaluator(db, graph, factorizer, criterion, train_params),
         ).train()
         factorizer.cleanup()
     return model

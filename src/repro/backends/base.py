@@ -73,9 +73,6 @@ class Capabilities:
     #: it the residual updater resolves ``update_strategy="swap"`` to one
     #: in-DBMS ``UPDATE`` per tree
     column_swap: bool = False
-    #: window functions (``SUM(...) OVER (ORDER BY ...)``) are available;
-    #: without them the split finder falls back to client-side prefix scans
-    window_functions: bool = True
     #: ``UNION ALL`` is available; without it the frontier evaluator falls
     #: back to one best-split query per (leaf, feature)
     union_all: bool = True

@@ -1,10 +1,9 @@
 """SQL dialect translation for external engines (sqlite3 and DuckDB).
 
 The Factorizer emits a small, disciplined SQL surface (CREATE TABLE AS
-SELECT, aggregations, window prefix sums, CASE, semi-join ``IN``
-subqueries).  Most of it is standard, but three things need translating
-before stdlib ``sqlite3`` will run it with the embedded engine's
-semantics:
+SELECT, aggregations, CASE, semi-join ``IN`` subqueries).  Most of it is
+standard, but three things need translating before stdlib ``sqlite3``
+will run it with the embedded engine's semantics:
 
 1. **Division and type affinity.**  SQLite divides INTEGER/INTEGER with
    truncation, and semi-ring components like the count ``c`` (lifted as
@@ -12,8 +11,7 @@ semantics:
    Every ``SUM(...)`` in emitted SQL is an ⊕ over semi-ring components,
    so the translator rewrites ``SUM`` to SQLite's ``TOTAL`` — identical
    except it always returns REAL (and ``0.0`` rather than NULL on empty
-   input, which matches how callers coalesce totals).  ``TOTAL`` is valid
-   in window position, so the Example-2 prefix-sum query translates too.
+   input, which matches how callers coalesce totals).
 
 2. **Statistical aggregates.**  The embedded engine exposes ``VARIANCE``/
    ``VAR``/``STDDEV`` (used by ad-hoc analysis queries); SQLite has none
@@ -30,8 +28,8 @@ they are registered as Python functions on the connection by the
 connector (see ``sqlite3_backend.register_sql_functions``).
 
 DuckDB (the paper's actual demo engine) needs almost nothing: ``/`` on
-integers is REAL division, ``TRUE``/``FALSE``, window frames and every
-scalar the emitted SQL uses are native.  The one semantic gap is the
+integers is REAL division, ``TRUE``/``FALSE`` and every scalar the
+emitted SQL uses are native.  The one semantic gap is the
 statistical aggregates — DuckDB's bare ``VARIANCE``/``STDDEV`` are the
 *sample* estimators while the embedded engine's are *population* — so
 :class:`DuckDBDialect` renames them onto DuckDB's ``var_pop`` /
@@ -248,8 +246,8 @@ class SQLiteDialect:
 class DuckDBDialect:
     """Translates the engine's emitted SQL into DuckDB's dialect.
 
-    DuckDB already matches the embedded engine on division semantics,
-    boolean literals and window frames, so the only rewrite is renaming
+    DuckDB already matches the embedded engine on division semantics
+    and boolean literals, so the only rewrite is renaming
     the population statistical aggregates onto their ``_pop`` spellings.
     """
 

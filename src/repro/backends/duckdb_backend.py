@@ -7,9 +7,9 @@ as the embedded engine and stdlib sqlite3.  The connector is a full
 peer of :class:`~repro.backends.sqlite3_backend.SQLiteConnector`:
 
 * **Native fused queries.**  DuckDB speaks essentially the SQL surface
-  the Factorizer emits — the fused ``UNION ALL`` split queries, window
-  prefix sums, ``CASE`` residual updates and semi-join ``IN``
-  predicates all run unmodified.  The only dialect rewrite is renaming
+  the Factorizer emits — the fused ``UNION ALL`` split queries,
+  ``CASE`` residual updates and semi-join ``IN`` predicates all run
+  unmodified.  The only dialect rewrite is renaming
   the population statistical aggregates (see
   :class:`~repro.backends.dialect.DuckDBDialect`).
 * **Concurrent reads** (``Capabilities.concurrent_read=True``).  DuckDB
@@ -133,7 +133,6 @@ class DuckDBConnector(SQLConnector):
     # make the read path concurrency-safe, so ``concurrent_read`` holds.
     capabilities = Capabilities(
         column_swap=False,
-        window_functions=True,
         union_all=True,
         narrow_update=True,
         concurrent_read=True,

@@ -4,8 +4,8 @@ This is the portability proof the paper makes with DuckDB and DBMS-X:
 the training stack issues dialect-translated SQL (see
 :mod:`repro.backends.dialect`) against a genuinely different engine and
 grows identical trees.  Everything JoinBoost needs from the DBMS —
-CREATE TABLE AS SELECT message materialization, window prefix-sum split
-queries, CASE residual updates, semi-join ``IN`` predicates — maps onto
+CREATE TABLE AS SELECT message materialization, grouped split
+aggregates, CASE residual updates, semi-join ``IN`` predicates — maps onto
 SQLite; scalar/aggregate functions SQLite lacks (``GREATEST``,
 ``MEDIAN``, older builds' ``EXP``/``POWER``/``SIGN``) are registered as
 Python functions on the connection.
@@ -34,7 +34,6 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.backends.base import (
-    Capabilities,
     check_update_strategy,
     register_backend,
     to_sql_values,
@@ -146,9 +145,6 @@ class SQLiteConnector(SQLConnector):
     """Connector over Python's stdlib ``sqlite3``."""
 
     dialect = "sqlite"
-    capabilities = Capabilities(
-        window_functions=sqlite3.sqlite_version_info >= (3, 25, 0),
-    )
     _dialect = SQLiteDialect()
     _driver_errors = (sqlite3.Error,)
     _TABLE_NAMES_SQL = (

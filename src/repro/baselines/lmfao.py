@@ -78,11 +78,9 @@ def _train_factorized(
     factorizer.lift()
     criterion = VarianceCriterion()
     if share_across_nodes:
-        evaluator = FrontierEvaluator.for_params(
-            db, graph, factorizer, criterion, params
-        )
+        evaluator = FrontierEvaluator(db, graph, factorizer, criterion, params)
     else:
-        evaluator = _PerNodeCacheEvaluator.for_params(
+        evaluator = _PerNodeCacheEvaluator(
             db, graph, factorizer, criterion, _per_leaf_params(params)
         )
     model = DecisionTreeTrainer(graph, criterion, params, evaluator).train()
@@ -133,7 +131,7 @@ def _train_naive(db, graph: JoinGraph, params: TrainParams) -> DecisionTreeModel
     params = _per_leaf_params(params)
     model = DecisionTreeTrainer(
         wide_graph, criterion, params,
-        FrontierEvaluator.for_params(db, wide_graph, factorizer, criterion, params),
+        FrontierEvaluator(db, wide_graph, factorizer, criterion, params),
     ).train()
     factorizer.cleanup()
     db.drop_table(wide_name, if_exists=True)

@@ -78,9 +78,7 @@ def train_madlib_tree(
     criterion = VarianceCriterion()
     model = DecisionTreeTrainer(
         wide_graph, criterion, train_params,
-        FrontierEvaluator.for_params(
-            db, wide_graph, factorizer, criterion, train_params
-        ),
+        FrontierEvaluator(db, wide_graph, factorizer, criterion, train_params),
     ).train()
     factorizer.cleanup()
     db.drop_table(wide_name, if_exists=True)

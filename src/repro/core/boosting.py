@@ -305,9 +305,7 @@ def _train_snowflake(
         criterion = GradientCriterion(
             reg_lambda=params.reg_lambda, count_weight=hessian_constant
         )
-        evaluator = FrontierEvaluator.for_params(
-            db, graph, factorizer, criterion, params
-        )
+        evaluator = FrontierEvaluator(db, graph, factorizer, criterion, params)
         trainer = DecisionTreeTrainer(graph, criterion, params, evaluator)
 
         def update(tree: DecisionTreeModel, label_column: Optional[str]) -> None:
@@ -372,9 +370,7 @@ def _train_galaxy(
             )
         prepare_training_paths(db, graph, factorizer)
         criterion = GradientCriterion(reg_lambda=params.reg_lambda)
-        evaluator = FrontierEvaluator.for_params(
-            db, graph, factorizer, criterion, params
-        )
+        evaluator = FrontierEvaluator(db, graph, factorizer, criterion, params)
         trainer = DecisionTreeTrainer(
             graph, criterion, params, evaluator, clusters=clusters
         )
@@ -538,7 +534,7 @@ def _train_multiclass_body(
     prepare_training_paths(db, graph, factorizers[0])
 
     evaluators = [
-        FrontierEvaluator.for_params(
+        FrontierEvaluator(
             db, graph, factorizers[i],
             GradientCriterion(
                 reg_lambda=params.reg_lambda,

@@ -112,9 +112,7 @@ def train_random_forest(
         prepare_training_paths(db, graph, factorizer)
         trainer = DecisionTreeTrainer(
             graph, criterion, tree_params,
-            FrontierEvaluator.for_params(
-                db, graph, factorizer, criterion, tree_params
-            ),
+            FrontierEvaluator(db, graph, factorizer, criterion, tree_params),
         )
         try:
             tree = trainer.train(feature_subset=feature_subset)

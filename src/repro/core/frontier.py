@@ -27,10 +27,10 @@ one query per relation:
    discriminator literal, so the whole frontier's aggregates for R arrive
    in one result set.
 
-4. **Scan.**  Per (leaf, feature) slices run through the same client-side
-   prefix-scan kernel as the per-leaf path
-   (:func:`~repro.core.split.best_split_from_aggregates`), and the winner
-   per leaf is reduced in the caller's feature order.
+4. **Scan.**  Per (leaf, feature) slices run through the one client-side
+   prefix-scan kernel (:func:`~repro.core.split.best_split_from_aggregates`)
+   that also scores the per-leaf path's absorptions, and the winner per
+   leaf is reduced in the caller's feature order.
 
 5. **Subtract.**  When the criterion's weight is an exact row count
    (``Criterion.count_weight``), each leaf's slices are kept until its
@@ -42,9 +42,11 @@ one query per relation:
    bits; counts, and so every split's partition of the rows, are exact.
    Other criteria (non-constant hessians) query both children.
 
-Batching requires leaf membership to be a *function of the fact row*,
-i.e. a snowflake schema (fact 1-1 with the join result), and a backend
-that can keep the label column current.  Galaxy/CPT trees, outer-join
+The fact a round labels is the factorizer's one lifted relation (a
+snowflake's target, or a cuboid, which has no target column).  Batching
+requires leaf membership to be a *function of that fact's rows*, i.e. a
+snowflake schema (fact 1-1 with the join result), and a backend that can
+keep the label column current.  Galaxy/CPT trees, outer-join
 factorizers, backends without ``UNION ALL`` or predicated in-place
 ``UPDATE`` (``Capabilities.narrow_update``), and a delta update that
 fails mid-training (e.g. a split behind a multi-column join key, which
@@ -80,16 +82,10 @@ from repro.core.residual import leaf_fact_condition
 from repro.core.split import (
     Criterion,
     SplitCandidate,
-    SplitFinder,
     best_split_from_aggregates,
 )
 from repro.core.tree import TreeNode
-from repro.exceptions import (
-    ExecutionError,
-    JoinGraphError,
-    ReproError,
-    TrainingError,
-)
+from repro.exceptions import ExecutionError, ReproError, TrainingError
 from repro.factorize.executor import Factorizer, MultiAbsorption
 from repro.joingraph.graph import JoinGraph
 from repro.storage.column import Column, ColumnType
@@ -222,10 +218,17 @@ class FrontierState:
     the census counters feed the Figure 9 bench and CI label-byte gates.
     """
 
-    def __init__(self, db, graph: JoinGraph, factorizer: Factorizer):
+    def __init__(
+        self,
+        db,
+        graph: JoinGraph,
+        factorizer: Factorizer,
+        fact: Optional[str],
+    ):
         self.db = db
         self.graph = graph
         self.factorizer = factorizer
+        self.fact = fact
         self.column: Optional[str] = None
         self.active = False
         self.epoch = 0
@@ -246,19 +249,20 @@ class FrontierState:
         self.leaf_ids = set()
 
     def deactivate(self) -> None:
+        """The labels went stale: no round may read them again."""
         self.active = False
         self._pending_root = None
 
     # ------------------------------------------------------------------
-    def ensure(self, fact: str) -> Optional[str]:
+    def ensure(self) -> Optional[str]:
         """The label column when its labels are current (None when they
         cannot be); runs the root pass when a tree is pending."""
         if self.active:
             return self.column
-        if self._pending_root is None:
+        if self._pending_root is None or self.fact is None:
             return None
         root_id = self._pending_root.node_id
-        table = self.factorizer.storage_table(fact)
+        table = self.factorizer.storage_table(self.fact)
         if not self._root_pass(table, root_id):
             return None
         self._exempt_from_encoding_cache(table)
@@ -327,15 +331,14 @@ class FrontierState:
         match, and the relabel is one statement: it applies whole or not
         at all.
         """
-        if not self.active:
+        if not self.active or self.fact is None:
             return
-        fact = self.graph.target_relation
-        table = self.factorizer.storage_table(fact)
+        table = self.factorizer.storage_table(self.fact)
         parent_id = node.node_id
         left, right = (
             leaf_fact_condition(
                 self.graph,
-                fact,
+                self.fact,
                 {child.relation: (child.predicate,)},
                 fact_alias=table,
             )
@@ -373,9 +376,12 @@ class FrontierState:
         return (self.epoch, frozenset(int(i) for i in frontier_ids))
 
     def covers(self, nodes: Sequence[TreeNode]) -> bool:
+        """True when every one of ``nodes`` is a currently labeled leaf."""
         return all(node.node_id in self.leaf_ids for node in nodes)
 
     def census(self) -> Dict[str, int]:
+        """Label passes, updates and cells written, for the Figure 9
+        bench."""
         return {
             "root_label_passes": self.root_label_passes,
             "delta_label_updates": self.delta_label_updates,
@@ -394,22 +400,19 @@ class FrontierEvaluator:
         graph: JoinGraph,
         factorizer: Factorizer,
         criterion: Criterion,
-        finder: SplitFinder,
-        mode: str = "auto",
-        missing: str = "right",
-        min_child_samples: int = 1,
-        num_workers: int = 1,
+        params: TrainParams,
     ):
         self.db = db
         self.graph = graph
         self.factorizer = factorizer
         self.criterion = criterion
-        self.finder = finder
-        self.mode = mode
-        self.missing = missing
-        self.min_child_samples = min_child_samples
-        self.num_workers = max(1, int(num_workers))
-        self.state = FrontierState(db, graph, factorizer)
+        self.params = params
+        self.num_workers = max(1, params.frontier_workers())
+        # The fact every batched round labels: the factorizer's one lifted
+        # relation (None when it lifts several, e.g. a galaxy's facts).
+        lifted = list(factorizer.lifted)
+        self.fact = lifted[0] if len(lifted) == 1 else None
+        self.state = FrontierState(db, graph, factorizer, self.fact)
         # The current tree's open leaves' slices, kept while their
         # children may still be derived by subtraction:
         # node_id -> {(relation, feature): slice}.
@@ -432,35 +435,6 @@ class FrontierEvaluator:
         self._veto_checked = False
         self._kind_cache: Dict[Tuple[str, str], str] = {}
         self._lifted_indexed = False
-
-    @classmethod
-    def for_params(
-        cls,
-        db,
-        graph: JoinGraph,
-        factorizer: Factorizer,
-        criterion: Criterion,
-        params: TrainParams,
-    ) -> "FrontierEvaluator":
-        """The evaluator a single-node training run's parameters ask for."""
-        finder = SplitFinder(
-            db,
-            factorizer,
-            criterion,
-            min_child_samples=params.min_child_samples,
-            missing=params.missing,
-        )
-        return cls(
-            db,
-            graph,
-            factorizer,
-            criterion,
-            finder,
-            mode=params.split_batching,
-            missing=params.missing,
-            min_child_samples=params.min_child_samples,
-            num_workers=params.frontier_workers(),
-        )
 
     # ------------------------------------------------------------------
     # Tree lifecycle (driven by the trainer)
@@ -508,7 +482,8 @@ class FrontierEvaluator:
         if not nodes:
             return {}
         self.rounds += 1
-        if self.mode != "off" and self._batching_veto() is None:
+        batching = self.params.split_batching != "off"
+        if batching and self._batching_veto() is None:
             return self._batched(nodes, features)
         return self._per_leaf(nodes, features)
 
@@ -525,7 +500,7 @@ class FrontierEvaluator:
         )
         chaos_census = getattr(self.db, "chaos_census", None)
         return {
-            "mode": self.mode,
+            "mode": self.params.split_batching,
             "rounds": self.rounds,
             "batched_rounds": self.batched_rounds,
             "root_label_passes": state["root_label_passes"],
@@ -567,7 +542,7 @@ class FrontierEvaluator:
             return None
         if self.num_workers <= 1:
             return "num_workers=1 (serial by request)"
-        if self.mode == "off":
+        if self.params.split_batching == "off":
             return "split_batching='off' keeps rounds per-leaf"
         veto = self._batching_veto()
         if veto is not None:
@@ -593,21 +568,22 @@ class FrontierEvaluator:
             return "backend lacks narrow predicated UPDATE (leaf labels)"
         if self.factorizer.outer_joins:
             return "outer-join factorizer (missing-key tolerance mode)"
-        try:
-            fact = self.graph.target_relation
-        except JoinGraphError:
-            return "join graph has no target relation"
+        if self.fact is None:
+            return (
+                f"non-snowflake schema (the factorizer lifts "
+                f"{len(self.factorizer.lifted)} relations, not one fact)"
+            )
         # Leaf membership must be a function of the fact row: every edge
         # directed away from the fact must be N-to-1 (snowflake).
         from repro.core.boosting import is_snowflake
 
-        if not is_snowflake(self.graph, fact):
+        if not is_snowflake(self.graph, self.fact):
             return "non-snowflake schema (fact is not 1-1 with the join)"
-        if fact not in self.factorizer.lifted:
-            return "target relation is not lifted"
         fact_columns = {
             c.lower()
-            for c in self.db.table(self.factorizer.storage_table(fact)).column_names()
+            for c in self.db.table(
+                self.factorizer.storage_table(self.fact)
+            ).column_names()
         }
         if LEAF_COLUMN in fact_columns:
             return f"fact table already has a {LEAF_COLUMN!r} column"
@@ -616,7 +592,7 @@ class FrontierEvaluator:
         return None
 
     # ------------------------------------------------------------------
-    # Per-leaf fallback (the pre-batching behavior, query for query)
+    # Per-leaf path: one absorption per (leaf, feature)
     # ------------------------------------------------------------------
     def _per_leaf(
         self,
@@ -637,14 +613,14 @@ class FrontierEvaluator:
             predicates = node.path_predicates()
             best: Optional[SplitCandidate] = None
             for relation, feature in features:
-                candidate = self.finder.best_split(
-                    feature,
-                    relation,
-                    predicates,
-                    node.aggregates,
-                    categorical=self.graph.is_categorical(relation, feature),
+                result = self.factorizer.absorb(
+                    relation, [feature], predicates, tag="feature"
                 )
                 self.per_leaf_split_queries += 1
+                candidate = self._best_of_slice(
+                    relation, feature,
+                    self._slice_columns(result, feature), node.aggregates,
+                )
                 if candidate is not None and (
                     best is None or candidate.gain > best.gain
                 ):
@@ -675,9 +651,12 @@ class FrontierEvaluator:
         ]
         if not eligible:
             return out
-        fact = self.graph.target_relation
-        label_column = self.state.ensure(fact)
-        if label_column is None or not self.state.covers(eligible):
+        fact, label_column = self.fact, self.state.ensure()
+        if (
+            fact is None
+            or label_column is None
+            or not self.state.covers(eligible)
+        ):
             # The label column cannot serve this round: the rest of
             # training runs per-leaf, and the census says why.
             self._batch_veto = "lifted fact holds no current leaf labels"
@@ -938,48 +917,65 @@ class FrontierEvaluator:
                     derived,
                     subtract_slice(parent_slices[key], pieces[0][1], weight),
                 ))
-            for node, (values, nulls, aggs) in pieces:
+            for node, piece in pieces:
                 kept = self._slices.get(node.node_id)
                 if kept is not None:
-                    kept[key] = (values, nulls, aggs)
-                if len(values) == 0:
-                    continue
-                candidate = best_split_from_aggregates(
-                    self.criterion,
-                    relation,
-                    feature,
-                    values,
-                    nulls,
-                    aggs,
-                    node.aggregates,
-                    categorical=self.graph.is_categorical(relation, feature),
-                    missing=self.missing,
-                    min_child_samples=self.min_child_samples,
+                    kept[key] = piece
+                candidate = self._best_of_slice(
+                    relation, feature, piece, node.aggregates
                 )
                 if candidate is not None:
                     candidates[(node.node_id, index)] = candidate
+
+    def _best_of_slice(
+        self,
+        relation: str,
+        feature: str,
+        piece: Slice,
+        totals: Dict[str, float],
+    ) -> Optional[SplitCandidate]:
+        """The split kernel over one (leaf, feature) slice."""
+        values, nulls, aggs = piece
+        if len(values) == 0:
+            return None
+        return best_split_from_aggregates(
+            self.criterion,
+            relation,
+            feature,
+            values,
+            nulls,
+            aggs,
+            totals,
+            categorical=self.graph.is_categorical(relation, feature),
+            missing=self.params.missing,
+            min_child_samples=self.params.min_child_samples,
+        )
+
+    def _slice_columns(self, result, value_name: str) -> Slice:
+        """``(values, nulls, aggregates)`` of an aggregate result: the
+        ``value_name`` column with NaN folded into its nulls, and each
+        criterion component as float64."""
+        column = result.column(value_name)
+        values = column.values
+        nulls = column.is_null()
+        if values.dtype.kind == "f":
+            nulls = nulls | np.isnan(values)
+        return values, nulls, {
+            c: result.column(c).values.astype(np.float64)
+            for c in self.criterion.components
+        }
 
     def _fused_columns(self, result):
         """``(feature ids, leaf ids, values, nulls, aggregates)`` of a
         fused result; None when it holds no rows."""
         if result is None or result.num_rows == 0:
             return None
-        value_column = result.column("jb_value")
-        values = value_column.values
-        nulls = value_column.is_null()
-        if values.dtype.kind == "f":
-            nulls = nulls | np.isnan(values)
         return (
             result.column("jb_feature").values.astype(np.int64),
             np.asarray(
                 result.column(LEAF_COLUMN).values, dtype=np.float64
             ).astype(np.int64),
-            values,
-            nulls,
-            {
-                c: result.column(c).values.astype(np.float64)
-                for c in self.criterion.components
-            },
+            *self._slice_columns(result, "jb_value"),
         )
 
 

@@ -213,7 +213,7 @@ def train_boosting_on_cuboid(
     criterion = GradientCriterion(reg_lambda=train_params.reg_lambda)
     trainer = DecisionTreeTrainer(
         cuboid_graph, criterion, train_params,
-        FrontierEvaluator.for_params(
+        FrontierEvaluator(
             db, cuboid_graph, factorizer, criterion, train_params
         ),
     )

@@ -1,13 +1,14 @@
 """Best-split search (Algorithm 1, line 14 — the hot loop).
 
-For numeric features under a two-component criterion the search is a
-*single SQL query* in the shape of the paper's Example 2: the factorized
-absorption (grouped by the feature) is wrapped in window-function prefix
-sums and the criterion expression, ordered descending, LIMIT 1.
-
-Categorical features, missing='both' routing, and multi-component
-classification criteria fetch the per-value aggregate (small — one row per
-distinct value) and scan prefixes client-side, LightGBM style.
+Every split, batched or per-leaf, is one client-side prefix scan over a
+per-value aggregate (:func:`best_split_from_aggregates`), LightGBM's
+histogram scan.  The database computes the aggregate: the batched
+frontier reads one fused ``UNION ALL`` query per relation and scores each
+(leaf, feature) slice of it; the per-leaf path reads one factorized
+absorption grouped by the feature.  The aggregate holds one row per
+distinct feature value, so the scan is small next to the join it
+summarises, and one kernel serves numeric and categorical features,
+missing='both' routing and every criterion alike.
 
 Criteria:
 
@@ -23,13 +24,12 @@ Criteria:
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import TrainingError
-from repro.factorize.executor import Factorizer
-from repro.factorize.predicates import Predicate, PredicateMap
+from repro.factorize.predicates import Predicate
 from repro.semiring.classcount import ClassCountSemiRing
 
 
@@ -38,8 +38,6 @@ class Criterion:
 
     #: aggregate columns this criterion consumes
     components: Tuple[str, ...] = ()
-    #: True when the numeric split can run as one SQL window query
-    sql_capable = False
     #: True when the weight component (``components[0]``) is an exact row
     #: count: a child's aggregates are then its parent's minus its
     #: sibling's, and a value whose count cancels to 0 holds no row
@@ -63,6 +61,7 @@ class Criterion:
         return None
 
     def leaf_value(self, aggregates: Dict[str, float]) -> float:
+        """The prediction of a leaf holding ``aggregates``."""
         raise NotImplementedError
 
     def weight(self, aggregates: Dict[str, float]) -> float:
@@ -76,10 +75,8 @@ class Criterion:
         return aggregates.get(self.components[0], 0.0)
 
     def min_weight(self, min_child_samples: int) -> float:
+        """The least :meth:`weight` each child of a split must carry."""
         return max(float(min_child_samples), 1e-9)
-
-    def gain_sql(self, w: str, s: str, w_total: float, s_total: float) -> str:
-        raise NotImplementedError  # only for sql_capable criteria
 
     def order_key(
         self, aggs: Dict[str, np.ndarray]
@@ -92,19 +89,11 @@ class VarianceCriterion(Criterion):
     """Reduction in variance (Appendix A); q cancels, only (c, s) needed."""
 
     components = ("c", "s")
-    sql_capable = True
     count_weight = True
 
-    def gain_sql(self, w: str, s: str, w_total: float, s_total: float) -> str:
-        st, ct = repr(float(s_total)), repr(float(w_total))
-        # (s/c)*s keeps intermediate magnitudes small (overflow note, App. A).
-        return (
-            f"(-({st} / {ct}) * {st}"
-            f" + ({s} / {w}) * {s}"
-            f" + (({st} - {s}) / ({ct} - {w})) * ({st} - {s}))"
-        )
-
     def gain_aggs(self, left, totals):
+        """Variance reduction; (s/c)·s keeps intermediate magnitudes small
+        (overflow note, Appendix A)."""
         w, s = left.get("c", 0.0), left.get("s", 0.0)
         w_total, s_total = totals.get("c", 0.0), totals.get("s", 0.0)
         if w <= 0 or w_total - w <= 0:
@@ -116,6 +105,7 @@ class VarianceCriterion(Criterion):
         )
 
     def gain_array(self, left, totals):
+        """:meth:`gain_aggs` over arrays, with its error ``scale``."""
         w, s = left["c"], left["s"]
         w_total, s_total = totals.get("c", 0.0), totals.get("s", 0.0)
         ok = (w > 0) & (w_total - w > 0)
@@ -128,18 +118,18 @@ class VarianceCriterion(Criterion):
         return np.where(ok, gains, -np.inf), scale
 
     def leaf_value(self, aggregates):
+        """The mean response s / c (0 for an empty leaf)."""
         c = aggregates.get("c", 0.0)
         return aggregates.get("s", 0.0) / c if c else 0.0
 
     def order_key(self, aggs):
+        """Categories by mean response s / c."""
         with np.errstate(invalid="ignore", divide="ignore"):
             return aggs["s"] / aggs["c"]
 
 
 class GradientCriterion(Criterion):
     """Second-order gain −½G²/(H+λ) form (Appendix B)."""
-
-    sql_capable = True
 
     def __init__(
         self,
@@ -154,16 +144,8 @@ class GradientCriterion(Criterion):
         # the constant 1; the training driver knows which loss it lifted.
         self.count_weight = count_weight
 
-    def gain_sql(self, w: str, s: str, w_total: float, s_total: float) -> str:
-        lam = repr(self.reg_lambda)
-        gt, ht = repr(float(s_total)), repr(float(w_total))
-        return (
-            f"(0.5 * (({s} * {s}) / ({w} + {lam})"
-            f" + (({gt} - {s}) * ({gt} - {s})) / (({ht} - {w}) + {lam})"
-            f" - ({gt} * {gt}) / ({ht} + {lam})))"
-        )
-
     def gain_aggs(self, left, totals):
+        """½(G_L²/(H_L+λ) + G_R²/(H_R+λ) − G²/(H+λ))."""
         w_name, s_name = self.components
         w, s = left.get(w_name, 0.0), left.get(s_name, 0.0)
         w_total, s_total = totals.get(w_name, 0.0), totals.get(s_name, 0.0)
@@ -177,6 +159,7 @@ class GradientCriterion(Criterion):
         )
 
     def gain_array(self, left, totals):
+        """:meth:`gain_aggs` over arrays, with its error ``scale``."""
         # Same operation order as gain_aggs, except that the array square
         # is x * x where CPython's float ``**`` calls libm pow: the two
         # differ by one ulp on ~0.08% of doubles, inside ``scale``'s bound.
@@ -194,6 +177,7 @@ class GradientCriterion(Criterion):
         return np.where(ok, gains, -np.inf), scale
 
     def leaf_value(self, aggregates):
+        """The Newton step −G/(H+λ) (0 when H+λ is not positive)."""
         w_name, s_name = self.components
         denominator = aggregates.get(w_name, 0.0) + self.reg_lambda
         if denominator <= 0:
@@ -201,10 +185,12 @@ class GradientCriterion(Criterion):
         return -aggregates.get(s_name, 0.0) / denominator
 
     def min_weight(self, min_child_samples: int) -> float:
-        # Hessians are not counts for general losses; only a numeric floor.
+        """A numeric floor only: hessian sums are not row counts for
+        general losses."""
         return 1e-9
 
     def order_key(self, aggs):
+        """Categories by G/(H+λ), their negated leaf value."""
         w_name, s_name = self.components
         with np.errstate(invalid="ignore", divide="ignore"):
             return aggs[s_name] / (aggs[w_name] + self.reg_lambda)
@@ -213,7 +199,6 @@ class GradientCriterion(Criterion):
 class ClassificationCriterion(Criterion):
     """Gini / entropy / chi-square over class counts (Appendix A)."""
 
-    sql_capable = False
     count_weight = True
 
     def __init__(self, num_classes: int, measure: str = "gini"):
@@ -228,6 +213,7 @@ class ClassificationCriterion(Criterion):
         return tuple(aggs.get(comp, 0.0) for comp in self.components)
 
     def gain_aggs(self, left, totals):
+        """Impurity decrease (gini / entropy) or the chi-square statistic."""
         left_t = self._tuple(left)
         total_t = self._tuple(totals)
         right_t = tuple(t - l for t, l in zip(total_t, left_t))
@@ -242,11 +228,12 @@ class ClassificationCriterion(Criterion):
         return impurity(total_t) - impurity(left_t) - impurity(right_t)
 
     def leaf_value(self, aggregates):
+        """The majority class."""
         return float(self.ring.mode(self._tuple(aggregates)))
 
     def order_key(self, aggs):
-        # Order categories by first-class purity (binary-optimal; a
-        # standard heuristic for k > 2).
+        """Categories by first-class purity (binary-optimal; a standard
+        heuristic for k > 2)."""
         with np.errstate(invalid="ignore", divide="ignore"):
             return aggs[self.components[1]] / aggs["c"]
 
@@ -263,129 +250,6 @@ class SplitCandidate:
     feature: str
 
 
-class SplitFinder:
-    """Evaluates the best split of one feature under a node's σ."""
-
-    def __init__(
-        self,
-        db,
-        factorizer: Factorizer,
-        criterion: Criterion,
-        min_child_samples: int = 1,
-        missing: str = "right",
-    ):
-        self.db = db
-        self.factorizer = factorizer
-        self.criterion = criterion
-        self.min_child_samples = min_child_samples
-        self.missing = missing
-
-    # ------------------------------------------------------------------
-    def best_split(
-        self,
-        feature: str,
-        relation: str,
-        predicates: PredicateMap,
-        totals: Dict[str, float],
-        categorical: bool,
-    ) -> Optional[SplitCandidate]:
-        if self.criterion.weight(totals) <= 0:
-            return None
-        if (
-            self.criterion.sql_capable
-            and not categorical
-            and self.missing == "right"
-            and self.db.capabilities.window_functions
-        ):
-            return self._sql_split(feature, relation, predicates, totals)
-        return self._client_side_split(
-            feature, relation, predicates, totals, categorical
-        )
-
-    # ------------------------------------------------------------------
-    # Numeric, two-component criteria: single SQL query (Example 2 shape)
-    # ------------------------------------------------------------------
-    def _sql_split(
-        self,
-        feature: str,
-        relation: str,
-        predicates: PredicateMap,
-        totals: Dict[str, float],
-    ) -> Optional[SplitCandidate]:
-        w_name, s_name = self.criterion.components
-        w_total = totals.get(w_name, 0.0)
-        s_total = totals.get(s_name, 0.0)
-        inner, _ = self.factorizer.absorption_sql(relation, [feature], predicates)
-        crit = self.criterion.gain_sql("cw", "sw", w_total, s_total)
-        min_w = self.criterion.min_weight(self.min_child_samples)
-        sql = (
-            f"SELECT {feature}, cw, sw, {crit} AS criteria FROM ("
-            f"  SELECT {feature}, SUM({w_name}) OVER (ORDER BY {feature}) AS cw,"
-            f"         SUM({s_name}) OVER (ORDER BY {feature}) AS sw"
-            f"  FROM ({inner}) WHERE {feature} IS NOT NULL"
-            f") WHERE cw >= {min_w!r} AND ({w_total!r} - cw) >= {min_w!r} "
-            f"ORDER BY criteria DESC LIMIT 1"
-        )
-        result = self.db.execute(sql, tag="feature")
-        if result.num_rows == 0:
-            return None
-        row = result.first_row()
-        if row["criteria"] is None or not np.isfinite(row["criteria"]):
-            return None
-        left = {w_name: float(row["cw"]), s_name: float(row["sw"])}
-        right = {w_name: w_total - left[w_name], s_name: s_total - left[s_name]}
-        predicate = Predicate(
-            feature, "<=", _plain(row[feature], relation, feature),
-            include_null=False,
-        )
-        return SplitCandidate(
-            gain=float(row["criteria"]),
-            relation=relation,
-            predicate=predicate,
-            left_aggregates=left,
-            right_aggregates=right,
-            feature=feature,
-        )
-
-    # ------------------------------------------------------------------
-    # Client-side prefix scan over the per-value aggregate
-    # ------------------------------------------------------------------
-    def _client_side_split(
-        self,
-        feature: str,
-        relation: str,
-        predicates: PredicateMap,
-        totals: Dict[str, float],
-        categorical: bool,
-    ) -> Optional[SplitCandidate]:
-        result = self.factorizer.absorb(
-            relation, [feature], predicates, tag="feature"
-        )
-        if result.num_rows == 0:
-            return None
-        f_col = result.column(feature)
-        values = f_col.values
-        nulls = f_col.is_null()
-        if values.dtype.kind == "f":
-            nulls = nulls | np.isnan(values)
-        agg_arrays: Dict[str, np.ndarray] = {
-            c: result.column(c).values.astype(np.float64)
-            for c in self.criterion.components
-        }
-        return best_split_from_aggregates(
-            self.criterion,
-            relation,
-            feature,
-            values,
-            nulls,
-            agg_arrays,
-            totals,
-            categorical=categorical,
-            missing=self.missing,
-            min_child_samples=self.min_child_samples,
-        )
-
-
 def best_split_from_aggregates(
     criterion: Criterion,
     relation: str,
@@ -400,10 +264,9 @@ def best_split_from_aggregates(
 ) -> Optional[SplitCandidate]:
     """Prefix-scan a per-value aggregate for the best split of one feature.
 
-    This is the shared client-side kernel: the per-leaf finder feeds it one
+    This is the only split kernel: the per-leaf path feeds it one
     absorption result, the batched frontier evaluator feeds it per-(leaf,
-    feature) slices of one fused query — both must choose identical splits,
-    so they share this code.  ``values``/``nulls``/``agg_arrays`` hold one
+    feature) slices of one fused query.  ``values``/``nulls``/``agg_arrays`` hold one
     row per distinct feature value (nulls included); ``totals`` are the
     node's aggregates.
     """
@@ -430,7 +293,7 @@ def best_split_from_aggregates(
     for null_left in routings:
         # The last index is the all-non-nulls-left split (nulls route
         # right); the min-weight filter rejects it unless nulls carry
-        # mass — exactly the candidate set of the SQL window path.
+        # mass.
         for i in _gain_candidates(
             criterion, prefix, null_aggs if null_left else None, totals,
             min_w, w_total,

@@ -402,25 +402,22 @@ class Factorizer:
     # ------------------------------------------------------------------
     # Absorption
     # ------------------------------------------------------------------
-    def absorption_sql(
+    def absorb(
         self,
         root: str,
         group_attrs: Sequence[str],
         predicates: Optional[PredicateMap] = None,
-    ) -> Tuple[str, List[str]]:
-        """SELECT text aggregating components grouped by ``group_attrs``.
-
-        Messages into ``root`` are materialized as a side effect; the
-        returned SQL is self-contained and can be wrapped by callers (the
-        split finder wraps it in window functions, Example 2 style).
-        Returns (sql, component_columns).
-        """
+        tag: str = "absorption",
+    ) -> Relation:
+        """Components aggregated over ``root`` joined with its incoming
+        messages (materialized first), filtered by ``predicates`` and
+        grouped by ``group_attrs``: one row per distinct group."""
         predicates = predicates or {}
         infos = self._incoming(root, None, predicates)
         joins, annotation, _ = self._join_clauses(root, infos)
-        agg = aggregate_select_list(self.semiring, annotation)
         select_parts = [f"t.{a} AS {a}" for a in group_attrs] + [
-            f"{expr} AS {comp}" for comp, expr in agg
+            f"{expr} AS {comp}"
+            for comp, expr in aggregate_select_list(self.semiring, annotation)
         ]
         where = render_conjunction(predicates.get(root, ()), alias="t")
         sql = (
@@ -430,16 +427,6 @@ class Factorizer:
         )
         if group_attrs:
             sql += f" GROUP BY {', '.join(f't.{a}' for a in group_attrs)}"
-        return sql, [comp for comp, _ in agg]
-
-    def absorb(
-        self,
-        root: str,
-        group_attrs: Sequence[str],
-        predicates: Optional[PredicateMap] = None,
-        tag: str = "absorption",
-    ) -> Relation:
-        sql, _ = self.absorption_sql(root, group_attrs, predicates)
         return self.db.execute(sql, tag=tag)
 
     def totals(

@@ -224,14 +224,19 @@ def _encoded_membership(
     ``np.isin`` over a full key column is an O(n log n) sort per
     predicate; with the column's cached encoding the same answer is
     membership over the *dictionary* (cardinality-sized) gathered back
-    through the per-row codes.  Returns ``None`` — fall back to the plain
-    scan — when no cache is active, the operand is not a plain column, or
-    the operand contains nulls (the scan's null semantics are kept
-    bit-for-bit by not re-implementing them here).
+    through the per-row codes.  On a :class:`SubFrame` the parent
+    column's codes are gathered to its rows; the values themselves are
+    never copied.  Returns ``None`` — fall back to the plain scan — when
+    no cache is active, the operand is not a plain column, or the operand
+    contains nulls (the scan's null semantics are kept bit-for-bit by not
+    re-implementing them here).
     """
     cache = context.get("__encodings__")
     if cache is None or not isinstance(operand, ast.ColumnRef):
         return None
+    positions = None
+    if isinstance(frame, SubFrame):
+        positions, frame = frame.positions, frame.parent
     try:
         col = frame.resolve(operand)
     except PlanError:
@@ -251,7 +256,8 @@ def _encoded_membership(
         return None
     present = np.zeros(encoding.cardinality, dtype=bool)
     present[: len(uniques)] = np.isin(uniques, probe)
-    return present[encoding.codes]
+    codes = encoding.codes
+    return present[codes if positions is None else codes[positions]]
 
 
 def _broadcast(value, n: int) -> np.ndarray:

@@ -135,9 +135,7 @@ def frontier_trainer(db, graph, factorizer, criterion, params, **kwargs):
     from repro.core.frontier import FrontierEvaluator
     from repro.core.trainer import DecisionTreeTrainer
 
-    evaluator = FrontierEvaluator.for_params(
-        db, graph, factorizer, criterion, params
-    )
+    evaluator = FrontierEvaluator(db, graph, factorizer, criterion, params)
     return DecisionTreeTrainer(graph, criterion, params, evaluator, **kwargs)
 
 

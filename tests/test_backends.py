@@ -408,9 +408,7 @@ class TestRegistry:
         assert conn.catalog.exists("t")
         assert isinstance(conn, Connector)
         # The plain preset allows column swap (no WAL/MVCC in the way).
-        assert conn.capabilities == Capabilities(
-            column_swap=True, window_functions=True,
-        )
+        assert conn.capabilities == Capabilities(column_swap=True)
 
 
 # ---------------------------------------------------------------------------
@@ -553,25 +551,6 @@ class TestConnectorParity:
         )
         assert len(model.trees) == 2
         assert np.isfinite(repro.evaluate_rmse(model, train_set))
-
-    def test_window_fallback_matches_sql_split_path(self):
-        """With the window_functions capability off, the split finder
-        uses the client-side prefix scan — and grows the same model."""
-        rmses = {}
-        for windows in (True, False):
-            conn = repro.connect(backend="sqlite")
-            if not windows:
-                conn.capabilities = Capabilities(
-                    column_swap=False, window_functions=False,
-                )
-            train_set = _build_trainset(conn)
-            model = repro.train(
-                {"objective": "regression", "num_iterations": 3,
-                 "num_leaves": 5, "min_data_in_leaf": 2},
-                train_set,
-            )
-            rmses[windows] = repro.evaluate_rmse(model, train_set)
-        assert rmses[True] == pytest.approx(rmses[False], abs=1e-9)
 
     def test_update_strategies_agree_on_sqlite(self):
         """All logical strategies collapse to the same physical write on

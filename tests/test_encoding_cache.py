@@ -528,6 +528,42 @@ class TestIntegration:
 # ---------------------------------------------------------------------------
 # SQLite training-setup satellite: join-key indexes + ANALYZE
 # ---------------------------------------------------------------------------
+class TestMembershipOverSubFrames:
+    def test_semi_join_operand_values_are_not_gathered(self, db, monkeypatch):
+        """``k IN (SELECT …)`` over the rows an ``UPDATE`` matched (the
+        shape of a frontier delta update) answers from the key column's
+        cached codes gathered to those rows: the key's values themselves
+        are never gathered."""
+        rng = np.random.default_rng(3)
+        names = np.array([f"s{i}" for i in range(20)], dtype=object)
+        keys = names[rng.integers(0, 20, 500)]
+        db.create_table("f", {"k": keys, "leaf": np.arange(500) % 2})
+        db.create_table("d", {"dk": names, "x": np.arange(20.0)})
+        taken = []
+        real_take = Column.take
+
+        def spy(self, indexes, **kwargs):
+            taken.append(self.name)
+            return real_take(self, indexes, **kwargs)
+
+        monkeypatch.setattr(Column, "take", spy)
+        db.execute(
+            "UPDATE f SET leaf = CASE "
+            "WHEN k IN (SELECT dk FROM d WHERE x <= 7) THEN 2 "
+            "WHEN k IN (SELECT dk FROM d WHERE x > 12) THEN 3 "
+            "ELSE leaf END WHERE leaf = 0"
+        )
+        assert "k" not in taken
+        number = np.array([int(k[1:]) for k in keys])
+        expected = np.where(
+            np.arange(500) % 2 == 1, 1,
+            np.where(number <= 7, 2, np.where(number > 12, 3, 0)),
+        )
+        np.testing.assert_array_equal(
+            db.table("f").column("leaf").values, expected
+        )
+
+
 class TestSQLiteIndexes:
     def test_indexes_created_and_profiled(self):
         from repro.backends.sqlite3_backend import SQLiteConnector

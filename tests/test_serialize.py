@@ -1,14 +1,9 @@
-"""Model serialization round-trips and the pivot rewrite (Appendix D.1)."""
+"""Model serialization round-trips."""
 
 import numpy as np
 import pytest
 
 import repro
-from repro.core.pivot import (
-    PivotedRelation,
-    aggregate_over_naive_pivot,
-    naive_pivot,
-)
 from repro.core.predict import feature_frame
 from repro.core.serialize import (
     load_model,
@@ -118,75 +113,3 @@ class TestSerialization:
     def test_unknown_kind_rejected(self):
         with pytest.raises(TrainingError):
             model_from_dict({"kind": "perceptron"})
-
-
-class TestPivotRewrite:
-    @pytest.fixture
-    def attribute_value_db(self):
-        rng = np.random.default_rng(5)
-        db = Database()
-        n = 3000
-        person = rng.integers(0, 800, n)
-        types = np.array(["height", "birth", "location"], dtype=object)[
-            rng.integers(0, 3, n)
-        ]
-        value = rng.integers(1, 100, n).astype(np.float64)
-        db.create_table(
-            "person_info",
-            {"person": person, "info_type": types, "info_value": value},
-        )
-        return db
-
-    def test_virtual_features_enumerated(self, attribute_value_db):
-        pivoted = PivotedRelation(
-            attribute_value_db, "person_info", "person", "info_type",
-            "info_value",
-        )
-        assert pivoted.features() == ["pv_birth", "pv_height", "pv_location"]
-
-    def test_rewrite_matches_naive_pivot(self, attribute_value_db):
-        db = attribute_value_db
-        pivoted = PivotedRelation(
-            db, "person_info", "person", "info_type", "info_value"
-        )
-        wide = naive_pivot(db, "person_info", "person", "info_type",
-                           "info_value")
-        for feature in pivoted.features():
-            fast = pivoted.absorb_feature(feature)
-            slow = aggregate_over_naive_pivot(db, wide, feature)
-            got = dict(zip(fast[feature], fast["c"]))
-            expected = dict(zip(slow[feature], slow["c"]))
-            # Naive pivot keeps one row per key (later rows of the same
-            # (key, type) overwrite), so the rewrite covers a superset of
-            # the naive counts; every naive group must exist in the
-            # rewrite with at least its count.
-            for value, count in expected.items():
-                assert got.get(value, 0) >= count
-
-    def test_rewrite_is_faster_at_scale(self, attribute_value_db):
-        import time
-
-        db = attribute_value_db
-        pivoted = PivotedRelation(
-            db, "person_info", "person", "info_type", "info_value"
-        )
-        start = time.perf_counter()
-        wide = naive_pivot(db, "person_info", "person", "info_type",
-                           "info_value")
-        aggregate_over_naive_pivot(db, wide, "pv_height")
-        naive_seconds = time.perf_counter() - start
-
-        start = time.perf_counter()
-        pivoted.absorb_feature("pv_height")
-        rewrite_seconds = time.perf_counter() - start
-        # The rewrite skips pivot materialization entirely (paper: 3.8x
-        # faster node splits on Person_Info).
-        assert rewrite_seconds < naive_seconds
-
-    def test_non_pivot_feature_rejected(self, attribute_value_db):
-        pivoted = PivotedRelation(
-            attribute_value_db, "person_info", "person", "info_type",
-            "info_value",
-        )
-        with pytest.raises(TrainingError):
-            pivoted.absorb_feature("height")

@@ -31,7 +31,6 @@ import repro
 from repro.backends.sqlite3_backend import SQLiteConnector
 from repro.core.residual import ResidualUpdater
 from repro.core.serialize import model_digest
-from repro.core.split import SplitFinder
 from repro.datasets import favorita
 from repro.engine.database import Database
 from repro.exceptions import ExecutionError, TrainingError
@@ -162,14 +161,14 @@ class TestLiftedFactIndex:
         self, monkeypatch
     ):
         seen = []
-        real = SplitFinder.best_split
+        real = Factorizer.absorb
 
         def spy(self, *args, **kwargs):
-            if not seen:
+            if kwargs.get("tag") == "feature" and not seen:
                 seen.append(_lifted_indexes(conn))
             return real(self, *args, **kwargs)
 
-        monkeypatch.setattr(SplitFinder, "best_split", spy)
+        monkeypatch.setattr(Factorizer, "absorb", spy)
         conn, graph = _favorita(rows=2_000)
         repro.train_gradient_boosting(conn, graph, {
             "num_iterations": 2, "num_leaves": 4, "split_batching": "off",
