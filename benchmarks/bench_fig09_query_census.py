@@ -16,11 +16,14 @@ is a persistent column maintained incrementally (one root pass per tree
 + one narrow UPDATE per split), never rebuilt per round.
 """
 
+import numpy as np
+
 from repro.bench.harness import fig09_batching_comparison, fig09_query_census
 from repro.bench.report import format_table
 
 _FEATURES = 18
 _LEAVES = 8
+_REPEATS = 5
 
 
 def test_fig09_query_census(benchmark, figure_report):
@@ -62,8 +65,21 @@ def test_fig09_query_census(benchmark, figure_report):
     # Messages exist and are far fewer than split queries (caching).
     assert 0 < per_leaf["num_message_queries"] < per_leaf["num_feature_queries"]
     # The slowest message query dominates the slowest split query
-    # (join+materialize vs scan of a per-value aggregate).
-    assert max(per_leaf["message_ms"]) > max(per_leaf["feature_ms"]) * 0.5
+    # (join+materialize vs scan of a per-value aggregate).  Each maximum
+    # is one query of a few milliseconds, so the order is asserted on
+    # medians over per-leaf runs, whose two query kinds interleave.
+    runs = [per_leaf] + [
+        fig09_query_census(num_features=_FEATURES, num_leaves=_LEAVES)
+        for _ in range(_REPEATS - 1)
+    ]
+    slowest_message = float(np.median([max(r["message_ms"]) for r in runs]))
+    slowest_feature = float(np.median([max(r["feature_ms"]) for r in runs]))
+    figure_report("fig09_slowest", format_table(
+        f"Figure 9b — slowest query per kind, median of {_REPEATS} runs",
+        ["query type", "ms"],
+        [["message", slowest_message], ["feature", slowest_feature]],
+    ))
+    assert slowest_message > slowest_feature * 0.5
 
     # Batched mode: at most one fused split query per feature-bearing
     # relation per frontier round, and never more split queries than the

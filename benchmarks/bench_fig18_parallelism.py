@@ -27,23 +27,12 @@ from repro.bench.report import format_table
 def test_fig18_parallelism(benchmark, figure_report):
     results = benchmark.pedantic(fig18_parallelism, rounds=1, iterations=1)
     measured = results["measured"]
-    rows = []
-    for workers in sorted(results["rf"]["by_workers"]):
-        measured_cell = (
-            f"{measured['by_workers'][workers]:.3f}"
-            if workers in measured["by_workers"] else "-"
-        )
-        overlap_cell = (
-            f"{measured['overlap_seconds'][workers]:.3f}"
-            if workers in measured["overlap_seconds"] else "-"
-        )
-        rows.append([
-            workers,
-            results["rf"]["by_workers"][workers],
-            results["gb"]["by_workers"][workers],
-            measured_cell,
-            overlap_cell,
-        ])
+    rows = [
+        [w, results["rf"]["by_workers"][w], results["gb"]["by_workers"][w],
+         measured["by_workers"].get(w, "-"),
+         measured["overlap_seconds"].get(w, "-")]
+        for w in sorted(results["rf"]["by_workers"])
+    ]
     text = format_table(
         "Figure 18 — modelled vs measured seconds by workers "
         f"(sequential: rf={results['rf']['sequential']:.3f}s, "

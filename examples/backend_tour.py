@@ -20,12 +20,7 @@ Run:  python examples/backend_tour.py
 import numpy as np
 
 import repro as joinboost
-from repro.bench.harness import (
-    FIG5_BACKENDS,
-    FIG5_METHODS,
-    fig05_residual_updates,
-    query_census,
-)
+from repro.bench.harness import FIG5_BACKENDS, FIG5_METHODS, fig05_residual_updates
 from repro.datasets import favorita
 
 
@@ -92,11 +87,11 @@ def census_tour() -> None:
             {"num_iterations": 1, "num_leaves": 8, "min_data_in_leaf": 3,
              "split_batching": mode},
         )
-        counts = query_census(db)["counts"]
+        by_tag = db.profiles_by_tag()
         rmse = joinboost.rmse_on_join(db, graph, model)
         rounds = model.frontier_census.get("batched_rounds", 0)
-        print(f" {mode:8s} {counts.get('feature', 0):6d} "
-              f"{counts.get('message', 0):8d} {rounds:7d} "
+        print(f" {mode:8s} {len(by_tag.get('feature', [])):6d} "
+              f"{len(by_tag.get('message', [])):8d} {rounds:7d} "
               f"{rmse:14.9f}")
     print("   (same rmse, O(leaves x features) -> O(relations) split queries:")
     print("    leaf membership lives in a persistent jb_leaf column —")

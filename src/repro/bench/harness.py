@@ -3,13 +3,16 @@
 Scales are laptop-sized (the substitution table in DESIGN.md); the claims
 being reproduced are *shapes* — who wins, by roughly what factor, where
 the crossovers and out-of-memory walls fall — not absolute seconds.
+Every runner trains through the program's own entry points
+(``repro.connect``, ``repro.train_*``, ``SimulatedCluster``) and reads
+its query census from ``Connector.profiles_by_tag``.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -23,31 +26,46 @@ from repro.core.histogram import train_boosting_on_cuboid
 from repro.core.predict import rmse_on_join
 from repro.datasets import favorita, imdb, tpcds, tpch
 from repro.datasets.synthetic import ResidualWorkload, residual_update_microbenchmark
-from repro.backends import SQLiteConnector
 from repro.distributed import ClusterConfig, SimulatedCluster
 from repro.engine.database import Database
 from repro.exceptions import MemoryBudgetExceeded, StorageError
 from repro.storage.table import StorageConfig
 
 
-def duckdb_available() -> bool:
-    """Is the optional ``duckdb`` package importable on this host?
+def _external_backends() -> Tuple[str, ...]:
+    """The real second DBMSes a figure lifts its SQL onto: sqlite, plus
+    duckdb where the optional package is importable (Figures 15 and 16
+    run on hosts without it)."""
+    if importlib.util.find_spec("duckdb") is None:
+        return ("sqlite",)
+    return ("sqlite", "duckdb")
 
-    The Figure 15 and 16 runners add their duckdb column only when it is,
-    so the figures run on hosts without the optional dependency.
+
+def _timed(train: Callable, *args, **kwargs):
+    """``(result, wall seconds)`` of one call."""
+    start = time.perf_counter()
+    result = train(*args, **kwargs)
+    return result, time.perf_counter() - start
+
+
+def _round_seconds(model) -> List[float]:
+    """Train + update seconds of each boosting round in ``model.history``."""
+    return [r.train_seconds + r.update_seconds for r in model.history]
+
+
+def _fit_exported(exported, baseline, **fit_kwargs):
+    """Fit a single-table stand-in on an exported join.
+
+    Returns ``(model, cumulative seconds per iteration)``, the
+    materialize + export + load step included.  Boosting stand-ins record
+    ``(train, update, rmse)`` per round; forests and exact trees record
+    one duration.
     """
-    return importlib.util.find_spec("duckdb") is not None
-
-
-def _backend_db(backend: str):
-    """Connector instance for an external backend name."""
-    if backend == "sqlite":
-        return SQLiteConnector()
-    if backend == "duckdb":
-        from repro.backends import DuckDBConnector
-
-        return DuckDBConnector()
-    raise ValueError(f"unknown external backend {backend!r}")
+    baseline.fit(exported.features, exported.y, **fit_kwargs)
+    per_round = [
+        h if isinstance(h, float) else h[0] + h[1] for h in baseline.history
+    ]
+    return baseline, exported.total_seconds + np.cumsum(per_round)
 
 
 # ---------------------------------------------------------------------------
@@ -57,54 +75,46 @@ FIG5_BACKENDS = ("x-col", "x-row", "d-disk", "d-mem", "dp", "d-swap")
 FIG5_METHODS = ("naive", "update", "create-0", "create-5", "create-10", "swap")
 
 
-def _leaf_case_sql(workload: ResidualWorkload, base: str) -> str:
-    whens = " ".join(
-        f"WHEN d > {lo} AND d <= {hi} THEN {base} + {delta!r}"
-        for (lo, hi), delta in zip(workload.leaf_ranges, workload.leaf_predictions)
-    )
-    return f"CASE {whens} ELSE {base} END"
-
-
 def _run_one_update(workload: ResidualWorkload, method: str) -> float:
     db = workload.db
+    leaves = list(zip(workload.leaf_ranges, workload.leaf_predictions))
     start = time.perf_counter()
+    case = " ".join(
+        f"WHEN d > {lo} AND d <= {hi} THEN s + {delta!r}"
+        for (lo, hi), delta in leaves
+    )
+    case = f"CASE {case} ELSE s END"
+    other = [c for c in db.table("f").column_names() if c != "s"]
     if method == "update":
-        for (lo, hi), delta in zip(workload.leaf_ranges, workload.leaf_predictions):
+        for (lo, hi), delta in leaves:
             db.execute(
                 f"UPDATE f SET s = s + {delta!r} WHERE d > {lo} AND d <= {hi}"
             )
-    elif method.startswith("create"):
-        case = _leaf_case_sql(workload, "s")
-        other = ", ".join(
-            c for c in db.table("f").column_names() if c != "s"
-        )
+    elif method == "swap":
+        result = db.execute(f"SELECT {case} AS s FROM f")
+        db.replace_column("f", "s", result.column("s").values, "swap")
+    elif method == "create":
         db.execute(
-            f"CREATE TABLE f_updated AS SELECT {case} AS s, {other} FROM f"
+            f"CREATE TABLE f_updated AS SELECT {case} AS s, "
+            f"{', '.join(other)} FROM f"
         )
         db.drop_table("f")
         db.rename_table("f_updated", "f")
     elif method == "naive":
         # Materialize the update relation U(d, delta), then F' = F ⋈ U.
         deltas = np.zeros(workload.key_domain + 1)
-        for (lo, hi), delta in zip(workload.leaf_ranges, workload.leaf_predictions):
+        for (lo, hi), delta in leaves:
             deltas[lo + 1 : hi + 1] = delta
         db.create_table(
             "u", {"d": np.arange(workload.key_domain + 1), "delta": deltas}
         )
-        other = ", ".join(
-            f"f.{c}" for c in db.table("f").column_names() if c != "s"
-        )
         db.execute(
-            "CREATE TABLE f_updated AS "
-            f"SELECT f.s + u.delta AS s, {other} FROM f JOIN u ON f.d = u.d"
+            "CREATE TABLE f_updated AS SELECT f.s + u.delta AS s, "
+            f"{', '.join('f.' + c for c in other)} FROM f JOIN u ON f.d = u.d"
         )
         db.drop_table("u")
         db.drop_table("f")
         db.rename_table("f_updated", "f")
-    elif method == "swap":
-        case = _leaf_case_sql(workload, "s")
-        result = db.execute(f"SELECT {case} AS s FROM f")
-        db.replace_column("f", "s", result.column("s").values, "swap")
     else:
         raise ValueError(method)
     return time.perf_counter() - start
@@ -164,57 +174,46 @@ def fig08_favorita(
          "learning_rate": 0.1, "min_data_in_leaf": 3},
         evaluate_every=max(1, iterations // 10),
     )
-    jb_gbm_cumulative = np.cumsum(
-        [r.train_seconds + r.update_seconds for r in gbm.history]
-    )
     jb_rmse = [(r.iteration + 1, r.rmse) for r in gbm.history if r.rmse is not None]
 
-    forest = repro.train_random_forest(
-        db, graph,
+    forest, rf_wall = _timed(
+        repro.train_random_forest, db, graph,
         {"num_iterations": iterations, "num_leaves": num_leaves,
          "subsample": 0.1, "feature_fraction": 0.8, "min_data_in_leaf": 3},
     )
-    jb_rf_cumulative = np.cumsum(forest.history)
+    # Trees on worker threads overlap, so their intervals sum past the
+    # call's wall: the series spreads the wall by each tree's share.
+    jb_rf_cumulative = rf_wall * np.cumsum(forest.history) / sum(forest.history)
 
     # Single-table libraries pay materialize + export + load first.
     exported = materialize_and_export(db, graph)
-    lgbm = HistGradientBoosting(
-        num_iterations=iterations, num_leaves=num_leaves, learning_rate=0.1,
-        max_bin=1000, min_child_samples=3,
-    ).fit(exported.features, exported.y, eval_rmse=True)
-    lgbm_cumulative = exported.total_seconds + np.cumsum(
-        [h[0] + h[1] for h in lgbm.history]
+    boosting = {"num_iterations": iterations, "num_leaves": num_leaves,
+                "learning_rate": 0.1, "max_bin": 1000, "min_child_samples": 3}
+    lgbm, lgbm_cumulative = _fit_exported(
+        exported, HistGradientBoosting(**boosting), eval_rmse=True
     )
-    xgb = HistGradientBoosting(
-        num_iterations=iterations, num_leaves=num_leaves, learning_rate=0.1,
-        max_bin=1000, min_child_samples=3, reg_lambda=1.0,
-    ).fit(exported.features, exported.y, eval_rmse=True)
-    xgb_cumulative = exported.total_seconds + np.cumsum(
-        [h[0] + h[1] for h in xgb.history]
+    xgb, xgb_cumulative = _fit_exported(
+        exported, HistGradientBoosting(**boosting, reg_lambda=1.0),
+        eval_rmse=True,
     )
-    sk_iterations = max(2, iterations // 4)  # Sklearn is terminated early (§6.1)
-    sklearn = ExactGradientBoosting(
-        num_iterations=sk_iterations, num_leaves=num_leaves, learning_rate=0.1,
-    ).fit(exported.features, exported.y)
-    sklearn_cumulative = exported.total_seconds + np.cumsum(sklearn.history)
-
-    rf_baseline = HistRandomForest(
+    _, sklearn_cumulative = _fit_exported(exported, ExactGradientBoosting(
+        # Sklearn is terminated early (§6.1).
+        num_iterations=max(2, iterations // 4), num_leaves=num_leaves,
+        learning_rate=0.1,
+    ))
+    _, rf_baseline_cumulative = _fit_exported(exported, HistRandomForest(
         num_iterations=iterations, num_leaves=num_leaves, subsample=0.1,
         colsample=0.8,
-    ).fit(exported.features, exported.y)
-    rf_baseline_cumulative = exported.total_seconds + np.cumsum(rf_baseline.history)
+    ))
 
-    final_rmse = {
-        "joinboost": rmse_on_join(db, graph, gbm),
-        "lightgbm": float(np.sqrt(np.mean((lgbm.predict(exported.features)
-                                           - exported.y) ** 2))),
-        "xgboost": float(np.sqrt(np.mean((xgb.predict(exported.features)
-                                          - exported.y) ** 2))),
-    }
+    def rmse(model) -> float:
+        errors = model.predict(exported.features) - exported.y
+        return float(np.sqrt(np.mean(errors ** 2)))
+
     return {
         "iterations": list(range(1, iterations + 1)),
         "gbm": {
-            "joinboost": jb_gbm_cumulative.tolist(),
+            "joinboost": np.cumsum(_round_seconds(gbm)).tolist(),
             "lightgbm": lgbm_cumulative.tolist(),
             "xgboost": xgb_cumulative.tolist(),
             "sklearn(partial)": sklearn_cumulative.tolist(),
@@ -228,44 +227,17 @@ def fig08_favorita(
             "joinboost": jb_rmse,
             "lightgbm": [(i + 1, h[2]) for i, h in enumerate(lgbm.history)],
         },
-        "final_rmse": final_rmse,
+        "final_rmse": {
+            "joinboost": rmse_on_join(db, graph, gbm),
+            "lightgbm": rmse(lgbm),
+            "xgboost": rmse(xgb),
+        },
     }
 
 
 # ---------------------------------------------------------------------------
 # Figure 9 — query census of the first iteration
 # ---------------------------------------------------------------------------
-def query_census(db) -> Dict[str, object]:
-    """Count executed statements per profile tag (the census primitive).
-
-    Besides per-tag counts/latencies, the census splits query time into
-    key-encode work vs everything else (``encode_seconds`` vs
-    ``aggregate_seconds``) and totals the encode passes — the numbers the
-    encoded-key cache exists to shrink.
-    """
-    by_tag: Dict[str, List[float]] = {}
-    encode_passes = 0
-    encode_seconds = 0.0
-    total_seconds = 0.0
-    for profile in db.profiles:
-        by_tag.setdefault(profile.tag or "untagged", []).append(profile.seconds)
-        encode_passes += getattr(profile, "encode_passes", 0)
-        encode_seconds += getattr(profile, "encode_seconds", 0.0)
-        total_seconds += profile.seconds
-    out: Dict[str, object] = {
-        "counts": {tag: len(times) for tag, times in by_tag.items()},
-        "seconds": {tag: float(sum(times)) for tag, times in by_tag.items()},
-        "times": by_tag,
-        "encode_passes": encode_passes,
-        "encode_seconds": encode_seconds,
-        "aggregate_seconds": total_seconds - encode_seconds,
-    }
-    encodings = getattr(db, "encodings", None)
-    if encodings is not None:
-        out["encoding_cache"] = encodings.stats()
-    return out
-
-
 def fig09_query_census(
     num_fact_rows: int = 30_000,
     num_features: int = 18,
@@ -297,41 +269,40 @@ def fig09_query_census(
     from repro.engine import operators as ops
 
     ops.reset_encode_census()
-    start = time.perf_counter()
-    model = repro.train_gradient_boosting(
+    model, wall_seconds = _timed(
+        repro.train_gradient_boosting,
         db, graph, {"num_iterations": 1, "num_leaves": num_leaves,
                     "min_data_in_leaf": 3, "split_batching": split_batching,
                     "num_workers": 1},
     )
-    wall_seconds = time.perf_counter() - start
     # Encode accounting from the process-wide census, not the per-profile
     # sums: setup work (warm_encodings) runs outside profiled statements
     # and must count against the cached leg too.
     encode_totals = ops.encode_census()
-    census = query_census(db)
-    by_tag = census["times"]
+    by_tag = {
+        tag: [p.seconds for p in profiles]
+        for tag, profiles in db.profiles_by_tag().items()
+    }
     feature_times = by_tag.get("feature", [])
     message_times = by_tag.get("message", [])
-    delta_times = by_tag.get("frontier_delta", [])
-    root_times = by_tag.get("frontier_root", [])
     histogram = np.histogram(
         np.array(feature_times + message_times) * 1000.0,
         bins=[0, 1, 2, 5, 10, 20, 50, 100, 1e9],
     )
-    feature_relations = {rel for rel, _ in graph.all_features()}
-    frontier_census = dict(getattr(model, "frontier_census", {}) or {})
+    frontier_census = dict(model.frontier_census)
     return {
         "split_batching": split_batching,
         "key_dtype": key_dtype,
         "encode_passes": int(encode_totals["passes"]),
         "encode_seconds": float(encode_totals["seconds"]),
-        "aggregate_seconds": census["aggregate_seconds"],
-        "encoding_cache_stats": census.get("encoding_cache", {}),
+        "aggregate_seconds": sum(p.seconds - p.encode_seconds
+                                 for p in db.profiles),
+        "encoding_cache_stats": db.encodings.stats(),
         "num_feature_queries": len(feature_times),
         "num_message_queries": len(message_times),
-        "num_delta_update_queries": len(delta_times),
-        "num_root_label_queries": len(root_times),
-        "num_feature_relations": len(feature_relations),
+        "num_delta_update_queries": len(by_tag.get("frontier_delta", [])),
+        "num_root_label_queries": len(by_tag.get("frontier_root", [])),
+        "num_feature_relations": len({rel for rel, _ in graph.all_features()}),
         "expected_feature_queries": (2 * num_leaves - 3) * num_features,
         "feature_ms": sorted(t * 1000 for t in feature_times),
         "message_ms": sorted(t * 1000 for t in message_times),
@@ -372,27 +343,31 @@ def fig09_batching_comparison(
 # ---------------------------------------------------------------------------
 # Figure 10 / 11 — scaling features and database size (with OOM walls)
 # ---------------------------------------------------------------------------
-def _gbm_time(db, graph, iterations: int, num_leaves: int = 8) -> float:
-    model = repro.train_gradient_boosting(
-        db, graph, {"num_iterations": iterations, "num_leaves": num_leaves,
-                    "min_data_in_leaf": 3},
-    )
-    return float(sum(r.train_seconds + r.update_seconds for r in model.history))
-
-
-def _baseline_time(db, graph, iterations: int, budget: int,
-                   num_leaves: int = 8) -> Optional[float]:
-    try:
-        exported = materialize_and_export(db, graph, memory_budget=budget)
-    except MemoryBudgetExceeded:
-        return None  # the paper's OOM
-    model = HistGradientBoosting(
-        num_iterations=iterations, num_leaves=num_leaves, max_bin=255,
-        min_child_samples=3,
-    ).fit(exported.features, exported.y)
-    return exported.total_seconds + float(
-        sum(h[0] + h[1] for h in model.history)
-    )
+def _scaling(
+    points: Tuple, make: Callable, iterations: int, baseline_budget: int
+) -> Dict[str, object]:
+    """``(point, JoinBoost seconds, baseline seconds or None)`` rows over
+    the databases ``make(point)`` builds; None is the baseline's OOM."""
+    rows = []
+    for point in points:
+        db, graph = make(point)
+        jb = sum(_round_seconds(repro.train_gradient_boosting(
+            db, graph, {"num_iterations": iterations, "num_leaves": 8,
+                        "min_data_in_leaf": 3},
+        )))
+        try:
+            exported = materialize_and_export(
+                db, graph, memory_budget=baseline_budget
+            )
+        except MemoryBudgetExceeded:
+            baseline = None  # the paper's OOM
+        else:
+            baseline = float(_fit_exported(exported, HistGradientBoosting(
+                num_iterations=iterations, num_leaves=8, max_bin=255,
+                min_child_samples=3,
+            ))[1][-1])
+        rows.append((point, jb, baseline))
+    return {"rows": rows, "budget_bytes": baseline_budget}
 
 
 def fig10_feature_scaling(
@@ -401,15 +376,13 @@ def fig10_feature_scaling(
     iterations: int = 10,
     baseline_budget: int = 8 * 1024 * 1024,
 ) -> Dict[str, object]:
-    rows = []
-    for count in feature_counts:
-        db, graph = favorita(
+    return _scaling(
+        feature_counts,
+        lambda count: favorita(
             num_fact_rows=num_fact_rows, num_extra_features=count - 5
-        )
-        jb = _gbm_time(db, graph, iterations)
-        baseline = _baseline_time(db, graph, iterations, baseline_budget)
-        rows.append((count, jb, baseline))
-    return {"rows": rows, "budget_bytes": baseline_budget}
+        ),
+        iterations, baseline_budget,
+    )
 
 
 def fig11_tpcds_scaling(
@@ -418,33 +391,45 @@ def fig11_tpcds_scaling(
     iterations: int = 10,
     baseline_budget: int = 5 * 1024 * 1024,
 ) -> Dict[str, object]:
-    rows = []
-    for sf in scale_factors:
-        db, graph = tpcds(sf=sf, rows_per_sf=rows_per_sf, num_features=18)
-        jb = _gbm_time(db, graph, iterations)
-        baseline = _baseline_time(db, graph, iterations, baseline_budget)
-        rows.append((sf, jb, baseline))
-    return {"rows": rows, "budget_bytes": baseline_budget}
+    return _scaling(
+        scale_factors,
+        lambda sf: tpcds(sf=sf, rows_per_sf=rows_per_sf, num_features=18),
+        iterations, baseline_budget,
+    )
 
 
 # ---------------------------------------------------------------------------
 # Figure 12 / 13 — multi-node scaling (simulated network)
 # ---------------------------------------------------------------------------
-def _simulate_dask_baseline(
-    db, graph, iterations: int, machines: int, per_machine_budget: int
-) -> Optional[float]:
-    """Dask-LightGBM model: data replicated, per-machine hist training on
-    the full join plus a per-iteration histogram allreduce."""
-    if estimate_join_bytes(db, graph) > per_machine_budget:
-        return None  # OOM even distributed: data is replicated (§6.2)
-    exported = materialize_and_export(db, graph)
-    model = HistGradientBoosting(
-        num_iterations=iterations, num_leaves=8, min_child_samples=3
-    ).fit(exported.features, exported.y)
-    compute = float(sum(h[0] + h[1] for h in model.history)) / machines
-    hist_bytes = 255 * len(graph.all_features()) * 16 * iterations
-    allreduce = machines * hist_bytes / 1e9 + iterations * 5e-4 * machines
-    return exported.total_seconds + compute + allreduce
+def _cluster_point(
+    sf: float, machines: int, rows_per_sf: int, iterations: int,
+    per_machine_budget: int,
+) -> Tuple[float, Optional[float], float]:
+    """Sharded JoinBoost against the Dask-LightGBM model on one TPC-DS
+    database: ``(simulated seconds, baseline seconds or None, measured
+    wall of the shard steps)``.
+
+    The baseline replicates the data and trains hist trees on the full
+    join per machine, plus a per-iteration histogram allreduce.
+    """
+    db, graph = tpcds(sf=sf, rows_per_sf=rows_per_sf, num_features=12)
+    cluster = SimulatedCluster(
+        db, graph, "date_sk", ClusterConfig(num_machines=machines)
+    )
+    _, jb_seconds = cluster.train_gradient_boosting(
+        {"num_iterations": iterations, "num_leaves": 8, "min_data_in_leaf": 3}
+    )
+    baseline = None  # OOM even distributed: data is replicated (§6.2)
+    if estimate_join_bytes(db, graph) <= per_machine_budget:
+        exported = materialize_and_export(db, graph)
+        cumulative = _fit_exported(exported, HistGradientBoosting(
+            num_iterations=iterations, num_leaves=8, min_child_samples=3
+        ))[1]
+        compute = (cumulative[-1] - exported.total_seconds) / machines
+        hist_bytes = 255 * len(graph.all_features()) * 16 * iterations
+        allreduce = machines * hist_bytes / 1e9 + iterations * 5e-4 * machines
+        baseline = float(exported.total_seconds + compute + allreduce)
+    return jb_seconds, baseline, cluster.measured_wall_seconds
 
 
 def fig12_multinode(
@@ -458,47 +443,21 @@ def fig12_multinode(
     plus the *measured* wall of actually executing every shard step on
     this host — the sharded path really runs; only the network is
     modelled."""
-    by_sf = []
-    measured_by_sf = {}
-    for sf in scale_factors:
-        db, graph = tpcds(sf=sf, rows_per_sf=rows_per_sf, num_features=12)
-        cluster = SimulatedCluster(
-            db, graph, "date_sk", ClusterConfig(num_machines=4)
-        )
-        _, jb_seconds = cluster.train_gradient_boosting(
-            {"num_iterations": iterations, "num_leaves": 8,
-             "min_data_in_leaf": 3}
-        )
-        baseline = _simulate_dask_baseline(
-            db, graph, iterations, 4, per_machine_budget
-        )
-        by_sf.append((sf, jb_seconds, baseline))
-        measured_by_sf[sf] = cluster.measured_wall_seconds
-
     sf_fixed = scale_factors[-1]
-    by_machines = []
-    measured_by_machines = {}
-    for machines in machines_sweep:
-        db, graph = tpcds(sf=sf_fixed, rows_per_sf=rows_per_sf, num_features=12)
-        cluster = SimulatedCluster(
-            db, graph, "date_sk", ClusterConfig(num_machines=machines)
-        )
-        _, jb_seconds = cluster.train_gradient_boosting(
-            {"num_iterations": iterations, "num_leaves": 8,
-             "min_data_in_leaf": 3}
-        )
-        baseline = _simulate_dask_baseline(
-            db, graph, iterations, machines, per_machine_budget
-        )
-        by_machines.append((machines, jb_seconds, baseline))
-        measured_by_machines[machines] = cluster.measured_wall_seconds
-    return {
-        "by_sf": by_sf,
-        "by_machines": by_machines,
-        "sf_fixed": sf_fixed,
-        "measured_by_sf": measured_by_sf,
-        "measured_by_machines": measured_by_machines,
-    }
+    out: Dict[str, object] = {"sf_fixed": sf_fixed}
+    for sweep, points in (  # (x, scale factor, machines)
+        ("sf", [(sf, sf, 4) for sf in scale_factors]),
+        ("machines", [(m, sf_fixed, m) for m in machines_sweep]),
+    ):
+        rows, measured = [], {}
+        for x, sf, machines in points:
+            jb, baseline, measured[x] = _cluster_point(
+                sf, machines, rows_per_sf, iterations, per_machine_budget
+            )
+            rows.append((x, jb, baseline))
+        out[f"by_{sweep}"] = rows
+        out[f"measured_by_{sweep}"] = measured
+    return out
 
 
 def fig13_warehouse(
@@ -535,39 +494,31 @@ def fig14_imdb_galaxy(
         db, graph, {"num_iterations": iterations, "num_leaves": 8,
                     "learning_rate": 0.1, "min_data_in_leaf": 3},
     )
-    per_iteration = [
-        r.train_seconds + r.update_seconds for r in model.history
-    ]
+    per_iteration = _round_seconds(model)
     # The join is prohibitive to materialize: report the blow-up factor.
-    counts = {
-        name: db.table(name).num_rows() for name in graph.relations
-    }
-    join_rows_estimate = _galaxy_join_estimate(db, graph)
     return {
         "cumulative": np.cumsum(per_iteration).tolist(),
         "per_iteration": per_iteration,
-        "base_rows": counts,
-        "estimated_join_rows": join_rows_estimate,
+        "base_rows": {
+            name: db.table(name).num_rows() for name in graph.relations
+        },
+        "estimated_join_rows": _galaxy_join_estimate(db),
     }
 
 
-def _galaxy_join_estimate(db, graph) -> float:
-    """Expected |R⋈| under the generators' uniform key distributions."""
-    movies = db.table("movie").num_rows()
-    persons = db.table("person").num_rows()
-    per_movie = {
-        "cast_info": db.table("cast_info").num_rows() / movies,
-        "movie_comp": db.table("movie_comp").num_rows() / movies,
-        "movie_info": db.table("movie_info").num_rows() / movies,
-        "movie_key": db.table("movie_key").num_rows() / movies,
-    }
-    pi_per_person = db.table("person_info").num_rows() / persons
-    per_movie_product = (
-        per_movie["cast_info"] * pi_per_person
-        * per_movie["movie_comp"] * per_movie["movie_info"]
-        * per_movie["movie_key"]
-    )
-    return movies * per_movie_product
+def _galaxy_join_estimate(db) -> float:
+    """Expected |R⋈| under the generators' uniform key distributions:
+    each movie's fan-out over its four facts, times each cast member's
+    person_info rows."""
+    rows = {name: db.table(name).num_rows() for name in (
+        "movie", "person", "cast_info", "movie_comp", "movie_info",
+        "movie_key", "person_info",
+    )}
+    movies = rows["movie"]
+    per_movie = np.prod([rows[fact] / movies for fact in (
+        "cast_info", "movie_comp", "movie_info", "movie_key",
+    )])
+    return float(movies * per_movie * rows["person_info"] / rows["person"])
 
 
 # ---------------------------------------------------------------------------
@@ -587,31 +538,26 @@ _FIG15_STRATEGY = {
 }
 
 
-def fig15_backend_names() -> Tuple[str, ...]:
-    """The Figure 15 series, with the duckdb column when installed."""
-    if duckdb_available():
-        return FIG15_BACKENDS + ("duckdb",)
-    return FIG15_BACKENDS
-
-
 def fig15_backends(num_fact_rows: int = 25_000) -> Dict[str, Tuple[float, float]]:
     """backend -> (train seconds, update seconds) for one GBM iteration."""
     results: Dict[str, Tuple[float, float]] = {}
-    for backend in fig15_backend_names():
-        if backend in ("sqlite", "duckdb"):
-            db, config = _backend_db(backend), None
+    for backend in FIG15_BACKENDS + _external_backends()[1:]:
+        fact_config = None
+        if backend == "x-swap*":
+            # Simulated column swap on the commercial store: the column
+            # is built under x-col costs but swapped in for free.
+            fact_config = StorageConfig.preset("x-col")
+            fact_config.allow_column_swap = True
+            db = Database(config=fact_config)
+        elif backend == "dp":
+            # DuckDB + Pandas: only the fact table lives outside.
+            fact_config = StorageConfig.preset("dp")
+            db = repro.connect("plain")
         else:
-            if backend == "x-swap*":
-                # Simulated column swap on the commercial store: the column
-                # is built under x-col costs but swapped in for free.
-                config = StorageConfig.preset("x-col")
-                config.allow_column_swap = True
-            else:
-                config = StorageConfig.preset(backend)
-            db = Database() if backend == "dp" else Database(config=config)
+            db = repro.connect(backend)
         db, graph = favorita(
             db=db, num_fact_rows=num_fact_rows, num_extra_features=8,
-            fact_config=config,
+            fact_config=fact_config,
         )
         model = repro.train_gradient_boosting(
             db, graph,
@@ -645,59 +591,58 @@ def fig16_indb(
         times[variant] = seconds
     _, madlib_seconds = train_madlib_tree(db, graph, params)
     times["madlib"] = madlib_seconds
-    # The same factorized tree lifted onto a real second DBMS: stdlib
-    # sqlite3 through the connector layer (the paper's DuckDB/DBMS-X
-    # portability argument, measured).
-    sqlite_db, sqlite_graph = favorita(
-        db=SQLiteConnector(), num_fact_rows=num_fact_rows,
-        num_extra_features=8,
-    )
-    start = time.perf_counter()
-    repro.train_decision_tree(sqlite_db, sqlite_graph, params)
-    times["joinboost-sqlite"] = time.perf_counter() - start
-    sqlite_db.close()
-    if duckdb_available():
-        duck_db, duck_graph = favorita(
-            db=_backend_db("duckdb"), num_fact_rows=num_fact_rows,
+    # The same factorized tree lifted onto real second DBMSes through the
+    # connector layer (the paper's DuckDB/DBMS-X portability argument,
+    # measured).
+    for backend in _external_backends():
+        ext_db, ext_graph = favorita(
+            db=repro.connect(backend), num_fact_rows=num_fact_rows,
             num_extra_features=8,
         )
-        start = time.perf_counter()
-        repro.train_decision_tree(duck_db, duck_graph, params)
-        times["joinboost-duckdb"] = time.perf_counter() - start
-        duck_db.close()
+        _, times[f"joinboost-{backend}"] = _timed(
+            repro.train_decision_tree, ext_db, ext_graph, params
+        )
+        ext_db.close()
     return times
 
 
 # ---------------------------------------------------------------------------
 # Figure 17 — TPC-DS / TPC-H gradient boosting and random forests
 # ---------------------------------------------------------------------------
+#: alternating (GBM, RF) / (RF, GBM) repeats behind each Figure 17 median
+FIG17_REPEATS = 5
+
+
 def fig17_tpc(
     iterations: int = 10, rows: int = 30_000
 ) -> Dict[str, object]:
+    """Training walls per schema: the median over ``FIG17_REPEATS``
+    alternating repeats of each ``train_*`` call, each on a freshly
+    generated database, against the LightGBM stand-in's export + fit."""
     out: Dict[str, object] = {}
     for name, maker in (("tpcds", tpcds), ("tpch", tpch)):
-        db, graph = maker(sf=1.0, rows_per_sf=rows)
-        gbm = repro.train_gradient_boosting(
-            db, graph, {"num_iterations": iterations, "num_leaves": 8,
-                        "min_data_in_leaf": 3},
-        )
-        forest = repro.train_random_forest(
-            db, graph, {"num_iterations": iterations, "num_leaves": 8,
-                        "subsample": 0.1, "min_data_in_leaf": 3},
-        )
+        params = {"num_iterations": iterations, "num_leaves": 8,
+                  "min_data_in_leaf": 3}
+        legs = {
+            "joinboost_gbm": (repro.train_gradient_boosting, params),
+            "joinboost_rf": (repro.train_random_forest,
+                             dict(params, subsample=0.1)),
+        }
+        walls: Dict[str, List[float]] = {leg: [] for leg in legs}
+        for repeat in range(FIG17_REPEATS):
+            order = list(legs) if repeat % 2 == 0 else list(legs)[::-1]
+            for leg in order:
+                train, leg_params = legs[leg]
+                db, graph = maker(sf=1.0, rows_per_sf=rows)
+                walls[leg].append(_timed(train, db, graph, leg_params)[1])
         exported = materialize_and_export(db, graph)
-        lgbm = HistGradientBoosting(
+        lgbm = _fit_exported(exported, HistGradientBoosting(
             num_iterations=iterations, num_leaves=8, min_child_samples=3
-        ).fit(exported.features, exported.y)
+        ))[1]
         out[name] = {
-            "joinboost_gbm": float(sum(
-                r.train_seconds + r.update_seconds for r in gbm.history
-            )),
-            "joinboost_rf": float(sum(forest.history)),
+            **{leg: float(np.median(runs)) for leg, runs in walls.items()},
             "join_export": exported.total_seconds,
-            "lightgbm_gbm": exported.total_seconds + float(
-                sum(h[0] + h[1] for h in lgbm.history)
-            ),
+            "lightgbm_gbm": float(lgbm[-1]),
         }
     return out
 
@@ -713,14 +658,14 @@ def fig18_parallelism(
 ) -> Dict[str, object]:
     """Random-forest trees are independent queries; gradient boosting's
     per-node feature queries are independent given their node's messages.
-    Both DAGs are replayed through the list-scheduling model of
-    :class:`ScheduleReport`, and — now that the scheduler executes for
-    real — the same workload is also *trained* under ``num_workers`` in
-    ``measured_workers`` on the sqlite backend (per-thread reader pool,
-    GIL released in SQLite's C core), reporting measured wall seconds and
-    measured per-query overlap next to the model.  On single-core hosts
-    the measured columns flatten to ~1x while the model still shows the
-    schedule's potential; EXPERIMENTS.md documents the pairing."""
+    Both DAGs are replayed through a list-scheduling model
+    (``max(critical path, total work / workers)``), and the same workload
+    is also *trained* under ``num_workers`` in ``measured_workers`` on the
+    sqlite backend (per-thread reader pool, GIL released in SQLite's C
+    core), reporting measured wall seconds and measured per-query overlap
+    next to the model.  On single-core hosts the measured columns flatten
+    to ~1x while the model still shows the schedule's potential;
+    EXPERIMENTS.md documents the pairing."""
     db, graph = favorita(num_fact_rows=num_fact_rows, num_extra_features=8)
 
     # Random forest: measure per-tree durations, then model k workers.
@@ -736,24 +681,22 @@ def fig18_parallelism(
 
     # Gradient boosting: per-query profile of one iteration.
     db.reset_profiles()
-    model = repro.train_gradient_boosting(
+    repro.train_gradient_boosting(
         db, graph, {"num_iterations": 1, "num_leaves": 8,
                     "min_data_in_leaf": 3},
     )
-    feature_times = [p.seconds for p in db.profiles if p.tag == "feature"]
-    message_times = [p.seconds for p in db.profiles if p.tag == "message"]
-    other_times = [
-        p.seconds for p in db.profiles if p.tag not in ("feature", "message")
-    ]
-    sequential_gb = sum(feature_times) + sum(message_times) + sum(other_times)
-    gb_by_workers = {}
-    for w in worker_sweep:
+    by_tag = db.profiles_by_tag()
+    feature_times = [p.seconds for p in by_tag.pop("feature", [])]
+    message_seconds = sum(p.seconds for p in by_tag.pop("message", []))
+    other_seconds = sum(p.seconds for ps in by_tag.values() for p in ps)
+    gb_by_workers = {
         # Messages form dependency chains (serial); feature queries of a
         # node run in parallel; lifts/updates are serial.
-        parallel_features = max(
+        w: message_seconds + other_seconds + max(
             max(feature_times, default=0.0), sum(feature_times) / w
         )
-        gb_by_workers[w] = sum(message_times) + parallel_features + sum(other_times)
+        for w in worker_sweep
+    }
 
     # Measured: the same one-iteration GBM trained through the scheduler
     # for real, one fresh sqlite database per worker count.
@@ -761,21 +704,24 @@ def fig18_parallelism(
     measured_overlap: Dict[int, float] = {}
     for w in measured_workers:
         sdb, sgraph = favorita(
-            db=SQLiteConnector(), num_fact_rows=num_fact_rows,
+            db=repro.connect("sqlite"), num_fact_rows=num_fact_rows,
             num_extra_features=8,
         )
-        start = time.perf_counter()
-        trained = repro.train_gradient_boosting(
+        trained, measured_wall[w] = _timed(
+            repro.train_gradient_boosting,
             sdb, sgraph, {"num_iterations": 1, "num_leaves": 8,
                           "min_data_in_leaf": 3, "num_workers": w},
         )
-        measured_wall[w] = time.perf_counter() - start
-        census = trained.frontier_census
-        measured_overlap[w] = float(census.get("parallel_overlap_seconds", 0.0))
+        measured_overlap[w] = float(
+            trained.frontier_census.get("parallel_overlap_seconds", 0.0)
+        )
         sdb.close()
     return {
         "rf": {"sequential": sequential_rf, "by_workers": rf_by_workers},
-        "gb": {"sequential": sequential_gb, "by_workers": gb_by_workers},
+        "gb": {
+            "sequential": sum(feature_times) + message_seconds + other_seconds,
+            "by_workers": gb_by_workers,
+        },
         "measured": {
             "backend": "sqlite",
             "by_workers": measured_wall,
@@ -795,20 +741,17 @@ def fig20_cuboid(
     rows = []
     for bins in bin_sweep:
         db, graph = favorita(num_fact_rows=num_fact_rows, num_extra_features=0)
-        start = time.perf_counter()
+        params = {"num_iterations": iterations, "num_leaves": 8,
+                  "learning_rate": 0.1}
         if bins is not None and bins <= 64:
-            model = train_boosting_on_cuboid(
-                db, graph,
-                {"num_iterations": iterations, "num_leaves": 8,
-                 "learning_rate": 0.1, "max_bin": bins},
+            model, seconds = _timed(
+                train_boosting_on_cuboid, db, graph, dict(params, max_bin=bins)
             )
         else:
-            model = repro.train_gradient_boosting(
-                db, graph,
-                {"num_iterations": iterations, "num_leaves": 8,
-                 "learning_rate": 0.1, "min_data_in_leaf": 3},
+            model, seconds = _timed(
+                repro.train_gradient_boosting, db, graph,
+                dict(params, min_data_in_leaf=3),
             )
-        seconds = time.perf_counter() - start
         rmse = rmse_on_join(db, graph, model)
         rows.append((bins if bins is not None else "exact", seconds, rmse))
     return {"rows": rows}

@@ -211,24 +211,31 @@ def train_boosting_on_cuboid(
     factorizer.adopt_lifted(cuboid, cuboid)
 
     criterion = GradientCriterion(reg_lambda=train_params.reg_lambda)
-    trainer = DecisionTreeTrainer(
-        cuboid_graph, criterion, train_params,
-        FrontierEvaluator(
-            db, cuboid_graph, factorizer, criterion, train_params
-        ),
+    evaluator = FrontierEvaluator(
+        db, cuboid_graph, factorizer, criterion, train_params
     )
+    trainer = DecisionTreeTrainer(cuboid_graph, criterion, train_params, evaluator)
     updater = ResidualUpdater(
         db, cuboid_graph, cuboid, cuboid, loss, strategy="swap"
     )
 
-    def update(tree, _label_column) -> None:
+    def update(tree, label_column) -> None:
         # g is per-group Σ(p - y); the shift is lr·leaf times the group
         # count h, which apply_additive handles via the weight column.
-        updater.apply_additive(tree, train_params.learning_rate, component="g")
+        # The trainer's leaf-label column on the cuboid makes it one CASE
+        # over the label, as in snowflake training.
+        updater.apply_additive(
+            tree, train_params.learning_rate, component="g",
+            label_column=label_column,
+        )
         factorizer.invalidate_for_relation(cuboid)
 
     model = GradientBoostingModel([], init, train_params.learning_rate, loss)
     boost_rounds(model, trainer, train_params, update)
+    model.frontier_census = {
+        **evaluator.census(),
+        "factorizer": factorizer.census(),
+    }
     factorizer.cleanup()
     if binned is not None:
         binned.cleanup(db)

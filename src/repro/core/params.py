@@ -108,7 +108,7 @@ class TrainParams:
     # dependency-DAG scheduler executes with.  "auto" is one worker for a
     # tree's frontier rounds (two threads made both spine GBM trainings
     # ~11 % slower on a 2-core host, docs/EXPERIMENTS.md "Figure 18") and
-    # min(4, cpus) for a forest's trees;
+    # min(4, CPUs in the process's affinity mask) for a forest's trees;
     # 1 = the same DAG run inline (no threads spawned — the parity gates
     # pin it).  The JOINBOOST_NUM_WORKERS env var supplies the default
     # when the caller does not set the parameter (the CI race-smoke leg
@@ -159,9 +159,14 @@ class TrainParams:
                 )
 
     def resolved_workers(self) -> int:
-        """The concrete worker-pool size for this run."""
+        """The concrete worker-pool size for this run: under "auto", the
+        CPUs this process may run on (its affinity mask), at most 4."""
         if self.num_workers == "auto":
-            return max(1, min(4, os.cpu_count() or 1))
+            if hasattr(os, "sched_getaffinity"):
+                cpus = len(os.sched_getaffinity(0))
+            else:
+                cpus = os.cpu_count() or 1
+            return max(1, min(4, cpus))
         return int(self.num_workers)
 
     def frontier_workers(self) -> int:

@@ -64,7 +64,7 @@ every round's ``dimension ⋈ message`` join merges the same two.
 
 The cache is LRU-bounded by bytes and keeps census counters (hits,
 misses, stores, invalidations, evictions, bytes) that surface in
-``query_census`` and the Figure 9 encoding-cache bench.  An entry's size
+the Figure 9 census (``fig09_query_census``).  An entry's size
 is re-read on each hit, so a grouped row index built after the entry was
 stored is charged (and may evict older entries) from then on.
 """

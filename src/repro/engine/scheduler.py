@@ -17,9 +17,8 @@ kind group) → temp cleanup — and random forests submit whole trees.
 (no threads are spawned; a chain runs to its end before the next root
 starts, so a round issues its statements relation by relation, as a plain
 nested loop would); ``num_workers > 1`` runs a thread pool whose real wall
-clock :class:`ScheduleReport` records next to the *modelled*
-list-scheduling makespan — critical-path length vs. sequential sum — so
-Figure 18 can show measured seconds beside the model.
+clock and query overlap :class:`ScheduleReport` records, the measured
+columns of Figure 18.
 
 Execution semantics both paths share:
 
@@ -208,7 +207,7 @@ class QueryScheduler:
 
 
 class ScheduleReport:
-    """Execution statistics: wall clock, sequential sum, critical path."""
+    """Execution statistics: wall clock, sequential sum, overlap."""
 
     def __init__(
         self,
@@ -234,34 +233,6 @@ class ScheduleReport:
     @property
     def skipped(self) -> int:
         return sum(1 for q in self.queries if q.skipped)
-
-    @property
-    def critical_path_seconds(self) -> float:
-        """Longest dependency chain — the lower bound with infinite workers."""
-        finish: Dict[int, float] = {}
-
-        def resolve(qid: int) -> float:
-            if qid in finish:
-                return finish[qid]
-            q = next(x for x in self.queries if x.query_id == qid)
-            start = max((resolve(d) for d in q.deps), default=0.0)
-            finish[qid] = start + q.seconds
-            return finish[qid]
-
-        return max((resolve(q.query_id) for q in self.queries), default=0.0)
-
-    def modelled_parallel_seconds(self) -> float:
-        """List-scheduling bound with `workers` workers:
-        max(critical path, total work / workers)."""
-        return max(
-            self.critical_path_seconds, self.sequential_seconds / max(1, self.workers)
-        )
-
-    def modelled_speedup(self) -> float:
-        parallel = self.modelled_parallel_seconds()
-        if parallel <= 0:
-            return 1.0
-        return self.sequential_seconds / parallel
 
     def results(self) -> List[object]:
         return [q.result for q in self.queries]

@@ -241,6 +241,20 @@ class TestNumWorkersParam:
         assert resolved <= max(1, os.cpu_count() or 1)
         assert params.resolved_workers() == resolved or params.num_workers != "auto"
 
+    def test_auto_respects_cpu_affinity(self, monkeypatch):
+        """A process pinned to one CPU (``taskset -c 1``) runs a forest's
+        trees on one worker: two threads on one CPU only overlap, and
+        each tree's elapsed time then counts the other's."""
+        import os
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert TrainParams(num_workers="auto").resolved_workers() == 1
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(8)), raising=False)
+        assert TrainParams(num_workers="auto").resolved_workers() == 4
+
     def test_auto_runs_frontier_rounds_on_one_worker(self, monkeypatch):
         """Two threads made both spine GBM trainings ~11 % slower than
         one (docs/EXPERIMENTS.md, Figure 18): "auto" keeps a trainer's

@@ -131,6 +131,21 @@ class TestCuboid:
         assert rmse_on_join(db, graph, model) < 0.6 * y.std()
         assert db.catalog.temp_names() == []
 
+    def test_cuboid_runs_the_batched_frontier(self, small_star):
+        """The cuboid trains through the batched frontier, reports its
+        census like snowflake training, and shifts each round's gradients
+        by the trainer's leaf-label column."""
+        db, graph = small_star
+        db.reset_profiles()
+        model = train_boosting_on_cuboid(
+            db, graph, {"num_iterations": 3, "num_leaves": 6, "max_bin": 8},
+        )
+        assert model.frontier_census["batched_rounds"] > 0
+        assert "factorizer" in model.frontier_census
+        updates = db.profiles_by_tag()["residual_update"]
+        assert len(updates) == 3
+        assert all("jb_leaf" in p.sql for p in updates)
+
     def test_cuboid_requires_rmse(self, small_star):
         db, graph = small_star
         with pytest.raises(TrainingError):

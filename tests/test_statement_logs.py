@@ -57,8 +57,8 @@ PINNED_SERIAL = {
     ("shards", "embedded"): "19d951c2515110f6",
     ("galaxy", "sqlite"): "076b1fa0c12c4846",
     ("galaxy", "embedded"): "cc1bd5906a91b9c4",
-    ("cuboid", "sqlite"): "d1671dc436c38e52",
-    ("cuboid", "embedded"): "8cfc78e403a9919f",
+    ("cuboid", "sqlite"): "80522885f5ef567e",
+    ("cuboid", "embedded"): "bb3b3b20405a03be",
 }
 
 #: sha256 prefix of the ``num_workers=4`` masked multiset
@@ -77,8 +77,8 @@ PINNED_PARALLEL = {
     ("shards", "embedded"): "7afdd4e9185196ad",
     ("galaxy", "sqlite"): "bf9688a1999b1862",
     ("galaxy", "embedded"): "d94786681d47fb14",
-    ("cuboid", "sqlite"): "7d45fdec61f92aa8",
-    ("cuboid", "embedded"): "bc03754ade7274f1",
+    ("cuboid", "sqlite"): "b33dbde1e94b80c4",
+    ("cuboid", "embedded"): "5045ff83580242a8",
 }
 
 _TEMP_ORDINAL = re.compile(r"\b(jb_tmp_\w*?)_\d+\b")
