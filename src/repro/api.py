@@ -31,13 +31,10 @@ from repro.exceptions import TrainingError
 from repro.joingraph.graph import JoinGraph
 from repro.core.boosting import train_gradient_boosting
 from repro.core.forest import train_random_forest
-from repro.core.frontier import FrontierEvaluator
 from repro.core.params import TrainParams
 from repro.core.predict import predict_join, rmse_on_join
-from repro.core.session import TrainingSessionGuard
+from repro.core.session import run_training_session
 from repro.core.split import VarianceCriterion
-from repro.core.trainer import DecisionTreeTrainer
-from repro.factorize.executor import Factorizer, prepare_training_paths
 from repro.semiring.variance import VarianceSemiRing
 
 
@@ -151,19 +148,9 @@ def train_decision_tree(db, graph: JoinGraph, params=None, **overrides):
         "train_decision_tree"
     )
     graph.validate()
-    factorizer = Factorizer(db, graph, VarianceSemiRing())
-    # A mid-training failure must not strand the lifted fact or message
-    # temps — the guard drops them before re-raising.
-    with TrainingSessionGuard(db).register(factorizer):
-        factorizer.lift()
-        prepare_training_paths(db, graph, factorizer)
-        criterion = VarianceCriterion()
-        model = DecisionTreeTrainer(
-            graph, criterion, train_params,
-            FrontierEvaluator(db, graph, factorizer, criterion, train_params),
-        ).train()
-        factorizer.cleanup()
-    return model
+    return run_training_session(
+        db, graph, VarianceSemiRing(), VarianceCriterion(), train_params
+    )
 
 
 def predict(model, train_set: TrainSet) -> np.ndarray:

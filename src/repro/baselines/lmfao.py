@@ -27,6 +27,7 @@ from typing import Dict, Optional, Tuple
 from repro.exceptions import TrainingError
 from repro.core.frontier import FrontierEvaluator
 from repro.core.params import TrainParams
+from repro.core.session import run_training_session
 from repro.core.sql_score import join_tree_sql
 from repro.core.split import VarianceCriterion
 from repro.core.trainer import DecisionTreeTrainer
@@ -124,16 +125,10 @@ def _train_naive(db, graph: JoinGraph, params: TrainParams) -> DecisionTreeModel
         y=graph.target_column,
         categorical=categorical,
     )
-    ring = VarianceSemiRing()
-    factorizer = Factorizer(db, wide_graph, ring)
-    factorizer.lift()
-    criterion = VarianceCriterion()
-    params = _per_leaf_params(params)
-    model = DecisionTreeTrainer(
-        wide_graph, criterion, params,
-        FrontierEvaluator(db, wide_graph, factorizer, criterion, params),
-    ).train()
-    factorizer.cleanup()
+    model = run_training_session(
+        db, wide_graph, VarianceSemiRing(), VarianceCriterion(),
+        _per_leaf_params(params), prepare_paths=False,
+    )
     db.drop_table(wide_name, if_exists=True)
     return model
 

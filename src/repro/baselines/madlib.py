@@ -17,13 +17,11 @@ from __future__ import annotations
 import time
 from typing import Optional, Tuple
 
-from repro.core.frontier import FrontierEvaluator
 from repro.core.params import TrainParams
+from repro.core.session import run_training_session
 from repro.core.split import VarianceCriterion
-from repro.core.trainer import DecisionTreeTrainer
 from repro.core.tree import DecisionTreeModel
 from repro.baselines.lmfao import _wide_table_sql
-from repro.factorize.executor import Factorizer
 from repro.joingraph.graph import JoinGraph
 from repro.semiring.variance import VarianceSemiRing
 from repro.storage.column import Column
@@ -64,22 +62,20 @@ def train_madlib_tree(
         y=graph.target_column,
         categorical=categorical,
     )
-    # One wide relation: no messages, so every query re-scans the rows.
-    factorizer = Factorizer(db, wide_graph, VarianceSemiRing())
-    factorizer.lift()
-    # The lifted copy must stay row-oriented too.
-    lifted_name = factorizer.lifted[wide_name]
-    lifted = db.table(lifted_name)
-    db.catalog.drop(lifted_name)
-    db.register(
-        RowTable(lifted_name, list(lifted.columns()), StorageConfig(layout="row"))
-    )
 
-    criterion = VarianceCriterion()
-    model = DecisionTreeTrainer(
-        wide_graph, criterion, train_params,
-        FrontierEvaluator(db, wide_graph, factorizer, criterion, train_params),
-    ).train()
-    factorizer.cleanup()
+    def lift(factorizer) -> None:
+        # The lifted copy must stay row-oriented too.
+        lifted_name = factorizer.lift()
+        lifted = db.table(lifted_name)
+        db.catalog.drop(lifted_name)
+        db.register(RowTable(
+            lifted_name, list(lifted.columns()), StorageConfig(layout="row")
+        ))
+
+    # One wide relation: no messages, so every query re-scans the rows.
+    model = run_training_session(
+        db, wide_graph, VarianceSemiRing(), VarianceCriterion(), train_params,
+        lift, prepare_paths=False,
+    )
     db.drop_table(wide_name, if_exists=True)
     return model, time.perf_counter() - start

@@ -669,9 +669,11 @@ def fig18_parallelism(
     db, graph = favorita(num_fact_rows=num_fact_rows, num_extra_features=8)
 
     # Random forest: measure per-tree durations, then model k workers.
+    # One worker, so no tree's interval includes other trees' threads.
     forest = repro.train_random_forest(
         db, graph, {"num_iterations": num_trees, "num_leaves": 8,
-                    "subsample": 0.1, "min_data_in_leaf": 3},
+                    "subsample": 0.1, "min_data_in_leaf": 3,
+                    "num_workers": 1},
     )
     tree_durations = list(forest.history)
     sequential_rf = sum(tree_durations)

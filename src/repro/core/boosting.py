@@ -1,7 +1,7 @@
 """Factorized gradient boosting (Section 4) — the paper's headline feature.
 
-Each iteration trains a decision tree on the (h, g) gradient annotations,
-then updates those annotations in place of the residuals:
+Each round of one training session trains a tree on the (h, g) gradient
+annotations, then one update step shifts them in place of the residuals:
 
 * **snowflake** schemas update the lifted fact table directly (1-1 with
   R⋈; Section 4.1), supporting every Table 3 loss;
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, cast
 
 import numpy as np
 
@@ -24,13 +24,13 @@ from repro.exceptions import TrainingError
 from repro.core.checkpoint import CheckpointSink, restored_rounds, write_checkpoint
 from repro.core.frontier import FrontierEvaluator
 from repro.core.params import TrainParams
-from repro.core.session import TrainingSessionGuard
+from repro.core.session import TrainingSessionGuard, run_training_session
 from repro.core.predict import rmse_on_join
 from repro.core.residual import ResidualUpdater, check_semi_join_keys
 from repro.core.split import GradientCriterion
 from repro.core.trainer import DecisionTreeTrainer
-from repro.core.tree import DecisionTreeModel
-from repro.factorize.executor import Factorizer, prepare_training_paths
+from repro.core.tree import DecisionTreeModel, split_columns
+from repro.factorize.executor import Factorizer
 from repro.joingraph.clusters import Cluster, cluster_graph
 from repro.joingraph.graph import JoinGraph
 from repro.joingraph.hypertree import rooted_tree
@@ -71,21 +71,15 @@ class GradientBoostingModel:
 
     @property
     def required_features(self) -> List[str]:
-        seen: List[str] = []
-        for tree in self.trees:
-            for _, column in tree.referenced_attributes():
-                if column not in seen:
-                    seen.append(column)
-        return seen
+        """Every feature column the trees split on, in first-use order."""
+        return split_columns(self.trees)
 
     def predict_arrays(self, features: Dict[str, np.ndarray]) -> np.ndarray:
-        n = len(next(iter(features.values()))) if features else 0
-        score = np.full(n, self.init_score, dtype=np.float64)
-        for tree in self.trees:
-            score += self.learning_rate * tree.predict_arrays(features)
-        return self.loss.predict_transform(score)
+        """Predictions (the loss's transform of the raw scores)."""
+        return self.loss.predict_transform(self.raw_scores(features))
 
     def raw_scores(self, features: Dict[str, np.ndarray]) -> np.ndarray:
+        """Init score plus the learning-rate-scaled tree sum."""
         n = len(next(iter(features.values()))) if features else 0
         score = np.full(n, self.init_score, dtype=np.float64)
         for tree in self.trees:
@@ -109,22 +103,21 @@ class MulticlassBoostingModel:
         self.loss = loss
         #: one frontier census per class chain (set by the training driver)
         self.class_census: List[Dict[str, object]] = []
+        #: class 0's census plus the shared factorizer's (set by the session)
+        self.frontier_census: Dict[str, object] = {}
 
     @property
     def num_classes(self) -> int:
+        """How many class chains the model holds."""
         return len(self.trees_per_class)
 
     @property
     def required_features(self) -> List[str]:
-        seen: List[str] = []
-        for chain in self.trees_per_class:
-            for tree in chain:
-                for _, column in tree.referenced_attributes():
-                    if column not in seen:
-                        seen.append(column)
-        return seen
+        """Every feature column any chain splits on, in first-use order."""
+        return split_columns(tree for chain in self.trees_per_class for tree in chain)
 
     def scores(self, features: Dict[str, np.ndarray]) -> np.ndarray:
+        """Raw per-class scores, one column per class."""
         n = len(next(iter(features.values()))) if features else 0
         out = np.zeros((n, self.num_classes), dtype=np.float64)
         for k, chain in enumerate(self.trees_per_class):
@@ -134,9 +127,11 @@ class MulticlassBoostingModel:
         return out
 
     def predict_proba(self, features: Dict[str, np.ndarray]) -> np.ndarray:
+        """Softmax class probabilities."""
         return SoftmaxLoss.softmax(self.scores(features))
 
     def predict_arrays(self, features: Dict[str, np.ndarray]) -> np.ndarray:
+        """The most probable class per row."""
         return np.argmax(self.scores(features), axis=1).astype(np.float64)
 
 
@@ -178,11 +173,11 @@ def _init_score_sql(db, fact_table: str, y: str, loss: Loss) -> float:
 
 def _join_mean(db, graph: JoinGraph) -> float:
     """Mean of Y over the non-materialized join (galaxy init score)."""
-    ring = VarianceSemiRing()
-    factorizer = Factorizer(db, graph, ring)
-    factorizer.lift()
-    totals = factorizer.totals()
-    factorizer.cleanup()
+    factorizer = Factorizer(db, graph, VarianceSemiRing())
+    with TrainingSessionGuard(db).register(factorizer):
+        factorizer.lift()
+        totals = factorizer.totals()
+        factorizer.cleanup()
     if totals.get("c", 0.0) <= 0:
         raise TrainingError("join result is empty")
     return totals["s"] / totals["c"]
@@ -280,62 +275,17 @@ def _train_snowflake(
         # The checkpoint already covers every round: nothing to train.
         return model
 
-    ring = GradientSemiRing()
-    factorizer = Factorizer(db, graph, ring)
-    # Any failure from here on — chaos-injected or real — must leave the
-    # connection re-trainable: the guard drops the lifted fact, message
-    # temps and minted leaf columns before re-raising.
-    with TrainingSessionGuard(db).register(factorizer):
-        init_lit = repr(float(init))
-        hessian_constant = loss.hessian_sql("y", "p") == "1"
-        lift_exprs: List[Tuple[str, str]] = [("pred", init_lit)]
-        lift_exprs += ring.lift_pair_sql(
-            loss.hessian_sql(f"t.{y}", init_lit),
-            loss.gradient_sql(f"t.{y}", init_lit),
-        )
-        fact_table = factorizer.lift(lift_exprs)
-        # Training setup: factorize every join-key column once (embedded
-        # encoding cache) and let external backends build physical access
-        # paths — the sqlite connector indexes the lifted fact's join keys
-        # and runs ANALYZE here.
-        prepare_training_paths(db, graph, factorizer)
-        updater = ResidualUpdater(
-            db, graph, fact, fact_table, loss, strategy=params.update_strategy
-        )
-        criterion = GradientCriterion(
-            reg_lambda=params.reg_lambda, count_weight=hessian_constant
-        )
-        evaluator = FrontierEvaluator(db, graph, factorizer, criterion, params)
-        trainer = DecisionTreeTrainer(graph, criterion, params, evaluator)
-
-        def update(tree: DecisionTreeModel, label_column: Optional[str]) -> None:
-            # A current leaf-membership column makes the update one CASE
-            # over it instead of per-leaf semi-join scans; replayed rounds
-            # take the semi-join path, which is float-bit-identical.
-            if loss.supports_galaxy:
-                # L2: the gradient shifts additively by lr·p* — one column.
-                updater.apply_additive(
-                    tree, params.learning_rate, component="g",
-                    label_column=label_column,
-                )
-            else:
-                updater.apply_general(
-                    tree, params.learning_rate, y_column=y,
-                    hessian_constant=hessian_constant,
-                    label_column=label_column,
-                )
-            factorizer.invalidate_for_relation(fact)
-
-        boost_rounds(
-            model, trainer, params, update,
-            evaluate_every=evaluate_every, db=db, checkpoint=checkpoint,
-        )
-        model.frontier_census = {
-            **evaluator.census(),
-            "factorizer": factorizer.census(),
-        }
-        factorizer.cleanup()
-    return model
+    init_lit = repr(float(init))
+    lift_exprs = [("pred", init_lit)] + GradientSemiRing().lift_pair_sql(
+        loss.hessian_sql(f"t.{y}", init_lit),
+        loss.gradient_sql(f"t.{y}", init_lit),
+    )
+    return _boosting_session(
+        db, graph, params, loss, model,
+        lambda factorizer: factorizer.lift(lift_exprs),
+        count_weight=loss.hessian_sql("y", "p") == "1",
+        evaluate_every=evaluate_every, checkpoint=checkpoint,
+    )
 
 
 def _train_galaxy(
@@ -345,54 +295,97 @@ def _train_galaxy(
     loss: Loss,
     clusters: Optional[Sequence[Cluster]],
 ) -> GradientBoostingModel:
-    if clusters is None:
-        clusters = cluster_graph(graph)
-    for cluster in clusters:
+    cpt = cluster_graph(graph) if clusters is None else clusters
+    for cluster in cpt:
         check_semi_join_keys(graph, cluster.fact, cluster.members)
     target = graph.target_relation
     y = graph.target_column
     init = _join_mean(db, graph)
     ring = GradientSemiRing()
-    factorizer = Factorizer(db, graph, ring)
-    # Mid-training failure drops the cluster lifts and message temps.
-    with TrainingSessionGuard(db).register(factorizer):
-        # Target lift: g = p0 - y (the L2 gradient at the base score).
+
+    def lift(factorizer: Factorizer) -> None:
+        # Target lift: g = p0 - y (the L2 gradient at the base score);
+        # every other cluster fact starts at the identity annotation.
         factorizer.lift(ring.lift_pair_sql("1", f"({init!r} - t.{y})"))
-        updaters: Dict[str, ResidualUpdater] = {}
-        for cluster in clusters:
-            table = (
-                factorizer.lifted[target] if cluster.fact == target
-                else factorizer.lift(ring.identity_sql(), relation=cluster.fact)
-            )
-            updaters[cluster.fact] = ResidualUpdater(
-                db, graph, cluster.fact, table, loss,
-                strategy=params.update_strategy,
-            )
-        prepare_training_paths(db, graph, factorizer)
-        criterion = GradientCriterion(reg_lambda=params.reg_lambda)
-        evaluator = FrontierEvaluator(db, graph, factorizer, criterion, params)
-        trainer = DecisionTreeTrainer(
-            graph, criterion, params, evaluator, clusters=clusters
-        )
+        for cluster in cpt:
+            if cluster.fact != target:
+                factorizer.lift(ring.identity_sql(), relation=cluster.fact)
 
-        def update(tree: DecisionTreeModel, _label_column: Optional[str]) -> None:
-            cluster = _tree_cluster(tree, clusters, target)
-            updaters[cluster.fact].apply_additive(
-                tree, params.learning_rate, component=ring.g
-            )
-            factorizer.invalidate_for_relation(cluster.fact)
+    # Per-iteration rmse would require materializing the galaxy join —
+    # exactly what CPT exists to avoid — so galaxy history records
+    # timings only (Figure 14 plots time, not accuracy).
+    return _boosting_session(
+        db, graph, params, loss,
+        GradientBoostingModel([], init, params.learning_rate, loss), lift,
+        clusters=cpt,
+    )
 
-        model = GradientBoostingModel([], init, params.learning_rate, loss)
-        # Per-iteration rmse would require materializing the galaxy join —
-        # exactly what CPT exists to avoid — so galaxy history records
-        # timings only (Figure 14 plots time, not accuracy).
-        boost_rounds(model, trainer, params, update)
-        model.frontier_census = {
-            **evaluator.census(),
-            "factorizer": factorizer.census(),
+
+def _boosting_session(
+    db,
+    graph: JoinGraph,
+    params: TrainParams,
+    loss: Loss,
+    model: GradientBoostingModel,
+    lift: Callable[[Factorizer], object],
+    *,
+    count_weight: bool = False,
+    clusters: Optional[Sequence[Cluster]] = None,
+    strategy: Optional[str] = None,
+    prepare_paths: bool = True,
+    evaluate_every: int = 0,
+    checkpoint: Optional[CheckpointSink] = None,
+) -> GradientBoostingModel:
+    """Run ``model``'s remaining boosting rounds in one training session.
+
+    The one update step shifts the lifted fact (with CPT ``clusters``,
+    the tree's cluster fact) by the tree.  ``count_weight``: the loss
+    hessian is 1, so hessian sums are row counts.
+    """
+
+    def grow(
+        trainer: DecisionTreeTrainer, factorizer: Factorizer
+    ) -> GradientBoostingModel:
+        updaters = {
+            relation: ResidualUpdater(
+                db, graph, relation, table, loss,
+                strategy=strategy or params.update_strategy,
+            )
+            for relation, table in factorizer.lifted.items()
         }
-        factorizer.cleanup()
-    return model
+
+        def update(tree: DecisionTreeModel, label_column: Optional[str]) -> None:
+            relation = (
+                _tree_cluster(tree, clusters, graph.target_relation).fact
+                if clusters else next(iter(updaters))
+            )
+            # A current leaf-membership column makes the update one CASE
+            # over it instead of per-leaf semi-join scans; replayed rounds
+            # take the semi-join path, which is float-bit-identical.
+            if loss.supports_galaxy:
+                # L2: the gradient shifts additively by lr·p* — one column.
+                updaters[relation].apply_additive(
+                    tree, params.learning_rate, component="g",
+                    label_column=label_column,
+                )
+            else:
+                updaters[relation].apply_general(
+                    tree, params.learning_rate, y_column=graph.target_column,
+                    hessian_constant=count_weight, label_column=label_column,
+                )
+            factorizer.invalidate_for_relation(relation)
+
+        boost_rounds(
+            model, trainer, params, update,
+            evaluate_every=evaluate_every, db=db, checkpoint=checkpoint,
+        )
+        return model
+
+    return run_training_session(
+        db, graph, GradientSemiRing(),
+        GradientCriterion(reg_lambda=params.reg_lambda, count_weight=count_weight),
+        params, lift, grow, clusters=clusters, prepare_paths=prepare_paths,
+    )
 
 
 def _tree_cluster(
@@ -506,82 +499,74 @@ def _train_multiclass(
         prior[int(label)] = n / total
     init_scores = [float(v) for v in np.log(prior)]
 
-    # One lifted table holds every class's pred/h/g columns.
     rings = [GradientSemiRing(suffix=str(i)) for i in range(k)]
-    factorizers = [Factorizer(db, graph, rings[i]) for i in range(k)]
-    # Mid-training failure drops the shared lifted table and temps.
-    with TrainingSessionGuard(db).register(factorizers[0]):
-        return _train_multiclass_body(
-            db, graph, params, loss, fact, y, k,
-            init_scores, rings, factorizers,
-        )
-
-
-def _train_multiclass_body(
-    db, graph, params, loss, fact, y, k, init_scores, rings, factorizers
-) -> MulticlassBoostingModel:
+    criteria = [
+        GradientCriterion(params.reg_lambda, weight_component=ring.h,
+                          sum_component=ring.g)
+        for ring in rings
+    ]
+    # One lifted table holds every class's pred/h/g columns.
     lift_exprs: List[Tuple[str, str]] = []
     prob_exprs = _softmax_exprs([repr(s) for s in init_scores])
-    for i in range(k):
+    for i, ring in enumerate(rings):
         lift_exprs.append((f"pred{i}", repr(init_scores[i])))
-        lift_exprs += rings[i].lift_pair_sql(
+        lift_exprs += ring.lift_pair_sql(
             loss.hessian_sql_class(prob_exprs[i]),
             loss.gradient_sql_class(f"t.{y}", prob_exprs[i], i),
         )
-    fact_table = factorizers[0].lift(lift_exprs)
-    for factorizer in factorizers[1:]:
-        factorizer.adopt_lifted(fact, fact_table)
-    prepare_training_paths(db, graph, factorizers[0])
 
-    evaluators = [
-        FrontierEvaluator(
-            db, graph, factorizers[i],
-            GradientCriterion(
-                reg_lambda=params.reg_lambda,
-                weight_component=rings[i].h,
-                sum_component=rings[i].g,
-            ),
-            params,
+    def grow(
+        first: DecisionTreeTrainer, factorizer: Factorizer
+    ) -> MulticlassBoostingModel:
+        # The session grows class 0's chain; every other class chain
+        # reads the same lifted table through its own factorizer.
+        fact_table = factorizer.lifted[fact]
+        factorizers, trainers = [factorizer], [first]
+        for ring, criterion in zip(rings[1:], criteria[1:]):
+            factorizers.append(Factorizer(db, graph, ring))
+            factorizers[-1].adopt_lifted(fact, fact_table)
+            trainers.append(DecisionTreeTrainer(graph, criterion, params, (
+                FrontierEvaluator(db, graph, factorizers[-1], criterion, params)
+            )))
+        updater = ResidualUpdater(
+            db, graph, fact, fact_table, loss, strategy=params.update_strategy
         )
-        for i in range(k)
-    ]
-    trainers = [
-        DecisionTreeTrainer(graph, evaluator.criterion, params, evaluator)
-        for evaluator in evaluators
-    ]
-    updater = ResidualUpdater(
-        db, graph, fact, fact_table, loss, strategy=params.update_strategy
-    )
-    alias = updater.alias
-    probs = _softmax_exprs([f"{alias}.pred{i}" for i in range(k)])
-    refresh: Dict[str, str] = {}
-    for i in range(k):
-        refresh[f"g{i}"] = loss.gradient_sql_class(f"{alias}.{y}", probs[i], i)
-        refresh[f"h{i}"] = loss.hessian_sql_class(probs[i])
+        alias = updater.alias
+        probs = _softmax_exprs([f"{alias}.pred{i}" for i in range(k)])
+        refresh: Dict[str, str] = {}
+        for i in range(k):
+            refresh[f"g{i}"] = loss.gradient_sql_class(f"{alias}.{y}", probs[i], i)
+            refresh[f"h{i}"] = loss.hessian_sql_class(probs[i])
 
-    rng = np.random.default_rng(params.seed)
-    chains: List[List[DecisionTreeModel]] = [[] for _ in range(k)]
-    for _ in range(params.num_iterations):
-        # One feature sample per class tree, drawn in class order.
-        new_trees = [
-            trainer.train(feature_subset=_sample_features(graph, params, rng))
-            for trainer in trainers
+        rng = np.random.default_rng(params.seed)
+        chains: List[List[DecisionTreeModel]] = [[] for _ in range(k)]
+        for _ in range(params.num_iterations):
+            # One feature sample per class tree, drawn in class order.
+            new_trees = [
+                trainer.train(feature_subset=_sample_features(graph, params, rng))
+                for trainer in trainers
+            ]
+            # Shift every class's pred, then recompute all probabilities
+            # and per-class gradients in one write.
+            for i, (trainer, tree) in enumerate(zip(trainers, new_trees)):
+                updater.write({f"pred{i}": updater.shift_expr(
+                    tree, params.learning_rate, f"pred{i}",
+                    trainer.leaf_label_column(tree),
+                )})
+                chains[i].append(tree)
+            updater.write(refresh)
+            for class_factorizer in factorizers:
+                class_factorizer.invalidate_for_relation(fact)
+        model = MulticlassBoostingModel(chains, init_scores, params.learning_rate, loss)
+        model.class_census = [
+            cast(FrontierEvaluator, trainer.evaluator).census() for trainer in trainers
         ]
-        # Shift every class's pred, then recompute all probabilities and
-        # per-class gradients in one write.
-        for i, (trainer, tree) in enumerate(zip(trainers, new_trees)):
-            updater.write({f"pred{i}": updater.shift_expr(
-                tree, params.learning_rate, f"pred{i}",
-                trainer.leaf_label_column(tree),
-            )})
-            chains[i].append(tree)
-        updater.write(refresh)
-        for factorizer in factorizers:
-            factorizer.invalidate_for_relation(fact)
-    model = MulticlassBoostingModel(chains, init_scores, params.learning_rate, loss)
-    model.class_census = [evaluator.census() for evaluator in evaluators]
-    factorizers[0].cleanup()
-    return model
+        return model
+
+    return run_training_session(
+        db, graph, rings[0], criteria[0], params,
+        lambda factorizer: factorizer.lift(lift_exprs), grow,
+    )
 
 
 def _softmax_exprs(pred_exprs: List[str]) -> List[str]:

@@ -27,9 +27,12 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.exceptions import TrainingError
+
+if TYPE_CHECKING:
+    from repro.core.params import TrainParams
 
 #: payload marker and format version of a serialized checkpoint
 CHECKPOINT_KIND = "joinboost-checkpoint"
@@ -210,6 +213,24 @@ def check_resume_params(stored, requested) -> None:
         )
 
 
+def read_resume(
+    sink: Optional[CheckpointSink], requested: Optional[TrainParams] = None
+) -> Optional[Tuple[dict, TrainParams]]:
+    """``(payload, params)`` to resume from ``sink`` (``None`` if empty):
+    the stored parameters, checked against ``requested`` when given, with
+    its ``num_workers`` carried over."""
+    from repro.core.params import TrainParams
+
+    payload = read_checkpoint(sink) if sink is not None else None
+    if payload is None:
+        return None
+    stored = TrainParams.from_dict(payload["params"])
+    if requested is not None:
+        check_resume_params(stored, requested)
+        stored.num_workers = requested.num_workers
+    return payload, stored
+
+
 def resume_training(
     db,
     graph,
@@ -230,17 +251,17 @@ def resume_training(
     from repro.core.boosting import train_gradient_boosting
     from repro.core.params import TrainParams
 
-    payload = read_checkpoint(checkpoint)
-    if payload is None:
+    requested = (
+        TrainParams.from_dict(params, **overrides)
+        if params or overrides else None
+    )
+    resumed = read_resume(checkpoint, requested)
+    if resumed is None:
         return train_gradient_boosting(
             db, graph, params, evaluate_every=evaluate_every,
             checkpoint=checkpoint, **overrides,
         )
-    stored_params = TrainParams.from_dict(payload["params"])
-    if params or overrides:
-        requested = TrainParams.from_dict(params, **overrides)
-        check_resume_params(stored_params, requested)
-        stored_params.num_workers = requested.num_workers
+    payload, stored_params = resumed
     import dataclasses
 
     return train_gradient_boosting(

@@ -30,7 +30,7 @@ from repro.core.frontier import FrontierEvaluator, concurrent_read_veto
 from repro.core.params import TrainParams
 from repro.core.split import ClassificationCriterion, VarianceCriterion
 from repro.core.trainer import DecisionTreeTrainer
-from repro.core.tree import DecisionTreeModel
+from repro.core.tree import DecisionTreeModel, split_columns
 from repro.engine.scheduler import QueryScheduler
 from repro.factorize.executor import Factorizer, prepare_training_paths
 from repro.factorize.sampling import ancestral_sample, sample_fact_table
@@ -53,12 +53,8 @@ class RandomForestModel:
 
     @property
     def required_features(self) -> List[str]:
-        seen: List[str] = []
-        for tree in self.trees:
-            for _, column in tree.referenced_attributes():
-                if column not in seen:
-                    seen.append(column)
-        return seen
+        """Every feature column the trees split on, in first-use order."""
+        return split_columns(self.trees)
 
     def predict_arrays(self, features: Dict[str, np.ndarray]) -> np.ndarray:
         if not self.trees:
@@ -114,6 +110,10 @@ def train_random_forest(
             graph, criterion, tree_params,
             FrontierEvaluator(db, graph, factorizer, criterion, tree_params),
         )
+        # Not a training session guard: its failure path drops every temp
+        # minted since it was entered, and with num_workers > 1 those
+        # include the lifted samples and messages of trees still growing
+        # on other threads.  This tree drops its own state only.
         try:
             tree = trainer.train(feature_subset=feature_subset)
         finally:

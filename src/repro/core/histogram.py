@@ -19,19 +19,15 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.exceptions import TrainingError
-from repro.core.frontier import FrontierEvaluator
-from repro.core.residual import ResidualUpdater
-from repro.core.split import GradientCriterion
-from repro.core.trainer import DecisionTreeTrainer
 from repro.core.boosting import (
     GradientBoostingModel,
+    _boosting_session,
     _init_score_sql,
-    boost_rounds,
     boosting_params,
 )
-from repro.factorize.executor import Factorizer
+from repro.core.session import TrainingSessionGuard
+from repro.core.sql_score import join_tree_sql
 from repro.joingraph.graph import JoinGraph
-from repro.joingraph.hypertree import edge_between, rooted_tree
 from repro.semiring.gradient import GradientSemiRing
 from repro.semiring.losses import get_loss
 
@@ -66,6 +62,7 @@ class BinnedGraph:
     tables: List[str]  # temp tables to drop on cleanup
 
     def cleanup(self, db) -> None:
+        """Drop the binned copies."""
         for table in self.tables:
             db.drop_table(table, if_exists=True)
 
@@ -130,24 +127,7 @@ def build_cuboid(
     which is the entire point of the optimization.
     """
     fact = graph.target_relation
-    parent_map, children, _ = rooted_tree(graph, fact)
-    aliases = {fact: "t"}
-    joins: List[str] = []
-    order = [fact]
-    frontier = [fact]
-    while frontier:
-        current = frontier.pop(0)
-        for child in children[current]:
-            aliases[child] = f"r{len(aliases)}"
-            edge = edge_between(graph, current, child)
-            condition = " AND ".join(
-                f"{aliases[current]}.{a} = {aliases[child]}.{b}"
-                for a, b in zip(edge.keys_for(current), edge.keys_for(child))
-            )
-            joins.append(f"JOIN {child} AS {aliases[child]} ON {condition}")
-            order.append(child)
-            frontier.append(child)
-
+    aliases, joins = join_tree_sql(graph, fact)
     features = graph.all_features()
     feature_parts = [
         f"{aliases[rel]}.{feat} AS {feat}" for rel, feat in features
@@ -183,61 +163,42 @@ def train_boosting_on_cuboid(
         raise TrainingError("cuboid training supports the rmse objective only")
     graph.validate()
 
-    binned = (
-        bin_graph(db, graph, train_params.max_bin)
-        if train_params.max_bin is not None
-        else None
-    )
-    working_graph = binned.graph if binned is not None else graph
-    fact = working_graph.target_relation
-    y = working_graph.target_column
-    init = _init_score_sql(db, fact, y, loss)
-    ring = GradientSemiRing()
-    lift_exprs = ring.lift_pair_sql("1", f"({init!r} - t.{y})")
-    cuboid, features = build_cuboid(db, working_graph, lift_exprs, list(ring.components))
-
-    # Single-relation training graph over the cuboid.
-    cuboid_graph = JoinGraph(db)
-    feature_names = [feat for _, feat in features]
-    categorical = [
-        feat
-        for rel, feat in features
-        if working_graph.is_categorical(rel, feat)
-    ]
-    cuboid_graph.add_relation(
-        cuboid, features=feature_names, categorical=categorical
-    )
-    factorizer = Factorizer(db, cuboid_graph, ring)
-    factorizer.adopt_lifted(cuboid, cuboid)
-
-    criterion = GradientCriterion(reg_lambda=train_params.reg_lambda)
-    evaluator = FrontierEvaluator(
-        db, cuboid_graph, factorizer, criterion, train_params
-    )
-    trainer = DecisionTreeTrainer(cuboid_graph, criterion, train_params, evaluator)
-    updater = ResidualUpdater(
-        db, cuboid_graph, cuboid, cuboid, loss, strategy="swap"
-    )
-
-    def update(tree, label_column) -> None:
-        # g is per-group Σ(p - y); the shift is lr·leaf times the group
-        # count h, which apply_additive handles via the weight column.
-        # The trainer's leaf-label column on the cuboid makes it one CASE
-        # over the label, as in snowflake training.
-        updater.apply_additive(
-            tree, train_params.learning_rate, component="g",
-            label_column=label_column,
+    # A failure drops the binned copies and the cuboid too.
+    with TrainingSessionGuard(db):
+        binned = (
+            bin_graph(db, graph, train_params.max_bin)
+            if train_params.max_bin is not None
+            else None
         )
-        factorizer.invalidate_for_relation(cuboid)
+        working_graph = binned.graph if binned is not None else graph
+        fact = working_graph.target_relation
+        y = working_graph.target_column
+        init = _init_score_sql(db, fact, y, loss)
+        ring = GradientSemiRing()
+        lift_exprs = ring.lift_pair_sql("1", f"({init!r} - t.{y})")
+        cuboid, features = build_cuboid(
+            db, working_graph, lift_exprs, list(ring.components)
+        )
 
-    model = GradientBoostingModel([], init, train_params.learning_rate, loss)
-    boost_rounds(model, trainer, train_params, update)
-    model.frontier_census = {
-        **evaluator.census(),
-        "factorizer": factorizer.census(),
-    }
-    factorizer.cleanup()
-    if binned is not None:
-        binned.cleanup(db)
-    db.drop_table(cuboid, if_exists=True)
+        # One relation that already holds the (h, g) aggregates: the
+        # session adopts it as lifted, and the additive update scales
+        # lr·leaf by the group count h.
+        cuboid_graph = JoinGraph(db)
+        cuboid_graph.add_relation(
+            cuboid,
+            features=[feat for _, feat in features],
+            categorical=[
+                feat for rel, feat in features
+                if working_graph.is_categorical(rel, feat)
+            ],
+        )
+        model = _boosting_session(
+            db, cuboid_graph, train_params, loss,
+            GradientBoostingModel([], init, train_params.learning_rate, loss),
+            lambda factorizer: factorizer.adopt_lifted(cuboid, cuboid),
+            strategy="swap", prepare_paths=False,
+        )
+        if binned is not None:
+            binned.cleanup(db)
+        db.drop_table(cuboid, if_exists=True)
     return model

@@ -1,14 +1,14 @@
-"""Guaranteed side-state cleanup for training sessions.
+"""One training session: setup, guaranteed cleanup and census.
 
-Training mints side state in the user's database: ``jb_tmp_*`` message
-and lifted-fact tables, plus ``jb_``-prefixed working columns.  An
-uninterrupted run drops them on its way out; a mid-training failure —
-chaos-injected or real — used to strand them, leaving the connection
-polluted and sometimes un-retrainable (a stale lifted temp shadows the
-next run's).  :class:`TrainingSessionGuard` closes that hole: it
-snapshots the temp namespace at entry and, when the guarded block
-raises, tears down every factorizer it was told about and drops every
-temp table minted inside the block, then re-raises the original error.
+:func:`run_training_session` is the setup-and-teardown sequence every
+single-node tree and boosting driver runs.  Training mints side state in
+the user's database: ``jb_tmp_*`` message and lifted-fact tables, plus
+``jb_``-prefixed working columns.  An uninterrupted run drops them on
+its way out; on a mid-training failure, chaos-injected or real,
+:class:`TrainingSessionGuard` tears down every factorizer it was told
+about and drops every temp table minted inside the block, then
+re-raises the original error — a stranded lifted temp would otherwise
+pollute the connection and could shadow the next run's.
 
 :func:`side_state_audit` is the checkable contract: after a guarded
 failure it must report ``clean`` — no JoinBoost temps, no minted
@@ -17,8 +17,16 @@ columns on permanent tables — which the chaos tests assert directly.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from repro.core.frontier import FrontierEvaluator
+from repro.core.params import TrainParams
+from repro.core.split import Criterion
+from repro.core.trainer import DecisionTreeTrainer
+from repro.factorize.executor import Factorizer, prepare_training_paths
+from repro.joingraph.clusters import Cluster
+from repro.joingraph.graph import JoinGraph
+from repro.semiring.base import SemiRing
 from repro.storage.catalog import TEMP_PREFIX
 
 
@@ -96,6 +104,46 @@ class TrainingSessionGuard:
             return list(self.db.table_names())
         except Exception:
             return []
+
+
+def run_training_session(
+    db,
+    graph: JoinGraph,
+    ring: SemiRing,
+    criterion: Criterion,
+    params: TrainParams,
+    lift: Callable[[Factorizer], object] = Factorizer.lift,
+    grow: Callable[[DecisionTreeTrainer, Factorizer], Any] = (
+        lambda trainer, _factorizer: trainer.train()
+    ),
+    *,
+    clusters: Optional[Sequence[Cluster]] = None,
+    prepare_paths: bool = True,
+) -> Any:
+    """Guard, lift, prepare access paths, grow, census, clean up.
+
+    ``lift(factorizer)`` materializes (or adopts) the lifted relations
+    (default: the ring's own lift of Y); ``grow(trainer, factorizer)``
+    returns the model (default: one tree), which gets the frontier and
+    factorizer census as ``frontier_census``.  ``prepare_paths=False``
+    skips the backend's training setup.
+    """
+    factorizer = Factorizer(db, graph, ring)
+    with TrainingSessionGuard(db).register(factorizer):
+        lift(factorizer)
+        if prepare_paths:
+            prepare_training_paths(db, graph, factorizer)
+        evaluator = FrontierEvaluator(db, graph, factorizer, criterion, params)
+        trainer = DecisionTreeTrainer(
+            graph, criterion, params, evaluator, clusters=clusters
+        )
+        model = grow(trainer, factorizer)
+        model.frontier_census = {
+            **evaluator.census(),
+            "factorizer": factorizer.census(),
+        }
+        factorizer.cleanup()
+    return model
 
 
 def side_state_audit(db) -> Dict[str, object]:

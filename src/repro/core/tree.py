@@ -10,7 +10,7 @@ both residual updates and message passing consume.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -210,3 +210,10 @@ def _eval_predicate(pred: Predicate, values: np.ndarray) -> np.ndarray:
     mask = np.asarray(mask, dtype=bool)
     mask[nulls] = pred.include_null
     return mask
+
+
+def split_columns(trees: Iterable[DecisionTreeModel]) -> List[str]:
+    """Every feature column ``trees`` split on, in first-use order."""
+    return list(dict.fromkeys(
+        column for tree in trees for _, column in tree.referenced_attributes()
+    ))

@@ -65,8 +65,7 @@ from repro.core.boosting import (
 )
 from repro.core.checkpoint import (
     CheckpointSink,
-    check_resume_params,
-    read_checkpoint,
+    read_resume,
     restored_rounds,
 )
 from repro.engine.operators import factorize, group_sum
@@ -198,15 +197,10 @@ class SimulatedCluster:
         train_params = boosting_params(params, **overrides).unbinned(
             "SimulatedCluster"
         )
-        payload = (
-            read_checkpoint(self.checkpoint) if self.checkpoint is not None
-            else None
-        )
-        if payload is not None:
-            stored_params = TrainParams.from_dict(payload["params"])
-            check_resume_params(stored_params, train_params)
-            stored_params.num_workers = train_params.num_workers
-            train_params = stored_params
+        payload: Optional[dict] = None
+        resumed = read_resume(self.checkpoint, train_params)
+        if resumed is not None:
+            payload, train_params = resumed
         loss = get_loss(train_params.objective, **train_params.loss_kwargs())
         if not loss.supports_galaxy:
             raise TrainingError("distributed training supports rmse only")

@@ -7,14 +7,18 @@ mid-round *permanent* failure leaves zero ``jb_*`` temps or minted leaf
 columns behind, and the connection trains again cleanly.
 """
 
+import hashlib
+import re
+
 import numpy as np
 import pytest
 
 import repro
 from repro.backends.chaos import ChaosConnector, FaultPlan, FaultRule
-from repro.core.serialize import model_digest
+from repro.core.histogram import train_boosting_on_cuboid
+from repro.core.serialize import model_digest, model_to_json
 from repro.core.session import side_state_audit
-from repro.datasets import favorita
+from repro.datasets import favorita, imdb
 from repro.engine.retry import DEFAULT_RETRY_POLICY
 from repro.exceptions import (
     BackendError,
@@ -308,6 +312,60 @@ class TestSideStateCleanup:
                 train_set,
             )
         assert side_state_audit(conn)["clean"]
+
+    @pytest.mark.parametrize("backend", ["plain", "sqlite"])
+    @pytest.mark.parametrize("spec", [
+        "tag=feature:nth=3:times=99:kind=permanent",
+        "tag=residual_update:nth=2:times=99:kind=permanent",
+    ])
+    def test_cuboid_failure_leaves_no_side_state(self, backend, spec):
+        """The cuboid's binned copies and the cuboid itself are dropped
+        with the factorizer's state, and the connection retrains."""
+        conn = repro.connect(backend, chaos=spec, retry=False)
+        _, graph = favorita(db=conn, num_fact_rows=3000)
+        with pytest.raises(BackendExecutionError):
+            train_boosting_on_cuboid(conn, graph, CUBOID_PARAMS)
+        audit = side_state_audit(conn)
+        assert audit["clean"], f"side state leaked: {audit}"
+        # The fault keeps firing on the chaos proxy: retrain on the
+        # database behind it.
+        graph.db = conn.unwrapped
+        retrained = train_boosting_on_cuboid(
+            conn.unwrapped, graph, CUBOID_PARAMS
+        )
+        fresh = repro.connect(backend)
+        _, fresh_graph = favorita(db=fresh, num_fact_rows=3000)
+        uninterrupted = train_boosting_on_cuboid(
+            fresh, fresh_graph, CUBOID_PARAMS
+        )
+        assert _cuboid_digest(retrained) == _cuboid_digest(uninterrupted)
+
+    @pytest.mark.parametrize("backend", ["plain", "sqlite"])
+    def test_galaxy_init_failure_leaves_no_side_state(self, backend):
+        """The galaxy's init score (the join mean over its own lift) is
+        guarded too: a fault at its totals query strands no lift."""
+        conn = repro.connect(
+            backend, chaos="tag=totals:nth=1:times=1:kind=permanent",
+            retry=False,
+        )
+        _, graph = imdb(
+            db=conn, rows_per_fact=200, num_movies=20, num_persons=30, seed=6
+        )
+        with pytest.raises(BackendExecutionError):
+            repro.train_gradient_boosting(conn, graph, dict(PARAMS))
+        audit = side_state_audit(conn)
+        assert audit["clean"], f"side state leaked: {audit}"
+
+
+CUBOID_PARAMS = {"max_bin": 5, "num_iterations": 3, "num_leaves": 4}
+
+
+def _cuboid_digest(model):
+    """``model_digest`` with the cuboid's temp-name ordinal masked: the
+    cuboid is the relation every split names, and its ordinal counts the
+    temps the connection minted before it."""
+    text = re.sub(r"jb_tmp_cuboid_\d+", "jb_tmp_cuboid", model_to_json(model))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
