@@ -8,15 +8,16 @@ chains).  Two columns are reported side by side:
 * **modelled** — the list-scheduling bound replayed over measured
   per-query durations (the deterministic quantity, independent of host
   core count);
-* **measured** — the same one-iteration GBM actually *trained* through
-  the :class:`QueryScheduler` worker pool on the sqlite backend
+* **measured** — the same one-iteration GBM actually *trained* with its
+  rounds' relations fanned out by the task runner
+  (:func:`repro.engine.scheduler.run_tasks`) on the sqlite backend
   (per-thread reader connections, GIL released in SQLite's C core),
-  with the scheduler's measured per-query overlap.
+  with the frontier census's measured overlap.
 
 On single-core CI boxes the measured column flattens to ~1x while the
 model still shows the schedule's potential; EXPERIMENTS.md documents the
 pairing.  No wall speedup is gated here or in CI: timing claims belong to
-the bench spine (`benchmarks/spine/`), and the scheduler's engagement and
+the bench spine (`benchmarks/spine/`), and the task runner's engagement and
 parity are tier-1 tests (`tests/test_parallel_training.py`).
 """
 
@@ -61,5 +62,5 @@ def test_fig18_parallelism(benchmark, figure_report):
     assert set(measured["by_workers"]) == {1, 2, 4, 8}
     assert all(v > 0 for v in measured["by_workers"].values())
     assert measured["by_workers"][4] < 1.6 * measured["by_workers"][1]
-    # The scheduler engaged: the parallel legs overlapped real query time.
+    # The task runner engaged: the parallel legs overlapped real query time.
     assert measured["overlap_seconds"][4] > 0.0

@@ -84,7 +84,7 @@ class Capabilities:
     narrow_update: bool = True
     #: concurrent read-only queries from multiple threads are safe (the
     #: connector either pools per-thread connections or has an audited
-    #: in-process read path); without it the scheduler never fans
+    #: in-process read path); without it training never fans
     #: evaluation rounds or forest trees out to a worker pool
     concurrent_read: bool = True
 
@@ -122,7 +122,7 @@ class Connector:
     def execute_read(self, sql: str, tag: Optional[str] = None) -> Optional[Relation]:
         """Run a read-only query from any thread.
 
-        The scheduler's worker pool issues the frontier's fused split
+        The task runner's worker pool issues the frontier's fused split
         queries through this entry point.  Connectors with per-thread
         resources (the sqlite pool) execute rows-returning statements on
         the calling thread's own connection; anything that writes is

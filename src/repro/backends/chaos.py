@@ -9,7 +9,7 @@ query-tag pattern, add latency, flake a reader cursor — while
 and retries :class:`~repro.exceptions.TransientBackendError` per the
 engine's :class:`~repro.engine.retry.RetryPolicy` — the one statement
 retry site, whether the statement runs on the serial path or on a
-:class:`~repro.engine.scheduler.QueryScheduler` worker thread.
+:func:`~repro.engine.scheduler.run_tasks` worker thread.
 
 Determinism is the load-bearing property: a fault plan counts matching
 calls under a lock and fires on exact match ordinals, never randomly, so
@@ -107,7 +107,7 @@ class FaultPlan:
     """An ordered set of :class:`FaultRule`\\ s with call counters.
 
     Thread-safe: match counters advance under a lock, so the plan stays
-    deterministic under the scheduler's worker pool (each matching call
+    deterministic under the task runner's worker pool (each matching call
     gets a unique ordinal; which *thread* observes the fault may vary,
     but the set of faulted statements never does).
     """

@@ -7,8 +7,9 @@ driver connector does the same way on every engine lives here once —
 * the concurrency architecture: one owner connection for every write,
   serialized by a re-entrant lock, plus a checkout/checkin pool of
   reader handles for :meth:`SQLConnector.execute_read`, bounded by peak
-  concurrency (the scheduler's worker count), not by how many threads
-  ever existed — each ``QueryScheduler.run()`` spawns fresh threads;
+  concurrency (the task runner's worker count), not by how many threads
+  ever existed — each :func:`~repro.engine.scheduler.run_tasks` pool
+  spawns fresh threads;
 * statement execution: dialect translation, ``;``-splitting, the
   rows-returning/writing classification, :class:`QueryProfile`
   recording, and translation of raw driver errors (fetches included)
@@ -147,7 +148,7 @@ class SQLConnector(Connector):
         self._rows_cache: Dict[str, Tuple[int, int]] = {}
         self._indexed: set = set()
         # next() on itertools.count is atomic in CPython, so concurrent
-        # scheduler tasks are never handed the same temp name.
+        # tasks are never handed the same temp name.
         self._temp_names = itertools.count(1)
         self.index_seconds = 0.0
         self.profiles: List[QueryProfile] = []

@@ -16,17 +16,17 @@ peer of :class:`~repro.backends.sqlite3_backend.SQLiteConnector`:
   documents ``connection.cursor()`` as its multi-threading primitive:
   each cursor is an independent handle onto the same database, safe to
   drive from its own thread.  :meth:`execute_read` checks cursors out of
-  a pool per call — bounded by peak scheduler concurrency, exactly like
-  the sqlite reader pool — while every write funnels through the owner
-  connection under one lock.  That is what lets PR 5's
-  ``QueryScheduler`` fan evaluation rounds and forest trees out on this
-  backend.
+  a pool per call — bounded by peak task-runner concurrency, exactly
+  like the sqlite reader pool — while every write funnels through the
+  owner connection under one lock.  That is what lets
+  :func:`~repro.engine.scheduler.run_tasks` fan a round's relations and
+  a forest's trees out on this backend.
 * **Deterministic training** (the PR 5 parity contract).
   :meth:`prepare_training` pins ``SET threads TO 1``: DuckDB's internal
   intra-query parallelism aggregates floats in a nondeterministic
   order, which would break the tree-for-tree bit-identity gate across
   ``num_workers`` settings.  Inter-*query* parallelism — the kind the
-  paper's Section 5.5.3 measures and the scheduler provides — is
+  paper's Section 5.5.3 measures and the task runner provides — is
   unaffected: each pooled cursor executes on its calling thread.
 
 The ``duckdb`` package is **not** a dependency of this repo;
@@ -161,8 +161,8 @@ class DuckDBConnector(SQLConnector):
         independent handle onto the same database, safe to execute on
         the calling thread while the owner (and other cursors) run
         elsewhere.  Cursors see committed state, so a message table
-        CREATEd by a scheduler build task is visible to the split query
-        that depends on it."""
+        CREATEd by a round task's build step is visible to the split
+        query that follows it."""
         with self._lock:
             return self._conn.cursor()
 

@@ -182,7 +182,7 @@ class SQLiteConnector(SQLConnector):
     # ------------------------------------------------------------------
     def _open_owner(self) -> sqlite3.Connection:
         # check_same_thread=False: the owner connection is shared across
-        # scheduler threads (serialized by self._lock), and pooled
+        # task-runner threads (serialized by self._lock), and pooled
         # readers must be closable from the owning thread's close().
         conn = sqlite3.connect(self._db_file, check_same_thread=False)
         conn.isolation_level = None  # autocommit; training is single-writer

@@ -31,7 +31,7 @@ from repro.core.session import run_training_session
 from repro.core.sql_score import join_tree_sql
 from repro.core.split import VarianceCriterion
 from repro.core.trainer import DecisionTreeTrainer
-from repro.core.tree import DecisionTreeModel
+from repro.core.tree import DecisionTreeModel, name_source_relations
 from repro.factorize.executor import Factorizer
 from repro.joingraph.graph import JoinGraph
 from repro.semiring.variance import VarianceSemiRing
@@ -129,6 +129,7 @@ def _train_naive(db, graph: JoinGraph, params: TrainParams) -> DecisionTreeModel
         db, wide_graph, VarianceSemiRing(), VarianceCriterion(),
         _per_leaf_params(params), prepare_paths=False,
     )
+    name_source_relations([model], graph)
     db.drop_table(wide_name, if_exists=True)
     return model
 

@@ -648,7 +648,7 @@ def fig17_tpc(
 
 
 # ---------------------------------------------------------------------------
-# Figure 18 — inter-query parallelism (measured + scheduler model)
+# Figure 18 — inter-query parallelism (measured + list-scheduling model)
 # ---------------------------------------------------------------------------
 def fig18_parallelism(
     num_fact_rows: int = 15_000,
@@ -700,7 +700,7 @@ def fig18_parallelism(
         for w in worker_sweep
     }
 
-    # Measured: the same one-iteration GBM trained through the scheduler
+    # Measured: the same one-iteration GBM trained through the task runner
     # for real, one fresh sqlite database per worker count.
     measured_wall: Dict[int, float] = {}
     measured_overlap: Dict[int, float] = {}

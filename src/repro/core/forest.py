@@ -5,9 +5,9 @@ uses the snowflake fast path — a uniform row sample of the fact table is a
 uniform sample of R⋈ because they are 1-1 — falling back to ancestral
 sampling for general acyclic graphs.  Trees are independent, which is what
 the paper's inter-query parallelism exploits (~35% faster random forests,
-Figure 18): whole trees run on the
-:class:`~repro.engine.scheduler.QueryScheduler` worker pool — one worker,
-run inline, for ``num_workers=1`` or a backend without concurrent reads.
+Figure 18): one task per tree through
+:func:`~repro.engine.scheduler.run_tasks` — inline on one worker for
+``num_workers`` 1 or "auto", or a backend without concurrent reads.
 Every random draw (row sample, feature sample) is taken *serially* up
 front in iteration order, so the forest is tree-for-tree identical at
 any worker count regardless of which worker trains which tree; inner
@@ -20,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from functools import partial
-from typing import Dict, List, Optional, Tuple, cast
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from repro.core.params import TrainParams
 from repro.core.split import ClassificationCriterion, VarianceCriterion
 from repro.core.trainer import DecisionTreeTrainer
 from repro.core.tree import DecisionTreeModel, split_columns
-from repro.engine.scheduler import QueryScheduler
+from repro.engine.scheduler import run_tasks
 from repro.factorize.executor import Factorizer, prepare_training_paths
 from repro.factorize.sampling import ancestral_sample, sample_fact_table
 from repro.joingraph.graph import JoinGraph
@@ -57,6 +57,8 @@ class RandomForestModel:
         return split_columns(self.trees)
 
     def predict_arrays(self, features: Dict[str, np.ndarray]) -> np.ndarray:
+        """Score rows given a column -> array mapping of feature values:
+        the trees' mean (regression) or majority vote (classification)."""
         if not self.trees:
             raise TrainingError("forest has no trees")
         stacked = np.stack([t.predict_arrays(features) for t in self.trees])
@@ -126,20 +128,16 @@ def train_random_forest(
     # the draws (row-index arrays, feature subsets) happen up front — each
     # task materializes and drops its own sampled fact table, so peak
     # sample storage is bounded by in-flight workers, not forest size.
-    workers = min(train_params.resolved_workers(), train_params.num_iterations)
-    if concurrent_read_veto(db) is not None:
-        workers = 1
-    scheduler = QueryScheduler(num_workers=workers)
-    for k in range(train_params.num_iterations):
+    workers = (
+        1 if concurrent_read_veto(db) is not None
+        else train_params.resolved_workers()
+    )
+    tasks = []
+    for _ in range(train_params.num_iterations):
         indexes = _sample_indexes(db, graph, fact, train_params, rng, snowflake)
         features = _sample_features(graph, train_params, rng)
-        scheduler.submit(
-            partial(train_one, indexes, features), label=f"tree:{k}"
-        )
-    # Results come back in submission order.
-    grown = cast(
-        List[Tuple[DecisionTreeModel, float]], scheduler.run().results()
-    )
+        tasks.append(partial(train_one, indexes, features))
+    grown, _ = run_tasks(tasks, workers)
     return RandomForestModel(
         [tree for tree, _ in grown], classification,
         num_classes=train_params.num_class if classification else 0,

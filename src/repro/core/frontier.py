@@ -57,21 +57,21 @@ per-leaf trees agree split for split, with sums equal to ~1e-12
 relative wherever a child was derived, except where two features give
 one partition of a leaf's rows with exactly equal gains.
 
-Every batched round is one dependency DAG on the
-:class:`~repro.engine.scheduler.QueryScheduler` — the paper's Section
-5.5.3 inter-query parallelism executed for real.  Each relation is a
-chain: *build* (its carry messages, owned by the message cache) → per
-kind group *read* (the fused query) → *scan*.  One worker runs
-the DAG inline, depth-first, relation by relation; with
-``num_workers > 1`` (and a backend declaring
-``Capabilities.concurrent_read``) different relations' chains overlap on
-the worker pool's threads.  Candidates merge by (node, feature
+Every batched round fans out one task per relation through
+:func:`~repro.engine.scheduler.run_tasks` — the paper's Section 5.5.3
+inter-query parallelism executed for real.  A task *builds* its
+relation's carry messages (owned by the message cache), then per kind
+group *reads* the fused query and *scans* it.  One worker runs the tasks
+inline, relation by relation; with ``num_workers > 1`` (and a backend
+declaring ``Capabilities.concurrent_read``) different relations' tasks
+overlap on the pool's threads.  Candidates merge by (node, feature
 index), and the subtraction runs client-side in the scan, so the grown
 tree is bit-identical at every worker count and on every backend.
 """
 
 from __future__ import annotations
 
+import time
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -85,6 +85,7 @@ from repro.core.split import (
     best_split_from_aggregates,
 )
 from repro.core.tree import TreeNode
+from repro.engine.scheduler import run_tasks
 from repro.exceptions import ExecutionError, ReproError, TrainingError
 from repro.factorize.executor import Factorizer, MultiAbsorption
 from repro.joingraph.graph import JoinGraph
@@ -117,7 +118,7 @@ def _state_column_name(names: Set[str]) -> str:
 
 
 def concurrent_read_veto(db) -> Optional[str]:
-    """Why the scheduler must NOT fan read queries out on this backend
+    """Why a round must NOT fan read queries out on this backend
     (``None`` = safe).  Connectors opt out via
     ``Capabilities.concurrent_read=False`` — and the reason string is
     what ``frontier_census["parallel_fallback_reason"]`` surfaces, so
@@ -407,7 +408,7 @@ class FrontierEvaluator:
         self.factorizer = factorizer
         self.criterion = criterion
         self.params = params
-        self.num_workers = max(1, params.frontier_workers())
+        self.num_workers = params.resolved_workers()
         # The fact every batched round labels: the factorizer's one lifted
         # relation (None when it lifts several, e.g. a galaxy's facts).
         lifted = list(factorizer.lifted)
@@ -717,7 +718,7 @@ class FrontierEvaluator:
     def _pool_eligible(
         self, by_relation: Dict[str, List[Tuple[int, str]]]
     ) -> int:
-        """The worker count for one round's DAG.  Fanning out needs >1
+        """The worker count for one round's tasks.  Fanning out needs >1
         worker, >1 relation to overlap, and a backend whose read path is
         declared concurrency-safe (``Capabilities.concurrent_read``);
         otherwise the round runs inline on one worker, and the reason is
@@ -740,28 +741,26 @@ class FrontierEvaluator:
         label_column: str,
         sibling: Optional[Sibling] = None,
     ) -> Dict[Tuple[int, int], SplitCandidate]:
-        """One evaluation round as one DAG on the scheduler; returns the
-        split candidates keyed by ``(node_id, feature index)``.  With a
+        """One evaluation round, one task per relation; returns the split
+        candidates keyed by ``(node_id, feature index)``.  With a
         ``sibling`` (derived child, parent's slices), ``nodes`` is the
         one queried child, and each scan also derives and scores the
         sibling.
 
-        Each relation is a chain: *build* (its carry messages, serialized
+        Each relation's task *builds* its carry messages (serialized
         against other builds by the factorizer's build lock, cached under
         the leaf epoch so relations whose routing paths share a prefix
-        reuse them) → per kind group a *read* (the fused query) → *scan*
-        (the client-side prefix scan).  The message cache owns every
-        carry message, so nothing is left to drop when a chain ends or
-        fails.  Kind groups are chained, so a failed build or read skips
-        the rest of its relation while the other relations still run,
-        and the first failure in submission order is raised — one worker
-        and many issue the same statements.  Inline, the chains run
-        depth-first, relation by relation; on the pool they overlap.
-        Candidate keys are disjoint across relations, so the merged map,
-        and the tree, is bit-identical at every worker count.
+        reuse them), then per kind group *reads* the fused query and
+        *scans* it client-side; the read result is freed as soon as its
+        scan ends.  The message cache owns every carry message, so
+        nothing is left to drop when a task ends or fails.  A failed
+        build or read ends its relation's task while the other relations
+        still run, and the lowest relation's failure is raised — one
+        worker and many issue the same statements.  Inline, the tasks
+        run relation by relation; on the pool they overlap.  Candidate
+        keys are disjoint across relations, so the merged map, and the
+        tree, is bit-identical at every worker count.
         """
-        from repro.engine.scheduler import QueryScheduler
-
         frontier_ids = sorted(node.node_id for node in nodes)
         scope = self.state.scope(frontier_ids)
         # Evict carry messages keyed to any other leaf epoch — their
@@ -775,66 +774,42 @@ class FrontierEvaluator:
             for node in evaluated:
                 self._slices[node.node_id] = {}
         num_workers = self._pool_eligible(by_relation)
-        # No retry wiring here: each statement a node issues is retried by
-        # the connector that runs it, so wrapping the node in a second
-        # retry loop would multiply the attempts per statement.
-        scheduler = QueryScheduler(num_workers=num_workers)
-        absorptions: Dict[str, MultiAbsorption] = {}
         candidates: Dict[Tuple[int, int], SplitCandidate] = {}
 
-        def build(relation: str) -> None:
-            absorptions[relation] = self.factorizer.multi_absorption(
+        # No retry wiring here: each statement a task issues is retried by
+        # the connector that runs it, so wrapping the task in a second
+        # retry loop would multiply the attempts per statement.
+        def chain(relation: str, groups: List[List[Tuple[int, str]]]) -> None:
+            absorption = self.factorizer.multi_absorption(
                 relation,
                 carry={fact: (label_column,)},
                 carry_filters={(fact, label_column): tuple(frontier_ids)},
                 cache_scope=scope,
             )
+            for group in groups:
+                # A pooled per-thread connection on sqlite, the audited
+                # in-process read path on the embedded engine.
+                sql = self._fused_sql(
+                    relation, group, fact, absorption, label_column,
+                    frontier_ids,
+                )
+                self._scan_fused_result(
+                    self.db.execute_read(sql, tag="feature"),
+                    relation, group, nodes, sibling, candidates,
+                )
 
-        def read(relation: str, group: List[Tuple[int, str]]):
-            # A pooled per-thread connection on sqlite, the audited
-            # in-process read path on the embedded engine.
-            sql = self._fused_sql(
-                relation, group, fact, absorptions[relation],
-                label_column, frontier_ids,
-            )
-            return self.db.execute_read(sql, tag="feature")
-
-        def scan(relation: str, group: List[Tuple[int, str]], read_id: int):
-            self._scan_fused_result(
-                scheduler.take_result(read_id),
-                relation, group, nodes, sibling, candidates,
-            )
-
-        queries = 0
+        tasks, queries = [], 0
         for relation, indexed in by_relation.items():
-            previous = scheduler.submit(
-                partial(build, relation), label=f"build:{relation}"
-            )
             groups = self._split_by_kind(relation, indexed)
-            for group_index, group in enumerate(groups):
-                read_id = scheduler.submit(
-                    partial(read, relation, group),
-                    deps=[previous],
-                    label=f"read:{relation}:{group_index}",
-                )
-                previous = scheduler.submit(
-                    partial(scan, relation, group, read_id),
-                    deps=[read_id],
-                    label=f"scan:{relation}:{group_index}",
-                )
+            tasks.append(partial(chain, relation, groups))
             queries += len(groups)
-        try:
-            report = scheduler.run()
-        finally:
-            # The scan closures reference the scheduler that holds them:
-            # unbind it so the round's DAG is freed by refcount, not left
-            # to the cyclic collector, whose late passes raise peak rss.
-            del scheduler
+        wall_start = time.perf_counter()
+        _, seconds = run_tasks(tasks, num_workers)
         self.batched_split_queries += queries
         if num_workers > 1:
             self.parallel_rounds += 1
-            self.parallel_wall_seconds += report.wall_seconds
-            self.parallel_busy_seconds += report.sequential_seconds
+            self.parallel_wall_seconds += time.perf_counter() - wall_start
+            self.parallel_busy_seconds += sum(seconds)
         return candidates
 
     def _split_by_kind(

@@ -27,6 +27,7 @@ from repro.core.boosting import (
 )
 from repro.core.session import TrainingSessionGuard
 from repro.core.sql_score import join_tree_sql
+from repro.core.tree import name_source_relations
 from repro.joingraph.graph import JoinGraph
 from repro.semiring.gradient import GradientSemiRing
 from repro.semiring.losses import get_loss
@@ -198,6 +199,7 @@ def train_boosting_on_cuboid(
             lambda factorizer: factorizer.adopt_lifted(cuboid, cuboid),
             strategy="swap", prepare_paths=False,
         )
+        name_source_relations(model.trees, graph)
         if binned is not None:
             binned.cleanup(db)
         db.drop_table(cuboid, if_exists=True)

@@ -104,15 +104,16 @@ class TrainParams:
     # batching_veto says why); "off" keeps the classic one query per
     # (leaf, feature).
     split_batching: str = "auto"
-    # Inter-query parallelism (Section 5.5.3): the worker-pool size the
-    # dependency-DAG scheduler executes with.  "auto" is one worker for a
-    # tree's frontier rounds (two threads made both spine GBM trainings
-    # ~11 % slower on a 2-core host, docs/EXPERIMENTS.md "Figure 18") and
-    # min(4, CPUs in the process's affinity mask) for a forest's trees;
-    # 1 = the same DAG run inline (no threads spawned — the parity gates
-    # pin it).  The JOINBOOST_NUM_WORKERS env var supplies the default
-    # when the caller does not set the parameter (the CI race-smoke leg
-    # forces 4 that way); an explicit parameter always wins.
+    # Inter-query parallelism (Section 5.5.3): the thread count the task
+    # runner (engine/scheduler.py) fans a round's relations, or a forest's
+    # trees, out to.  "auto" is one worker everywhere: threads contend for
+    # the interpreter lock in the client-side scans and the embedded
+    # engine, and made both spine GBM trainings and Figure 18's forest
+    # slower on a 2-core host (docs/EXPERIMENTS.md "Figure 18"); 1 runs
+    # the tasks inline (no threads spawned — the parity gates pin it).
+    # The JOINBOOST_NUM_WORKERS env var supplies the default when the
+    # caller does not set the parameter (the CI race-smoke leg forces 4
+    # that way); an explicit parameter always wins.
     num_workers: Union[int, str] = "auto"
 
     def __post_init__(self):
@@ -159,23 +160,10 @@ class TrainParams:
                 )
 
     def resolved_workers(self) -> int:
-        """The concrete worker-pool size for this run: under "auto", the
-        CPUs this process may run on (its affinity mask), at most 4."""
-        if self.num_workers == "auto":
-            if hasattr(os, "sched_getaffinity"):
-                cpus = len(os.sched_getaffinity(0))
-            else:
-                cpus = os.cpu_count() or 1
-            return max(1, min(4, cpus))
-        return int(self.num_workers)
-
-    def frontier_workers(self) -> int:
-        """The worker count for one tree's frontier rounds: one under
-        "auto" (the rounds' client-side scans hold the interpreter lock,
-        so threads only contend), the explicit count otherwise."""
-        if self.num_workers == "auto":
-            return 1
-        return int(self.num_workers)
+        """The worker count for this run's tasks (a tree's frontier
+        rounds, a forest's trees): one under "auto", the explicit count
+        otherwise."""
+        return 1 if self.num_workers == "auto" else int(self.num_workers)
 
     @staticmethod
     def from_dict(params: Optional[Dict] = None, **overrides) -> "TrainParams":

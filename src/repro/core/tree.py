@@ -10,12 +10,15 @@ both residual updates and message passing consume.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.exceptions import TrainingError
 from repro.factorize.predicates import Predicate, PredicateMap, add_predicate
+
+if TYPE_CHECKING:
+    from repro.joingraph.graph import JoinGraph
 
 
 @dataclasses.dataclass
@@ -217,3 +220,20 @@ def split_columns(trees: Iterable[DecisionTreeModel]) -> List[str]:
     return list(dict.fromkeys(
         column for tree in trees for _, column in tree.referenced_attributes()
     ))
+
+
+def name_source_relations(
+    trees: Iterable[DecisionTreeModel], graph: "JoinGraph"
+) -> None:
+    """Point every split of ``trees``, grown over one derived relation (a
+    cuboid, a wide table), at the relation of ``graph`` that owns its
+    feature, so the model scores through ``graph`` and its digest does
+    not depend on the derived table's minted name."""
+    owner = {feature: relation for relation, feature in graph.all_features()}
+    for tree in trees:
+        tree.feature_relations = {
+            feature: owner[feature] for feature in tree.feature_relations
+        }
+        for node in tree.nodes():
+            if node.predicate is not None:
+                node.relation = owner[node.predicate.column]

@@ -12,9 +12,9 @@ clocks are kept:
   shard steps on this machine.  This is what the fig12 bench now
   *measures* rather than models.
 
-Every shard step is one :class:`~repro.engine.scheduler.QueryScheduler`
-run with one query per shard, inline on one worker: the shards' steps
-run in index order in this process, each over its shard's private
+Every shard step is one :func:`~repro.engine.scheduler.run_tasks` call
+with one task per shard, inline on one worker: the shards' steps run in
+index order in this process, each over its shard's private
 :class:`Database`, so each step's seconds are uncontended compute.  A
 shard step retries transient errors (``MAX_STEP_RETRIES``); every shard
 runs even when one fails, and the failure with the lowest shard index
@@ -42,7 +42,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, cast
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -70,7 +70,7 @@ from repro.core.checkpoint import (
 )
 from repro.engine.operators import factorize, group_sum
 from repro.engine.retry import RetryCensus, RetryPolicy, call_with_retry
-from repro.engine.scheduler import QueryScheduler
+from repro.engine.scheduler import run_tasks
 from repro.factorize.executor import Factorizer
 from repro.factorize.predicates import PredicateMap
 from repro.joingraph.graph import JoinGraph
@@ -136,9 +136,7 @@ class SimulatedCluster:
             partial(step_fn, index), _STEP_RETRY_POLICY, self._step_retries
         )
 
-    def _parallel(
-        self, step_fn: Callable[[int], T], tag: str = "step"
-    ) -> List[T]:
+    def _parallel(self, step_fn: Callable[[int], T]) -> List[T]:
         """Run ``step_fn(i)`` for every shard ``i``; return index-ordered
         results and account both clocks.
 
@@ -146,20 +144,18 @@ class SimulatedCluster:
         shard index is then raised, so merges downstream see only
         successful results, in shard-index order.
         """
-        scheduler = QueryScheduler(num_workers=1)
-        for i in range(len(self.workers)):
-            scheduler.submit(
-                partial(self._run_step, step_fn, i), label=f"{tag}:shard{i}"
-            )
         wall_start = time.perf_counter()
         try:
-            report = scheduler.run()
+            results, seconds = run_tasks(
+                [partial(self._run_step, step_fn, i)
+                 for i in range(len(self.workers))]
+            )
         except TransientBackendError:
             self._retry_exhausted += 1
             raise
         self.measured_wall_seconds += time.perf_counter() - wall_start
-        self.simulated_seconds += max(q.seconds for q in report.queries)
-        return cast(List[T], report.results())
+        self.simulated_seconds += max(seconds)
+        return results
 
     def _sync(self, nbytes: int) -> None:
         """Account one coordinator synchronization."""
@@ -223,7 +219,7 @@ class SimulatedCluster:
                     raise TrainingError("shard statistics query returned no result")
                 return dict(result.first_row())
 
-            stats = self._parallel(shard_stats, tag="stats")
+            stats = self._parallel(shard_stats)
             self._sync(len(stats) * 16)
             total = sum(float(row["n"]) for row in stats)
             init = sum(float(row["s"] or 0.0) for row in stats) / max(total, 1.0)
@@ -256,7 +252,7 @@ class SimulatedCluster:
                 )
                 factorizers[i].invalidate_for_relation(fact)
 
-            self._parallel(shard_update, tag="update")
+            self._parallel(shard_update)
 
         criterion = GradientCriterion(reg_lambda=train_params.reg_lambda)
         search = _MergedSplitSearch(self, factorizers, criterion, train_params)
@@ -301,15 +297,12 @@ class SimulatedCluster:
             factorizer.lift(lift_exprs)
             return factorizer
 
-        return self._parallel(lift, tag="lift")
+        return self._parallel(lift)
 
     def _merged_totals(
         self, factorizers: List[Factorizer], predicates: PredicateMap
     ) -> Dict[str, float]:
-        results = self._parallel(
-            lambda i: factorizers[i].totals(predicates),
-            tag="totals",
-        )
+        results = self._parallel(lambda i: factorizers[i].totals(predicates))
         self._sync(len(factorizers) * 8 * max(len(r) for r in results))
         merged: Dict[str, float] = {}
         for result in results:
@@ -365,7 +358,7 @@ class SimulatedCluster:
                 payload[comp] = result.column(comp).values.astype(np.float64)
             return payload
 
-        results = self._parallel(absorb, tag=f"feature:{relation}.{feature}")
+        results = self._parallel(absorb)
         values = np.concatenate([r[feature] for r in results])
         if len(values) == 0:
             return None

@@ -1,4 +1,4 @@
-"""Query engine: planner, physical operators, updates and scheduling.
+"""Query engine: planner, physical operators, updates and the task runner.
 
 ``Database`` is the facade the rest of the system talks to; it parses SQL
 text (via :mod:`repro.sql`), plans and executes it over the storage layer,
@@ -8,12 +8,9 @@ query census).
 
 from repro.engine.database import Database
 from repro.engine.result import QueryProfile, Relation
-from repro.engine.scheduler import QueryScheduler, ScheduledQuery
 
 __all__ = [
     "Database",
     "QueryProfile",
     "Relation",
-    "QueryScheduler",
-    "ScheduledQuery",
 ]

@@ -187,7 +187,7 @@ class Database(Connector):
 
     def _run_statement(self, statement: ast.Statement, tag: Optional[str]) -> Optional[Relation]:
         start = time.perf_counter()
-        encode_before = ops.encode_census()
+        encode_before = ops.thread_encode_census()
         kind = type(statement).__name__
         result: Optional[Relation] = None
         if isinstance(statement, (ast.Select, ast.UnionAll)):
@@ -210,7 +210,7 @@ class Database(Connector):
             raise ExecutionError(f"unsupported statement {kind}")
         elapsed = time.perf_counter() - start
         if self.profiling_enabled:
-            encode_after = ops.encode_census()
+            encode_after = ops.thread_encode_census()
             if result is not None:
                 rows_out = result.num_rows
             elif isinstance(statement, ast.Update):

@@ -22,27 +22,47 @@ _NULL_SENTINEL = "\x00__null__"
 # Encode census: every full pass over a key/grouping column is counted here
 # (the Figure 9 "encode vs aggregate" split and the PR 4 CI gate read it).
 # The encoding cache exists to make these numbers drop: a cached lookup
-# performs no pass and leaves the census untouched.
+# performs no pass and leaves the census untouched.  The process totals
+# sit behind a lock; each thread also counts its own passes, which is what
+# ``Database`` diffs around a statement, so statements running on several
+# worker threads never count each other's passes.
 # ---------------------------------------------------------------------------
 _ENCODE_CENSUS = {"passes": 0, "rows": 0, "seconds": 0.0}
+_ENCODE_LOCK = threading.Lock()
+_THREAD_CENSUS = threading.local()
 
 
 def encode_census() -> Dict[str, float]:
     """A snapshot of the process-wide encode counters."""
-    return dict(_ENCODE_CENSUS)
+    with _ENCODE_LOCK:
+        return dict(_ENCODE_CENSUS)
+
+
+def _thread_counts() -> Dict[str, float]:
+    counts = getattr(_THREAD_CENSUS, "counts", None)
+    if counts is None:
+        counts = _THREAD_CENSUS.counts = {"passes": 0, "rows": 0, "seconds": 0.0}
+    return counts
+
+
+def thread_encode_census() -> Dict[str, float]:
+    """A snapshot of this thread's encode counters (never reset: diff two
+    snapshots)."""
+    return dict(_thread_counts())
 
 
 def reset_encode_census() -> None:
     """Zero the process-wide encode counters."""
-    _ENCODE_CENSUS["passes"] = 0
-    _ENCODE_CENSUS["rows"] = 0
-    _ENCODE_CENSUS["seconds"] = 0.0
+    with _ENCODE_LOCK:
+        _ENCODE_CENSUS.update(passes=0, rows=0, seconds=0.0)
 
 
 def _count_pass(rows: int, seconds: float) -> None:
-    _ENCODE_CENSUS["passes"] += 1
-    _ENCODE_CENSUS["rows"] += int(rows)
-    _ENCODE_CENSUS["seconds"] += seconds
+    with _ENCODE_LOCK:
+        for census in (_thread_counts(), _ENCODE_CENSUS):
+            census["passes"] += 1
+            census["rows"] += int(rows)
+            census["seconds"] += seconds
 
 
 def _object_nulls(values: np.ndarray) -> np.ndarray:
@@ -400,7 +420,7 @@ class MergeMemo:
     the arrays' ids and cardinalities and hold the arrays themselves, so
     an id is never reused while its entry lives, and a hit also checks
     identity.  The merged maps are read-only.  One lock guards the
-    entries (scheduler workers share a connection's memo); the merge
+    entries (the task runner's workers share a connection's memo); the merge
     itself runs outside it.
     """
 

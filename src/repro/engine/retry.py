@@ -14,8 +14,8 @@ runs beat thundering-herd theory at this scale), and a per-query delay
 budget so one stuck statement cannot stall a round for minutes.  Two
 call sites consume it.  :class:`~repro.backends.chaos.RetryConnector`
 wraps a connector's ``execute``/``execute_read``, so every statement is
-retried where it runs — on the serial path and on the scheduler's worker
-threads alike.  The scheduler itself never retries a task (a second
+retried where it runs — on the serial path and on the task runner's
+worker threads alike.  The runner itself never retries a task (a second
 loop around the connector's would multiply the attempts per statement).
 :class:`~repro.distributed.cluster.SimulatedCluster` retries each shard
 step, whose shard databases carry no retrying connector.

@@ -22,7 +22,7 @@ class Catalog:
     """Holds tables by (case-insensitive) name.
 
     Registration, drops, renames and temp-name minting are serialized
-    behind one re-entrant lock: the inter-query scheduler's worker
+    behind one re-entrant lock: the inter-query task runner's worker
     threads materialize message temps concurrently, and two CREATEs (or
     a CREATE racing a rename) must observe a consistent name map.
     Point reads (``get``/``exists``) stay lock-free — a dict lookup is

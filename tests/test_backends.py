@@ -268,7 +268,7 @@ class ConnectorContract:
         kinds = [(p.kind, p.tag) for p in conn.profiles]
         assert kinds == [("Select", "feature"), ("CreateTableAs", "message")]
         assert "feature" in conn.profiles_by_tag()
-        # started stamps feed the scheduler's overlap accounting
+        # started stamps show which statements overlapped in time
         assert all(p.started is not None for p in conn.profiles)
 
     def test_update_profile_reports_affected_rows(self):

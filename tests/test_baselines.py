@@ -108,8 +108,8 @@ class TestExportPipeline:
 
 
 def structure_signature(model):
-    """Tree shape ignoring relation names (the naive/madlib variants train
-    over the wide table, so relations differ but splits must not)."""
+    """Tree shape ignoring relation names (the madlib variant's splits
+    name its wide table, so relations differ but splits must not)."""
     out = []
 
     def walk(node, depth):
@@ -135,6 +135,30 @@ class TestFigure16Variants:
             )
             structures.append(structure_signature(model))
         assert structures[0] == structures[1] == structures[2]
+
+    @pytest.mark.parametrize("backend", ["plain", "sqlite"])
+    def test_naive_tree_names_the_graphs_relations(self, backend):
+        """The naive variant trains over a minted wide table, but each
+        split names the relation of the caller's graph that owns its
+        feature, as the joinboost variant's do, so its digest does not
+        depend on the connection's temp counter."""
+        from repro.datasets import favorita
+
+        params = {"num_leaves": 6, "min_data_in_leaf": 3}
+        models = []
+        for burn in (0, 3):
+            conn = repro.connect(backend)
+            _, graph = favorita(db=conn, num_fact_rows=1500, seed=3)
+            for _ in range(burn):
+                conn.temp_name("burn")
+            models.append(train_tree_variant(conn, graph, "naive", params)[0])
+        joinboost, _ = train_tree_variant(conn, graph, "joinboost", params)
+        naive = models[0]
+        assert naive.referenced_attributes() == joinboost.referenced_attributes()
+        assert naive.feature_relations == {
+            feature: relation for relation, feature in graph.all_features()
+        }
+        assert repro.model_digest(models[1]) == repro.model_digest(naive)
 
     def test_unknown_variant(self, small_star):
         db, graph = small_star

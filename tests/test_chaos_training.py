@@ -7,16 +7,13 @@ mid-round *permanent* failure leaves zero ``jb_*`` temps or minted leaf
 columns behind, and the connection trains again cleanly.
 """
 
-import hashlib
-import re
-
 import numpy as np
 import pytest
 
 import repro
 from repro.backends.chaos import ChaosConnector, FaultPlan, FaultRule
 from repro.core.histogram import train_boosting_on_cuboid
-from repro.core.serialize import model_digest, model_to_json
+from repro.core.serialize import model_digest
 from repro.core.session import side_state_audit
 from repro.datasets import favorita, imdb
 from repro.engine.retry import DEFAULT_RETRY_POLICY
@@ -185,7 +182,7 @@ class TestChaosConnector:
 class TestChaosParity:
     #: fail the 2nd and 3rd message-passing statements, then the 12th
     #: statement of any tag once — retried by the connector on the
-    #: serial path and on the scheduler's worker threads alike
+    #: serial path and on the task runner's worker threads alike
     CHAOS = "tag=message:nth=2:times=2:kind=transient;" \
             "tag=:nth=12:times=1:kind=transient"
 
@@ -338,7 +335,7 @@ class TestSideStateCleanup:
         uninterrupted = train_boosting_on_cuboid(
             fresh, fresh_graph, CUBOID_PARAMS
         )
-        assert _cuboid_digest(retrained) == _cuboid_digest(uninterrupted)
+        assert model_digest(retrained) == model_digest(uninterrupted)
 
     @pytest.mark.parametrize("backend", ["plain", "sqlite"])
     def test_galaxy_init_failure_leaves_no_side_state(self, backend):
@@ -358,14 +355,6 @@ class TestSideStateCleanup:
 
 
 CUBOID_PARAMS = {"max_bin": 5, "num_iterations": 3, "num_leaves": 4}
-
-
-def _cuboid_digest(model):
-    """``model_digest`` with the cuboid's temp-name ordinal masked: the
-    cuboid is the relation every split names, and its ordinal counts the
-    temps the connection minted before it."""
-    text = re.sub(r"jb_tmp_cuboid_\d+", "jb_tmp_cuboid", model_to_json(model))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------

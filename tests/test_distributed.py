@@ -311,7 +311,7 @@ class TestShardFailure:
             return i
 
         with pytest.raises(ValueError, match="shard 1 is broken"):
-            cluster._parallel(step, tag="probe")
+            cluster._parallel(step)
         assert ran == [0, 1, 2, 3]
 
     def test_transient_error_retried_within_the_step(self):
@@ -324,7 +324,7 @@ class TestShardFailure:
                 raise TransientBackendError(f"shard {i} flaked")
             return i
 
-        assert cluster._parallel(step, tag="probe") == [0, 1, 2, 3]
+        assert cluster._parallel(step) == [0, 1, 2, 3]
         census = cluster.census()
         assert census["task_retries"] == MAX_STEP_RETRIES
         assert census["retry_exhausted"] == 0
@@ -336,7 +336,7 @@ class TestShardFailure:
             raise TransientBackendError(f"shard {i} is down")
 
         with pytest.raises(TransientBackendError, match="shard 0"):
-            cluster._parallel(step, tag="probe")
+            cluster._parallel(step)
         census = cluster.census()
         assert census["task_retries"] == 4 * MAX_STEP_RETRIES
         assert census["retry_exhausted"] == 1

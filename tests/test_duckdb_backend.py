@@ -5,7 +5,7 @@ cleanly when it is absent (the CI ``backend-duckdb`` leg installs it).
 The load-bearing acceptance claims: DuckDB trains tree-for-tree
 identically to the embedded engine, grows **bit-identical** models
 across ``num_workers`` in {1, 4} (``model_digest`` equality — the PR 5
-parity contract), the scheduler actually engages on this backend
+parity contract), the task runner actually engages on this backend
 (``parallel_fallback_reason`` is None), and the PR 6 serving paths
 (``sql_scores`` / ``score_by_key``) run natively.
 """
@@ -47,7 +47,7 @@ class TestDuckDBMechanics:
 
 
 # ---------------------------------------------------------------------------
-# Training: the PR 5 parity contract + the scheduler actually engaging
+# Training: the worker-count parity contract + the task runner engaging
 # ---------------------------------------------------------------------------
 class TestDuckDBTraining:
     def test_worker_parity_bit_identical(self):

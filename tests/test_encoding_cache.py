@@ -605,9 +605,51 @@ class TestSQLiteIndexes:
 
 
 # ---------------------------------------------------------------------------
-# Concurrency: the scheduler's worker threads race get-or-compute
+# Concurrency: the task runner's worker threads race get-or-compute
 # ---------------------------------------------------------------------------
 class TestConcurrency:
+    def test_profiles_count_only_their_own_thread_passes(self, db):
+        """Statements running on two threads at once each report the
+        encode passes a serial run of them reports: a profile diffs its
+        own thread's counters, never the other thread's passes."""
+        import threading
+
+        n = 200_000
+        db.create_table("t", {"k": np.arange(n) % 997, "v": np.ones(n)})
+        # A grouping expression is re-encoded by every statement.
+        statements = [
+            f"SELECT k % {m} AS g, SUM(v) AS s FROM t GROUP BY k % {m}"
+            for m in range(3, 23)
+        ]
+
+        def run(tag):
+            for sql in statements:
+                db.execute(sql, tag=tag)
+
+        run("serial")
+        serial = [p.encode_passes for p in db.profiles]
+        assert serial and all(passes > 0 for passes in serial)
+        db.reset_profiles()
+        ops.reset_encode_census()
+        barrier = threading.Barrier(2)
+
+        def racer(tag):
+            barrier.wait()
+            run(tag)
+
+        threads = [
+            threading.Thread(target=racer, args=(tag,)) for tag in ("a", "b")
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        for tag in ("a", "b"):
+            mine = [p.encode_passes for p in db.profiles if p.tag == tag]
+            assert mine == serial, tag
+        # The process totals count both threads' passes, none lost.
+        assert ops.encode_census()["passes"] == 2 * sum(serial)
+
     def test_racing_get_or_compute_stores_once(self, db):
         """N threads racing one (uid, column, version) key must produce
         exactly one encode pass: a single miss + store for the winner,

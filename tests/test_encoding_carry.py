@@ -14,7 +14,7 @@ stored columns are stripped of every carried encoding, and with stdlib
 
 Also here: the hashed encode of all-``str`` object columns against the
 sort path, the connection's dictionary-merge memo, and thread parity on
-string-keyed Favorita (the memo shared by scheduler workers).
+string-keyed Favorita (the memo shared by task-runner workers).
 """
 
 from __future__ import annotations
@@ -359,7 +359,7 @@ def test_merge_memo_is_byte_bounded():
 
 
 def test_threads_train_the_serial_digest_on_string_keys():
-    """Four scheduler workers share one connection's merge memo."""
+    """Four task-runner workers share one connection's merge memo."""
     digests = {}
     for workers in (1, 4):
         db, graph = favorita(num_fact_rows=3000, seed=11, key_dtype="str")

@@ -1,4 +1,4 @@
-"""Update strategies and the inter-query scheduler."""
+"""Update strategies and the inter-query task runner."""
 
 import threading
 import time
@@ -8,7 +8,7 @@ import pytest
 
 from repro.engine.database import Database
 from repro.engine.retry import RetryCensus, RetryPolicy, call_with_retry
-from repro.engine.scheduler import QueryScheduler
+from repro.engine.scheduler import MAX_WORKERS, run_tasks
 from repro.exceptions import StorageError, TransientBackendError
 from repro.engine.update import supported_strategies
 from repro.storage.table import StorageConfig
@@ -70,193 +70,112 @@ class TestUpdateStrategies:
         assert db.table("f").column_names() == ["s", "d"]
 
 
-class TestScheduler:
-    def test_dependencies_respected(self):
-        scheduler = QueryScheduler(num_workers=4)
-        seen = []
-        lock = threading.Lock()
+def _recorder():
+    """``(ran, record)``: ``record(name)`` is a task that appends ``name``."""
+    ran = []
+    lock = threading.Lock()
 
-        def step(name):
-            def run():
-                with lock:
-                    seen.append(name)
-                return name
-            return run
-
-        a = scheduler.submit(step("a"))
-        b = scheduler.submit(step("b"), deps=[a])
-        c = scheduler.submit(step("c"), deps=[a])
-        d = scheduler.submit(step("d"), deps=[b, c])
-        report = scheduler.run()
-        assert seen.index("a") < seen.index("b")
-        assert seen.index("a") < seen.index("c")
-        assert seen.index("d") == 3
-        assert report.results()[0] == "a"
-
-    def test_unknown_dependency(self):
-        scheduler = QueryScheduler()
-        with pytest.raises(ValueError):
-            scheduler.submit(lambda: None, deps=[99])
-
-    def test_error_propagates(self):
-        scheduler = QueryScheduler(num_workers=2)
-
-        def boom():
-            raise RuntimeError("bad query")
-
-        scheduler.submit(boom)
-        with pytest.raises(RuntimeError):
-            scheduler.run()
-
-    def test_independent_queries_overlap(self):
-        scheduler = QueryScheduler(num_workers=4)
-
-        def sleepy():
-            time.sleep(0.02)
-
-        first = scheduler.submit(sleepy)
-        for _ in range(3):
-            scheduler.submit(sleepy, deps=[first])
-        report = scheduler.run()
-        # The three dependents sleep side by side after ``first``.
-        assert report.overlap_seconds > 0.0
-
-    def test_empty_run(self):
-        report = QueryScheduler().run()
-        assert report.sequential_seconds == 0.0
-        assert report.overlap_seconds == 0.0
-
-
-class TestSchedulerExecution:
-    """Execution semantics the training integration relies on (ISSUE 5)."""
-
-    def test_worker_count_clamped(self):
-        from repro.engine.scheduler import MAX_WORKERS
-
-        assert QueryScheduler(num_workers=0).num_workers == 1
-        assert QueryScheduler(num_workers=-3).num_workers == 1
-        assert QueryScheduler(num_workers=10_000).num_workers == MAX_WORKERS
-        assert QueryScheduler(num_workers=4).num_workers == 4
-
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_dependents_skipped_after_upstream_error(self, workers):
-        scheduler = QueryScheduler(num_workers=workers)
-        ran = []
-        lock = threading.Lock()
-
-        def record(name):
-            def run():
-                with lock:
-                    ran.append(name)
-                return name
-            return run
-
-        def boom():
+    def record(name):
+        def run():
             with lock:
-                ran.append("boom")
-            raise RuntimeError("upstream failed")
+                ran.append(name)
+            return name
+        return run
 
-        bad = scheduler.submit(boom, label="bad")
-        child = scheduler.submit(record("child"), deps=[bad])
-        grandchild = scheduler.submit(record("grandchild"), deps=[child])
-        independent = scheduler.submit(record("independent"))
-        with pytest.raises(RuntimeError, match="upstream failed"):
-            scheduler.run()
-        # The failure is recorded, dependents never ran, the rest did.
-        assert "independent" in ran
-        assert "child" not in ran and "grandchild" not in ran
-        assert scheduler._queries[child].skipped
-        assert scheduler._queries[grandchild].skipped
-        assert not scheduler._queries[independent].skipped
-        assert scheduler._queries[independent].result == "independent"
+    return ran, record
 
-    def test_first_error_by_id_regardless_of_workers(self):
-        for workers in (1, 4):
-            scheduler = QueryScheduler(num_workers=workers)
 
-            def fail(msg):
-                def run():
-                    raise ValueError(msg)
-                return run
+class TestRunTasks:
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_every_task_runs_after_a_failure(self, workers):
+        ran, record = _recorder()
 
-            scheduler.submit(fail("first"))
-            scheduler.submit(fail("second"))
-            with pytest.raises(ValueError, match="first"):
-                scheduler.run()
+        def boom():
+            record("boom")()
+            raise RuntimeError("task failed")
 
-    def test_deps_validated_before_run(self):
-        scheduler = QueryScheduler(num_workers=2)
-        ok = scheduler.submit(lambda: 1)
-        with pytest.raises(ValueError):
-            scheduler.submit(lambda: 2, deps=[ok + 17])
-
-    def test_results_deterministic_across_worker_counts(self):
-        """The same DAG computes the same results() in the same order for
-        num_workers in {1, 4} — what the tree-parity gates lean on."""
-        outcomes = {}
-        for workers in (1, 4):
-            scheduler = QueryScheduler(num_workers=workers)
-            upstream = [scheduler.submit(lambda k=k: k * k) for k in range(6)]
-            for uid in upstream:
-                scheduler.submit(
-                    lambda u=uid: ("combined", u), deps=[uid]
-                )
-            report = scheduler.run()
-            outcomes[workers] = report.results()
-        assert outcomes[1] == outcomes[4]
-
-    def test_inline_run_is_depth_first(self):
-        """One worker runs a query's newly-ready dependents before the
-        next ready root: chains a→a', b→b' run a, a', b, b' (FIFO order
-        would be a, b, a', b')."""
-        scheduler = QueryScheduler(num_workers=1)
-        ran = []
-        a = scheduler.submit(lambda: ran.append("a"))
-        b = scheduler.submit(lambda: ran.append("b"))
-        scheduler.submit(lambda: ran.append("a'"), deps=[a])
-        scheduler.submit(lambda: ran.append("b'"), deps=[b])
-        scheduler.run()
-        assert ran == ["a", "a'", "b", "b'"]
+        tasks = [record("a"), boom, record("b"), record("c")]
+        with pytest.raises(RuntimeError, match="task failed"):
+            run_tasks(tasks, workers)
+        assert sorted(ran) == ["a", "b", "boom", "c"]
 
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_take_result_hands_over_and_forgets(self, workers):
-        scheduler = QueryScheduler(num_workers=workers)
-        taken = []
-        producer = scheduler.submit(lambda: [1, 2, 3])
-        scheduler.submit(
-            lambda: taken.append(scheduler.take_result(producer)),
-            deps=[producer],
-        )
-        report = scheduler.run()
-        assert taken == [[1, 2, 3]]
-        assert report.results()[0] is None
+    def test_lowest_index_error_raised(self, workers):
+        def fail(msg, delay):
+            def run():
+                time.sleep(delay)
+                raise ValueError(msg)
+            return run
 
-    def test_serial_path_spawns_no_threads(self):
+        # The later task fails first on a pool; the earlier one is raised.
+        tasks = [lambda: 0, fail("first", 0.05), fail("second", 0.0)]
+        with pytest.raises(ValueError, match="first"):
+            run_tasks(tasks, workers)
+
+    def test_results_in_task_order_across_worker_counts(self):
+        """The same tasks give the same results in the same order for
+        num_workers in {1, 4} — what the tree-parity gates lean on."""
+        def square(k):
+            def run():
+                time.sleep(0.001 * (6 - k))  # later tasks finish first
+                return k * k
+            return run
+
+        outcomes = {
+            workers: run_tasks([square(k) for k in range(6)], workers)
+            for workers in (1, 4)
+        }
+        for results, seconds in outcomes.values():
+            assert results == [k * k for k in range(6)]
+            assert len(seconds) == 6 and all(s > 0 for s in seconds)
+
+    def test_one_worker_runs_inline_in_order(self):
         before = threading.active_count()
-        scheduler = QueryScheduler(num_workers=1)
+        ran, record = _recorder()
         counts = []
-        for _ in range(4):
-            scheduler.submit(lambda: counts.append(threading.active_count()))
-        scheduler.run()
-        # Every query observed the same thread population as the caller.
+
+        def task(name):
+            def run():
+                counts.append(threading.active_count())
+                return record(name)()
+            return run
+
+        run_tasks([task(name) for name in "abcd"], 1)
+        assert ran == list("abcd")
+        # Every task observed the same thread population as the caller.
         assert all(c == before for c in counts)
 
-    def test_report_overlap_and_skipped_accounting(self):
-        scheduler = QueryScheduler(num_workers=4)
-
+    def test_pool_overlaps_independent_tasks(self):
         def sleepy():
             time.sleep(0.02)
 
-        for _ in range(4):
-            scheduler.submit(sleepy)
-        report = scheduler.run()
-        assert report.skipped == 0
-        assert report.wall_seconds > 0
-        # overlap = busy - wall, never negative.
-        assert report.overlap_seconds >= 0.0
-        assert report.sequential_seconds == pytest.approx(
-            report.wall_seconds + report.overlap_seconds
-        )
+        start = time.perf_counter()
+        _, seconds = run_tasks([sleepy] * 4, 4)
+        wall = time.perf_counter() - start
+        assert sum(seconds) > wall
+
+    def test_worker_count_clamped(self, monkeypatch):
+        from concurrent import futures
+
+        sizes = []
+        real = futures.ThreadPoolExecutor
+
+        def spy(max_workers):
+            sizes.append(max_workers)
+            return real(max_workers=max_workers)
+
+        monkeypatch.setattr(futures, "ThreadPoolExecutor", spy)
+        many = [lambda: None] * (MAX_WORKERS + 6)
+        for workers in (0, -3, 1):
+            assert run_tasks(many, workers)[0] == [None] * len(many)
+        assert sizes == []  # clamped up to one worker: inline
+        run_tasks(many, 10_000)
+        run_tasks(many[:3], 4)
+        run_tasks(many, 4)
+        assert sizes == [MAX_WORKERS, 3, 4]
+
+    def test_no_tasks(self):
+        assert run_tasks([], 4) == ([], [])
 
 
 def flaky(times, exc=None, result="ok"):
@@ -276,7 +195,7 @@ FAST_RETRIES = RetryPolicy(max_attempts=3, base_delay=0.0, max_delay=0.0)
 
 
 class TestRetryPolicy:
-    """call_with_retry semantics the scheduler and connectors share."""
+    """call_with_retry semantics the runner and connectors share."""
 
     def test_transient_retried_then_succeeds(self):
         census = RetryCensus()
@@ -325,36 +244,32 @@ class TestRetryPolicy:
         assert policy.schedule() == [0.01, 0.02, 0.03]
 
 
-class TestSchedulerRetry:
-    """The scheduler never retries: a query's statements are retried by the
-    connector that runs them, and the scheduler runs the query once."""
+class TestRunTasksRetry:
+    """The runner never retries: a task's statements are retried by the
+    connector that runs them, and the runner runs the task once."""
 
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_transient_query_retried_then_succeeds(self, workers):
+    def test_transient_task_retried_then_succeeds(self, workers):
         census = RetryCensus()
         statement = flaky(2)
         runs = []
 
-        def query():
+        def task():
             runs.append(1)
             return call_with_retry(statement, FAST_RETRIES, census)
 
-        scheduler = QueryScheduler(num_workers=workers)
-        qid = scheduler.submit(query, label="flaky")
-        scheduler.submit(lambda: "ran", deps=[qid])
-        report = scheduler.run()
-        assert report.results() == ["ok", "ran"]
-        # the retries are the connector's, not the scheduler's
+        results, _ = run_tasks([task, lambda: "ran"], workers)
+        assert results == ["ok", "ran"]
+        # the retries are the connector's, not the runner's
         assert census.snapshot()["retries"] == 2
         assert census.snapshot()["succeeded_after_retry"] == 1
         assert runs == [1]
 
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_exhausted_query_reports_final_attempt(self, workers):
-        """A query whose statement exhausted the connector's retries
+    def test_exhausted_task_reports_final_attempt(self, workers):
+        """A task whose statement exhausted the connector's retries
         surfaces the *final* attempt's exception, stamped with the
-        attempt count, and is not attempted again by the scheduler."""
-        scheduler = QueryScheduler(num_workers=workers)
+        attempt count, and is not attempted again by the runner."""
         attempt_errors = []
 
         def always_transient():
@@ -364,34 +279,30 @@ class TestSchedulerRetry:
             attempt_errors.append(exc)
             raise exc
 
-        qid = scheduler.submit(
+        tasks = [
             lambda: call_with_retry(always_transient, FAST_RETRIES),
-            label="doomed",
-        )
-        child = scheduler.submit(lambda: "never", deps=[qid])
+            lambda: "independent",
+        ]
         with pytest.raises(TransientBackendError) as excinfo:
-            scheduler.run()
+            run_tasks(tasks, workers)
         # the raised error is the LAST attempt's, not the first's
         assert excinfo.value is attempt_errors[-1]
         assert excinfo.value.attempts == FAST_RETRIES.max_attempts
         assert len(attempt_errors) == FAST_RETRIES.max_attempts
-        assert scheduler._queries[child].skipped
 
-    def test_non_transient_error_not_retried_in_dag(self):
-        scheduler = QueryScheduler(num_workers=2)
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_non_transient_error_not_retried(self, workers):
         calls = []
 
         def boom():
             calls.append(1)
             raise ValueError("not transient")
 
-        scheduler.submit(boom)
         with pytest.raises(ValueError):
-            scheduler.run()
+            run_tasks([boom], workers)
         assert len(calls) == 1
 
-    def test_no_policy_means_no_retry(self):
-        scheduler = QueryScheduler(num_workers=2)
-        scheduler.submit(flaky(1))
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_no_policy_means_no_retry(self, workers):
         with pytest.raises(TransientBackendError):
-            scheduler.run()
+            run_tasks([flaky(1), lambda: None], workers)

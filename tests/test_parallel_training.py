@@ -6,7 +6,7 @@ backends — across growth policies, categorical features and
 missing-value routing — because each relation's fused split query
 computes exactly what the serial loop would and results merge in
 relation order.  Alongside parity, these tests pin the wiring: the
-scheduler actually engages (census reports parallel rounds), worker
+task runner actually engages (census reports parallel rounds), worker
 counts resolve from params/env, the sqlite and duckdb reader pools
 serve concurrent threads, and unsupported backends fall back to serial.
 """
@@ -21,6 +21,7 @@ import pytest
 import repro
 from repro.backends import SQLiteConnector, get_backend
 from repro.backends.base import Capabilities
+from repro.core import forest as forest_module
 from repro.core.params import NUM_WORKERS_ENV, TrainParams
 from repro.core.serialize import model_digest
 from repro.datasets import favorita
@@ -101,7 +102,7 @@ class TestParity:
 
     # model_digest of the two forests below at num_workers=1, pinned
     # from the serial tree loop that forests ran before every worker
-    # count shared the scheduler path
+    # count shared the task runner's path
     SERIAL_FOREST_DIGESTS = {
         "embedded": "474de06bbf08001d1051d6a78e10902e"
                     "1e68f241dbc3119da325f28e6cbdcf04",
@@ -232,36 +233,21 @@ class TestNumWorkersParam:
             assert params.num_workers == 3
             assert params.resolved_workers() == 3
 
-    def test_auto_resolves_to_bounded_cpu_count(self):
+    def test_auto_is_one_worker_whatever_the_cpus(self, monkeypatch):
+        """"auto" is one worker for a tree's rounds and a forest's trees
+        alike, on any host: threads contend for the interpreter lock and
+        made Figure 18's forest and both spine GBM trainings slower than
+        one worker (docs/EXPERIMENTS.md, Figure 18)."""
         import os
 
-        params = TrainParams.from_dict({})
-        resolved = TrainParams(num_workers="auto").resolved_workers()
-        assert 1 <= resolved <= 4
-        assert resolved <= max(1, os.cpu_count() or 1)
-        assert params.resolved_workers() == resolved or params.num_workers != "auto"
-
-    def test_auto_respects_cpu_affinity(self, monkeypatch):
-        """A process pinned to one CPU (``taskset -c 1``) runs a forest's
-        trees on one worker: two threads on one CPU only overlap, and
-        each tree's elapsed time then counts the other's."""
-        import os
-
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
-                            raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        assert TrainParams(num_workers="auto").resolved_workers() == 1
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: set(range(8)), raising=False)
-        assert TrainParams(num_workers="auto").resolved_workers() == 4
+        assert TrainParams(num_workers="auto").resolved_workers() == 1
+        assert TrainParams(num_workers=3).resolved_workers() == 3
 
     def test_auto_runs_frontier_rounds_on_one_worker(self, monkeypatch):
-        """Two threads made both spine GBM trainings ~11 % slower than
-        one (docs/EXPERIMENTS.md, Figure 18): "auto" keeps a trainer's
-        rounds inline, and only a forest's trees fan out."""
         monkeypatch.delenv(NUM_WORKERS_ENV, raising=False)
-        assert TrainParams(num_workers="auto").frontier_workers() == 1
-        assert TrainParams(num_workers=3).frontier_workers() == 3
         db, graph = mixed_schema(Database())
         model = repro.train_gradient_boosting(
             db, graph, {"num_iterations": 1, "num_leaves": 4}
@@ -269,6 +255,23 @@ class TestNumWorkersParam:
         census = model.frontier_census
         assert census["num_workers"] == 1
         assert census["parallel_rounds"] == 0
+
+    def test_auto_runs_forest_trees_inline(self, monkeypatch):
+        """Under "auto" a forest's trees run on the calling thread."""
+        monkeypatch.delenv(NUM_WORKERS_ENV, raising=False)
+        db, graph = mixed_schema(Database())
+        threads = set()
+        train = forest_module.DecisionTreeTrainer.train
+
+        def spy(self, *args, **kwargs):
+            threads.add(threading.get_ident())
+            return train(self, *args, **kwargs)
+
+        monkeypatch.setattr(forest_module.DecisionTreeTrainer, "train", spy)
+        repro.train_random_forest(
+            db, graph, {"num_iterations": 3, "num_leaves": 4}
+        )
+        assert threads == {threading.get_ident()}
 
     def test_invalid_values_rejected(self):
         with pytest.raises(TrainingError):

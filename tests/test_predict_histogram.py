@@ -146,6 +146,32 @@ class TestCuboid:
         assert len(updates) == 3
         assert all("jb_leaf" in p.sql for p in updates)
 
+    @pytest.mark.parametrize("backend", ["embedded", "sqlite"])
+    def test_cuboid_model_scores_through_sql(self, backend):
+        """A cuboid's trees name each feature's relation in the caller's
+        graph, so the deployed model scores in-DB exactly as compiled,
+        and its digest does not depend on the minted cuboid's name."""
+        from repro.datasets import favorita
+
+        conn = repro.connect(backend=backend)
+        _, graph = favorita(db=conn, num_fact_rows=1500, seed=3)
+        conn.temp_name("burn")  # shift the cuboid's ordinal
+        model = train_boosting_on_cuboid(
+            conn, graph, {"num_iterations": 3, "num_leaves": 4, "max_bin": 6},
+        )
+        relations = {r for t in model.trees for r, _ in t.referenced_attributes()}
+        assert relations and relations <= set(graph.relations)
+        service = repro.PredictionService(conn, graph)
+        service.deploy(model)
+        assert np.array_equal(service.score_sql(), service.score_all())
+        fresh = repro.connect(backend=backend)
+        _, fresh_graph = favorita(db=fresh, num_fact_rows=1500, seed=3)
+        again = train_boosting_on_cuboid(
+            fresh, fresh_graph,
+            {"num_iterations": 3, "num_leaves": 4, "max_bin": 6},
+        )
+        assert repro.model_digest(again) == repro.model_digest(model)
+
     def test_cuboid_requires_rmse(self, small_star):
         db, graph = small_star
         with pytest.raises(TrainingError):

@@ -16,8 +16,8 @@ in CHANGES.md, the same contract as the ``model_digest`` pins.  A
 refactor that claims "same behaviour" restates none.
 
 Each config also trains to one ``model_digest`` on both backends at one
-worker — except the two fenced as strict xfails (``DIGESTS_DIFFER``),
-which must start failing loudly once their digests agree.
+worker — except the one fenced as a strict xfail (``DIGESTS_DIFFER``),
+which must start failing loudly once its digests agree.
 """
 
 from __future__ import annotations
@@ -231,8 +231,8 @@ def test_training_issues_no_window_function(config, backend):
 
 #: configs whose two backends train different bits today: every split
 #: and count matches, but float sums differ in the last bits (summation
-#: order).  ROADMAP item 4 (exact integer aggregates) closes this.
-DIGESTS_DIFFER = {"galaxy", "cuboid"}
+#: order).  ROADMAP item 3 (exact integer aggregates) closes this.
+DIGESTS_DIFFER = {"galaxy"}
 
 
 @pytest.mark.parametrize(
@@ -242,7 +242,7 @@ DIGESTS_DIFFER = {"galaxy", "cuboid"}
             config,
             marks=pytest.mark.xfail(
                 strict=True,
-                reason="float sums differ across backends (ROADMAP item 4)",
+                reason="float sums differ across backends (ROADMAP item 3)",
             ),
         )
         if config in DIGESTS_DIFFER
