@@ -103,23 +103,28 @@ class Connector:
     capabilities: Capabilities = Capabilities()
 
     # -- statement execution -------------------------------------------
-    def execute(self, sql: str, tag: Optional[str] = None) -> Optional[Relation]:
+    def execute(
+        self, sql: str, tag: Optional[str] = None
+    ) -> Union[Relation, int, None]:
         """Run one or more ``;``-separated statements on the owner handle.
 
         Returns the final SELECT's result as a
-        :class:`~repro.engine.result.Relation`, or ``None`` if the last
-        statement was DDL/DML.  This is the *mutating* entry point: any
-        statement may write, so implementations serialize calls on the
-        owning connection (single writer).  ``tag`` labels the resulting
-        :class:`QueryProfile` for the census (``"feature"``,
-        ``"message"``, ``"frontier_delta"``, ...).  Raises
+        :class:`~repro.engine.result.Relation`, the number of rows its
+        ``WHERE`` matched if the last statement was an ``UPDATE``, or
+        ``None`` after other DDL/DML.  This is the *mutating* entry
+        point: any statement may write, so implementations serialize
+        calls on the owning connection (single writer).  ``tag`` labels
+        the resulting :class:`QueryProfile` for the census
+        (``"feature"``, ``"message"``, ``"frontier_delta"``, ...).  Raises
         :class:`~repro.exceptions.ExecutionError` on engine errors and
         :class:`~repro.exceptions.CatalogError` on missing/duplicate
         tables where the statement makes that distinction.
         """
         raise NotImplementedError
 
-    def execute_read(self, sql: str, tag: Optional[str] = None) -> Optional[Relation]:
+    def execute_read(
+        self, sql: str, tag: Optional[str] = None
+    ) -> Union[Relation, int, None]:
         """Run a read-only query from any thread.
 
         The task runner's worker pool issues the frontier's fused split

@@ -252,14 +252,18 @@ class SQLConnector(Connector):
     # ------------------------------------------------------------------
     # Statement execution
     # ------------------------------------------------------------------
-    def execute(self, sql: str, tag: Optional[str] = None) -> Optional[Relation]:
+    def execute(
+        self, sql: str, tag: Optional[str] = None
+    ) -> Union[Relation, int, None]:
         """Run translated statements on the owner connection (locked)."""
-        result: Optional[Relation] = None
+        result: Union[Relation, int, None] = None
         for statement in split_statements(sql):
             result = self._run_statement(statement, tag)
         return result
 
-    def execute_read(self, sql: str, tag: Optional[str] = None) -> Optional[Relation]:
+    def execute_read(
+        self, sql: str, tag: Optional[str] = None
+    ) -> Union[Relation, int, None]:
         """Run a rows-returning statement on a pooled reader.
 
         Statements that write (and multi-statement scripts) funnel back
@@ -283,11 +287,13 @@ class SQLConnector(Connector):
         self._record(statements[0], kind, start, result.num_rows, tag)
         return result
 
-    def _run_statement(self, statement: str, tag: Optional[str]) -> Optional[Relation]:
+    def _run_statement(
+        self, statement: str, tag: Optional[str]
+    ) -> Union[Relation, int, None]:
         translated = self._dialect.translate(statement)
         kind, returns_rows = self._dialect.classify(translated)
         start = time.perf_counter()
-        result: Optional[Relation] = None
+        result: Union[Relation, int, None] = None
         with self._lock, self._wrap_errors(repr(translated)):
             cursor = self._conn.execute(translated)
             if returns_rows:
@@ -296,6 +302,8 @@ class SQLConnector(Connector):
             else:
                 # the frontier census prices narrow label updates with it
                 rows_out = self._rows_changed(cursor, kind)
+                if kind == "Update":
+                    result = rows_out
                 self._bump_version()
         self._record(statement, kind, start, rows_out, tag)
         return result

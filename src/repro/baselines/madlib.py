@@ -20,7 +20,7 @@ from typing import Optional, Tuple
 from repro.core.params import TrainParams
 from repro.core.session import run_training_session
 from repro.core.split import VarianceCriterion
-from repro.core.tree import DecisionTreeModel
+from repro.core.tree import DecisionTreeModel, name_source_relations
 from repro.baselines.lmfao import _wide_table_sql
 from repro.joingraph.graph import JoinGraph
 from repro.semiring.variance import VarianceSemiRing
@@ -77,5 +77,9 @@ def train_madlib_tree(
         db, wide_graph, VarianceSemiRing(), VarianceCriterion(), train_params,
         lift, prepare_paths=False,
     )
+    # Splits name the caller's relations, not the minted wide table, so
+    # the model scores through ``graph`` and its digest does not depend
+    # on the connection's temp counter.
+    name_source_relations([model], graph)
     db.drop_table(wide_name, if_exists=True)
     return model, time.perf_counter() - start

@@ -345,7 +345,7 @@ class FrontierState:
             )
             for child in (node.left, node.right)
         )
-        self.db.execute(
+        written = self.db.execute(
             f"UPDATE {table} SET {self.column} = CASE "
             f"WHEN {left} THEN {node.left.node_id} "
             f"WHEN {right} THEN {node.right.node_id} "
@@ -353,23 +353,13 @@ class FrontierState:
             tag="frontier_delta",
         )
         self.delta_label_updates += 1
-        self._count_written(table)
+        # Label cells written: the rows the WHERE matched, i.e. every
+        # row of the split leaf.
+        self.label_rows_written += written
+        self.label_bytes_written += 8 * written
         self.leaf_ids.discard(parent_id)
         self.leaf_ids.update((node.left.node_id, node.right.node_id))
         self.epoch += 1
-
-    def _count_written(self, table: str) -> None:
-        """Label cells written by the last delta update: the rows its
-        ``WHERE`` matched, i.e. every row of the split leaf (from the
-        query profile when available, conservatively the full column
-        size otherwise)."""
-        profiles = self.db.profiles
-        if profiles and profiles[-1].kind == "Update":
-            rows = profiles[-1].rows_out
-        else:
-            rows = self.db.table(table).num_rows()
-        self.label_rows_written += rows
-        self.label_bytes_written += 8 * rows
 
     # ------------------------------------------------------------------
     def scope(self, frontier_ids: Sequence[int]):

@@ -158,13 +158,16 @@ class Database(Connector):
     # ------------------------------------------------------------------
     # Statement execution
     # ------------------------------------------------------------------
-    def execute(self, sql_text: str, tag: Optional[str] = None) -> Optional[Relation]:
+    def execute(
+        self, sql_text: str, tag: Optional[str] = None
+    ) -> Union[Relation, int, None]:
         """Execute one or more ``;``-separated statements.
 
-        Returns the result of the final SELECT, or ``None`` if the last
-        statement was DDL/DML.
+        Returns the result of the final SELECT, the rows its ``WHERE``
+        matched if the last statement was an ``UPDATE``, or ``None``
+        after DDL.
         """
-        result: Optional[Relation] = None
+        result: Union[Relation, int, None] = None
         for statement in self._parse(sql_text):
             result = self._run_statement(statement, tag=tag)
         return result
@@ -185,13 +188,17 @@ class Database(Connector):
                     del self._parse_cache[next(iter(self._parse_cache))]
         return shape.bind(sql_text, slots)
 
-    def _run_statement(self, statement: ast.Statement, tag: Optional[str]) -> Optional[Relation]:
+    def _run_statement(
+        self, statement: ast.Statement, tag: Optional[str]
+    ) -> Union[Relation, int, None]:
         start = time.perf_counter()
         encode_before = ops.thread_encode_census()
         kind = type(statement).__name__
-        result: Optional[Relation] = None
+        result: Union[Relation, int, None] = None
+        rows_out = 0
         if isinstance(statement, (ast.Select, ast.UnionAll)):
             result = run_query(statement, self)
+            rows_out = result.num_rows
         elif isinstance(statement, ast.CreateTableAs):
             relation = run_query(statement.query, self)
             table = Table.from_columns(
@@ -205,20 +212,14 @@ class Database(Connector):
             self._forget_encodings(statement.name)
             self.catalog.drop(statement.name, if_exists=statement.if_exists)
         elif isinstance(statement, ast.Update):
-            rows_affected = self._run_update(statement)
+            # Rows the WHERE matched: the frontier census prices narrow
+            # label updates by the rows they moved.
+            result = rows_out = self._run_update(statement)
         else:
             raise ExecutionError(f"unsupported statement {kind}")
         elapsed = time.perf_counter() - start
         if self.profiling_enabled:
             encode_after = ops.thread_encode_census()
-            if result is not None:
-                rows_out = result.num_rows
-            elif isinstance(statement, ast.Update):
-                # Rows the WHERE matched — the frontier census reads this
-                # to price narrow label updates by rows actually moved.
-                rows_out = rows_affected
-            else:
-                rows_out = 0
             self.profiles.append(
                 QueryProfile(
                     sql=statement.sql(),

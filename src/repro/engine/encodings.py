@@ -62,11 +62,33 @@ FLOAT).  :attr:`EncodingCache.merges`, a byte-bounded
 dictionary merge per pair of dictionary arrays, which ``take`` shares:
 every round's ``dimension ⋈ message`` join merges the same two.
 
+A gather hint whose parent is exempt (above) and not yet encoded is
+the exception: its gathered rows are encoded directly.  The frontier's
+queried leaf is a slice of a label column that every committed split
+rewrites, so encoding the slice costs work proportional to the leaf
+where encoding the parent would cost a pass over the whole lifted fact
+once per label version.
+
+The cache also holds the planner's **selection memo**: one entry, the
+rows the last memoizable ``WHERE`` kept.  Its key is the ``WHERE``'s SQL
+text, the frame's row count and the ``(uid, name, version)`` stamp of
+every column the ``WHERE`` reads; its value is the selection vector
+(``None`` when every row is kept) and the stamped columns the last
+statement with that key gathered by it.  The next statement with the
+same key reuses both (each batched frontier round sends four fact ->
+dimension messages with one ``WHERE jb_leaf_s<k> IN (…)``, which share
+the leaf's label, ``h`` and ``g`` rows), and the version stamps make a
+write between the two a miss, never a stale answer.  A ``WHERE`` with
+a subquery or one that reads an unstamped column is never stored.
+Entries are immutable tuples swapped whole under the cache's lock, so
+a concurrent statement sees one entry or the other, never a mix.
+
 The cache is LRU-bounded by bytes and keeps census counters (hits,
-misses, stores, invalidations, evictions, bytes) that surface in
-the Figure 9 census (``fig09_query_census``).  An entry's size
-is re-read on each hit, so a grouped row index built after the entry was
-stored is charged (and may evict older entries) from then on.
+misses, stores, invalidations, evictions, bytes, and the selection
+memo's hits and misses) that surface in the Figure 9 census
+(``fig09_query_census``).  An entry's size is re-read on each hit, so
+a grouped row index built after the entry was stored is charged (and
+may evict older entries) from then on.
 """
 
 from __future__ import annotations
@@ -85,6 +107,12 @@ from repro.storage.column import Column
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 
 Key = Tuple[int, str]
+#: a column's ``(table uid, column name, version)`` provenance
+Stamp = Tuple[int, str, int]
+#: ``(WHERE text, frame rows, stamps of the columns it reads)``
+SelectionKey = Tuple[str, int, Tuple[Stamp, ...]]
+#: ``(key, selection or None for every row, {stamp: gathered column})``
+SelectionEntry = Tuple[SelectionKey, Optional[np.ndarray], Dict[Stamp, Column]]
 
 
 class EncodingCache:
@@ -114,6 +142,10 @@ class EncodingCache:
         self._inflight: Dict[Key, threading.Event] = {}
         #: the connection's memo of dictionary merges (its joins pass it)
         self.merges = MergeMemo()
+        #: the selection memo's one entry (see :meth:`selection`)
+        self._selection: Optional[SelectionEntry] = None
+        self.selection_hits = 0
+        self.selection_misses = 0
 
     # ------------------------------------------------------------------
     # Lookup / store
@@ -234,9 +266,20 @@ class EncodingCache:
         source = col.source
         if isinstance(hint, tuple):
             _, parent, positions = hint
-            encoding = self.encoding_for(parent)
-            if positions is not None:
-                encoding = encoding.take(positions)
+            if (
+                positions is not None
+                and parent.enc is None
+                and parent.source is not None
+                and not self.cacheable(*parent.source[:2])
+            ):
+                # A slice of an exempt column nobody encoded yet (the
+                # queried leaf of a label column): its own rows are
+                # cheaper to encode than the whole parent.
+                encoding = encode_values(col.values, col.valid)
+            else:
+                encoding = self.encoding_for(parent)
+                if positions is not None:
+                    encoding = encoding.take(positions)
         elif source is None or not self.cacheable(*source[:2]):
             encoding = encode_values(col.values, col.valid)
         else:
@@ -301,6 +344,30 @@ class EncodingCache:
             out.enc = ("gather", parent, indexes)
 
     # ------------------------------------------------------------------
+    # Selection memo (the planner's WHERE)
+    # ------------------------------------------------------------------
+    def selection(self, key: SelectionKey) -> Optional[SelectionEntry]:
+        """The memo entry stored under ``key``, or ``None`` (a miss)."""
+        with self._lock:
+            entry = self._selection
+            if entry is not None and entry[0] == key:
+                self.selection_hits += 1
+                return entry
+            self.selection_misses += 1
+            return None
+
+    def remember_selection(
+        self,
+        key: SelectionKey,
+        selection: Optional[np.ndarray],
+        columns: Dict[Stamp, Column],
+    ) -> None:
+        """Make ``(key, selection, columns)`` the memo's entry.  The
+        caller hands over ``columns`` and never changes it again."""
+        with self._lock:
+            self._selection = (key, selection, columns)
+
+    # ------------------------------------------------------------------
     # Invalidation / stats
     # ------------------------------------------------------------------
     def invalidate_table(self, uid: int) -> int:
@@ -309,6 +376,13 @@ class EncodingCache:
             doomed = [key for key in self._entries if key[0] == uid]
             for key in doomed:
                 self._evict(key)
+            entry = self._selection
+            if entry is not None and any(
+                stamp[0] == uid for stamp in (*entry[0][2], *entry[2])
+            ):
+                # The uid is never minted again, so the entry could not
+                # hit; dropping it releases its gathered rows.
+                self._selection = None
             return len(doomed)
 
     def clear(self) -> int:
@@ -317,6 +391,7 @@ class EncodingCache:
             count = len(self._entries)
             self._entries.clear()
             self.bytes = 0
+            self._selection = None
         self.merges.clear()
         return count
 
@@ -333,4 +408,6 @@ class EncodingCache:
             "stores": self.stores,
             "invalidations": self.invalidations,
             "evictions": self.evictions,
+            "selection_hits": self.selection_hits,
+            "selection_misses": self.selection_misses,
         }

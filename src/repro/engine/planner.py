@@ -18,7 +18,11 @@ whose bare names some column reference of it mentions (its *live set*; any
 ``*`` keeps every column, and row-layout tables bind whole records), and
 every WHERE or residual-join mask becomes one selection vector that each
 live column gathers by position.  ``UNION ALL`` branches with the same
-FROM/JOIN/WHERE read one such frame.
+FROM/JOIN/WHERE read one such frame.  A WHERE that keeps every row
+leaves the frame as it is, and successive statements with the same
+WHERE over the same column versions share one selection and its
+gathered columns (the selection memo of
+:mod:`repro.engine.encodings`).
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from repro.sql import ast_nodes as ast
 from repro.sql.expressions import Frame, evaluate
 from repro.sql.functions import is_aggregate, is_window_capable
 from repro.engine import operators as ops
+from repro.engine.encodings import SelectionKey, Stamp
 from repro.engine.result import Relation
 from repro.storage.column import Column, ColumnType
 from repro.storage.table import RowTable
@@ -355,14 +360,22 @@ def _gather_merge(
 
 
 def _take_into(
-    out: Frame, frame: Frame, idx: Optional[np.ndarray], cache=None
+    out: Frame,
+    frame: Frame,
+    idx: Optional[np.ndarray],
+    cache=None,
+    memo: Optional[Dict[Stamp, Column]] = None,
+    kept: Optional[Dict[Stamp, Column]] = None,
 ) -> None:
     """Bind every column of ``frame`` gathered by ``idx`` into ``out``
     (``idx`` ``None``: the columns themselves).
 
     The outer-join pad test (any -1 position) runs once for the whole
     side.  Pads introduce nulls the parent encoding does not describe, so
-    codes only propagate through pure gathers.
+    codes only propagate through pure gathers.  ``memo`` maps a stamped
+    column's ``(uid, name, version)`` to its gather by these same
+    positions, which is bound instead of gathering again; ``kept``
+    receives every stamped column's gather bound here.
     """
     pads = idx is not None and bool(len(idx)) and int(idx.min()) < 0
     propagate = cache is not None and not pads
@@ -371,9 +384,15 @@ def _take_into(
         col = _lookup(frame, key)
         if idx is not None:
             if id(col) not in taken:
-                taken[id(col)] = col.take(idx, pads=pads)
-                if propagate:
-                    cache.attach_gather(taken[id(col)], col, idx)
+                stamp = col.source if kept is not None else None
+                got = memo.get(stamp) if memo and stamp is not None else None
+                if got is None:
+                    got = col.take(idx, pads=pads)
+                    if propagate:
+                        cache.attach_gather(got, col, idx)
+                if kept is not None and stamp is not None:
+                    kept[stamp] = got
+                taken[id(col)] = got
             col = taken[id(col)]
         binding, _, _ = key.rpartition(".")
         out.bind(col, binding or None)
@@ -403,11 +422,57 @@ def _precompute_subqueries(expr: Optional[ast.Expr], db, context: Dict[int, obje
 
 
 def _apply_where(select: ast.Select, db, frame: Frame, context: Dict[int, object]) -> Frame:
+    """``frame`` cut to the rows ``select.where`` keeps; a ``WHERE`` that
+    keeps every row returns ``frame`` itself.
+
+    A ``WHERE`` with a key (:func:`_selection_key`) goes through the
+    connection's selection memo: the next statement with the same key
+    reuses the selection vector and every stamped column this one
+    gathered by it (the four fact -> dimension messages of a batched
+    round share one leaf's rows)."""
     if select.where is None:
         return frame
-    _precompute_subqueries(select.where, db, context)
-    mask = np.asarray(evaluate(select.where, frame, context), dtype=bool)
-    return _select_rows(frame, mask, getattr(db, "encodings", None))
+    cache = db.encodings
+    key = _selection_key(select.where, frame)
+    entry = cache.selection(key) if key is not None else None
+    if entry is not None:
+        _, selection, memo = entry
+    else:
+        _precompute_subqueries(select.where, db, context)
+        mask = np.asarray(evaluate(select.where, frame, context), dtype=bool)
+        selection = None if mask.all() else np.flatnonzero(mask)
+        memo = {}
+    out, kept = frame, memo
+    if selection is not None:
+        out, kept = Frame(len(selection)), {}
+        _take_into(out, frame, selection, cache, memo,
+                   kept if key is not None else None)
+    if key is not None and (entry is None or kept.keys() != memo.keys()):
+        # The entry keeps this statement's stamped columns only: its
+        # memory is bounded by one statement's gathers.
+        cache.remember_selection(key, selection, kept)
+    return out
+
+
+def _selection_key(where: ast.Expr, frame: Frame) -> Optional[SelectionKey]:
+    """The selection memo's key for ``where`` over ``frame``: its SQL
+    text, the frame's row count and the ``(uid, name, version)`` stamp of
+    each column it reads.  ``None`` — never memoized — when it has a
+    subquery (its answer is not a function of the stamps) or reads a
+    column with no stamp (a derived column has no version to compare)."""
+    stamps: List[Stamp] = []
+    for node in ast.walk(where):
+        if isinstance(node, ast.InSubquery):
+            return None
+        if isinstance(node, ast.ColumnRef):
+            try:
+                source = frame.resolve(node).source
+            except PlanError:
+                return None  # the evaluation raises it
+            if source is None or not source[2]:
+                return None
+            stamps.append(source)
+    return (where.sql(), frame.num_rows, tuple(stamps))
 
 
 # ---------------------------------------------------------------------------

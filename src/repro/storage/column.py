@@ -198,6 +198,7 @@ class Column:
         return clone
 
     def copy(self) -> "Column":
+        """A deep copy of the payload that keeps the stamp and hints."""
         valid = self.valid.copy() if self.valid is not None else None
         clone = Column(self.name, self.values.copy(), self.ctype, valid)
         # A copy holds equal data; keep the stamp so encodings still apply.

@@ -131,18 +131,24 @@ class Table:
         return col
 
     def column_names(self) -> List[str]:
+        """Stored column names, in table order."""
         raise NotImplementedError
 
     def num_rows(self) -> int:
+        """The table's row count."""
         raise NotImplementedError
 
     def column(self, name: str) -> Column:
+        """Read one column, stamped with ``(uid, name, version)``."""
         raise NotImplementedError
 
     def set_column(self, column: Column) -> None:
+        """Store ``column`` (new or replacing one of its name) and bump
+        its version stamp."""
         raise NotImplementedError
 
     def drop_column(self, name: str) -> None:
+        """Remove one column and forget its version stamp."""
         raise NotImplementedError
 
     def __len__(self) -> int:
@@ -152,10 +158,12 @@ class Table:
         return name in self.column_names()
 
     def columns(self) -> Iterator[Column]:
+        """Every column, read in table order."""
         for name in self.column_names():
             yield self.column(name)
 
     def nbytes(self) -> int:
+        """Approximate in-memory bytes of every column as read."""
         return sum(col.nbytes() for col in self.columns())
 
     def to_dict(self) -> Dict[str, np.ndarray]:
@@ -217,12 +225,16 @@ class ColumnTable(Table):
 
     # -- reads ----------------------------------------------------------
     def column_names(self) -> List[str]:
+        """Stored column names, in insertion order."""
         return list(self._order)
 
     def num_rows(self) -> int:
+        """The table's row count."""
         return self._num_rows
 
     def column(self, name: str) -> Column:
+        """The stored column (decoded when compressed), stamped; a copy
+        under ``scan_copy``."""
         try:
             entry = self._store[name]
         except KeyError:
@@ -277,6 +289,7 @@ class ColumnTable(Table):
         self._touch(column.name)
 
     def drop_column(self, name: str) -> None:
+        """Remove one column; the table's version advances."""
         if name not in self._store:
             raise StorageError(f"table {self.name!r} has no column {name!r}")
         del self._store[name]
@@ -363,12 +376,16 @@ class RowTable(Table):
         return records
 
     def column_names(self) -> List[str]:
+        """The record fields, in table order."""
         return list(self._records.dtype.names or ())
 
     def num_rows(self) -> int:
+        """The record count."""
         return len(self._records)
 
     def column(self, name: str) -> Column:
+        """One field gathered out of every record (a strided copy),
+        stamped."""
         if name not in (self._records.dtype.names or ()):
             raise StorageError(f"table {self.name!r} has no column {name!r}")
         # Strided gather: this copy is the row-store scan penalty.
@@ -390,6 +407,7 @@ class RowTable(Table):
         self._touch(column.name)
 
     def drop_column(self, name: str) -> None:
+        """Repack every record without one field."""
         cols = [self.column(n) for n in self.column_names() if n != name]
         self._ctypes.pop(name, None)
         self._valids.pop(name, None)

@@ -172,6 +172,39 @@ class TestFigure16Variants:
         assert structure_signature(madlib) == structure_signature(jb)
         assert seconds > 0
 
+    @staticmethod
+    def _madlib_on_favorita(burn):
+        """A MADlib tree on a fresh connection after ``burn`` minted temps."""
+        from repro.datasets import favorita
+
+        conn = repro.connect("plain")
+        _, graph = favorita(db=conn, num_fact_rows=1500, seed=3)
+        for _ in range(burn):
+            conn.temp_name("burn")
+        model, _ = train_madlib_tree(
+            conn, graph, {"num_leaves": 6, "min_data_in_leaf": 3}
+        )
+        return conn, graph, model
+
+    def test_madlib_digest_ignores_minted_temps(self):
+        """The MADlib tree trains over a minted row-store wide table, but
+        its splits name the caller's relations, so two runs after
+        different numbers of minted temps train one digest."""
+        digests = [
+            repro.model_digest(self._madlib_on_favorita(burn)[2])
+            for burn in (0, 3)
+        ]
+        assert digests[0] == digests[1]
+
+    def test_madlib_model_scores_in_database(self):
+        conn, graph, model = self._madlib_on_favorita(0)
+        assert model.feature_relations == {
+            feature: relation for relation, feature in graph.all_features()
+        }
+        service = repro.PredictionService(conn, graph)
+        service.deploy(model)
+        assert np.allclose(service.score_sql(), service.score_all())
+
     def test_variants_clean_up(self, tiny_star):
         db, graph = tiny_star
         for variant in ("naive", "batch", "joinboost"):

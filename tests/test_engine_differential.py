@@ -34,6 +34,7 @@ import numpy as np
 import pytest
 
 from repro.engine.database import Database
+from repro.engine.scheduler import run_tasks
 from repro.exceptions import PlanError
 from repro.sql.ast_nodes import ColumnRef
 from repro.storage.column import ColumnType
@@ -661,3 +662,82 @@ class TestOrderPreservingJoin:
         assert merged.resolve(ColumnRef("rid", "t")) is not left.resolve(
             ColumnRef("rid", "t")
         )
+
+
+# ---------------------------------------------------------------------------
+# The selection memo: one WHERE repeated around masked UPDATEs
+# ---------------------------------------------------------------------------
+#: reads repeated around each UPDATE: two message-shaped group-bys that
+#: share one label WHERE, and WHEREs over another column, over both, and
+#: over the label with a second leaf
+MEMO_READS = [
+    "SELECT t.k AS k, t.jb_leaf_s1 AS leaf, SUM(t.h) AS h, SUM(t.g) AS g "
+    "FROM f AS t WHERE (t.jb_leaf_s1 IN ({leaf})) GROUP BY t.k, t.jb_leaf_s1",
+    "SELECT t.name AS name, t.jb_leaf_s1 AS leaf, SUM(t.h) AS h, "
+    "SUM(t.g) AS g FROM f AS t WHERE (t.jb_leaf_s1 IN ({leaf})) "
+    "GROUP BY t.name, t.jb_leaf_s1",
+    "SELECT rid, jb_leaf_s1, v FROM f WHERE x > {cut}",
+    "SELECT rid, x FROM f WHERE x > {cut} AND jb_leaf_s1 <> {leaf}",
+    "SELECT COUNT(*) AS n, SUM(g) AS g FROM f "
+    "WHERE jb_leaf_s1 IN ({leaf}, {other})",
+]
+
+
+def generated_masked_update(rng, leaf: int) -> str:
+    """Move some of ``leaf``'s rows to other labels, or shift ``x`` on
+    them (a column the other WHEREs read)."""
+    if rng.random() < 0.3:
+        return (
+            "UPDATE f SET x = CASE WHEN x >= 4 THEN 0 ELSE x + 1 END "
+            f"WHERE jb_leaf_s1 = {leaf}"
+        )
+    cut = int(rng.integers(0, 5))
+    return (
+        f"UPDATE f SET jb_leaf_s1 = CASE WHEN x > {cut} THEN "
+        f"{(leaf + 1) % 4} WHEN v IS NULL THEN {(leaf + 2) % 4} "
+        f"ELSE jb_leaf_s1 END WHERE jb_leaf_s1 = {leaf}"
+    )
+
+
+@pytest.mark.parametrize("num_workers", [1, 4])
+@pytest.mark.parametrize("seed", range(4))
+def test_repeated_where_around_masked_updates(seed, num_workers):
+    """Each step runs the reads twice in a shuffled order, a masked
+    UPDATE, then the same reads in the reverse order, on ``num_workers``
+    threads, so the first read after the UPDATE repeats the last one
+    before it: a memoized selection or gathered column that outlived its
+    column version would answer with the rows before the UPDATE."""
+    rng = np.random.default_rng([seed, 23])
+    tables = generate(seed, "int")
+    db, conn = embedded(tables), stdlib(tables)
+    try:
+        for _ in range(20):
+            leaf = int(rng.integers(0, 4))
+            reads = [
+                sql.format(leaf=leaf, other=(leaf + 1) % 4,
+                           cut=int(rng.integers(0, 5)))
+                for sql in MEMO_READS
+            ] * 2
+            reads = [reads[i] for i in rng.permutation(len(reads))]
+            update = generated_masked_update(rng, leaf)
+            for statement in (None, update, "reverse"):
+                if statement == "reverse":
+                    reads.reverse()
+                elif statement is not None:
+                    assert db.execute(statement) == conn.execute(
+                        statement
+                    ).rowcount
+                    continue
+                ours, _ = run_tasks(
+                    [lambda sql=sql: embedded_rows(db, sql) for sql in reads],
+                    num_workers,
+                )
+                for sql, rows in zip(reads, ours):
+                    theirs = sqlite_rows(conn, sql)
+                    assert sorted(rows, key=_order_key) == sorted(
+                        theirs, key=_order_key
+                    ), sql
+    finally:
+        conn.close()
+    stats = db.encodings.stats()
+    assert stats["selection_hits"] > 0 and stats["selection_misses"] > 0

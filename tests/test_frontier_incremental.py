@@ -447,3 +447,45 @@ class TestCarryCacheScoping:
                              ("task_executor", "thread")):
             with pytest.raises(TrainingError, match="unknown training parameter"):
                 TrainParams.from_dict({alias: value})
+
+
+class TestLabelWriteCount:
+    """Label cells written are counted from each ``UPDATE``'s own
+    matched-row count, never from the profile log."""
+
+    @staticmethod
+    def _connector(backend):
+        return SQLiteConnector() if backend == "sqlite" else Database()
+
+    @pytest.mark.parametrize("backend", ["embedded", "sqlite"])
+    def test_execute_returns_the_rows_an_update_matched(self, backend):
+        db = self._connector(backend)
+        db.create_table("t", {"k": np.arange(10), "v": np.zeros(10)})
+        assert db.execute("UPDATE t SET v = 1 WHERE k < 4") == 4
+        assert db.execute("UPDATE t SET v = 2") == 10
+        assert db.execute("UPDATE t SET v = 3 WHERE k > 100") == 0
+        assert db.execute("SELECT v FROM t WHERE k = 3").scalar() == 2
+
+    @pytest.mark.parametrize("backend", ["embedded", "sqlite"])
+    def test_count_holds_with_profiling_off(self, backend):
+        """One root pass over every fact row per tree, plus each split
+        leaf's rows (its ``h`` sum under squared loss), with or without
+        the profile log."""
+        n = 1500
+        written = {}
+        for profiling in (True, False):
+            db, graph = deep_schema(self._connector(backend), n=n)
+            db.profiling_enabled = profiling
+            model = repro.train_gradient_boosting(
+                db, graph, {**DEEP_PARAMS, "num_leaves": 12}
+            )
+            census = model.frontier_census
+            assert census["delta_label_updates"] > 0
+            written[profiling] = census["label_cells_written"]
+        expected = DEEP_PARAMS["num_iterations"] * n + sum(
+            round(node.aggregates["h"])
+            for tree in model.trees
+            for node in tree.nodes()
+            if not node.is_leaf
+        )
+        assert written[False] == written[True] == expected
