@@ -22,7 +22,7 @@ nodes" bracket measures.
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.exceptions import TrainingError
 from repro.core.frontier import FrontierEvaluator
@@ -30,9 +30,7 @@ from repro.core.params import TrainParams
 from repro.core.session import run_training_session
 from repro.core.sql_score import join_tree_sql
 from repro.core.split import VarianceCriterion
-from repro.core.trainer import DecisionTreeTrainer
 from repro.core.tree import DecisionTreeModel, name_source_relations
-from repro.factorize.executor import Factorizer
 from repro.joingraph.graph import JoinGraph
 from repro.semiring.variance import VarianceSemiRing
 
@@ -74,19 +72,13 @@ def train_tree_variant(
 def _train_factorized(
     db, graph: JoinGraph, params: TrainParams, share_across_nodes: bool
 ) -> DecisionTreeModel:
-    ring = VarianceSemiRing()
-    factorizer = Factorizer(db, graph, ring)
-    factorizer.lift()
-    criterion = VarianceCriterion()
-    if share_across_nodes:
-        evaluator = FrontierEvaluator(db, graph, factorizer, criterion, params)
-    else:
-        evaluator = _PerNodeCacheEvaluator(
-            db, graph, factorizer, criterion, _per_leaf_params(params)
-        )
-    model = DecisionTreeTrainer(graph, criterion, params, evaluator).train()
-    factorizer.cleanup()
-    return model
+    evaluator_class = FrontierEvaluator
+    if not share_across_nodes:
+        params, evaluator_class = _per_leaf_params(params), _PerNodeCacheEvaluator
+    return run_training_session(
+        db, graph, VarianceSemiRing(), VarianceCriterion(), params,
+        prepare_paths=False, evaluator_class=evaluator_class,
+    )
 
 
 class _PerNodeCacheEvaluator(FrontierEvaluator):

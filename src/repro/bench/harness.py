@@ -26,7 +26,7 @@ from repro.core.histogram import train_boosting_on_cuboid
 from repro.core.predict import rmse_on_join
 from repro.datasets import favorita, imdb, tpcds, tpch
 from repro.datasets.synthetic import ResidualWorkload, residual_update_microbenchmark
-from repro.distributed import ClusterConfig, SimulatedCluster
+from repro.distributed import SimulatedCluster
 from repro.engine.database import Database
 from repro.exceptions import MemoryBudgetExceeded, StorageError
 from repro.storage.table import StorageConfig
@@ -165,6 +165,9 @@ def fig08_favorita(
     iterations: int = 20,
     num_leaves: int = 8,
 ) -> Dict[str, object]:
+    """Figure 8 series: rmse against cumulative seconds on Favorita for
+    JoinBoost's boosting and forest and the single-table libraries,
+    which pay materialize + export + load first."""
     db, graph = favorita(num_fact_rows=num_fact_rows, num_extra_features=8)
 
     # JoinBoost: gradient boosting + random forest (no export needed).
@@ -376,6 +379,8 @@ def fig10_feature_scaling(
     iterations: int = 10,
     baseline_budget: int = 8 * 1024 * 1024,
 ) -> Dict[str, object]:
+    """Figure 10 series: JoinBoost and export-baseline seconds as
+    Favorita grows features (see :func:`_scaling`)."""
     return _scaling(
         feature_counts,
         lambda count: favorita(
@@ -391,6 +396,8 @@ def fig11_tpcds_scaling(
     iterations: int = 10,
     baseline_budget: int = 5 * 1024 * 1024,
 ) -> Dict[str, object]:
+    """Figure 11 series: JoinBoost and export-baseline seconds as
+    TPC-DS's scale factor grows (see :func:`_scaling`)."""
     return _scaling(
         scale_factors,
         lambda sf: tpcds(sf=sf, rows_per_sf=rows_per_sf, num_features=18),
@@ -401,6 +408,21 @@ def fig11_tpcds_scaling(
 # ---------------------------------------------------------------------------
 # Figure 12 / 13 — multi-node scaling (simulated network)
 # ---------------------------------------------------------------------------
+def simulated_seconds(
+    census: Dict[str, float], bandwidth: float = 1e9, latency: float = 5e-4
+) -> float:
+    """The paper's network model over a sharded run's measured census
+    (:meth:`SimulatedCluster.census`): each step costs its slowest
+    shard, and each synchronization ``latency`` seconds plus its bytes
+    over ``bandwidth`` bytes per second (Figure 12's network: 1 GB/s,
+    0.5 ms)."""
+    return (
+        census["step_seconds"]
+        + census["syncs"] * latency
+        + census["shuffle_bytes"] / bandwidth
+    )
+
+
 def _cluster_point(
     sf: float, machines: int, rows_per_sf: int, iterations: int,
     per_machine_budget: int,
@@ -410,13 +432,12 @@ def _cluster_point(
     wall of the shard steps)``.
 
     The baseline replicates the data and trains hist trees on the full
-    join per machine, plus a per-iteration histogram allreduce.
+    join per machine, plus one histogram allreduce per machine and
+    iteration over the same modelled network.
     """
     db, graph = tpcds(sf=sf, rows_per_sf=rows_per_sf, num_features=12)
-    cluster = SimulatedCluster(
-        db, graph, "date_sk", ClusterConfig(num_machines=machines)
-    )
-    _, jb_seconds = cluster.train_gradient_boosting(
+    cluster = SimulatedCluster(db, graph, "date_sk", machines)
+    cluster.train_gradient_boosting(
         {"num_iterations": iterations, "num_leaves": 8, "min_data_in_leaf": 3}
     )
     baseline = None  # OOM even distributed: data is replicated (§6.2)
@@ -425,11 +446,14 @@ def _cluster_point(
         cumulative = _fit_exported(exported, HistGradientBoosting(
             num_iterations=iterations, num_leaves=8, min_child_samples=3
         ))[1]
-        compute = (cumulative[-1] - exported.total_seconds) / machines
         hist_bytes = 255 * len(graph.all_features()) * 16 * iterations
-        allreduce = machines * hist_bytes / 1e9 + iterations * 5e-4 * machines
-        baseline = float(exported.total_seconds + compute + allreduce)
-    return jb_seconds, baseline, cluster.measured_wall_seconds
+        baseline = float(exported.total_seconds + simulated_seconds({
+            "step_seconds": (cumulative[-1] - exported.total_seconds) / machines,
+            "syncs": iterations * machines,
+            "shuffle_bytes": machines * hist_bytes,
+        }))
+    census = cluster.census()
+    return simulated_seconds(census), baseline, census["measured_wall_seconds"]
 
 
 def fig12_multinode(
@@ -466,20 +490,20 @@ def fig13_warehouse(
     max_depth: int = 3,
     bandwidth: float = 2e8,
 ) -> Dict[str, object]:
+    """Figure 13 series: a sharded decision tree's simulated seconds
+    (a warehouse network: ``bandwidth``, 2 ms per sync) and shuffle
+    bytes per machine count."""
     results = []
     for machines in machines_sweep:
         db, graph = tpcds(sf=rows / 20_000, rows_per_sf=20_000, num_features=12)
-        cluster = SimulatedCluster(
-            db, graph, "date_sk",
-            ClusterConfig(num_machines=machines,
-                          bandwidth_bytes_per_s=bandwidth,
-                          latency_s=2e-3),
-        )
-        _, seconds = cluster.train_decision_tree(
+        cluster = SimulatedCluster(db, graph, "date_sk", machines)
+        cluster.train_decision_tree(
             {"num_leaves": 2**max_depth, "max_depth": max_depth,
              "min_data_in_leaf": 3}
         )
-        results.append((machines, seconds, cluster.shuffle_bytes))
+        census = cluster.census()
+        seconds = simulated_seconds(census, bandwidth, latency=2e-3)
+        results.append((machines, seconds, census["shuffle_bytes"]))
     return {"rows": results}
 
 
@@ -489,6 +513,8 @@ def fig13_warehouse(
 def fig14_imdb_galaxy(
     rows_per_fact: int = 20_000, iterations: int = 10
 ) -> Dict[str, object]:
+    """Figure 14 series: galaxy boosting's per-round seconds on IMDB,
+    with the join size it never materializes."""
     db, graph = imdb(rows_per_fact=rows_per_fact)
     model = repro.train_gradient_boosting(
         db, graph, {"num_iterations": iterations, "num_leaves": 8,
@@ -740,6 +766,8 @@ def fig20_cuboid(
     iterations: int = 10,
     bin_sweep: Tuple[Optional[int], ...] = (5, 10, 1000),
 ) -> Dict[str, object]:
+    """Figure 20 series: seconds and rmse of cuboid boosting per bin
+    count (above 64 bins, exact training)."""
     rows = []
     for bins in bin_sweep:
         db, graph = favorita(num_fact_rows=num_fact_rows, num_extra_features=0)

@@ -73,7 +73,7 @@ from __future__ import annotations
 
 import time
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -88,6 +88,7 @@ from repro.core.tree import TreeNode
 from repro.engine.scheduler import run_tasks
 from repro.exceptions import ExecutionError, ReproError, TrainingError
 from repro.factorize.executor import Factorizer, MultiAbsorption
+from repro.factorize.predicates import PredicateMap
 from repro.joingraph.graph import JoinGraph
 from repro.storage.column import Column, ColumnType
 
@@ -596,28 +597,23 @@ class FrontierEvaluator:
             # leaves it out, the batched path never reads it).
             self.db.index_lifted(self.graph, self.factorizer.lifted)
             self._lifted_indexed = True
-        out: Dict[int, Optional[SplitCandidate]] = {}
-        for node in nodes:
-            if self.criterion.weight(node.aggregates) <= 0:
-                out[node.node_id] = None
-                continue
-            predicates = node.path_predicates()
-            best: Optional[SplitCandidate] = None
-            for relation, feature in features:
-                result = self.factorizer.absorb(
-                    relation, [feature], predicates, tag="feature"
-                )
-                self.per_leaf_split_queries += 1
-                candidate = self._best_of_slice(
-                    relation, feature,
-                    self._slice_columns(result, feature), node.aggregates,
-                )
-                if candidate is not None and (
-                    best is None or candidate.gain > best.gain
-                ):
-                    best = candidate
-            out[node.node_id] = best
-        return out
+        return {
+            node.node_id: best_leaf_split(
+                node, features, self._absorbed_slice,
+                self.criterion, self.graph, self.params,
+            )
+            for node in nodes
+        }
+
+    def _absorbed_slice(
+        self, relation: str, feature: str, predicates: PredicateMap
+    ) -> Slice:
+        """One (leaf, feature) slice read by its own absorption."""
+        result = self.factorizer.absorb(
+            relation, [feature], predicates, tag="feature"
+        )
+        self.per_leaf_split_queries += 1
+        return self._slice_columns(result, feature)
 
     # ------------------------------------------------------------------
     # Batched path
@@ -886,35 +882,12 @@ class FrontierEvaluator:
                 kept = self._slices.get(node.node_id)
                 if kept is not None:
                     kept[key] = piece
-                candidate = self._best_of_slice(
-                    relation, feature, piece, node.aggregates
+                candidate = _best_of_slice(
+                    self.criterion, self.graph, self.params,
+                    relation, feature, piece, node.aggregates,
                 )
                 if candidate is not None:
                     candidates[(node.node_id, index)] = candidate
-
-    def _best_of_slice(
-        self,
-        relation: str,
-        feature: str,
-        piece: Slice,
-        totals: Dict[str, float],
-    ) -> Optional[SplitCandidate]:
-        """The split kernel over one (leaf, feature) slice."""
-        values, nulls, aggs = piece
-        if len(values) == 0:
-            return None
-        return best_split_from_aggregates(
-            self.criterion,
-            relation,
-            feature,
-            values,
-            nulls,
-            aggs,
-            totals,
-            categorical=self.graph.is_categorical(relation, feature),
-            missing=self.params.missing,
-            min_child_samples=self.params.min_child_samples,
-        )
 
     def _slice_columns(self, result, value_name: str) -> Slice:
         """``(values, nulls, aggregates)`` of an aggregate result: the
@@ -942,6 +915,53 @@ class FrontierEvaluator:
             ).astype(np.int64),
             *self._slice_columns(result, "jb_value"),
         )
+
+
+def best_leaf_split(
+    node: TreeNode,
+    features: Sequence[Tuple[str, str]],
+    slice_of: Callable[[str, str, PredicateMap], Slice],
+    criterion: Criterion,
+    graph: JoinGraph,
+    params: TrainParams,
+) -> Optional[SplitCandidate]:
+    """``node``'s best split, one feature at a time: the split kernel
+    over each ``slice_of(relation, feature, predicates)``, the first
+    strict maximum in feature order winning.  A node without weight has
+    no split and reads nothing.  The per-leaf path and the sharded search
+    both scan their leaves with it."""
+    if criterion.weight(node.aggregates) <= 0:
+        return None
+    predicates = node.path_predicates()
+    best: Optional[SplitCandidate] = None
+    for relation, feature in features:
+        candidate = _best_of_slice(
+            criterion, graph, params, relation, feature,
+            slice_of(relation, feature, predicates), node.aggregates,
+        )
+        if candidate is not None and (best is None or candidate.gain > best.gain):
+            best = candidate
+    return best
+
+
+def _best_of_slice(
+    criterion: Criterion,
+    graph: JoinGraph,
+    params: TrainParams,
+    relation: str,
+    feature: str,
+    piece: Slice,
+    totals: Dict[str, float],
+) -> Optional[SplitCandidate]:
+    """The split kernel over one (leaf, feature) slice."""
+    values, nulls, aggs = piece
+    if len(values) == 0:
+        return None
+    return best_split_from_aggregates(
+        criterion, relation, feature, values, nulls, aggs, totals,
+        categorical=graph.is_categorical(relation, feature),
+        missing=params.missing, min_child_samples=params.min_child_samples,
+    )
 
 
 def _take_slice(

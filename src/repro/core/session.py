@@ -119,6 +119,7 @@ def run_training_session(
     *,
     clusters: Optional[Sequence[Cluster]] = None,
     prepare_paths: bool = True,
+    evaluator_class: Callable[..., FrontierEvaluator] = FrontierEvaluator,
 ) -> Any:
     """Guard, lift, prepare access paths, grow, census, clean up.
 
@@ -126,14 +127,16 @@ def run_training_session(
     (default: the ring's own lift of Y); ``grow(trainer, factorizer)``
     returns the model (default: one tree), which gets the frontier and
     factorizer census as ``frontier_census``.  ``prepare_paths=False``
-    skips the backend's training setup.
+    skips the backend's training setup.  ``evaluator_class`` is the
+    split search's class, a :class:`FrontierEvaluator` (the LMFAO
+    ablation passes its per-node-cache subclass).
     """
     factorizer = Factorizer(db, graph, ring)
     with TrainingSessionGuard(db).register(factorizer):
         lift(factorizer)
         if prepare_paths:
             prepare_training_paths(db, graph, factorizer)
-        evaluator = FrontierEvaluator(db, graph, factorizer, criterion, params)
+        evaluator = evaluator_class(db, graph, factorizer, criterion, params)
         trainer = DecisionTreeTrainer(
             graph, criterion, params, evaluator, clusters=clusters
         )

@@ -1,29 +1,34 @@
 """Hash-sharded multi-node training (Figures 12 and 13).
 
 Workers are real :class:`Database` instances over real hash partitions;
-every aggregate a worker contributes is computed by real queries.  Two
-clocks are kept:
+every aggregate a worker contributes is computed by real queries.  The
+cluster executes and measures; it models nothing.  :meth:`census`
+reports what it measured:
 
-* ``simulated_seconds`` — the paper's network model: a parallel step
-  costs ``max(worker times)`` — each shard's compute, timed where the
-  step runs — and each synchronization costs
-  ``bytes / bandwidth + latency``.  This is what Figure 12 plots.
+* ``step_seconds`` — the sum over shard steps of the slowest shard's
+  seconds, each shard's compute timed where its step runs;
+* ``syncs`` and ``shuffle_bytes`` — how many coordinator
+  synchronizations the merges made and the bytes they moved;
 * ``measured_wall_seconds`` — the actual wall clock of running the
-  shard steps on this machine.  This is what the fig12 bench now
-  *measures* rather than models.
+  shard steps on this machine.
+
+The network model that turns these into the paper's simulated seconds
+lives with the figures (:func:`repro.bench.harness.simulated_seconds`).
 
 Every shard step is one :func:`~repro.engine.scheduler.run_tasks` call
 with one task per shard, inline on one worker: the shards' steps run in
 index order in this process, each over its shard's private
-:class:`Database`, so each step's seconds are uncontended compute.  A
-shard step retries transient errors (``MAX_STEP_RETRIES``); every shard
-runs even when one fails, and the failure with the lowest shard index
-is raised.
+:class:`Database`, so each step's seconds are uncontended compute.
+Every shard runs even when one fails, and the failure with the lowest
+shard index is raised.  A step is never retried here: a caller who wants
+statement retries wraps ``workers`` in
+:class:`~repro.backends.chaos.RetryConnector`.
 
 Trees are grown by the single-node
 :class:`~repro.core.trainer.DecisionTreeTrainer` over a split search
-that merges the shards' aggregates in shard-index order, and boosting
-runs the single-node round loop
+that merges the shards' aggregates in shard-index order and scores each
+leaf with the single-node scan (:func:`~repro.core.frontier.best_leaf_split`),
+and boosting runs the single-node round loop
 (:func:`~repro.core.boosting.boost_rounds`) with a per-shard update
 step.  So the model equals single-node ``split_batching="off"``
 training at one shard, and is bit-identical across shard counts on
@@ -39,14 +44,14 @@ restored trees' residual updates through the same per-shard path.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
-from repro.exceptions import TrainingError, TransientBackendError
+from repro.exceptions import TrainingError
+from repro.core.frontier import Slice, best_leaf_split
 from repro.core.params import TrainParams
 from repro.core.residual import ResidualUpdater, check_semi_join_keys
 from repro.core.split import (
@@ -54,7 +59,6 @@ from repro.core.split import (
     GradientCriterion,
     SplitCandidate,
     VarianceCriterion,
-    best_split_from_aggregates,
 )
 from repro.core.trainer import DecisionTreeTrainer
 from repro.core.tree import DecisionTreeModel, TreeNode
@@ -69,7 +73,6 @@ from repro.core.checkpoint import (
     restored_rounds,
 )
 from repro.engine.operators import factorize, group_sum
-from repro.engine.retry import RetryCensus, RetryPolicy, call_with_retry
 from repro.engine.scheduler import run_tasks
 from repro.factorize.executor import Factorizer
 from repro.factorize.predicates import PredicateMap
@@ -79,22 +82,7 @@ from repro.semiring.gradient import GradientSemiRing
 from repro.semiring.variance import VarianceSemiRing
 from repro.semiring.losses import get_loss
 
-#: transient-error retries per shard step
-MAX_STEP_RETRIES = 3
-
 T = TypeVar("T")
-
-#: a shard step's retries run back to back (no backoff sleep)
-_STEP_RETRY_POLICY = RetryPolicy(max_attempts=MAX_STEP_RETRIES + 1, base_delay=0.0)
-
-
-@dataclasses.dataclass
-class ClusterConfig:
-    """Network model: per-sync latency plus bytes over bandwidth."""
-
-    num_machines: int = 4
-    bandwidth_bytes_per_s: float = 1e9
-    latency_s: float = 5e-4
 
 
 class SimulatedCluster:
@@ -110,76 +98,62 @@ class SimulatedCluster:
         db,
         graph: JoinGraph,
         partition_key: str,
-        config: Optional[ClusterConfig] = None,
+        num_machines: int = 4,
         *,
         checkpoint: Optional[CheckpointSink] = None,
     ):
-        self.config = config or ClusterConfig()
         self.workers, self.worker_graphs = partition_database(
-            db, graph, self.config.num_machines, partition_key
+            db, graph, num_machines, partition_key
         )
         self.graph = graph
         self.checkpoint = checkpoint
-        self.simulated_seconds = 0.0
-        self.measured_wall_seconds = 0.0
-        self.shuffle_bytes = 0
-        # retries only: exhaustion is counted once per step in _parallel
-        self._step_retries = RetryCensus()
-        self._retry_exhausted = 0
+        self._reset_census()
 
     # ------------------------------------------------------------------
     # Shard-step execution
     # ------------------------------------------------------------------
-    def _run_step(self, step_fn: Callable[[int], T], index: int) -> T:
-        """One shard step, with bounded transient retries."""
-        return call_with_retry(
-            partial(step_fn, index), _STEP_RETRY_POLICY, self._step_retries
-        )
+    def _reset_census(self) -> None:
+        self.step_seconds = 0.0
+        self.syncs = 0
+        self.shuffle_bytes = 0
+        self.measured_wall_seconds = 0.0
 
     def _parallel(self, step_fn: Callable[[int], T]) -> List[T]:
         """Run ``step_fn(i)`` for every shard ``i``; return index-ordered
-        results and account both clocks.
+        results and account the step's slowest shard and its wall.
 
         Every shard runs even when one fails; the failure of the lowest
         shard index is then raised, so merges downstream see only
         successful results, in shard-index order.
         """
         wall_start = time.perf_counter()
-        try:
-            results, seconds = run_tasks(
-                [partial(self._run_step, step_fn, i)
-                 for i in range(len(self.workers))]
-            )
-        except TransientBackendError:
-            self._retry_exhausted += 1
-            raise
+        results, seconds = run_tasks(
+            [partial(step_fn, i) for i in range(len(self.workers))]
+        )
         self.measured_wall_seconds += time.perf_counter() - wall_start
-        self.simulated_seconds += max(seconds)
+        self.step_seconds += max(seconds)
         return results
 
     def _sync(self, nbytes: int) -> None:
-        """Account one coordinator synchronization."""
+        """Count one coordinator synchronization moving ``nbytes``."""
+        self.syncs += 1
         self.shuffle_bytes += nbytes
-        self.simulated_seconds += (
-            self.config.latency_s + nbytes / self.config.bandwidth_bytes_per_s
-        )
 
     def census(self) -> Dict[str, object]:
-        """Retry counters plus both clocks, for benches and CI."""
+        """What the last training measured, for the figure harness."""
         return {
             "num_shards": len(self.workers),
-            "task_retries": self._step_retries.retries,
-            "retry_exhausted": self._retry_exhausted,
-            "simulated_seconds": self.simulated_seconds,
-            "measured_wall_seconds": self.measured_wall_seconds,
+            "step_seconds": self.step_seconds,
+            "syncs": self.syncs,
             "shuffle_bytes": self.shuffle_bytes,
+            "measured_wall_seconds": self.measured_wall_seconds,
         }
 
     # ------------------------------------------------------------------
     def train_gradient_boosting(
         self, params: Optional[dict] = None, **overrides
-    ) -> Tuple[GradientBoostingModel, float]:
-        """Distributed rmse boosting; returns (model, simulated seconds).
+    ) -> GradientBoostingModel:
+        """Distributed rmse boosting.
 
         Each tree is grown by the single-node trainer over merged shard
         aggregates and applied by the single-node round loop, whose update
@@ -200,9 +174,7 @@ class SimulatedCluster:
         loss = get_loss(train_params.objective, **train_params.loss_kwargs())
         if not loss.supports_galaxy:
             raise TrainingError("distributed training supports rmse only")
-        self.simulated_seconds = 0.0
-        self.measured_wall_seconds = 0.0
-        self.shuffle_bytes = 0
+        self._reset_census()
 
         fact = self.graph.target_relation
         y = self.graph.target_column
@@ -229,7 +201,7 @@ class SimulatedCluster:
         if len(restored) >= train_params.num_iterations:
             # The checkpoint already covers every round.
             model.frontier_census = self.census()
-            return model, self.simulated_seconds
+            return model
 
         ring = GradientSemiRing()
         factorizers = self._lift(
@@ -265,18 +237,16 @@ class SimulatedCluster:
         if self.checkpoint is not None:
             self.checkpoint.clear()
         model.frontier_census = self.census()
-        return model, self.simulated_seconds
+        return model
 
     def train_decision_tree(
         self, params: Optional[dict] = None, **overrides
-    ) -> Tuple[DecisionTreeModel, float]:
+    ) -> DecisionTreeModel:
         """Distributed decision tree (the Figure 13 warehouse workload)."""
         train_params = TrainParams.from_dict(params, **overrides).unbinned(
             "SimulatedCluster"
         )
-        self.simulated_seconds = 0.0
-        self.measured_wall_seconds = 0.0
-        self.shuffle_bytes = 0
+        self._reset_census()
         factorizers = self._lift(VarianceSemiRing())
         criterion = VarianceCriterion()
         search = _MergedSplitSearch(self, factorizers, criterion, train_params)
@@ -284,7 +254,7 @@ class SimulatedCluster:
         for factorizer in factorizers:
             factorizer.cleanup()
         tree.frontier_census = self.census()
-        return tree, self.simulated_seconds
+        return tree
 
     # ------------------------------------------------------------------
     # Tree growth over merged aggregates
@@ -299,87 +269,12 @@ class SimulatedCluster:
 
         return self._parallel(lift)
 
-    def _merged_totals(
-        self, factorizers: List[Factorizer], predicates: PredicateMap
-    ) -> Dict[str, float]:
-        results = self._parallel(lambda i: factorizers[i].totals(predicates))
-        self._sync(len(factorizers) * 8 * max(len(r) for r in results))
-        merged: Dict[str, float] = {}
-        for result in results:
-            for key, value in result.items():
-                merged[key] = merged.get(key, 0.0) + value
-        return merged
-
-    def _merged_best_split(
-        self,
-        factorizers: List[Factorizer],
-        criterion: Criterion,
-        params: TrainParams,
-        predicates: PredicateMap,
-        totals: Dict[str, float],
-        features: Sequence[Tuple[str, str]],
-    ) -> Optional[SplitCandidate]:
-        best: Optional[SplitCandidate] = None
-        for relation, feature in features:
-            merged = self._merged_feature_aggregate(
-                factorizers, relation, feature, predicates
-            )
-            if merged is None:
-                continue
-            values, aggs = merged
-            cand = best_split_from_aggregates(
-                criterion, relation, feature, values, np.isnan(values), aggs,
-                totals,
-                categorical=self.graph.is_categorical(relation, feature),
-                missing=params.missing,
-                min_child_samples=params.min_child_samples,
-            )
-            if cand is not None and (best is None or cand.gain > best.gain):
-                best = cand
-        return best
-
-    def _merged_feature_aggregate(
-        self,
-        factorizers: List[Factorizer],
-        relation: str,
-        feature: str,
-        predicates: PredicateMap,
-    ):
-        comps = list(factorizers[0].semiring.components)
-
-        def absorb(i: int) -> Dict[str, np.ndarray]:
-            # Keep plain arrays, not Relations: arrays are what the merge
-            # needs.
-            result = factorizers[i].absorb(
-                relation, [feature], predicates, tag="feature"
-            )
-            payload = {feature: result.column(feature).values.astype(np.float64)}
-            for comp in comps:
-                payload[comp] = result.column(comp).values.astype(np.float64)
-            return payload
-
-        results = self._parallel(absorb)
-        values = np.concatenate([r[feature] for r in results])
-        if len(values) == 0:
-            return None
-        stacked = {
-            comp: np.concatenate([r[comp] for r in results]) for comp in comps
-        }
-        self._sync(int(values.nbytes + sum(a.nbytes for a in stacked.values())))
-        codes, ngroups, first_idx, _ = factorize([values])
-        merged_vals = values[first_idx]
-        merged_aggs = {
-            comp: group_sum(codes, ngroups, arr)[0] for comp, arr in stacked.items()
-        }
-        order = np.argsort(merged_vals, kind="stable")
-        return merged_vals[order], {c: a[order] for c, a in merged_aggs.items()}
-
 
 class _MergedSplitSearch:
     """The :class:`~repro.core.trainer.SplitSearch` the single-node
     trainer grows sharded trees with: one leaf at a time, every
     feature's per-shard group-by merged in shard-index order, scored by
-    the single-node kernel."""
+    the single-node per-leaf scan."""
 
     def __init__(
         self,
@@ -395,7 +290,13 @@ class _MergedSplitSearch:
 
     def totals(self) -> Dict[str, float]:
         """The merged root aggregates."""
-        return self.cluster._merged_totals(self.factorizers, {})
+        results = self.cluster._parallel(lambda i: self.factorizers[i].totals())
+        self.cluster._sync(len(results) * 8 * max(len(r) for r in results))
+        merged: Dict[str, float] = {}
+        for result in results:
+            for key, value in result.items():
+                merged[key] = merged.get(key, 0.0) + value
+        return merged
 
     def begin_tree(self, root: TreeNode) -> None:
         """No per-tree state."""
@@ -405,9 +306,9 @@ class _MergedSplitSearch:
     ) -> Dict[int, Optional[SplitCandidate]]:
         """Each node's best split over the merged aggregates."""
         return {
-            node.node_id: self.cluster._merged_best_split(
-                self.factorizers, self.criterion, self.params,
-                node.path_predicates(), node.aggregates, features,
+            node.node_id: best_leaf_split(
+                node, features, self._merged_slice,
+                self.criterion, self.cluster.graph, self.params,
             )
             for node in nodes
         }
@@ -418,3 +319,31 @@ class _MergedSplitSearch:
     def leaf_label_column(self, model: DecisionTreeModel) -> Optional[str]:
         """Shards keep no leaf labels."""
         return None
+
+    def _merged_slice(
+        self, relation: str, feature: str, predicates: PredicateMap
+    ) -> Slice:
+        """One feature's per-shard group-bys merged in shard-index order,
+        as a :data:`~repro.core.frontier.Slice` sorted by value."""
+        names = [feature, *self.factorizers[0].semiring.components]
+
+        def absorb(i: int) -> List[np.ndarray]:
+            result = self.factorizers[i].absorb(
+                relation, [feature], predicates, tag="feature"
+            )
+            return [result.column(n).values.astype(np.float64) for n in names]
+
+        values, *stacked = (
+            np.concatenate(arrays)
+            for arrays in zip(*self.cluster._parallel(absorb))
+        )
+        if len(values) == 0:
+            return values, np.isnan(values), dict(zip(names[1:], stacked))
+        self.cluster._sync(int(values.nbytes + sum(a.nbytes for a in stacked)))
+        codes, ngroups, first_idx, _ = factorize([values])
+        order = np.argsort(values[first_idx], kind="stable")
+        values = values[first_idx][order]
+        return values, np.isnan(values), {
+            name: group_sum(codes, ngroups, arr)[0][order]
+            for name, arr in zip(names[1:], stacked)
+        }

@@ -3,7 +3,7 @@
 The paper's multi-node experiments replicate dimension tables on every
 machine and hash-partition the fact table.  Partitioning here is real
 (rows are split by a hash of the partition key); only the *network* is
-modelled, in :mod:`repro.distributed.cluster`.
+modelled, by the figure harness (:mod:`repro.bench.harness`).
 """
 
 from __future__ import annotations

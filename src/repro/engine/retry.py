@@ -11,14 +11,15 @@ that retries them.
 The policy is deliberately boring and deterministic: a bounded attempt
 count, a fixed exponential backoff schedule (no jitter — reproducible
 runs beat thundering-herd theory at this scale), and a per-query delay
-budget so one stuck statement cannot stall a round for minutes.  Two
-call sites consume it.  :class:`~repro.backends.chaos.RetryConnector`
+budget so one stuck statement cannot stall a round for minutes.  One
+call site consumes it: :class:`~repro.backends.chaos.RetryConnector`
 wraps a connector's ``execute``/``execute_read``, so every statement is
-retried where it runs — on the serial path and on the task runner's
-worker threads alike.  The runner itself never retries a task (a second
-loop around the connector's would multiply the attempts per statement).
-:class:`~repro.distributed.cluster.SimulatedCluster` retries each shard
-step, whose shard databases carry no retrying connector.
+retried where it runs — on the serial path, on the task runner's worker
+threads and on a shard of
+:class:`~repro.distributed.cluster.SimulatedCluster` whose connector
+the caller wrapped alike.  Nothing retries a task or a shard step (a
+second loop around the connector's would multiply the attempts per
+statement).
 
 On exhaustion the *final* attempt's exception is raised with the total
 attempt count attached as ``exc.attempts`` — callers report what

@@ -319,7 +319,7 @@ def evaluate(expr: ast.Expr, frame: Frame, context: Optional[dict] = None) -> np
         operand = evaluate(expr.operand, frame, context)
         result = np.zeros(n, dtype=bool)
         for item in expr.items:
-            value = evaluate(item, frame, context)
+            value = _operand(item, frame, context)
             with np.errstate(invalid="ignore"):
                 result |= operand == value
         return ~result if expr.negated else result
@@ -397,8 +397,9 @@ def _constant(expr: ast.Expr, context: dict) -> Optional[np.ndarray]:
 
 
 def _operand(expr: ast.Expr, frame: Frame, context: dict) -> np.ndarray:
-    """A binary operator's operand: a non-string literal stays a 0-d
-    scalar that numpy broadcasts, anything else is evaluated per row."""
+    """A binary operator's operand or an ``IN (…)`` item: a non-string
+    literal stays a 0-d scalar that numpy broadcasts, anything else is
+    evaluated per row."""
     value = _constant(expr, context)
     if value is None or value.dtype == object:
         return evaluate(expr, frame, context)

@@ -292,12 +292,10 @@ class TestRowBaggingRefused:
         assert db.catalog.temp_names() == []
 
     def test_sharded(self, small_star):
-        from repro.distributed import ClusterConfig, SimulatedCluster
+        from repro.distributed import SimulatedCluster
 
         db, graph = small_star
-        cluster = SimulatedCluster(
-            db, graph, "k0", ClusterConfig(num_machines=2)
-        )
+        cluster = SimulatedCluster(db, graph, "k0", num_machines=2)
         with pytest.raises(TrainingError, match="subsample"):
             cluster.train_gradient_boosting(
                 {"num_iterations": 2, "subsample": 0.5}
@@ -335,12 +333,10 @@ class TestMaxBinRefused:
             )
 
     def test_sharded(self, small_star):
-        from repro.distributed import ClusterConfig, SimulatedCluster
+        from repro.distributed import SimulatedCluster
 
         db, graph = small_star
-        cluster = SimulatedCluster(
-            db, graph, "k0", ClusterConfig(num_machines=2)
-        )
+        cluster = SimulatedCluster(db, graph, "k0", num_machines=2)
         with pytest.raises(TrainingError, match="train_boosting_on_cuboid"):
             cluster.train_gradient_boosting({"num_iterations": 2, "max_bin": 4})
         with pytest.raises(TrainingError, match="train_boosting_on_cuboid"):

@@ -12,6 +12,7 @@ import pytest
 
 import repro
 from repro.backends.chaos import ChaosConnector, FaultPlan, FaultRule
+from repro.baselines.lmfao import train_tree_variant
 from repro.core.histogram import train_boosting_on_cuboid
 from repro.core.serialize import model_digest
 from repro.core.session import side_state_audit
@@ -350,6 +351,23 @@ class TestSideStateCleanup:
         )
         with pytest.raises(BackendExecutionError):
             repro.train_gradient_boosting(conn, graph, dict(PARAMS))
+        audit = side_state_audit(conn)
+        assert audit["clean"], f"side state leaked: {audit}"
+
+    @pytest.mark.parametrize("backend", ["plain", "sqlite"])
+    @pytest.mark.parametrize("variant", ["batch", "joinboost"])
+    def test_lmfao_ablation_failure_leaves_no_side_state(
+        self, backend, variant
+    ):
+        """The Figure 16 ablation's factorized variants train in the
+        session: a fault mid-growth strands no lift or message."""
+        conn = repro.connect(
+            backend, chaos="tag=feature:nth=3:times=1:kind=permanent",
+            retry=False,
+        )
+        _, graph = favorita(db=conn, num_fact_rows=3000)
+        with pytest.raises(BackendExecutionError):
+            train_tree_variant(conn, graph, variant, {"num_leaves": 4})
         audit = side_state_audit(conn)
         assert audit["clean"], f"side state leaked: {audit}"
 

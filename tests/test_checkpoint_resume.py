@@ -306,16 +306,16 @@ class TestRetiredParamCheckpoint:
 
     def test_sharded_resume_matches_uninterrupted(self):
         from repro.datasets import star_schema
-        from repro.distributed import ClusterConfig, SimulatedCluster
+        from repro.distributed import SimulatedCluster
 
         params = TestShardedResume.PARAMS
         db, graph = star_schema(num_fact_rows=2000, num_dims=2, seed=7)
-        reference, _ = SimulatedCluster(
-            db, graph, "k0", ClusterConfig(num_machines=4)
+        reference = SimulatedCluster(
+            db, graph, "k0", num_machines=4
         ).train_gradient_boosting(params)
         db, graph = star_schema(num_fact_rows=2000, num_dims=2, seed=7)
-        model, _ = SimulatedCluster(
-            db, graph, "k0", ClusterConfig(num_machines=4),
+        model = SimulatedCluster(
+            db, graph, "k0", num_machines=4,
             checkpoint=_pinned_sink(
                 "sharded_checkpoint_with_executor_param.json"
             ),
@@ -347,17 +347,17 @@ class TestShardedResume:
         return star_schema(num_fact_rows=2000, num_dims=2, seed=7)
 
     def test_sharded_resume_digest_matches_uninterrupted(self):
-        from repro.distributed import ClusterConfig, SimulatedCluster
+        from repro.distributed import SimulatedCluster
 
         db, graph = self._dataset()
-        reference, _ = SimulatedCluster(
-            db, graph, "k0", ClusterConfig(num_machines=4)
+        reference = SimulatedCluster(
+            db, graph, "k0", num_machines=4
         ).train_gradient_boosting(self.PARAMS)
 
         db2, graph2 = self._dataset()
         sink = _InterruptingSink(after=1)
         interrupted = SimulatedCluster(
-            db2, graph2, "k0", ClusterConfig(num_machines=4),
+            db2, graph2, "k0", num_machines=4,
             checkpoint=sink,
         )
         with pytest.raises(RuntimeError):
@@ -366,52 +366,52 @@ class TestShardedResume:
 
         sink.after = -1  # the replacement driver's sink doesn't die
         resumed_cluster = SimulatedCluster(
-            db2, graph2, "k0", ClusterConfig(num_machines=4),
+            db2, graph2, "k0", num_machines=4,
             checkpoint=sink,
         )
-        model, _ = resumed_cluster.train_gradient_boosting(self.PARAMS)
+        model = resumed_cluster.train_gradient_boosting(self.PARAMS)
         assert model_digest(model) == model_digest(reference)
         assert sink.payload is None  # completed runs clear their sink
 
     def test_sharded_resume_with_feature_sampling(self):
         """The restore replays the restored rounds' feature draws, so a
         resumed 4-shard run samples what the uninterrupted one did."""
-        from repro.distributed import ClusterConfig, SimulatedCluster
+        from repro.distributed import SimulatedCluster
 
         params = dict(self.PARAMS, feature_fraction=0.5, seed=5)
         db, graph = self._dataset()
-        reference, _ = SimulatedCluster(
-            db, graph, "k0", ClusterConfig(num_machines=4)
+        reference = SimulatedCluster(
+            db, graph, "k0", num_machines=4
         ).train_gradient_boosting(params)
 
         db2, graph2 = self._dataset()
         sink = _InterruptingSink(after=2)
         with pytest.raises(RuntimeError):
             SimulatedCluster(
-                db2, graph2, "k0", ClusterConfig(num_machines=4),
+                db2, graph2, "k0", num_machines=4,
                 checkpoint=sink,
             ).train_gradient_boosting(params)
         assert read_checkpoint(sink)["round"] == 2
         sink.after = -1
-        model, _ = SimulatedCluster(
-            db2, graph2, "k0", ClusterConfig(num_machines=4),
+        model = SimulatedCluster(
+            db2, graph2, "k0", num_machines=4,
             checkpoint=sink,
         ).train_gradient_boosting(params)
         assert model_digest(model) == model_digest(reference)
 
     def test_sharded_resume_rejects_param_drift(self):
-        from repro.distributed import ClusterConfig, SimulatedCluster
+        from repro.distributed import SimulatedCluster
 
         db, graph = self._dataset()
         sink = _InterruptingSink(after=1)
         cluster = SimulatedCluster(
-            db, graph, "k0", ClusterConfig(num_machines=2), checkpoint=sink,
+            db, graph, "k0", num_machines=2, checkpoint=sink,
         )
         with pytest.raises(RuntimeError):
             cluster.train_gradient_boosting(self.PARAMS)
         sink.after = -1
         with pytest.raises(TrainingError, match="num_leaves"):
             SimulatedCluster(
-                db, graph, "k0", ClusterConfig(num_machines=2),
+                db, graph, "k0", num_machines=2,
                 checkpoint=sink,
             ).train_gradient_boosting(dict(self.PARAMS, num_leaves=8))

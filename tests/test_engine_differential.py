@@ -189,6 +189,17 @@ SHAPES = [
     ("in_subquery",
      "SELECT t.rid, t.g FROM f AS t WHERE t.k IN "
      "(SELECT k FROM d WHERE c = 1 AND k IS NOT NULL)", False),
+    # literal IN items, signed / float / NULL / string; NOT IN only over
+    # a column without NULLs (sqlite's NULL answer is this engine's true)
+    ("in_list_literals_where",
+     "SELECT t.rid FROM f AS t WHERE t.x IN (-1, 2, NULL, +4) "
+     "OR t.v IN (-0.75, 2.5, NULL, 1) OR t.name IN ('n1', 'n2')", False),
+    ("in_list_literals_case",
+     "SELECT t.rid, CASE WHEN t.x IN (-1, 2.5, NULL) THEN 1 ELSE 0 END AS a, "
+     "CASE WHEN t.g IN (-1.25, 0.5, -2) THEN 1 ELSE 0 END AS b, "
+     "CASE WHEN t.name IN ('n3', NULL) THEN 1 ELSE 0 END AS c, "
+     "CASE WHEN t.jb_leaf_s1 NOT IN (0, -3, 2) THEN 1 ELSE 0 END AS d "
+     "FROM f AS t", False),
     ("count_star_no_live_column", "SELECT COUNT(*) AS n FROM f", False),
     ("constant_no_live_column", "SELECT 1 AS one FROM d", False),
     ("count_star_through_join",

@@ -33,7 +33,7 @@ from repro.backends.chaos import _ConnectorProxy
 from repro.backends.sqlite3_backend import SQLiteConnector
 from repro.core.histogram import train_boosting_on_cuboid
 from repro.datasets import favorita, imdb
-from repro.distributed import ClusterConfig, SimulatedCluster
+from repro.distributed import SimulatedCluster
 from repro.engine.database import Database
 from repro.joingraph.graph import JoinGraph
 
@@ -161,15 +161,12 @@ def _cuboid(db, graph, workers):
 
 
 def _shards(db, graph, workers):
-    cluster = SimulatedCluster(db, graph, "item_id",
-                               ClusterConfig(num_machines=2))
+    cluster = SimulatedCluster(db, graph, "item_id", num_machines=2)
     # Each shard is its own connector: log them all into one list.
     cluster.workers = [StatementLog(w, db.log) for w in cluster.workers]
     for worker, shard_graph in zip(cluster.workers, cluster.worker_graphs):
         shard_graph.db = worker
-    return cluster.train_gradient_boosting(
-        dict(PARAMS, num_workers=workers)
-    )[0]
+    return cluster.train_gradient_boosting(dict(PARAMS, num_workers=workers))
 
 
 #: config -> (``make(db) -> graph``, ``train(db, graph, workers) -> model``)
